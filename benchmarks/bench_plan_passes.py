@@ -1,21 +1,17 @@
-"""Plan-pass benchmark — coalescing must shrink the schedule, tiling must be free.
+"""Plan-pass benchmark — coalescing must shrink the schedule.
 
-The plan optimization passes (:mod:`repro.plan.passes`) are bit-exact
-rewrites; this benchmark gates that they actually buy what they promise.
-Two committed gates (``benchmarks/thresholds.json``, enforced in CI):
+The plan optimization pass (:mod:`repro.plan.passes`) is a bit-exact
+rewrite; this benchmark gates that it actually buys what it promises.
+One committed gate (``benchmarks/thresholds.json``, enforced in CI):
 
 * ``coalesce_chunk_reduction`` — on example 4.1 at N=64 the coalesced
   plan must have at least **2x** fewer chunks than the raw plan (measured
   ~4x: the two partition labels fold into their fronts and adjacent
-  fronts merge pairwise, 512 → 129 chunks);
-* ``tiled_vs_untiled`` — executing the tiled plan through the vectorized
-  backend must be no slower than the untiled plan beyond noise:
-  untiled_seconds / tiled_seconds must stay at least **0.75**.  Tiling
-  bounds the per-round gather/scatter working set, so it must never cost
-  more than measurement jitter on workloads that fit in cache anyway.
+  fronts merge pairwise, 512 → 129 chunks).
 
-Both runs are cross-checked for bit-identical stores before any timing is
-reported — a fast wrong answer must fail loudly, not gate green.
+The raw and coalesced plans are executed through the vectorized backend
+and cross-checked for bit-identical stores before the ratio is reported —
+a wrong rewrite must fail loudly, not gate green.
 
 Run under pytest-benchmark::
 
@@ -24,61 +20,40 @@ Run under pytest-benchmark::
 or standalone (CI smoke / regression gate)::
 
     python benchmarks/bench_plan_passes.py --size 64 \
-        --json results.json --require-chunk-reduction 2 --require-tiled-ratio 0.75
+        --json results.json --require-chunk-reduction 2
 """
 
 import argparse
 import json
 import os
 import sys
-import time
 
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
-from repro.plan import TiledPlan, optimize_plan
+from repro.plan import optimize_plan
 from repro.runtime.arrays import store_for_nest
 from repro.runtime.backends import get_backend
 from repro.workloads.paper_examples import example_4_1
 
 SIZE_N = 64
-TILE_ITERATIONS = 1024
 CHUNK_REDUCTION_TARGET = 2.0
-TILED_RATIO_TARGET = 0.75
 
 
-def _time_plan(backend, transformed, plan, nest, repetitions):
-    """Best-of execution time on fresh stores; returns (seconds, store)."""
-    best = float("inf")
-    store = None
-    for _ in range(max(1, repetitions)):
-        store = store_for_nest(nest)
-        start = time.perf_counter()
-        backend.execute_plan(transformed, plan, store)
-        best = min(best, time.perf_counter() - start)
-    return best, store
+def _executed(transformed, plan, nest):
+    store = store_for_nest(nest)
+    get_backend("vectorized").execute_plan(transformed, plan, store)
+    return store
 
 
-def _measure(n: int, tile: int = TILE_ITERATIONS, repetitions: int = 3):
-    """Chunk reduction of coalescing and wall-clock cost of tiling."""
+def _measure(n: int):
+    """Chunk reduction of coalescing, checked bit-identical first."""
     nest = example_4_1(n)
     transformed = TransformedLoopNest.from_report(analyze_nest(nest))
     base = transformed.execution_plan()
     coalesced, _ = optimize_plan(base, transformed, passes=("coalesce",))
-    # The tile budget is forced below the largest coalesced chunk so the
-    # wave path genuinely engages at benchmark sizes.
-    tile = min(tile, max(1, max(coalesced.chunk_sizes()) // 2))
-    tiled = TiledPlan(coalesced, tile_iterations=tile)
-
-    backend = get_backend("vectorized")
-    untiled_seconds, untiled_store = _time_plan(
-        backend, transformed, coalesced, nest, repetitions
-    )
-    tiled_seconds, tiled_store = _time_plan(
-        backend, transformed, tiled, nest, repetitions
-    )
-    assert untiled_store.identical(tiled_store), (
-        "tiled and untiled execution disagree — refusing to report timings"
-    )
+    assert _executed(transformed, base, nest).identical(
+        _executed(transformed, coalesced, nest)
+    ), "raw and coalesced execution disagree — refusing to report"
 
     return {
         "workload": nest.name,
@@ -87,36 +62,22 @@ def _measure(n: int, tile: int = TILE_ITERATIONS, repetitions: int = 3):
         "base_chunks": base.chunk_count,
         "coalesced_chunks": coalesced.chunk_count,
         "coalesce_chunk_reduction": base.chunk_count / coalesced.chunk_count,
-        "tile_iterations": tile,
-        "untiled_seconds": untiled_seconds,
-        "tiled_seconds": tiled_seconds,
-        "tiled_vs_untiled": (
-            untiled_seconds / tiled_seconds if tiled_seconds > 0 else float("inf")
-        ),
     }
 
 
-def _check(result, chunk_reduction_target=None, tiled_ratio_target=None):
+def _check(result, chunk_reduction_target=None):
     if chunk_reduction_target is not None:
         assert result["coalesce_chunk_reduction"] >= chunk_reduction_target, (
             f"coalescing only reduced chunks "
             f"{result['coalesce_chunk_reduction']:.2f}x "
             f"(target {chunk_reduction_target:.1f}x)"
         )
-    if tiled_ratio_target is not None:
-        assert result["tiled_vs_untiled"] >= tiled_ratio_target, (
-            f"tiled execution is {1.0 / result['tiled_vs_untiled']:.2f}x slower "
-            f"than untiled (allowed ratio {tiled_ratio_target:.2f})"
-        )
 
 
 def _json_payload(result):
     return {
         "name": "plan_passes",
-        "metrics": {
-            "coalesce_chunk_reduction": result["coalesce_chunk_reduction"],
-            "tiled_vs_untiled": result["tiled_vs_untiled"],
-        },
+        "metrics": {"coalesce_chunk_reduction": result["coalesce_chunk_reduction"]},
         "details": result,
     }
 
@@ -129,25 +90,16 @@ def _table(result) -> str:
             f"  coalescing: {result['base_chunks']} -> "
             f"{result['coalesced_chunks']} chunks "
             f"({result['coalesce_chunk_reduction']:.2f}x fewer)",
-            f"  tiling (budget {result['tile_iterations']}): untiled "
-            f"{result['untiled_seconds'] * 1000.0:.3f} ms, tiled "
-            f"{result['tiled_seconds'] * 1000.0:.3f} ms "
-            f"(ratio {result['tiled_vs_untiled']:.2f})",
         ]
     )
 
 
 def test_plan_passes(benchmark):
     result = benchmark.pedantic(_measure, args=(SIZE_N,), rounds=1, iterations=1)
-    _check(
-        result,
-        chunk_reduction_target=CHUNK_REDUCTION_TARGET,
-        tiled_ratio_target=TILED_RATIO_TARGET,
-    )
+    _check(result, chunk_reduction_target=CHUNK_REDUCTION_TARGET)
     benchmark.extra_info["coalesce_chunk_reduction"] = round(
         result["coalesce_chunk_reduction"], 2
     )
-    benchmark.extra_info["tiled_vs_untiled"] = round(result["tiled_vs_untiled"], 2)
     print()
     print(_table(result))
 
@@ -158,28 +110,11 @@ def main(argv=None) -> int:
         "--size", type=int, default=SIZE_N, help=f"workload size N (default: {SIZE_N})"
     )
     parser.add_argument(
-        "--tile",
-        type=int,
-        default=TILE_ITERATIONS,
-        help=f"tile budget in iterations (default: {TILE_ITERATIONS}; clamped "
-        "below the largest chunk so the wave path engages)",
-    )
-    parser.add_argument(
-        "--repetitions", type=int, default=3, help="timing repetitions (default: 3)"
-    )
-    parser.add_argument(
         "--require-chunk-reduction",
         type=float,
         default=None,
         help="fail unless coalescing reduces chunks at least this much "
         f"(the CI gate uses {CHUNK_REDUCTION_TARGET:.1f})",
-    )
-    parser.add_argument(
-        "--require-tiled-ratio",
-        type=float,
-        default=None,
-        help="fail unless untiled/tiled wall-clock ratio is at least this "
-        f"(the CI gate uses {TILED_RATIO_TARGET:.2f})",
     )
     parser.add_argument(
         "--json",
@@ -189,16 +124,12 @@ def main(argv=None) -> int:
         "(checked against benchmarks/thresholds.json in CI)",
     )
     args = parser.parse_args(argv)
-    result = _measure(args.size, tile=args.tile, repetitions=args.repetitions)
+    result = _measure(args.size)
     if args.json:
         os.makedirs(os.path.dirname(args.json) or ".", exist_ok=True)
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(_json_payload(result), handle, indent=2)
-    _check(
-        result,
-        chunk_reduction_target=args.require_chunk_reduction,
-        tiled_ratio_target=args.require_tiled_ratio,
-    )
+    _check(result, chunk_reduction_target=args.require_chunk_reduction)
     print(_table(result))
     return 0
 

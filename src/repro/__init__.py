@@ -30,9 +30,7 @@ Quickstart
 
 ``Session.run`` executes the transformed loop through the configured
 backend/mode and ``Session.map`` serves batches; both return results with
-``to_dict()`` / ``to_json()`` for serving.  The legacy one-shot functions
-``parallelize`` / ``parallelize_and_execute`` are deprecated wrappers over
-this surface (see the README migration table).
+``to_dict()`` / ``to_json()`` for serving.
 """
 
 from repro.loopnest import (
@@ -50,7 +48,6 @@ from repro.core import (
     ParallelizationReport,
     PseudoDistanceMatrix,
     analyze_nest,
-    parallelize,
     transform_non_full_rank,
     partition_full_rank,
     is_legal_unimodular,
@@ -113,7 +110,6 @@ __all__ = [
     "ParallelizationReport",
     "PseudoDistanceMatrix",
     "analyze_nest",
-    "parallelize",
     "transform_non_full_rank",
     "partition_full_rank",
     "is_legal_unimodular",

@@ -57,7 +57,6 @@ from repro.loopnest.nest import LoopNest
 from repro.plan import (
     DEFAULT_PLAN_PASSES,
     ExecutionPlan,
-    FusePlansPass,
     PlanPassManager,
     available_plan_passes,
     build_plan_pipeline,
@@ -92,22 +91,21 @@ class SessionConfig:
     ``plan_passes`` names the plan→plan optimization pipeline
     (:mod:`repro.plan.passes`) run over every program's execution plan
     after planning; the optimized plan is what the program LRU caches and
-    the executor dispatches.  ``None`` (the default) picks by mode:
-    dispatch-bound modes (``threads``, ``processes``, ``shared``) get
-    ``("coalesce", "tile")`` — coalescing trades the round-major chunk
-    structure for fewer per-chunk dispatches, a win exactly when each
-    chunk costs a future, a pickle or a pool message — while ``serial``
-    and ``native-parallel`` get ``("tile",)`` only: serial dispatch is
-    free, and the in-kernel parallel driver runs the whole plan in one
-    native call, so neither pays per-chunk dispatch — and coalescing
-    would block parallel levels, making chunks non-separable and
-    unpackable for the driver.  An empty tuple disables optimization
-    entirely.
+    the executor dispatches.  ``None`` (the default) picks by mode: the
+    dispatch-bound modes (``threads``, ``shared``) get ``("coalesce",)`` —
+    coalescing trades the round-major chunk structure for fewer per-chunk
+    dispatches, a win exactly when each chunk costs a future or a pool
+    message — while ``serial`` and ``native-parallel`` run the raw plan:
+    serial dispatch is free, and the in-kernel parallel driver runs the
+    whole plan in one native call, so neither pays per-chunk dispatch —
+    and coalescing would block parallel levels, making chunks
+    non-separable and unpackable for the driver.  An empty tuple disables
+    optimization in every mode.
 
         >>> SessionConfig().resolved_plan_passes()
-        ('tile',)
+        ()
         >>> SessionConfig(mode="threads").resolved_plan_passes()
-        ('coalesce', 'tile')
+        ('coalesce',)
 
     ``cluster`` attaches the distributed serving tier: a
     :class:`~repro.cluster.client.ClusterConfig` (or, for convenience, a
@@ -195,9 +193,8 @@ class SessionConfig:
             # schedules chunks itself (one native call for the whole plan),
             # so neither wants coalescing — which blocks parallel levels
             # and makes chunks non-separable, forcing the driver to fall
-            # back to per-chunk dispatch.  Tiling keeps the packed table
-            # intact.
-            return ("tile",)
+            # back to per-chunk dispatch.
+            return ()
         return DEFAULT_PLAN_PASSES
 
     def resolved_workers(self) -> int:
@@ -431,90 +428,6 @@ class Session:
             max_abs_difference=max_abs_difference,
             program_seconds=program_seconds,
         )
-
-    def run_fused(
-        self,
-        sources: Sequence[LoopSource],
-        *,
-        placement: Optional[str] = None,
-        names: Optional[Sequence[Optional[str]]] = None,
-        initializer: Optional[str] = None,
-        n: Optional[int] = None,
-        verify: Optional[bool] = None,
-    ) -> List[RunResult]:
-        """Analyze several sources and execute their plans as *one* dispatch.
-
-        The members' (independently optimized) plans are fused by
-        :class:`~repro.plan.FusePlansPass` into a single schedule over the
-        concatenated chunk space: balancing, process fan-out and — in
-        ``shared`` mode — the worker-pool job all happen once for the whole
-        batch instead of once per source.  Each source keeps its own store;
-        results come back in input order.  A single source degrades to a
-        plain :meth:`run`.
-        """
-        sources = list(sources)
-        if names is None:
-            names = [None] * len(sources)
-        elif len(names) != len(sources):
-            raise WorkloadError(
-                f"names has {len(names)} entries for {len(sources)} sources"
-            )
-        if not sources:
-            return []
-        if len(sources) == 1:
-            return [
-                self.run(
-                    sources[0], placement=placement, name=names[0],
-                    initializer=initializer, n=n, verify=verify,
-                )
-            ]
-        nests: List[LoopNest] = []
-        analyses: List[AnalysisResult] = []
-        transformeds: List[TransformedLoopNest] = []
-        plans: List[ExecutionPlan] = []
-        program_seconds: List[float] = []
-        for source, name in zip(sources, names):
-            nest = resolve_source(source, name=name, n=n)
-            analysis = self._analyze_nest(nest, placement=placement, name=name)
-            program_start = time.perf_counter()
-            transformed, plan = self._program_for(nest, analysis.report)
-            program_seconds.append(time.perf_counter() - program_start)
-            nests.append(nest)
-            analyses.append(analysis)
-            transformeds.append(transformed)
-            plans.append(plan)
-        fuse_start = time.perf_counter()
-        ctx = PlanPassManager([FusePlansPass()]).optimize(plans, tuple(transformeds))
-        [fused] = ctx.plans
-        fuse_seconds = (time.perf_counter() - fuse_start) / len(sources)
-        stores = [
-            store_for_nest(nest, initializer=initializer or self.config.initializer)
-            for nest in nests
-        ]
-        check = self.config.verify == "always" if verify is None else bool(verify)
-        references = [store.copy() for store in stores] if check else None
-        executions = self.executor.run_fused(transformeds, fused, stores)
-        results: List[RunResult] = []
-        for index, (nest, analysis, execution, store) in enumerate(
-            zip(nests, analyses, executions, stores)
-        ):
-            max_abs_difference: Optional[float] = None
-            if references is not None:
-                execute_nest(nest, references[index])
-                max_abs_difference = references[index].max_abs_difference(store)
-            checksum = sum(float(array.data.sum()) for array in store.values())
-            results.append(
-                RunResult(
-                    analysis=analysis,
-                    execution=execution,
-                    checksum=checksum,
-                    max_abs_difference=max_abs_difference,
-                    program_seconds=program_seconds[index] + fuse_seconds,
-                )
-            )
-        with self._lock:
-            self._runs += len(results)
-        return results
 
     def map(
         self,

@@ -1,7 +1,7 @@
 """The paper's method wrapped in the common baseline interface.
 
 This is exactly the default pass configuration of
-:func:`repro.core.pipeline.parallelize`, routed through the shared analysis
+:func:`repro.core.pipeline.analyze_nest`, routed through the shared analysis
 cache so repeated comparisons over the same workload structures pay for one
 analysis only.
 """

@@ -105,10 +105,9 @@ def _add_session_options(parser: argparse.ArgumentParser) -> None:
         choices=list(EXECUTION_MODES),
         default="serial",
         help="executor mode for the 'run' and 'batch' commands: 'shared' is "
-        "the persistent zero-copy worker pool, 'processes' the fork-per-call "
-        "copy-and-merge pool, 'native-parallel' the in-kernel multithreaded "
-        "driver of the native backend ('threads' auto-upgrades to it when "
-        "available) (default: serial)",
+        "the persistent zero-copy worker pool, 'native-parallel' the in-kernel "
+        "multithreaded driver of the native backend ('threads' auto-upgrades "
+        "to it when available) (default: serial)",
     )
     group.add_argument(
         "--plan-passes",
@@ -117,7 +116,7 @@ def _add_session_options(parser: argparse.ArgumentParser) -> None:
         help="comma-separated plan optimization passes run over every "
         "execution plan after planning (default: auto — "
         f"{','.join(DEFAULT_PLAN_PASSES)} for the dispatch-bound modes, "
-        "tile only for serial; available: "
+        "none for serial and native-parallel; available: "
         f"{', '.join(available_plan_passes())})",
     )
     group.add_argument(
@@ -273,7 +272,7 @@ def _cmd_batch(nests: List[LoopNest], args, session: Session) -> str:
     jobs = jobs_from_nests(
         nests, placement=args.placement, repeat=getattr(args, "repeat", 1)
     )
-    with BatchService(session=session, fuse=getattr(args, "fuse", False)) as service:
+    with BatchService(session=session) as service:
         batch_report = service.submit(jobs)
     return batch_report.describe()
 
@@ -405,13 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default=1,
                 help="submit the job list this many times (structural "
                 "duplicates share one analysis through the cache; default: 1)",
-            )
-        if command == "batch":
-            sub.add_argument(
-                "--fuse",
-                action="store_true",
-                help="fuse adjacent compatible jobs into one dispatch per "
-                "window (one balancing decision and pool job per window)",
             )
         if command == "serve":
             sub.add_argument(

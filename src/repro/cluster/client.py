@@ -30,9 +30,8 @@ Three properties carry the design:
   ladder: they would fail identically everywhere, so they surface
   immediately, exactly like a serial run.
 
-Merging uses the same diff-against-pristine trick as process mode, but
-vectorized: a worker returns its group's full final arrays, the client
-masks them against a pristine copy and writes only the changed cells into
+Merging diffs against a pristine copy, vectorized: a worker returns its
+group's full final arrays, the client masks them against a pristine copy and writes only the changed cells into
 the caller's store.  Chunks of a legal schedule never write a common cell
 (Lemma 1 / Theorem 2), so concurrent group merges touch disjoint elements
 and the merge is order-independent.
@@ -55,7 +54,7 @@ from repro.exceptions import ClusterError, ExecutionError, WorkloadError
 from repro.loopnest.canonical import canonical_hash
 from repro.runtime.arrays import ArrayStore
 from repro.runtime.backends import DEFAULT_BACKEND, resolve_backend
-from repro.runtime.executor import ExecutionResult, _payload_store
+from repro.runtime.executor import ExecutionResult
 from repro.runtime.telemetry import ExecutionTelemetry
 
 from repro.cluster import proto
@@ -65,6 +64,22 @@ __all__ = ["ClusterConfig", "ClusterStats", "HashRing", "ClusterScheduler"]
 #: EWMA smoothing of a node's measured throughput; matches the telemetry
 #: module's convention (recent behavior dominates, noise is damped).
 _NODE_ALPHA = 0.4
+
+
+def _payload_store(store: ArrayStore, transformed) -> ArrayStore:
+    """Only the arrays the nest references, deep-copied for one payload.
+
+    A worker only reads and writes the arrays its nest touches, so shipping
+    the whole store would pay for arrays it never uses.  Arrays the nest
+    references but the store lacks are simply left out: the worker then
+    raises the same "not defined in the store" error a serial run would.
+    """
+    referenced = set(transformed.nest.array_names())
+    subset = ArrayStore()
+    for name in referenced:
+        if name in store:
+            subset[name] = store[name].copy()
+    return subset
 
 
 @dataclass(frozen=True)

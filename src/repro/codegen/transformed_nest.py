@@ -66,7 +66,7 @@ class TransformedLoopNest:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_report(cls, report: ParallelizationReport) -> "TransformedLoopNest":
-        """Build the transformed nest selected by :func:`repro.core.parallelize`."""
+        """Build the transformed nest selected by :func:`repro.core.pipeline.analyze_nest`."""
         return cls(
             nest=report.nest,
             transform=report.transform,

@@ -51,7 +51,6 @@ from repro.core.pipeline import (
     ParallelizationReport,
     analyze_nest,
     default_pass_manager,
-    parallelize,
     report_from_context,
 )
 from repro.core.report import TransformationStep
@@ -89,7 +88,6 @@ __all__ = [
     "ParallelizationReport",
     "analyze_nest",
     "default_pass_manager",
-    "parallelize",
     "report_from_context",
     "TransformationStep",
 ]

@@ -7,7 +7,7 @@ partitioning.  Each stage is a :class:`Pass` over a shared mutable
 :class:`PipelineContext`; a :class:`PassManager` runs a configured sequence
 of passes, timing each one and recording whether it was skipped.
 
-:func:`repro.core.pipeline.parallelize` is a thin wrapper over the default
+:func:`repro.core.pipeline.analyze_nest` is a thin wrapper over the default
 pass sequence; the baseline methods in :mod:`repro.baselines` are alternate
 pass configurations over the same context, so every method shares one
 dependence analysis/PDM implementation instead of re-deriving it privately.
@@ -71,7 +71,7 @@ class PipelineContext:
     """Shared state the passes read and write.
 
     The immutable inputs are the nest and the three knobs of
-    :func:`repro.core.pipeline.parallelize`; everything else is derived
+    :func:`repro.core.pipeline.analyze_nest`; everything else is derived
     state filled in by the passes.  ``finished`` short-circuits the rest of
     the pipeline (set when the analysis concluded early, e.g. an empty PDM);
     ``applicable``/``notes`` let baseline configurations report a method

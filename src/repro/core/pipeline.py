@@ -21,14 +21,11 @@ transformed loop live in :mod:`repro.codegen` and :mod:`repro.runtime`.
 
 User code should prefer the :mod:`repro.api` façade: ``Session.analyze``
 wraps this pipeline with memoization, uniform inputs and the structured
-result model.  The module-level :func:`parallelize` and
-:func:`parallelize_and_execute` are deprecated wrappers kept for
-compatibility; both emit :class:`DeprecationWarning`.
+result model.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -58,8 +55,6 @@ __all__ = [
     "default_pass_manager",
     "report_from_context",
     "analyze_nest",
-    "parallelize",
-    "parallelize_and_execute",
 ]
 
 
@@ -230,96 +225,3 @@ def analyze_nest(
     default_pass_manager().run(ctx)
     return report_from_context(ctx)
 
-
-def parallelize(
-    nest: LoopNest,
-    placement: str = "outer",
-    include_self: bool = True,
-    allow_partitioning: bool = True,
-) -> ParallelizationReport:
-    """Deprecated alias of :func:`analyze_nest`.
-
-    .. deprecated::
-        Use :meth:`repro.api.Session.analyze` (cached, uniform inputs) or
-        :func:`analyze_nest` (the uncached primitive) instead.
-    """
-    warnings.warn(
-        "parallelize() is deprecated; use repro.api.Session.analyze() "
-        "(or repro.core.pipeline.analyze_nest() for the uncached primitive)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return analyze_nest(
-        nest,
-        placement=placement,
-        include_self=include_self,
-        allow_partitioning=allow_partitioning,
-    )
-
-
-def parallelize_and_execute(
-    nest: LoopNest,
-    store=None,
-    backend: str = "interpreter",
-    mode: str = "serial",
-    workers: Optional[int] = None,
-    placement: str = "outer",
-    initializer: str = "index_sum",
-    use_cache: bool = True,
-    executor=None,
-):
-    """Deprecated one-call analyze-and-execute entry point.
-
-    .. deprecated::
-        Use :meth:`repro.api.Session.run` — a session owns the cache and
-        the executor lifecycle and returns one structured
-        :class:`~repro.api.results.RunResult` instead of a tuple.
-
-    Delegates to a throwaway :class:`~repro.api.Session` configured from
-    the keyword arguments (``use_cache=True`` keeps the historical behavior
-    of sharing the process-wide analysis cache).  ``executor`` reuses an
-    existing :class:`~repro.runtime.executor.ParallelExecutor` — for the
-    stateful ``shared`` mode this keeps the persistent worker pool and the
-    shared segments warm across calls (``mode``/``workers``/``backend`` are
-    then taken from the executor).
-
-    Returns ``(report, execution_result)``; the final array contents are in
-    ``execution_result.store``.
-    """
-    warnings.warn(
-        "parallelize_and_execute() is deprecated; use repro.api.Session.run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Imported here: the api/cache layers import this module for the report
-    # type, so the façade can only be pulled in at call time.
-    from repro.api.session import Session, SessionConfig
-    from repro.core.cache import default_cache
-
-    if executor is not None:
-        # Legacy executor-reuse path: run on the caller's executor without
-        # disturbing its lifecycle.
-        from repro.codegen.transformed_nest import TransformedLoopNest
-        from repro.core.cache import cached_parallelize
-        from repro.runtime.arrays import store_for_nest
-
-        if use_cache:
-            report = cached_parallelize(nest, placement=placement)
-        else:
-            report = analyze_nest(nest, placement=placement)
-        transformed = TransformedLoopNest.from_report(report)
-        if store is None:
-            store = store_for_nest(nest, initializer=initializer)
-        return report, executor.run(transformed, store)
-
-    config = SessionConfig(
-        backend=backend,
-        mode=mode,
-        workers=workers or 4,
-        placement=placement,
-        initializer=initializer,
-        use_cache=use_cache,
-    )
-    with Session(config, cache=default_cache() if use_cache else None) as session:
-        result = session.run(nest, store=store)
-    return result.report, result.execution

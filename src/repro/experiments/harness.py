@@ -167,7 +167,7 @@ def format_experiment_report(results: Dict[str, object]) -> str:
     shared = results.get("shared-runtime")
     if shared:
         sections.append(
-            "=== Shared-memory runtime (persistent pool vs. copy-and-merge) ===\n"
+            "=== Shared-memory runtime (persistent pool vs. serial) ===\n"
             + shared_runtime_table(shared)
         )
 

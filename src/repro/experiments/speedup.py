@@ -98,8 +98,7 @@ def wallclock_measurement(
 
     Pure-Python loop bodies do not speed up under threads because of the GIL
     (the repro band of this paper notes exactly that); the number is reported
-    to document the overhead honestly.  The ``processes`` mode is optional
-    because of its start-up cost.
+    to document the overhead honestly.
     """
     report = analyze_nest(nest)
     transformed = TransformedLoopNest.from_report(report)

@@ -14,13 +14,9 @@ from repro.plan.ir import ChunkView, ExecutionPlan, PlanLevel
 from repro.plan.passes import (
     DEFAULT_PLAN_PASSES,
     CoalesceChunksPass,
-    FusedPlan,
-    FusePlansPass,
     PlanPass,
     PlanPassManager,
     PlanPipelineContext,
-    TiledPlan,
-    TileSequentialLevelsPass,
     available_plan_passes,
     build_plan_pipeline,
     get_plan_pass,
@@ -36,10 +32,6 @@ __all__ = [
     "PlanPassManager",
     "PlanPipelineContext",
     "CoalesceChunksPass",
-    "TileSequentialLevelsPass",
-    "FusePlansPass",
-    "TiledPlan",
-    "FusedPlan",
     "register_plan_pass",
     "get_plan_pass",
     "available_plan_passes",

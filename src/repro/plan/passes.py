@@ -11,7 +11,7 @@ sequence of them over a :class:`PlanPipelineContext`, timing every pass
 analysis pipeline uses, so timings and steps render through the same
 helpers.
 
-Three rewrites ship by default:
+One rewrite ships:
 
 * :class:`CoalesceChunksPass` — merge adjacent chunks into larger doall
   ranges.  Partition labels on the same parallel front are folded into one
@@ -24,42 +24,25 @@ Three rewrites ship by default:
   is a legal order, and every iteration executes exactly once.  Fewer chunks
   means fewer dispatches, smaller pool messages and fatter vectorized
   rounds.
-* :class:`TileSequentialLevelsPass` — wrap the plan in a :class:`TiledPlan`
-  carrying a ``tile_iterations`` budget.  Chunk structure is untouched
-  (same keys, sizes, order); the vectorized backend reads the budget and
-  executes each chunk's index block in consecutive *tiles* of at most that
-  many iterations (wave-major across chunks), so the gather/scatter working
-  set of a round stays cache-sized even for huge chunks.  Intra-chunk order
-  is preserved tile by tile, which is all legality requires.
-* :class:`FusePlansPass` — concatenate the plans of *distinct* nests into
-  one :class:`FusedPlan` whose global chunk index space is the members'
-  spaces laid end to end.  One executor dispatch (one pool job, one process
-  fan-out) then serves several nests at once — the batch-serving win.
-  Members own disjoint stores, so any interleaving of their chunks is
-  trivially legal.
 
-Every rewrite preserves the differential contract bit for bit: the multiset
+A rewrite preserves the differential contract bit for bit: the multiset
 of executed iterations and the resulting array contents are identical to
 the enumeration reference (``build_schedule_by_enumeration``), for every
 backend and execution mode.  ``tests/plan/test_plan_passes.py`` pins this.
 
 Passes register by name — :func:`register_plan_pass` /
 :func:`get_plan_pass`, mirroring the backend registry — so a session can be
-configured with ``plan_passes=("coalesce", "tile")`` strings end to end
-(CLI: ``--plan-passes`` / ``--no-plan-passes``).  ``DEFAULT_PLAN_PASSES``
-is the pipeline a session runs unless configured otherwise (fusion is
-absent by design: it needs several plans, which only the batch entry
-points have):
+configured with ``plan_passes=("coalesce",)`` strings end to end (CLI:
+``--plan-passes`` / ``--no-plan-passes``).  ``DEFAULT_PLAN_PASSES`` is the
+pipeline the dispatch-bound session modes run unless configured otherwise:
 
     >>> from repro.plan import DEFAULT_PLAN_PASSES
     >>> DEFAULT_PLAN_PASSES
-    ('coalesce', 'tile')
+    ('coalesce',)
 """
 
 from __future__ import annotations
 
-import itertools
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -73,10 +56,6 @@ __all__ = [
     "PlanPass",
     "PlanPassManager",
     "CoalesceChunksPass",
-    "TileSequentialLevelsPass",
-    "FusePlansPass",
-    "TiledPlan",
-    "FusedPlan",
     "register_plan_pass",
     "get_plan_pass",
     "available_plan_passes",
@@ -85,151 +64,9 @@ __all__ = [
     "DEFAULT_PLAN_PASSES",
 ]
 
-#: The pipeline a Session runs after planning unless configured otherwise.
-#: Fusion is not in it: fusing needs several plans, which only the batch
-#: entry points (``Session.run_fused`` / ``BatchService(fuse=True)``) have.
-DEFAULT_PLAN_PASSES: Tuple[str, ...] = ("coalesce", "tile")
-
-
-# --------------------------------------------------------------------------- #
-# plan wrappers produced by the passes
-# --------------------------------------------------------------------------- #
-
-class TiledPlan(ExecutionPlan):
-    """An :class:`ExecutionPlan` plus a per-chunk tile budget.
-
-    Chunk keys, order, sizes and iterations are exactly the base plan's —
-    the class *is* an ``ExecutionPlan`` (same spec fields plus
-    ``tile_iterations``), so every consumer that ships, pickles or
-    enumerates plans handles it unchanged.  The one consumer that behaves
-    differently is the vectorized backend: it splits each chunk's index
-    block into consecutive windows of at most ``tile_iterations`` rows and
-    executes the windows wave-major (wave ``w`` holds the ``w``-th tile of
-    every chunk), keeping the round working set cache-sized.  Executing a
-    chunk's tiles in order preserves the intra-chunk iteration order, so
-    the schedule stays legal whenever the untiled one was.
-
-        >>> from repro.api import parse_loop_text
-        >>> from repro.core.pipeline import analyze_nest
-        >>> from repro.codegen.transformed_nest import TransformedLoopNest
-        >>> from repro.plan import ExecutionPlan, TiledPlan
-        >>> text = "loop i1 = 0 .. 7\\nloop i2 = 0 .. 7\\nA[i1, i2] = A[i1, i2 - 1] + 1.0"
-        >>> report = analyze_nest(parse_loop_text(text))
-        >>> plan = ExecutionPlan.from_transformed(TransformedLoopNest.from_report(report))
-        >>> tiled = TiledPlan(plan, tile_iterations=4)
-        >>> tiled.tile_iterations, tiled.chunk_count == plan.chunk_count
-        (4, True)
-    """
-
-    _SPEC_FIELDS = ExecutionPlan._SPEC_FIELDS + ("tile_iterations",)
-
-    def __init__(self, base: ExecutionPlan, tile_iterations: int):
-        self.tile_iterations = int(tile_iterations)
-        if self.tile_iterations < 1:
-            raise CodegenError(
-                f"tile_iterations must be >= 1, got {tile_iterations}"
-            )
-        super().__init__(
-            depth=base.depth,
-            levels=base.levels,
-            parallel_levels=base.parallel_levels,
-            partition_levels=base.partition_levels,
-            hnf=base.hnf,
-            total_iterations=base.total_iterations,
-        )
-
-    def describe(self) -> str:
-        return (
-            super().describe()[:-1]
-            + f", tile_iterations={self.tile_iterations})"
-        )
-
-
-class FusedPlan:
-    """Several plans of *distinct* nests as one global chunk index space.
-
-    Member ``m``'s chunks occupy the global schedule positions
-    ``[split_starts[m], split_starts[m] + members[m].chunk_count)``; the
-    executor balances and dispatches global indices exactly like a single
-    plan's, and :meth:`split_group` maps a dispatched group back to
-    ``(member, local chunk indices)`` pairs for execution.  Members run
-    against their own stores, so cross-member ordering is unconstrained.
-
-    Not an :class:`ExecutionPlan` subclass on purpose: a fused plan has no
-    single bounds structure, and every consumer must split before touching
-    a member.  It pickles through its members (a few hundred bytes each).
-
-        >>> from repro.api import parse_loop_text
-        >>> from repro.core.pipeline import analyze_nest
-        >>> from repro.codegen.transformed_nest import TransformedLoopNest
-        >>> from repro.plan import ExecutionPlan, FusedPlan
-        >>> def plan_of(text):
-        ...     report = analyze_nest(parse_loop_text(text))
-        ...     return ExecutionPlan.from_transformed(
-        ...         TransformedLoopNest.from_report(report))
-        >>> a = plan_of("loop i1 = 0 .. 7\\nloop i2 = 0 .. 7\\nA[i1, i2] = A[i1, i2 - 1] + 1.0")
-        >>> b = plan_of("loop i1 = 0 .. 3\\nloop i2 = 0 .. 3\\nB[i1, i2] = B[i1, i2 - 1] + 2.0")
-        >>> fused = FusedPlan([a, b])
-        >>> fused.chunk_count, fused.split_starts
-        (12, (0, 8))
-        >>> fused.member_of(9)  # global chunk 9 is member 1's local chunk 1
-        (1, 1)
-    """
-
-    def __init__(self, members: Sequence[ExecutionPlan]):
-        self.members: Tuple[ExecutionPlan, ...] = tuple(members)
-        if not self.members:
-            raise CodegenError("a fused plan needs at least one member plan")
-        counts = [member.chunk_count for member in self.members]
-        #: Global index of each member's first chunk.
-        self.split_starts: Tuple[int, ...] = tuple(
-            itertools.accumulate([0] + counts[:-1])
-        )
-        self._chunk_count = sum(counts)
-
-    @property
-    def chunk_count(self) -> int:
-        return self._chunk_count
-
-    @property
-    def total_iterations(self) -> int:
-        return sum(member.total_iterations for member in self.members)
-
-    def chunk_sizes(self) -> List[int]:
-        """Global chunk sizes: members' sizes laid end to end."""
-        sizes: List[int] = []
-        for member in self.members:
-            sizes.extend(member.chunk_sizes())
-        return sizes
-
-    def member_of(self, global_index: int) -> Tuple[int, int]:
-        """``(member, local chunk index)`` of a global schedule position."""
-        if not 0 <= global_index < self._chunk_count:
-            raise CodegenError(
-                f"global chunk index {global_index} out of range "
-                f"(fused plan has {self._chunk_count} chunks)"
-            )
-        member = bisect_right(self.split_starts, global_index) - 1
-        return member, global_index - self.split_starts[member]
-
-    def split_group(
-        self, global_indices: Sequence[int]
-    ) -> List[Tuple[int, Tuple[int, ...]]]:
-        """Group global chunk indices by member, preserving dispatch order."""
-        per_member: Dict[int, List[int]] = {}
-        for global_index in global_indices:
-            member, local = self.member_of(int(global_index))
-            per_member.setdefault(member, []).append(local)
-        return [
-            (member, tuple(locals_)) for member, locals_ in sorted(per_member.items())
-        ]
-
-    def describe(self) -> str:
-        inner = ", ".join(member.describe() for member in self.members)
-        return f"FusedPlan({len(self.members)} member(s): {inner})"
-
-    def __repr__(self) -> str:
-        return self.describe()
+#: The pipeline the dispatch-bound session modes (``threads``, ``shared``)
+#: run after planning unless configured otherwise.
+DEFAULT_PLAN_PASSES: Tuple[str, ...] = ("coalesce",)
 
 
 # --------------------------------------------------------------------------- #
@@ -240,8 +77,7 @@ class FusedPlan:
 class PlanPipelineContext:
     """Shared state of one plan-pass pipeline run.
 
-    ``plans`` is the list the passes rewrite in place — one entry for a
-    single-nest pipeline, several for a fusion batch.  ``transformed``
+    ``plans`` is the list the passes rewrite in place.  ``transformed``
     holds the matching transformed nests (same order), which the passes may
     consult but never modify.  ``timings`` / ``steps`` follow the analysis
     pipeline's recording protocol (:class:`~repro.core.passes.PassTiming`,
@@ -254,11 +90,10 @@ class PlanPipelineContext:
         [('demo', 'recorded a rewrite')]
     """
 
-    plans: List[Any]
+    plans: List[ExecutionPlan]
     transformed: Tuple[Any, ...] = ()
     steps: List[TransformationStep] = field(default_factory=list)
     timings: List[PassTiming] = field(default_factory=list)
-    extras: Dict[str, Any] = field(default_factory=dict)
     finished: bool = False
 
     def add_step(self, name: str, description: str, matrix=None) -> None:
@@ -310,7 +145,7 @@ class PlanPassManager(PassManager):
         super().__init__(passes, name=name)
 
     def optimize(
-        self, plans: Sequence[Any], transformed: Sequence[Any] = ()
+        self, plans: Sequence[ExecutionPlan], transformed: Sequence[Any] = ()
     ) -> PlanPipelineContext:
         ctx = PlanPipelineContext(plans=list(plans), transformed=tuple(transformed))
         self.run(ctx)
@@ -362,8 +197,6 @@ class CoalesceChunksPass(PlanPass):
 
     def run(self, ctx: PlanPipelineContext) -> None:
         for index, plan in enumerate(ctx.plans):
-            if type(plan) is not ExecutionPlan:
-                continue  # tiled/fused plans are downstream products
             coalesced, description = self._coalesce(plan)
             if coalesced is not plan:
                 ctx.plans[index] = coalesced
@@ -435,101 +268,6 @@ class CoalesceChunksPass(PlanPass):
 
 
 # --------------------------------------------------------------------------- #
-# tiling
-# --------------------------------------------------------------------------- #
-
-class TileSequentialLevelsPass(PlanPass):
-    """Give big chunks a cache-sized tile budget (see :class:`TiledPlan`).
-
-    Fires only when some chunk exceeds ``tile_iterations`` — a schedule of
-    small chunks gains nothing from tiling, and skipping keeps the plan a
-    plain :class:`ExecutionPlan`.  The default budget (4096 iterations, a
-    few hundred KiB of index/gather state at float64) is chosen to keep a
-    round's working set within L2-sized caches.
-
-        >>> from repro.api import parse_loop_text
-        >>> from repro.core.pipeline import analyze_nest
-        >>> from repro.codegen.transformed_nest import TransformedLoopNest
-        >>> from repro.plan import ExecutionPlan, PlanPassManager, TiledPlan
-        >>> text = "loop i1 = 0 .. 7\\nloop i2 = 0 .. 7\\nA[i1, i2] = A[i1, i2 - 1] + 1.0"
-        >>> report = analyze_nest(parse_loop_text(text))
-        >>> plan = ExecutionPlan.from_transformed(TransformedLoopNest.from_report(report))
-        >>> ctx = PlanPassManager([TileSequentialLevelsPass(tile_iterations=4)]).optimize([plan])
-        >>> isinstance(ctx.plans[0], TiledPlan), ctx.plans[0].tile_iterations
-        (True, 4)
-    """
-
-    name = "tile"
-
-    def __init__(self, tile_iterations: int = 4096):
-        self.tile_iterations = max(1, int(tile_iterations))
-
-    def run(self, ctx: PlanPipelineContext) -> None:
-        for index, plan in enumerate(ctx.plans):
-            if not isinstance(plan, ExecutionPlan) or isinstance(plan, TiledPlan):
-                continue
-            largest = max(plan.chunk_sizes(), default=0)
-            if largest <= self.tile_iterations:
-                continue
-            ctx.plans[index] = TiledPlan(plan, self.tile_iterations)
-            ctx.add_step(
-                self.name,
-                f"tiled chunks of up to {largest} iterations into windows of "
-                f"{self.tile_iterations}",
-            )
-
-
-# --------------------------------------------------------------------------- #
-# fusion
-# --------------------------------------------------------------------------- #
-
-class FusePlansPass(PlanPass):
-    """Fuse the context's plans into one :class:`FusedPlan`.
-
-    Requires at least two member plans (skipped otherwise) — single-plan
-    pipelines never fuse.  The members keep their identities (and their
-    coalesced/tiled rewrites, which run before fusion in the default
-    order); only the dispatch index space is concatenated.
-
-        >>> from repro.api import parse_loop_text
-        >>> from repro.core.pipeline import analyze_nest
-        >>> from repro.codegen.transformed_nest import TransformedLoopNest
-        >>> from repro.plan import ExecutionPlan, PlanPassManager, FusedPlan
-        >>> def plan_of(text):
-        ...     report = analyze_nest(parse_loop_text(text))
-        ...     return ExecutionPlan.from_transformed(
-        ...         TransformedLoopNest.from_report(report))
-        >>> a = plan_of("loop i1 = 0 .. 7\\nloop i2 = 0 .. 7\\nA[i1, i2] = A[i1, i2 - 1] + 1.0")
-        >>> b = plan_of("loop i1 = 0 .. 3\\nloop i2 = 0 .. 3\\nB[i1, i2] = B[i1, i2 - 1] + 2.0")
-        >>> ctx = PlanPassManager([FusePlansPass()]).optimize([a, b])
-        >>> len(ctx.plans), isinstance(ctx.plans[0], FusedPlan)
-        (1, True)
-    """
-
-    name = "fuse"
-
-    def should_run(self, ctx: PlanPipelineContext) -> bool:
-        return super().should_run(ctx) and len(ctx.plans) >= 2
-
-    def run(self, ctx: PlanPipelineContext) -> None:
-        members = list(ctx.plans)
-        for member in members:
-            if not isinstance(member, ExecutionPlan):
-                raise CodegenError(
-                    "FusePlansPass fuses ExecutionPlan members only, got "
-                    f"{type(member).__name__}"
-                )
-        fused = FusedPlan(members)
-        ctx.extras["fused_members"] = tuple(members)
-        ctx.plans[:] = [fused]
-        ctx.add_step(
-            self.name,
-            f"fused {len(members)} plan(s) into one dispatch of "
-            f"{fused.chunk_count} chunk(s)",
-        )
-
-
-# --------------------------------------------------------------------------- #
 # registry, mirroring the backend registry
 # --------------------------------------------------------------------------- #
 
@@ -555,7 +293,7 @@ def available_plan_passes() -> Tuple[str, ...]:
     """Names of all registered plan passes, sorted.
 
         >>> available_plan_passes()
-        ('coalesce', 'fuse', 'tile')
+        ('coalesce',)
     """
     return tuple(sorted(_REGISTRY))
 
@@ -581,9 +319,9 @@ def build_plan_pipeline(
 ) -> PlanPassManager:
     """A :class:`PlanPassManager` over the named registered passes.
 
-        >>> manager = build_plan_pipeline(("coalesce", "tile"))
+        >>> manager = build_plan_pipeline(("coalesce",))
         >>> [type(plan_pass).__name__ for plan_pass in manager.passes]
-        ['CoalesceChunksPass', 'TileSequentialLevelsPass']
+        ['CoalesceChunksPass']
     """
     return PlanPassManager([get_plan_pass(name) for name in names])
 
@@ -602,8 +340,8 @@ def optimize_plan(
         >>> text = "loop i1 = 0 .. 7\\nloop i2 = 0 .. 7\\nA[i1, i2] = A[i1, i2 - 1] + 1.0"
         >>> report = analyze_nest(parse_loop_text(text))
         >>> plan = ExecutionPlan.from_transformed(TransformedLoopNest.from_report(report))
-        >>> optimized, ctx = optimize_plan(plan, passes=("tile",))
-        >>> optimized.chunk_count == plan.chunk_count  # 8 small chunks: tile skips
+        >>> optimized, ctx = optimize_plan(plan, passes=("coalesce",))
+        >>> optimized.chunk_count == plan.chunk_count  # 8 chunks: min_chunks skips
         True
     """
     manager = build_plan_pipeline(passes)
@@ -614,5 +352,3 @@ def optimize_plan(
 
 
 register_plan_pass("coalesce", CoalesceChunksPass)
-register_plan_pass("tile", TileSequentialLevelsPass)
-register_plan_pass("fuse", FusePlansPass)

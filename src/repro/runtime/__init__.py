@@ -15,7 +15,7 @@ machine; the reproduction executes loop nests directly:
 * :mod:`repro.runtime.pool` — a persistent worker pool whose long-lived
   processes attach to the shared segments once and execute chunks in place,
 * :mod:`repro.runtime.executor` — chunk-parallel execution (serial, thread
-  pool, copy-and-merge process pool or the shared-memory pool) through a
+  pool, the shared-memory pool or the in-kernel native driver) through a
   selectable backend,
 * :mod:`repro.runtime.telemetry` — measured per-chunk-group wall clock per
   canonical program (EWMA), feeding the executor's balanced-group

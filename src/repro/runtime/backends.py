@@ -51,7 +51,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.codegen import native as native_codegen
-from repro.codegen.schedule import Chunk
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.exceptions import ExecutionError
 from repro.plan import ChunkView, ExecutionPlan
@@ -73,7 +72,6 @@ from repro.loopnest.expr import (
 )
 from repro.loopnest.nest import LoopNest
 from repro.runtime.arrays import ArrayStore, OffsetArray
-from repro.runtime.interpreter import _execute_body
 from repro.runtime.interpreter import execute_chunk as _interpret_chunk
 
 __all__ = [
@@ -116,18 +114,9 @@ class ExecutionBackend:
         executor results report what really executed."""
         return self.name
 
-    def execute(
-        self,
-        transformed: TransformedLoopNest,
-        store: ArrayStore,
-        chunks: Optional[Sequence[Chunk]] = None,
-    ) -> ArrayStore:
+    def execute(self, transformed: TransformedLoopNest, store: ArrayStore) -> ArrayStore:
         """Execute the whole transformed nest in a legal order (in place)."""
-        if chunks is None:
-            return self.execute_plan(transformed, transformed.execution_plan(), store)
-        for chunk in chunks:
-            self.execute_chunk(transformed, chunk, store)
-        return store
+        return self.execute_plan(transformed, transformed.execution_plan(), store)
 
     def execute_plan(
         self,
@@ -140,18 +129,18 @@ class ExecutionBackend:
 
         ``chunk_indices`` selects chunks by schedule position (all when
         None) — this is how pool workers execute their groups from nothing
-        but the plan.  The default implementation adapts lazy chunk views
-        onto :meth:`execute`, so backends that only know about chunk
-        sequences (including user-registered ones) keep working unchanged;
-        array-level backends override this to generate their index arrays
-        straight from the plan bounds.
+        but the plan.  The default walks :meth:`execute_chunk` over the
+        selected lazy chunk views in schedule order, so a backend that
+        implements only :meth:`execute_chunk` (including a user-registered
+        one) runs every mode; array-level backends override this to
+        generate their index arrays straight from the plan bounds.
         """
-        return self.execute(
-            transformed, store, chunks=plan.select_chunks(chunk_indices)
-        )
+        for chunk in plan.select_chunks(chunk_indices):
+            self.execute_chunk(transformed, chunk, store)
+        return store
 
     def execute_chunk(
-        self, transformed: TransformedLoopNest, chunk: Chunk, store: ArrayStore
+        self, transformed: TransformedLoopNest, chunk: ChunkView, store: ArrayStore
     ) -> None:
         """Execute one chunk's iterations, in order, in place."""
         raise NotImplementedError
@@ -214,31 +203,6 @@ class InterpreterBackend(ExecutionBackend):
 
     name = "interpreter"
 
-    def execute(self, transformed, store, chunks=None) -> ArrayStore:
-        # Same traversal as the chunk-wise default, but without collecting
-        # the per-write log that execute_chunk builds for the process pool.
-        if chunks is None:
-            return self.execute_plan(transformed, transformed.execution_plan(), store)
-        nest = transformed.nest
-        for chunk in chunks:
-            for iteration in chunk.iterations:
-                _execute_body(nest, transformed.original_env(iteration), store)
-        return store
-
-    def execute_plan(self, transformed, plan, store, chunk_indices=None) -> ArrayStore:
-        # Stream iterations straight off the plan — no chunk objects, no
-        # write log, O(depth) transient state.
-        nest = transformed.nest
-        views = (
-            plan.chunks()
-            if chunk_indices is None
-            else plan.select_chunks(chunk_indices)
-        )
-        for view in views:
-            for iteration in view.iterations:
-                _execute_body(nest, transformed.original_env(iteration), store)
-        return store
-
     def execute_chunk(self, transformed, chunk, store) -> None:
         _interpret_chunk(transformed, chunk, store)
 
@@ -275,7 +239,7 @@ class CompiledBackend(ExecutionBackend):
     # process serving arbitrary traffic stays bounded.  A weak per-nest map
     # keeps the fast path (one dict hit) for repeated execution of the same
     # nest object; it never touches the nest itself, which must stay
-    # picklable for the process-pool executor.
+    # picklable for the shared worker pool.
     body_cache_limit: int = 128
     _body_lru: "OrderedDict[tuple, Callable]" = OrderedDict()
     _body_lock = threading.Lock()
@@ -510,41 +474,9 @@ class VectorizedBackend(ExecutionBackend):
             "fallback_iterations": 0,
             "delegated_runs": 0,
             "illegal_schedule_fallbacks": 0,
-            "tiled_waves": 0,
         }
 
     # ------------------------------------------------------------------ #
-    def execute(self, transformed, store, chunks=None) -> ArrayStore:
-        if chunks is None:
-            return self.execute_plan(transformed, transformed.execution_plan(), store)
-        if not chunks:
-            return store
-        self.last_execution_engine = self.name
-        if not _nest_is_vectorizable(transformed.nest) or len(chunks) < self.min_parallel_width:
-            # Not enough cross-chunk parallelism (or an unsupported body):
-            # fall back to sequential execution through the compiled backend,
-            # which is bit-identical and strictly faster than interpreting.
-            self.stats["delegated_runs"] += 1
-            self.last_execution_engine = "compiled"
-            CompiledBackend().execute(transformed, store, chunks=chunks)
-            return store
-        depth = transformed.depth
-        all_new = np.concatenate(
-            [
-                np.asarray(chunk.iterations, dtype=np.int64).reshape(chunk.size, depth)
-                for chunk in chunks
-            ]
-        )
-        sizes = np.asarray([chunk.size for chunk in chunks], dtype=np.int64)
-        if not self._execute_packed(transformed, store, all_new, sizes):
-            # Not the independent partition the analysis promised: execute
-            # chunk-major (the interpreter's order) through the compiled
-            # backend instead.
-            self.stats["illegal_schedule_fallbacks"] += 1
-            self.last_execution_engine = "compiled"
-            CompiledBackend().execute(transformed, store, chunks=chunks)
-        return store
-
     def execute_plan(self, transformed, plan, store, chunk_indices=None) -> ArrayStore:
         """Round-based execution with index arrays generated from the plan.
 
@@ -565,14 +497,12 @@ class VectorizedBackend(ExecutionBackend):
             )
             return store
         blocks = [_plan_index_block(view, plan.depth) for view in views]
-        tile = int(getattr(plan, "tile_iterations", 0))
-        if tile > 0 and any(block.shape[0] > tile for block in blocks):
-            ok = self._execute_tiled(transformed, store, blocks, tile)
-        else:
-            all_new = np.concatenate(blocks)
-            sizes = np.asarray([block.shape[0] for block in blocks], dtype=np.int64)
-            ok = self._execute_packed(transformed, store, all_new, sizes)
-        if not ok:
+        all_new = np.concatenate(blocks)
+        sizes = np.asarray([block.shape[0] for block in blocks], dtype=np.int64)
+        if not self._execute_packed(transformed, store, all_new, sizes):
+            # Not the independent partition the analysis promised: execute
+            # chunk-major (the interpreter's order) through the compiled
+            # backend instead.
             self.stats["illegal_schedule_fallbacks"] += 1
             self.last_execution_engine = "compiled"
             CompiledBackend().execute_plan(
@@ -580,89 +510,7 @@ class VectorizedBackend(ExecutionBackend):
             )
         return store
 
-    def _execute_tiled(self, transformed, store, blocks, tile: int) -> bool:
-        """Wave-major execution of a :class:`~repro.plan.TiledPlan`'s blocks.
-
-        Each chunk's index block is split into consecutive windows of at
-        most ``tile`` rows; wave ``w`` packs the ``w``-th window of every
-        chunk and runs the usual rounds over just that slice, so the
-        gather/scatter working set of a round stays bounded by
-        ``tile * chunk count`` cells instead of the whole schedule.
-        Executing a chunk's windows in wave order preserves the intra-chunk
-        iteration order, so legality is exactly the untiled premise — which
-        is why the dynamic independence check runs *globally* over the full
-        blocks before any wave writes: a per-wave check would miss
-        cross-wave, cross-chunk conflicts.
-        """
-        if self.check_independence and not self._plan_blocks_independent(
-            transformed, store, blocks
-        ):
-            return False
-        nest = transformed.nest
-        inverse = np.asarray(transformed.inverse_transform, dtype=np.int64)
-        waves = max((block.shape[0] + tile - 1) // tile for block in blocks)
-        for wave in range(waves):
-            lo = wave * tile
-            wave_blocks = [b[lo : lo + tile] for b in blocks if b.shape[0] > lo]
-            self.stats["tiled_waves"] += 1
-            if len(wave_blocks) < self.min_parallel_width:
-                # The tail waves of the longest chunks: too narrow for
-                # rounds, so run each remaining window through one compiled
-                # call (window order per chunk == iteration order).
-                body = CompiledBackend.body_function(nest)
-                for block in wave_blocks:
-                    originals = block @ inverse
-                    body(
-                        store,
-                        [tuple(int(v) for v in row) for row in originals],
-                    )
-                continue
-            wave_new = np.concatenate(wave_blocks)
-            wave_sizes = np.asarray(
-                [block.shape[0] for block in wave_blocks], dtype=np.int64
-            )
-            self._execute_packed(
-                transformed, store, wave_new, wave_sizes, check=False
-            )
-        return True
-
-    def _plan_blocks_independent(self, transformed, store, blocks) -> bool:
-        """Global dynamic independence check over whole chunk index blocks.
-
-        Same predicate as the packed path's check (no array cell touched by
-        two chunks with a write), evaluated once over every block before
-        tiled execution writes anything.  Window violations raise here, up
-        front, exactly as the untiled prep would.
-        """
-        nest = transformed.nest
-        all_new = np.concatenate(blocks)
-        if all_new.shape[0] == 0:
-            return True
-        sizes = np.asarray([block.shape[0] for block in blocks], dtype=np.int64)
-        inverse = np.asarray(transformed.inverse_transform, dtype=np.int64)
-        originals = all_new @ inverse
-        chunk_ids = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-        env = {name: originals[:, k] for k, name in enumerate(nest.index_names)}
-        total = originals.shape[0]
-        offset_cache: Dict[object, Tuple[np.ndarray, ...]] = {}
-        accesses: List[Tuple[ArrayAccess, bool]] = []
-        for stmt in nest.statements:
-            accesses.append((stmt.target, True))
-            accesses.extend((read, False) for read in stmt.rhs.array_accesses())
-        for access, _ in accesses:
-            if access.array not in store:
-                raise ExecutionError(
-                    f"array {access.array!r} is not defined in the store"
-                )
-            if access not in offset_cache:
-                offset_cache[access] = _subscript_offsets(
-                    access.array, store[access.array], access.subscripts, env, total
-                )
-        return self._chunks_are_independent(accesses, offset_cache, store, chunk_ids)
-
-    def _execute_packed(
-        self, transformed, store, all_new, sizes, check: Optional[bool] = None
-    ) -> bool:
+    def _execute_packed(self, transformed, store, all_new, sizes) -> bool:
         """Run the rounds for a chunk-major (total, depth) index matrix.
 
         Returns False (without having written anything) when the dynamic
@@ -709,8 +557,7 @@ class VectorizedBackend(ExecutionBackend):
                     access.array, store[access.array], access.subscripts, env, total
                 )
 
-        run_check = self.check_independence if check is None else bool(check)
-        if run_check and not self._chunks_are_independent(
+        if self.check_independence and not self._chunks_are_independent(
             accesses, offset_cache, store, chunk_ids
         ):
             # Two chunks share a cell with a write: the schedule is not the
@@ -854,7 +701,7 @@ class NativeBackend(ExecutionBackend):
     marshalled, the run is delegated to the vectorized backend (itself
     pinned bit-identical to the interpreter).  The instance carries only
     configuration — kernels live in the module-level cache — so it pickles
-    cheaply into process-pool payloads, and every worker reuses the parent's
+    cheaply into shared-pool programs, and every worker reuses the parent's
     on-disk kernel artifact instead of recompiling.
 
     Compile time is charged to the executor's setup window via
@@ -971,9 +818,9 @@ class NativeBackend(ExecutionBackend):
         return label
 
     def execute_chunk(self, transformed, chunk, store) -> None:
-        # The thread executor submits plan chunk views one by one; legacy
-        # materialized chunks (no strided-range form) delegate.
-        ranges = chunk.value_ranges() if isinstance(chunk, ChunkView) else None
+        # The thread executor submits plan chunk views one by one; chunks
+        # without a strided-range form delegate.
+        ranges = chunk.value_ranges()
         if ranges is not None:
             program = native_codegen.native_program_for(transformed, self.engine)
             if program is not None:

@@ -2,22 +2,15 @@
 
 The chunks described by a nest's symbolic
 :class:`~repro.plan.ExecutionPlan` are mutually independent, so they may
-execute concurrently.  Runs are plan-driven by default: the executor ships
-the compact plan — never iteration tuples — and every worker enumerates
-exactly the chunks it executes, in place.  A materialized chunk list (the
-legacy :func:`repro.codegen.schedule.build_schedule` output, or a custom
-chunking) is still accepted via ``chunks=``.  Four execution modes are
-provided:
+execute concurrently.  Runs are plan-driven: the executor ships the compact
+plan — never iteration tuples — and every worker enumerates exactly the
+chunks it executes, in place.  Four execution modes are provided:
 
 * ``serial`` — chunks run one after the other (baseline and reference),
 * ``threads`` — a thread pool; because the chunks never touch the same array
   cell the shared store needs no locking.  Note that CPython's GIL limits the
   achievable wall-clock speedup of pure-Python loop bodies; this mode mainly
   demonstrates correctness under concurrent execution,
-* ``processes`` — a fork-per-call process pool; each worker receives a copy
-  of the store, executes its chunks and sends back the performed writes,
-  which the parent merges.  Kept as the copy-and-merge contrast case: its
-  per-call cost is dominated by serialization,
 * ``shared`` — the zero-copy runtime: arrays live in
   ``multiprocessing.shared_memory`` segments
   (:mod:`repro.runtime.shared`) and a persistent
@@ -44,8 +37,8 @@ pinned to the interpreter's semantics by the differential test-suite.
 
 Timing is reported split: ``ExecutionResult.elapsed_seconds`` is the pure
 execution time and ``setup_seconds`` collects everything that is runtime
-overhead, not loop work — schedule building, pool spin-up, store copies /
-pickling, shared-segment loading and the copy back.  Speedup numbers
+overhead, not loop work — plan preparation, pool spin-up, shared-segment
+loading and the copy back.  Speedup numbers
 computed from ``elapsed_seconds`` therefore compare like with like;
 ``total_seconds`` is the end-to-end wall clock of the call.
 
@@ -59,17 +52,14 @@ from __future__ import annotations
 import heapq
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.codegen.schedule import Chunk
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.exceptions import ExecutionError
 from repro.loopnest.canonical import canonical_hash
-from repro.plan import ExecutionPlan, FusedPlan
+from repro.plan import ExecutionPlan
 from repro.runtime.arrays import ArrayStore
 from repro.runtime.backends import DEFAULT_BACKEND, ExecutionBackend, resolve_backend
 from repro.runtime.pool import WorkerCrashed, WorkerPool
@@ -86,7 +76,6 @@ __all__ = [
 EXECUTION_MODES: Tuple[str, ...] = (
     "serial",
     "threads",
-    "processes",
     "shared",
     "native-parallel",
 )
@@ -122,7 +111,7 @@ class ExecutionResult:
     """Outcome of one (possibly parallel) execution.
 
     ``elapsed_seconds`` is pure execution; ``setup_seconds`` is runtime
-    overhead (pool spin-up, store copies/pickling, segment loading); their
+    overhead (plan preparation, pool spin-up, segment loading); their
     sum ``total_seconds`` is the wall clock of the whole call.
     """
 
@@ -148,96 +137,6 @@ class ExecutionResult:
     @property
     def total_seconds(self) -> float:
         return self.setup_seconds + self.elapsed_seconds
-
-
-def _noop() -> None:
-    """Warm-up task: forces the process pool to actually spawn its workers."""
-
-
-def _payload_store(store: ArrayStore, transformed: TransformedLoopNest) -> ArrayStore:
-    """Only the arrays the nest references, deep-copied for one payload.
-
-    Process-mode payloads used to ship ``store.copy()`` — every array,
-    once per group — even though a worker only reads and writes the arrays
-    its nest touches.  Arrays the nest references but the store lacks are
-    simply left out: the worker then raises the same "not defined in the
-    store" error a serial run would.
-    """
-    referenced = set(transformed.nest.array_names())
-    subset = ArrayStore()
-    for name in referenced:
-        if name in store:
-            subset[name] = store[name].copy()
-    return subset
-
-
-def _worker_execute(payload) -> List[Tuple[str, Tuple[int, ...], float]]:
-    """Process-pool worker: execute its chunk group on a private store copy.
-
-    ``work`` is ``("plan", plan, chunk_indices)`` — the worker re-derives
-    its chunks' iterations from the symbolic plan, so no iteration data
-    crossed the process boundary — or ``("chunks", chunk_list)`` for legacy
-    callers that hand the executor materialized chunks.  Either way the
-    group is executed through the group's backend (the vectorized backend
-    can therefore still batch across the group's chunks).  The changed
-    cells are found by a NumPy diff against a pristine copy and their final
-    values sent back for merging: chunks of a legal schedule never write a
-    cell another worker writes, so final values merge order-independently.
-    A write that leaves a cell's value unchanged is indistinguishable from
-    no write in the diff — and equally harmless to skip, since the parent's
-    copy already holds that value.
-
-    Returns ``(elapsed_seconds, writes)`` — the group's pure execution wall
-    clock feeds the parent's :class:`ExecutionTelemetry`.
-    """
-    backend, transformed, work, store = payload
-    pristine = store.copy()
-    start = time.perf_counter()
-    if work[0] == "plan":
-        _, plan, chunk_indices = work
-        backend.execute_plan(transformed, plan, store, chunk_indices=chunk_indices)
-    else:
-        backend.execute(transformed, store, chunks=work[1])
-    elapsed = time.perf_counter() - start
-    writes: List[Tuple[str, Tuple[int, ...], float]] = []
-    for name, array in store.items():
-        changed = np.nonzero(array.data != pristine[name].data)
-        values = array.data[changed]
-        for flat_index, value in zip(zip(*changed), values):
-            location = tuple(int(i) + o for i, o in zip(flat_index, array.origin))
-            writes.append((name, location, float(value)))
-    return elapsed, writes
-
-
-def _worker_execute_fused(payload):
-    """Process-pool worker for one fused group: several nests, own stores.
-
-    ``payload`` is ``(backend, transformeds, fused, global_indices,
-    member_stores)`` where ``member_stores`` maps member index → the
-    referenced-array subset of that member's store.  Each member's chunks
-    execute against its own store; writes come back tagged with the member
-    index so the parent merges into the right store.
-    """
-    backend, transformeds, fused, global_indices, member_stores = payload
-    pristine = {member: store.copy() for member, store in member_stores.items()}
-    for member, local_indices in fused.split_group(global_indices):
-        backend.execute_plan(
-            transformeds[member],
-            fused.members[member],
-            member_stores[member],
-            chunk_indices=local_indices,
-        )
-    writes: List[Tuple[int, str, Tuple[int, ...], float]] = []
-    for member, store in member_stores.items():
-        for name, array in store.items():
-            changed = np.nonzero(array.data != pristine[member][name].data)
-            values = array.data[changed]
-            for flat_index, value in zip(zip(*changed), values):
-                location = tuple(
-                    int(i) + o for i, o in zip(flat_index, array.origin)
-                )
-                writes.append((member, name, location, float(value)))
-    return writes
 
 
 class ParallelExecutor:
@@ -309,44 +208,28 @@ class ParallelExecutor:
         self,
         transformed: TransformedLoopNest,
         store: ArrayStore,
-        chunks: Optional[Sequence[Chunk]] = None,
         plan: Optional[ExecutionPlan] = None,
     ) -> ExecutionResult:
         """Execute the transformed nest on ``store`` (modified in place).
 
-        By default the run is *plan-driven*: the symbolic
-        :class:`~repro.plan.ExecutionPlan` of the nest describes the chunks
-        and every mode enumerates only the iterations it executes, when it
-        executes them.  ``chunks`` keeps accepting a materialized schedule
-        for legacy callers (and for tests that construct custom chunkings);
-        passing both prefers the plan.
+        ``plan`` defaults to the nest's own symbolic
+        :class:`~repro.plan.ExecutionPlan`; an optimized plan of the same
+        nest (e.g. a coalesced one) runs instead when given.  Every mode
+        enumerates only the iterations it executes, when it executes them.
         """
         setup_start = time.perf_counter()
-        if plan is None and chunks is None:
+        if plan is None:
             plan = transformed.execution_plan()
-        if plan is not None:
-            chunk_sizes = tuple(plan.chunk_sizes())
-        else:
-            chunk_sizes = tuple(chunk.size for chunk in chunks)
+        chunk_sizes = tuple(plan.chunk_sizes())
         self.backend.prepare_plan(transformed, plan)
-        # Plan-driven runs feed the telemetry store (the feedback loop needs
-        # a stable program identity plus the plan's chunk order); legacy
-        # materialized-chunk runs keep the old size-only balancing.
-        key = (
-            self.telemetry_key(transformed, len(chunk_sizes))
-            if plan is not None and chunk_sizes
-            else None
-        )
+        key = self.telemetry_key(transformed, len(chunk_sizes)) if chunk_sizes else None
         setup = time.perf_counter() - setup_start
         fallback: Optional[str] = None
         engine: Optional[str] = None
         threads_used = 0
         if self.mode == "serial":
             start = time.perf_counter()
-            if plan is not None:
-                self.backend.execute_plan(transformed, plan, store)
-            else:
-                self.backend.execute(transformed, store, chunks=chunks)
+            self.backend.execute_plan(transformed, plan, store)
             elapsed = time.perf_counter() - start
             if key is not None:
                 # One group holding every chunk: cold programs get their
@@ -369,26 +252,20 @@ class ParallelExecutor:
                 elapsed, extra_setup, engine, threads_used = native
             else:
                 elapsed, extra_setup = self._run_threads(
-                    transformed, chunks, store, plan, chunk_sizes, key
+                    transformed, store, plan, chunk_sizes, key
                 )
-            setup += extra_setup
-        elif self.mode == "processes":
-            elapsed, extra_setup = self._run_processes(
-                transformed, chunks, store, plan, chunk_sizes, key
-            )
             setup += extra_setup
         else:
             elapsed, extra_setup, fallback = self._run_shared(
-                transformed, chunks, store, plan, chunk_sizes, key
+                transformed, store, plan, chunk_sizes, key
             )
             setup += extra_setup
         # Report the engine that actually ran: an in-kernel parallel run
         # reports its driver label; thread mode executes chunk-granularly
         # (where the vectorized backend delegates); a serial run may have
         # fallen back dynamically (narrow schedule, unvectorizable body,
-        # failed independence check).  Process/shared modes report the
-        # requested backend; each worker decides on its own view of the
-        # store.
+        # failed independence check).  Shared mode reports the requested
+        # backend; each worker decides on its own view of the store.
         if engine is not None:
             effective = engine
         elif self.mode in ("threads", "native-parallel"):
@@ -410,215 +287,6 @@ class ParallelExecutor:
             engine=engine,
             threads=threads_used,
         )
-
-    # ------------------------------------------------------------------ #
-    def run_fused(
-        self,
-        transformeds: Sequence[TransformedLoopNest],
-        fused: FusedPlan,
-        stores: Sequence[ArrayStore],
-    ) -> List[ExecutionResult]:
-        """Execute several nests' plans as *one* dispatch, member stores in place.
-
-        ``fused`` concatenates the members' chunk index spaces; balancing,
-        process fan-out and the shared-mode pool job all happen once over
-        the global space instead of once per nest.  Members own disjoint
-        stores, so cross-member interleaving needs no legality argument.
-
-        Returns one :class:`ExecutionResult` per member, in member order.
-        Serial mode times each member exactly; the parallel modes measure
-        one wall clock for the whole dispatch and attribute it to members
-        proportionally to their iteration counts.
-        """
-        if not isinstance(fused, FusedPlan):
-            raise ExecutionError("run_fused needs a FusedPlan schedule")
-        if not (len(transformeds) == len(fused.members) == len(stores)):
-            raise ExecutionError(
-                f"run_fused got {len(transformeds)} nest(s), "
-                f"{len(fused.members)} plan member(s) and {len(stores)} "
-                "store(s); all three must match"
-            )
-        setup_start = time.perf_counter()
-        member_sizes = [tuple(member.chunk_sizes()) for member in fused.members]
-        global_sizes = [size for sizes in member_sizes for size in sizes]
-        for member_transformed, member_plan in zip(transformeds, fused.members):
-            self.backend.prepare_plan(member_transformed, member_plan)
-        setup = time.perf_counter() - setup_start
-        fallback: Optional[str] = None
-        per_member_elapsed: Optional[List[float]] = None
-        engine: Optional[str] = None
-        mixed_dispatch = False
-        elapsed = 0.0
-        if not global_sizes:
-            pass
-        elif self.mode == "serial":
-            per_member_elapsed = []
-            for transformed, member, store in zip(transformeds, fused.members, stores):
-                start = time.perf_counter()
-                self.backend.execute_plan(transformed, member, store)
-                per_member_elapsed.append(time.perf_counter() - start)
-            elapsed = sum(per_member_elapsed)
-        elif self.mode in ("threads", "native-parallel"):
-            # Per member: prefer the backend's in-kernel parallel driver
-            # (one native call over the member's chunks); members without
-            # one go through the per-chunk thread pool, created lazily so
-            # an all-driver dispatch never spins it up.
-            spin_start = time.perf_counter()
-            driver = getattr(self.backend, "execute_plan_parallel", None)
-            supports = getattr(self.backend, "supports_parallel_plan", None)
-            member_supported = [
-                driver is not None
-                and supports is not None
-                and supports(member_transformed, member)
-                for member_transformed, member in zip(transformeds, fused.members)
-            ]
-            pool = (
-                ThreadPoolExecutor(max_workers=self.workers)
-                if not all(member_supported)
-                else None
-            )
-            try:
-                setup += time.perf_counter() - spin_start
-                start = time.perf_counter()
-                futures = []
-                for supported, member_transformed, member, member_store, sizes in zip(
-                    member_supported, transformeds, fused.members, stores, member_sizes
-                ):
-                    if supported:
-                        label = driver(
-                            member_transformed,
-                            member,
-                            member_store,
-                            threads=max(1, min(self.workers, len(sizes))),
-                            dynamic=True,
-                        )
-                        if label is not None:
-                            engine = label
-                            continue
-                    if pool is None:  # pragma: no cover - probe/driver disagree
-                        pool = ThreadPoolExecutor(max_workers=self.workers)
-                    futures.extend(
-                        pool.submit(
-                            self.backend.execute_chunk, member_transformed, chunk,
-                            member_store,
-                        )
-                        for chunk in member.chunks()
-                    )
-                for future in futures:
-                    future.result()
-                elapsed = time.perf_counter() - start
-                mixed_dispatch = bool(futures)
-            finally:
-                if pool is not None:
-                    pool.shutdown()
-        elif self.mode == "processes":
-            extra_start = time.perf_counter()
-            groups = self._balanced_groups(global_sizes)
-            payloads = []
-            for group in groups:
-                member_stores: Dict[int, ArrayStore] = {
-                    member: _payload_store(stores[member], transformeds[member])
-                    for member, _ in fused.split_group(group)
-                }
-                payloads.append(
-                    (self.backend, tuple(transformeds), fused, group, member_stores)
-                )
-            with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-                for warm in [pool.submit(_noop) for _ in payloads]:
-                    warm.result()
-                setup += time.perf_counter() - extra_start
-                start = time.perf_counter()
-                for writes in pool.map(_worker_execute_fused, payloads):
-                    for member, array, location, value in writes:
-                        stores[member][array][location] = value
-                elapsed = time.perf_counter() - start
-        else:
-            elapsed, extra_setup, fallback = self._run_shared_fused(
-                transformeds, fused, stores, global_sizes
-            )
-            setup += extra_setup
-        weights = [sum(sizes) for sizes in member_sizes]
-        total_weight = sum(weights) or 1
-        all_driver = engine is not None and not mixed_dispatch
-        if all_driver:
-            effective = engine
-        elif self.mode in ("threads", "native-parallel"):
-            effective = self.backend.per_chunk_name
-        else:
-            effective = self.backend.name
-        results: List[ExecutionResult] = []
-        for member, (sizes, store) in enumerate(zip(member_sizes, stores)):
-            if per_member_elapsed is not None:
-                member_elapsed = per_member_elapsed[member]
-            else:
-                member_elapsed = elapsed * weights[member] / total_weight
-            results.append(
-                ExecutionResult(
-                    store=store,
-                    mode=self.mode,
-                    workers=self.workers if self.mode != "serial" else 1,
-                    num_chunks=len(sizes),
-                    elapsed_seconds=member_elapsed,
-                    chunk_sizes=sizes,
-                    backend=effective,
-                    setup_seconds=setup * weights[member] / total_weight,
-                    fallback=fallback,
-                    engine=engine if all_driver else None,
-                    threads=(
-                        max(1, min(self.workers, max(map(len, member_sizes))))
-                        if all_driver
-                        else 0
-                    ),
-                )
-            )
-        return results
-
-    def _run_shared_fused(
-        self,
-        transformeds: Sequence[TransformedLoopNest],
-        fused: FusedPlan,
-        stores: Sequence[ArrayStore],
-        global_sizes: Sequence[int],
-    ) -> Tuple[float, float, Optional[str]]:
-        """One pool job over per-member shared segments (fresh per call).
-
-        Fused dispatches publish one segment generation per member store for
-        the duration of the call — the single-store generation cache
-        (:meth:`_ensure_shared_store`) stays reserved for plain runs.
-        """
-        setup_start = time.perf_counter()
-        if self._pool is None:
-            self._pool = WorkerPool(workers=self.workers)
-        pool = self._pool
-        pool.start()
-        groups = self._balanced_groups(global_sizes)
-        shared_stores = [SharedArrayStore.from_store(store) for store in stores]
-        try:
-            specs = tuple(shared.spec for shared in shared_stores)
-            setup = time.perf_counter() - setup_start
-            start = time.perf_counter()
-            pool.run_job(tuple(transformeds), self.backend, fused, specs, groups)
-            elapsed = time.perf_counter() - start
-            post_start = time.perf_counter()
-            for shared, store in zip(shared_stores, stores):
-                shared.copy_to(store)
-            setup += time.perf_counter() - post_start
-            return elapsed, setup, None
-        except WorkerCrashed as crash:
-            # The parent stores are untouched (all writes went to the
-            # per-call segments): discard the pool and run each member
-            # serially instead.
-            self._discard_pool()
-            setup = time.perf_counter() - setup_start
-            start = time.perf_counter()
-            for transformed, member, store in zip(transformeds, fused.members, stores):
-                self.backend.execute_plan(transformed, member, store)
-            elapsed = time.perf_counter() - start
-            return elapsed, setup, f"worker crash, serial fallback ({crash})"
-        finally:
-            for shared in shared_stores:
-                shared.close()
-                shared.unlink()
 
     # ------------------------------------------------------------------ #
     # in-kernel parallel driver
@@ -650,7 +318,7 @@ class ParallelExecutor:
         self,
         transformed: TransformedLoopNest,
         store: ArrayStore,
-        plan: Optional[ExecutionPlan],
+        plan: ExecutionPlan,
         chunk_sizes: Tuple[int, ...],
         key: Optional[str],
     ) -> Optional[Tuple[float, float, str, int]]:
@@ -662,7 +330,7 @@ class ParallelExecutor:
         The support probe compiles the kernel / packs the range table, both
         cached — that cost lands in the setup window, like ``prepare_plan``.
         """
-        if plan is None or not chunk_sizes:
+        if not chunk_sizes:
             return None
         driver = getattr(self.backend, "execute_plan_parallel", None)
         supports = getattr(self.backend, "supports_parallel_plan", None)
@@ -691,16 +359,15 @@ class ParallelExecutor:
     def _run_threads(
         self,
         transformed: TransformedLoopNest,
-        chunks: Optional[Sequence[Chunk]],
         store: ArrayStore,
-        plan: Optional[ExecutionPlan],
+        plan: ExecutionPlan,
         chunk_sizes: Tuple[int, ...],
         key: Optional[str],
     ) -> Tuple[float, float]:
         # Chunks are pairwise independent (they never access a common cell with
         # at least one write), so executing them concurrently on the shared
-        # store is safe without locking.  Plan-driven runs submit lazy chunk
-        # views; each task enumerates its own iterations when it runs.
+        # store is safe without locking.  Tasks are lazy chunk views; each
+        # enumerates its own iterations when it runs.
         # Every chunk is its own dispatch here, so telemetry gets the finest
         # observations this mode can produce: singleton groups.
         def timed_chunk(index: int, chunk) -> None:
@@ -715,76 +382,18 @@ class ParallelExecutor:
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             setup = time.perf_counter() - setup_start
             start = time.perf_counter()
-            chunk_views = plan.chunks() if plan is not None else chunks
             if key is not None:
                 futures = [
                     pool.submit(timed_chunk, index, chunk)
-                    for index, chunk in enumerate(chunk_views)
+                    for index, chunk in enumerate(plan.chunks())
                 ]
             else:
                 futures = [
                     pool.submit(self.backend.execute_chunk, transformed, chunk, store)
-                    for chunk in chunk_views
+                    for chunk in plan.chunks()
                 ]
             for future in futures:
                 future.result()
-            elapsed = time.perf_counter() - start
-        return elapsed, setup
-
-    def _run_processes(
-        self,
-        transformed: TransformedLoopNest,
-        chunks: Optional[Sequence[Chunk]],
-        store: ArrayStore,
-        plan: Optional[ExecutionPlan],
-        chunk_sizes: Tuple[int, ...],
-        key: Optional[str],
-    ) -> Tuple[float, float]:
-        if not chunk_sizes:
-            return 0.0, 0.0
-        setup_start = time.perf_counter()
-        groups = self.groups_for(chunk_sizes, key)
-        # The backend instance itself is shipped to the workers (all built-in
-        # backends pickle cheaply), so per-instance options like a custom
-        # min_parallel_width survive the process boundary.  Plan-driven
-        # payloads carry only the plan and the group's chunk indices — each
-        # worker enumerates its own iterations.
-        if plan is not None:
-            payloads = [
-                (
-                    self.backend,
-                    transformed,
-                    ("plan", plan, group),
-                    _payload_store(store, transformed),
-                )
-                for group in groups
-            ]
-        else:
-            payloads = [
-                (
-                    self.backend,
-                    transformed,
-                    ("chunks", [chunks[i] for i in group]),
-                    _payload_store(store, transformed),
-                )
-                for group in groups
-            ]
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            # Spin up every worker before the timed region: the first submit
-            # is what forks the pool's processes.
-            for warm in [pool.submit(_noop) for _ in payloads]:
-                warm.result()
-            setup = time.perf_counter() - setup_start
-            start = time.perf_counter()
-            for group, (group_elapsed, writes) in zip(
-                groups, pool.map(_worker_execute, payloads)
-            ):
-                if key is not None:
-                    self.telemetry.record_group(
-                        key, group, [chunk_sizes[i] for i in group], group_elapsed
-                    )
-                for array, location, value in writes:
-                    store[array][location] = value
             elapsed = time.perf_counter() - start
         return elapsed, setup
 
@@ -797,8 +406,8 @@ class ParallelExecutor:
         Keyed by the canonical structural hash of the transformed nest —
         renamed copies of one program share their measurements, like the
         native backend shares kernels — plus the plan's chunk count, so a
-        coalesced or tiled plan never mixes observations with the raw plan
-        of the same program (their chunk orders differ).
+        coalesced plan never mixes observations with the raw plan of the
+        same program (their chunk orders differ).
         """
         try:
             digest = canonical_hash(transformed.nest)
@@ -869,9 +478,8 @@ class ParallelExecutor:
     def _run_shared(
         self,
         transformed: TransformedLoopNest,
-        chunks: Optional[Sequence[Chunk]],
         store: ArrayStore,
-        plan: Optional[ExecutionPlan],
+        plan: ExecutionPlan,
         chunk_sizes: Tuple[int, ...],
         key: Optional[str],
     ) -> Tuple[float, float, Optional[str]]:
@@ -886,16 +494,14 @@ class ParallelExecutor:
         # amortizes, not execution time.
         pool.start()
         groups = self.groups_for(chunk_sizes, key)
-        # Pass the caller's object through unchanged: the pool's program
-        # cache is keyed by identity, so a repeated run with the same plan
-        # (or the same legacy chunk list) ships the program only once.
-        schedule = plan if plan is not None else chunks
         try:
             shared = self._ensure_shared_store(store)
             setup = time.perf_counter() - setup_start
             start = time.perf_counter()
+            # The pool's program cache is keyed by identity, so a repeated
+            # run with the same plan object ships the program only once.
             group_seconds = pool.run_job(
-                transformed, self.backend, schedule, shared.spec, groups
+                transformed, self.backend, plan, shared.spec, groups
             )
             elapsed = time.perf_counter() - start
             if key is not None:
@@ -918,10 +524,7 @@ class ParallelExecutor:
             self._release_segments()
             setup = time.perf_counter() - setup_start
             start = time.perf_counter()
-            if plan is not None:
-                self.backend.execute_plan(transformed, plan, store)
-            else:
-                self.backend.execute(transformed, store, chunks=chunks)
+            self.backend.execute_plan(transformed, plan, store)
             elapsed = time.perf_counter() - start
             return elapsed, setup, f"worker crash, serial fallback ({crash})"
         except ExecutionError:

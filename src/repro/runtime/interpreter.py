@@ -9,7 +9,7 @@ validated.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.codegen.schedule import Chunk
 from repro.codegen.transformed_nest import TransformedLoopNest
@@ -72,26 +72,16 @@ def execute_transformed(
     return store
 
 
-def execute_chunk(
-    transformed: TransformedLoopNest, chunk: Chunk, store: ArrayStore
-) -> List[Tuple[str, Tuple[int, ...], float]]:
-    """Execute one chunk and return the list of performed writes.
+def execute_chunk(transformed: TransformedLoopNest, chunk, store: ArrayStore) -> None:
+    """Execute one chunk's iterations, in order, in place.
 
-    The writes are returned as ``(array, location, value)`` so a parallel
-    driver can execute chunks on copies of the store (or in worker processes)
-    and merge the results; chunks of a legal schedule never write the same
-    location, so merging is order-independent.
+    ``chunk`` is a lazy :class:`~repro.plan.ChunkView` of a plan or a
+    materialized :class:`~repro.codegen.schedule.Chunk`; only its
+    ``iterations`` (transformed-space index vectors) are read.
     """
     nest = transformed.nest
-    writes: List[Tuple[str, Tuple[int, ...], float]] = []
     for new_iteration in chunk.iterations:
-        env = transformed.original_env(new_iteration)
-        for stmt in nest.statements:
-            value = stmt.rhs.evaluate(env, store)
-            location = stmt.target.subscript_values(env)
-            store[stmt.target.array][location] = value
-            writes.append((stmt.target.array, location, value))
-    return writes
+        _execute_body(nest, transformed.original_env(new_iteration), store)
 
 
 def execute_schedule(

@@ -42,19 +42,13 @@ import time
 import traceback
 import weakref
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.codegen.schedule import Chunk
 from repro.exceptions import ExecutionError
-from repro.plan import ExecutionPlan, FusedPlan
+from repro.plan import ExecutionPlan
 from repro.runtime.shared import SharedArrayStore, SharedStoreSpec
 
 __all__ = ["WorkerCrashed", "WorkerPool"]
-
-#: A schedule travels either as a symbolic plan (the default, a few hundred
-#: bytes), a fused bundle of plans (one store spec per member), or as a
-#: materialized chunk list (legacy custom chunkings only).
-Schedule = Union[ExecutionPlan, FusedPlan, Sequence[Chunk]]
 
 # Workers keep at most this many cached store attachments; the oldest entry
 # is evicted (and its segments detached) beyond the cap.  Program caches are
@@ -72,10 +66,10 @@ class WorkerCrashed(ExecutionError):
 class _WorkerProgram:
     """A worker's cached view of one registered program."""
 
-    def __init__(self, transformed, backend, schedule: Schedule):
+    def __init__(self, transformed, backend, plan: ExecutionPlan):
         self.transformed = transformed
         self.backend = backend
-        self.schedule = schedule
+        self.plan = plan
 
     def execute(self, store, chunk_indices: Tuple[int, ...]) -> None:
         """Execute one group's chunks in place, enumerated from the plan.
@@ -86,26 +80,12 @@ class _WorkerProgram:
         the host.  In-process executors (threads/native-parallel modes, the
         gateway, the cluster daemon) are where the driver wins.
         """
-        if isinstance(self.schedule, FusedPlan):
-            # ``store`` is a tuple of member stores; split the global chunk
-            # indices back into per-member local indices.
-            for member, local_indices in self.schedule.split_group(chunk_indices):
-                self.backend.execute_plan(
-                    self.transformed[member],
-                    self.schedule.members[member],
-                    store[member],
-                    chunk_indices=local_indices,
-                )
-        elif isinstance(self.schedule, ExecutionPlan):
-            self.backend.execute_plan(
-                self.transformed, self.schedule, store, chunk_indices=chunk_indices
-            )
-        else:
-            selected = [self.schedule[index] for index in chunk_indices]
-            self.backend.execute(self.transformed, store, chunks=selected)
+        self.backend.execute_plan(
+            self.transformed, self.plan, store, chunk_indices=chunk_indices
+        )
 
     def close(self) -> None:
-        self.schedule = None
+        self.plan = None
 
 
 def _worker_main(worker_index: int, task_queue, result_queue) -> None:
@@ -118,9 +98,9 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
         if kind == "stop":
             break
         if kind == "program":
-            _, token, transformed, backend, schedule = message
+            _, token, transformed, backend, plan = message
             try:
-                programs[token] = _WorkerProgram(transformed, backend, schedule)
+                programs[token] = _WorkerProgram(transformed, backend, plan)
             except BaseException as exc:  # report at the next run task
                 result_queue.put(
                     ("error", -1, -1, f"program registration failed: {exc!r}",
@@ -136,23 +116,15 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
         _, job_id, group_index, token, store_spec, chunk_indices = message
         try:
             program = programs[token]
-            # Fused jobs ship one spec per member; attach (and cache) each
-            # segment individually and hand the program a tuple of stores.
-            specs = store_spec if isinstance(store_spec, tuple) else (store_spec,)
-            attached = []
-            for spec in specs:
-                store = stores.get(spec.token)
-                if store is None:
-                    store = SharedArrayStore.attach(spec)
-                    stores[spec.token] = store
-                stores.move_to_end(spec.token)
-                attached.append(store)
-            # Every current spec sits at the MRU end, so eviction (capped at
-            # the larger of the cache size and this job's member count) can
-            # never close a segment this very message is about to use.
-            while len(stores) > max(_WORKER_STORE_CACHE, len(specs)):
+            store = stores.get(store_spec.token)
+            if store is None:
+                store = SharedArrayStore.attach(store_spec)
+                stores[store_spec.token] = store
+            # The current spec sits at the MRU end, so eviction can never
+            # close the segment this very message is about to use.
+            stores.move_to_end(store_spec.token)
+            while len(stores) > _WORKER_STORE_CACHE:
                 stores.popitem(last=False)[1].close()
-            store = attached[0] if not isinstance(store_spec, tuple) else tuple(attached)
             start = time.perf_counter()
             program.execute(store, chunk_indices)
             elapsed = time.perf_counter() - start
@@ -169,11 +141,11 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
 
 
 class _Program:
-    """Parent-side registration of one (transformed, backend, schedule) triple."""
+    """Parent-side registration of one (transformed, backend, plan) triple."""
 
     def __init__(self, token: str, payload):
         self.token = token
-        self.payload = payload  # (transformed, backend, schedule) pins the key ids
+        self.payload = payload  # (transformed, backend, plan) pins the key ids
 
 
 class WorkerPool:
@@ -235,8 +207,8 @@ class WorkerPool:
         self._finalizer = weakref.finalize(self, _terminate, list(self._processes))
 
     # ------------------------------------------------------------------ #
-    def _ensure_program(self, transformed, backend, schedule: Schedule) -> _Program:
-        key = (id(transformed), id(backend), id(schedule))
+    def _ensure_program(self, transformed, backend, plan: ExecutionPlan) -> _Program:
+        key = (id(transformed), id(backend), id(plan))
         program = self._programs.get(key)
         if program is not None:
             self._programs.move_to_end(key)
@@ -244,7 +216,7 @@ class WorkerPool:
         program = _Program(
             token=f"program-{next(self._tokens)}",
             # Strong references pin the ids in ``key`` for the pool's life.
-            payload=(transformed, backend, schedule),
+            payload=(transformed, backend, plan),
         )
         self._programs[key] = program
         while len(self._programs) > _PARENT_PROGRAM_CACHE:
@@ -261,15 +233,14 @@ class WorkerPool:
         self,
         transformed,
         backend,
-        schedule: Schedule,
+        plan: ExecutionPlan,
         store_spec: SharedStoreSpec,
         groups: Sequence[Tuple[int, ...]],
     ) -> Dict[int, float]:
         """Execute ``groups`` (tuples of chunk indices) on the shared store.
 
-        ``schedule`` is normally the nest's :class:`~repro.plan.ExecutionPlan`
-        (pickled to workers once, per program); a materialized chunk list is
-        accepted for custom chunkings.  Blocks until every group finished
+        ``plan`` is the nest's :class:`~repro.plan.ExecutionPlan`, pickled
+        to each worker once per program.  Blocks until every group finished
         and returns the worker-measured wall clock of each group (group
         index → seconds), the raw material of the executor's telemetry.
         Raises ``ExecutionError`` for a worker-reported failure and
@@ -281,15 +252,15 @@ class WorkerPool:
         if not groups:
             return {}
         self.start()
-        program = self._ensure_program(transformed, backend, schedule)
+        program = self._ensure_program(transformed, backend, plan)
         job_id = next(self._jobs)
-        transformed_payload, backend_payload, schedule_payload = program.payload
+        transformed_payload, backend_payload, plan_payload = program.payload
         for group_index, chunk_indices in enumerate(groups):
             worker = group_index % self.workers
             if program.token not in self._seen[worker]:
                 self._task_queues[worker].put(
                     ("program", program.token, transformed_payload, backend_payload,
-                     schedule_payload)
+                     plan_payload)
                 )
                 self._seen[worker].add(program.token)
             self._task_queues[worker].put(

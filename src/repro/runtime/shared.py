@@ -1,10 +1,9 @@
 """Zero-copy shared-memory array stores.
 
-The copy-and-merge ``processes`` executor pays O(store) serialization per
-execution: every worker receives a pickled copy of the whole
-:class:`~repro.runtime.arrays.ArrayStore` and sends its writes back for
-merging.  This module removes that cost: a :class:`SharedArrayStore` backs
-every array with a ``multiprocessing.shared_memory`` segment, so worker
+Shipping a pickled :class:`~repro.runtime.arrays.ArrayStore` to every
+worker process and merging its writes back costs O(store) serialization
+per execution.  This module removes that cost: a :class:`SharedArrayStore`
+backs every array with a ``multiprocessing.shared_memory`` segment, so worker
 processes *attach* to the same physical pages and execute their chunks in
 place.  That is legal for exactly the reason the paper's schedule exists —
 chunks never access a common cell with at least one write (Lemma 1 /

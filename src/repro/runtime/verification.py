@@ -64,13 +64,13 @@ def verify_transformation(
         The original loop nest.
     transformed:
         Either a :class:`TransformedLoopNest` or the
-        :class:`ParallelizationReport` produced by ``parallelize``.
+        :class:`ParallelizationReport` produced by ``analyze_nest``.
     store:
         Initial array contents; generated with ``store_for_nest`` when omitted.
     check_emitted_code:
         Also compile the emitted Python source of the transformed loop and run it.
     check_executors:
-        Parallel execution modes to exercise (subset of serial/threads/processes).
+        Executor modes to exercise (any subset of ``EXECUTION_MODES``).
     check_backends:
         Execution backends to run against the interpreter reference (any
         subset of :func:`repro.runtime.backends.available_backends`).

@@ -213,13 +213,6 @@ class BatchService:
     process-wide analysis cache so back-to-back services stay warm.  Use as
     a context manager or call :meth:`close`.
 
-    ``fuse=True`` batches adjacent compatible jobs (same placement and
-    initializer) into windows of up to ``fuse_window`` and serves each
-    window as *one* fused dispatch (:meth:`Session.run_fused`): one
-    balancing decision, one process fan-out, one worker-pool job per window
-    instead of one per job.  ``fuse`` is a serving-shape option, so it
-    composes with an injected ``session=``.
-
         >>> from repro.service import BatchService, jobs_from_nests
         >>> text = "loop i = 0 .. 3\\nA[i] = A[i] + 1.0"
         >>> with BatchService(mode="serial", backend="vectorized") as service:
@@ -235,13 +228,7 @@ class BatchService:
         workers: Optional[int] = None,
         cache: Optional[AnalysisCache] = None,
         session: Optional[Session] = None,
-        fuse: bool = False,
-        fuse_window: int = 8,
     ):
-        if fuse_window < 2:
-            raise WorkloadError(f"fuse_window must be >= 2, got {fuse_window}")
-        self._fuse = bool(fuse)
-        self._fuse_window = int(fuse_window)
         if session is not None:
             if any(option is not None for option in (mode, backend, workers, cache)):
                 raise WorkloadError(
@@ -316,7 +303,13 @@ class BatchService:
         results: List[JobResult] = []
         analysis_total = 0.0
         execute_total = 0.0
-        for run in self._runs_for(jobs):
+        for job in jobs:
+            run = self._session.run(
+                job.nest,
+                name=job.name,
+                placement=job.placement,
+                initializer=job.initializer,
+            )
             # Program construction (transformed nest + chunk schedule) counts
             # as analysis for reporting: it is compile-time work a warm
             # program-LRU hit skips, mirroring the analysis cache.
@@ -351,39 +344,6 @@ class BatchService:
             cache_hits=cache.stats.hits - hits_before,
             cache_misses=cache.stats.misses - misses_before,
             cache_summary=cache.describe(),
-        )
-
-    def _runs_for(self, jobs: Sequence[BatchJob]):
-        """Serve ``jobs`` in order, fusing adjacent compatible windows."""
-        if not self._fuse:
-            for job in jobs:
-                yield self._session.run(
-                    job.nest,
-                    name=job.name,
-                    placement=job.placement,
-                    initializer=job.initializer,
-                )
-            return
-        window: List[BatchJob] = []
-        for job in jobs:
-            if window and (
-                len(window) >= self._fuse_window
-                or (job.placement, job.initializer)
-                != (window[0].placement, window[0].initializer)
-            ):
-                yield from self._flush(window)
-                window = []
-            window.append(job)
-        if window:
-            yield from self._flush(window)
-
-    def _flush(self, window: Sequence[BatchJob]):
-        """One window, one dispatch (a singleton degrades to a plain run)."""
-        return self._session.run_fused(
-            [job.nest for job in window],
-            names=[job.name for job in window],
-            placement=window[0].placement,
-            initializer=window[0].initializer,
         )
 
     # ------------------------------------------------------------------ #

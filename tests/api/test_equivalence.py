@@ -1,18 +1,19 @@
-"""API-equivalence and deprecation contracts of the legacy entry points.
+"""API-equivalence contract of the session surface.
 
-``Session.run`` must be bit-identical to the legacy
-``parallelize_and_execute`` across the example suite and seeded random
-nests, and the legacy wrappers must emit ``DeprecationWarning`` exactly
-once per call (the suite-wide filter turns unexpected deprecation use into
-errors; these tests opt out locally via ``pytest.warns``).
+``Session.run`` must be bit-identical to the interpreter reference
+(``execute_nest`` on the original nest) across the example suite and seeded
+random nests, report the same analysis as the uncached ``analyze_nest``
+primitive, and emit no ``DeprecationWarning``.
 """
 
 import numpy as np
 import pytest
 
 from repro.api import Session, SessionConfig
-from repro.core.pipeline import analyze_nest, parallelize, parallelize_and_execute
+from repro.core.pipeline import analyze_nest
 from repro.loopnest.builder import loop_nest
+from repro.runtime.arrays import store_for_nest
+from repro.runtime.interpreter import execute_nest
 from repro.workloads.paper_examples import example_4_1
 from repro.workloads.suite import workload_suite
 
@@ -40,58 +41,40 @@ def _random_nest(rng: np.random.Generator):
     return builder.build()
 
 
-def _legacy_run(nest, **kwargs):
-    with pytest.warns(DeprecationWarning):
-        return parallelize_and_execute(nest, **kwargs)
+def _interpreted(nest):
+    store = store_for_nest(nest)
+    execute_nest(nest, store)
+    return store
 
 
-class TestSessionRunMatchesLegacy:
+class TestSessionRunMatchesInterpreter:
     @pytest.mark.parametrize("case", SUITE, ids=SUITE_IDS)
     def test_suite_bit_identical(self, case):
-        legacy_report, legacy_result = _legacy_run(
-            case.nest, backend="compiled", use_cache=False
-        )
+        report = analyze_nest(case.nest)
         with Session(SessionConfig(backend="compiled", use_cache=False)) as session:
             result = session.run(case.nest)
-        assert legacy_result.store.identical(result.store)
-        assert result.report.transform == legacy_report.transform
-        assert result.report.parallel_levels == legacy_report.parallel_levels
-        assert result.report.partition_count == legacy_report.partition_count
-        assert result.iterations == legacy_result.total_iterations
+        assert _interpreted(case.nest).identical(result.store)
+        assert result.report.transform == report.transform
+        assert result.report.parallel_levels == report.parallel_levels
+        assert result.report.partition_count == report.partition_count
+        assert result.iterations == case.nest.iteration_count()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_nests_bit_identical(self, seed):
         nest = _random_nest(np.random.default_rng(1000 + seed))
-        _, legacy_result = _legacy_run(nest, backend="vectorized", use_cache=False)
         with Session(backend="vectorized", use_cache=False) as session:
             result = session.run(nest)
-        assert legacy_result.store.identical(result.store), (seed, nest.name)
+        assert _interpreted(nest).identical(result.store), (seed, nest.name)
 
     def test_shared_mode_bit_identical(self):
         nest = example_4_1(5)
-        _, legacy_result = _legacy_run(
-            nest, backend="compiled", mode="shared", workers=2, use_cache=False
-        )
         with Session(mode="shared", backend="compiled", workers=2, use_cache=False) as session:
             result = session.run(nest)
-        assert legacy_result.store.identical(result.store)
+        assert _interpreted(nest).identical(result.store)
         assert result.mode == "shared"
 
 
 class TestDeprecationContract:
-    def test_parallelize_warns_exactly_once(self):
-        nest = example_4_1(4)
-        with pytest.warns(DeprecationWarning, match=r"parallelize\(\) is deprecated") as record:
-            report = parallelize(nest)
-        assert len([w for w in record if w.category is DeprecationWarning]) == 1
-        assert report == analyze_nest(nest)
-
-    def test_parallelize_and_execute_warns_exactly_once(self):
-        with pytest.warns(DeprecationWarning, match=r"Session\.run\(\)") as record:
-            report, result = parallelize_and_execute(example_4_1(4), backend="compiled")
-        assert len([w for w in record if w.category is DeprecationWarning]) == 1
-        assert result.total_iterations == example_4_1(4).iteration_count()
-
     def test_analyze_nest_does_not_warn(self, recwarn):
         analyze_nest(example_4_1(4))
         assert not [w for w in recwarn.list if w.category is DeprecationWarning]

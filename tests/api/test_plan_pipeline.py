@@ -1,10 +1,10 @@
 """The plan-optimization pipeline through the public surface.
 
 Covers the configuration plumbing (``SessionConfig.plan_passes``, CLI
-``--plan-passes`` / ``--no-plan-passes``), the session's program LRU
-caching the *optimized* plan, the fused batch entry points
-(``Session.run_fused``, ``BatchService(fuse=True)``) and the equivalence
-guarantee: optimized and raw dispatches produce identical stores.
+``--plan-passes`` / ``--no-plan-passes``), the rejection of removed modes,
+passes and flags, the session's program LRU caching the *optimized* plan
+and the equivalence guarantee: optimized and raw dispatches produce
+identical stores.
 """
 
 import pytest
@@ -12,10 +12,9 @@ import pytest
 from repro.api import Session, SessionConfig
 from repro.cli import build_parser, session_config_from_args
 from repro.exceptions import WorkloadError
-from repro.plan import DEFAULT_PLAN_PASSES, ExecutionPlan
-from repro.service import BatchService, jobs_from_nests
-from repro.workloads.paper_examples import example_4_1, example_4_2
-from repro.workloads.synthetic import no_dependence_loop
+from repro.plan import DEFAULT_PLAN_PASSES, available_plan_passes
+from repro.runtime.executor import EXECUTION_MODES
+from repro.workloads.paper_examples import example_4_1
 
 
 class TestConfig:
@@ -23,10 +22,11 @@ class TestConfig:
         # Serial dispatch is free, so coalescing (which trades round
         # structure for fewer dispatches) only defaults on in the
         # dispatch-bound modes.
-        assert SessionConfig().resolved_plan_passes() == ("tile",)
-        for mode in ("threads", "processes", "shared"):
+        for mode in ("serial", "native-parallel"):
+            assert SessionConfig(mode=mode).resolved_plan_passes() == ()
+        for mode in ("threads", "shared"):
             config = SessionConfig(mode=mode)
-            assert config.resolved_plan_passes() == DEFAULT_PLAN_PASSES
+            assert config.resolved_plan_passes() == DEFAULT_PLAN_PASSES == ("coalesce",)
 
     def test_explicit_pipeline_overrides_mode_default(self):
         config = SessionConfig(mode="serial", plan_passes=("coalesce",))
@@ -44,11 +44,45 @@ class TestConfig:
         with Session(SessionConfig(plan_passes=())) as session:
             assert session._plan_pipeline is None
 
+    def test_remaining_surface(self):
+        assert EXECUTION_MODES == ("serial", "threads", "shared", "native-parallel")
+        assert available_plan_passes() == ("coalesce",)
+
+
+class TestRemovedOptions:
+    """Deleted modes, passes and flags fail loudly and name what is left."""
+
+    def test_processes_mode_rejected(self):
+        with pytest.raises(
+            WorkloadError,
+            match="'processes'; available: serial, threads, shared, native-parallel$",
+        ):
+            SessionConfig(mode="processes")
+
+    @pytest.mark.parametrize("name", ["tile", "fuse"])
+    def test_removed_plan_passes_rejected(self, name):
+        with pytest.raises(WorkloadError, match=f"'{name}'; available: coalesce$"):
+            SessionConfig(plan_passes=(name,))
+
+    def test_cli_processes_mode_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "x.loop", "--mode", "processes"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'processes'" in err
+        assert "'serial', 'threads', 'shared', 'native-parallel'" in err
+
+    def test_cli_fuse_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["batch", "x.loop", "--fuse"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --fuse" in capsys.readouterr().err
+
 
 class TestSessionPipeline:
     def test_program_cache_holds_optimized_plan(self):
         with Session(
-            mode="serial", backend="compiled", plan_passes=("coalesce", "tile")
+            mode="serial", backend="compiled", plan_passes=("coalesce",)
         ) as session:
             optimized = session.run(example_4_1(40))
         with Session(mode="serial", backend="compiled", plan_passes=()) as session:
@@ -68,59 +102,6 @@ class TestSessionPipeline:
             entry = next(iter(session._programs.values()))
             session.run(example_4_1(16))
             assert next(iter(session._programs.values()))[1] is entry[1]
-
-
-class TestRunFused:
-    def test_results_in_input_order_and_verified(self):
-        sources = [example_4_1(10), example_4_2(12), no_dependence_loop(6)]
-        with Session(mode="serial", backend="compiled", verify="always") as session:
-            results = session.run_fused(sources)
-        assert [result.name for result in results] == [
-            source.name for source in sources
-        ]
-        assert all(result.max_abs_difference == 0.0 for result in results)
-
-    def test_single_source_degrades_to_run(self):
-        with Session(mode="serial") as session:
-            [fused_result] = session.run_fused([example_4_1(10)])
-            plain_result = session.run(example_4_1(10))
-        assert fused_result.checksum == plain_result.checksum
-
-    def test_empty_batch(self):
-        with Session(mode="serial") as session:
-            assert session.run_fused([]) == []
-
-    def test_names_length_mismatch(self):
-        with Session(mode="serial") as session:
-            with pytest.raises(WorkloadError, match="names has"):
-                session.run_fused([example_4_1(6)], names=["a", "b"])
-
-
-class TestBatchFusion:
-    def test_fused_batch_matches_plain(self):
-        nests = [example_4_1(10), example_4_2(12), no_dependence_loop(6)]
-        jobs = jobs_from_nests(nests, repeat=2)
-        with BatchService(mode="serial", backend="compiled") as service:
-            plain = service.submit(jobs)
-        with BatchService(mode="serial", backend="compiled", fuse=True) as service:
-            fused = service.submit(jobs)
-        assert [r.checksum for r in fused.results] == [
-            r.checksum for r in plain.results
-        ]
-        assert [r.name for r in fused.results] == [r.name for r in plain.results]
-
-    def test_fuse_window_validated(self):
-        with pytest.raises(WorkloadError, match="fuse_window"):
-            BatchService(mode="serial", fuse=True, fuse_window=1)
-
-    def test_incompatible_jobs_split_windows(self):
-        jobs = jobs_from_nests([example_4_1(8), example_4_2(8)])
-        jobs = [jobs[0], jobs[1].__class__(
-            name="inner", nest=jobs[1].nest, placement="inner"
-        )]
-        with BatchService(mode="serial", backend="compiled", fuse=True) as service:
-            report = service.submit(jobs)
-        assert len(report.results) == 2
 
 
 class TestCli:
@@ -143,8 +124,3 @@ class TestCli:
     def test_bad_plan_pass_fails_at_config(self):
         with pytest.raises(WorkloadError, match="unknown plan pass"):
             self._config(["run", "x.loop", "--plan-passes", "bogus"])
-
-    def test_batch_has_fuse_flag(self):
-        parser = build_parser()
-        args = parser.parse_args(["batch", "x.loop", "--fuse"])
-        assert args.fuse is True

@@ -36,7 +36,6 @@ REPRO_ALL_SNAPSHOT = sorted(
         "ParallelizationReport",
         "PseudoDistanceMatrix",
         "analyze_nest",
-        "parallelize",
         "transform_non_full_rank",
         "partition_full_rank",
         "is_legal_unimodular",

@@ -14,7 +14,6 @@ from repro.codegen.python_emitter import (
     emit_original_source,
     emit_transformed_source,
 )
-from repro.codegen.schedule import build_schedule
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
 from repro.runtime.arrays import store_for_nest
@@ -48,24 +47,28 @@ class TestExecutorsAcrossSuite:
                 continue
             report = analyze_nest(case.nest)
             transformed = TransformedLoopNest.from_report(report)
-            chunks = build_schedule(transformed)
+            plan = transformed.execution_plan()
             base = store_for_nest(case.nest)
             expected = base.copy()
             execute_nest(case.nest, expected)
             actual = base.copy()
-            ParallelExecutor(mode="threads", workers=3).run(transformed, actual, chunks=chunks)
+            ParallelExecutor(mode="threads", workers=3).run(transformed, actual, plan=plan)
             assert expected.allclose(actual), case.name
 
     def test_more_workers_than_chunks(self, ex42_small):
         report = analyze_nest(ex42_small)
         transformed = TransformedLoopNest.from_report(report)
-        chunks = build_schedule(transformed)  # 4 chunks
+        plan = transformed.execution_plan()
+        assert plan.chunk_count == 4
         base = store_for_nest(ex42_small)
         expected = base.copy()
         execute_nest(ex42_small, expected)
         actual = base.copy()
-        ParallelExecutor(mode="threads", workers=16).run(transformed, actual, chunks=chunks)
+        outcome = ParallelExecutor(mode="threads", workers=16).run(
+            transformed, actual, plan=plan
+        )
         assert expected.allclose(actual)
+        assert outcome.num_chunks == 4
 
 
 class TestIntegerData:

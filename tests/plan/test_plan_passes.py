@@ -11,13 +11,11 @@ contract of the plan IR exactly:
   unchanged.
 
 Checked over the workload suite (both placements) and seeded random nests,
-plus targeted tests for each pass's structural guarantees (coalescing
-actually reduces the chunk count on example 4.1, tiling preserves chunk
-structure, fusion's global index arithmetic round-trips).
+plus targeted tests of coalescing's structural guarantee (it actually
+reduces the chunk count on example 4.1).
 """
 
 import os
-import pickle
 
 import numpy as np
 import pytest
@@ -30,12 +28,7 @@ from repro.loopnest.builder import loop_nest
 from repro.plan import (
     DEFAULT_PLAN_PASSES,
     CoalesceChunksPass,
-    ExecutionPlan,
-    FusedPlan,
-    FusePlansPass,
     PlanPassManager,
-    TiledPlan,
-    TileSequentialLevelsPass,
     available_plan_passes,
     build_plan_pipeline,
     get_plan_pass,
@@ -62,8 +55,6 @@ def _transformed(nest, placement="outer"):
 
 def _iteration_multiset(transformed, plan):
     iterations = []
-    if isinstance(plan, FusedPlan):  # pragma: no cover - not used for fused
-        raise AssertionError("fused plans are checked member-wise")
     for view in plan.chunks():
         iterations.extend(view.iterations)
     return sorted(iterations)
@@ -174,137 +165,6 @@ class TestCoalesce:
 
 
 # --------------------------------------------------------------------------- #
-# tiling
-# --------------------------------------------------------------------------- #
-
-class TestTile:
-    def test_chunk_structure_untouched(self):
-        transformed = _transformed(example_4_1(32))
-        base = transformed.execution_plan()
-        tiled, _ = optimize_plan(base, transformed, passes=("tile",))
-        if not isinstance(tiled, TiledPlan):
-            pytest.skip("plan below the tiling threshold")
-        assert list(tiled.chunk_keys()) == list(base.chunk_keys())
-        assert tiled.chunk_sizes() == base.chunk_sizes()
-
-    def test_small_tile_forces_waves_and_matches(self):
-        # A tiny budget forces many waves; results must stay bit-identical.
-        for case in SUITE:
-            transformed = _transformed(case.nest)
-            base = transformed.execution_plan()
-            ctx = PlanPassManager(
-                [TileSequentialLevelsPass(tile_iterations=3)]
-            ).optimize([base], (transformed,))
-            plan = ctx.plans[0]
-            backend = get_backend("vectorized", min_parallel_width=2)
-            store = store_for_nest(case.nest)
-            backend.execute_plan(transformed, plan, store)
-            assert _reference_store(case.nest).identical(store), case.name
-
-    def test_tiled_plan_is_plain_execution_plan_everywhere_else(self):
-        transformed = _transformed(example_4_1(32))
-        tiled = TiledPlan(transformed.execution_plan(), tile_iterations=8)
-        assert isinstance(tiled, ExecutionPlan)
-        clone = pickle.loads(pickle.dumps(tiled))
-        assert isinstance(clone, TiledPlan)
-        assert clone.tile_iterations == 8
-        assert list(clone.chunk_keys()) == list(tiled.chunk_keys())
-
-    def test_rejects_bad_budget(self):
-        transformed = _transformed(example_4_1(8))
-        with pytest.raises(CodegenError):
-            TiledPlan(transformed.execution_plan(), tile_iterations=0)
-
-    def test_idempotent(self):
-        # Re-running the pass on an already tiled plan is a no-op.
-        transformed = _transformed(example_4_1(16))
-        tiled = TiledPlan(transformed.execution_plan(), tile_iterations=2)
-        ctx = PlanPassManager(
-            [TileSequentialLevelsPass(tile_iterations=2)]
-        ).optimize([tiled], (transformed,))
-        assert ctx.plans[0] is tiled
-
-
-# --------------------------------------------------------------------------- #
-# fusion
-# --------------------------------------------------------------------------- #
-
-class TestFuse:
-    def _members(self, count=3):
-        nests = [case.nest for case in SUITE[:count]]
-        transformeds = [_transformed(nest) for nest in nests]
-        plans = [transformed.execution_plan() for transformed in transformeds]
-        return nests, transformeds, plans
-
-    def test_global_index_arithmetic(self):
-        _, transformeds, plans = self._members()
-        fused = FusedPlan(plans)
-        assert fused.chunk_count == sum(plan.chunk_count for plan in plans)
-        assert fused.total_iterations == sum(p.total_iterations for p in plans)
-        assert fused.chunk_sizes() == [
-            size for plan in plans for size in plan.chunk_sizes()
-        ]
-        # member_of round-trips every global position.
-        for global_index in range(fused.chunk_count):
-            member, local = fused.member_of(global_index)
-            assert fused.split_starts[member] + local == global_index
-            assert 0 <= local < plans[member].chunk_count
-        with pytest.raises(CodegenError):
-            fused.member_of(fused.chunk_count)
-
-    def test_split_group_partitions_indices(self):
-        _, _, plans = self._members()
-        fused = FusedPlan(plans)
-        group = tuple(range(0, fused.chunk_count, 2))
-        split = fused.split_group(group)
-        rebuilt = [
-            fused.split_starts[member] + local
-            for member, locals_ in split
-            for local in locals_
-        ]
-        assert sorted(rebuilt) == sorted(group)
-
-    def test_pass_requires_two_plans(self):
-        _, transformeds, plans = self._members(1)
-        ctx = PlanPassManager([FusePlansPass()]).optimize(
-            plans, tuple(transformeds)
-        )
-        assert ctx.plans == plans  # skipped: nothing to fuse
-
-    @pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
-    def test_fused_execution_bit_identical(self, mode):
-        nests, transformeds, plans = self._members()
-        ctx = PlanPassManager([FusePlansPass()]).optimize(
-            plans, tuple(transformeds)
-        )
-        [fused] = ctx.plans
-        assert isinstance(fused, FusedPlan)
-        stores = [store_for_nest(nest) for nest in nests]
-        executor = ParallelExecutor(mode=mode, workers=2, backend="compiled")
-        results = executor.run_fused(transformeds, fused, stores)
-        assert len(results) == len(nests)
-        for nest, store, result in zip(nests, stores, results):
-            assert _reference_store(nest).identical(store)
-            assert result.num_chunks > 0
-
-    @needs_dev_shm
-    def test_fused_execution_shared_mode(self):
-        nests, transformeds, plans = self._members()
-        [fused] = PlanPassManager([FusePlansPass()]).optimize(
-            plans, tuple(transformeds)
-        ).plans
-        stores = [store_for_nest(nest) for nest in nests]
-        executor = ParallelExecutor(mode="shared", workers=2, backend="vectorized")
-        try:
-            results = executor.run_fused(transformeds, fused, stores)
-        finally:
-            executor.close()
-        for nest, store, result in zip(nests, stores, results):
-            assert _reference_store(nest).identical(store)
-            assert result.fallback is None
-
-
-# --------------------------------------------------------------------------- #
 # the default pipeline, end to end
 # --------------------------------------------------------------------------- #
 
@@ -313,10 +173,9 @@ class TestPipeline:
     def test_default_pipeline_matches_reference(self, case):
         transformed = _transformed(case.nest)
         plan, ctx = optimize_plan(transformed.execution_plan(), transformed)
-        if not isinstance(plan, FusedPlan):
-            assert _iteration_multiset(transformed, plan) == _reference_multiset(
-                transformed
-            )
+        assert _iteration_multiset(transformed, plan) == _reference_multiset(
+            transformed
+        )
         for backend in ("compiled", "vectorized"):
             store = store_for_nest(case.nest)
             get_backend(backend).execute_plan(transformed, plan, store)
@@ -329,7 +188,7 @@ class TestPipeline:
         assert all(timing.seconds >= 0.0 for timing in ctx.timings)
         assert ctx.steps  # at least the coalesce rewrite fired at N=64
 
-    @pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("mode", ["serial", "threads", "native-parallel"])
     def test_executor_modes_match_reference(self, mode):
         transformed = _transformed(example_4_1(24))
         plan, _ = optimize_plan(transformed.execution_plan(), transformed)
@@ -360,7 +219,7 @@ class TestPipeline:
 class TestRegistry:
     def test_builtin_passes_registered(self):
         names = available_plan_passes()
-        assert {"coalesce", "tile", "fuse"} <= set(names)
+        assert "coalesce" in names
         assert names == tuple(sorted(names))
 
     def test_unknown_pass_rejected(self):
@@ -373,5 +232,5 @@ class TestRegistry:
         assert first.passes[0] is not second.passes[0]
 
     def test_factory_options_pass_through(self):
-        pass_ = get_plan_pass("tile", tile_iterations=17)
-        assert pass_.tile_iterations == 17
+        pass_ = get_plan_pass("coalesce", min_chunks=17, block=3)
+        assert (pass_.min_chunks, pass_.block) == (17, 3)

@@ -57,7 +57,7 @@ class TestSpecVersion:
             clone.__setstate__(state)
 
     def test_optimized_plans_inherit_the_mechanism(self):
-        # TiledPlan extends _SPEC_FIELDS; the version check must cover it.
+        # A session's coalesced plan goes through the same version check.
         with Session(mode="threads", backend="vectorized") as session:
             nest = example_4_1(8)
             analysis = session._analyze_nest(nest, placement=None, name=None)

@@ -14,7 +14,6 @@ top of every backend — must produce **bit-identical** final array stores on:
 import numpy as np
 import pytest
 
-from repro.codegen.schedule import build_schedule
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
 from repro.exceptions import ExecutionError
@@ -56,6 +55,17 @@ VARIANT_IDS = [
 ]
 
 
+class ChunkOnlyBackend(ExecutionBackend):
+    """Implements nothing but ``execute_chunk``: the base ``execute_plan``
+    must carry it through every executor mode (module level, so shared-mode
+    workers can unpickle it)."""
+
+    name = "chunk-only"
+
+    def execute_chunk(self, transformed, chunk, store):
+        InterpreterBackend().execute_chunk(transformed, chunk, store)
+
+
 def _reference_and_transformed(nest):
     reference = store_for_nest(nest)
     execute_nest(nest, reference.copy())  # warm sanity: must not raise
@@ -81,7 +91,7 @@ class TestWorkloadSuiteDifferential:
             f"max |diff| = {ref.max_abs_difference(result):.3e}"
         )
 
-    @pytest.mark.parametrize("mode", ["serial", "threads"])
+    @pytest.mark.parametrize("mode", ["serial", "threads", "native-parallel"])
     @pytest.mark.parametrize(
         "backend_name", ["interpreter", "compiled", "vectorized", "native"]
     )
@@ -109,13 +119,13 @@ class TestWorkloadSuiteDifferential:
             assert ref.identical(result), (mode, backend_name, case.name)
 
     @pytest.mark.parametrize("backend_name", ["compiled", "vectorized", "native"])
-    def test_process_mode_merges_backend_writes(self, backend_name):
+    def test_shared_mode_per_backend(self, backend_name):
         nest = example_4_2(4)
         base, ref, transformed = _reference_and_transformed(nest)
         result = base.copy()
-        ParallelExecutor(mode="processes", workers=2, backend=backend_name).run(
-            transformed, result
-        )
+        with ParallelExecutor(mode="shared", workers=2, backend=backend_name) as executor:
+            outcome = executor.run(transformed, result)
+        assert outcome.fallback is None
         assert ref.identical(result)
 
 
@@ -370,10 +380,8 @@ class TestRegistry:
 
             name = "reversed-chunks"
 
-            def execute(self, transformed, store, chunks=None):
-                if chunks is None:
-                    chunks = build_schedule(transformed)
-                for chunk in reversed(list(chunks)):
+            def execute_plan(self, transformed, plan, store, chunk_indices=None):
+                for chunk in reversed(plan.select_chunks(chunk_indices)):
                     self.execute_chunk(transformed, chunk, store)
                 return store
 
@@ -391,3 +399,15 @@ class TestRegistry:
             from repro.runtime import backends as backends_module
 
             backends_module._REGISTRY.pop("reversed-chunks", None)
+
+    @pytest.mark.parametrize("mode", ["serial", "threads", "shared"])
+    def test_chunk_only_backend_runs_every_mode(self, mode):
+        backend = ChunkOnlyBackend()
+        with ParallelExecutor(mode=mode, workers=2, backend=backend) as executor:
+            for case in SUITE[:6]:
+                base, ref, transformed = _reference_and_transformed(case.nest)
+                result = base.copy()
+                outcome = executor.run(transformed, result)
+                assert outcome.fallback is None
+                assert ref.identical(result), (mode, case.name)
+                assert outcome.backend == "chunk-only"

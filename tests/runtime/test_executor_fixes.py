@@ -5,8 +5,8 @@ Three historical bugs, each pinned here:
 * chunk→worker grouping used round-robin, ignoring the loads it had
   already dealt — adversarial size distributions left one group with
   nearly twice the work.  Now greedy least-loaded (LPT);
-* processes-mode payloads shipped ``store.copy()`` — *every* array, once
-  per group — even though a worker only touches the arrays its nest
+* cluster payloads shipped ``store.copy()`` — *every* array, once per
+  group — even though a worker only touches the arrays its nest
   references.  Now only the referenced arrays cross the boundary;
 * a zero-iteration run reported ``ideal_speedup == 1.0`` ("no
   parallelism") instead of 0.0 ("no work").
@@ -21,7 +21,8 @@ from repro.codegen.schedule import schedule_statistics
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
 from repro.runtime.arrays import ArrayStore, OffsetArray, store_for_nest
-from repro.runtime.executor import ParallelExecutor, _payload_store
+from repro.cluster.client import _payload_store
+from repro.runtime.executor import ParallelExecutor
 from repro.runtime.interpreter import execute_nest
 from repro.workloads.paper_examples import example_4_1
 
@@ -33,7 +34,7 @@ def _transformed(nest):
 class TestBalancedGroups:
     def test_adversarial_sizes_balance(self):
         # Round-robin deals 9,5 / 7,3 = 14 vs 10; LPT gives 9,3 / 7,5 = 12 vs 12.
-        executor = ParallelExecutor(mode="processes", workers=2)
+        executor = ParallelExecutor(mode="threads", workers=2)
         groups = executor._balanced_groups([9, 7, 5, 3])
         loads = sorted(sum([9, 7, 5, 3][i] for i in group) for group in groups)
         assert loads == [12, 12]
@@ -42,7 +43,7 @@ class TestBalancedGroups:
         # The classic round-robin killer: strictly descending sizes where
         # consecutive pairs always land on the same worker.
         sizes = [64, 32, 16, 8, 4, 2, 1, 1]
-        executor = ParallelExecutor(mode="processes", workers=4)
+        executor = ParallelExecutor(mode="threads", workers=4)
         groups = executor._balanced_groups(sizes)
         loads = [sum(sizes[i] for i in group) for group in groups]
         # LPT keeps the makespan at the single biggest chunk here.
@@ -51,14 +52,14 @@ class TestBalancedGroups:
     def test_every_chunk_assigned_exactly_once(self):
         rng = np.random.default_rng(7)
         sizes = [int(value) for value in rng.integers(1, 100, size=37)]
-        executor = ParallelExecutor(mode="processes", workers=5)
+        executor = ParallelExecutor(mode="threads", workers=5)
         groups = executor._balanced_groups(sizes)
         assigned = sorted(index for group in groups for index in group)
         assert assigned == list(range(len(sizes)))
 
     def test_deterministic(self):
         sizes = [5, 5, 5, 5, 2, 2]
-        executor = ParallelExecutor(mode="processes", workers=3)
+        executor = ParallelExecutor(mode="threads", workers=3)
         assert executor._balanced_groups(sizes) == executor._balanced_groups(sizes)
 
     def test_never_worse_than_twice_optimal(self):
@@ -67,7 +68,7 @@ class TestBalancedGroups:
         for _ in range(20):
             sizes = [int(value) for value in rng.integers(1, 50, size=24)]
             workers = int(rng.integers(2, 6))
-            executor = ParallelExecutor(mode="processes", workers=workers)
+            executor = ParallelExecutor(mode="threads", workers=workers)
             groups = executor._balanced_groups(sizes)
             loads = [sum(sizes[i] for i in group) for group in groups]
             lower_bound = max(max(sizes), sum(sizes) / workers)
@@ -103,15 +104,16 @@ class TestPayloadStore:
         payload = _payload_store(ArrayStore(), transformed)
         assert len(payload) == 0  # worker raises the standard error later
 
-    def test_processes_run_still_correct_with_extra_arrays(self):
+    def test_shared_run_still_correct_with_extra_arrays(self):
         nest = example_4_1(10)
         transformed = _transformed(nest)
         reference = store_for_nest(nest)
         execute_nest(nest, reference)
         store = store_for_nest(nest)
         store["UNRELATED"] = OffsetArray(origin=(0, 0), shape=(4, 4), fill=7.0)
-        executor = ParallelExecutor(mode="processes", workers=2, backend="compiled")
-        executor.run(transformed, store, plan=transformed.execution_plan())
+        with ParallelExecutor(mode="shared", workers=2, backend="compiled") as executor:
+            executor.run(transformed, store, plan=transformed.execution_plan())
+        assert (store["UNRELATED"].data == 7.0).all()
         del store["UNRELATED"]
         assert reference.identical(store)
 

@@ -64,15 +64,22 @@ class TestInterpreter:
         with pytest.raises(ExecutionError):
             execute_transformed(transformed, store_for_nest(ex41_report.nest), order="random")
 
-    def test_execute_chunk_returns_writes(self, ex42_report):
+    def test_execute_chunk_writes_in_place(self, ex42_report):
+        # A chunk is independent of every other chunk, so running it alone
+        # on a fresh store leaves exactly its cells as the full run does.
         transformed = TransformedLoopNest.from_report(ex42_report)
-        chunks = build_schedule(transformed)
-        store = store_for_nest(ex42_report.nest)
-        writes = execute_chunk(transformed, chunks[0], store)
-        assert writes
-        array, location, value = writes[0]
-        assert array in ("A", "B")
-        assert store[array][location] == pytest.approx(value)
+        [chunk] = transformed.execution_plan().select_chunks((0,))
+        base = store_for_nest(ex42_report.nest)
+        store = base.copy()
+        assert execute_chunk(transformed, chunk, store) is None
+        full = base.copy()
+        execute_nest(ex42_report.nest, full)
+        changed = 0
+        for name in store.keys():
+            touched = store[name].data != base[name].data
+            assert (store[name].data[touched] == full[name].data[touched]).all()
+            changed += int(touched.sum())
+        assert changed > 0
 
     def test_execute_schedule_equals_reference(self, ex42_report):
         transformed = TransformedLoopNest.from_report(ex42_report)
@@ -100,27 +107,25 @@ class TestParallelExecutor:
         assert outcome.total_iterations == nest.iteration_count()
         assert outcome.elapsed_seconds >= 0.0
 
-    def test_process_mode_matches_reference(self, ex42_small):
-        report = analyze_nest(example_4_2(4))
-        nest = report.nest
-        transformed = TransformedLoopNest.from_report(report)
-        base = store_for_nest(nest)
-        reference = base.copy()
-        execute_nest(nest, reference)
-        result = base.copy()
-        ParallelExecutor(mode="processes", workers=2).run(transformed, result)
-        assert reference.allclose(result)
-
     def test_invalid_mode(self):
         with pytest.raises(ExecutionError):
             ParallelExecutor(mode="gpu")
 
-    def test_explicit_chunk_list(self, ex41_report):
+    def test_explicit_plan(self, ex41_report):
+        # An optimized plan of the nest runs instead of the nest's own plan.
+        from repro.plan import optimize_plan
+
+        nest = ex41_report.nest
         transformed = TransformedLoopNest.from_report(ex41_report)
-        chunks = build_schedule(transformed)
-        store = store_for_nest(ex41_report.nest)
-        outcome = ParallelExecutor(mode="serial").run(transformed, store, chunks=chunks)
-        assert outcome.num_chunks == len(chunks)
+        plan, _ = optimize_plan(
+            transformed.execution_plan(), transformed, passes=("coalesce",)
+        )
+        reference = store_for_nest(nest)
+        execute_nest(nest, reference)
+        store = store_for_nest(nest)
+        outcome = ParallelExecutor(mode="serial").run(transformed, store, plan=plan)
+        assert outcome.num_chunks == plan.chunk_count
+        assert reference.identical(store)
 
 
 class TestSimulator:

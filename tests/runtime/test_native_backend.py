@@ -6,8 +6,8 @@ its differential contract is checked the same way as every other backend —
 interpreter reference — across:
 
 * the workload suite and seeded random nests,
-* all four executor modes (serial / threads / processes / shared),
-* plain, coalesced, tiled and fused plan spaces,
+* all four executor modes (serial / threads / shared / native-parallel),
+* plain and coalesced plan spaces,
 * every error path (window violations, division by zero, domain errors
   must raise the same exception types as the interpreter),
 * and the engine-absent / unsupported-expression fallback to the
@@ -27,7 +27,7 @@ from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
 from repro.exceptions import ExecutionError
 from repro.loopnest.builder import loop_nest
-from repro.plan import FusePlansPass, PlanPassManager, optimize_plan
+from repro.plan import optimize_plan
 from repro.runtime.arrays import ArrayStore, OffsetArray, store_for_nest
 from repro.runtime.backends import NativeBackend, get_backend
 from repro.runtime.executor import ParallelExecutor
@@ -100,7 +100,7 @@ class TestNativeDifferential:
         NativeBackend().execute(transformed, result)
         assert ref.identical(result), (seed, nest.name)
 
-    @pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("mode", ["serial", "threads", "native-parallel"])
     def test_executor_modes(self, mode):
         for nest in (example_4_1(8), example_4_2(6)):
             base, ref, transformed = _reference_and_transformed(nest)
@@ -123,7 +123,7 @@ class TestNativeDifferential:
             executor.close()
         assert ref.identical(result)
 
-    @pytest.mark.parametrize("passes", [("coalesce",), ("tile",), ("coalesce", "tile")])
+    @pytest.mark.parametrize("passes", [("coalesce",), ()])
     def test_optimized_plan_spaces(self, passes):
         nest = example_4_1(8)
         base, ref, transformed = _reference_and_transformed(nest)
@@ -131,25 +131,6 @@ class TestNativeDifferential:
         result = base.copy()
         NativeBackend().execute_plan(transformed, plan, result)
         assert ref.identical(result), passes
-
-    @pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
-    def test_fused_plan_execution(self, mode):
-        nests = [case.nest for case in SUITE[:3]]
-        transformeds = [
-            TransformedLoopNest.from_report(analyze_nest(nest)) for nest in nests
-        ]
-        plans = [transformed.execution_plan() for transformed in transformeds]
-        [fused] = PlanPassManager([FusePlansPass()]).optimize(
-            plans, tuple(transformeds)
-        ).plans
-        stores = [store_for_nest(nest) for nest in nests]
-        executor = ParallelExecutor(mode=mode, workers=2, backend="native")
-        results = executor.run_fused(transformeds, fused, stores)
-        assert len(results) == len(nests)
-        for nest, store in zip(nests, stores):
-            ref = store_for_nest(nest)
-            execute_nest(nest, ref)
-            assert ref.identical(store), (mode, nest.name)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +243,7 @@ class TestNativeFallback:
         _no_engines(monkeypatch)
         nest = example_4_1(6)
         base, ref, transformed = _reference_and_transformed(nest)
-        for mode in ("serial", "threads", "processes"):
+        for mode in ("serial", "threads", "native-parallel"):
             result = base.copy()
             ParallelExecutor(mode=mode, workers=2, backend="native").run(
                 transformed, result

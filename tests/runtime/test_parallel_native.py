@@ -5,7 +5,7 @@ native call executes the whole plan on N OS threads (OpenMP / pthreads /
 ``numba.prange``).  This suite pins:
 
 * ``pack_ranges``/``packed_ranges_for`` edge cases — empty selections,
-  single-chunk plans, ``FusedPlan`` member boundaries — and the
+  single-chunk plans, group selections spanning the plan — and the
   packing-once contract (the whole-plan table is built exactly once per
   plan; selections are row slices of it),
 * the differential contract: the parallel driver is bit-identical to
@@ -34,7 +34,6 @@ from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
 from repro.exceptions import ExecutionError
 from repro.loopnest.builder import loop_nest
-from repro.plan import FusePlansPass, PlanPassManager
 from repro.plan.ir import ChunkView
 from repro.runtime.arrays import ArrayStore, OffsetArray, store_for_nest
 from repro.runtime.backends import NativeBackend
@@ -152,34 +151,24 @@ class TestPackedRanges:
         assert native_codegen.packed_ranges_for(plan) is None
         assert native_codegen.packed_ranges_for(plan, (0,)) is None
 
-    def test_fused_plan_member_boundaries(self):
-        nests = [example_4_1(8), example_4_1(5)]
-        transformeds = [
-            TransformedLoopNest.from_report(analyze_nest(nest)) for nest in nests
-        ]
-        plans = [transformed.execution_plan() for transformed in transformeds]
-        [fused] = PlanPassManager([FusePlansPass()]).optimize(
-            plans, tuple(transformeds)
-        ).plans
-        total = sum(len(member.select_chunks(None)) for member in fused.members)
-        # A global group spanning the member boundary splits into local
-        # indices; each member's packed slice must equal packing its own
-        # chunks directly — the fused index space never leaks across.
-        split = fused.split_group(tuple(range(total)))
+    def test_group_selections_match_direct_packing(self):
+        # Balanced groups select scattered chunk indices; each group's
+        # packed slice must equal packing its own chunks directly, and the
+        # groups together cover the plan exactly once.
+        _, _, transformed = _reference_and_transformed(example_4_1(8))
+        plan = transformed.execution_plan()
+        total = len(plan.select_chunks(None))
+        groups = ParallelExecutor(workers=3).groups_for(plan.chunk_sizes())
         seen = 0
-        for member_index, local_indices in split:
-            member = fused.members[member_index]
-            packed = native_codegen.packed_ranges_for(member, local_indices)
-            direct = [
-                view.value_ranges()
-                for view in member.select_chunks(local_indices)
-            ]
+        for group in groups:
+            packed = native_codegen.packed_ranges_for(plan, group)
+            direct = [view.value_ranges() for view in plan.select_chunks(group)]
             direct = [ranges for ranges in direct if ranges]
             assert packed[0] == len(direct)
             assert np.array_equal(
-                packed[1], native_codegen.pack_ranges(direct, member.depth)
+                packed[1], native_codegen.pack_ranges(direct, plan.depth)
             )
-            seen += len(local_indices)
+            seen += len(group)
         assert seen == total
 
     def test_packing_happens_once_per_plan(self, monkeypatch):
@@ -353,24 +342,6 @@ class TestParallelDifferential:
         assert ref.identical(result)
         assert outcome.engine is None
         assert outcome.threads == 0
-
-    def test_fused_dispatch_through_driver(self):
-        nests = [case.nest for case in SUITE[:3]]
-        transformeds = [
-            TransformedLoopNest.from_report(analyze_nest(nest)) for nest in nests
-        ]
-        plans = [transformed.execution_plan() for transformed in transformeds]
-        [fused] = PlanPassManager([FusePlansPass()]).optimize(
-            plans, tuple(transformeds)
-        ).plans
-        stores = [store_for_nest(nest) for nest in nests]
-        executor = ParallelExecutor(mode="native-parallel", workers=2, backend="native")
-        results = executor.run_fused(transformeds, fused, stores)
-        assert len(results) == len(nests)
-        for nest, store in zip(nests, stores):
-            ref = store_for_nest(nest)
-            execute_nest(nest, ref)
-            assert ref.identical(store), nest.name
 
     def test_session_run_result_surfaces_engine(self):
         with Session(mode="native-parallel", backend="native", workers=2) as session:

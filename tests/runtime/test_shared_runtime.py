@@ -11,7 +11,7 @@ Covers the contracts the tentpole design rests on:
 * a worker *crash* falls back cleanly to serial execution on the parent's
   untouched store; a worker-*reported* error propagates like a serial run;
 * ``ExecutionResult`` reports setup (pool spin-up, copies) and execution
-  time separately — the regression test pinning the timing split.
+  time separately — the regression tests pinning the timing split.
 """
 
 import glob
@@ -21,9 +21,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.codegen.schedule import build_schedule
 from repro.codegen.transformed_nest import TransformedLoopNest
-from repro.core.pipeline import analyze_nest, parallelize_and_execute
+from repro.core.pipeline import analyze_nest
 from repro.exceptions import ExecutionError
 from repro.loopnest.builder import loop_nest
 from repro.runtime.arrays import OffsetArray, store_for_nest
@@ -192,17 +191,6 @@ class TestSharedModeDifferential:
         assert outcome.fallback is None
         assert reference.identical(result)
 
-    def test_parallelize_and_execute_shared_mode(self):
-        # The deprecated wrapper must still tear down the shared runtime it
-        # creates; the module-scoped /dev/shm accounting catches leaks.
-        nest = example_4_1(5)
-        with pytest.warns(DeprecationWarning):
-            report, result = parallelize_and_execute(nest, mode="shared", workers=2)
-        reference = store_for_nest(nest)
-        execute_nest(nest, reference)
-        assert result.mode == "shared"
-        assert reference.identical(result.store)
-
 
 @pytest.fixture()
 def case_nests():
@@ -236,12 +224,9 @@ class CrashingBackend(ExecutionBackend):
 
     name = "crashing"
 
-    def execute(self, transformed, store, chunks=None):
+    def execute_chunk(self, transformed, chunk, store):
         if multiprocessing.parent_process() is not None:
             os._exit(17)
-        return InterpreterBackend().execute(transformed, store, chunks=chunks)
-
-    def execute_chunk(self, transformed, chunk, store):
         InterpreterBackend().execute_chunk(transformed, chunk, store)
 
 
@@ -365,38 +350,15 @@ class TestFailurePaths:
 # ---------------------------------------------------------------------------
 
 class TestTimingSplit:
-    def test_processes_mode_reports_setup_separately(self):
-        # The copy-and-merge pool's spin-up and store copies used to pollute
-        # elapsed_seconds; they must now be reported as setup.
-        import time
-
-        nest = example_4_2(5)
-        base, reference, transformed = _reference_and_transformed(nest)
-        executor = ParallelExecutor(mode="processes", workers=2, backend="compiled")
-        result = base.copy()
-        start = time.perf_counter()
-        outcome = executor.run(transformed, result)
-        wall = time.perf_counter() - start
-        assert reference.identical(result)
-        # Pool spin-up alone is milliseconds, so the setup share must be real.
-        assert outcome.setup_seconds > 0.0
-        assert outcome.elapsed_seconds > 0.0
-        assert outcome.total_seconds == pytest.approx(
-            outcome.setup_seconds + outcome.elapsed_seconds
-        )
-        # Neither component can exceed the externally observed wall clock.
-        assert outcome.total_seconds <= wall * 1.05
-        # The split is the point: execution no longer absorbs the spin-up.
-        assert outcome.elapsed_seconds < wall
-
     def test_serial_mode_setup_is_schedule_building_only(self):
         nest = example_4_2(5)
         base, _, transformed = _reference_and_transformed(nest)
-        chunks = build_schedule(transformed)
+        plan = transformed.execution_plan()
+        plan.chunk_sizes()  # warm the plan's closed-form sizes
         outcome = ParallelExecutor(mode="serial", backend="compiled").run(
-            transformed, base.copy(), chunks=chunks
+            transformed, base.copy(), plan=plan
         )
-        # With a prebuilt schedule there is nothing left to set up.
+        # With a prebuilt plan there is nothing left to set up.
         assert outcome.setup_seconds < outcome.elapsed_seconds + 1e-3
         assert outcome.total_seconds >= outcome.elapsed_seconds
 

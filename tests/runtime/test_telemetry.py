@@ -215,14 +215,22 @@ class TestRecordingPaths:
             )
             assert executor.telemetry.observations(key) > 0
 
-    def test_legacy_chunk_runs_do_not_feed_telemetry(self, ex41_small):
-        from repro.codegen.schedule import build_schedule
+    def test_optimized_plan_runs_feed_their_own_key(self, ex41_small):
+        # A coalesced plan orders its chunks differently from the raw plan,
+        # so its observations must never land under the raw plan's key.
+        from repro.plan import optimize_plan
 
         transformed = _transformed(ex41_small)
-        chunks = build_schedule(transformed)
+        raw = transformed.execution_plan()
+        plan, _ = optimize_plan(raw, transformed, passes=("coalesce",))
+        assert plan.chunk_count != raw.chunk_count
         with ParallelExecutor(mode="serial", backend="compiled") as executor:
-            executor.run(transformed, store_for_nest(ex41_small), chunks=chunks)
-            assert len(executor.telemetry) == 0
+            executor.run(transformed, store_for_nest(ex41_small), plan=plan)
+            assert len(executor.telemetry) == 1
+            key = executor.telemetry_key(transformed, plan.chunk_count)
+            raw_key = executor.telemetry_key(transformed, raw.chunk_count)
+            assert executor.telemetry.observations(key) > 0
+            assert executor.telemetry.observations(raw_key) == 0
 
     def test_injected_store_is_shared(self, ex41_small):
         telemetry = ExecutionTelemetry()
@@ -255,7 +263,7 @@ def _skewed_telemetry(executor, transformed, chunk_sizes):
 
 
 @pytest.mark.parametrize("nest_name,make_nest", NESTS, ids=[n for n, _ in NESTS])
-@pytest.mark.parametrize("mode", ["serial", "threads", "processes", "shared"])
+@pytest.mark.parametrize("mode", ["serial", "threads", "shared", "native-parallel"])
 def test_bit_identical_across_policies_all_modes(nest_name, make_nest, mode):
     """Cold (size-LPT), warm (measured-cost LPT) and adversarially skewed
     telemetry all produce exactly the interpreter reference store."""
