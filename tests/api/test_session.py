@@ -195,6 +195,24 @@ class TestSessionBehavior:
             with pytest.raises(WorkloadError, match="names"):
                 session.map([example_4_1(4)], names=["a", "b"])
 
+    def test_map_results_in_input_order_and_verified(self):
+        sources = [
+            example_4_1(6),
+            "loop i1 = 0 .. 5\nA[i1] = A[i1 - 1] + 1.0",
+            example_4_2(6),
+        ]
+        with Session(backend="compiled", verify="always") as session:
+            results = session.map(sources, names=[None, "ramp", None])
+        assert [result.name for result in results] == [
+            sources[0].name, "ramp", sources[2].name
+        ]
+        assert [result.verified for result in results] == [True, True, True]
+
+    def test_map_empty_batch(self):
+        with Session() as session:
+            assert session.map([]) == []
+            assert session.stats().runs == 0
+
     def test_uniform_sources_everywhere(self, tmp_path):
         path = tmp_path / "ex.loop"
         path.write_text("loop i1 = 0 .. 5\nA[i1] = A[i1 - 1] + 1.0\n")

@@ -132,6 +132,27 @@ class TestCoalesce:
         ctx = PlanPassManager([pass_]).optimize([base], (transformed,))
         assert ctx.plans[0] is base
 
+    def test_degenerate_options_clamp_to_label_folding(self):
+        # Options below 1 clamp to 1 rather than fail; block 1 disables
+        # front blocking, so only the partition labels fold: one chunk per
+        # parallel front of the raw plan.
+        pass_ = CoalesceChunksPass(min_chunks=0, block=0)
+        assert (pass_.min_chunks, pass_.block) == (1, 1)
+        transformed = _transformed(example_4_1(16))
+        base = transformed.execution_plan()
+        ctx = PlanPassManager([pass_]).optimize([base], (transformed,))
+        [folded] = ctx.plans
+        assert base.partition_levels and folded.partition_levels == ()
+        assert all(level.block == 1 for level in folded.levels)
+        fronts = {parallel_values for parallel_values, _ in base.chunk_keys()}
+        assert folded.chunk_count == len(fronts) < base.chunk_count
+        [step] = ctx.steps
+        assert "folded partition labels" in step.description
+        assert "blocked" not in step.description
+        assert _iteration_multiset(transformed, folded) == _reference_multiset(
+            transformed
+        )
+
     @pytest.mark.parametrize("backend", ["interpreter", "compiled", "vectorized"])
     def test_results_bit_identical(self, backend):
         for case in SUITE:

@@ -18,6 +18,7 @@ from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
 from repro.exceptions import ExecutionError
 from repro.loopnest.builder import loop_nest
+from repro.plan import optimize_plan
 from repro.runtime.arrays import store_for_nest
 from repro.runtime.backends import (
     CompiledBackend,
@@ -183,6 +184,69 @@ class TestRandomizedDifferential:
             result = base.copy()
             get_backend(backend_name, **options).execute(transformed, result)
             assert ref.identical(result), (seed, backend_name)
+
+
+# ---------------------------------------------------------------------------
+# chunk selections: execute_plan(transformed, plan, store, chunk_indices)
+# ---------------------------------------------------------------------------
+
+class TestChunkSelections:
+    """Pool and cluster workers run a plan one selection of chunk positions
+    at a time.  Chunks are pairwise independent (Lemma 1 / Theorem 2), so
+    any split of the positions, executed selection by selection in any
+    order on one store, must equal the whole run bit for bit."""
+
+    @pytest.mark.parametrize(
+        "backend_name, options", BACKEND_VARIANTS, ids=VARIANT_IDS
+    )
+    def test_balanced_groups_compose_to_whole_run(self, backend_name, options):
+        backend = get_backend(backend_name, **options)
+        for case in SUITE:
+            base, ref, transformed = _reference_and_transformed(case.nest)
+            plan = transformed.execution_plan()
+            # LPT groups hold scattered, non-monotone positions.
+            groups = ParallelExecutor(workers=3).groups_for(plan.chunk_sizes())
+            assert sorted(i for group in groups for i in group) == list(
+                range(plan.chunk_count)
+            )
+            result = base.copy()
+            for group in reversed(groups):
+                returned = backend.execute_plan(
+                    transformed, plan, result, chunk_indices=group
+                )
+                assert returned is result
+            assert ref.identical(result), (backend_name, options, case.name)
+
+    @pytest.mark.parametrize(
+        "backend_name, options", BACKEND_VARIANTS, ids=VARIANT_IDS
+    )
+    def test_single_chunks_in_reverse_order(self, backend_name, options):
+        # Example 4.1 partitions into two labels; its coalesced plan folds
+        # them and blocks the fronts, so both chunk shapes are covered.
+        nest = example_4_1(24)
+        base, ref, transformed = _reference_and_transformed(nest)
+        raw = transformed.execution_plan()
+        coalesced, _ = optimize_plan(raw, transformed, passes=("coalesce",))
+        assert raw.partition_levels and coalesced.chunk_count < raw.chunk_count
+        backend = get_backend(backend_name, **options)
+        for plan in (raw, coalesced):
+            result = base.copy()
+            for index in reversed(range(plan.chunk_count)):
+                backend.execute_plan(transformed, plan, result, chunk_indices=(index,))
+            assert ref.identical(result), (backend_name, options, plan.chunk_count)
+
+    @pytest.mark.parametrize(
+        "backend_name, options", BACKEND_VARIANTS, ids=VARIANT_IDS
+    )
+    def test_empty_selection_writes_nothing(self, backend_name, options):
+        nest = example_4_2(4)
+        base, _, transformed = _reference_and_transformed(nest)
+        result = base.copy()
+        returned = get_backend(backend_name, **options).execute_plan(
+            transformed, transformed.execution_plan(), result, chunk_indices=()
+        )
+        assert returned is result
+        assert base.identical(result)
 
 
 # ---------------------------------------------------------------------------
