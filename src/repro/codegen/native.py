@@ -38,11 +38,12 @@ the backend re-raises as the exception type the interpreter would have
 raised.  Anything outside the subset fails :func:`nest_is_native_supported`
 and falls back.
 
-Kernels are cached process-wide in a bounded LRU keyed by the PR 2
-canonical structure (alpha-renamed programs share one kernel) and on disk
-keyed by source hash, so warm kernels survive across :class:`Session` runs
-and across pool workers: the parent's ``prepare_plan`` compile leaves an
-artifact every worker merely dlopens/imports.
+Kernels are cached process-wide in a bounded LRU keyed by the canonical
+depth and statements of the nest plus the inverse transform (alpha-renamed
+programs, and one program at every problem size, share one kernel) and on
+disk keyed by source hash, so warm kernels survive across :class:`Session`
+runs and across pool workers: the parent's ``prepare_plan`` compile leaves
+an artifact every worker merely dlopens/imports.
 
 Every kernel source also carries a second, multithreaded entry point
 (``repro_kernel_par``) that runs the parallel-for over chunks *inside* the
@@ -75,7 +76,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ExecutionError
-from repro.loopnest.canonical import canonical_key_tuple, canonicalize
+from repro.loopnest.canonical import canonical_body_key, canonicalize
 from repro.loopnest.expr import (
     ArrayAccess,
     BinaryOp,
@@ -902,17 +903,16 @@ def pack_ranges(
     return flat
 
 
-_PACKED_ATTR = "_repro_native_packed"
 _PACKED_TABLE_ATTR = "_repro_native_packed_table"
 
 
 def _packed_table_for(plan) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """The whole-plan packed table, built once and cached on the plan.
 
-    Returns ``(rows, row_of_chunk)`` where ``rows`` is an int64 array of
-    shape ``(n_nonempty, depth * 3)`` (one row per non-empty chunk, in
-    chunk order) and ``row_of_chunk[i]`` maps chunk index ``i`` to its row
-    (``-1`` for empty chunks), or ``None`` when any chunk of the plan is
+    Returns ``(rows, row_of_chunk)`` where ``rows`` is a C-contiguous int64
+    array of shape ``(n_nonempty, depth * 3)`` (one row per non-empty chunk,
+    in chunk order) and ``row_of_chunk[i]`` maps chunk index ``i`` to its
+    row (``-1`` for empty chunks), or ``None`` when any chunk of the plan is
     not separable into strided ranges.
     """
     cached = getattr(plan, _PACKED_TABLE_ATTR, _UNSET)
@@ -944,40 +944,29 @@ def _packed_table_for(plan) -> Optional[Tuple[np.ndarray, np.ndarray]]:
 
 
 def packed_ranges_for(plan, chunk_indices=None) -> Optional[Tuple[int, np.ndarray]]:
-    """``(n_chunks, flat ranges)`` for a plan selection, memoized on the plan.
+    """``(n_chunks, flat ranges)`` for a plan selection.
 
     Gathering ``value_ranges()`` view by view costs more than the kernel
-    call itself on warm runs, so the packing is done exactly once per plan
-    (:func:`_packed_table_for` builds the whole-plan table) and every group
-    selection is a row slice of that table.  Both the table and the sliced
-    selections are cached on the plan object (plans pickle through
-    ``_SPEC_FIELDS``, so the memo never crosses a process boundary).
+    call itself on warm runs, so the packing is done exactly once per plan:
+    :func:`_packed_table_for` builds the whole-plan table and caches it on
+    the plan object (plans pickle through ``_SPEC_FIELDS``, so the memo
+    never crosses a process boundary).  That table is the only memo.  The
+    whole-plan selection — what the in-kernel driver and the gateway run —
+    is a flat view of it, and every group selection is a row gather from it
+    on each call: group selections change as telemetry rebalances the
+    groups, and memoizing each one would grow the plan without bound.
     Returns ``None`` when any chunk is not separable into strided ranges —
     the caller falls back.  Empty chunks are dropped from the packing.
     """
-    key = None if chunk_indices is None else tuple(chunk_indices)
-    cache = getattr(plan, _PACKED_ATTR, None)
-    if cache is None:
-        cache = {}
-        try:
-            setattr(plan, _PACKED_ATTR, cache)
-        except AttributeError:  # pragma: no cover - plans have a __dict__ today
-            cache = None
-    if cache is not None and key in cache:
-        return cache[key]
     table = _packed_table_for(plan)
-    result: Optional[Tuple[int, np.ndarray]] = None
-    if table is not None:
-        rows, row_of_chunk = table
-        if key is None:
-            result = (rows.shape[0], np.ascontiguousarray(rows).reshape(-1))
-        else:
-            selected = row_of_chunk[list(key)]
-            selected = selected[selected >= 0]
-            result = (int(selected.size), rows[selected].reshape(-1))
-    if cache is not None:
-        cache[key] = result
-    return result
+    if table is None:
+        return None
+    rows, row_of_chunk = table
+    if chunk_indices is None:
+        return rows.shape[0], rows.reshape(-1)
+    selected = row_of_chunk[list(chunk_indices)]
+    selected = selected[selected >= 0]
+    return int(selected.size), rows[selected].reshape(-1)
 
 
 class NativeKernel:
@@ -1193,11 +1182,13 @@ def clear_kernel_cache() -> None:
 def native_program_for(transformed, engine: Optional[str] = None) -> Optional[NativeProgram]:
     """The native program of a transformed nest, or None (caller falls back).
 
-    Kernels are shared across alpha-equivalent programs: the cache key is the
-    canonical structure of the nest plus the inverse transform, and the
-    kernel is emitted from the *canonicalized* nest, so two sessions running
-    renamed copies of one program compile exactly once per process (and,
-    through the on-disk artifact, roughly once per machine).
+    Kernels are shared across alpha-equivalent programs: the cache key is
+    the engine, the canonical depth and statements of the nest and the
+    inverse transform — everything the emitted source reads.  The loop
+    bounds are not part of it (the packed ranges carry them at run time), so
+    one program at several problem sizes, or two sessions running renamed
+    copies of it, compile exactly once per process (and, through the
+    on-disk artifact, roughly once per machine).
     """
     resolved = resolve_engine(engine)
     if resolved is None:
@@ -1208,7 +1199,7 @@ def native_program_for(transformed, engine: Optional[str] = None) -> Optional[Na
     inverse = tuple(
         tuple(int(value) for value in row) for row in transformed.inverse_transform
     )
-    key = (resolved, canonical_key_tuple(nest), inverse)
+    key = (resolved, canonical_body_key(nest), inverse)
     with _LOCK:
         if key in _KERNELS:
             _KERNELS.move_to_end(key)

@@ -15,11 +15,12 @@ partitioning of the remaining sequential levels).  It knows how to:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.partition import PartitioningResult
 from repro.core.pipeline import ParallelizationReport
-from repro.exceptions import CodegenError
+from repro.exceptions import CodegenError, ShapeError
 from repro.intlin.fourier_motzkin import VariableBounds, loop_bounds_from_inequalities
 from repro.intlin.matrix import (
     Matrix,
@@ -44,6 +45,7 @@ class TransformedLoopNest:
     partitioning: Optional[PartitioningResult] = None
     new_index_names: Tuple[str, ...] = ()
     _inverse: Matrix = field(init=False, repr=False)
+    _inverse_columns: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False)
     _bounds: List[VariableBounds] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -54,6 +56,8 @@ class TransformedLoopNest:
                 f"transformation is {len(self.transform)}x?, expected {depth}x{depth}"
             )
         self._inverse = unimodular_inverse(self.transform)
+        # Column ``k`` of T^-1 holds the weights of original index ``k``.
+        self._inverse_columns = tuple(zip(*self._inverse))
         if not self.new_index_names:
             self.new_index_names = tuple(f"j{k + 1}" for k in range(depth))
         if len(self.new_index_names) != depth:
@@ -108,8 +112,18 @@ class TransformedLoopNest:
     # index mapping
     # ------------------------------------------------------------------ #
     def original_iteration(self, new_iteration: Sequence[int]) -> Tuple[int, ...]:
-        """Map a new-space index vector back to the original indices (``i = j @ T^-1``)."""
-        return tuple(vec_mat_mul(list(new_iteration), self._inverse))
+        """Map a new-space index vector back to the original indices (``i = j @ T^-1``).
+
+        Runs once per iteration on the per-chunk execution paths, so it
+        multiplies with the integer columns of ``T^-1`` prepared at
+        construction instead of copying and re-validating the matrix.
+        """
+        if len(new_iteration) != len(self._inverse_columns):
+            raise ShapeError(
+                f"vector of length {len(new_iteration)} incompatible with a "
+                f"depth-{len(self._inverse_columns)} transformation"
+            )
+        return tuple([sum(map(mul, new_iteration, column)) for column in self._inverse_columns])
 
     def new_iteration(self, original_iteration: Sequence[int]) -> Tuple[int, ...]:
         """Map an original index vector into the new space (``j = i @ T``)."""

@@ -6,7 +6,13 @@ projecting with Fourier–Motzkin elimination, exactly as the paper does for
 the example of Section 4.1 ("The loop limits of the transformed loop are
 found by using Fourier-Motzkin elimination").
 
-All arithmetic uses :class:`fractions.Fraction` and is therefore exact.
+Elimination uses :class:`fractions.Fraction` and is therefore exact.  The
+resulting loop bounds are evaluated on every scanned prefix, so each
+:class:`BoundExpression` is normalized once, at construction, to integer
+numerators over one positive common denominator ``d`` (the lcm of its
+denominators).  On integer prefixes a floor bound is then ``num // d`` and a
+ceiling bound ``-((-num) // d)`` on Python ints — exactly the floor and
+ceiling of the rational value, with no ``Fraction`` built per evaluation.
 """
 
 from __future__ import annotations
@@ -205,16 +211,47 @@ def fourier_motzkin_eliminate(
 
 @dataclass(frozen=True)
 class BoundExpression:
-    """An affine bound ``(constant + sum coefficients[k]*x[k]) / divisor``.
+    """An affine bound ``constant + sum coefficients[k]*x[k]`` (rationals).
 
     ``coefficients`` only involves variables with index smaller than the
-    bounded variable.  ``divisor`` is a positive rational; a *lower* bound is
-    evaluated with ceiling, an *upper* bound with floor (integer loop
-    indices).
+    bounded variable; a *lower* bound is evaluated with ceiling, an *upper*
+    bound with floor (integer loop indices).  Construction derives the
+    integer form ``(numerator_constant + sum numerators[k]*x[k]) /
+    denominator`` with a positive ``denominator``, the lcm of the
+    denominators, which the rounded evaluations use on integer inputs:
+
+        >>> expr = BoundExpression((Fraction(1, 2), Fraction(-2, 3)), Fraction(1, 6))
+        >>> expr.numerators, expr.numerator_constant, expr.denominator
+        ((3, -4), 1, 6)
+        >>> expr.evaluate_exact([2, 1]), expr.evaluate_floor([2, 1]), expr.evaluate_ceil([2, 1])
+        (Fraction(1, 2), 0, 1)
     """
 
     coefficients: Tuple[Fraction, ...]
     constant: Fraction
+
+    def __post_init__(self) -> None:
+        coefficients = tuple(_to_fraction(c) for c in self.coefficients)
+        constant = _to_fraction(self.constant)
+        denominator = math.lcm(constant.denominator, *(c.denominator for c in coefficients))
+        numerators = tuple(c.numerator * (denominator // c.denominator) for c in coefficients)
+        numerator_constant = constant.numerator * (denominator // constant.denominator)
+        set_field = object.__setattr__
+        set_field(self, "coefficients", coefficients)
+        set_field(self, "constant", constant)
+        set_field(self, "denominator", denominator)
+        set_field(self, "numerators", numerators)
+        set_field(self, "numerator_constant", numerator_constant)
+
+    # Only the rational form is pickled (plans ship these bounds to workers
+    # and disk caches); the integer form is derived again on load.
+    def __getstate__(self):
+        return {"coefficients": self.coefficients, "constant": self.constant}
+
+    def __setstate__(self, state) -> None:
+        object.__setattr__(self, "coefficients", state["coefficients"])
+        object.__setattr__(self, "constant", state["constant"])
+        self.__post_init__()
 
     def evaluate_exact(self, values: Sequence) -> Fraction:
         total = self.constant
@@ -222,11 +259,26 @@ class BoundExpression:
             total += c * _to_fraction(v)
         return total
 
+    def _numerator_at(self, values: Sequence) -> Optional[int]:
+        """``denominator * value`` for int inputs; None for any other input."""
+        total = self.numerator_constant
+        for c, v in zip(self.numerators, values):
+            if type(v) is not int:
+                return None
+            total += c * v
+        return total
+
     def evaluate_floor(self, values: Sequence) -> int:
-        return math.floor(self.evaluate_exact(values))
+        numerator = self._numerator_at(values)
+        if numerator is None:
+            return math.floor(self.evaluate_exact(values))
+        return numerator // self.denominator
 
     def evaluate_ceil(self, values: Sequence) -> int:
-        return math.ceil(self.evaluate_exact(values))
+        numerator = self._numerator_at(values)
+        if numerator is None:
+            return math.ceil(self.evaluate_exact(values))
+        return -(-numerator // self.denominator)
 
     def as_source(self, names: Sequence[str], mode: str) -> str:
         """Render as Python source; ``mode`` is ``'floor'`` or ``'ceil'``."""

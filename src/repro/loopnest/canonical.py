@@ -49,6 +49,7 @@ __all__ = [
     "canonicalize",
     "canonical_key",
     "canonical_key_tuple",
+    "canonical_body_key",
     "canonical_hash",
     "constant_kind_signature",
     "positional_rename",
@@ -197,6 +198,18 @@ def canonical_key_tuple(nest: LoopNest):
     except AttributeError:  # pragma: no cover - LoopNest has a __dict__ today
         pass
     return key
+
+
+def canonical_body_key(nest: LoopNest):
+    """The bounds-free part of :func:`canonical_key_tuple`: depth and statements.
+
+    Code emitted from the loop *body* — the compiled-Python chunk body and
+    the native chunk kernel, which receive their iteration ranges at run
+    time — depends on nothing else, so caches of such code key on this and
+    one program at every problem size shares one entry.
+    """
+    _, depth, _, statements = canonical_key_tuple(nest)
+    return depth, statements
 
 
 def canonical_key(nest: LoopNest) -> str:

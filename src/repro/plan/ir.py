@@ -317,8 +317,7 @@ class ExecutionPlan:
             bound = self.levels[level].bounds
             exact.append(
                 all(
-                    expr.constant.denominator == 1
-                    and all(c.denominator == 1 for c in expr.coefficients)
+                    expr.denominator == 1
                     for expr in tuple(bound.lowers) + tuple(bound.uppers)
                 )
             )
@@ -375,9 +374,11 @@ class ExecutionPlan:
         self._key_list: Optional[List[ChunkKey]] = None
         self._size_list: Optional[List[int]] = None
         self._chunk_count: Optional[int] = None
-        # Per-key (start, stop, step) ranges: bound evaluation is exact
-        # Fraction arithmetic, so repeated executions of a warm plan cache
-        # it — O(#chunks * depth) small ints, like the key list.
+        # Per-key (start, stop, step) ranges — O(#chunks * depth) small ints,
+        # like the key list.  Each entry is the one bound evaluation per
+        # chunk level (integer floor division, see fourier_motzkin) that
+        # chunk_sizes(), the vectorized backend and the native packer share,
+        # and that repeated executions of a warm plan reuse.
         self._ranges_cache: Dict[ChunkKey, Optional[List[Tuple[int, int, int]]]] = {}
 
     # ------------------------------------------------------------------ #
@@ -584,7 +585,9 @@ class ExecutionPlan:
         value_at = dict(zip(self.parallel_levels, parallel_values))
         # Bounds only reference unblocked parallel levels, whose values are
         # fixed within the chunk; other positions of the prefix are never
-        # read (blocked levels store their block start, for safety).
+        # read (blocked levels store their block start, for safety).  A
+        # level's bounds have one coefficient per outer level, so passing
+        # the whole prefix reads exactly the outer values.
         prefix = [
             value_at.get(level, 0) * self.levels[level].block
             for level in range(self.depth)
@@ -592,7 +595,7 @@ class ExecutionPlan:
         ranges: List[Tuple[int, int, int]] = []
         for level in range(self.depth):
             spec = self.levels[level]
-            lower, upper = self._range(level, prefix[:level])
+            lower, upper = self._range(level, prefix)
             if spec.role == "parallel":
                 if spec.block == 1:
                     value = value_at[level]
@@ -627,12 +630,24 @@ class ExecutionPlan:
     def chunk_size(self, key: ChunkKey) -> int:
         """Number of iterations of one chunk (closed form when separable)."""
         if self._separable:
+            if self._fixed_targets:
+                # The product of the cached strided ranges: the native
+                # packer reads the same cache entry, so sizing and packing
+                # evaluate each chunk level's bounds once between them.
+                ranges = self.chunk_value_ranges(key)
+                if not ranges:
+                    return 0
+                size = 1
+                for start, stop, step in ranges:
+                    size *= (stop - start) // step + 1
+                return size
             size = self._closed_chunk_size(key)
             if size is not None:
                 return size
         return sum(1 for _ in self.iterations_for(key))
 
     def _closed_chunk_size(self, key: ChunkKey) -> Optional[int]:
+        """Per-level product for separable plans whose targets shift."""
         parallel_values, label = key
         value_at = dict(zip(self.parallel_levels, parallel_values))
         prefix = [
@@ -642,7 +657,7 @@ class ExecutionPlan:
         size = 1
         for level in range(self.depth):
             spec = self.levels[level]
-            lower, upper = self._range(level, prefix[:level])
+            lower, upper = self._range(level, prefix)
             extent = upper - lower + 1
             if spec.role == "parallel":
                 if spec.block == 1:

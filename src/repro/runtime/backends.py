@@ -55,7 +55,7 @@ from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.exceptions import ExecutionError
 from repro.plan import ChunkView, ExecutionPlan
 from repro.loopnest.canonical import (
-    canonical_key_tuple,
+    canonical_body_key,
     constant_kind_signature,
     positional_rename,
 )
@@ -232,14 +232,16 @@ class CompiledBackend(ExecutionBackend):
     name = "compiled"
 
     # Compiled bodies are cached process-wide in a bounded LRU keyed by the
-    # *canonical structure* of the nest (plus the int-vs-float constant
-    # signature, which the canonical key normalizes away but ``//``/``%``/
-    # ``**`` semantics depend on) — alpha-renamed copies of one program
-    # share a single compiled body, and a long-running ``BatchService``
-    # process serving arbitrary traffic stays bounded.  A weak per-nest map
-    # keeps the fast path (one dict hit) for repeated execution of the same
-    # nest object; it never touches the nest itself, which must stay
-    # picklable for the shared worker pool.
+    # canonical depth and statements of the nest (plus the int-vs-float
+    # constant signature, which the canonical key normalizes away but
+    # ``//``/``%``/``**`` semantics depend on).  The body runs over explicit
+    # iteration lists and never reads the loop bounds, so alpha-renamed
+    # copies of one program, at any problem size, share a single compiled
+    # body, and a long-running ``BatchService`` process serving arbitrary
+    # traffic stays bounded.  A weak per-nest map keeps the fast path (one
+    # dict hit) for repeated execution of the same nest object; it never
+    # touches the nest itself, which must stay picklable for the shared
+    # worker pool.
     body_cache_limit: int = 128
     _body_lru: "OrderedDict[tuple, Callable]" = OrderedDict()
     _body_lock = threading.Lock()
@@ -259,7 +261,7 @@ class CompiledBackend(ExecutionBackend):
         function = cls._nest_bodies.get(nest)
         if function is not None:
             return function
-        key = (canonical_key_tuple(nest), constant_kind_signature(nest))
+        key = (canonical_body_key(nest), constant_kind_signature(nest))
         with cls._body_lock:
             compiled = cls._body_lru.get(key)
             if compiled is not None:

@@ -1,10 +1,13 @@
 """Tests for repro.intlin.fourier_motzkin."""
 
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from repro.exceptions import BoundsError
+from repro.exceptions import BoundsError, ShapeError
 from repro.intlin.fourier_motzkin import (
     BoundExpression,
     InequalitySystem,
@@ -150,3 +153,51 @@ class TestBoundExpression:
         source = expr.as_source(["j1"], "ceil")
         assert "ceil" in source
         assert eval(source, {"math": math, "j1": 3}) == 2
+
+
+_RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-50, 50).map(Fraction),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12),
+)
+
+
+class TestIntegerEvaluation:
+    """The integer numerator/denominator form rounds exactly like the rationals."""
+
+    @seed(20000821)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        coefficients=st.lists(_RATIONALS, max_size=4),
+        constant=_RATIONALS,
+        # Independent lengths: prefixes shorter (and longer) than the
+        # coefficient vector read only the leading values, like zip.
+        values=st.lists(st.integers(-10**9, 10**9), max_size=5),
+    )
+    def test_floor_and_ceil_match_the_exact_value(self, coefficients, constant, values):
+        expr = BoundExpression(tuple(coefficients), constant)
+        assert expr.denominator > 0
+        assert Fraction(expr.numerator_constant, expr.denominator) == constant
+        assert [Fraction(n, expr.denominator) for n in expr.numerators] == coefficients
+        exact = expr.evaluate_exact(values)
+        assert expr.evaluate_floor(values) == math.floor(exact)
+        assert expr.evaluate_ceil(values) == math.ceil(exact)
+
+    def test_non_int_inputs_round_the_exact_value(self):
+        expr = BoundExpression((Fraction(1, 2), Fraction(-1, 3)), Fraction(1, 6))
+        # 1/2 * 5/2 - 1/3 * 1 + 1/6 = 13/12
+        values = [Fraction(5, 2), 1]
+        assert expr.evaluate_floor(values) == 1
+        assert expr.evaluate_ceil(values) == 2
+        assert expr.evaluate_floor([2.5, 1]) == 1
+        with pytest.raises(ShapeError):
+            expr.evaluate_floor([True, 1])
+
+    def test_pickle_carries_the_rational_form_only(self):
+        expr = BoundExpression((Fraction(3, 4), Fraction(0)), Fraction(-5, 6))
+        clone = pickle.loads(pickle.dumps(expr))
+        assert clone == expr
+        assert (clone.numerators, clone.numerator_constant, clone.denominator) == (
+            (9, 0), -10, 12
+        )
+        assert set(expr.__getstate__()) == {"coefficients", "constant"}

@@ -15,6 +15,7 @@ from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
 from repro.loopnest.builder import loop_nest
 from repro.loopnest.canonical import (
+    canonical_body_key,
     canonical_key_tuple,
     constant_kind_signature,
     positional_rename,
@@ -62,6 +63,15 @@ class TestCanonicalSharing:
         info = CompiledBackend.body_cache_info()
         assert info["size"] == 1
         assert info["misses"] == 1
+        assert info["hits"] >= 1
+
+    def test_one_program_at_two_sizes_shares_one_body(self):
+        # The body runs over explicit iteration lists; the loop bounds are
+        # not part of its key.
+        _run_compiled(example_4_1(5))
+        _run_compiled(example_4_1(8))
+        info = CompiledBackend.body_cache_info()
+        assert (info["size"], info["misses"]) == (1, 1)
         assert info["hits"] >= 1
 
     def test_same_nest_object_uses_weak_fast_path(self):
@@ -143,7 +153,7 @@ class TestBoundedLRU:
         c = _recurrence("i1", "A", scale="0.75")
         for nest in (a, b):
             CompiledBackend.body_function(nest)
-        key_a = (canonical_key_tuple(a), constant_kind_signature(a))
+        key_a = (canonical_body_key(a), constant_kind_signature(a))
         CompiledBackend._nest_bodies.pop(a, None)
         CompiledBackend.body_function(a)  # refresh recency of a via the LRU
         CompiledBackend.body_function(c)  # must evict b, not a

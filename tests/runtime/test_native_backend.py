@@ -283,6 +283,19 @@ class TestKernelCache:
         assert info["hits"] == 1
         native_codegen.clear_kernel_cache()
 
+    def test_one_program_at_two_sizes_shares_one_kernel(self):
+        # The kernel reads the statements, depth and inverse, never the
+        # bounds: a second problem size must hit the first size's kernel.
+        native_codegen.clear_kernel_cache()
+        try:
+            for n in (6, 9):
+                transformed = TransformedLoopNest.from_report(analyze_nest(example_4_1(n)))
+                assert native_codegen.native_program_for(transformed) is not None
+            info = native_codegen.kernel_cache_info()
+            assert (info["builds"], info["hits"], info["size"]) == (1, 1, 1)
+        finally:
+            native_codegen.clear_kernel_cache()
+
     def test_lru_eviction(self):
         native_codegen.clear_kernel_cache()
         native_codegen.set_kernel_cache_limit(1)

@@ -23,6 +23,7 @@ native call executes the whole plan on N OS threads (OpenMP / pthreads /
   pthreads work-queue fallback flavor.
 """
 
+import itertools
 import os
 
 import numpy as np
@@ -196,14 +197,37 @@ class TestPackedRanges:
         assert calls["n"] == num_chunks
 
     def test_repeated_selection_hits_the_selection_memo(self, monkeypatch):
+        """Selections reuse the one whole-plan memo and never add their own.
+
+        Telemetry-driven balancing regroups chunks as costs move, so a
+        per-selection memo would grow a long-lived plan without bound.
+        """
         _, _, transformed = _reference_and_transformed(example_4_1(8))
         plan = transformed.execution_plan()
-        native_codegen.packed_ranges_for(plan, (0, 1))
+        first = native_codegen.packed_ranges_for(plan, (0, 1))
         monkeypatch.setattr(
             ChunkView, "value_ranges",
             lambda self: pytest.fail("selection memo was bypassed"),
         )
-        native_codegen.packed_ranges_for(plan, (0, 1))
+        again = native_codegen.packed_ranges_for(plan, (0, 1))
+        assert again[0] == first[0] and np.array_equal(again[1], first[1])
+        selections = list(itertools.islice(
+            itertools.combinations(range(len(plan.select_chunks(None))), 3), 100
+        ))
+        assert len(set(selections)) == 100
+
+        def footprint():
+            return {
+                name: len(value) if isinstance(value, (dict, list, tuple)) else None
+                for name, value in vars(plan).items()
+            }
+
+        before = footprint()
+        for selection in selections:
+            native_codegen.packed_ranges_for(plan, selection)
+        assert footprint() == before
+        memo = [name for name in vars(plan) if name.startswith("_repro_native_packed")]
+        assert len(memo) <= 1
 
 
 # ---------------------------------------------------------------------------
