@@ -12,7 +12,7 @@ the compiled kernel beats both remaining dispatch strategies:
   *same* native kernel group-by-group from a Python
   ``ThreadPoolExecutor`` (the pre-PR ``threads`` mode: ctypes releases
   the GIL, so the Python pool does get parallelism — minus a future, a
-  packed-table slice and a kernel re-entry per group).  Gated **>= 1.5x**
+  key-table gather and a kernel re-entry per group).  Gated **>= 1.5x**
   in CI.
 
 Every measured run is differentially checked: the parallel store must be
@@ -81,7 +81,8 @@ def measure(n: int = SPEEDUP_N, threads: int = THREADS, repetitions: int = 5):
     if not backend.supports_parallel_plan(transformed, plan):
         return {"engine": engine, "parallel_driver": None}
     program = native_codegen.native_program_for(transformed, backend.engine)
-    n_chunks, flat = native_codegen.packed_ranges_for(plan)
+    packed = native_codegen.packed_ranges_for(plan)
+    n_chunks = packed.n_chunks
     groups = [
         native_codegen.packed_ranges_for(plan, group)
         for group in _static_groups(n_chunks, threads)
@@ -109,21 +110,21 @@ def measure(n: int = SPEEDUP_N, threads: int = THREADS, repetitions: int = 5):
         return best
 
     serial_seconds = _best(
-        lambda store: program.execute(store, flat, n_chunks)
+        lambda store: program.execute(store, packed)
     )
     parallel_seconds = _best(
-        lambda store: program.execute_parallel(store, flat, n_chunks, threads, True)
+        lambda store: program.execute_parallel(store, packed, threads, True)
     )
 
     # The pre-PR "threads" dispatch: the same warm kernel, but one Python
-    # future + one packed slice per group.  ctypes releases the GIL inside
+    # future + one key-row gather per group.  ctypes releases the GIL inside
     # the kernel, so this is a fair fight about dispatch overhead.
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
         def _python_threads(store):
             futures = [
-                pool.submit(program.execute, store, group_flat, group_n)
-                for group_n, group_flat in groups
+                pool.submit(program.execute, store, group)
+                for group in groups
             ]
             for future in futures:
                 assert future.result() == native_codegen.OK

@@ -97,9 +97,9 @@ class SessionConfig:
     dispatches, a win exactly when each chunk costs a future or a pool
     message — while ``serial`` and ``native-parallel`` run the raw plan:
     serial dispatch is free, and the in-kernel parallel driver runs the
-    whole plan in one native call, so neither pays per-chunk dispatch —
-    and coalescing would block parallel levels, making chunks
-    non-separable and unpackable for the driver.  An empty tuple disables
+    whole plan in one native call, so neither pays per-chunk dispatch.
+    Coalesced plans run native like raw ones (the kernel scans blocked
+    levels from the plan's bound table).  An empty tuple disables
     optimization in every mode.
 
         >>> SessionConfig().resolved_plan_passes()
@@ -191,9 +191,7 @@ class SessionConfig:
         if self.mode in ("serial", "native-parallel"):
             # Serial dispatch is free, and the in-kernel parallel driver
             # schedules chunks itself (one native call for the whole plan),
-            # so neither wants coalescing — which blocks parallel levels
-            # and makes chunks non-separable, forcing the driver to fall
-            # back to per-chunk dispatch.
+            # so neither has per-chunk dispatch for coalescing to save.
             return ()
         return DEFAULT_PLAN_PASSES
 

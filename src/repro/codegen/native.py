@@ -1,12 +1,18 @@
 """Native machine-code kernels for symbolic execution plans.
 
-The :class:`~repro.plan.ExecutionPlan` of PR 5 describes every chunk as a
-product of per-level ``(start, stop, step)`` strided ranges — exactly the
-shape of a compiled loop nest.  This module closes the loop: it emits one
-specialized kernel per *(canonical program structure, inverse transform)*
-that takes the raw float64 buffers of the store plus a flat array of
-per-chunk range parameters and executes the chunks as nested native loops,
-with zero per-iteration Python overhead.
+An :class:`~repro.plan.ExecutionPlan` carries two int64 tables: a *bound
+table* with every level's role, step and integer Fourier–Motzkin bounds
+(plus the HNF shifts of its partition targets), and a *key table* with one
+row of ``depth`` ints per chunk.  This module emits one specialized kernel
+per *(canonical program structure, inverse transform)* that takes the raw
+float64 buffers of the store, the key rows of the selected chunks and the
+bound table, and scans each chunk as nested native loops — evaluating each
+level's bounds on the current prefix and stepping a partitioned level by
+the HNF diagonal from its congruence-derived start, exactly as
+:meth:`~repro.plan.ExecutionPlan.iterations_for` does — with zero
+per-iteration Python overhead.  Every plan shape runs through it:
+rectangular or coupled bounds, fixed or shifting partition targets, raw or
+coalesced chunks.
 
 Two engines generate the same kernel structure:
 
@@ -23,7 +29,8 @@ Two engines generate the same kernel structure:
 Engine selection (``REPRO_NATIVE_ENGINE`` = ``auto``/``numba``/``cc``/
 ``none``) prefers Numba and falls back to the C path; when neither is
 available :func:`native_program_for` returns ``None`` and the caller (the
-``native`` execution backend) falls back to the vectorized backend.
+``native`` execution backend) falls back to the vectorized backend, as it
+does for a plan whose tables the int64 overflow guard refuses.
 
 Bit-exactness contract: kernels evaluate everything in IEEE double, which
 matches the interpreter exactly for the supported expression subset —
@@ -51,12 +58,12 @@ compiled code: the C engine uses an OpenMP ``parallel for`` when the
 toolchain supports ``-fopenmp`` (probed once and negative-cached, on disk
 per compiler) and otherwise a pthreads work-queue draining chunks off an
 atomic counter; the numba engine uses ``@njit(parallel=True)`` with
-``numba.prange``.  The driver takes the packed range table, a thread
-count, a static/dynamic scheduling hint and a per-chunk status buffer, and
-returns the status of the first failing chunk in chunk order — the same
-first-error semantics the serial kernel and the interpreter have.  Both
-entry points live in one source file, so a single content-addressed build
-covers serial and parallel execution.
+``numba.prange``.  The driver takes the key rows and the bound table, a
+thread count, a static/dynamic scheduling hint and a per-chunk status
+buffer, and returns the status of the first failing chunk in chunk order —
+the same first-error semantics the serial kernel and the interpreter have.
+Both entry points live in one source file, so a single content-addressed
+build covers serial and parallel execution.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -87,6 +94,7 @@ from repro.loopnest.expr import (
     UnaryOp,
 )
 from repro.loopnest.nest import LoopNest
+from repro.plan.ir import LEVEL_FIELDS, ROLE_CODES
 
 __all__ = [
     "KERNEL_SYMBOL",
@@ -102,7 +110,7 @@ __all__ = [
     "native_program_for",
     "nest_is_native_supported",
     "openmp_supported",
-    "pack_ranges",
+    "PackedChunks",
     "packed_ranges_for",
     "resolve_engine",
     "set_kernel_cache_limit",
@@ -427,25 +435,152 @@ def _inverse_assignments(emitter: _KernelEmitter, inverse) -> List[str]:
     return lines
 
 
+_C_HELPERS = [
+    "/* Floor and ceiling of a / d and the non-negative residue of a mod d,",
+    "   for d > 0 (C's / and % truncate toward zero). */",
+    "static inline int64_t repro_floor(int64_t a, int64_t d)",
+    "{",
+    "    if (d == 1) { return a; }",
+    "    const int64_t q = a / d;",
+    "    return (a % d < 0) ? q - 1 : q;",
+    "}",
+    "",
+    "static inline int64_t repro_ceil(int64_t a, int64_t d)",
+    "{",
+    "    return -repro_floor(-a, d);",
+    "}",
+    "",
+    "static inline int64_t repro_mod(int64_t a, int64_t d)",
+    "{",
+    "    const int64_t r = a % d;",
+    "    return r < 0 ? r + d : r;",
+    "}",
+]
+
+
+def _level_lines(level: int, depth: int, lang: str) -> List[str]:
+    """One level of the chunk scan, up to and including its loop header.
+
+    Evaluates ``max(ceil(lower))`` / ``min(floor(upper))`` of the level's
+    bound-table expressions on the current prefix ``j0..j{level-1}``, then
+    narrows the range the way :meth:`ExecutionPlan.iterations_for` does:
+    a parallel level to its value (or block), a partitioned level to the
+    values congruent to ``target = key[level] + sum(shift[u] * f_u)`` mod
+    its stride.  Inside the loop, ``f{level}`` is the level's HNF factor
+    (0 unless partitioned), which deeper targets read.
+    """
+    k = level
+    header = k * (len(LEVEL_FIELDS) + depth)
+    role, step, n_lower, n_upper, offset = (header + i for i in range(len(LEVEL_FIELDS)))
+    shift = header + len(LEVEL_FIELDS)
+    width = depth + 2
+    parallel, partition = ROLE_CODES["parallel"], ROLE_CODES["partition"]
+    e = f"e{k}"  # offset of the current expression in the table
+
+    def index(i: int) -> str:
+        return f"bt[{e} + {i}]" if i else f"bt[{e}]"
+
+    acc = " + ".join([index(1)] + [f"{index(2 + t)} * j{t}" for t in range(k)])
+    target = " + ".join([f"key[{k}]"] + [f"bt[{shift + u}] * f{u}" for u in range(k)])
+    if lang == "c":
+        lines = [
+            f"int64_t {e} = bt[{offset}];",
+            f"int64_t lo{k} = repro_ceil({acc}, {index(0)});",
+            f"for (int64_t x = 1; x < bt[{n_lower}]; ++x) {{",
+            f"    {e} += {width};",
+            f"    const int64_t v = repro_ceil({acc}, {index(0)});",
+            f"    if (v > lo{k}) {{ lo{k} = v; }}",
+            "}",
+            f"{e} += {width};",
+            f"int64_t hi{k} = repro_floor({acc}, {index(0)});",
+            f"for (int64_t x = 1; x < bt[{n_upper}]; ++x) {{",
+            f"    {e} += {width};",
+            f"    const int64_t v = repro_floor({acc}, {index(0)});",
+            f"    if (v < hi{k}) {{ hi{k} = v; }}",
+            "}",
+            f"const int64_t rl{k} = bt[{role}];",
+            f"int64_t st{k} = bt[{step}];",
+            f"int64_t tg{k} = 0;",
+            f"if (rl{k} == {parallel}) {{",
+            f"    const int64_t base = key[{k}] * st{k};",
+            f"    if (base > lo{k}) {{ lo{k} = base; }}",
+            f"    if (base + st{k} - 1 < hi{k}) {{ hi{k} = base + st{k} - 1; }}",
+            f"    st{k} = 1;",
+            f"}} else if (rl{k} == {partition}) {{",
+            f"    tg{k} = {target};",
+            f"    lo{k} += repro_mod(tg{k} - lo{k}, st{k});",
+            "}",
+            f"for (int64_t j{k} = lo{k}; j{k} <= hi{k}; j{k} += st{k}) {{",
+        ]
+        if k < depth - 1:
+            lines.append(
+                f"    const int64_t f{k} = rl{k} == {partition} ? (j{k} - tg{k}) / st{k} : 0;"
+            )
+        return lines
+    lines = [
+        f"{e} = bt[{offset}]",
+        f"lo{k} = -((-({acc})) // {index(0)})",
+        f"for _ in range(1, bt[{n_lower}]):",
+        f"    {e} += {width}",
+        f"    v = -((-({acc})) // {index(0)})",
+        f"    if v > lo{k}:",
+        f"        lo{k} = v",
+        f"{e} += {width}",
+        f"hi{k} = ({acc}) // {index(0)}",
+        f"for _ in range(1, bt[{n_upper}]):",
+        f"    {e} += {width}",
+        f"    v = ({acc}) // {index(0)}",
+        f"    if v < hi{k}:",
+        f"        hi{k} = v",
+        f"rl{k} = bt[{role}]",
+        f"st{k} = bt[{step}]",
+        f"tg{k} = 0",
+        f"if rl{k} == {parallel}:",
+        f"    base = key[{k}] * st{k}",
+        f"    if base > lo{k}:",
+        f"        lo{k} = base",
+        f"    if base + st{k} - 1 < hi{k}:",
+        f"        hi{k} = base + st{k} - 1",
+        f"    st{k} = 1",
+        f"elif rl{k} == {partition}:",
+        f"    tg{k} = {target}",
+        f"    lo{k} += (tg{k} - lo{k}) % st{k}",
+        f"for j{k} in range(lo{k}, hi{k} + 1, st{k}):",
+    ]
+    if k < depth - 1:
+        lines.append(f"    f{k} = (j{k} - tg{k}) // st{k} if rl{k} == {partition} else 0")
+    return lines
+
+
 def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp") -> str:
     """Render the chunk-loop kernel for ``nest`` in ``lang`` ("c" or "py").
 
     The source contains three functions:
 
-    * ``repro_chunk(r, a0, a0_org, a0_shp, ...)`` — executes one chunk
-      given its ``depth * 3`` range row, returning a status code;
-    * ``repro_kernel(n_chunks, ranges, a0, ...)`` — the serial driver:
+    * ``repro_chunk(key, bt, a0, a0_org, a0_shp, ...)`` — executes one
+      chunk given its key row (``depth`` ints) and the plan's bound table,
+      returning a status code;
+    * ``repro_kernel(n_chunks, keys, bt, a0, ...)`` — the serial driver:
       runs chunks in order, stopping at the first nonzero status;
-    * ``repro_kernel_par(n_chunks, ranges, n_threads, dynamic_schedule,
+    * ``repro_kernel_par(n_chunks, keys, bt, n_threads, dynamic_schedule,
       statuses, a0, ...)`` — the parallel driver: fills ``statuses`` (one
       slot per chunk) from ``n_threads`` threads and returns the status of
       the first failing chunk *in chunk order*, matching the serial error
       semantics exactly.
 
-    ``ranges`` is a flat int64 array of ``n_chunks * depth * 3`` values —
-    per chunk, per level: inclusive start, inclusive stop, positive step —
-    and each array contributes its raw float64 buffer plus int64 origin and
-    shape vectors.  Arrays appear in canonical slot order.
+    ``keys`` is a flat int64 array of ``n_chunks * depth`` key rows and
+    ``bt`` the plan's int64 bound table
+    (:meth:`~repro.plan.ExecutionPlan.bound_table`).  The chunk function
+    scans the chunk level by level exactly as
+    :meth:`~repro.plan.ExecutionPlan.iterations_for` does: it evaluates each
+    level's Fourier–Motzkin bounds on the current prefix and steps a
+    partitioned level by the HNF diagonal from its congruence-derived start,
+    so every plan — shifting partition targets, bounds coupled to
+    sequential levels, coalesced blocks — runs through one kernel.  The
+    source hard-codes only the depth, the statements and the inverse
+    transform; roles, strides, bounds and sizes are all read from the
+    tables at run time.  Each array contributes its raw float64 buffer plus
+    int64 origin and shape vectors, in canonical slot order.
 
     ``flavor`` selects the C parallel driver: ``"openmp"`` emits an OpenMP
     ``parallel for`` honouring the static/dynamic hint (build with
@@ -458,7 +593,6 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
         emitter.statement(stmt)
     slots = _array_slots(nest)
     depth = nest.depth
-    stride = depth * 3
 
     def stride_decls(indent: str) -> List[str]:
         decls: List[str] = []
@@ -475,6 +609,16 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
                     decls.append(f"{indent}a{slot}_s{k} = {outer}")
         return decls
 
+    def scan_lines() -> List[str]:
+        lines: List[str] = []
+        for level in range(depth):
+            indent = "    " * (level + 1)
+            lines.extend(indent + text for text in _level_lines(level, depth, lang))
+        body_indent = "    " * (depth + 1)
+        lines.extend(body_indent + text for text in _inverse_assignments(emitter, inverse))
+        lines.extend(body_indent + text for text in emitter.lines)
+        return lines
+
     if lang == "c":
         if flavor not in ("openmp", "pthreads"):
             raise ExecutionError(f"unknown C parallel flavor {flavor!r}")
@@ -488,31 +632,23 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
         lines = ["#include <math.h>", "#include <stdint.h>"]
         if flavor == "pthreads":
             lines.append("#include <pthread.h>")
-        lines += [
+        lines += [""] + _C_HELPERS + [
             "",
-            f"static int64_t {CHUNK_SYMBOL}(const int64_t *r{params})",
+            f"static int64_t {CHUNK_SYMBOL}(const int64_t *key, const int64_t *bt{params})",
             "{",
         ]
         lines.extend(stride_decls("    "))
-        for level in range(depth):
-            base = level * 3
-            indent = "    " * (level + 1)
-            lines.append(
-                f"{indent}for (int64_t j{level} = r[{base}]; "
-                f"j{level} <= r[{base + 1}]; j{level} += r[{base + 2}]) {{"
-            )
-        body_indent = "    " * (depth + 1)
-        lines.extend(body_indent + text for text in _inverse_assignments(emitter, inverse))
-        lines.extend(body_indent + text for text in emitter.lines)
+        lines.extend(scan_lines())
         lines.extend("    " * (level + 1) + "}" for level in range(depth - 1, -1, -1))
         lines += [
             "    return 0;",
             "}",
             "",
-            f"int64_t {KERNEL_SYMBOL}(int64_t n_chunks, const int64_t *ranges{params})",
+            f"int64_t {KERNEL_SYMBOL}(int64_t n_chunks, const int64_t *keys, "
+            f"const int64_t *bt{params})",
             "{",
             "    for (int64_t c = 0; c < n_chunks; ++c) {",
-            f"        int64_t status = {CHUNK_SYMBOL}(ranges + c * {stride}{array_args});",
+            f"        int64_t status = {CHUNK_SYMBOL}(keys + c * {depth}, bt{array_args});",
             "        if (status != 0) { return status; }",
             "    }",
             "    return 0;",
@@ -520,8 +656,9 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
             "",
         ]
         par_sig = (
-            f"int64_t {PARALLEL_KERNEL_SYMBOL}(int64_t n_chunks, const int64_t *ranges, "
-            f"int64_t n_threads, int64_t dynamic_schedule, int64_t *statuses{params})"
+            f"int64_t {PARALLEL_KERNEL_SYMBOL}(int64_t n_chunks, const int64_t *keys, "
+            f"const int64_t *bt, int64_t n_threads, int64_t dynamic_schedule, "
+            f"int64_t *statuses{params})"
         )
         if flavor == "openmp":
             lines += [
@@ -532,12 +669,12 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
                 "    if (dynamic_schedule) {",
                 "        #pragma omp parallel for schedule(dynamic) num_threads(threads)",
                 "        for (c = 0; c < n_chunks; ++c) {",
-                f"            statuses[c] = {CHUNK_SYMBOL}(ranges + c * {stride}{array_args});",
+                f"            statuses[c] = {CHUNK_SYMBOL}(keys + c * {depth}, bt{array_args});",
                 "        }",
                 "    } else {",
                 "        #pragma omp parallel for schedule(static) num_threads(threads)",
                 "        for (c = 0; c < n_chunks; ++c) {",
-                f"            statuses[c] = {CHUNK_SYMBOL}(ranges + c * {stride}{array_args});",
+                f"            statuses[c] = {CHUNK_SYMBOL}(keys + c * {depth}, bt{array_args});",
                 "        }",
                 "    }",
                 "    for (c = 0; c < n_chunks; ++c) {",
@@ -558,7 +695,8 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
             lines += [
                 "typedef struct {",
                 "    int64_t n_chunks;",
-                "    const int64_t *ranges;",
+                "    const int64_t *keys;",
+                "    const int64_t *bt;",
                 "    int64_t next;",
                 f"    int64_t *statuses;{member_decls}",
                 "} repro_work_t;",
@@ -569,7 +707,8 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
                 "    for (;;) {",
                 "        int64_t c = __sync_fetch_and_add(&w->next, 1);",
                 "        if (c >= w->n_chunks) { break; }",
-                f"        w->statuses[c] = {CHUNK_SYMBOL}(w->ranges + c * {stride}{work_args});",
+                f"        w->statuses[c] = {CHUNK_SYMBOL}("
+                f"w->keys + c * {depth}, w->bt{work_args});",
                 "    }",
                 "    return 0;",
                 "}",
@@ -579,7 +718,7 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
                 "    /* The shared-cursor queue is dynamic by construction; the",
                 "       scheduling hint only matters to the OpenMP flavor. */",
                 "    (void)dynamic_schedule;",
-                f"    repro_work_t work = {{n_chunks, ranges, 0, statuses{array_args}}};",
+                f"    repro_work_t work = {{n_chunks, keys, bt, 0, statuses{array_args}}};",
                 f"    pthread_t helpers[{_MAX_PTHREADS}];",
                 "    int64_t spawned = 0;",
                 f"    if (n_threads > {_MAX_PTHREADS}) {{ n_threads = {_MAX_PTHREADS}; }}",
@@ -603,9 +742,11 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
         f", a{slot}, a{slot}_org, a{slot}_shp" for slot in range(len(slots))
     )
     array_types = ", float64[::1], int64[::1], int64[::1]" * len(slots)
-    chunk_signature = f"int64(int64[::1]{array_types})"
-    serial_signature = f"int64(int64, int64[::1]{array_types})"
-    parallel_signature = f"int64(int64, int64[::1], int64, int64, int64[::1]{array_types})"
+    chunk_signature = f"int64(int64[::1], int64[::1]{array_types})"
+    serial_signature = f"int64(int64, int64[::1], int64[::1]{array_types})"
+    parallel_signature = (
+        f"int64(int64, int64[::1], int64[::1], int64, int64, int64[::1]{array_types})"
+    )
     lines = [
         "import math",
         "",
@@ -613,28 +754,19 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
         "",
         "",
         f'@numba.njit("{chunk_signature}", cache=True, nogil=True)',
-        f"def {CHUNK_SYMBOL}(r{params}):",
+        f"def {CHUNK_SYMBOL}(key, bt{params}):",
     ]
     lines.extend(stride_decls("    "))
-    for level in range(depth):
-        base = level * 3
-        indent = "    " * (1 + level)
-        lines.append(
-            f"{indent}for j{level} in range(r[{base}], "
-            f"r[{base + 1}] + 1, r[{base + 2}]):"
-        )
-    body_indent = "    " * (1 + depth)
-    lines.extend(body_indent + text for text in _inverse_assignments(emitter, inverse))
-    lines.extend(body_indent + text for text in emitter.lines)
+    lines.extend(scan_lines())
     lines += [
         "    return 0",
         "",
         "",
         f'@numba.njit("{serial_signature}", cache=True, nogil=True)',
-        f"def {KERNEL_SYMBOL}(n_chunks, ranges{params}):",
+        f"def {KERNEL_SYMBOL}(n_chunks, keys, bt{params}):",
         "    for c in range(n_chunks):",
-        f"        b = c * {stride}",
-        f"        status = {CHUNK_SYMBOL}(ranges[b:b + {stride}]{params})",
+        f"        b = c * {depth}",
+        f"        status = {CHUNK_SYMBOL}(keys[b:b + {depth}], bt{params})",
         "        if status != 0:",
         "            return status",
         "    return 0",
@@ -642,11 +774,11 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
         "",
         "try:",
         f'    @numba.njit("{parallel_signature}", cache=True, nogil=True, parallel=True)',
-        f"    def {PARALLEL_KERNEL_SYMBOL}(n_chunks, ranges, n_threads, "
+        f"    def {PARALLEL_KERNEL_SYMBOL}(n_chunks, keys, bt, n_threads, "
         f"dynamic_schedule, statuses{params}):",
         "        for c in numba.prange(n_chunks):",
-        f"            b = c * {stride}",
-        f"            statuses[c] = {CHUNK_SYMBOL}(ranges[b:b + {stride}]{params})",
+        f"            b = c * {depth}",
+        f"            statuses[c] = {CHUNK_SYMBOL}(keys[b:b + {depth}], bt{params})",
         "        first = 0",
         "        for c in range(n_chunks):",
         "            if first == 0:",
@@ -888,85 +1020,34 @@ _F64_P = ctypes.POINTER(ctypes.c_double)
 _I64_P = ctypes.POINTER(ctypes.c_int64)
 
 
-def pack_ranges(
-    range_lists: Sequence[Sequence[Tuple[int, int, int]]], depth: int
-) -> np.ndarray:
-    """Flatten per-chunk ``(start, stop, step)`` levels into one int64 array."""
-    flat = np.empty(len(range_lists) * depth * 3, dtype=np.int64)
-    position = 0
-    for ranges in range_lists:
-        for start, stop, step in ranges:
-            flat[position] = start
-            flat[position + 1] = stop
-            flat[position + 2] = step
-            position += 3
-    return flat
+class PackedChunks(NamedTuple):
+    """What one kernel call reads: ``n_chunks`` key rows, flattened into
+    ``keys`` (C-contiguous int64, ``n_chunks * depth``), and the plan's
+    int64 bound table ``bounds``."""
+
+    n_chunks: int
+    keys: np.ndarray
+    bounds: np.ndarray
 
 
-_PACKED_TABLE_ATTR = "_repro_native_packed_table"
+def packed_ranges_for(plan, chunk_indices=None) -> Optional[PackedChunks]:
+    """The kernel input for a plan selection, gathered from the plan's tables.
 
-
-def _packed_table_for(plan) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """The whole-plan packed table, built once and cached on the plan.
-
-    Returns ``(rows, row_of_chunk)`` where ``rows`` is a C-contiguous int64
-    array of shape ``(n_nonempty, depth * 3)`` (one row per non-empty chunk,
-    in chunk order) and ``row_of_chunk[i]`` maps chunk index ``i`` to its
-    row (``-1`` for empty chunks), or ``None`` when any chunk of the plan is
-    not separable into strided ranges.
+    The plan builds its key table and bound table once and caches them
+    (plans pickle through ``_SPEC_FIELDS``, so the tables never cross a
+    process boundary).  The whole-plan selection — what the in-kernel
+    driver and the gateway run — is a flat view of the key table, and a
+    group selection is a row gather from it on each call, so no bound is
+    evaluated here and a selection never grows the plan.  Returns ``None``
+    when the plan has no tables (the int64 overflow guard refused it); the
+    caller falls back.
     """
-    cached = getattr(plan, _PACKED_TABLE_ATTR, _UNSET)
-    if cached is not _UNSET:
-        return cached
-    views = plan.select_chunks(None)
-    range_lists: List[Sequence[Tuple[int, int, int]]] = []
-    row_indices: List[int] = []
-    table: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    for index, view in enumerate(views):
-        ranges = view.value_ranges()
-        if ranges is None:
-            break
-        if ranges:
-            row_indices.append(index)
-            range_lists.append(ranges)
-    else:
-        row_of_chunk = np.full(len(views), -1, dtype=np.int64)
-        row_of_chunk[row_indices] = np.arange(len(row_indices), dtype=np.int64)
-        rows = pack_ranges(range_lists, plan.depth).reshape(
-            len(range_lists), plan.depth * 3
-        )
-        table = (rows, row_of_chunk)
-    try:
-        setattr(plan, _PACKED_TABLE_ATTR, table)
-    except AttributeError:  # pragma: no cover - plans have a __dict__ today
-        pass
-    return table
-
-
-def packed_ranges_for(plan, chunk_indices=None) -> Optional[Tuple[int, np.ndarray]]:
-    """``(n_chunks, flat ranges)`` for a plan selection.
-
-    Gathering ``value_ranges()`` view by view costs more than the kernel
-    call itself on warm runs, so the packing is done exactly once per plan:
-    :func:`_packed_table_for` builds the whole-plan table and caches it on
-    the plan object (plans pickle through ``_SPEC_FIELDS``, so the memo
-    never crosses a process boundary).  That table is the only memo.  The
-    whole-plan selection — what the in-kernel driver and the gateway run —
-    is a flat view of it, and every group selection is a row gather from it
-    on each call: group selections change as telemetry rebalances the
-    groups, and memoizing each one would grow the plan without bound.
-    Returns ``None`` when any chunk is not separable into strided ranges —
-    the caller falls back.  Empty chunks are dropped from the packing.
-    """
-    table = _packed_table_for(plan)
-    if table is None:
+    keys = plan.key_table()
+    if keys is None:
         return None
-    rows, row_of_chunk = table
-    if chunk_indices is None:
-        return rows.shape[0], rows.reshape(-1)
-    selected = row_of_chunk[list(chunk_indices)]
-    selected = selected[selected >= 0]
-    return int(selected.size), rows[selected].reshape(-1)
+    if chunk_indices is not None:
+        keys = keys[np.asarray(list(chunk_indices), dtype=np.intp)]
+    return PackedChunks(int(keys.shape[0]), keys.reshape(-1), plan.bound_table())
 
 
 class NativeKernel:
@@ -1002,10 +1083,10 @@ class NativeKernel:
             array_types = []
             for _ in self.array_dims:
                 array_types.extend((_F64_P, _I64_P, _I64_P))
-            fn.argtypes = [ctypes.c_int64, _I64_P] + array_types
+            fn.argtypes = [ctypes.c_int64, _I64_P, _I64_P] + array_types
             if par_fn is not None:
                 par_fn.argtypes = [
-                    ctypes.c_int64, _I64_P, ctypes.c_int64, ctypes.c_int64, _I64_P,
+                    ctypes.c_int64, _I64_P, _I64_P, ctypes.c_int64, ctypes.c_int64, _I64_P,
                 ] + array_types
 
     @property
@@ -1013,9 +1094,18 @@ class NativeKernel:
         """Whether this kernel carries a usable parallel driver."""
         return self._par_fn is not None
 
-    def _marshal(self, offset_arrays):
+    def _marshal(self, offset_arrays, packed: PackedChunks):
         """``(datas, origins, shapes)`` or None when a layout cannot be
         passed to native code (caller falls back)."""
+        n_chunks, keys, bounds = packed
+        for table in (keys, bounds):
+            if table.dtype != np.int64 or table.ndim != 1 or not table.flags["C_CONTIGUOUS"]:
+                return None
+        if (
+            keys.size != n_chunks * self.depth
+            or bounds.size < self.depth * (len(LEVEL_FIELDS) + self.depth)
+        ):
+            return None
         datas = []
         origins = []
         shapes = []
@@ -1046,23 +1136,27 @@ class NativeKernel:
             args.extend((data.reshape(-1), origin, shape))
         return args
 
-    def execute(self, offset_arrays, ranges: np.ndarray, n_chunks: int) -> Optional[int]:
+    def execute(self, offset_arrays, packed: PackedChunks) -> Optional[int]:
         """Run the serial kernel; returns the status code, or None when an
         array's layout cannot be marshalled (caller falls back)."""
-        marshalled = self._marshal(offset_arrays)
+        marshalled = self._marshal(offset_arrays, packed)
         if marshalled is None:
             return None
+        n_chunks, keys, bounds = packed
         if self.engine == "cc":
-            args = [ctypes.c_int64(n_chunks), ranges.ctypes.data_as(_I64_P)]
+            args = [
+                ctypes.c_int64(n_chunks),
+                keys.ctypes.data_as(_I64_P),
+                bounds.ctypes.data_as(_I64_P),
+            ]
             args.extend(self._cc_array_args(marshalled))
             return int(self._fn(*args))
-        return int(self._fn(n_chunks, ranges, *self._numba_array_args(marshalled)))
+        return int(self._fn(n_chunks, keys, bounds, *self._numba_array_args(marshalled)))
 
     def execute_parallel(
         self,
         offset_arrays,
-        ranges: np.ndarray,
-        n_chunks: int,
+        packed: PackedChunks,
         threads: int,
         dynamic: bool,
     ) -> Optional[int]:
@@ -1072,15 +1166,17 @@ class NativeKernel:
         in that case, so the caller can fall back safely."""
         if self._par_fn is None:
             return None
-        marshalled = self._marshal(offset_arrays)
+        marshalled = self._marshal(offset_arrays, packed)
         if marshalled is None:
             return None
         threads = max(1, int(threads))
+        n_chunks, keys, bounds = packed
         statuses = np.zeros(max(1, n_chunks), dtype=np.int64)
         if self.engine == "cc":
             args = [
                 ctypes.c_int64(n_chunks),
-                ranges.ctypes.data_as(_I64_P),
+                keys.ctypes.data_as(_I64_P),
+                bounds.ctypes.data_as(_I64_P),
                 ctypes.c_int64(threads),
                 ctypes.c_int64(1 if dynamic else 0),
                 statuses.ctypes.data_as(_I64_P),
@@ -1101,7 +1197,8 @@ class NativeKernel:
             return int(
                 self._par_fn(
                     n_chunks,
-                    ranges,
+                    keys,
+                    bounds,
                     threads,
                     1 if dynamic else 0,
                     statuses,
@@ -1131,19 +1228,19 @@ class NativeProgram:
             arrays.append(store[name])
         return arrays
 
-    def execute(self, store, ranges: np.ndarray, n_chunks: int) -> Optional[int]:
+    def execute(self, store, packed: PackedChunks) -> Optional[int]:
         arrays = self._arrays(store)
         if arrays is None:
             return None
-        return self.kernel.execute(arrays, ranges, n_chunks)
+        return self.kernel.execute(arrays, packed)
 
     def execute_parallel(
-        self, store, ranges: np.ndarray, n_chunks: int, threads: int, dynamic: bool
+        self, store, packed: PackedChunks, threads: int, dynamic: bool
     ) -> Optional[int]:
         arrays = self._arrays(store)
         if arrays is None:
             return None
-        return self.kernel.execute_parallel(arrays, ranges, n_chunks, threads, dynamic)
+        return self.kernel.execute_parallel(arrays, packed, threads, dynamic)
 
 
 _LOCK = threading.Lock()
@@ -1185,7 +1282,7 @@ def native_program_for(transformed, engine: Optional[str] = None) -> Optional[Na
     Kernels are shared across alpha-equivalent programs: the cache key is
     the engine, the canonical depth and statements of the nest and the
     inverse transform — everything the emitted source reads.  The loop
-    bounds are not part of it (the packed ranges carry them at run time), so
+    bounds are not part of it (the plan's tables carry them at run time), so
     one program at several problem sizes, or two sessions running renamed
     copies of it, compile exactly once per process (and, through the
     on-disk artifact, roughly once per machine).

@@ -17,6 +17,9 @@ materialized chunk list is available symbolically:
 * ``chunk_count`` / ``total_iterations`` / ``chunk_size(key)`` have closed
   forms whenever the bounds structure permits (constant key-level bounds),
   falling back to lazy scans that never hold more than O(depth) state;
+* ``bound_table()`` / ``key_table()`` encode the same bounds and chunk keys
+  as two int64 arrays — what the native kernels execute and what
+  ``chunk_sizes()`` evaluates with NumPy;
 * the plan itself pickles to a few hundred bytes — it is the *only* thing
   the parallel runtime ships to worker processes, which re-enumerate their
   assigned chunks in place.
@@ -45,16 +48,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.exceptions import CodegenError
 from repro.intlin.fourier_motzkin import VariableBounds
 
-__all__ = ["PlanLevel", "ChunkView", "ExecutionPlan"]
+__all__ = [
+    "PlanLevel",
+    "ChunkView",
+    "ExecutionPlan",
+    "LEVEL_FIELDS",
+    "ROLE_CODES",
+]
 
 #: A chunk key: (values of the parallel levels, partition label).  Identical
 #: to the keys produced by ``TransformedLoopNest.chunk_key``.
 ChunkKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 _ROLES = ("parallel", "partition", "sequential")
+
+#: How the bound table encodes a level's role.
+ROLE_CODES = {"parallel": 0, "partition": 1, "sequential": 2}
+
+#: The fields of one level header in the bound table; ``depth`` shift
+#: entries follow them (see :meth:`ExecutionPlan.bound_table`).
+LEVEL_FIELDS = ("role", "step", "n_lower", "n_upper", "offset")
+
+#: Every integer the tables hold, and every intermediate the kernels and
+#: the NumPy sizing compute from them, stays below this magnitude; a plan
+#: that cannot guarantee it has no tables and runs on the Python paths.
+_INT64_LIMIT = 2**62
+
+_UNBUILT = object()
 
 
 @dataclass(frozen=True)
@@ -143,9 +168,11 @@ class ChunkView:
         """Per-level ``(start, stop_inclusive, step)`` ranges, when separable.
 
         The chunk's iterations are then exactly the cartesian product of the
-        ranges in level order — what the vectorized backend turns into
-        ``np.arange`` + ``meshgrid`` index arrays.  ``None`` when the chunk
-        is not a product (bounds coupled to non-parallel levels).
+        ranges in level order.  Only the vectorized backend reads this: it
+        turns the ranges into ``np.arange`` + ``meshgrid`` index arrays.
+        The native kernels read the plan's key and bound tables instead.
+        ``None`` when the chunk is not a product (bounds coupled to
+        non-parallel levels, or shifting partition targets).
         """
         return self.plan.chunk_value_ranges(self.key)
 
@@ -374,12 +401,13 @@ class ExecutionPlan:
         self._key_list: Optional[List[ChunkKey]] = None
         self._size_list: Optional[List[int]] = None
         self._chunk_count: Optional[int] = None
-        # Per-key (start, stop, step) ranges — O(#chunks * depth) small ints,
-        # like the key list.  Each entry is the one bound evaluation per
-        # chunk level (integer floor division, see fourier_motzkin) that
-        # chunk_sizes(), the vectorized backend and the native packer share,
-        # and that repeated executions of a warm plan reuse.
+        # Per-key (start, stop, step) ranges of separable chunks, for the
+        # vectorized backend and the per-key chunk_size reference.
         self._ranges_cache: Dict[ChunkKey, Optional[List[Tuple[int, int, int]]]] = {}
+        # The int64 tables, built on first use (the bound table stays None
+        # when the overflow guard refuses the plan).
+        self._bound_table_cache = _UNBUILT
+        self._key_table_cache: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # bound evaluation
@@ -421,6 +449,32 @@ class ExecutionPlan:
             value = int(iteration[k])
             parallel.append(value // block if block > 1 else value)
         return (tuple(parallel), self._label_of(iteration))
+
+    def _key_row(self, key: ChunkKey) -> List[int]:
+        """One key as ``depth`` ints: the parallel value (or block index)
+        of a parallel level, the label component of a partitioned level,
+        0 for a sequential level — the row layout of :meth:`key_table`."""
+        parallel_values, label = key
+        if len(parallel_values) != len(self.parallel_levels):
+            raise CodegenError("chunk key has the wrong number of parallel values")
+        if len(label) != len(self.partition_levels):
+            raise CodegenError("chunk key has the wrong partition label length")
+        row = [0] * self.depth
+        for level, value in zip(self.parallel_levels, parallel_values):
+            row[level] = int(value)
+        for level, value in zip(self.partition_levels, label):
+            row[level] = int(value)
+        return row
+
+    def key_rows(self, keys: Sequence[ChunkKey]) -> np.ndarray:
+        """The ``(len(keys), depth)`` int64 key rows of the given keys."""
+        rows = np.zeros((len(keys), self.depth), dtype=np.int64)
+        if keys:
+            if self.parallel_levels:
+                rows[:, list(self.parallel_levels)] = [key[0] for key in keys]
+            if self.partition_levels:
+                rows[:, list(self.partition_levels)] = [key[1] for key in keys]
+        return rows
 
     # ------------------------------------------------------------------ #
     # chunk discovery (keys in first-appearance order)
@@ -515,6 +569,30 @@ class ExecutionPlan:
     # ------------------------------------------------------------------ #
     # per-chunk iteration
     # ------------------------------------------------------------------ #
+    def _level_range(
+        self, level: int, prefix: Sequence[int], factors: Sequence[int], row: Sequence[int]
+    ) -> Tuple[int, int, int, int]:
+        """``(start, stop, step, target)`` of one level of a chunk's scan.
+
+        ``row`` is the chunk's key row and ``factors`` the HNF basis
+        coefficients of the outer partition levels on the current prefix.
+        A parallel level runs over its value (or its block's values), a
+        partitioned level steps by the HNF diagonal from the first value
+        congruent to its target, a sequential level runs its whole range.
+        The native kernels step through the bound table the same way.
+        """
+        spec = self.levels[level]
+        lower, upper = self._range(level, prefix)
+        if spec.role == "parallel":
+            base = row[level] * spec.block
+            return max(lower, base), min(upper, base + spec.block - 1), 1, 0
+        if spec.role == "partition":
+            s = spec.partition_pos
+            stride = spec.stride
+            target = row[level] + sum(factors[t] * self.hnf[t][s] for t in range(s))
+            return lower + ((target - lower) % stride), upper, stride, target
+        return lower, upper, 1, 0
+
     def iterations_for(self, key: ChunkKey) -> Iterator[Tuple[int, ...]]:
         """One chunk's iterations, lazily, in transformed lexicographic order.
 
@@ -522,12 +600,7 @@ class ExecutionPlan:
         value in the chunk's congruence class — the paper's generated
         ``doall`` loop form — so only the chunk's own points are visited.
         """
-        parallel_values, label = key
-        if len(parallel_values) != len(self.parallel_levels):
-            raise CodegenError("chunk key has the wrong number of parallel values")
-        if len(label) != len(self.partition_levels):
-            raise CodegenError("chunk key has the wrong partition label length")
-        value_at = dict(zip(self.parallel_levels, parallel_values))
+        row = self._key_row(key)
         prefix: List[int] = []
         factors: List[int] = []  # HNF basis coefficients of the outer partition levels
         depth = self.depth
@@ -536,36 +609,16 @@ class ExecutionPlan:
             if level == depth:
                 yield tuple(prefix)
                 return
-            spec = self.levels[level]
-            lower, upper = self._range(level, prefix)
-            if spec.role == "parallel":
-                if spec.block == 1:
-                    start = stop = value_at[level]
-                else:
-                    base = value_at[level] * spec.block
-                    start, stop = base, base + spec.block - 1
-                for value in range(max(lower, start), min(upper, stop) + 1):
-                    prefix.append(value)
-                    yield from scan(level + 1)
-                    prefix.pop()
-            elif spec.role == "partition":
-                s = spec.partition_pos
-                stride = spec.stride
-                target = label[s] + sum(
-                    factors[t] * self.hnf[t][s] for t in range(s)
-                )
-                start = lower + ((target - lower) % stride)
-                for value in range(start, upper + 1, stride):
-                    prefix.append(value)
-                    factors.append((value - target) // stride)
-                    yield from scan(level + 1)
+            start, stop, step, target = self._level_range(level, prefix, factors, row)
+            partitioned = self.levels[level].role == "partition"
+            for value in range(start, stop + 1, step):
+                prefix.append(value)
+                if partitioned:
+                    factors.append((value - target) // step)
+                yield from scan(level + 1)
+                if partitioned:
                     factors.pop()
-                    prefix.pop()
-            else:
-                for value in range(lower, upper + 1):
-                    prefix.append(value)
-                    yield from scan(level + 1)
-                    prefix.pop()
+                prefix.pop()
 
         return scan(0)
 
@@ -628,74 +681,202 @@ class ExecutionPlan:
     # closed-form statistics
     # ------------------------------------------------------------------ #
     def chunk_size(self, key: ChunkKey) -> int:
-        """Number of iterations of one chunk (closed form when separable)."""
-        if self._separable:
-            if self._fixed_targets:
-                # The product of the cached strided ranges: the native
-                # packer reads the same cache entry, so sizing and packing
-                # evaluate each chunk level's bounds once between them.
-                ranges = self.chunk_value_ranges(key)
-                if not ranges:
-                    return 0
-                size = 1
-                for start, stop, step in ranges:
-                    size *= (stop - start) // step + 1
-                return size
-            size = self._closed_chunk_size(key)
-            if size is not None:
-                return size
-        return sum(1 for _ in self.iterations_for(key))
+        """Number of iterations of one chunk.
 
-    def _closed_chunk_size(self, key: ChunkKey) -> Optional[int]:
-        """Per-level product for separable plans whose targets shift."""
-        parallel_values, label = key
-        value_at = dict(zip(self.parallel_levels, parallel_values))
-        prefix = [
-            value_at.get(level, 0) * self.levels[level].block
-            for level in range(self.depth)
-        ]
-        size = 1
-        for level in range(self.depth):
-            spec = self.levels[level]
-            lower, upper = self._range(level, prefix)
-            extent = upper - lower + 1
-            if spec.role == "parallel":
-                if spec.block == 1:
-                    if not lower <= value_at[level] <= upper:
-                        return 0
-                else:
-                    base = value_at[level] * spec.block
-                    overlap = min(upper, base + spec.block - 1) - max(lower, base) + 1
-                    if overlap <= 0:
-                        return 0
-                    size *= overlap
-            elif spec.role == "partition":
-                stride = spec.stride
-                if extent <= 0:
-                    return 0
-                if extent % stride == 0:
-                    # Every congruence class has exactly extent/stride
-                    # members, whatever the (possibly shifting) target.
-                    size *= extent // stride
-                elif self._fixed_target_at[spec.partition_pos]:
-                    s = spec.partition_pos
-                    start = lower + ((label[s] - lower) % stride)
-                    if start > upper:
-                        return 0
-                    size *= (upper - start) // stride + 1
-                else:
-                    # The class's member count depends on outer partition
-                    # values; no per-level product exists.
-                    return None
-            else:
-                size *= max(0, extent)
-        return size
+        Separable chunks with fixed targets multiply their per-level range
+        lengths.  Every other chunk is scanned like :meth:`iterations_for`
+        over all levels but the innermost, whose strided range is counted
+        in closed form — the loop structure the native kernel runs.
+        """
+        if self._separable and self._fixed_targets:
+            ranges = self.chunk_value_ranges(key)
+            if not ranges:
+                return 0
+            size = 1
+            for start, stop, step in ranges:
+                size *= (stop - start) // step + 1
+            return size
+        return self._scanned_chunk_size(key)
+
+    def _scanned_chunk_size(self, key: ChunkKey) -> int:
+        row = self._key_row(key)
+        prefix: List[int] = []
+        factors: List[int] = []
+        innermost = self.depth - 1
+
+        def count(level: int) -> int:
+            start, stop, step, target = self._level_range(level, prefix, factors, row)
+            if level == innermost:
+                return max(0, (stop - start) // step + 1)
+            partitioned = self.levels[level].role == "partition"
+            total = 0
+            for value in range(start, stop + 1, step):
+                prefix.append(value)
+                if partitioned:
+                    factors.append((value - target) // step)
+                total += count(level + 1)
+                if partitioned:
+                    factors.pop()
+                prefix.pop()
+            return total
+
+        return count(0) if self.depth else 1
 
     def chunk_sizes(self) -> List[int]:
-        """Sizes of all chunks in schedule order (cached)."""
+        """Sizes of all chunks in schedule order (cached).
+
+        Separable plans with fixed targets evaluate the bound table over the
+        key table's columns with NumPy, one vector operation per level; the
+        others (and plans the overflow guard refuses) size chunk by chunk.
+        """
         if self._size_list is None:
-            self._size_list = [self.chunk_size(key) for key in self.key_list()]
+            sizes = None
+            if self._separable and self._fixed_targets:
+                sizes = self._table_chunk_sizes()
+            if sizes is None:
+                sizes = [self.chunk_size(key) for key in self.key_list()]
+            self._size_list = sizes
         return self._size_list
+
+    def _table_chunk_sizes(self) -> Optional[List[int]]:
+        table = self.bound_table()
+        if table is None:
+            return None
+        keys = self.key_table()
+        depth = self.depth
+        header = len(LEVEL_FIELDS) + depth
+        width = depth + 2
+        sizes = np.ones(keys.shape[0], dtype=np.int64)
+        for level in range(depth):
+            role, step, n_lower, n_upper, offset = (
+                int(x) for x in table[level * header : level * header + len(LEVEL_FIELDS)]
+            )
+            exprs = table[offset : offset + (n_lower + n_upper) * width].reshape(-1, width)
+            # Separable bounds read only unblocked parallel levels, whose key
+            # column is the level's value; every other numerator is 0.
+            numerators = keys @ exprs[:, 2:].T + exprs[:, 1]
+            denominators = exprs[:, 0]
+            lower = (-(-numerators[:, :n_lower] // denominators[:n_lower])).max(axis=1)
+            upper = (numerators[:, n_lower:] // denominators[n_lower:]).min(axis=1)
+            column = keys[:, level]
+            if role == ROLE_CODES["parallel"]:
+                base = column * step
+                count = np.minimum(upper, base + step - 1) - np.maximum(lower, base) + 1
+            elif role == ROLE_CODES["partition"]:
+                # Fixed targets: the congruence class is the label itself.
+                start = lower + (column - lower) % step
+                count = (upper - start) // step + 1
+            else:
+                count = upper - lower + 1
+            sizes *= np.maximum(count, 0)
+        return sizes.tolist()
+
+    # ------------------------------------------------------------------ #
+    # int64 tables: what the native kernels and the NumPy sizing read
+    # ------------------------------------------------------------------ #
+    def bound_table(self) -> Optional[np.ndarray]:
+        """The plan's levels and bounds as one flat int64 array (cached).
+
+        Level ``k``'s header sits at ``k * (len(LEVEL_FIELDS) + depth)``:
+        its role code (:data:`ROLE_CODES`), its step (the block of a
+        parallel level, the HNF diagonal of a partitioned one, 1 for a
+        sequential one), its lower and upper expression counts, the offset
+        of its expressions, then ``depth`` shift entries — ``shift[u]`` is
+        ``hnf[pos(u)][pos(k)]`` when levels ``u < k`` and ``k`` are both
+        partitioned, else 0, so a partitioned level's congruence target is
+        ``row[k] + sum(shift[u] * factor[u])``.  Each expression is
+        ``depth + 2`` ints, the integer form of its
+        :class:`~repro.intlin.fourier_motzkin.BoundExpression`:
+        ``denominator, numerator_constant, numerators...`` (zero-padded);
+        the lower bounds come first, the upper bounds right after them.
+
+        ``None`` when some intermediate value of the kernels or the NumPy
+        sizing could reach ``2**62`` (or a level is unbounded); callers
+        then take the Python paths.
+        """
+        if self._bound_table_cache is _UNBUILT:
+            self._bound_table_cache = self._build_bound_table()
+        return self._bound_table_cache
+
+    def key_table(self) -> Optional[np.ndarray]:
+        """Every chunk's key row, in schedule order: a C-contiguous
+        ``(chunk_count, depth)`` int64 array (cached).  ``None`` exactly
+        when :meth:`bound_table` is ``None``."""
+        if self._key_table_cache is None and self.bound_table() is not None:
+            self._key_table_cache = self.key_rows(self.key_list())
+        return self._key_table_cache
+
+    def _build_bound_table(self) -> Optional[np.ndarray]:
+        depth = self.depth
+        header = len(LEVEL_FIELDS) + depth
+        table: List[int] = [0] * (depth * header)
+        # Conservative value intervals of every level (interval arithmetic
+        # over the outer intervals), and of every partition target and HNF
+        # factor, bound all the magnitudes the tables' readers compute.
+        low: List[int] = []
+        high: List[int] = []
+        factor_bound: List[int] = []
+        peak = self.total_iterations
+        for level, spec in enumerate(self.levels):
+            bounds = spec.bounds
+            if not bounds.lowers or not bounds.uppers:
+                return None
+            magnitude = [max(abs(a), abs(b)) for a, b in zip(low, high)]
+            accumulated = 0
+            lowest: Optional[int] = None
+            highest: Optional[int] = None
+            start = len(table)
+            for is_upper, exprs in ((False, bounds.lowers), (True, bounds.uppers)):
+                for expr in exprs:
+                    numerators = list(expr.numerators) + [0] * (depth - len(expr.numerators))
+                    table.extend([expr.denominator, expr.numerator_constant, *numerators])
+                    least = most = expr.numerator_constant
+                    for t, coeff in enumerate(expr.numerators):
+                        least += min(coeff * low[t], coeff * high[t])
+                        most += max(coeff * low[t], coeff * high[t])
+                    accumulated = max(
+                        accumulated,
+                        abs(expr.numerator_constant)
+                        + sum(abs(c) * m for c, m in zip(expr.numerators, magnitude)),
+                        expr.denominator,
+                        *(abs(c) for c in numerators),
+                    )
+                    if is_upper:
+                        value = most // expr.denominator
+                        highest = value if highest is None else min(highest, value)
+                    else:
+                        value = -(-least // expr.denominator)
+                        lowest = value if lowest is None else max(lowest, value)
+            low.append(lowest)
+            high.append(highest)
+            step = spec.block if spec.role == "parallel" else spec.stride
+            shifts = [0] * depth
+            target = 0
+            if spec.role == "partition":
+                s = spec.partition_pos
+                for t in range(s):
+                    shifts[self.partition_levels[t]] = self.hnf[t][s]
+                target = step + sum(
+                    abs(shift) * bound for shift, bound in zip(shifts, factor_bound)
+                )
+            value_bound = max(abs(lowest), abs(highest))
+            factor_bound.append(value_bound + target)
+            table[level * header : (level + 1) * header] = [
+                ROLE_CODES[spec.role],
+                step,
+                len(bounds.lowers),
+                len(bounds.uppers),
+                start,
+                *shifts,
+            ]
+            peak = max(
+                peak,
+                accumulated + target + value_bound + 2 * step,
+                *(abs(shift) for shift in shifts),
+            )
+        if peak >= _INT64_LIMIT:
+            return None
+        return np.asarray(table, dtype=np.int64)
 
     @property
     def chunk_count(self) -> int:

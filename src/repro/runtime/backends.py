@@ -688,23 +688,29 @@ class VectorizedBackend(ExecutionBackend):
 # ---------------------------------------------------------------------------
 
 class NativeBackend(ExecutionBackend):
-    """Machine-code execution of the plan's strided chunk ranges.
+    """Machine-code execution of the plan's chunks.
 
-    The plan already describes every chunk as per-level ``(start, stop,
-    step)`` ranges; :mod:`repro.codegen.native` compiles one specialized
-    kernel per canonical program (Numba ``@njit`` when available, else
-    generated C through the system compiler + ctypes) that runs all selected
-    chunks as nested native loops directly on the store's float64 buffers —
-    zero per-iteration Python work, GIL released for the duration of a call.
+    :mod:`repro.codegen.native` compiles one specialized kernel per
+    canonical program (Numba ``@njit`` when available, else generated C
+    through the system compiler + ctypes).  A run hands it the key rows of
+    the selected chunks and the plan's bound table
+    (:meth:`~repro.plan.ExecutionPlan.key_table`,
+    :meth:`~repro.plan.ExecutionPlan.bound_table`); the kernel evaluates
+    each level's bounds and steps every chunk as nested native loops
+    directly on the store's float64 buffers — zero per-iteration Python
+    work, GIL released for the duration of a call.  Every plan shape
+    compiles: shifting partition targets, coupled bounds and coalesced
+    blocks included.
 
     The backend degrades automatically: when no engine is available, the
-    nest uses expressions outside the kernel subset, a chunk is not
-    separable into strided ranges, or an array's layout cannot be
+    nest uses expressions outside the kernel subset, the plan's int64
+    overflow guard refuses its tables, or an array's layout cannot be
     marshalled, the run is delegated to the vectorized backend (itself
-    pinned bit-identical to the interpreter).  The instance carries only
-    configuration — kernels live in the module-level cache — so it pickles
-    cheaply into shared-pool programs, and every worker reuses the parent's
-    on-disk kernel artifact instead of recompiling.
+    pinned bit-identical to the interpreter) and ``stats["fallback_runs"]``
+    counts it.  The instance carries only configuration — kernels live in
+    the module-level cache — so it pickles cheaply into shared-pool
+    programs, and every worker reuses the parent's on-disk kernel artifact
+    instead of recompiling.
 
     Compile time is charged to the executor's setup window via
     :meth:`prepare_plan`, never to measured execution time.
@@ -759,14 +765,13 @@ class NativeBackend(ExecutionBackend):
         packed = native_codegen.packed_ranges_for(plan, chunk_indices)
         if packed is None:
             return self._delegate_plan(transformed, plan, store, chunk_indices)
-        n_chunks, ranges = packed
-        code = program.execute(store, ranges, n_chunks)
+        code = program.execute(store, packed)
         if code is None:
             return self._delegate_plan(transformed, plan, store, chunk_indices)
         if code != native_codegen.OK:
             self._raise_native_error(code, transformed)
         self.stats["native_runs"] += 1
-        self.stats["native_chunks"] += n_chunks
+        self.stats["native_chunks"] += packed.n_chunks
         self.last_execution_engine = f"native-{program.kernel.engine}"
         return store
 
@@ -776,8 +781,8 @@ class NativeBackend(ExecutionBackend):
     def supports_parallel_plan(self, transformed, plan) -> bool:
         """Whether :meth:`execute_plan_parallel` can run this plan in-kernel.
 
-        Compiles the kernel and builds the whole-plan packed table as a side
-        effect (both cached), so call this inside the setup window.
+        Compiles the kernel and builds the plan's key and bound tables as a
+        side effect (all cached), so call this inside the setup window.
         """
         if plan is None:
             return False
@@ -807,34 +812,30 @@ class NativeBackend(ExecutionBackend):
         packed = native_codegen.packed_ranges_for(plan, chunk_indices)
         if packed is None:
             return None
-        n_chunks, ranges = packed
-        code = program.execute_parallel(store, ranges, n_chunks, threads, dynamic)
+        code = program.execute_parallel(store, packed, threads, dynamic)
         if code is None:
             return None
         if code != native_codegen.OK:
             self._raise_native_error(code, transformed)
         self.stats["native_runs"] += 1
-        self.stats["native_chunks"] += n_chunks
+        self.stats["native_chunks"] += packed.n_chunks
         label = f"native-{program.kernel.engine}-{program.kernel.flavor}"
         self.last_execution_engine = label
         return label
 
     def execute_chunk(self, transformed, chunk, store) -> None:
-        # The thread executor submits plan chunk views one by one; chunks
-        # without a strided-range form delegate.
-        ranges = chunk.value_ranges()
-        if ranges is not None:
-            program = native_codegen.native_program_for(transformed, self.engine)
-            if program is not None:
-                if not ranges:
-                    return
-                packed = native_codegen.pack_ranges([ranges], transformed.depth)
-                code = program.execute(store, packed, 1)
-                if code is not None:
-                    if code != native_codegen.OK:
-                        self._raise_native_error(code, transformed)
-                    self.stats["native_chunks"] += 1
-                    return
+        # The thread executor submits plan chunk views one by one: each
+        # runs as one key row against the plan's bound table.
+        program = native_codegen.native_program_for(transformed, self.engine)
+        bounds = chunk.plan.bound_table() if program is not None else None
+        if bounds is not None:
+            keys = chunk.plan.key_rows([chunk.key]).reshape(-1)
+            code = program.execute(store, native_codegen.PackedChunks(1, keys, bounds))
+            if code is not None:
+                if code != native_codegen.OK:
+                    self._raise_native_error(code, transformed)
+                self.stats["native_chunks"] += 1
+                return
         self.stats["fallback_runs"] += 1
         self._fallback.execute_chunk(transformed, chunk, store)
 

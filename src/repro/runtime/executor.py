@@ -256,7 +256,7 @@ class ParallelExecutor:
                 )
             setup += extra_setup
         else:
-            elapsed, extra_setup, fallback = self._run_shared(
+            elapsed, extra_setup, fallback, shared_engine = self._run_shared(
                 transformed, store, plan, chunk_sizes, key
             )
             setup += extra_setup
@@ -264,8 +264,8 @@ class ParallelExecutor:
         # reports its driver label; thread mode executes chunk-granularly
         # (where the vectorized backend delegates); a serial run may have
         # fallen back dynamically (narrow schedule, unvectorizable body,
-        # failed independence check).  Shared mode reports the requested
-        # backend; each worker decides on its own view of the store.
+        # failed independence check).  Shared mode reports the engine its
+        # workers ran when they all agree, else the requested backend.
         if engine is not None:
             effective = engine
         elif self.mode in ("threads", "native-parallel"):
@@ -273,7 +273,7 @@ class ParallelExecutor:
         elif self.mode == "serial":
             effective = getattr(self.backend, "last_execution_engine", self.backend.name)
         else:
-            effective = self.backend.name
+            effective = shared_engine or self.backend.name
         return ExecutionResult(
             store=store,
             mode=self.mode,
@@ -482,9 +482,12 @@ class ParallelExecutor:
         plan: ExecutionPlan,
         chunk_sizes: Tuple[int, ...],
         key: Optional[str],
-    ) -> Tuple[float, float, Optional[str]]:
+    ) -> Tuple[float, float, Optional[str], Optional[str]]:
+        """Run the groups on the pool: ``(elapsed, setup, fallback note,
+        engine)``, the engine being the one every worker reported (None
+        when they differ)."""
         if not chunk_sizes:
-            return 0.0, 0.0, None
+            return 0.0, 0.0, None, None
         setup_start = time.perf_counter()
         if self._pool is None:
             self._pool = WorkerPool(workers=self.workers)
@@ -500,14 +503,14 @@ class ParallelExecutor:
             start = time.perf_counter()
             # The pool's program cache is keyed by identity, so a repeated
             # run with the same plan object ships the program only once.
-            group_seconds = pool.run_job(
+            outcomes = pool.run_job(
                 transformed, self.backend, plan, shared.spec, groups
             )
             elapsed = time.perf_counter() - start
             if key is not None:
                 # Workers time their own group executions (queue latency
                 # excluded), so the feedback reflects pure chunk cost.
-                for group_index, seconds in group_seconds.items():
+                for group_index, (seconds, _) in outcomes.items():
                     group = groups[group_index]
                     self.telemetry.record_group(
                         key, group, [chunk_sizes[i] for i in group], seconds
@@ -515,7 +518,8 @@ class ParallelExecutor:
             post_start = time.perf_counter()
             shared.copy_to(store)
             setup += time.perf_counter() - post_start
-            return elapsed, setup, None
+            engines = {engine for _, engine in outcomes.values()}
+            return elapsed, setup, None, engines.pop() if len(engines) == 1 else None
         except WorkerCrashed as crash:
             # Infrastructure failure: the parent's store is untouched (all
             # writes went to the shared segments), so discard the pool and
@@ -526,7 +530,8 @@ class ParallelExecutor:
             start = time.perf_counter()
             self.backend.execute_plan(transformed, plan, store)
             elapsed = time.perf_counter() - start
-            return elapsed, setup, f"worker crash, serial fallback ({crash})"
+            engine = getattr(self.backend, "last_execution_engine", None)
+            return elapsed, setup, f"worker crash, serial fallback ({crash})", engine
         except ExecutionError:
             # A worker *reported* the error the loop itself raised (window
             # violation, division by zero, ...): propagate it exactly like a

@@ -19,10 +19,11 @@ What crosses the process boundary, and when:
 * a **run task** is a tiny message ``(job id, program token, store spec,
   chunk indices)`` — workers enumerate the chunks at those schedule
   positions lazily;
-* a **result** is ``(job id, group index, elapsed seconds)`` — the
+* a **result** is ``(job id, group index, elapsed seconds, engine)`` — the
   worker-measured wall clock of the group's execution, which feeds the
-  executor's :class:`~repro.runtime.telemetry.ExecutionTelemetry` — or an
-  error string plus traceback when the group failed.
+  executor's :class:`~repro.runtime.telemetry.ExecutionTelemetry`, and the
+  engine that ran it (e.g. ``"native-cc"``) — or an error string plus
+  traceback when the group failed.
 
 Failure semantics: a worker that *reports* an exception (window violation,
 division by zero, ...) makes :meth:`WorkerPool.run_job` raise
@@ -71,8 +72,9 @@ class _WorkerProgram:
         self.backend = backend
         self.plan = plan
 
-    def execute(self, store, chunk_indices: Tuple[int, ...]) -> None:
-        """Execute one group's chunks in place, enumerated from the plan.
+    def execute(self, store, chunk_indices: Tuple[int, ...]) -> str:
+        """Execute one group's chunks in place, enumerated from the plan;
+        returns the engine that ran them.
 
         Deliberately *not* routed through the backend's in-kernel parallel
         driver: shared-mode pools already run one worker process per core,
@@ -83,6 +85,7 @@ class _WorkerProgram:
         self.backend.execute_plan(
             self.transformed, self.plan, store, chunk_indices=chunk_indices
         )
+        return getattr(self.backend, "last_execution_engine", self.backend.name)
 
     def close(self) -> None:
         self.plan = None
@@ -126,9 +129,9 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
             while len(stores) > _WORKER_STORE_CACHE:
                 stores.popitem(last=False)[1].close()
             start = time.perf_counter()
-            program.execute(store, chunk_indices)
+            engine = program.execute(store, chunk_indices)
             elapsed = time.perf_counter() - start
-            result_queue.put(("done", job_id, group_index, elapsed, None))
+            result_queue.put(("done", job_id, group_index, elapsed, engine))
         except BaseException as exc:
             result_queue.put(
                 ("error", job_id, group_index, f"{type(exc).__name__}: {exc}",
@@ -236,13 +239,14 @@ class WorkerPool:
         plan: ExecutionPlan,
         store_spec: SharedStoreSpec,
         groups: Sequence[Tuple[int, ...]],
-    ) -> Dict[int, float]:
+    ) -> Dict[int, Tuple[float, str]]:
         """Execute ``groups`` (tuples of chunk indices) on the shared store.
 
         ``plan`` is the nest's :class:`~repro.plan.ExecutionPlan`, pickled
         to each worker once per program.  Blocks until every group finished
-        and returns the worker-measured wall clock of each group (group
-        index → seconds), the raw material of the executor's telemetry.
+        and returns, per group index, the worker-measured wall clock of the
+        group (the raw material of the executor's telemetry) and the engine
+        that ran it.
         Raises ``ExecutionError`` for a worker-reported failure and
         :class:`WorkerCrashed` when a worker dies; after a crash the pool
         must be discarded (``close``).
@@ -268,7 +272,7 @@ class WorkerPool:
                  tuple(int(i) for i in chunk_indices))
             )
         pending = set(range(len(groups)))
-        timings: Dict[int, float] = {}
+        outcomes: Dict[int, Tuple[float, str]] = {}
         first_error = None
         while pending:
             try:
@@ -282,8 +286,8 @@ class WorkerPool:
                     ) from None
                 continue
             # ``payload`` is the measured seconds on "done" and the error
-            # string on "error" (the trace slot is only set for errors).
-            kind, message_job, group_index, payload, trace = message
+            # string on "error"; ``detail`` is the engine or the traceback.
+            kind, message_job, group_index, payload, detail = message
             if message_job != job_id:
                 continue  # stale result from an earlier job
             pending.discard(group_index)
@@ -292,15 +296,15 @@ class WorkerPool:
             # reuse the segments while old results trickle in.
             if kind == "error":
                 if first_error is None:
-                    first_error = (group_index, payload, trace)
-            elif payload is not None:
-                timings[group_index] = float(payload)
+                    first_error = (group_index, payload, detail)
+            else:
+                outcomes[group_index] = (float(payload), detail)
         if first_error is not None:
             group_index, error, trace = first_error
             raise ExecutionError(
                 f"group {group_index} failed in the worker pool: {error}\n{trace}"
             )
-        return timings
+        return outcomes
 
     # ------------------------------------------------------------------ #
     def close(self, timeout: float = 2.0) -> None:

@@ -4,10 +4,10 @@ PR 10 moves the parallel-for over chunks *into* the compiled kernel: one
 native call executes the whole plan on N OS threads (OpenMP / pthreads /
 ``numba.prange``).  This suite pins:
 
-* ``pack_ranges``/``packed_ranges_for`` edge cases — empty selections,
-  single-chunk plans, group selections spanning the plan — and the
-  packing-once contract (the whole-plan table is built exactly once per
-  plan; selections are row slices of it),
+* ``packed_ranges_for`` edge cases — empty selections, single-chunk
+  plans, group selections spanning the plan — and the packing contract:
+  every plan packs, the key table is built once per plan, a selection is
+  a row gather from it that evaluates no bound and never grows the plan,
 * the differential contract: the parallel driver is bit-identical to
   serial native and to the interpreter on the workload suite and seeded
   random nests, under thread counts 1/2/8 and both schedules,
@@ -35,6 +35,7 @@ from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
 from repro.exceptions import ExecutionError
 from repro.loopnest.builder import loop_nest
+from repro.plan import ExecutionPlan, optimize_plan
 from repro.plan.ir import ChunkView
 from repro.runtime.arrays import ArrayStore, OffsetArray, store_for_nest
 from repro.runtime.backends import NativeBackend
@@ -89,18 +90,27 @@ def _random_nest(rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# pack_ranges / packed_ranges_for edge cases (satellite)
+# packed_ranges_for: row gathers from the plan's key table
 # ---------------------------------------------------------------------------
 
 class TestPackedRanges:
-    def test_pack_ranges_empty_input(self):
-        flat = native_codegen.pack_ranges([], 2)
-        assert flat.dtype == np.int64 and flat.size == 0
+    def test_empty_selection_runs_no_chunk(self):
+        _, _, transformed = _reference_and_transformed(example_4_1(8))
+        plan = transformed.execution_plan()
+        packed = native_codegen.packed_ranges_for(plan, chunk_indices=[])
+        assert packed.keys.dtype == np.int64 and packed.keys.flags["C_CONTIGUOUS"]
+        assert packed.bounds is plan.bound_table()
+        program = native_codegen.native_program_for(transformed)
+        if program is not None:
+            store = store_for_nest(example_4_1(8))
+            untouched = store.copy()
+            assert program.execute(store, packed) == native_codegen.OK
+            assert untouched.identical(store)
 
     def test_empty_selection_packs_to_zero_chunks(self):
         _, _, transformed = _reference_and_transformed(example_4_1(8))
         plan = transformed.execution_plan()
-        n_chunks, flat = native_codegen.packed_ranges_for(plan, chunk_indices=())
+        n_chunks, flat, _ = native_codegen.packed_ranges_for(plan, chunk_indices=())
         assert n_chunks == 0
         assert flat.size == 0
 
@@ -118,22 +128,19 @@ class TestPackedRanges:
         whole = native_codegen.packed_ranges_for(plan)
         only = native_codegen.packed_ranges_for(plan, chunk_indices=(0,))
         assert whole is not None and only is not None
-        assert whole[0] == only[0] == 1
-        assert np.array_equal(whole[1], only[1])
-        assert whole[1].size == plan.depth * 3
+        assert whole.n_chunks == only.n_chunks == 1
+        assert np.array_equal(whole.keys, only.keys)
+        assert whole.keys.size == plan.depth
 
     def test_selection_slices_match_direct_packing(self):
         _, _, transformed = _reference_and_transformed(example_4_1(10))
         plan = transformed.execution_plan()
         views = plan.select_chunks(None)
         indices = tuple(range(0, len(views), 2))
-        n_chunks, flat = native_codegen.packed_ranges_for(plan, chunk_indices=indices)
-        expected = [views[i].value_ranges() for i in indices]
-        expected = [ranges for ranges in expected if ranges]
-        assert n_chunks == len(expected)
-        assert np.array_equal(
-            flat, native_codegen.pack_ranges(expected, plan.depth)
-        )
+        n_chunks, flat, _ = native_codegen.packed_ranges_for(plan, chunk_indices=indices)
+        assert n_chunks == len(indices)
+        expected = plan.key_rows([views[i].key for i in indices])
+        assert np.array_equal(flat, expected.reshape(-1))
 
     def test_whole_plan_equals_all_indices_selection(self):
         _, _, transformed = _reference_and_transformed(example_4_1(9))
@@ -144,60 +151,72 @@ class TestPackedRanges:
         assert whole[0] == explicit[0]
         assert np.array_equal(whole[1], explicit[1])
 
-    def test_non_separable_plan_packs_to_none(self):
-        # Example 4.2's full-rank PDM yields lattice chunks that are not
-        # strided ranges; the packer must refuse them (callers fall back).
-        _, _, transformed = _reference_and_transformed(example_4_2(8))
-        plan = transformed.execution_plan()
-        assert native_codegen.packed_ranges_for(plan) is None
-        assert native_codegen.packed_ranges_for(plan, (0,)) is None
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_every_suite_plan_packs(self, n):
+        # Shifting partition targets (example 4.2's HNF ((2,1),(0,2))),
+        # coupled bounds and coalesced blocks all pack: the kernel scans
+        # the bound table instead of requiring strided boxes.
+        for case in workload_suite(n):
+            plan = TransformedLoopNest.from_report(analyze_nest(case.nest)).execution_plan()
+            coalesced, _ = optimize_plan(plan, passes=("coalesce",))
+            for variant in (plan, coalesced):
+                packed = native_codegen.packed_ranges_for(variant)
+                assert packed is not None, case.name
+                assert packed.n_chunks == variant.chunk_count, case.name
+                assert packed.keys.size == variant.chunk_count * variant.depth
 
     def test_group_selections_match_direct_packing(self):
         # Balanced groups select scattered chunk indices; each group's
-        # packed slice must equal packing its own chunks directly, and the
-        # groups together cover the plan exactly once.
-        _, _, transformed = _reference_and_transformed(example_4_1(8))
+        # packed rows must equal its own chunks' key rows, and the groups
+        # together cover the plan exactly once.
+        _, _, transformed = _reference_and_transformed(example_4_2(8))
         plan = transformed.execution_plan()
         total = len(plan.select_chunks(None))
         groups = ParallelExecutor(workers=3).groups_for(plan.chunk_sizes())
         seen = 0
         for group in groups:
             packed = native_codegen.packed_ranges_for(plan, group)
-            direct = [view.value_ranges() for view in plan.select_chunks(group)]
-            direct = [ranges for ranges in direct if ranges]
-            assert packed[0] == len(direct)
-            assert np.array_equal(
-                packed[1], native_codegen.pack_ranges(direct, plan.depth)
-            )
+            direct = plan.key_rows([view.key for view in plan.select_chunks(group)])
+            assert packed.n_chunks == len(group)
+            assert np.array_equal(packed.keys, direct.reshape(-1))
             seen += len(group)
         assert seen == total
 
-    def test_packing_happens_once_per_plan(self, monkeypatch):
-        """Regression: selections slice the cached whole-plan table.
+    @pytest.mark.parametrize(
+        "nest", [example_4_1(10), example_4_2(9)], ids=["example-4.1", "example-4.2"]
+    )
+    def test_packing_evaluates_no_bound(self, nest, monkeypatch):
+        """Regression: packing is a row gather, never a bound evaluation.
 
-        ``value_ranges`` used to be re-gathered for every distinct group
-        selection; now it runs exactly once per chunk per plan, no matter
-        how many selections are requested.
+        Discovery evaluates bounds to find the keys; after it, the whole
+        plan and any number of selections pack without one ``_range``
+        call, and the key table is built exactly once.
         """
-        _, _, transformed = _reference_and_transformed(example_4_1(10))
+        _, _, transformed = _reference_and_transformed(nest)
         plan = transformed.execution_plan()
-        num_chunks = len(plan.select_chunks(None))
-        calls = {"n": 0}
-        original = ChunkView.value_ranges
+        num_chunks = len(plan.key_list())  # discovery is not counted
+        calls = {"range": 0, "rows": 0}
+        bound_range = ExecutionPlan._range
+        key_rows = ExecutionPlan.key_rows
 
-        def counting(self):
-            calls["n"] += 1
-            return original(self)
+        def counting_range(self, level, prefix):
+            calls["range"] += 1
+            return bound_range(self, level, prefix)
 
-        monkeypatch.setattr(ChunkView, "value_ranges", counting)
+        def counting_rows(self, keys):
+            calls["rows"] += 1
+            return key_rows(self, keys)
+
+        monkeypatch.setattr(ExecutionPlan, "_range", counting_range)
+        monkeypatch.setattr(ExecutionPlan, "key_rows", counting_rows)
         native_codegen.packed_ranges_for(plan)
         native_codegen.packed_ranges_for(plan, tuple(range(0, num_chunks, 2)))
         native_codegen.packed_ranges_for(plan, tuple(range(1, num_chunks, 2)))
         native_codegen.packed_ranges_for(plan, (0,))
-        assert calls["n"] == num_chunks
+        assert calls == {"range": 0, "rows": 1}
 
-    def test_repeated_selection_hits_the_selection_memo(self, monkeypatch):
-        """Selections reuse the one whole-plan memo and never add their own.
+    def test_selections_never_grow_the_plan(self, monkeypatch):
+        """Selections gather from the one key table and add no memo.
 
         Telemetry-driven balancing regroups chunks as costs move, so a
         per-selection memo would grow a long-lived plan without bound.
@@ -207,7 +226,7 @@ class TestPackedRanges:
         first = native_codegen.packed_ranges_for(plan, (0, 1))
         monkeypatch.setattr(
             ChunkView, "value_ranges",
-            lambda self: pytest.fail("selection memo was bypassed"),
+            lambda self: pytest.fail("packing read a chunk's value ranges"),
         )
         again = native_codegen.packed_ranges_for(plan, (0, 1))
         assert again[0] == first[0] and np.array_equal(again[1], first[1])
@@ -218,7 +237,7 @@ class TestPackedRanges:
 
         def footprint():
             return {
-                name: len(value) if isinstance(value, (dict, list, tuple)) else None
+                name: len(value) if isinstance(value, (dict, list, tuple)) else id(value)
                 for name, value in vars(plan).items()
             }
 
@@ -226,8 +245,6 @@ class TestPackedRanges:
         for selection in selections:
             native_codegen.packed_ranges_for(plan, selection)
         assert footprint() == before
-        memo = [name for name in vars(plan) if name.startswith("_repro_native_packed")]
-        assert len(memo) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +553,10 @@ class TestCcFlavors:
         assert program.kernel.flavor == "pthreads"
         assert "pthread_create" in program.kernel.source
         plan = transformed.execution_plan()
-        n_chunks, flat = native_codegen.packed_ranges_for(plan)
+        packed = native_codegen.packed_ranges_for(plan)
         for threads in THREAD_COUNTS:
             result = base.copy()
-            code = program.execute_parallel(result, flat, n_chunks, threads, True)
+            code = program.execute_parallel(result, packed, threads, True)
             assert code == native_codegen.OK
             assert ref.identical(result), f"pthreads flavor diverged at {threads}"
 
