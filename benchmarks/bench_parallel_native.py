@@ -78,7 +78,7 @@ def measure(n: int = SPEEDUP_N, threads: int = THREADS, repetitions: int = 5):
     execute_nest(nest, reference)
 
     backend = NativeBackend()
-    if not backend.supports_parallel_plan(transformed, plan):
+    if backend.parallel_plan_refusal(transformed, plan) is not None:
         return {"engine": engine, "parallel_driver": None}
     program = native_codegen.native_program_for(transformed, backend.engine)
     packed = native_codegen.packed_ranges_for(plan)

@@ -92,19 +92,17 @@ class SessionConfig:
     (:mod:`repro.plan.passes`) run over every program's execution plan
     after planning; the optimized plan is what the program LRU caches and
     the executor dispatches.  ``None`` (the default) picks by mode: the
-    dispatch-bound modes (``threads``, ``shared``) get ``("coalesce",)`` —
-    coalescing trades the round-major chunk structure for fewer per-chunk
-    dispatches, a win exactly when each chunk costs a future or a pool
-    message — while ``serial`` and ``native-parallel`` run the raw plan:
-    serial dispatch is free, and the in-kernel parallel driver runs the
-    whole plan in one native call, so neither pays per-chunk dispatch.
-    Coalesced plans run native like raw ones (the kernel scans blocked
-    levels from the plan's bound table).  An empty tuple disables
-    optimization in every mode.
+    one dispatch-bound mode, ``shared``, gets ``("coalesce",)`` —
+    coalescing trades the round-major chunk structure for fewer chunks to
+    group and ship to the pool — while ``serial`` and ``native-parallel``
+    run the raw plan: both execute the whole plan in one backend call, so
+    neither pays per-chunk dispatch.  Coalesced plans run native like raw
+    ones (the kernel scans blocked levels from the plan's bound table).
+    An empty tuple disables optimization in every mode.
 
         >>> SessionConfig().resolved_plan_passes()
         ()
-        >>> SessionConfig(mode="threads").resolved_plan_passes()
+        >>> SessionConfig(mode="shared").resolved_plan_passes()
         ('coalesce',)
 
     ``cluster`` attaches the distributed serving tier: a
@@ -188,12 +186,9 @@ class SessionConfig:
         """The pipeline this config actually runs (mode default applied)."""
         if self.plan_passes is not None:
             return self.plan_passes
-        if self.mode in ("serial", "native-parallel"):
-            # Serial dispatch is free, and the in-kernel parallel driver
-            # schedules chunks itself (one native call for the whole plan),
-            # so neither has per-chunk dispatch for coalescing to save.
-            return ()
-        return DEFAULT_PLAN_PASSES
+        # Only the pool groups and ships chunks; serial and native-parallel
+        # runs are one backend call, with no per-chunk dispatch to save.
+        return DEFAULT_PLAN_PASSES if self.mode == "shared" else ()
 
     def resolved_workers(self) -> int:
         """The worker count this config actually uses.
@@ -279,9 +274,12 @@ class Session:
     def telemetry(self):
         """The executor's measured per-chunk cost store.
 
-        Creates the executor on first access (like :attr:`executor`); the
-        gateway and the stats surface read the same store, so feedback
-        gathered by any execution path informs every balancing decision.
+        Creates the executor on first access (like :attr:`executor`).  Only
+        executions that dispatch chunk groups record into it — ``shared``
+        runs, the gateway's per-group jobs and the cluster — and the
+        gateway and the stats surface read the same store, so every
+        grouping decision sees those measurements.  Whole-plan runs
+        (``serial``, ``native-parallel``) record nothing.
 
             >>> from repro.api import Session
             >>> with Session() as session:

@@ -106,8 +106,8 @@ def _add_session_options(parser: argparse.ArgumentParser) -> None:
         default="serial",
         help="executor mode for the 'run' and 'batch' commands: 'shared' is "
         "the persistent zero-copy worker pool, 'native-parallel' the in-kernel "
-        "multithreaded driver of the native backend ('threads' auto-upgrades "
-        "to it when available) (default: serial)",
+        "multithreaded driver of the native backend (a backend without one "
+        "runs serially and reports the fallback) (default: serial)",
     )
     group.add_argument(
         "--plan-passes",
@@ -115,7 +115,7 @@ def _add_session_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="comma-separated plan optimization passes run over every "
         "execution plan after planning (default: auto — "
-        f"{','.join(DEFAULT_PLAN_PASSES)} for the dispatch-bound modes, "
+        f"{','.join(DEFAULT_PLAN_PASSES)} for shared mode, "
         "none for serial and native-parallel; available: "
         f"{', '.join(available_plan_passes())})",
     )

@@ -161,11 +161,9 @@ class ClusterWorker:
         # exec threads then stay free for protocol work while the group's
         # chunks run on native threads inside one call.  Backends without a
         # driver (or plans it cannot pack) keep the per-group call.
-        supports = getattr(self.backend, "supports_parallel_plan", None)
         use_driver = (
-            supports is not None
-            and len(request.chunk_indices) > 1
-            and supports(transformed, plan)
+            len(request.chunk_indices) > 1
+            and self.backend.parallel_plan_refusal(transformed, plan) is None
         )
         start = time.perf_counter()
         engine = None

@@ -797,6 +797,7 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
 _UNSET = object()
 _NUMBA_CACHED = _UNSET
 _OPENMP_CACHED = _UNSET
+_COMPILER_CACHED = _UNSET
 _LAST_BUILD_ERROR: Optional[str] = None
 
 
@@ -814,13 +815,16 @@ def _numba_module():
 
 
 def _find_c_compiler() -> Optional[str]:
-    for candidate in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if not candidate:
-            continue
-        path = shutil.which(candidate)
-        if path:
-            return path
-    return None
+    """Path of the C compiler (``$CC``, then cc/gcc/clang), searched once."""
+    global _COMPILER_CACHED
+    if _COMPILER_CACHED is _UNSET:
+        found = None
+        for candidate in (os.environ.get("CC"), "cc", "gcc", "clang"):
+            found = shutil.which(candidate) if candidate else None
+            if found:
+                break
+        _COMPILER_CACHED = found
+    return _COMPILER_CACHED
 
 
 _OPENMP_PROBE_SOURCE = """\
@@ -1266,13 +1270,14 @@ def kernel_cache_info() -> Dict[str, object]:
 
 def clear_kernel_cache() -> None:
     """Drop cached kernels, stats and the memoized toolchain probes."""
-    global _NUMBA_CACHED, _OPENMP_CACHED, _LAST_BUILD_ERROR
+    global _NUMBA_CACHED, _OPENMP_CACHED, _COMPILER_CACHED, _LAST_BUILD_ERROR
     with _LOCK:
         _KERNELS.clear()
         for key in _STATS:
             _STATS[key] = 0.0 if key == "build_seconds" else 0
         _NUMBA_CACHED = _UNSET
         _OPENMP_CACHED = _UNSET
+        _COMPILER_CACHED = _UNSET
         _LAST_BUILD_ERROR = None
 
 

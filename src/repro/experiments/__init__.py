@@ -1,9 +1,9 @@
 """Experiment drivers that regenerate the paper's figures and table.
 
 Each function returns plain data structures (dataclasses / dicts) so the
-benchmark harness and the example scripts can print them; the mapping from
-paper artifact to driver is listed in DESIGN.md ("Per-experiment index") and
-the measured-vs-paper record lives in EXPERIMENTS.md.
+benchmark harness and the example scripts can print them;
+``python -m repro.experiments.harness`` regenerates every figure and table,
+and the ``bench_*.py`` modules in ``benchmarks/`` gate them.
 """
 
 from repro.experiments.figures import (

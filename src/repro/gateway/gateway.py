@@ -64,7 +64,7 @@ from repro.api.session import Session
 from repro.exceptions import ExecutionError, GatewayOverloaded, WorkloadError
 from repro.loopnest.canonical import canonical_hash
 from repro.runtime.arrays import store_for_nest
-from repro.runtime.executor import ExecutionResult
+from repro.runtime.executor import DriverCall, ExecutionResult
 
 __all__ = ["GatewayConfig", "GatewayStats", "Gateway", "serve"]
 
@@ -171,7 +171,7 @@ class _Job:
         "future", "analysis", "transformed", "plan", "store", "chunk_sizes",
         "key", "result_key", "checksum", "groups_total", "groups_done",
         "program_seconds", "prepared_at", "exec_started", "exec_elapsed",
-        "failed", "admitted_at", "use_driver", "engine",
+        "failed", "admitted_at", "driver", "engine",
     )
 
     def __init__(self, future: "asyncio.Future[RunResult]"):
@@ -192,7 +192,7 @@ class _Job:
         self.exec_started: Optional[float] = None
         self.exec_elapsed = 0.0
         self.failed = False
-        self.use_driver = False
+        self.driver: Optional[DriverCall] = None
         self.engine: Optional[str] = None
 
 
@@ -399,7 +399,7 @@ class Gateway:
             raise
         (job.analysis, job.transformed, job.plan, job.store,
          job.chunk_sizes, job.key, groups, job.program_seconds,
-         job.use_driver) = prepared
+         job.driver) = prepared
         job.prepared_at = time.perf_counter()
         job.groups_total = len(groups)
         if not groups:
@@ -502,9 +502,10 @@ class Gateway:
         """Analysis stage (runs on the analysis thread pool).
 
         Reuses the session's cache and program LRU — a structurally warm
-        job costs two dict hits — then balances the plan's chunks into
-        per-worker groups with the executor's telemetry-driven balancer,
-        sized for the gateway's own execution pool.
+        job costs two dict hits — then either hands the whole plan to the
+        backend's in-kernel driver or balances its chunks into per-worker
+        groups with the executor's telemetry-driven balancer, sized for the
+        gateway's own execution pool.
         """
         session = self.session
         analysis = session._analyze_nest(nest, placement=placement, name=name)
@@ -517,36 +518,31 @@ class Gateway:
             nest, initializer=initializer or session.config.initializer
         )
         chunk_sizes = tuple(plan.chunk_sizes())
-        key = (
-            executor.telemetry_key(transformed, len(chunk_sizes))
-            if chunk_sizes else None
-        )
-        # Prefer the backend's in-kernel parallel driver: one native call
-        # runs every chunk on exec_workers OS threads, so the job becomes a
-        # single group and the per-group Python dispatch disappears.  The
-        # support probe compiles the kernel and packs the range table —
-        # analysis-stage work, exactly where it belongs.  Cluster-backed
-        # gateways keep per-group dispatch (groups drain onto the wire).
-        use_driver = False
-        supports = getattr(executor.backend, "supports_parallel_plan", None)
-        if (
-            chunk_sizes
-            and supports is not None
-            and session.cluster_scheduler is None
-            and supports(transformed, plan)
-        ):
-            use_driver = True
+        driver: Optional[DriverCall] = None
+        key: Optional[str] = None
+        groups: List[Tuple[int, ...]] = []
+        if chunk_sizes and session.cluster_scheduler is None:
+            # Prefer the in-kernel driver: one native call runs every chunk
+            # on exec_workers OS threads, so the job becomes a single group
+            # and the per-group Python dispatch disappears.  The probe
+            # compiles the kernel and builds the plan's tables — analysis-
+            # stage work, exactly where it belongs.  Cluster-backed gateways
+            # keep per-group dispatch (groups drain onto the wire).
+            driver = executor.driver_call(
+                transformed, plan, chunk_sizes, workers=self.config.exec_workers
+            )
+            if driver.refusal is not None:
+                driver = None
+        if driver is not None:
             groups = [tuple(range(len(chunk_sizes)))]
-        else:
-            groups = (
-                executor.groups_for(
-                    chunk_sizes, key, workers=self.config.exec_workers
-                )
-                if chunk_sizes else []
+        elif chunk_sizes:
+            key = executor.telemetry_key(transformed, len(chunk_sizes))
+            groups = executor.groups_for(
+                chunk_sizes, key, workers=self.config.exec_workers
             )
         return (
             analysis, transformed, plan, store, chunk_sizes, key, groups,
-            program_seconds, use_driver,
+            program_seconds, driver,
         )
 
     def _execute_group(self, job: _Job, group: Tuple[int, ...]) -> float:
@@ -568,21 +564,12 @@ class Gateway:
             scheduler.execute_group(
                 job.transformed, job.plan, job.store, group, telemetry_key=None
             )
-        elif job.use_driver:
-            # The prepare stage probed driver support, so this one call
-            # executes the whole plan on exec_workers OS threads in-kernel.
-            executor = self.session.executor
-            engine = executor.backend.execute_plan_parallel(
-                job.transformed, job.plan, job.store,
-                threads=max(1, min(self.config.exec_workers, len(job.chunk_sizes))),
-                dynamic=executor._schedule_is_dynamic(job.chunk_sizes, job.key),
+        elif job.driver is not None:
+            # The group is the whole plan: one driver call, as in the
+            # executor's native-parallel mode.
+            job.engine = self.session.executor.execute_whole_plan(
+                job.transformed, job.plan, job.store, job.driver
             )
-            if engine is None:  # pragma: no cover - probe/driver disagree
-                executor.backend.execute_plan(
-                    job.transformed, job.plan, job.store, chunk_indices=group
-                )
-            else:
-                job.engine = engine
         else:
             self.session.executor.backend.execute_plan(
                 job.transformed, job.plan, job.store, chunk_indices=group
@@ -639,11 +626,7 @@ class Gateway:
             backend=job.engine or self.session.executor.backend.name,
             setup_seconds=max(setup, 0.0),
             engine=job.engine,
-            threads=(
-                max(1, min(self.config.exec_workers, len(job.chunk_sizes)))
-                if job.engine
-                else 0
-            ),
+            threads=job.driver.threads if job.engine else 0,
         )
         job.checksum = sum(float(array.data.sum()) for array in job.store.values())
         # Executed jobs only (cache hits would drag the estimate toward 0):

@@ -34,7 +34,8 @@ Passes register by name — :func:`register_plan_pass` /
 :func:`get_plan_pass`, mirroring the backend registry — so a session can be
 configured with ``plan_passes=("coalesce",)`` strings end to end (CLI:
 ``--plan-passes`` / ``--no-plan-passes``).  ``DEFAULT_PLAN_PASSES`` is the
-pipeline the dispatch-bound session modes run unless configured otherwise:
+pipeline the dispatch-bound session mode (``shared``) runs unless
+configured otherwise:
 
     >>> from repro.plan import DEFAULT_PLAN_PASSES
     >>> DEFAULT_PLAN_PASSES
@@ -64,8 +65,8 @@ __all__ = [
     "DEFAULT_PLAN_PASSES",
 ]
 
-#: The pipeline the dispatch-bound session modes (``threads``, ``shared``)
-#: run after planning unless configured otherwise.
+#: The pipeline the dispatch-bound session mode (``shared``) runs after
+#: planning unless configured otherwise.
 DEFAULT_PLAN_PASSES: Tuple[str, ...] = ("coalesce",)
 
 

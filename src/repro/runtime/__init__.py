@@ -14,12 +14,12 @@ machine; the reproduction executes loop nests directly:
   ``multiprocessing.shared_memory`` segments,
 * :mod:`repro.runtime.pool` — a persistent worker pool whose long-lived
   processes attach to the shared segments once and execute chunks in place,
-* :mod:`repro.runtime.executor` — chunk-parallel execution (serial, thread
-  pool, the shared-memory pool or the in-kernel native driver) through a
-  selectable backend,
+* :mod:`repro.runtime.executor` — chunk-parallel execution (serial, the
+  shared-memory pool or the in-kernel native driver) through a selectable
+  backend,
 * :mod:`repro.runtime.telemetry` — measured per-chunk-group wall clock per
-  canonical program (EWMA), feeding the executor's balanced-group
-  scheduling,
+  canonical program (EWMA) from grouped executions, feeding the executor's
+  balanced-group scheduling,
 * :mod:`repro.runtime.simulator` — idealized parallel-machine model
   (work / critical path) that is independent of the CPython GIL,
 * :mod:`repro.runtime.verification` — checking that a transformation

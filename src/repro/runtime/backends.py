@@ -105,15 +105,6 @@ class ExecutionBackend:
 
     name = "abstract"
 
-    @property
-    def per_chunk_name(self) -> str:
-        """Name of the backend that actually runs under chunk-granular
-        execution (the thread executor calls :meth:`execute_chunk` per
-        chunk).  Backends that delegate there — the vectorized backend
-        needs the whole schedule to batch across chunks — override this so
-        executor results report what really executed."""
-        return self.name
-
     def execute(self, transformed: TransformedLoopNest, store: ArrayStore) -> ArrayStore:
         """Execute the whole transformed nest in a legal order (in place)."""
         return self.execute_plan(transformed, transformed.execution_plan(), store)
@@ -144,6 +135,19 @@ class ExecutionBackend:
     ) -> None:
         """Execute one chunk's iterations, in order, in place."""
         raise NotImplementedError
+
+    def parallel_plan_refusal(
+        self, transformed: TransformedLoopNest, plan: ExecutionPlan
+    ) -> Optional[str]:
+        """Why an in-kernel parallel driver cannot run ``plan`` (None: it can).
+
+        A backend returning None must implement
+        ``execute_plan_parallel(transformed, plan, store, threads=,
+        dynamic=)``, which the ``native-parallel`` executor mode calls once
+        for the whole plan.  The default has no driver; the mode then runs
+        the plan through one serial :meth:`execute_plan` call.
+        """
+        return f"backend {self.name!r} has no in-kernel parallel driver"
 
     def prepare_plan(
         self,
@@ -456,10 +460,6 @@ class VectorizedBackend(ExecutionBackend):
 
     name = "vectorized"
 
-    @property
-    def per_chunk_name(self) -> str:
-        return "compiled"
-
     def __init__(self, check_independence: bool = True, min_parallel_width: int = 8):
         self.check_independence = bool(check_independence)
         self.min_parallel_width = max(2, int(min_parallel_width))
@@ -590,13 +590,6 @@ class VectorizedBackend(ExecutionBackend):
                 offsets = tuple(off[window] for off in offset_cache[stmt.target])
                 target.data[offsets] = values
         return True
-
-    def execute_chunk(self, transformed, chunk, store) -> None:
-        # A single chunk is internally sequential — there is nothing to
-        # vectorize across, so chunk-granular execution (the thread
-        # executor) runs the compiled body.  Cross-chunk vectorization
-        # happens in :meth:`execute_plan`, which sees the whole schedule.
-        CompiledBackend().execute_chunk(transformed, chunk, store)
 
     # ------------------------------------------------------------------ #
     def _chunks_are_independent(
@@ -778,18 +771,22 @@ class NativeBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # in-kernel parallel driver
     # ------------------------------------------------------------------ #
-    def supports_parallel_plan(self, transformed, plan) -> bool:
-        """Whether :meth:`execute_plan_parallel` can run this plan in-kernel.
+    def parallel_plan_refusal(self, transformed, plan) -> Optional[str]:
+        """Why :meth:`execute_plan_parallel` cannot run this plan (None: it can).
 
         Compiles the kernel and builds the plan's key and bound tables as a
         side effect (all cached), so call this inside the setup window.
         """
-        if plan is None:
-            return False
         program = native_codegen.native_program_for(transformed, self.engine)
-        if program is None or not program.kernel.supports_parallel:
-            return False
-        return native_codegen.packed_ranges_for(plan) is not None
+        if program is None:
+            if native_codegen.resolve_engine(self.engine) is None:
+                return "no native engine"
+            return "no native kernel for this nest"
+        if not program.kernel.supports_parallel:
+            return f"the {program.kernel.engine} kernel has no parallel entry point"
+        if native_codegen.packed_ranges_for(plan) is None:
+            return "the plan's tables exceed the int64 overflow guard"
+        return None
 
     def execute_plan_parallel(
         self, transformed, plan, store, chunk_indices=None, threads=1, dynamic=True
@@ -801,7 +798,7 @@ class NativeBackend(ExecutionBackend):
         ``dynamic`` picks the schedule for engines that honour the hint.
         Returns the engine label (e.g. ``"native-cc-openmp"``) on success or
         ``None`` when the driver is unavailable — in that case nothing has
-        been written and the caller falls back to per-chunk dispatch.
+        been written and the caller runs :meth:`execute_plan` instead.
         Error parity matches the serial path: the status of the first
         failing chunk *in chunk order* is raised as the interpreter's
         exception type.
@@ -822,22 +819,6 @@ class NativeBackend(ExecutionBackend):
         label = f"native-{program.kernel.engine}-{program.kernel.flavor}"
         self.last_execution_engine = label
         return label
-
-    def execute_chunk(self, transformed, chunk, store) -> None:
-        # The thread executor submits plan chunk views one by one: each
-        # runs as one key row against the plan's bound table.
-        program = native_codegen.native_program_for(transformed, self.engine)
-        bounds = chunk.plan.bound_table() if program is not None else None
-        if bounds is not None:
-            keys = chunk.plan.key_rows([chunk.key]).reshape(-1)
-            code = program.execute(store, native_codegen.PackedChunks(1, keys, bounds))
-            if code is not None:
-                if code != native_codegen.OK:
-                    self._raise_native_error(code, transformed)
-                self.stats["native_chunks"] += 1
-                return
-        self.stats["fallback_runs"] += 1
-        self._fallback.execute_chunk(transformed, chunk, store)
 
 
 register_backend("interpreter", InterpreterBackend)

@@ -4,13 +4,10 @@ The chunks described by a nest's symbolic
 :class:`~repro.plan.ExecutionPlan` are mutually independent, so they may
 execute concurrently.  Runs are plan-driven: the executor ships the compact
 plan — never iteration tuples — and every worker enumerates exactly the
-chunks it executes, in place.  Four execution modes are provided:
+chunks it executes, in place.  Three execution modes are provided:
 
-* ``serial`` — chunks run one after the other (baseline and reference),
-* ``threads`` — a thread pool; because the chunks never touch the same array
-  cell the shared store needs no locking.  Note that CPython's GIL limits the
-  achievable wall-clock speedup of pure-Python loop bodies; this mode mainly
-  demonstrates correctness under concurrent execution,
+* ``serial`` — one backend call runs every chunk, one after the other
+  (baseline and reference),
 * ``shared`` — the zero-copy runtime: arrays live in
   ``multiprocessing.shared_memory`` segments
   (:mod:`repro.runtime.shared`) and a persistent
@@ -19,21 +16,21 @@ chunks it executes, in place.  Four execution modes are provided:
   across executions, so a steady request stream pays neither fork-per-call
   nor store pickling nor a merge loop.  In-place concurrent writes are legal
   because chunks never access a common cell with a write (Lemma 1 /
-  Theorem 2),
+  Theorem 2).  This is the multi-core path for Python loop bodies,
 * ``native-parallel`` — the in-kernel driver: when the backend exposes a
   compiled parallel entry point (the ``native`` backend's OpenMP / pthreads
   / ``numba.prange`` driver), *one* call executes every chunk on ``workers``
-  OS threads with zero per-chunk Python dispatch.  ``threads`` mode
-  auto-upgrades to this driver when it is available — the thread pool
-  remains as the fallback for backends (or plans) without one.  The
-  telemetry's measured per-chunk costs pick the driver's schedule: skewed
-  programs get dynamic chunk assignment, uniform ones static blocks.
+  OS threads with zero per-chunk Python dispatch.  Skewed chunk sizes get
+  dynamic chunk assignment, uniform ones static blocks.  When the backend
+  has no driver for the plan, the run makes the same single call as
+  ``serial`` and ``ExecutionResult.fallback`` names the reason.
 
 Orthogonally to the mode, *how* the iterations of a chunk (or of the whole
 schedule, in serial mode) are executed is chosen by an execution backend
 (:mod:`repro.runtime.backends`): the AST ``interpreter`` reference, the
-``compiled`` backend or the NumPy ``vectorized`` backend.  Every backend is
-pinned to the interpreter's semantics by the differential test-suite.
+``compiled`` backend, the NumPy ``vectorized`` backend or the ``native``
+kernels.  Every backend is pinned to the interpreter's semantics by the
+differential test-suite.
 
 Timing is reported split: ``ExecutionResult.elapsed_seconds`` is the pure
 execution time and ``setup_seconds`` collects everything that is runtime
@@ -42,9 +39,10 @@ loading and the copy back.  Speedup numbers
 computed from ``elapsed_seconds`` therefore compare like with like;
 ``total_seconds`` is the end-to-end wall clock of the call.
 
-The machine-independent parallelism numbers reported in EXPERIMENTS.md come
-from :mod:`repro.runtime.simulator`; the executors are used for correctness
-under concurrency and for wall-clock measurements.
+The machine-independent parallelism numbers of the experiment harness
+(:mod:`repro.experiments`) come from :mod:`repro.runtime.simulator`; the
+executors are used for correctness under concurrency and for wall-clock
+measurements.
 """
 
 from __future__ import annotations
@@ -52,9 +50,8 @@ from __future__ import annotations
 import heapq
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.exceptions import ExecutionError
@@ -73,12 +70,7 @@ __all__ = [
     "default_worker_count",
 ]
 
-EXECUTION_MODES: Tuple[str, ...] = (
-    "serial",
-    "threads",
-    "shared",
-    "native-parallel",
-)
+EXECUTION_MODES: Tuple[str, ...] = ("serial", "shared", "native-parallel")
 
 #: Environment override for the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -123,6 +115,8 @@ class ExecutionResult:
     chunk_sizes: Tuple[int, ...] = field(default=())
     backend: str = DEFAULT_BACKEND
     setup_seconds: float = 0.0
+    #: Why the run left its mode's path — a ``native-parallel`` run without
+    #: a driver, a ``shared`` run after a worker crash — ``None`` otherwise.
     fallback: Optional[str] = None
     #: Engine label of an in-kernel parallel run (e.g. ``"native-cc-openmp"``),
     #: ``None`` for every other path.
@@ -137,6 +131,33 @@ class ExecutionResult:
     @property
     def total_seconds(self) -> float:
         return self.setup_seconds + self.elapsed_seconds
+
+
+class DriverCall(NamedTuple):
+    """One in-kernel driver call over a whole plan, or why there is none.
+
+    With ``refusal`` None the backend's driver runs every chunk on
+    ``threads`` OS threads, assigning chunks dynamically when ``dynamic``;
+    otherwise ``refusal`` names why the backend has no driver for the plan.
+    """
+
+    threads: int = 0
+    dynamic: bool = False
+    refusal: Optional[str] = None
+
+
+def _schedule_is_dynamic(chunk_sizes: Sequence[int]) -> bool:
+    """Static blocks or dynamic chunk assignment for the in-kernel driver?
+
+    A skewed size distribution (largest chunk > 1.25x the mean) gets
+    dynamic scheduling — static blocks would leave threads idle behind the
+    heavy chunk; uniform work keeps static blocks and their lower
+    scheduling overhead.
+    """
+    if len(chunk_sizes) < 2:
+        return False
+    mean = sum(chunk_sizes) / len(chunk_sizes)
+    return mean > 0 and max(chunk_sizes) > 1.25 * mean
 
 
 class ParallelExecutor:
@@ -222,180 +243,102 @@ class ParallelExecutor:
             plan = transformed.execution_plan()
         chunk_sizes = tuple(plan.chunk_sizes())
         self.backend.prepare_plan(transformed, plan)
-        key = self.telemetry_key(transformed, len(chunk_sizes)) if chunk_sizes else None
+        if self.mode == "shared":
+            key = self.telemetry_key(transformed, len(chunk_sizes)) if chunk_sizes else None
+            setup = time.perf_counter() - setup_start
+            elapsed, extra_setup, fallback, engine = self._run_shared(
+                transformed, store, plan, chunk_sizes, key
+            )
+            # The engine the workers ran when they all agree.
+            return ExecutionResult(
+                store=store,
+                mode=self.mode,
+                workers=self.workers,
+                num_chunks=len(chunk_sizes),
+                elapsed_seconds=elapsed,
+                chunk_sizes=chunk_sizes,
+                backend=engine or self.backend.name,
+                setup_seconds=setup + extra_setup,
+                fallback=fallback,
+            )
+        driver = (
+            self.driver_call(transformed, plan, chunk_sizes)
+            if self.mode == "native-parallel" and chunk_sizes
+            else None
+        )
         setup = time.perf_counter() - setup_start
+        start = time.perf_counter()
+        engine = self.execute_whole_plan(transformed, plan, store, driver)
+        elapsed = time.perf_counter() - start
         fallback: Optional[str] = None
-        engine: Optional[str] = None
-        threads_used = 0
-        if self.mode == "serial":
-            start = time.perf_counter()
-            self.backend.execute_plan(transformed, plan, store)
-            elapsed = time.perf_counter() - start
-            if key is not None:
-                # One group holding every chunk: cold programs get their
-                # per-iteration rate from serial runs, which seeds the
-                # size-proportional prior without changing any grouping.
-                self.telemetry.record_group(
-                    key, range(len(chunk_sizes)), chunk_sizes, elapsed
-                )
-        elif self.mode in ("threads", "native-parallel"):
-            # Both modes prefer the in-kernel driver — one native call over
-            # all chunks — and fall back to per-chunk thread-pool dispatch.
-            # ``threads`` is the compatible spelling (auto-upgrade);
-            # ``native-parallel`` the explicit request.  Either way the
-            # result's ``engine`` field says which path ran (a label for
-            # the driver, ``None`` for the thread pool).
-            native = self._try_native_parallel(
-                transformed, store, plan, chunk_sizes, key
-            )
-            if native is not None:
-                elapsed, extra_setup, engine, threads_used = native
-            else:
-                elapsed, extra_setup = self._run_threads(
-                    transformed, store, plan, chunk_sizes, key
-                )
-            setup += extra_setup
-        else:
-            elapsed, extra_setup, fallback, shared_engine = self._run_shared(
-                transformed, store, plan, chunk_sizes, key
-            )
-            setup += extra_setup
-        # Report the engine that actually ran: an in-kernel parallel run
-        # reports its driver label; thread mode executes chunk-granularly
-        # (where the vectorized backend delegates); a serial run may have
-        # fallen back dynamically (narrow schedule, unvectorizable body,
-        # failed independence check).  Shared mode reports the engine its
-        # workers ran when they all agree, else the requested backend.
-        if engine is not None:
-            effective = engine
-        elif self.mode in ("threads", "native-parallel"):
-            effective = self.backend.per_chunk_name
-        elif self.mode == "serial":
-            effective = getattr(self.backend, "last_execution_engine", self.backend.name)
-        else:
-            effective = shared_engine or self.backend.name
+        if driver is not None and engine is None:
+            fallback = f"serial run: {driver.refusal or 'the in-kernel driver declined'}"
+        # Report the engine that actually ran: the driver's label, or
+        # whatever the serial call fell back to (a narrow schedule, an
+        # unvectorizable body, a program without a native kernel).
         return ExecutionResult(
             store=store,
             mode=self.mode,
-            workers=self.workers if self.mode != "serial" else 1,
+            workers=self.workers if engine is not None else 1,
             num_chunks=len(chunk_sizes),
             elapsed_seconds=elapsed,
             chunk_sizes=chunk_sizes,
-            backend=effective,
+            backend=engine or getattr(self.backend, "last_execution_engine", self.backend.name),
             setup_seconds=setup,
             fallback=fallback,
             engine=engine,
-            threads=threads_used,
+            threads=driver.threads if engine is not None else 0,
         )
 
     # ------------------------------------------------------------------ #
-    # in-kernel parallel driver
+    # whole-plan execution: the in-kernel driver or one serial call
     # ------------------------------------------------------------------ #
-    def _schedule_is_dynamic(
-        self, chunk_sizes: Sequence[int], key: Optional[str]
-    ) -> bool:
-        """Static blocks or dynamic chunk assignment for the native driver?
+    def driver_call(
+        self,
+        transformed: TransformedLoopNest,
+        plan: ExecutionPlan,
+        chunk_sizes: Sequence[int],
+        workers: Optional[int] = None,
+    ) -> DriverCall:
+        """The backend's in-kernel driver call for a whole plan.
 
-        The same signal that feeds :meth:`groups_for`: measured per-chunk
-        costs when the program is warm, closed-form sizes when cold.  A
-        skewed distribution (heaviest chunk > 1.25x the mean) gets dynamic
-        scheduling — static blocks would leave threads idle behind the
-        heavy chunk; uniform work keeps static blocks and their lower
-        scheduling overhead.
+        Probes whether the backend's driver runs this plan (compiling the
+        kernel and building the plan's tables, all cached — call it inside
+        a setup window), clamps the thread count to ``workers`` (default:
+        the executor's own) and the chunk count, and picks the schedule
+        from the chunk sizes.  A refused call carries the reason instead.
         """
-        costs = (
-            self.telemetry.chunk_costs(key, chunk_sizes) if key is not None else None
+        refusal = self.backend.parallel_plan_refusal(transformed, plan)
+        if refusal is not None:
+            return DriverCall(refusal=refusal)
+        return DriverCall(
+            threads=max(1, min(workers or self.workers, len(chunk_sizes))),
+            dynamic=_schedule_is_dynamic(chunk_sizes),
         )
-        weights: Sequence[float] = costs if costs is not None else chunk_sizes
-        if len(weights) < 2:
-            return False
-        mean = sum(weights) / len(weights)
-        if mean <= 0:
-            return False
-        return max(weights) > 1.25 * mean
 
-    def _try_native_parallel(
+    def execute_whole_plan(
         self,
         transformed: TransformedLoopNest,
-        store: ArrayStore,
         plan: ExecutionPlan,
-        chunk_sizes: Tuple[int, ...],
-        key: Optional[str],
-    ) -> Optional[Tuple[float, float, str, int]]:
-        """One in-kernel parallel call over the whole plan, if possible.
+        store: ArrayStore,
+        driver: Optional[DriverCall],
+    ) -> Optional[str]:
+        """Run every chunk of ``plan`` in one backend call, in place.
 
-        Returns ``(elapsed, extra_setup, engine_label, threads)`` or ``None``
-        when the backend has no parallel driver for this plan (nothing has
-        been written then; the caller falls back to per-chunk dispatch).
-        The support probe compiles the kernel / packs the range table, both
-        cached — that cost lands in the setup window, like ``prepare_plan``.
+        The in-kernel driver runs when ``driver`` accepted the plan; its
+        engine label is returned.  Otherwise — no driver, or the driver
+        declined the store's layout before writing anything — the backend's
+        serial :meth:`~repro.runtime.backends.ExecutionBackend.execute_plan`
+        runs and ``None`` is returned.
         """
-        if not chunk_sizes:
-            return None
-        driver = getattr(self.backend, "execute_plan_parallel", None)
-        supports = getattr(self.backend, "supports_parallel_plan", None)
-        if driver is None or supports is None:
-            return None
-        setup_start = time.perf_counter()
-        if not supports(transformed, plan):
-            return None
-        threads = max(1, min(self.workers, len(chunk_sizes)))
-        dynamic = self._schedule_is_dynamic(chunk_sizes, key)
-        extra_setup = time.perf_counter() - setup_start
-        start = time.perf_counter()
-        engine = driver(transformed, plan, store, threads=threads, dynamic=dynamic)
-        elapsed = time.perf_counter() - start
-        if engine is None:  # pragma: no cover - probe said yes, driver said no
-            return None
-        if key is not None:
-            # One group holding every chunk: the driver is a single
-            # dispatch, so this is the finest observation it can produce.
-            self.telemetry.record_group(
-                key, range(len(chunk_sizes)), chunk_sizes, elapsed
+        if driver is not None and driver.refusal is None:
+            engine = self.backend.execute_plan_parallel(
+                transformed, plan, store, threads=driver.threads, dynamic=driver.dynamic
             )
-        return elapsed, extra_setup, engine, threads
-
-    # ------------------------------------------------------------------ #
-    def _run_threads(
-        self,
-        transformed: TransformedLoopNest,
-        store: ArrayStore,
-        plan: ExecutionPlan,
-        chunk_sizes: Tuple[int, ...],
-        key: Optional[str],
-    ) -> Tuple[float, float]:
-        # Chunks are pairwise independent (they never access a common cell with
-        # at least one write), so executing them concurrently on the shared
-        # store is safe without locking.  Tasks are lazy chunk views; each
-        # enumerates its own iterations when it runs.
-        # Every chunk is its own dispatch here, so telemetry gets the finest
-        # observations this mode can produce: singleton groups.
-        def timed_chunk(index: int, chunk) -> None:
-            chunk_start = time.perf_counter()
-            self.backend.execute_chunk(transformed, chunk, store)
-            self.telemetry.record_group(
-                key, (index,), (chunk_sizes[index],),
-                time.perf_counter() - chunk_start,
-            )
-
-        setup_start = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            setup = time.perf_counter() - setup_start
-            start = time.perf_counter()
-            if key is not None:
-                futures = [
-                    pool.submit(timed_chunk, index, chunk)
-                    for index, chunk in enumerate(plan.chunks())
-                ]
-            else:
-                futures = [
-                    pool.submit(self.backend.execute_chunk, transformed, chunk, store)
-                    for chunk in plan.chunks()
-                ]
-            for future in futures:
-                future.result()
-            elapsed = time.perf_counter() - start
-        return elapsed, setup
+            if engine is not None:
+                return engine
+        self.backend.execute_plan(transformed, plan, store)
+        return None
 
     # ------------------------------------------------------------------ #
     def telemetry_key(

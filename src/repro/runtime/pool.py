@@ -79,8 +79,8 @@ class _WorkerProgram:
         Deliberately *not* routed through the backend's in-kernel parallel
         driver: shared-mode pools already run one worker process per core,
         so a multithreaded driver inside each worker would oversubscribe
-        the host.  In-process executors (threads/native-parallel modes, the
-        gateway, the cluster daemon) are where the driver wins.
+        the host.  In-process executors (native-parallel mode, the gateway,
+        the cluster daemon) are where the driver wins.
         """
         self.backend.execute_plan(
             self.transformed, self.plan, store, chunk_indices=chunk_indices

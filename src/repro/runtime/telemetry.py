@@ -6,10 +6,13 @@ every iteration costs the same.  That assumption is wrong exactly when it
 matters: a chunk that vectorizes into one wide NumPy call is far cheaper per
 iteration than a narrow chunk paying per-dispatch overhead, and a body whose
 cost varies across the iteration space skews further.  This module closes
-the loop: every execution records the **wall clock of each chunk group** it
-ran, the store attributes that time to the group's chunks, and the next
-balancing decision for the same program works from the *measured* per-chunk
-costs instead of the sizes.
+the loop: every execution that dispatches chunks in groups — the shared
+pool, the gateway's per-group jobs, the cluster — records the **wall clock
+of each chunk group** it ran, the store attributes that time to the
+group's chunks, and the next balancing decision for the same program works
+from the *measured* per-chunk costs instead of the sizes.  Whole-plan runs
+(serial, the in-kernel driver) record nothing: one time for every chunk,
+split proportionally to the sizes, would only rescale them.
 
 Model and contract:
 

@@ -51,7 +51,7 @@ def verify_transformation(
     transformed: Union[TransformedLoopNest, ParallelizationReport],
     store: Optional[ArrayStore] = None,
     check_emitted_code: bool = True,
-    check_executors: Sequence[str] = ("serial", "threads"),
+    check_executors: Sequence[str] = ("serial", "native-parallel"),
     check_backends: Sequence[str] = ("compiled", "vectorized"),
     tolerance: float = 1e-9,
     initializer: str = "index_sum",
@@ -70,7 +70,10 @@ def verify_transformation(
     check_emitted_code:
         Also compile the emitted Python source of the transformed loop and run it.
     check_executors:
-        Executor modes to exercise (any subset of ``EXECUTION_MODES``).
+        Executor modes to exercise (any subset of ``EXECUTION_MODES``), each
+        on the native backend: ``native-parallel`` runs the chunks on
+        concurrent in-kernel threads.  Without a native engine the backend
+        runs vectorized, which is still a correctness check.
     check_backends:
         Execution backends to run against the interpreter reference (any
         subset of :func:`repro.runtime.backends.available_backends`).
@@ -106,7 +109,8 @@ def verify_transformation(
     plan = transformed.execution_plan()
     for mode in check_executors:
         executed = store.copy()
-        ParallelExecutor(mode=mode, workers=4).run(transformed, executed, plan=plan)
+        with ParallelExecutor(mode=mode, workers=4, backend="native") as executor:
+            executor.run(transformed, executed, plan=plan)
         checks[f"executor/{mode}"] = reference.max_abs_difference(executed)
 
     for backend_name in check_backends:

@@ -273,8 +273,9 @@ class BatchService:
         """The session executor's measured per-chunk cost store.
 
         Shared with every other consumer of the session (the gateway, the
-        CLI): a service batch warms the same feedback the gateway's
-        balancer reads.
+        CLI): a ``shared``-mode batch warms the same feedback the
+        gateway's balancer reads (serial and ``native-parallel`` batches
+        record nothing).
         """
         return self._session.telemetry
 

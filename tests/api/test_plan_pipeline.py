@@ -11,22 +11,21 @@ import pytest
 
 from repro.api import Session, SessionConfig
 from repro.cli import build_parser, session_config_from_args
-from repro.exceptions import WorkloadError
+from repro.exceptions import ExecutionError, WorkloadError
 from repro.plan import DEFAULT_PLAN_PASSES, available_plan_passes
-from repro.runtime.executor import EXECUTION_MODES
+from repro.runtime.executor import EXECUTION_MODES, ParallelExecutor
 from repro.workloads.paper_examples import example_4_1
 
 
 class TestConfig:
     def test_default_pipeline_is_mode_aware(self):
-        # Serial dispatch is free, so coalescing (which trades round
-        # structure for fewer dispatches) only defaults on in the
-        # dispatch-bound modes.
+        # Serial and native-parallel runs are one backend call, so
+        # coalescing (which trades round structure for fewer dispatches)
+        # only defaults on in the dispatch-bound shared mode.
         for mode in ("serial", "native-parallel"):
             assert SessionConfig(mode=mode).resolved_plan_passes() == ()
-        for mode in ("threads", "shared"):
-            config = SessionConfig(mode=mode)
-            assert config.resolved_plan_passes() == DEFAULT_PLAN_PASSES == ("coalesce",)
+        config = SessionConfig(mode="shared")
+        assert config.resolved_plan_passes() == DEFAULT_PLAN_PASSES == ("coalesce",)
 
     def test_explicit_pipeline_overrides_mode_default(self):
         config = SessionConfig(mode="serial", plan_passes=("coalesce",))
@@ -45,7 +44,7 @@ class TestConfig:
             assert session._plan_pipeline is None
 
     def test_remaining_surface(self):
-        assert EXECUTION_MODES == ("serial", "threads", "shared", "native-parallel")
+        assert EXECUTION_MODES == ("serial", "shared", "native-parallel")
         assert available_plan_passes() == ("coalesce",)
 
 
@@ -55,9 +54,17 @@ class TestRemovedOptions:
     def test_processes_mode_rejected(self):
         with pytest.raises(
             WorkloadError,
-            match="'processes'; available: serial, threads, shared, native-parallel$",
+            match="'processes'; available: serial, shared, native-parallel$",
         ):
             SessionConfig(mode="processes")
+
+    def test_threads_mode_rejected(self):
+        # Folded into native-parallel: no alias, the three modes are listed.
+        available = "available: serial, shared, native-parallel$"
+        with pytest.raises(WorkloadError, match=f"'threads'; {available}"):
+            SessionConfig(mode="threads")
+        with pytest.raises(ExecutionError, match=f"'threads'; {available}"):
+            ParallelExecutor(mode="threads")
 
     @pytest.mark.parametrize("name", ["tile", "fuse"])
     def test_removed_plan_passes_rejected(self, name):
@@ -70,7 +77,15 @@ class TestRemovedOptions:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "invalid choice: 'processes'" in err
-        assert "'serial', 'threads', 'shared', 'native-parallel'" in err
+        assert "'serial', 'shared', 'native-parallel'" in err
+
+    def test_cli_threads_mode_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "x.loop", "--mode", "threads"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'threads'" in err
+        assert "'serial', 'shared', 'native-parallel'" in err
 
     def test_cli_fuse_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

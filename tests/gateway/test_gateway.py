@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.api import Session
+from repro.codegen import native as native_codegen
 from repro.exceptions import ExecutionError, GatewayOverloaded, WorkloadError
 from repro.gateway import Gateway, GatewayConfig, GatewayStats, serve
 from repro.workloads.paper_examples import example_4_1, example_4_2
@@ -129,15 +130,43 @@ class TestResultParity:
         assert result.num_chunks == len(result.execution.chunk_sizes)
 
     def test_gateway_feeds_session_telemetry(self):
+        # The compiled backend has no in-kernel driver: the job is split
+        # into per-worker groups, and every group's time is recorded.
         with Session(backend="compiled") as session:
 
             async def main():
-                async with Gateway(session) as gateway:
+                async with Gateway(session, exec_workers=2) as gateway:
                     await gateway.submit(example_4_1(8))
 
             run_async(main())
-            assert session.telemetry.snapshot()["observations"] > 0
-            assert session.stats().telemetry_observations > 0
+            assert len(session.telemetry) == 1
+            assert session.telemetry.snapshot()["observations"] == 2
+            assert session.stats().telemetry_observations == 2
+
+    @pytest.mark.skipif(
+        native_codegen.resolve_engine() is None, reason="no native engine"
+    )
+    def test_driver_jobs_record_no_telemetry(self):
+        # A native session's job is one in-kernel driver call over the
+        # whole plan: a single group, nothing recorded, the driver reported.
+        nest = example_4_1(16)
+        with Session(backend="native", mode="native-parallel", workers=2) as session:
+            expected = session.run(nest)
+            if expected.engine is None:
+                pytest.skip("driver unavailable for the active engine")
+
+            async def main():
+                async with Gateway(
+                    session, exec_workers=2, result_cache=0, coalesce=False
+                ) as gateway:
+                    return await gateway.map([nest], repeat=3)
+
+            results = run_async(main())
+            assert len(session.telemetry) == 0
+        for result in results:
+            assert result.checksum == expected.checksum
+            assert result.engine == expected.engine
+            assert result.threads == 2
 
 
 # --------------------------------------------------------------------------- #

@@ -52,7 +52,10 @@ class TestExecutorsAcrossSuite:
             expected = base.copy()
             execute_nest(case.nest, expected)
             actual = base.copy()
-            ParallelExecutor(mode="threads", workers=3).run(transformed, actual, plan=plan)
+            # Chunks run concurrently on the in-kernel driver's threads.
+            ParallelExecutor(mode="native-parallel", workers=3, backend="native").run(
+                transformed, actual, plan=plan
+            )
             assert expected.allclose(actual), case.name
 
     def test_more_workers_than_chunks(self, ex42_small):
@@ -64,11 +67,12 @@ class TestExecutorsAcrossSuite:
         expected = base.copy()
         execute_nest(ex42_small, expected)
         actual = base.copy()
-        outcome = ParallelExecutor(mode="threads", workers=16).run(
-            transformed, actual, plan=plan
-        )
+        outcome = ParallelExecutor(
+            mode="native-parallel", workers=16, backend="native"
+        ).run(transformed, actual, plan=plan)
         assert expected.allclose(actual)
         assert outcome.num_chunks == 4
+        assert outcome.threads <= 4  # the driver never runs more threads than chunks
 
 
 class TestIntegerData:

@@ -36,13 +36,12 @@ class TestSuiteEndToEnd:
 
 class TestVerificationApi:
     def test_report_structure(self, ex41_small, ex41_report):
-        result = verify_transformation(
-            ex41_small, ex41_report, check_executors=("serial", "threads")
-        )
+        result = verify_transformation(ex41_small, ex41_report)
         assert result.passed
         assert "transformed/lexicographic" in result.checks
         assert "transformed/emitted-code" in result.checks
-        assert "executor/threads" in result.checks
+        assert "executor/serial" in result.checks
+        assert "executor/native-parallel" in result.checks
         assert "PASS" in result.describe()
 
     def test_accepts_prebuilt_store(self, ex41_small, ex41_report):

@@ -180,4 +180,7 @@ class TestOverflowGuard:
         assert expected.identical(result)
         assert backend.stats["fallback_runs"] == 1
         assert backend.stats["native_runs"] == 0
-        assert backend.supports_parallel_plan(transformed, plan) is False
+        assert backend.parallel_plan_refusal(transformed, plan) in (
+            "the plan's tables exceed the int64 overflow guard",
+            "no native engine",
+        )

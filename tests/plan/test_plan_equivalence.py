@@ -144,7 +144,7 @@ class TestExecutionEquivalence:
         backend.execute_plan(transformed, transformed.execution_plan(), result)
         assert reference.identical(result), (case.name, backend_name)
 
-    @pytest.mark.parametrize("mode", ["serial", "threads", "native-parallel"])
+    @pytest.mark.parametrize("mode", ["serial", "native-parallel"])
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_executor_modes_on_plan(self, mode, seed):
         nest = _random_nest(np.random.default_rng(seed))

@@ -209,7 +209,7 @@ class TestPipeline:
         assert all(timing.seconds >= 0.0 for timing in ctx.timings)
         assert ctx.steps  # at least the coalesce rewrite fired at N=64
 
-    @pytest.mark.parametrize("mode", ["serial", "threads", "native-parallel"])
+    @pytest.mark.parametrize("mode", ["serial", "native-parallel"])
     def test_executor_modes_match_reference(self, mode):
         transformed = _transformed(example_4_1(24))
         plan, _ = optimize_plan(transformed.execution_plan(), transformed)

@@ -58,7 +58,7 @@ class TestSpecVersion:
 
     def test_optimized_plans_inherit_the_mechanism(self):
         # A session's coalesced plan goes through the same version check.
-        with Session(mode="threads", backend="vectorized") as session:
+        with Session(mode="shared", backend="vectorized") as session:
             nest = example_4_1(8)
             analysis = session._analyze_nest(nest, placement=None, name=None)
             _, plan = session._program_for(nest, analysis.report)

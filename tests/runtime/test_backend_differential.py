@@ -14,6 +14,7 @@ top of every backend — must produce **bit-identical** final array stores on:
 import numpy as np
 import pytest
 
+from repro.codegen import native as native_codegen
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
 from repro.exceptions import ExecutionError
@@ -92,7 +93,7 @@ class TestWorkloadSuiteDifferential:
             f"max |diff| = {ref.max_abs_difference(result):.3e}"
         )
 
-    @pytest.mark.parametrize("mode", ["serial", "threads", "native-parallel"])
+    @pytest.mark.parametrize("mode", ["serial", "native-parallel"])
     @pytest.mark.parametrize(
         "backend_name", ["interpreter", "compiled", "vectorized", "native"]
     )
@@ -104,19 +105,19 @@ class TestWorkloadSuiteDifferential:
             outcome = ParallelExecutor(mode=mode, workers=4, backend=backend).run(
                 transformed, result
             )
-            # The result reports the engine that actually ran: thread mode is
-            # chunk-granular (the vectorized backend delegates there), a
-            # serial vectorized run may fall back dynamically and a serial
-            # native run reports its engine ("native-cc" / "native-numba") —
-            # or whatever it fell back to when the program isn't native.
+            # The result reports the engine that actually ran: a vectorized
+            # run may fall back dynamically to the compiled body, and a
+            # native run reports its engine ("native-cc", "native-cc-openmp",
+            # ...) — or whatever it fell back to when the program isn't
+            # native.
             if backend_name == "native":
                 assert outcome.backend.split("-")[0] in (
                     "native", "vectorized", "compiled"
                 )
+            elif backend_name == "vectorized":
+                assert outcome.backend in ("vectorized", "compiled")
             else:
-                assert outcome.backend in (backend.name, backend.per_chunk_name)
-                if backend_name != "vectorized":
-                    assert outcome.backend == backend_name
+                assert outcome.backend == backend_name
             assert ref.identical(result), (mode, backend_name, case.name)
 
     @pytest.mark.parametrize("backend_name", ["compiled", "vectorized", "native"])
@@ -128,6 +129,68 @@ class TestWorkloadSuiteDifferential:
             outcome = executor.run(transformed, result)
         assert outcome.fallback is None
         assert ref.identical(result)
+
+
+# ---------------------------------------------------------------------------
+# native-parallel without an in-kernel driver: one serial call, reported
+# ---------------------------------------------------------------------------
+
+#: Backends with no in-kernel driver for any plan; the native one runs with
+#: its engine switched off through the environment.
+DRIVERLESS = [
+    ("interpreter", lambda: get_backend("interpreter")),
+    ("compiled", lambda: get_backend("compiled")),
+    ("vectorized", lambda: get_backend("vectorized")),
+    ("vectorized-forced", lambda: get_backend("vectorized", min_parallel_width=2)),
+    ("chunk-only", lambda: ChunkOnlyBackend()),
+    ("native-no-engine", lambda: get_backend("native")),
+]
+
+
+class _EmptyPlan:
+    """The smallest plan with no chunks: sizes and selections are empty."""
+
+    def chunk_sizes(self):
+        return ()
+
+    def select_chunks(self, chunk_indices=None):
+        return []
+
+
+class TestNativeParallelWithoutDriver:
+    @pytest.mark.parametrize(
+        "name, make_backend", DRIVERLESS, ids=[name for name, _ in DRIVERLESS]
+    )
+    def test_runs_like_serial_and_names_the_fallback(
+        self, name, make_backend, monkeypatch
+    ):
+        if name == "native-no-engine":
+            monkeypatch.setenv(native_codegen.ENGINE_ENV, "none")
+            reason = "no native engine"
+        else:
+            reason = f"backend {make_backend().name!r} has no in-kernel parallel driver"
+        for case in SUITE[:6]:
+            base, ref, transformed = _reference_and_transformed(case.nest)
+            serial_store, result = base.copy(), base.copy()
+            serial = ParallelExecutor(mode="serial", backend=make_backend()).run(
+                transformed, serial_store
+            )
+            outcome = ParallelExecutor(
+                mode="native-parallel", workers=4, backend=make_backend()
+            ).run(transformed, result)
+            assert ref.identical(result), (name, case.name)
+            assert outcome.fallback == f"serial run: {reason}", case.name
+            assert (outcome.workers, outcome.threads, outcome.engine) == (1, 0, None)
+            # The engine that ran, exactly as a serial run reports it.
+            assert outcome.backend == serial.backend, (name, case.name)
+
+    def test_empty_plan_has_no_fallback(self):
+        transformed = TransformedLoopNest.from_report(analyze_nest(example_4_1(4)))
+        outcome = ParallelExecutor(mode="native-parallel", workers=4).run(
+            transformed, store_for_nest(example_4_1(4)), plan=_EmptyPlan()
+        )
+        assert outcome.fallback is None
+        assert (outcome.num_chunks, outcome.workers, outcome.threads) == (0, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +527,7 @@ class TestRegistry:
 
             backends_module._REGISTRY.pop("reversed-chunks", None)
 
-    @pytest.mark.parametrize("mode", ["serial", "threads", "shared"])
+    @pytest.mark.parametrize("mode", ["serial", "shared", "native-parallel"])
     def test_chunk_only_backend_runs_every_mode(self, mode):
         backend = ChunkOnlyBackend()
         with ParallelExecutor(mode=mode, workers=2, backend=backend) as executor:
@@ -472,6 +535,7 @@ class TestRegistry:
                 base, ref, transformed = _reference_and_transformed(case.nest)
                 result = base.copy()
                 outcome = executor.run(transformed, result)
-                assert outcome.fallback is None
+                # No in-kernel driver: native-parallel runs it serially.
+                assert (outcome.fallback is None) == (mode != "native-parallel")
                 assert ref.identical(result), (mode, case.name)
                 assert outcome.backend == "chunk-only"

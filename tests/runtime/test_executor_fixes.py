@@ -34,7 +34,7 @@ def _transformed(nest):
 class TestBalancedGroups:
     def test_adversarial_sizes_balance(self):
         # Round-robin deals 9,5 / 7,3 = 14 vs 10; LPT gives 9,3 / 7,5 = 12 vs 12.
-        executor = ParallelExecutor(mode="threads", workers=2)
+        executor = ParallelExecutor(workers=2)
         groups = executor._balanced_groups([9, 7, 5, 3])
         loads = sorted(sum([9, 7, 5, 3][i] for i in group) for group in groups)
         assert loads == [12, 12]
@@ -43,7 +43,7 @@ class TestBalancedGroups:
         # The classic round-robin killer: strictly descending sizes where
         # consecutive pairs always land on the same worker.
         sizes = [64, 32, 16, 8, 4, 2, 1, 1]
-        executor = ParallelExecutor(mode="threads", workers=4)
+        executor = ParallelExecutor(workers=4)
         groups = executor._balanced_groups(sizes)
         loads = [sum(sizes[i] for i in group) for group in groups]
         # LPT keeps the makespan at the single biggest chunk here.
@@ -52,14 +52,14 @@ class TestBalancedGroups:
     def test_every_chunk_assigned_exactly_once(self):
         rng = np.random.default_rng(7)
         sizes = [int(value) for value in rng.integers(1, 100, size=37)]
-        executor = ParallelExecutor(mode="threads", workers=5)
+        executor = ParallelExecutor(workers=5)
         groups = executor._balanced_groups(sizes)
         assigned = sorted(index for group in groups for index in group)
         assert assigned == list(range(len(sizes)))
 
     def test_deterministic(self):
         sizes = [5, 5, 5, 5, 2, 2]
-        executor = ParallelExecutor(mode="threads", workers=3)
+        executor = ParallelExecutor(workers=3)
         assert executor._balanced_groups(sizes) == executor._balanced_groups(sizes)
 
     def test_never_worse_than_twice_optimal(self):
@@ -68,7 +68,7 @@ class TestBalancedGroups:
         for _ in range(20):
             sizes = [int(value) for value in rng.integers(1, 50, size=24)]
             workers = int(rng.integers(2, 6))
-            executor = ParallelExecutor(mode="threads", workers=workers)
+            executor = ParallelExecutor(workers=workers)
             groups = executor._balanced_groups(sizes)
             loads = [sum(sizes[i] for i in group) for group in groups]
             lower_bound = max(max(sizes), sum(sizes) / workers)

@@ -93,7 +93,7 @@ class TestInterpreter:
 
 
 class TestParallelExecutor:
-    @pytest.mark.parametrize("mode", ["serial", "threads"])
+    @pytest.mark.parametrize("mode", ["serial", "native-parallel"])
     def test_modes_match_reference(self, mode, ex41_report):
         nest = ex41_report.nest
         transformed = TransformedLoopNest.from_report(ex41_report)

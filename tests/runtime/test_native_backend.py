@@ -6,7 +6,7 @@ its differential contract is checked the same way as every other backend —
 interpreter reference — across:
 
 * the workload suite and seeded random nests,
-* all four executor modes (serial / threads / shared / native-parallel),
+* all three executor modes (serial / shared / native-parallel),
 * plain and coalesced plan spaces,
 * every error path (window violations, division by zero, domain errors
   must raise the same exception types as the interpreter),
@@ -100,7 +100,7 @@ class TestNativeDifferential:
         NativeBackend().execute(transformed, result)
         assert ref.identical(result), (seed, nest.name)
 
-    @pytest.mark.parametrize("mode", ["serial", "threads", "native-parallel"])
+    @pytest.mark.parametrize("mode", ["serial", "native-parallel"])
     def test_executor_modes(self, mode):
         for nest in (example_4_1(8), example_4_2(6)):
             base, ref, transformed = _reference_and_transformed(nest)
@@ -243,12 +243,14 @@ class TestNativeFallback:
         _no_engines(monkeypatch)
         nest = example_4_1(6)
         base, ref, transformed = _reference_and_transformed(nest)
-        for mode in ("serial", "threads", "native-parallel"):
+        for mode in ("serial", "native-parallel"):
             result = base.copy()
-            ParallelExecutor(mode=mode, workers=2, backend="native").run(
+            outcome = ParallelExecutor(mode=mode, workers=2, backend="native").run(
                 transformed, result
             )
             assert ref.identical(result), mode
+            assert outcome.backend in ("vectorized", "compiled"), mode
+        assert outcome.fallback == "serial run: no native engine"
         native_codegen.clear_kernel_cache()
 
 
@@ -323,6 +325,30 @@ class TestKernelCache:
         finally:
             native_codegen.set_kernel_cache_limit(64)
             native_codegen.clear_kernel_cache()
+
+    def test_compiler_lookup_is_memoized(self, monkeypatch):
+        # Every native_program_for resolves the engine; the C compiler's
+        # PATH search runs once, not on every request, and
+        # clear_kernel_cache() forgets it like the other toolchain probes.
+        import shutil
+
+        calls = []
+        real_which = shutil.which
+
+        def counting_which(name, *args, **kwargs):
+            calls.append(name)
+            return real_which(name, *args, **kwargs)
+
+        monkeypatch.setattr(shutil, "which", counting_which)
+        for mode in ("serial", "native-parallel"):
+            with Session(mode=mode, backend="native", workers=2) as session:
+                session.run(example_4_1(8))
+                calls.clear()
+                session.run(example_4_1(8))
+            assert calls == [], mode
+        native_codegen.clear_kernel_cache()
+        native_codegen._find_c_compiler()
+        assert calls
 
     def test_backend_pickles_without_kernel_state(self):
         backend = NativeBackend()

@@ -6,13 +6,13 @@ plan shape is left to the compiled fallback: shifting partition targets
 One parametrized differential test covers the suite at two sizes, the
 triangular nests of ``tests/plan/test_plan_equivalence.py``'s generator and
 ``examples/loops/*.loop``, each in serial, in the in-kernel parallel driver
-at 1, 2 and 4 threads under both schedules, in ``threads`` and in
+at 1, 2 and 4 threads under both schedules, in ``native-parallel`` and in
 ``shared`` mode; every run must be bit-identical to the interpreter and
 report a native engine.  Error parity on example 4.2's shifting-target plan
 checks that window violations and zero divisors raise the interpreter's
 exception types, with the interpreter's partial writes in serial order.
-The session tests pin the coalescing cliff: modes whose default plan
-passes coalesce must still run native.  The numba engine's kernel source
+The session tests pin the coalescing cliff: coalesced plans, the default
+of shared mode, must still run native.  The numba engine's kernel source
 is also executed as plain Python through a stub ``numba`` module, which
 checks its semantics on hosts without numba (CI's numba legs compile it).
 """
@@ -114,11 +114,12 @@ def test_every_mode_runs_native_bit_identically(nest, coalesce, shared_executor)
             assert reference.identical(result), (threads, dynamic)
 
     result = base.copy()
-    outcome = ParallelExecutor(mode="threads", workers=2, backend=backend).run(
+    outcome = ParallelExecutor(mode="native-parallel", workers=2, backend=backend).run(
         transformed, result, plan
     )
-    assert reference.identical(result), "threads"
+    assert reference.identical(result), "native-parallel"
     assert outcome.engine is not None and outcome.engine.startswith("native-")
+    assert outcome.fallback is None
     assert backend.stats["fallback_runs"] == 0
 
     result = base.copy()
@@ -196,7 +197,7 @@ class TestShiftingTargetErrorParity:
 
 
 # ---------------------------------------------------------------------------
-# coalesced plans stay native (default passes of threads and shared modes)
+# coalesced plans stay native (default passes of shared mode)
 # ---------------------------------------------------------------------------
 
 NATIVE_ENGINES = ("native-cc", "native-numba")
@@ -212,11 +213,6 @@ def _coalesced_session_run(**config):
     assert result.backend.startswith(NATIVE_ENGINES), result.backend
     assert backend.stats["fallback_runs"] == 0
     return result
-
-
-def test_threads_mode_default_passes_run_native():
-    result = _coalesced_session_run(mode="threads", workers=2)
-    assert result.execution.engine is not None
 
 
 @needs_dev_shm

@@ -14,8 +14,8 @@ native call executes the whole plan on N OS threads (OpenMP / pthreads /
 * error parity: window violations, division by zero, domain and overflow
   errors raise the interpreter's exception types through the driver, with
   first-failing-chunk semantics, at every thread count,
-* the ``threads`` mode auto-upgrade, the ``native-parallel`` executor mode
-  and its thread-pool fallback for driverless backends,
+* the ``native-parallel`` executor mode and its single serial call when
+  the backend (or the kernel) has no parallel driver,
 * the derived default worker count (``os.cpu_count()`` clamped,
   ``$REPRO_WORKERS`` override) and the engine/thread reporting in
   ``ExecutionResult``/``RunResult``,
@@ -23,6 +23,7 @@ native call executes the whole plan on N OS threads (OpenMP / pthreads /
   pthreads work-queue fallback flavor.
 """
 
+import copy
 import itertools
 import os
 
@@ -42,6 +43,7 @@ from repro.runtime.backends import NativeBackend
 from repro.runtime.executor import (
     WORKERS_ENV,
     ParallelExecutor,
+    _schedule_is_dynamic,
     default_worker_count,
 )
 from repro.runtime.interpreter import execute_nest
@@ -270,8 +272,8 @@ class TestDefaultWorkerCount:
 
     def test_executor_uses_derived_default(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "5")
-        assert ParallelExecutor(mode="threads").workers == 5
-        assert ParallelExecutor(mode="threads", workers=2).workers == 2
+        assert ParallelExecutor(mode="native-parallel").workers == 5
+        assert ParallelExecutor(mode="native-parallel", workers=2).workers == 2
 
 
 # ---------------------------------------------------------------------------
@@ -280,29 +282,34 @@ class TestDefaultWorkerCount:
 
 class TestScheduleChoice:
     def test_uniform_sizes_pick_static(self):
-        executor = ParallelExecutor(mode="threads", workers=4)
-        assert executor._schedule_is_dynamic((8, 8, 8, 8), key=None) is False
+        assert _schedule_is_dynamic((8, 8, 8, 8)) is False
 
     def test_skewed_sizes_pick_dynamic(self):
-        executor = ParallelExecutor(mode="threads", workers=4)
-        assert executor._schedule_is_dynamic((32, 2, 2, 2), key=None) is True
+        assert _schedule_is_dynamic((32, 2, 2, 2)) is True
 
     def test_single_chunk_is_static(self):
-        executor = ParallelExecutor(mode="threads", workers=4)
-        assert executor._schedule_is_dynamic((16,), key=None) is False
+        assert _schedule_is_dynamic((16,)) is False
 
-    def test_measured_skew_overrides_uniform_sizes(self):
+    @needs_engine
+    def test_driver_call_reads_plan_sizes_not_telemetry(self):
+        # Whole-plan runs record no telemetry, so the driver's schedule
+        # comes from the plan's chunk sizes even when measurements exist.
         telemetry = ExecutionTelemetry()
-        executor = ParallelExecutor(mode="threads", workers=4, telemetry=telemetry)
-        key = "prog:4"
-        sizes = (8, 8, 8, 8)
-        # Uniform closed-form sizes, but chunk 0 measures 10x the others.
-        for _ in range(4):
-            telemetry.record_group(key, (0,), (8,), 1.0)
-            for index in (1, 2, 3):
-                telemetry.record_group(key, (index,), (8,), 0.1)
+        executor = ParallelExecutor(
+            mode="native-parallel", workers=4, backend="native", telemetry=telemetry
+        )
+        transformed = _reference_and_transformed(example_4_2(8))[2]
+        plan = transformed.execution_plan()
+        sizes = tuple(plan.chunk_sizes())
+        assert len(sizes) == 4 and not _schedule_is_dynamic(sizes)  # near-uniform
+        # Measured: chunk 0 costs 100x the others.
+        key = executor.telemetry_key(transformed, len(sizes))
+        for index, size in enumerate(sizes):
+            telemetry.record_group(key, (index,), (size,), 10.0 if index == 0 else 0.1)
         assert telemetry.chunk_costs(key, sizes) is not None
-        assert executor._schedule_is_dynamic(sizes, key) is True
+        call = executor.driver_call(transformed, plan, sizes)
+        assert (call.threads, call.dynamic, call.refusal) == (4, False, None)
+        assert executor.driver_call(transformed, plan, sizes, workers=2).threads == 2
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +371,18 @@ class TestParallelDifferential:
         assert 1 <= outcome.threads <= threads
         assert outcome.mode == "native-parallel"
 
-    def test_threads_mode_auto_upgrades(self):
+    @pytest.mark.skipif("cc" not in ENGINES, reason="no C compiler")
+    def test_cc_driver_reports_its_flavor_without_fallback(self):
         base, ref, transformed = _reference_and_transformed(example_4_1(12))
         result = base.copy()
         outcome = ParallelExecutor(
-            mode="threads", workers=2, backend="native"
+            mode="native-parallel", workers=2, backend=NativeBackend(engine="cc")
         ).run(transformed, result)
         assert ref.identical(result)
-        assert outcome.engine is not None and outcome.engine.startswith("native-")
-        assert outcome.mode == "threads"
+        assert outcome.fallback is None
+        assert outcome.backend in ("native-cc-openmp", "native-cc-pthreads")
 
-    def test_driverless_backend_falls_back_to_thread_pool(self):
+    def test_driverless_backend_runs_one_serial_call(self):
         base, ref, transformed = _reference_and_transformed(example_4_1(10))
         result = base.copy()
         outcome = ParallelExecutor(
@@ -382,7 +390,39 @@ class TestParallelDifferential:
         ).run(transformed, result)
         assert ref.identical(result)
         assert outcome.engine is None
-        assert outcome.threads == 0
+        assert (outcome.workers, outcome.threads) == (1, 0)
+        assert outcome.fallback == (
+            "serial run: backend 'vectorized' has no in-kernel parallel driver"
+        )
+
+    def test_kernel_without_parallel_entry_runs_serial_kernel(self, monkeypatch):
+        # A toolchain that cannot build the parallel entry point (numba
+        # without parallel=True support) leaves a serial-only kernel: the
+        # mode runs it in one serial call and says why.
+        base, ref, transformed = _reference_and_transformed(example_4_1(12))
+        program = native_codegen.native_program_for(transformed)
+        stub = copy.copy(program.kernel)
+        stub._par_fn = None
+        stub.flavor = None
+        monkeypatch.setattr(
+            native_codegen,
+            "native_program_for",
+            lambda *args, **kwargs: native_codegen.NativeProgram(
+                stub, program.array_order
+            ),
+        )
+        backend = NativeBackend()
+        result = base.copy()
+        outcome = ParallelExecutor(
+            mode="native-parallel", workers=2, backend=backend
+        ).run(transformed, result)
+        assert ref.identical(result)
+        assert outcome.fallback == (
+            f"serial run: the {stub.engine} kernel has no parallel entry point"
+        )
+        assert outcome.backend == f"native-{stub.engine}"
+        assert (outcome.workers, outcome.threads, outcome.engine) == (1, 0, None)
+        assert backend.stats["fallback_runs"] == 0
 
     def test_session_run_result_surfaces_engine(self):
         with Session(mode="native-parallel", backend="native", workers=2) as session:
@@ -404,7 +444,7 @@ class TestParallelDifferential:
         # The (single) build carries both entry points; a subsequent
         # parallel support probe compiles nothing new.
         compiled = backend.stats["compile_seconds"]
-        assert backend.supports_parallel_plan(transformed, plan) in (True, False)
+        backend.parallel_plan_refusal(transformed, plan)
         backend.prepare_plan(transformed, plan)
         assert backend.stats["compile_seconds"] - compiled < 0.05
 

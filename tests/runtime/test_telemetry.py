@@ -14,9 +14,12 @@ Three contracts pinned here:
   workload below — the acceptance bar of the feedback loop.
 """
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
 from repro.runtime.arrays import store_for_nest
@@ -25,6 +28,11 @@ from repro.runtime.interpreter import execute_nest
 from repro.runtime.telemetry import ExecutionTelemetry, makespan
 from repro.workloads.paper_examples import example_4_1
 from repro.workloads.synthetic import no_dependence_loop, variable_distance_loop
+
+
+needs_dev_shm = pytest.mark.skipif(
+    not os.path.isdir("/dev/shm"), reason="shared mode needs /dev/shm"
+)
 
 
 def _transformed(nest):
@@ -150,17 +158,17 @@ class TestExecutionTelemetry:
 # --------------------------------------------------------------------------- #
 class TestGroupsFor:
     def test_cold_key_matches_size_based_grouping(self):
-        executor = ParallelExecutor(mode="threads", workers=3)
+        executor = ParallelExecutor(workers=3)
         sizes = (9, 7, 5, 3)
         assert executor.groups_for(sizes, "cold:4") == executor._balanced_groups(sizes)
 
     def test_none_key_matches_size_based_grouping(self):
-        executor = ParallelExecutor(mode="threads", workers=3)
+        executor = ParallelExecutor(workers=3)
         sizes = (9, 7, 5, 3)
         assert executor.groups_for(sizes, None) == executor._balanced_groups(sizes)
 
     def test_warm_key_balances_by_measured_cost(self):
-        executor = ParallelExecutor(mode="threads", workers=2)
+        executor = ParallelExecutor(workers=2)
         key = "warm:3"
         # Chunk 0 is big but cheap; chunks 1 and 2 small but expensive.
         for index, size, cost in [(0, 10, 1.0), (1, 6, 6.0), (2, 5, 5.0)]:
@@ -174,7 +182,7 @@ class TestGroupsFor:
         assert loads == [6.0, 6.0]
 
     def test_workers_override(self):
-        executor = ParallelExecutor(mode="threads", workers=2)
+        executor = ParallelExecutor(workers=2)
         assert len(executor.groups_for((4, 3, 2, 1), workers=4)) == 4
 
     def test_telemetry_key_stable_and_chunk_count_scoped(self, ex41_small):
@@ -188,7 +196,7 @@ class TestGroupsFor:
 
     def test_skewed_costs_beat_size_grouping_by_1_2x(self):
         """Acceptance bar: ≥ 1.2x better makespan on skewed per-chunk costs."""
-        executor = ParallelExecutor(mode="threads", workers=2)
+        executor = ParallelExecutor(workers=2)
         key = "skew:3"
         sizes = (10, 6, 5)
         true_costs = [1.0, 6.0, 5.0]
@@ -205,16 +213,27 @@ class TestGroupsFor:
 # recording through real executions
 # --------------------------------------------------------------------------- #
 class TestRecordingPaths:
-    @pytest.mark.parametrize("mode", ["serial", "threads"])
-    def test_plan_driven_runs_feed_telemetry(self, mode, ex41_small):
-        transformed = _transformed(ex41_small)
-        with ParallelExecutor(mode=mode, workers=2, backend="compiled") as executor:
-            executor.run(transformed, store_for_nest(ex41_small))
-            key = executor.telemetry_key(
-                transformed, len(transformed.execution_plan().chunk_sizes())
-            )
-            assert executor.telemetry.observations(key) > 0
+    @pytest.mark.parametrize("backend", ["compiled", "native"])
+    @pytest.mark.parametrize("mode", ["serial", "native-parallel"])
+    def test_whole_plan_runs_record_nothing(self, mode, backend):
+        # One time for every chunk, split by size, would only rescale the
+        # sizes the driver's schedule choice already reads: not recorded.
+        with Session(mode=mode, backend=backend, workers=2) as session:
+            session.run(example_4_1(8))
+            session.run(example_4_1(8))
+            assert len(session.telemetry) == 0
 
+    @needs_dev_shm
+    def test_shared_runs_record_per_group(self, ex41_small):
+        transformed = _transformed(ex41_small)
+        plan = transformed.execution_plan()
+        with ParallelExecutor(mode="shared", workers=2, backend="compiled") as executor:
+            executor.run(transformed, store_for_nest(ex41_small), plan=plan)
+            key = executor.telemetry_key(transformed, plan.chunk_count)
+            # One observation per dispatched group.
+            assert executor.telemetry.observations(key) == 2
+
+    @needs_dev_shm
     def test_optimized_plan_runs_feed_their_own_key(self, ex41_small):
         # A coalesced plan orders its chunks differently from the raw plan,
         # so its observations must never land under the raw plan's key.
@@ -224,7 +243,7 @@ class TestRecordingPaths:
         raw = transformed.execution_plan()
         plan, _ = optimize_plan(raw, transformed, passes=("coalesce",))
         assert plan.chunk_count != raw.chunk_count
-        with ParallelExecutor(mode="serial", backend="compiled") as executor:
+        with ParallelExecutor(mode="shared", workers=2, backend="compiled") as executor:
             executor.run(transformed, store_for_nest(ex41_small), plan=plan)
             assert len(executor.telemetry) == 1
             key = executor.telemetry_key(transformed, plan.chunk_count)
@@ -232,10 +251,11 @@ class TestRecordingPaths:
             assert executor.telemetry.observations(key) > 0
             assert executor.telemetry.observations(raw_key) == 0
 
+    @needs_dev_shm
     def test_injected_store_is_shared(self, ex41_small):
         telemetry = ExecutionTelemetry()
         transformed = _transformed(ex41_small)
-        with ParallelExecutor(mode="serial", backend="compiled",
+        with ParallelExecutor(mode="shared", workers=2, backend="compiled",
                               telemetry=telemetry) as executor:
             assert executor.telemetry is telemetry
             executor.run(transformed, store_for_nest(ex41_small))
@@ -263,7 +283,7 @@ def _skewed_telemetry(executor, transformed, chunk_sizes):
 
 
 @pytest.mark.parametrize("nest_name,make_nest", NESTS, ids=[n for n, _ in NESTS])
-@pytest.mark.parametrize("mode", ["serial", "threads", "shared", "native-parallel"])
+@pytest.mark.parametrize("mode", ["serial", "shared", "native-parallel"])
 def test_bit_identical_across_policies_all_modes(nest_name, make_nest, mode):
     """Cold (size-LPT), warm (measured-cost LPT) and adversarially skewed
     telemetry all produce exactly the interpreter reference store."""
