@@ -19,7 +19,8 @@ materialized chunk list is available symbolically:
   falling back to lazy scans that never hold more than O(depth) state;
 * ``bound_table()`` / ``key_table()`` encode the same bounds and chunk keys
   as two int64 arrays — what the native kernels execute and what
-  ``chunk_sizes()`` evaluates with NumPy;
+  ``chunk_sizes()`` evaluates with NumPy; the key table is itself built in
+  NumPy, by expanding the plan level by level from the bound table;
 * the plan itself pickles to a few hundred bytes — it is the *only* thing
   the parallel runtime ships to worker processes, which re-enumerate their
   assigned chunks in place.
@@ -40,7 +41,9 @@ to the key, so when the level provably cannot influence any key level below
 (a static check on the bound coefficients), only its lower bound needs to
 be visited.  Where those static invariance checks fail — non-rectangular
 interactions between key and non-key levels — the scan degrades to a
-deduplicating sweep that is still exact, just not sublinear.
+deduplicating sweep that is still exact, just not sublinear.  The Python
+scan (``_discover``) is the reference; the key table transcribes it into
+whole-level NumPy operations.
 """
 
 from __future__ import annotations
@@ -78,6 +81,10 @@ LEVEL_FIELDS = ("role", "step", "n_lower", "n_upper", "offset")
 #: the NumPy sizing compute from them, stays below this magnitude; a plan
 #: that cannot guarantee it has no tables and runs on the Python paths.
 _INT64_LIMIT = 2**62
+
+#: Most prefix rows the NumPy key-table expansion holds at one level; a plan
+#: whose expansion would pass it finds its keys with ``_discover`` instead.
+_EXPANSION_ROW_LIMIT = 1 << 20
 
 _UNBUILT = object()
 
@@ -540,18 +547,114 @@ class ExecutionPlan:
 
         yield from scan(0)
 
+    def _expanded_key_table(self) -> Optional[np.ndarray]:
+        """The key table by level-by-level NumPy expansion of the bound table.
+
+        An exact transcription of :meth:`_discover`: after level ``k`` the
+        rows of ``values`` are the prefixes the scan visits, in its visiting
+        order.  An unblocked parallel level repeats each prefix over its
+        range; an invariant level takes its representatives (the first
+        ``stride`` values, the block starts, or the lower bound); any other
+        level sweeps its range, and the key rows are then deduplicated by
+        first occurrence.  A global dedupe equals the scan's per-subtree
+        one: two leaves with one key first differ at a swept level, since
+        every other level's values give distinct key components (partition
+        levels are in loop order, as the bound table's shifts assume).
+        ``None`` when some level would hold more than
+        :data:`_EXPANSION_ROW_LIMIT` rows.
+        """
+        table = self.bound_table()
+        depth = self.depth
+        header = len(LEVEL_FIELDS) + depth
+        width = depth + 2
+        values = np.zeros((1, 0), dtype=np.int64)
+        dedupe = False
+        for level, spec in enumerate(self.levels):
+            n_lower, n_upper, offset = (
+                int(x) for x in table[level * header + 2 : level * header + 5]
+            )
+            exprs = table[offset : offset + (n_lower + n_upper) * width].reshape(-1, width)
+            numerators = values @ exprs[:, 2 : 2 + level].T + exprs[:, 1]
+            denominators = exprs[:, 0]
+            lower = (-(-numerators[:, :n_lower] // denominators[:n_lower])).max(axis=1)
+            upper = (numerators[:, n_lower:] // denominators[n_lower:]).min(axis=1)
+            unblocked = spec.role == "parallel" and spec.block == 1
+            blocked = spec.role == "parallel" and spec.block > 1
+            if unblocked or not self._invariant[level]:
+                dedupe = dedupe or not unblocked
+                counts = upper - lower + 1
+            elif blocked:
+                counts = upper // spec.block - lower // spec.block + 1
+            elif spec.role == "partition":
+                counts = np.minimum(upper - lower + 1, spec.stride)
+            else:
+                counts = np.ones_like(lower)
+            counts[upper < lower] = 0  # an empty integer fiber ends its prefix
+            # The max test first keeps the sum far from int64 overflow.
+            if counts.size and (
+                counts.max() > _EXPANSION_ROW_LIMIT or counts.sum() > _EXPANSION_ROW_LIMIT
+            ):
+                return None
+            parents = np.repeat(np.arange(counts.size), counts)
+            # Each new row's position among its prefix's values.
+            rank = np.arange(parents.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            start = lower[parents]
+            if blocked and self._invariant[level]:
+                # The lower bound, then every later block start.
+                column = np.where(rank == 0, start, (start // spec.block + rank) * spec.block)
+            else:
+                column = start + rank
+            values = np.concatenate((values[parents], column[:, None]), axis=1)
+        keys = np.zeros_like(values)
+        for level in self.parallel_levels:
+            keys[:, level] = values[:, level] // self.levels[level].block
+        if self.partition_levels:
+            # The partition label: the residue modulo the HNF row lattice,
+            # reduced row by row as in _label_of.
+            residual = values[:, list(self.partition_levels)]
+            for s, row in enumerate(self.hnf):
+                factor = residual[:, s] // row[s]
+                residual[:, s:] -= factor[:, None] * np.asarray(row[s:], dtype=np.int64)
+            keys[:, list(self.partition_levels)] = residual
+        if dedupe and keys.shape[0] > 1:
+            # A stable lexicographic sort puts each key's first occurrence
+            # first among its equals.
+            order = np.lexsort(keys.T[::-1])
+            ordered = keys[order]
+            first = np.ones(order.size, dtype=bool)
+            first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+            keys = keys[np.sort(order[first])]
+        return np.ascontiguousarray(keys)
+
     def chunk_keys(self) -> Iterator[ChunkKey]:
-        """All chunk keys, lazily, in first-appearance (schedule) order."""
-        if self._key_list is not None:
-            yield from self._key_list
+        """All chunk keys in first-appearance (schedule) order.
+
+        Read from the key table; lazily from :meth:`_discover` for a plan
+        the overflow guard refuses.
+        """
+        if self._key_list is None and self.bound_table() is None:
+            for key, _ in self._discover():
+                yield key
             return
-        for key, _ in self._discover():
-            yield key
+        yield from self.key_list()
 
     def key_list(self) -> List[ChunkKey]:
-        """The chunk keys as an indexable list (cached)."""
+        """The chunk keys as an indexable list (cached).
+
+        Converted from :meth:`key_table`; a plan the overflow guard refuses
+        finds them with :meth:`_discover`, the reference the table matches.
+        """
         if self._key_list is None:
-            self._key_list = [key for key, _ in self._discover()]
+            table = self.key_table()
+            if table is None:
+                self._key_list = [key for key, _ in self._discover()]
+            else:
+                parallel = table[:, list(self.parallel_levels)].tolist()
+                labels = table[:, list(self.partition_levels)].tolist()
+                self._key_list = [
+                    (tuple(values), tuple(label))
+                    for values, label in zip(parallel, labels)
+                ]
         return self._key_list
 
     def chunks(self) -> Iterator[ChunkView]:
@@ -801,9 +904,19 @@ class ExecutionPlan:
     def key_table(self) -> Optional[np.ndarray]:
         """Every chunk's key row, in schedule order: a C-contiguous
         ``(chunk_count, depth)`` int64 array (cached).  ``None`` exactly
-        when :meth:`bound_table` is ``None``."""
+        when :meth:`bound_table` is ``None``.
+
+        Built by expanding the plan level by level in NumPy from its bound
+        table (:meth:`_expanded_key_table`), with no per-chunk Python.  An
+        expansion past :data:`_EXPANSION_ROW_LIMIT` rows takes the keys
+        from :meth:`_discover` instead; both give the same table.
+        """
         if self._key_table_cache is None and self.bound_table() is not None:
-            self._key_table_cache = self.key_rows(self.key_list())
+            table = self._expanded_key_table()
+            if table is None:
+                self._key_list = [key for key, _ in self._discover()]
+                table = self.key_rows(self._key_list)
+            self._key_table_cache = table
         return self._key_table_cache
 
     def _build_bound_table(self) -> Optional[np.ndarray]:
@@ -880,14 +993,16 @@ class ExecutionPlan:
 
     @property
     def chunk_count(self) -> int:
-        """Number of chunks; closed form for constant key-level bounds."""
+        """Number of chunks; closed form for constant key-level bounds,
+        else the key table's row count (the cached table serves later
+        key_list()/chunk_sizes() calls too)."""
         if self._chunk_count is None:
             self._chunk_count = self._closed_chunk_count()
             if self._chunk_count is None:
-                # The discovery sweep is the expensive part of the fallback;
-                # keep its result so later key_list()/chunk_sizes() calls
-                # reuse it instead of sweeping again.
-                self._chunk_count = len(self.key_list())
+                keys = self.key_table()
+                self._chunk_count = (
+                    len(self.key_list()) if keys is None else int(keys.shape[0])
+                )
         return self._chunk_count
 
     def _closed_chunk_count(self) -> Optional[int]:

@@ -10,7 +10,7 @@ comparison helpers used by the verification machinery.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,12 +36,7 @@ class OffsetArray:
     @classmethod
     def from_window(cls, lows: Sequence[int], highs: Sequence[int], dtype=np.float64, fill=0.0):
         """Create an array covering the inclusive index window ``[lows, highs]``."""
-        lows = [int(v) for v in lows]
-        highs = [int(v) for v in highs]
-        shape = [hi - lo + 1 for lo, hi in zip(lows, highs)]
-        if any(s <= 0 for s in shape):
-            raise ExecutionError(f"empty array window: lows={lows}, highs={highs}")
-        return cls(lows, shape, dtype=dtype, fill=fill)
+        return cls(lows, _window_shape(lows, highs), dtype=dtype, fill=fill)
 
     @classmethod
     def wrap(cls, origin: Sequence[int], data: np.ndarray) -> "OffsetArray":
@@ -92,9 +87,7 @@ class OffsetArray:
         self.data[self._map(index)] = value
 
     def copy(self) -> "OffsetArray":
-        clone = OffsetArray(self.origin, self.data.shape, dtype=self.data.dtype)
-        clone.data[...] = self.data
-        return clone
+        return OffsetArray.wrap(self.origin, self.data.copy())
 
     def allclose(self, other: "OffsetArray", rtol: float = 1e-9, atol: float = 1e-12) -> bool:
         return (
@@ -151,6 +144,28 @@ class ArrayStore(dict):
         return all(self[name].identical(other[name]) for name in self)
 
 
+def _window_shape(lows: Sequence[int], highs: Sequence[int]) -> Tuple[int, ...]:
+    """The shape of the inclusive index window ``[lows, highs]``."""
+    lows = [int(v) for v in lows]
+    highs = [int(v) for v in highs]
+    shape = tuple(hi - lo + 1 for lo, hi in zip(lows, highs))
+    if any(s <= 0 for s in shape):
+        raise ExecutionError(f"empty array window: lows={lows}, highs={highs}")
+    return shape
+
+
+def _widen(windows: Dict[str, Tuple[list, list]], array: str, lows: list, highs: list) -> None:
+    """Grow ``array``'s window to cover ``[lows, highs]`` (first sight inserts it)."""
+    entry = windows.get(array)
+    if entry is None:
+        windows[array] = (lows, highs)
+        return
+    known_lows, known_highs = entry
+    for k in range(len(lows)):
+        known_lows[k] = min(known_lows[k], lows[k])
+        known_highs[k] = max(known_highs[k], highs[k])
+
+
 def _closed_form_windows(nest: LoopNest) -> Dict[str, Tuple[list, list]]:
     """Exact subscript windows of a rectangular nest, without enumeration.
 
@@ -188,15 +203,86 @@ def _closed_form_windows(nest: LoopNest) -> Dict[str, Tuple[list, list]]:
                     high += coefficient * index_lows[variable]
             lows.append(low)
             highs.append(high)
-        entry = windows.get(ref.array)
-        if entry is None:
-            windows[ref.array] = (lows, highs)
-        else:
-            known_lows, known_highs = entry
-            for k in range(len(lows)):
-                known_lows[k] = min(known_lows[k], lows[k])
-                known_highs[k] = max(known_highs[k], highs[k])
+        _widen(windows, ref.array, lows, highs)
     return windows
+
+
+def _scanned_windows(nest: LoopNest) -> Dict[str, Tuple[list, list]]:
+    """Exact subscript windows of a non-rectangular nest, scanning prefixes.
+
+    Scans every level but the innermost, the way the plan's
+    ``_scanned_chunk_size`` counts: for one outer prefix each affine
+    subscript is monotone in the innermost index, so its extremes over the
+    innermost range sit at the range's two ends.  The windows (and their
+    insertion order) equal those of enumerating every iteration, at a cost
+    of O(outer prefixes) instead of O(iterations).
+    """
+    names = nest.index_names
+    innermost = nest.depth - 1
+    bounds = [
+        (bound.lower.vectorize(names), bound.upper.vectorize(names))
+        for bound in nest.bounds
+    ]
+    accesses = [(ref.array, ref.access_matrix(names)) for ref in nest.references()]
+    windows: Dict[str, Tuple[list, list]] = {}
+    prefix: List[int] = []
+
+    def at(coefficients: Sequence[int], constant: int) -> int:
+        # Bounds and subscripts read the outer prefix only (zip truncates).
+        return constant + sum(c * v for c, v in zip(coefficients, prefix))
+
+    def scan(level: int) -> None:
+        lower, upper = (at(*form) for form in bounds[level])
+        if upper < lower:
+            return
+        if level < innermost:
+            for value in range(lower, upper + 1):
+                prefix.append(value)
+                scan(level + 1)
+                prefix.pop()
+            return
+        for array, (rows, offsets) in accesses:
+            lows = []
+            highs = []
+            for row, offset in zip(rows, offsets):
+                base = at(row, offset)
+                first = base + row[innermost] * lower
+                last = base + row[innermost] * upper
+                lows.append(min(first, last))
+                highs.append(max(first, last))
+            _widen(windows, array, lows, highs)
+
+    scan(0)
+    return windows
+
+
+def _index_sum(lows: Sequence[int], shape: Sequence[int], dtype) -> np.ndarray:
+    """Cells holding the sum of their indices.
+
+    Bit-identical to summing an int64 ``meshgrid`` of the index ranges and
+    casting to ``dtype``, without the grids: one ``arange`` per axis, added
+    by broadcasting into one ``np.empty`` buffer.  A floating ``dtype``
+    adds in the dtype itself, which is exact while every partial sum stays
+    inside its exact-integer range (``2**53`` for float64); any other
+    window adds in int64 and casts once.
+    """
+    dtype = np.dtype(dtype)
+    reach = sum(max(abs(lo), abs(lo + n - 1)) for lo, n in zip(lows, shape))
+    exact = dtype.kind == "f" and reach <= 2 ** (np.finfo(dtype).nmant + 1)
+    work = dtype if exact else np.dtype(np.int64)
+    ndim = len(shape)
+    axes = [
+        np.arange(lo, lo + n, dtype=work).reshape([n if k == axis else 1 for k in range(ndim)])
+        for axis, (lo, n) in enumerate(zip(lows, shape))
+    ]
+    if ndim == 1:
+        data = axes[0]
+    else:
+        data = np.empty(shape, dtype=work)
+        np.add(axes[0], axes[1], out=data)
+        for axis in axes[2:]:
+            np.add(data, axis, out=data)
+    return data if exact else data.astype(dtype)
 
 
 def store_for_nest(
@@ -209,52 +295,36 @@ def store_for_nest(
     """Create an array store large enough for every access of the nest.
 
     The subscript window of every array is determined from the iteration
-    space bounds — in closed form for rectangular nests (O(references), no
-    iteration is ever enumerated), by enumerating the space otherwise —
-    and extended by ``margin`` cells on each side.
+    space bounds without enumerating iterations — in closed form for
+    rectangular nests (O(references)), by scanning every level but the
+    innermost otherwise — and extended by ``margin`` cells on each side.
 
     ``initializer`` selects the initial contents:
 
     * ``"zeros"`` — all zeros,
     * ``"index_sum"`` — cell value = sum of its indices (deterministic and
-      position dependent, good for catching reordering bugs),
+      position dependent, good for catching reordering bugs), written by
+      adding per-axis index ranges into one buffer by broadcasting,
     * ``"random"`` — reproducible uniform noise from ``seed``.
     """
     if nest.is_rectangular:
         windows = _closed_form_windows(nest)
     else:
-        windows = {}
-        references = nest.references()
-
-        def update_window(array: str, subscripts: Tuple[int, ...]) -> None:
-            lows, highs = windows.setdefault(
-                array, ([int(v) for v in subscripts], [int(v) for v in subscripts])
-            )
-            for k, value in enumerate(subscripts):
-                lows[k] = min(lows[k], int(value))
-                highs[k] = max(highs[k], int(value))
-
-        for iteration in nest.iterations():
-            env = nest.env_for(iteration)
-            for ref in references:
-                update_window(ref.array, ref.subscript_values(env))
-
+        windows = _scanned_windows(nest)
     rng = np.random.default_rng(seed)
     store = ArrayStore()
     for array, (lows, highs) in windows.items():
         lows = [lo - margin for lo in lows]
         highs = [hi + margin for hi in highs]
-        offset_array = OffsetArray.from_window(lows, highs, dtype=dtype)
+        shape = _window_shape(lows, highs)
         if initializer == "index_sum":
-            grids = np.meshgrid(
-                *[np.arange(lo, hi + 1) for lo, hi in zip(lows, highs)], indexing="ij"
-            )
-            offset_array.data[...] = sum(grids).astype(dtype)
+            data = _index_sum(lows, shape, dtype)
         elif initializer == "random":
-            offset_array.data[...] = rng.uniform(-1.0, 1.0, size=offset_array.shape)
+            data = np.empty(shape, dtype=dtype)
+            data[...] = rng.uniform(-1.0, 1.0, size=shape)
         elif initializer in (None, "zeros"):
-            pass
+            data = np.zeros(shape, dtype=dtype)
         else:
             raise ExecutionError(f"unknown initializer {initializer!r}")
-        store[array] = offset_array
+        store[array] = OffsetArray.wrap(lows, data)
     return store

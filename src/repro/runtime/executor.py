@@ -50,7 +50,6 @@ from __future__ import annotations
 import heapq
 import os
 import time
-from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.codegen.transformed_nest import TransformedLoopNest
@@ -98,34 +97,66 @@ def default_worker_count() -> int:
     return max(1, min(os.cpu_count() or 1, _MAX_DEFAULT_WORKERS))
 
 
-@dataclass
 class ExecutionResult:
     """Outcome of one (possibly parallel) execution.
 
     ``elapsed_seconds`` is pure execution; ``setup_seconds`` is runtime
     overhead (plan preparation, pool spin-up, segment loading); their
     sum ``total_seconds`` is the wall clock of the whole call.
+
+    Runs that size their chunks anyway (``shared`` mode, the gateway, the
+    cluster) pass ``chunk_sizes``.  Serial and driver runs never size
+    chunks: they pass their ``plan`` instead, ``chunk_sizes`` is computed
+    from it the first time it is read, and ``total_iterations`` is the
+    plan's ``total_iterations``.
     """
 
-    store: ArrayStore
-    mode: str
-    workers: int
-    num_chunks: int
-    elapsed_seconds: float
-    chunk_sizes: Tuple[int, ...] = field(default=())
-    backend: str = DEFAULT_BACKEND
-    setup_seconds: float = 0.0
-    #: Why the run left its mode's path — a ``native-parallel`` run without
-    #: a driver, a ``shared`` run after a worker crash — ``None`` otherwise.
-    fallback: Optional[str] = None
-    #: Engine label of an in-kernel parallel run (e.g. ``"native-cc-openmp"``),
-    #: ``None`` for every other path.
-    engine: Optional[str] = None
-    #: Effective OS-thread count of an in-kernel parallel run (0 otherwise).
-    threads: int = 0
+    def __init__(
+        self,
+        store: ArrayStore,
+        mode: str,
+        workers: int,
+        num_chunks: int,
+        elapsed_seconds: float,
+        chunk_sizes: Optional[Sequence[int]] = None,
+        backend: str = DEFAULT_BACKEND,
+        setup_seconds: float = 0.0,
+        fallback: Optional[str] = None,
+        engine: Optional[str] = None,
+        threads: int = 0,
+        plan: Optional[ExecutionPlan] = None,
+    ):
+        self.store = store
+        self.mode = mode
+        self.workers = workers
+        self.num_chunks = num_chunks
+        self.elapsed_seconds = elapsed_seconds
+        self.backend = backend
+        self.setup_seconds = setup_seconds
+        #: Why the run left its mode's path — a ``native-parallel`` run without
+        #: a driver, a ``shared`` run after a worker crash — ``None`` otherwise.
+        self.fallback = fallback
+        #: Engine label of an in-kernel parallel run (e.g. ``"native-cc-openmp"``),
+        #: ``None`` for every other path.
+        self.engine = engine
+        #: Effective OS-thread count of an in-kernel parallel run (0 otherwise).
+        self.threads = threads
+        #: The plan a serial or driver run executed (``None`` otherwise).
+        self.plan = plan
+        self._chunk_sizes = None if chunk_sizes is None else tuple(chunk_sizes)
+
+    @property
+    def chunk_sizes(self) -> Tuple[int, ...]:
+        if self._chunk_sizes is None:
+            self._chunk_sizes = (
+                tuple(self.plan.chunk_sizes()) if self.plan is not None else ()
+            )
+        return self._chunk_sizes
 
     @property
     def total_iterations(self) -> int:
+        if self.plan is not None:
+            return self.plan.total_iterations
         return sum(self.chunk_sizes)
 
     @property
@@ -241,9 +272,9 @@ class ParallelExecutor:
         setup_start = time.perf_counter()
         if plan is None:
             plan = transformed.execution_plan()
-        chunk_sizes = tuple(plan.chunk_sizes())
         self.backend.prepare_plan(transformed, plan)
         if self.mode == "shared":
+            chunk_sizes = tuple(plan.chunk_sizes())
             key = self.telemetry_key(transformed, len(chunk_sizes)) if chunk_sizes else None
             setup = time.perf_counter() - setup_start
             elapsed, extra_setup, fallback, engine = self._run_shared(
@@ -261,9 +292,14 @@ class ParallelExecutor:
                 setup_seconds=setup + extra_setup,
                 fallback=fallback,
             )
+        # Whole-plan runs count chunks on the key table, which the native
+        # kernels read anyway (building it here keeps it in the setup
+        # window); only the driver's schedule choice sizes them.
+        keys = plan.key_table()
+        num_chunks = plan.chunk_count if keys is None else len(keys)
         driver = (
-            self.driver_call(transformed, plan, chunk_sizes)
-            if self.mode == "native-parallel" and chunk_sizes
+            self.driver_call(transformed, plan)
+            if self.mode == "native-parallel" and num_chunks
             else None
         )
         setup = time.perf_counter() - setup_start
@@ -280,14 +316,14 @@ class ParallelExecutor:
             store=store,
             mode=self.mode,
             workers=self.workers if engine is not None else 1,
-            num_chunks=len(chunk_sizes),
+            num_chunks=num_chunks,
             elapsed_seconds=elapsed,
-            chunk_sizes=chunk_sizes,
             backend=engine or getattr(self.backend, "last_execution_engine", self.backend.name),
             setup_seconds=setup,
             fallback=fallback,
             engine=engine,
             threads=driver.threads if engine is not None else 0,
+            plan=plan,
         )
 
     # ------------------------------------------------------------------ #
@@ -297,7 +333,7 @@ class ParallelExecutor:
         self,
         transformed: TransformedLoopNest,
         plan: ExecutionPlan,
-        chunk_sizes: Sequence[int],
+        chunk_sizes: Optional[Sequence[int]] = None,
         workers: Optional[int] = None,
     ) -> DriverCall:
         """The backend's in-kernel driver call for a whole plan.
@@ -306,11 +342,14 @@ class ParallelExecutor:
         kernel and building the plan's tables, all cached — call it inside
         a setup window), clamps the thread count to ``workers`` (default:
         the executor's own) and the chunk count, and picks the schedule
-        from the chunk sizes.  A refused call carries the reason instead.
+        from the chunk sizes (default: the plan's, computed only once the
+        driver accepted).  A refused call carries the reason instead.
         """
         refusal = self.backend.parallel_plan_refusal(transformed, plan)
         if refusal is not None:
             return DriverCall(refusal=refusal)
+        if chunk_sizes is None:
+            chunk_sizes = plan.chunk_sizes()
         return DriverCall(
             threads=max(1, min(workers or self.workers, len(chunk_sizes))),
             dynamic=_schedule_is_dynamic(chunk_sizes),

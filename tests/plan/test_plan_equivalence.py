@@ -184,3 +184,26 @@ class TestExecutionEquivalence:
         with ParallelExecutor(mode="shared", workers=2, backend="vectorized") as executor:
             executor.run(transformed, result)
         assert reference.identical(result), seed
+
+
+class TestStoreWindows:
+    """Stores of the random nests, triangular ones included, are sized
+    without enumerating iterations; their windows equal enumeration's."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_windows_match_enumeration(self, seed):
+        nest = _random_nest(np.random.default_rng(seed))
+        expected = {}
+        for iteration in nest.iterations():
+            env = nest.env_for(iteration)
+            for ref in nest.references():
+                values = ref.subscript_values(env)
+                lows, highs = expected.setdefault(ref.array, (list(values), list(values)))
+                for k, value in enumerate(values):
+                    lows[k] = min(lows[k], value)
+                    highs[k] = max(highs[k], value)
+        store = store_for_nest(nest, margin=0)
+        assert list(store) == list(expected)
+        for array, (lows, highs) in expected.items():
+            assert store[array].origin == tuple(lows)
+            assert store[array].shape == tuple(hi - lo + 1 for lo, hi in zip(lows, highs))

@@ -1,20 +1,28 @@
 """Tests for the runtime array store."""
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.api import parse_loop_file
 from repro.exceptions import ExecutionError
 from repro.loopnest.builder import loop_nest
 from repro.runtime.arrays import (
     ArrayStore,
     OffsetArray,
     _closed_form_windows,
+    _index_sum,
+    _scanned_windows,
+    _window_shape,
     store_for_nest,
 )
 from repro.workloads.paper_examples import example_4_1, example_4_2
+from repro.workloads.suite import workload_suite
 from repro.workloads.synthetic import no_dependence_loop, variable_distance_loop
+
+EXAMPLE_LOOPS = Path(__file__).resolve().parents[2] / "examples" / "loops"
 
 
 def enumerated_windows(nest):
@@ -31,6 +39,32 @@ def enumerated_windows(nest):
                 lows[k] = min(lows[k], int(value))
                 highs[k] = max(highs[k], int(value))
     return windows
+
+
+def meshgrid_index_sum(lows, highs, dtype=np.float64):
+    """The ``index_sum`` reference: an int64 ``meshgrid`` sum, cast once."""
+    grids = np.meshgrid(
+        *[np.arange(lo, hi + 1) for lo, hi in zip(lows, highs)], indexing="ij"
+    )
+    return sum(grids).astype(dtype)
+
+
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def random_box_nest(rng: np.random.Generator):
+    """A rectangular 1- to 4-deep nest over negative and positive indices."""
+    depth = int(rng.integers(1, 5))
+    names = [f"i{k + 1}" for k in range(depth)]
+    builder = loop_nest(f"box-{depth}")
+    for name in names:
+        low = int(rng.integers(-30, 10))
+        builder = builder.loop(name, low, low + int(rng.integers(0, 6)))
+    target = ", ".join(names)
+    source = ", ".join(f"{name} - {int(rng.integers(-2, 3))}" for name in names)
+    return builder.statement(f"A[{target}] = B[{source}] + 1.0").build()
 
 
 class TestOffsetArray:
@@ -73,6 +107,23 @@ class TestOffsetArray:
         clone[0] = 5.0
         assert array[0] == 0.0
         assert clone[0] == 5.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_copy_keeps_origin_dtype_and_values(self, dtype):
+        array = OffsetArray.wrap(
+            (-3, 2), np.arange(20, dtype=dtype).reshape(4, 5) * dtype(0.5)
+        )
+        clone = array.copy()
+        assert clone.origin == array.origin
+        assert clone.data.dtype == np.dtype(dtype)
+        assert clone.data.flags["C_CONTIGUOUS"]
+        assert_same_bits(clone.data, array.data)
+        assert clone.data is not array.data
+        # Writes to either side leave the other unchanged.
+        clone[-3, 2] = 99.0
+        array[0, 6] = -7.0
+        assert array[-3, 2] == 0.0 and clone[0, 6] == 9.5
+        assert (clone[-3, 2], array[0, 6]) == (99.0, -7.0)
 
     def test_allclose_and_difference(self):
         a = OffsetArray.from_window([0], [3])
@@ -122,9 +173,150 @@ class TestStoreForNest:
         with pytest.raises(ExecutionError):
             store_for_nest(no_dependence_loop(2), initializer="bogus")
 
+    def test_empty_window_raises_the_same_error(self):
+        # A negative margin can shrink a window to nothing.
+        nest = loop_nest("point").loop("i1", 3, 3).statement("A[i1] = 1.0").build()
+        for initializer in ("index_sum", "zeros", "random"):
+            with pytest.raises(
+                ExecutionError, match=r"^empty array window: lows=\[4\], highs=\[2\]$"
+            ):
+                store_for_nest(nest, margin=-1, initializer=initializer)
+
+
+class TestStoreInit:
+    """``index_sum`` adds per-axis ranges by broadcasting; every initializer
+    keeps the contents of the int64 ``meshgrid`` and zero-fill reference."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_index_sum_matches_meshgrid(self, seed, dtype):
+        rng = np.random.default_rng(seed)
+        for _ in range(8):
+            nest = random_box_nest(rng)
+            store = store_for_nest(nest, dtype=dtype)
+            for array in store.values():
+                highs = [lo + n - 1 for lo, n in zip(array.origin, array.shape)]
+                assert_same_bits(array.data, meshgrid_index_sum(array.origin, highs, dtype))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_windows_match_meshgrid(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(25):
+            ndim = int(rng.integers(1, 5))
+            lows = [int(rng.integers(-60, 20)) for _ in range(ndim)]
+            highs = [lo + int(rng.integers(0, 7)) for lo in lows]
+            for dtype in (np.float64, np.float32):
+                data = _index_sum(lows, _window_shape(lows, highs), dtype)
+                assert_same_bits(data, meshgrid_index_sum(lows, highs, dtype))
+
+    @pytest.mark.parametrize(
+        "lows, highs, dtype",
+        [
+            ([2**53 + 1], [2**53 + 12], np.float64),
+            ([2**53 - 6, 2**52, 2**52 - 3], [2**53 + 3, 2**52 + 4, 2**52 + 2], np.float64),
+            ([-(2**53) - 5, 7, -(2**52)], [-(2**53) + 4, 12, -(2**52) + 5], np.float64),
+            ([2**24 + 1], [2**24 + 9], np.float32),
+            ([2**23, 2**23 - 4, 2**22], [2**23 + 5, 2**23 + 3, 2**22 + 6], np.float32),
+        ],
+    )
+    def test_windows_past_the_exact_range(self, lows, highs, dtype):
+        # Float partial sums would round here; the int64 path keeps the
+        # reference bits.
+        data = _index_sum(lows, _window_shape(lows, highs), dtype)
+        assert_same_bits(data, meshgrid_index_sum(lows, highs, dtype))
+
+    def test_store_past_the_exact_range(self):
+        nest = (
+            loop_nest("far")
+            .loop("i1", 2**53 + 5, 2**53 + 9)
+            .loop("i2", 2**52, 2**52 + 3)
+            .loop("i3", 2**52, 2**52 + 2)
+            .statement("A[i1, i2, i3] = A[i1 - 1, i2, i3] + 1.0")
+            .build()
+        )
+        array = store_for_nest(nest)["A"]
+        highs = [lo + n - 1 for lo, n in zip(array.origin, array.shape)]
+        assert_same_bits(array.data, meshgrid_index_sum(array.origin, highs))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_zeros_and_random_unchanged(self, dtype):
+        for case in workload_suite(7):
+            zeros = store_for_nest(case.nest, initializer="zeros", dtype=dtype)
+            for array in zeros.values():
+                assert_same_bits(array.data, np.zeros(array.shape, dtype=dtype))
+            noise = store_for_nest(case.nest, initializer="random", seed=3, dtype=dtype)
+            rng = np.random.default_rng(3)
+            for array in noise.values():
+                expected = np.full(array.shape, 0.0, dtype=dtype)
+                expected[...] = rng.uniform(-1.0, 1.0, size=array.shape)
+                assert_same_bits(array.data, expected)
+
     def test_arrays_present(self, ex41_small):
         store = store_for_nest(ex41_small)
         assert set(store.keys()) == {"A"}
+
+
+class TestScannedWindows:
+    """Non-rectangular nests scan every level but the innermost; the
+    windows, and the order arrays enter the store, equal enumeration's."""
+
+    def test_triangular_wavefront_example(self):
+        nest = parse_loop_file(str(EXAMPLE_LOOPS / "triangular_wavefront.loop"))
+        assert not nest.is_rectangular
+        assert _scanned_windows(nest) == enumerated_windows(nest)
+
+    @pytest.mark.parametrize(
+        "make_nest",
+        [
+            # i2 runs 3 - i1 .. i1 - 3: empty for every i1 < 3.
+            lambda: (
+                loop_nest("hourglass")
+                .loop("i1", 0, 8)
+                .loop("i2", "3 - i1", "i1 - 3")
+                .statement("A[i1, 2*i2 - i1] = B[i2 + i1] + A[i1 - 1, -i2]")
+                .build()
+            ),
+            # The middle level is empty for some prefixes, the inner one
+            # for others.
+            lambda: (
+                loop_nest("gappy")
+                .loop("i1", -2, 5)
+                .loop("i2", "i1 - 1", "4 - i1")
+                .loop("i3", "i2", "2*i1 - i2")
+                .statement("C[i3 - i1, i2] = C[i1 + i3, -i2] * 0.5 + D[i3]")
+                .build()
+            ),
+            # Every prefix is empty: no arrays at all.
+            lambda: (
+                loop_nest("void")
+                .loop("i1", 0, 4)
+                .loop("i2", "i1 + 1", "i1")
+                .statement("A[i1, i2] = A[i1, i2 - 1] + 1.0")
+                .build()
+            ),
+        ],
+        ids=["hourglass", "gappy", "void"],
+    )
+    def test_empty_inner_ranges(self, make_nest):
+        nest = make_nest()
+        assert not nest.is_rectangular
+        windows = _scanned_windows(nest)
+        assert windows == enumerated_windows(nest)
+        assert list(windows) == list(enumerated_windows(nest))
+        assert list(store_for_nest(nest)) == list(windows)
+
+    def test_large_triangle_builds_without_enumeration(self):
+        nest = (
+            loop_nest("triangle")
+            .loop("i1", 0, 1023)
+            .loop("i2", 0, "i1")
+            .statement("A[i1, i2] = A[i1 - 2, i2] + 1.0")
+            .build()
+        )
+        started = time.perf_counter()
+        store = store_for_nest(nest, initializer="zeros")
+        assert time.perf_counter() - started < 2.0
+        assert store["A"].origin == (-6, -4) and store["A"].shape == (1034, 1032)
 
 
 class TestClosedFormWindows:
@@ -173,7 +365,7 @@ class TestClosedFormWindows:
         )
         assert store_for_nest(nest) == {}
 
-    def test_non_rectangular_falls_back_to_enumeration(self):
+    def test_non_rectangular_window_is_exact(self):
         nest = (
             loop_nest("triangle")
             .loop("i1", 0, 6)
@@ -196,3 +388,66 @@ class TestClosedFormWindows:
         store = store_for_nest(nest, initializer="zeros")
         assert time.perf_counter() - started < 2.0
         assert set(store.keys()) == {"A"}
+
+
+class TestScannedWindows:
+    """Non-rectangular nests scan every level but the innermost; the
+    windows, and the order arrays enter the store, equal enumeration's."""
+
+    def test_triangular_wavefront_example(self):
+        nest = parse_loop_file(str(EXAMPLE_LOOPS / "triangular_wavefront.loop"))
+        assert not nest.is_rectangular
+        assert _scanned_windows(nest) == enumerated_windows(nest)
+
+    @pytest.mark.parametrize(
+        "make_nest",
+        [
+            # i2 runs 3 - i1 .. i1 - 3: empty for every i1 < 3.
+            lambda: (
+                loop_nest("hourglass")
+                .loop("i1", 0, 8)
+                .loop("i2", "3 - i1", "i1 - 3")
+                .statement("A[i1, 2*i2 - i1] = B[i2 + i1] + A[i1 - 1, -i2]")
+                .build()
+            ),
+            # The middle level is empty for some prefixes, the inner one
+            # for others.
+            lambda: (
+                loop_nest("gappy")
+                .loop("i1", -2, 5)
+                .loop("i2", "i1 - 1", "4 - i1")
+                .loop("i3", "i2", "2*i1 - i2")
+                .statement("C[i3 - i1, i2] = C[i1 + i3, -i2] * 0.5 + D[i3]")
+                .build()
+            ),
+            # Every prefix is empty: no arrays at all.
+            lambda: (
+                loop_nest("void")
+                .loop("i1", 0, 4)
+                .loop("i2", "i1 + 1", "i1")
+                .statement("A[i1, i2] = A[i1, i2 - 1] + 1.0")
+                .build()
+            ),
+        ],
+        ids=["hourglass", "gappy", "void"],
+    )
+    def test_empty_inner_ranges(self, make_nest):
+        nest = make_nest()
+        assert not nest.is_rectangular
+        windows = _scanned_windows(nest)
+        assert windows == enumerated_windows(nest)
+        assert list(windows) == list(enumerated_windows(nest))
+        assert list(store_for_nest(nest)) == list(windows)
+
+    def test_large_triangle_builds_without_enumeration(self):
+        nest = (
+            loop_nest("triangle")
+            .loop("i1", 0, 1023)
+            .loop("i2", 0, "i1")
+            .statement("A[i1, i2] = A[i1 - 2, i2] + 1.0")
+            .build()
+        )
+        started = time.perf_counter()
+        store = store_for_nest(nest, initializer="zeros")
+        assert time.perf_counter() - started < 2.0
+        assert store["A"].origin == (-6, -4) and store["A"].shape == (1034, 1032)

@@ -148,7 +148,13 @@ DRIVERLESS = [
 
 
 class _EmptyPlan:
-    """The smallest plan with no chunks: sizes and selections are empty."""
+    """The smallest plan with no chunks: its key table has no rows, and its
+    sizes, selections and iteration count are empty."""
+
+    total_iterations = 0
+
+    def key_table(self):
+        return np.empty((0, 2), dtype=np.int64)
 
     def chunk_sizes(self):
         return ()
@@ -191,6 +197,7 @@ class TestNativeParallelWithoutDriver:
         )
         assert outcome.fallback is None
         assert (outcome.num_chunks, outcome.workers, outcome.threads) == (0, 1, 0)
+        assert (outcome.chunk_sizes, outcome.total_iterations) == ((), 0)
 
 
 # ---------------------------------------------------------------------------

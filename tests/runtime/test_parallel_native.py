@@ -190,32 +190,34 @@ class TestPackedRanges:
     def test_packing_evaluates_no_bound(self, nest, monkeypatch):
         """Regression: packing is a row gather, never a bound evaluation.
 
-        Discovery evaluates bounds to find the keys; after it, the whole
-        plan and any number of selections pack without one ``_range``
-        call, and the key table is built exactly once.
+        The key table is built once, by the NumPy expansion of the bound
+        table; the whole plan and any number of selections then pack
+        without one ``_range`` call or ``_discover`` scan.
         """
         _, _, transformed = _reference_and_transformed(nest)
         plan = transformed.execution_plan()
-        num_chunks = len(plan.key_list())  # discovery is not counted
-        calls = {"range": 0, "rows": 0}
-        bound_range = ExecutionPlan._range
-        key_rows = ExecutionPlan.key_rows
+        calls = {"range": 0, "discover": 0, "expand": 0}
 
-        def counting_range(self, level, prefix):
-            calls["range"] += 1
-            return bound_range(self, level, prefix)
+        def counting(name, attribute):
+            original = getattr(ExecutionPlan, attribute)
 
-        def counting_rows(self, keys):
-            calls["rows"] += 1
-            return key_rows(self, keys)
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
 
-        monkeypatch.setattr(ExecutionPlan, "_range", counting_range)
-        monkeypatch.setattr(ExecutionPlan, "key_rows", counting_rows)
-        native_codegen.packed_ranges_for(plan)
-        native_codegen.packed_ranges_for(plan, tuple(range(0, num_chunks, 2)))
-        native_codegen.packed_ranges_for(plan, tuple(range(1, num_chunks, 2)))
+            monkeypatch.setattr(ExecutionPlan, attribute, wrapper)
+
+        counting("range", "_range")
+        counting("discover", "_discover")
+        counting("expand", "_expanded_key_table")
+        whole = native_codegen.packed_ranges_for(plan)
+        native_codegen.packed_ranges_for(plan, tuple(range(0, whole.n_chunks, 2)))
+        native_codegen.packed_ranges_for(plan, tuple(range(1, whole.n_chunks, 2)))
         native_codegen.packed_ranges_for(plan, (0,))
-        assert calls == {"range": 0, "rows": 1}
+        assert calls == {"range": 0, "discover": 0, "expand": 1}
+        monkeypatch.undo()
+        reference = plan.key_rows([key for key, _ in plan._discover()])
+        assert np.array_equal(whole.keys, reference.reshape(-1))
 
     def test_selections_never_grow_the_plan(self, monkeypatch):
         """Selections gather from the one key table and add no memo.
