@@ -47,7 +47,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.cluster.client import ClusterConfig, ClusterScheduler, ClusterStats
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.cache import AnalysisCache
 from repro.core.diskcache import DiskCache
@@ -105,17 +104,9 @@ class SessionConfig:
         >>> SessionConfig(mode="shared").resolved_plan_passes()
         ('coalesce',)
 
-    ``cluster`` attaches the distributed serving tier: a
-    :class:`~repro.cluster.client.ClusterConfig` (or, for convenience, a
-    ``"host:port,host:port"`` string or an iterable of node strings) makes
-    every ``run`` schedule its plan's chunk groups across the named worker
-    daemons, with transparent local fallback — results stay bit-identical.
     ``disk_cache`` names a directory for the durable analysis-cache tier
     (:class:`~repro.core.diskcache.DiskCache`), letting restarted processes
     skip analysis for traffic the host has already seen.
-
-        >>> SessionConfig(cluster="127.0.0.1:9100").cluster.nodes
-        ('127.0.0.1:9100',)
     """
 
     backend: str = DEFAULT_BACKEND
@@ -129,21 +120,9 @@ class SessionConfig:
     allow_partitioning: bool = True
     initializer: str = "index_sum"
     plan_passes: Optional[Tuple[str, ...]] = None
-    cluster: Optional[ClusterConfig] = None
     disk_cache: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.cluster is not None and not isinstance(self.cluster, ClusterConfig):
-            # Convenience spellings: "h1:p1,h2:p2" or an iterable of node
-            # strings normalize to a ClusterConfig so the frozen config
-            # still hashes and compares by value.
-            if isinstance(self.cluster, str):
-                nodes = tuple(
-                    node.strip() for node in self.cluster.split(",") if node.strip()
-                )
-            else:
-                nodes = tuple(str(node) for node in self.cluster)
-            object.__setattr__(self, "cluster", ClusterConfig(nodes=nodes))
         if self.disk_cache is not None:
             object.__setattr__(self, "disk_cache", str(self.disk_cache))
         if self.plan_passes is not None:
@@ -244,7 +223,6 @@ class Session:
         else:
             self._cache = None
         self._executor: Optional[ParallelExecutor] = None
-        self._cluster: Optional[ClusterScheduler] = None
         self._executor_creations = 0
         plan_passes = config.resolved_plan_passes()
         self._plan_pipeline: Optional[PlanPassManager] = (
@@ -276,10 +254,10 @@ class Session:
 
         Creates the executor on first access (like :attr:`executor`).  Only
         executions that dispatch chunk groups record into it — ``shared``
-        runs, the gateway's per-group jobs and the cluster — and the
-        gateway and the stats surface read the same store, so every
-        grouping decision sees those measurements.  Whole-plan runs
-        (``serial``, ``native-parallel``) record nothing.
+        runs and the gateway's per-group jobs — and the gateway and the
+        stats surface read the same store, so every grouping decision sees
+        those measurements.  Whole-plan runs (``serial``,
+        ``native-parallel``) record nothing.
 
             >>> from repro.api import Session
             >>> with Session() as session:
@@ -307,42 +285,11 @@ class Session:
                     self._executor_creations += 1
         return self._executor
 
-    @property
-    def cluster_scheduler(self) -> Optional[ClusterScheduler]:
-        """The session's cluster scheduler, or ``None`` when not configured.
-
-        Created on first use, like the executor; it shares the executor's
-        telemetry store so remote and local executions feed (and use) the
-        same per-chunk cost measurements.
-        """
-        if self.config.cluster is None:
-            return None
-        if self._cluster is None:
-            telemetry = self.executor.telemetry  # may create the executor
-            with self._lock:
-                if self._closed:
-                    raise ExecutionError("the session is closed")
-                if self._cluster is None:
-                    self._cluster = ClusterScheduler(
-                        self.config.cluster,
-                        backend=self.config.backend,
-                        telemetry=telemetry,
-                    )
-        return self._cluster
-
-    def cluster_stats(self) -> Optional[ClusterStats]:
-        """The scheduler's counters, or ``None`` (not configured / not used)."""
-        cluster = self._cluster
-        return cluster.stats if cluster is not None else None
-
     def close(self) -> None:
         """Tear down the executor (worker pool, shared segments); idempotent."""
         with self._lock:
             self._closed = True
             executor, self._executor = self._executor, None
-            cluster, self._cluster = self._cluster, None
-        if cluster is not None:
-            cluster.close()
         if executor is not None:
             executor.close()
 
@@ -401,12 +348,7 @@ class Session:
         # Snapshot the initial contents before execution mutates them: the
         # reference run must start from the same values.
         reference = store.copy() if check else None
-        scheduler = self.cluster_scheduler
-        if scheduler is not None:
-            key = self.executor.telemetry_key(transformed, len(plan.chunk_sizes()))
-            execution = scheduler.run(transformed, plan, store, telemetry_key=key)
-        else:
-            execution = self.executor.run(transformed, store, plan=plan)
+        execution = self.executor.run(transformed, store, plan=plan)
         max_abs_difference: Optional[float] = None
         if reference is not None:
             execute_nest(nest, reference)

@@ -12,8 +12,6 @@ plain text files, without writing Python::
     repro-loop run     examples/loops/example41.loop --backend vectorized
     repro-loop batch   examples/loops/*.loop --mode shared --repeat 4
     repro-loop serve   examples/loops/*.loop --repeat 8 --processors 4
-    repro-loop serve   examples/loops/*.loop --cluster 127.0.0.1:9100,127.0.0.1:9101
-    repro-loop worker  --listen 127.0.0.1:9100   # one cluster worker daemon
 
 Every sub-command shares one group of session options
 (``--backend/--mode/--processors/--placement/--no-cache``); ``main``
@@ -151,8 +149,6 @@ def session_config_from_args(args, **overrides) -> SessionConfig:
         )
     if getattr(args, "disk_cache", None):
         options["disk_cache"] = args.disk_cache
-    if getattr(args, "cluster", None):
-        options["cluster"] = args.cluster
     options.update(overrides)
     return SessionConfig(**options)
 
@@ -310,9 +306,6 @@ def _cmd_serve(nests: List[LoopNest], args, session: Session) -> str:
         f"  backend: {results[0].backend}" if results else "  (no jobs)",
         f"  {session.executor.telemetry.describe()}",
     ]
-    cluster_stats = session.cluster_stats()
-    if cluster_stats is not None:
-        lines.append(f"  {session.cluster_scheduler.describe()}")
     return "\n".join(lines)
 
 
@@ -373,7 +366,6 @@ _COMMAND_HELP = {
     "run": "execute the parallelized nest and report timing",
     "batch": "serve all files as one batch through the serving layer",
     "serve": "serve all files concurrently through the async gateway (demo)",
-    "worker": "run one cluster worker daemon serving plans over TCP (no loop files)",
 }
 
 
@@ -413,58 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="gateway admission bound: jobs in flight before new "
                 "submissions wait for capacity (default: 32)",
             )
-            sub.add_argument(
-                "--cluster",
-                default=None,
-                metavar="NODES",
-                help="comma-separated worker addresses (HOST:PORT,...): "
-                "execute chunk groups on these repro worker daemons, with "
-                "consistent-hash routing and transparent local fallback",
-            )
-    # `worker` is not a loop-file command: it takes no files and no session
-    # options — it runs one cluster worker daemon until interrupted.
-    worker = subparsers.add_parser(
-        "worker",
-        help=_COMMAND_HELP["worker"],
-        description="Run one repro cluster worker daemon.  The daemon wraps "
-        "one execution backend, caches programs by canonical hash across "
-        "requests (and, with --disk-cache, across restarts) and executes "
-        "the chunk groups a ClusterScheduler routes to it.  On startup it "
-        "prints 'repro worker listening on HOST:PORT' — with port 0 this "
-        "line is how the launcher learns the ephemeral port.",
-    )
-    worker.add_argument(
-        "--listen",
-        default="127.0.0.1:0",
-        metavar="HOST:PORT",
-        help="address to bind (port 0 picks an ephemeral port, printed on "
-        "startup; default: 127.0.0.1:0)",
-    )
-    worker.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default=DEFAULT_BACKEND,
-        help=f"execution backend (default: {DEFAULT_BACKEND})",
-    )
-    worker.add_argument(
-        "--exec-workers",
-        type=int,
-        default=2,
-        help="chunk groups this worker executes concurrently (default: 2)",
-    )
-    worker.add_argument(
-        "--max-programs",
-        type=int,
-        default=64,
-        help="warm programs kept in memory (default: 64)",
-    )
-    worker.add_argument(
-        "--disk-cache",
-        default=None,
-        metavar="DIR",
-        help="persist programs to DIR so a restarted worker skips program "
-        "re-shipping (entries are version-checked)",
-    )
     return parser
 
 
@@ -485,24 +425,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "worker":
-        from repro.cluster.worker import WorkerConfig, run_worker
-
-        try:
-            host, port = WorkerConfig.parse_listen(args.listen)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        return run_worker(
-            WorkerConfig(
-                host=host,
-                port=port,
-                backend=args.backend,
-                exec_workers=args.exec_workers,
-                max_programs=args.max_programs,
-                disk_cache=args.disk_cache,
-            )
-        )
     # The run command verifies every execution against the interpreter
     # reference; the other commands do not execute through the session.
     overrides = {"verify": "always"} if args.command == "run" else {}

@@ -15,15 +15,19 @@ The emitted source only needs the array store passed as ``arrays`` (a mapping
 from array name to an object indexable by integer tuples, e.g.
 :class:`repro.runtime.arrays.OffsetArray`) and is therefore directly
 executable; the test-suite compiles it and checks it against the interpreter.
+Every divisor of ``/``, ``//`` and ``%`` in a statement body goes through
+the emitted ``_nonzero`` check, so a zero divisor raises
+``ZeroDivisionError`` like the interpreter instead of NumPy's inf/nan.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.exceptions import CodegenError
 from repro.intlin.fourier_motzkin import VariableBounds
+from repro.loopnest.expr import DIVISION_OPS, BinaryOp, Call, Expression, UnaryOp
 from repro.loopnest.nest import LoopNest
 
 __all__ = [
@@ -37,12 +41,40 @@ _PREAMBLE_FUNCTIONS = (
     "sin", "cos", "tan", "exp", "log", "sqrt", "floor", "ceil",
 )
 
+_PREAMBLE = [
+    "import math",
+    f"from math import {', '.join(_PREAMBLE_FUNCTIONS)}",
+    "",
+    "",
+    "def _nonzero(divisor):",
+    "    if divisor == 0:",
+    '        raise ZeroDivisionError("division by zero")',
+    "    return divisor",
+    "",
+    "",
+]
+
+
+def _checked_source(expr: Expression) -> str:
+    """``expr.to_source()`` with every ``/``, ``//`` and ``%`` divisor
+    wrapped in ``_nonzero(...)`` (operands still evaluate left to right)."""
+    if isinstance(expr, BinaryOp):
+        left, right = _checked_source(expr.left), _checked_source(expr.right)
+        if expr.op in DIVISION_OPS:
+            right = f"_nonzero({right})"
+        return f"({left} {expr.op} {right})"
+    if isinstance(expr, UnaryOp):
+        return f"({expr.op}{_checked_source(expr.operand)})"
+    if isinstance(expr, Call):
+        return f"{expr.name}({', '.join(_checked_source(arg) for arg in expr.args)})"
+    return expr.to_source()
+
 
 def _body_lines(nest: LoopNest, indent: str) -> List[str]:
-    lines = []
-    for stmt in nest.statements:
-        lines.append(f"{indent}{stmt.to_source()}")
-    return lines
+    return [
+        f"{indent}{stmt.target.to_source()} = {_checked_source(stmt.rhs)}"
+        for stmt in nest.statements
+    ]
 
 
 def _array_prelude(nest: LoopNest, indent: str) -> List[str]:
@@ -55,11 +87,7 @@ def _array_prelude(nest: LoopNest, indent: str) -> List[str]:
 def emit_original_source(nest: LoopNest, function_name: str = "run_original") -> str:
     """Emit a Python function executing the original nest sequentially."""
     indent = "    "
-    lines = [
-        "import math",
-        f"from math import {', '.join(_PREAMBLE_FUNCTIONS)}",
-        "",
-        "",
+    lines = _PREAMBLE + [
         f"def {function_name}(arrays):",
         f'{indent}"""Sequential execution of loop nest {nest.name!r} (generated code)."""',
     ]
@@ -98,11 +126,7 @@ def emit_chunk_body_source(nest: LoopNest, function_name: str = "run_chunk_body"
     taken = nest.array_names() | set(nest.index_names)
     arrays_arg = _fresh_name("arrays", taken)
     iterations_arg = _fresh_name("iterations", taken)
-    lines = [
-        "import math",
-        f"from math import {', '.join(_PREAMBLE_FUNCTIONS)}",
-        "",
-        "",
+    lines = _PREAMBLE + [
         f"def {function_name}({arrays_arg}, {iterations_arg}):",
         f'{indent}"""Body of loop nest {nest.name!r} over explicit iterations (generated code)."""',
     ]
@@ -148,11 +172,7 @@ def emit_transformed_source(
     inverse = transformed.inverse_transform
     part = transformed.partitioning
 
-    lines = [
-        "import math",
-        f"from math import {', '.join(_PREAMBLE_FUNCTIONS)}",
-        "",
-        "",
+    lines = _PREAMBLE + [
         f"def {function_name}(arrays):",
         f'{indent}"""Transformed execution of loop nest {nest.name!r} (generated code)."""',
     ]

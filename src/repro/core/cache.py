@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from repro.core.algorithm1 import Algorithm1Result
 from repro.core.partition import PartitioningResult
@@ -151,9 +151,9 @@ class AnalysisCache:
     ``disk`` attaches an optional durable second tier
     (:class:`~repro.core.diskcache.DiskCache`): a memory miss consults the
     disk before analyzing, and every cold analysis is persisted, so a
-    restarted process (or a freshly joined cluster node) skips analysis for
-    traffic any previous process on the host has seen.  Disk entries are
-    version-checked; a stale or corrupt entry degrades to a cold analysis.
+    restarted process skips analysis for traffic any previous process on
+    the host has seen.  Disk entries are version-checked; a stale or
+    corrupt entry degrades to a cold analysis.
     """
 
     def __init__(self, maxsize: int = 4096, disk: Optional["DiskCache"] = None):
@@ -220,8 +220,8 @@ class AnalysisCache:
         """The durable spelling of :meth:`key_for`: hex digest plus knobs.
 
         The canonical hash is the stable *cross-process* name of a loop
-        structure, so this key means the same thing to every process (and
-        every cluster node) sharing the cache directory.
+        structure, so this key means the same thing to every process
+        sharing the cache directory.
         """
         return (
             f"{canonical_hash(nest)}:{placement}"

@@ -1,11 +1,12 @@
-"""Versioned disk-persistent cache for analysis reports and execution plans.
+"""Versioned disk-persistent cache for analysis reports.
 
 The in-memory :class:`~repro.core.cache.AnalysisCache` dies with its
-process; a restarted serving node (or a node freshly joining a cluster) used
-to re-analyze every program of its steady-state traffic from scratch.  This
-module adds the missing durable tier: a content-addressed directory of
-pickled entries, keyed by the PR 2 canonical hash (plus the analysis knobs),
-that any number of processes on one host can share.
+process; a restarted serving process used to re-analyze every program of
+its steady-state traffic from scratch.  This module adds the missing
+durable tier: a content-addressed directory of pickled entries, keyed by
+the canonical structural hash (plus the analysis knobs), that any number
+of processes on one host can share.  ``SessionConfig.disk_cache`` (the
+CLI's ``--disk-cache``) attaches it to a session's analysis cache.
 
 Safety is the whole design:
 
@@ -13,7 +14,7 @@ Safety is the whole design:
   the on-disk format version with
   :attr:`repro.plan.ExecutionPlan.SPEC_VERSION`.  An entry written by an
   incompatible build is treated as a *miss* and deleted, never
-  misinterpreted — the silent stale-cache corruption this PR closes.
+  misinterpreted.
 * **atomic publish** — entries are written to a temporary file in the cache
   directory and ``os.replace``\\ d into place, so concurrent readers (and
   crashed writers) only ever observe complete entries.
@@ -26,7 +27,6 @@ Safety is the whole design:
     ...     cache.get("k") is None
     ...     cache.put("k", {"answer": 42})
     ...     cache.get("k")
-    True
     True
     {'answer': 42}
 """
@@ -53,8 +53,8 @@ def default_spec_version() -> str:
     """The compatibility stamp entries are written (and validated) under.
 
     Combines the disk envelope version with the plan spec version: a bump
-    of either invalidates every existing entry, because both the envelope
-    and the plans pickled inside the values must deserialize exactly.
+    of either invalidates every existing entry, because the envelope and
+    the values pickled inside it must deserialize exactly.
     """
     return f"disk{DISK_FORMAT_VERSION}.plan{ExecutionPlan.SPEC_VERSION}"
 
@@ -78,29 +78,22 @@ class DiskCacheStats:
 class DiskCache:
     """A directory of versioned, atomically published pickle entries.
 
-    ``namespace`` separates independent key spaces inside one directory
-    (analysis reports vs optimized plans); ``spec_version`` defaults to
-    :func:`default_spec_version` and is recorded in — and required of —
+    Entries live in ``<directory>/analysis/``.  ``spec_version`` defaults
+    to :func:`default_spec_version` and is recorded in — and required of —
     every entry.  Keys are arbitrary strings (canonical hashes plus knob
     reprs); the file name is the SHA-256 of the key, so keys never have to
     be file-system safe.
 
-        >>> import tempfile
+        >>> import os, tempfile
         >>> with tempfile.TemporaryDirectory() as root:
-        ...     plans = DiskCache(root, namespace="plans")
-        ...     plans.put("abc:outer", [1, 2, 3])
-        ...     plans.get("abc:outer")
-        [1, 2, 3]
+        ...     cache = DiskCache(root)
+        ...     cache.put("abc:outer", [1, 2, 3])
+        ...     cache.get("abc:outer"), os.listdir(root)
+        ([1, 2, 3], ['analysis'])
     """
 
-    def __init__(
-        self,
-        directory: str,
-        namespace: str = "analysis",
-        spec_version: Optional[str] = None,
-    ):
-        self.directory = os.path.join(os.path.expanduser(str(directory)), namespace)
-        self.namespace = namespace
+    def __init__(self, directory: str, spec_version: Optional[str] = None):
+        self.directory = os.path.join(os.path.expanduser(str(directory)), "analysis")
         self.spec_version = spec_version or default_spec_version()
         self.stats = DiskCacheStats()
 
@@ -119,8 +112,8 @@ class DiskCache:
             self.stats.misses += 1
             return None
         except Exception:
-            # Truncated write, unpicklable content, or a plan whose
-            # SPEC_VERSION check fired: drop the entry and miss.
+            # Truncated write or unpicklable content: drop the entry and
+            # miss.
             self._discard(path)
             self.stats.rejected += 1
             self.stats.misses += 1
@@ -181,7 +174,7 @@ class DiskCache:
             return 0
 
     def clear(self) -> None:
-        """Drop every entry of this namespace."""
+        """Drop every entry."""
         try:
             names = os.listdir(self.directory)
         except OSError:
@@ -192,9 +185,9 @@ class DiskCache:
 
     def describe(self) -> str:
         return (
-            f"disk cache [{self.namespace}@{self.spec_version}]: "
+            f"disk cache [{self.spec_version}]: "
             f"{len(self)} entrie(s), " + self.stats.describe()
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DiskCache(directory={self.directory!r}, namespace={self.namespace!r})"
+        return f"DiskCache(directory={self.directory!r})"

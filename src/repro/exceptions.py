@@ -23,8 +23,6 @@ __all__ = [
     "ExecutionError",
     "WorkloadError",
     "GatewayOverloaded",
-    "ClusterError",
-    "ClusterProtocolError",
 ]
 
 
@@ -104,10 +102,3 @@ class GatewayOverloaded(ReproError, RuntimeError):
         self.stats = stats
         self.retry_after_hint = float(retry_after_hint)
 
-
-class ClusterError(ReproError, RuntimeError):
-    """A cluster operation failed after exhausting the failure ladder."""
-
-
-class ClusterProtocolError(ClusterError):
-    """A cluster peer sent an undecodable, oversized or mismatched frame."""

@@ -521,13 +521,12 @@ class Gateway:
         driver: Optional[DriverCall] = None
         key: Optional[str] = None
         groups: List[Tuple[int, ...]] = []
-        if chunk_sizes and session.cluster_scheduler is None:
+        if chunk_sizes:
             # Prefer the in-kernel driver: one native call runs every chunk
             # on exec_workers OS threads, so the job becomes a single group
             # and the per-group Python dispatch disappears.  The probe
             # compiles the kernel and builds the plan's tables — analysis-
-            # stage work, exactly where it belongs.  Cluster-backed gateways
-            # keep per-group dispatch (groups drain onto the wire).
+            # stage work, exactly where it belongs.
             driver = executor.driver_call(
                 transformed, plan, chunk_sizes, workers=self.config.exec_workers
             )
@@ -550,21 +549,10 @@ class Gateway:
 
         Executes one chunk group of the job's plan in place on the job's
         store.  Concurrent groups of one job share the store without
-        locking — chunks never access a common cell with a write.  When the
-        session is cluster-configured the group drains onto a remote worker
-        node instead (same plan, same indices, merged back cell-exactly),
-        so the execution pool's threads spend their time on the wire while
-        the actual compute happens on the cluster.
+        locking — chunks never access a common cell with a write.
         """
         start = time.perf_counter()
-        scheduler = self.session.cluster_scheduler
-        if scheduler is not None:
-            # telemetry_key=None: the exec worker records this group's wall
-            # clock itself, exactly like the local path below.
-            scheduler.execute_group(
-                job.transformed, job.plan, job.store, group, telemetry_key=None
-            )
-        elif job.driver is not None:
+        if job.driver is not None:
             # The group is the whole plan: one driver call, as in the
             # executor's native-parallel mode.
             job.engine = self.session.executor.execute_whole_plan(

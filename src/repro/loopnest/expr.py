@@ -19,6 +19,7 @@ from repro.exceptions import ExecutionError, SubscriptError
 from repro.loopnest.affine import AffineExpr
 
 __all__ = [
+    "DIVISION_OPS",
     "Expression",
     "Constant",
     "IndexTerm",
@@ -39,6 +40,12 @@ _BINARY_OPS: Dict[str, Callable] = {
     "%": lambda a, b: a % b,
     "**": lambda a, b: a ** b,
 }
+
+#: Operators whose zero divisor raises ``ZeroDivisionError``.  Array reads
+#: are NumPy float64 scalars, which would instead warn and yield inf/nan,
+#: so every evaluator checks the divisor itself (the table above stays
+#: elementwise: the vectorized backend applies it to whole arrays).
+DIVISION_OPS = ("/", "//", "%")
 
 _CALLS: Dict[str, Callable] = {
     "sin": math.sin,
@@ -171,7 +178,11 @@ class BinaryOp(Expression):
             raise SubscriptError(f"unsupported binary operator {self.op!r}")
 
     def evaluate(self, env, arrays):
-        return _BINARY_OPS[self.op](self.left.evaluate(env, arrays), self.right.evaluate(env, arrays))
+        left = self.left.evaluate(env, arrays)
+        right = self.right.evaluate(env, arrays)
+        if self.op in DIVISION_OPS and right == 0:
+            raise ZeroDivisionError(f"division by zero in {self.to_source()}")
+        return _BINARY_OPS[self.op](left, right)
 
     def array_accesses(self) -> List[ArrayAccess]:
         return self.left.array_accesses() + self.right.array_accesses()

@@ -220,10 +220,10 @@ class ExecutionPlan:
         "total_iterations",
     )
 
-    #: Version of the pickled spec.  Plans cross process *and* host
-    #: boundaries (worker pools, cluster nodes, disk caches), where the
-    #: sender and receiver may run different builds; a silently
-    #: misinterpreted spec field would corrupt results without any error.
+    #: Version of the pickled spec.  Plans cross process boundaries (the
+    #: worker pool), and the version stamps every disk-cache entry, which
+    #: a different build may read back; a silently misinterpreted spec
+    #: field would corrupt results without any error.
     #: Bump this whenever ``_SPEC_FIELDS`` or their meaning changes —
     #: unpickling rejects any other version with a clear error.
     SPEC_VERSION = 1

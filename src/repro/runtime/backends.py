@@ -62,6 +62,7 @@ from repro.loopnest.canonical import (
 from repro.loopnest.expr import (
     _BINARY_OPS,
     _CALLS,
+    DIVISION_OPS,
     ArrayAccess,
     BinaryOp,
     Call,
@@ -439,6 +440,13 @@ def _subscript_offsets(
 class VectorizedBackend(ExecutionBackend):
     """Round-based NumPy execution of the independent-chunk schedule.
 
+    A round that raises (a zero divisor, a domain error, ...) would leave
+    every chunk's earlier rounds written, not the chunk-major prefix a
+    serial run leaves.  So the backend first puts back the cells the run
+    wrote, then replays it chunk-major through the compiled body, which
+    raises the interpreter's exception after the interpreter's partial
+    writes.  A subscript leaving its window replays the same way.
+
     Parameters
     ----------
     check_independence:
@@ -476,6 +484,7 @@ class VectorizedBackend(ExecutionBackend):
             "fallback_iterations": 0,
             "delegated_runs": 0,
             "illegal_schedule_fallbacks": 0,
+            "error_replays": 0,
         }
 
     # ------------------------------------------------------------------ #
@@ -501,27 +510,31 @@ class VectorizedBackend(ExecutionBackend):
         blocks = [_plan_index_block(view, plan.depth) for view in views]
         all_new = np.concatenate(blocks)
         sizes = np.asarray([block.shape[0] for block in blocks], dtype=np.int64)
-        if not self._execute_packed(transformed, store, all_new, sizes):
-            # Not the independent partition the analysis promised: execute
-            # chunk-major (the interpreter's order) through the compiled
-            # backend instead.
-            self.stats["illegal_schedule_fallbacks"] += 1
+        fallback = self._execute_packed(transformed, store, all_new, sizes)
+        if fallback is not None:
+            # Not the independent partition the analysis promised, or an
+            # error to raise the way a serial run does: execute chunk-major
+            # (the interpreter's order) through the compiled backend instead.
+            self.stats[fallback] += 1
             self.last_execution_engine = "compiled"
             CompiledBackend().execute_plan(
                 transformed, plan, store, chunk_indices=chunk_indices
             )
         return store
 
-    def _execute_packed(self, transformed, store, all_new, sizes) -> bool:
+    def _execute_packed(self, transformed, store, all_new, sizes) -> Optional[str]:
         """Run the rounds for a chunk-major (total, depth) index matrix.
 
-        Returns False (without having written anything) when the dynamic
-        independence check rejects the schedule; the caller falls back.
+        Returns ``None`` on success.  Otherwise the store holds no write of
+        this call, and the returned stats key names why the caller must
+        replay chunk-major: the dynamic independence check rejected the
+        schedule (``"illegal_schedule_fallbacks"``), or a subscript left its
+        window or a round raised (``"error_replays"``).
         """
         nest = transformed.nest
         total_rows = int(all_new.shape[0])
         if total_rows == 0:
-            return True
+            return None
         inverse = np.asarray(transformed.inverse_transform, dtype=np.int64)
         starts = np.zeros(len(sizes), dtype=np.int64)
         np.cumsum(sizes[:-1], out=starts[1:])
@@ -555,9 +568,12 @@ class VectorizedBackend(ExecutionBackend):
                     f"array {access.array!r} is not defined in the store"
                 )
             if access not in offset_cache:
-                offset_cache[access] = _subscript_offsets(
-                    access.array, store[access.array], access.subscripts, env, total
-                )
+                try:
+                    offset_cache[access] = _subscript_offsets(
+                        access.array, store[access.array], access.subscripts, env, total
+                    )
+                except ExecutionError:
+                    return "error_replays"
 
         if self.check_independence and not self._chunks_are_independent(
             accesses, offset_cache, store, chunk_ids
@@ -566,30 +582,45 @@ class VectorizedBackend(ExecutionBackend):
             # independent partition the analysis promised, so *no* round
             # interleaving is known to be legal.  The caller executes
             # chunk-major (the interpreter's order) instead.
-            return False
+            return "illegal_schedule_fallbacks"
 
         # ---- execute round by round ----
         body = CompiledBackend.body_function(nest)
-        for r in range(num_rounds):
-            lo, hi = int(bounds[r]), int(bounds[r + 1])
-            count = hi - lo
-            self.stats["rounds"] += 1
-            if count < 2:
-                self.stats["fallback_rounds"] += 1
-                self.stats["fallback_iterations"] += count
-                body(store, [tuple(int(v) for v in row) for row in originals[lo:hi]])
-                continue
-            self.stats["vectorized_rounds"] += 1
-            self.stats["vectorized_iterations"] += count
-            window = slice(lo, hi)
-            for stmt in nest.statements:
-                values = self._evaluate(
-                    stmt.rhs, offset_cache, term_cache, window, store, count
-                )
-                target = store[stmt.target.array]
-                offsets = tuple(off[window] for off in offset_cache[stmt.target])
-                target.data[offsets] = values
-        return True
+        # The cells this call writes, before it writes them: only this
+        # call's chunks touch them, so putting them back after an error is
+        # safe even while other groups write the same arrays.
+        written = [
+            (store[stmt.target.array].data, offset_cache[stmt.target])
+            for stmt in nest.statements
+        ]
+        saved = [data[offsets] for data, offsets in written]
+        try:
+            for r in range(num_rounds):
+                lo, hi = int(bounds[r]), int(bounds[r + 1])
+                count = hi - lo
+                self.stats["rounds"] += 1
+                if count < 2:
+                    self.stats["fallback_rounds"] += 1
+                    self.stats["fallback_iterations"] += count
+                    body(store, [tuple(int(v) for v in row) for row in originals[lo:hi]])
+                    continue
+                self.stats["vectorized_rounds"] += 1
+                self.stats["vectorized_iterations"] += count
+                window = slice(lo, hi)
+                for stmt in nest.statements:
+                    values = self._evaluate(
+                        stmt.rhs, offset_cache, term_cache, window, store, count
+                    )
+                    target = store[stmt.target.array]
+                    offsets = tuple(off[window] for off in offset_cache[stmt.target])
+                    target.data[offsets] = values
+        except (ArithmeticError, ValueError):
+            # What a loop body raises: a zero divisor, a math domain or
+            # range error.
+            for (data, offsets), values in zip(written, saved):
+                data[offsets] = values
+            return "error_replays"
+        return None
 
     # ------------------------------------------------------------------ #
     def _chunks_are_independent(
@@ -645,7 +676,7 @@ class VectorizedBackend(ExecutionBackend):
         if isinstance(expr, BinaryOp):
             left = self._evaluate(expr.left, offset_cache, term_cache, window, store, count)
             right = self._evaluate(expr.right, offset_cache, term_cache, window, store, count)
-            if expr.op in ("/", "//", "%") and bool(np.any(np.asarray(right) == 0)):
+            if expr.op in DIVISION_OPS and bool(np.any(np.asarray(right) == 0)):
                 # NumPy would warn and yield inf/nan/0 where the interpreter
                 # raises; match the interpreter's error behavior instead.
                 raise ZeroDivisionError(f"division by zero in {expr.to_source()}")

@@ -104,11 +104,11 @@ class ExecutionResult:
     overhead (plan preparation, pool spin-up, segment loading); their
     sum ``total_seconds`` is the wall clock of the whole call.
 
-    Runs that size their chunks anyway (``shared`` mode, the gateway, the
-    cluster) pass ``chunk_sizes``.  Serial and driver runs never size
-    chunks: they pass their ``plan`` instead, ``chunk_sizes`` is computed
-    from it the first time it is read, and ``total_iterations`` is the
-    plan's ``total_iterations``.
+    Runs that size their chunks anyway (``shared`` mode, the gateway) pass
+    ``chunk_sizes``.  Serial and driver runs never size chunks: they pass
+    their ``plan`` instead, ``chunk_sizes`` is computed from it the first
+    time it is read, and ``total_iterations`` is the plan's
+    ``total_iterations``.
     """
 
     def __init__(
@@ -467,7 +467,9 @@ class ParallelExecutor:
     ) -> Tuple[float, float, Optional[str], Optional[str]]:
         """Run the groups on the pool: ``(elapsed, setup, fallback note,
         engine)``, the engine being the one every worker reported (None
-        when they differ)."""
+        when they differ).  An error a worker *reported* propagates with
+        the type a serial run raises; the segments stay valid for the next
+        call."""
         if not chunk_sizes:
             return 0.0, 0.0, None, None
         setup_start = time.perf_counter()
@@ -514,8 +516,3 @@ class ParallelExecutor:
             elapsed = time.perf_counter() - start
             engine = getattr(self.backend, "last_execution_engine", None)
             return elapsed, setup, f"worker crash, serial fallback ({crash})", engine
-        except ExecutionError:
-            # A worker *reported* the error the loop itself raised (window
-            # violation, division by zero, ...): propagate it exactly like a
-            # serial run would.  The segments stay valid for the next call.
-            raise

@@ -22,16 +22,19 @@ What crosses the process boundary, and when:
 * a **result** is ``(job id, group index, elapsed seconds, engine)`` — the
   worker-measured wall clock of the group's execution, which feeds the
   executor's :class:`~repro.runtime.telemetry.ExecutionTelemetry`, and the
-  engine that ran it (e.g. ``"native-cc"``) — or an error string plus
-  traceback when the group failed.
+  engine that ran it (e.g. ``"native-cc"``) — or the exception's type name
+  and text plus the traceback when the group failed.
 
-Failure semantics: a worker that *reports* an exception (window violation,
-division by zero, ...) makes :meth:`WorkerPool.run_job` raise
-:class:`~repro.exceptions.ExecutionError` — the same error a serial run
-would raise.  A worker that *dies* (crash, kill) raises
-:class:`WorkerCrashed`; the executor treats that as an infrastructure
-failure, discards the pool and falls back to serial execution on the
-parent's (untouched) store.
+Failure semantics: a worker that *reports* an exception makes
+:meth:`WorkerPool.run_job` raise the type a serial run raises.  The loop's
+arithmetic errors — ``ZeroDivisionError``, ``ValueError`` and
+``OverflowError``, the types the native kernels' status codes map to —
+are re-raised as themselves; anything else (a window violation, a missing
+array, ...) raises :class:`~repro.exceptions.ExecutionError`.  Either way
+the message names the failing group and carries the worker's traceback.
+A worker that *dies* (crash, kill) raises :class:`WorkerCrashed`; the
+executor treats that as an infrastructure failure, discards the pool and
+falls back to serial execution on the parent's (untouched) store.
 """
 
 from __future__ import annotations
@@ -59,6 +62,13 @@ __all__ = ["WorkerCrashed", "WorkerPool"]
 _WORKER_STORE_CACHE = 4
 _PARENT_PROGRAM_CACHE = 16
 
+#: Worker-reported exceptions re-raised as their own type, matched by exact
+#: type name (a ``ValueError`` subclass such as a ``ReproError`` is not one
+#: of them); every other reported type becomes an ``ExecutionError``.
+_LOOP_ERRORS = {
+    error.__name__: error for error in (ZeroDivisionError, ValueError, OverflowError)
+}
+
 
 class WorkerCrashed(ExecutionError):
     """A pool worker died without reporting a result."""
@@ -79,8 +89,8 @@ class _WorkerProgram:
         Deliberately *not* routed through the backend's in-kernel parallel
         driver: shared-mode pools already run one worker process per core,
         so a multithreaded driver inside each worker would oversubscribe
-        the host.  In-process executors (native-parallel mode, the gateway,
-        the cluster daemon) are where the driver wins.
+        the host.  In-process executors (native-parallel mode, the gateway)
+        are where the driver wins.
         """
         self.backend.execute_plan(
             self.transformed, self.plan, store, chunk_indices=chunk_indices
@@ -106,7 +116,8 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
                 programs[token] = _WorkerProgram(transformed, backend, plan)
             except BaseException as exc:  # report at the next run task
                 result_queue.put(
-                    ("error", -1, -1, f"program registration failed: {exc!r}",
+                    ("error", -1, -1,
+                     (type(exc).__name__, f"program registration failed: {exc!r}"),
                      traceback.format_exc())
                 )
             continue
@@ -134,7 +145,7 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
             result_queue.put(("done", job_id, group_index, elapsed, engine))
         except BaseException as exc:
             result_queue.put(
-                ("error", job_id, group_index, f"{type(exc).__name__}: {exc}",
+                ("error", job_id, group_index, (type(exc).__name__, str(exc)),
                  traceback.format_exc())
             )
     for program in programs.values():
@@ -247,9 +258,10 @@ class WorkerPool:
         and returns, per group index, the worker-measured wall clock of the
         group (the raw material of the executor's telemetry) and the engine
         that ran it.
-        Raises ``ExecutionError`` for a worker-reported failure and
-        :class:`WorkerCrashed` when a worker dies; after a crash the pool
-        must be discarded (``close``).
+        A worker-reported failure raises the loop's own
+        ``ZeroDivisionError``, ``ValueError`` or ``OverflowError``, or
+        ``ExecutionError`` for any other type; :class:`WorkerCrashed` means
+        a worker died, after which the pool must be discarded (``close``).
         """
         if self._closed:
             raise ExecutionError("worker pool is closed")
@@ -285,8 +297,9 @@ class WorkerPool:
                         f"{len(pending)} group(s) outstanding"
                     ) from None
                 continue
-            # ``payload`` is the measured seconds on "done" and the error
-            # string on "error"; ``detail`` is the engine or the traceback.
+            # ``payload`` is the measured seconds on "done" and the error's
+            # (type name, text) on "error"; ``detail`` is the engine or the
+            # traceback.
             kind, message_job, group_index, payload, detail = message
             if message_job != job_id:
                 continue  # stale result from an earlier job
@@ -300,9 +313,9 @@ class WorkerPool:
             else:
                 outcomes[group_index] = (float(payload), detail)
         if first_error is not None:
-            group_index, error, trace = first_error
-            raise ExecutionError(
-                f"group {group_index} failed in the worker pool: {error}\n{trace}"
+            group_index, (name, text), trace = first_error
+            raise _LOOP_ERRORS.get(name, ExecutionError)(
+                f"group {group_index} failed in the worker pool: {name}: {text}\n{trace}"
             )
         return outcomes
 

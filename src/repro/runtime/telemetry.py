@@ -7,10 +7,10 @@ matters: a chunk that vectorizes into one wide NumPy call is far cheaper per
 iteration than a narrow chunk paying per-dispatch overhead, and a body whose
 cost varies across the iteration space skews further.  This module closes
 the loop: every execution that dispatches chunks in groups — the shared
-pool, the gateway's per-group jobs, the cluster — records the **wall clock
-of each chunk group** it ran, the store attributes that time to the
-group's chunks, and the next balancing decision for the same program works
-from the *measured* per-chunk costs instead of the sizes.  Whole-plan runs
+pool and the gateway's per-group jobs — records the **wall clock of each
+chunk group** it ran, the store attributes that time to the group's
+chunks, and the next balancing decision for the same program works from
+the *measured* per-chunk costs instead of the sizes.  Whole-plan runs
 (serial, the in-kernel driver) record nothing: one time for every chunk,
 split proportionally to the sizes, would only rescale them.
 

@@ -2,13 +2,16 @@
 
 Covers the configuration plumbing (``SessionConfig.plan_passes``, CLI
 ``--plan-passes`` / ``--no-plan-passes``), the rejection of removed modes,
-passes and flags, the session's program LRU caching the *optimized* plan
-and the equivalence guarantee: optimized and raw dispatches produce
-identical stores.
+passes, options, commands and modules, the session's program LRU caching
+the *optimized* plan and the equivalence guarantee: optimized and raw
+dispatches produce identical stores.
 """
+
+import importlib
 
 import pytest
 
+import repro.exceptions
 from repro.api import Session, SessionConfig
 from repro.cli import build_parser, session_config_from_args
 from repro.exceptions import ExecutionError, WorkloadError
@@ -49,7 +52,7 @@ class TestConfig:
 
 
 class TestRemovedOptions:
-    """Deleted modes, passes and flags fail loudly and name what is left."""
+    """Deleted modes, passes, options and commands fail loudly."""
 
     def test_processes_mode_rejected(self):
         with pytest.raises(
@@ -92,6 +95,34 @@ class TestRemovedOptions:
             build_parser().parse_args(["batch", "x.loop", "--fuse"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --fuse" in capsys.readouterr().err
+
+    def test_cluster_option_rejected(self):
+        # The multi-host serving tier is gone: no config field, no keyword.
+        with pytest.raises(TypeError, match="cluster"):
+            SessionConfig(cluster="127.0.0.1:9100")
+        with pytest.raises(TypeError, match="cluster"):
+            Session(cluster="127.0.0.1:9100")
+        with pytest.raises(TypeError, match="cluster"):
+            Session(SessionConfig(), cluster="127.0.0.1:9100")
+
+    def test_cli_worker_command_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["worker"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'worker'" in capsys.readouterr().err
+
+    def test_cli_serve_cluster_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "x.loop", "--cluster", "h:1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --cluster h:1" in capsys.readouterr().err
+
+    def test_cluster_package_and_errors_removed(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.cluster")
+        assert not hasattr(repro.exceptions, "ClusterError")
+        assert not hasattr(repro.exceptions, "ClusterProtocolError")
+        assert "ClusterError" not in repro.exceptions.__all__
 
 
 class TestSessionPipeline:

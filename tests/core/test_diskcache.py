@@ -20,12 +20,15 @@ class TestDiskCache:
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
 
-    def test_namespaces_are_disjoint(self, tmp_path):
-        plans = DiskCache(tmp_path, namespace="plans")
-        analysis = DiskCache(tmp_path, namespace="analysis")
-        plans.put("k", "plan-value")
-        assert analysis.get("k") is None
-        assert plans.get("k") == "plan-value"
+    def test_entries_live_under_analysis_subdirectory(self, tmp_path):
+        # The layout every earlier cache directory was written in: a
+        # directory filled before keeps hitting.
+        cache = DiskCache(tmp_path)
+        cache.put("k", "value")
+        assert cache.directory == os.path.join(str(tmp_path), "analysis")
+        assert os.listdir(tmp_path) == ["analysis"]
+        assert os.path.isfile(cache._path_for("k"))
+        assert os.path.dirname(cache._path_for("k")) == cache.directory
 
     def test_version_skew_is_a_miss_and_entry_is_dropped(self, tmp_path):
         old = DiskCache(tmp_path, spec_version="build-A")

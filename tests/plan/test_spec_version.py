@@ -1,7 +1,7 @@
 """Spec-versioned plan pickling.
 
-Plans cross process *and* host boundaries (worker pools, cluster nodes,
-disk caches) where sender and receiver may run different builds.  The
+Plans cross process boundaries (the worker pool), and the spec version
+stamps disk-cache entries that a different build may read back.  The
 pickle therefore carries ``ExecutionPlan.SPEC_VERSION`` and unpickling
 rejects any other version with a clear error — a silently misinterpreted
 spec field would corrupt results without any signal.

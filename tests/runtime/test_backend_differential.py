@@ -11,6 +11,8 @@ top of every backend — must produce **bit-identical** final array stores on:
 ``ArrayStore.identical`` compares with ``np.array_equal`` — no tolerance.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from repro.core.pipeline import analyze_nest
 from repro.exceptions import ExecutionError
 from repro.loopnest.builder import loop_nest
 from repro.plan import optimize_plan
-from repro.runtime.arrays import store_for_nest
+from repro.runtime.arrays import OffsetArray, store_for_nest
 from repro.runtime.backends import (
     CompiledBackend,
     ExecutionBackend,
@@ -201,6 +203,57 @@ class TestNativeParallelWithoutDriver:
 
 
 # ---------------------------------------------------------------------------
+# zero divisors: the interpreter's exception on every backend and mode
+# ---------------------------------------------------------------------------
+
+#: Each body divides by ``i2 - 5``, which is zero halfway along every row
+#: chunk.  An array-read numerator makes the interpreter divide a NumPy
+#: float64, which by itself would warn and store inf/nan instead of raising.
+ZERO_DIVISOR_BODIES = [
+    "A[i1, i2] = A[i1, i2 - 1] / (i2 - 5)",
+    "A[i1, i2] = A[i1, i2 - 1] // (i2 - 5)",
+    "A[i1, i2] = A[i1, i2 - 1] % (i2 - 5)",
+    "A[i1, i2] = A[i1, i2 - 1] * 0.5 + 1.0 / (i2 - 5)",
+]
+
+
+class TestZeroDivisor:
+    @pytest.mark.parametrize("body", ZERO_DIVISOR_BODIES)
+    @pytest.mark.parametrize("mode", ["serial", "shared", "native-parallel"])
+    @pytest.mark.parametrize(
+        "backend_name", ["interpreter", "compiled", "vectorized", "native"]
+    )
+    def test_raises_like_the_interpreter(self, backend_name, mode, body):
+        # Ten row chunks: enough for the vectorized backend to run rounds.
+        nest = (
+            loop_nest("zero-divisor")
+            .loop("i1", 0, 9)
+            .loop("i2", 1, 9)
+            .statement(body)
+            .build()
+        )
+        transformed = TransformedLoopNest.from_report(analyze_nest(nest))
+        base = store_for_nest(nest)
+        reference, result = base.copy(), base.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NumPy RuntimeWarning fails
+            with pytest.raises(ZeroDivisionError):
+                execute_nest(nest, base.copy())
+            with pytest.raises(ZeroDivisionError):
+                ParallelExecutor(backend="interpreter").run(transformed, reference)
+            with ParallelExecutor(mode=mode, workers=2, backend=backend_name) as executor:
+                with pytest.raises(ZeroDivisionError):
+                    executor.run(transformed, result)
+        assert not reference.identical(base)  # the error came mid-run
+        if mode == "serial":
+            # The interpreter's partial writes, cell for cell.
+            assert reference.identical(result)
+        elif mode == "shared":
+            # Workers wrote into shared segments that are never copied back.
+            assert base.identical(result)
+
+
+# ---------------------------------------------------------------------------
 # randomized synthetic nests (seeded)
 # ---------------------------------------------------------------------------
 
@@ -261,10 +314,11 @@ class TestRandomizedDifferential:
 # ---------------------------------------------------------------------------
 
 class TestChunkSelections:
-    """Pool and cluster workers run a plan one selection of chunk positions
-    at a time.  Chunks are pairwise independent (Lemma 1 / Theorem 2), so
-    any split of the positions, executed selection by selection in any
-    order on one store, must equal the whole run bit for bit."""
+    """Pool workers and the gateway's per-group jobs run a plan one
+    selection of chunk positions at a time.  Chunks are pairwise
+    independent (Lemma 1 / Theorem 2), so any split of the positions,
+    executed selection by selection in any order on one store, must equal
+    the whole run bit for bit."""
 
     @pytest.mark.parametrize(
         "backend_name, options", BACKEND_VARIANTS, ids=VARIANT_IDS
@@ -387,6 +441,54 @@ class TestVectorizedBehavior:
         backend = VectorizedBackend(min_parallel_width=2)
         with pytest.raises(ZeroDivisionError):
             backend.execute(transformed, store.copy())
+
+    def test_window_violation_replays_chunk_major(self):
+        # B's window ends before the last column: the interpreter writes the
+        # first row chunk up to it, then raises.  The rounds never start (the
+        # window check is up front); the chunk-major replay leaves the same
+        # writes.
+        nest = (
+            loop_nest("window")
+            .loop("i1", 0, 9)
+            .loop("i2", 1, 9)
+            .statement("A[i1, i2] = A[i1, i2 - 1] + B[i1, i2]")
+            .build()
+        )
+        base = store_for_nest(nest)
+        base["B"] = OffsetArray((0, 1), (10, 8), fill=2.0)
+        transformed = TransformedLoopNest.from_report(analyze_nest(nest))
+        reference, result = base.copy(), base.copy()
+        with pytest.raises(ExecutionError):
+            ParallelExecutor(backend="interpreter").run(transformed, reference)
+        backend = VectorizedBackend(min_parallel_width=2)
+        with pytest.raises(ExecutionError):
+            backend.execute(transformed, result)
+        assert backend.stats["error_replays"] == 1
+        assert backend.stats["rounds"] == 0
+        assert not reference.identical(base)
+        assert reference.identical(result)
+
+    def test_round_error_puts_back_its_writes_before_replaying(self):
+        # Rows differ in where they hit zero; the rounds write several rows
+        # before one raises, and the replay starts from the untouched store.
+        nest = (
+            loop_nest("row-zero")
+            .loop("i1", 0, 9)
+            .loop("i2", 1, 9)
+            .statement("A[i1, i2] = A[i1, i2 - 1] / (i2 + i1 - 12)")
+            .build()
+        )
+        transformed = TransformedLoopNest.from_report(analyze_nest(nest))
+        base = store_for_nest(nest)
+        reference, result = base.copy(), base.copy()
+        with pytest.raises(ZeroDivisionError):
+            ParallelExecutor(backend="interpreter").run(transformed, reference)
+        backend = VectorizedBackend(min_parallel_width=2)
+        with pytest.raises(ZeroDivisionError):
+            backend.execute(transformed, result)
+        assert backend.stats["error_replays"] == 1
+        assert backend.stats["vectorized_rounds"] >= 2
+        assert reference.identical(result)
 
     def test_call_expressions_stay_bit_identical(self):
         nest = (

@@ -1,18 +1,15 @@
 """Regression tests for the executor's scheduling and dispatch fixes.
 
-Three historical bugs, each pinned here:
+Historical bugs and invariants, each pinned here:
 
 * chunk→worker grouping used round-robin, ignoring the loads it had
   already dealt — adversarial size distributions left one group with
   nearly twice the work.  Now greedy least-loaded (LPT);
-* cluster payloads shipped ``store.copy()`` — *every* array, once per
-  group — even though a worker only touches the arrays its nest
-  references.  Now only the referenced arrays cross the boundary;
+* a ``shared`` run over a store holding arrays the nest never references
+  stays correct and leaves those arrays untouched;
 * a zero-iteration run reported ``ideal_speedup == 1.0`` ("no
   parallelism") instead of 0.0 ("no work").
 """
-
-import pickle
 
 import numpy as np
 import pytest
@@ -20,8 +17,7 @@ import pytest
 from repro.codegen.schedule import schedule_statistics
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
-from repro.runtime.arrays import ArrayStore, OffsetArray, store_for_nest
-from repro.cluster.client import _payload_store
+from repro.runtime.arrays import OffsetArray, store_for_nest
 from repro.runtime.executor import ParallelExecutor
 from repro.runtime.interpreter import execute_nest
 from repro.workloads.paper_examples import example_4_1
@@ -76,34 +72,6 @@ class TestBalancedGroups:
 
 
 class TestPayloadStore:
-    def test_only_referenced_arrays_ship(self):
-        nest = example_4_1(12)
-        transformed = _transformed(nest)
-        store = store_for_nest(nest)
-        # An unrelated array the nest never touches must not cross the
-        # process boundary.
-        store["UNRELATED"] = OffsetArray(origin=(0, 0), shape=(512, 512))
-        payload = _payload_store(store, transformed)
-        assert set(payload) == set(transformed.nest.array_names())
-        assert "UNRELATED" not in payload
-        assert len(pickle.dumps(payload)) < len(pickle.dumps(store))
-
-    def test_payload_arrays_are_copies(self):
-        nest = example_4_1(8)
-        transformed = _transformed(nest)
-        store = store_for_nest(nest)
-        payload = _payload_store(store, transformed)
-        name = next(iter(payload))
-        before = store[name].data.copy()
-        payload[name].data[...] += 1.0
-        assert np.array_equal(store[name].data, before)
-
-    def test_missing_referenced_array_omitted(self):
-        nest = example_4_1(8)
-        transformed = _transformed(nest)
-        payload = _payload_store(ArrayStore(), transformed)
-        assert len(payload) == 0  # worker raises the standard error later
-
     def test_shared_run_still_correct_with_extra_arrays(self):
         nest = example_4_1(10)
         transformed = _transformed(nest)

@@ -9,7 +9,8 @@ Covers the contracts the tentpole design rests on:
 * segments are reference-counted honestly: after ``close``/``unlink`` (and
   after every failure path) nothing is left behind in ``/dev/shm``;
 * a worker *crash* falls back cleanly to serial execution on the parent's
-  untouched store; a worker-*reported* error propagates like a serial run;
+  untouched store; a worker-*reported* error propagates like a serial run,
+  with the loop's own exception type;
 * ``ExecutionResult`` reports setup (pool spin-up, copies) and execution
   time separately — the regression tests pinning the timing split.
 """
@@ -254,7 +255,7 @@ class TestFailurePaths:
     @needs_dev_shm
     def test_worker_error_propagates_like_serial(self):
         # 1.0 / i2 hits i2 == 0 inside a worker; the parent must raise the
-        # same class of failure a serial run raises, and clean up segments.
+        # exception type a serial run raises, and clean up segments.
         before = _segments()
         nest = (
             loop_nest("divzero")
@@ -265,10 +266,33 @@ class TestFailurePaths:
         )
         store = store_for_nest(nest)
         transformed = TransformedLoopNest.from_report(analyze_nest(nest))
+        with pytest.raises(ZeroDivisionError):
+            execute_nest(nest, store.copy())
         with ParallelExecutor(mode="shared", workers=2, backend="interpreter") as executor:
-            with pytest.raises(ExecutionError, match="ZeroDivisionError"):
+            with pytest.raises(ZeroDivisionError, match=r"group \d+ failed in the worker pool"):
                 executor.run(transformed, store.copy())
         assert _segments() == before
+
+    @needs_dev_shm
+    def test_other_worker_errors_stay_execution_errors(self):
+        # A window violation is an ExecutionError in a serial run, and stays
+        # one when a worker reports it; the traceback rides in the message.
+        nest = (
+            loop_nest("window")
+            .loop("i1", 0, 4)
+            .loop("i2", 0, 4)
+            .statement("A[i1, i2] = B[i1, i2] + 1.0")
+            .build()
+        )
+        store = store_for_nest(nest)
+        store["B"] = OffsetArray((0, 0), (5, 3))
+        with pytest.raises(ExecutionError):
+            execute_nest(nest, store.copy())
+        transformed = TransformedLoopNest.from_report(analyze_nest(nest))
+        with ParallelExecutor(mode="shared", workers=2, backend="interpreter") as executor:
+            with pytest.raises(ExecutionError, match="Traceback") as raised:
+                executor.run(transformed, store.copy())
+        assert type(raised.value) is ExecutionError
 
     @needs_dev_shm
     def test_executor_close_is_idempotent_and_clean(self):
@@ -311,7 +335,7 @@ class TestFailurePaths:
         reference = store.copy()
         execute_nest(healthy, reference)
         with ParallelExecutor(mode="shared", workers=2, backend="interpreter") as executor:
-            with pytest.raises(ExecutionError, match="ZeroDivisionError"):
+            with pytest.raises(ZeroDivisionError):
                 executor.run(failing_t, store.copy())
             generation = executor._shared.spec.token
             result = store.copy()
