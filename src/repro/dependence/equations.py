@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
 from repro.exceptions import DependenceError
-from repro.intlin.matrix import Matrix, Vector, mat_transpose, mat_vstack
+from repro.intlin.matrix import Matrix, Vector
 from repro.loopnest.array_ref import ArrayReference
 from repro.loopnest.nest import LoopNest
 
@@ -86,9 +86,10 @@ def dependence_equation_system(
     f_matrix, f_offset = pair.first.access_matrix(index_names)
     g_matrix, g_offset = pair.second.access_matrix(index_names)
     # A = [ F^T ; -G^T ]  (2n x d) ; c = b - a  where subscripts are F i + a and G j + b.
-    a_top = mat_transpose(f_matrix)
-    a_bottom = [[-v for v in row] for row in mat_transpose(g_matrix)]
-    matrix = mat_vstack(a_top, a_bottom)
+    # Access matrices hold the validated ints of the subscripts already.
+    a_top = [list(col) for col in zip(*f_matrix)]
+    a_bottom = [[-v for v in col] for col in zip(*g_matrix)]
+    matrix = a_top + a_bottom
     constant = [b - a for a, b in zip(f_offset, g_offset)]
     return matrix, constant
 

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.exceptions import InconsistentSystemError, ShapeError
-from repro.intlin.echelon import row_echelon
+from repro.intlin.echelon import _row_echelon
 from repro.intlin.matrix import (
     Matrix,
     Vector,
+    _vec_mat_mul,
     mat_copy,
     mat_shape,
     mat_transpose,
@@ -114,7 +115,7 @@ def solve_row_system(matrix: Sequence[Sequence[int]], constant: Sequence[int]) -
             n_unknowns=0,
         )
 
-    ech = row_echelon(a)
+    ech = _row_echelon(a)
     echelon = ech.echelon
     rank = ech.rank
     pivots = ech.pivot_columns
@@ -139,7 +140,7 @@ def solve_row_system(matrix: Sequence[Sequence[int]], constant: Sequence[int]) -
     if not consistent:
         return DiophantineSolution(False, None, homogeneous, rank, m)
 
-    particular = vec_mat_mul(t, ech.transform)
+    particular = _vec_mat_mul(t, ech.transform)
     return DiophantineSolution(True, particular, homogeneous, rank, m)
 
 

@@ -83,7 +83,11 @@ def row_echelon(mat: Sequence[Sequence[int]], positive_pivots: bool = False) -> 
     EchelonResult
         With ``transform @ mat == echelon`` (exact integer arithmetic).
     """
-    work = mat_copy(mat)
+    return _row_echelon(mat_copy(mat), positive_pivots)
+
+
+def _row_echelon(work: Matrix, positive_pivots: bool = False) -> EchelonResult:
+    """:func:`row_echelon` of a validated matrix, which becomes the echelon matrix."""
     m, n = mat_shape(work)
     transform = identity_matrix(m)
 
@@ -147,7 +151,10 @@ def is_echelon(mat: Sequence[Sequence[int]]) -> bool:
     Zero rows (if any) must all come after the nonzero rows, and the levels of
     the nonzero rows must be strictly increasing.
     """
-    table = mat_copy(mat)
+    return _is_echelon(mat_copy(mat))
+
+
+def _is_echelon(table: Matrix) -> bool:
     seen_zero = False
     previous_level = -1
     for row in table:
@@ -170,7 +177,7 @@ def is_echelon_lex_positive(mat: Sequence[Sequence[int]]) -> bool:
     ``PDM @ T`` must satisfy this predicate.
     """
     table = mat_copy(mat)
-    if not is_echelon(table):
+    if not _is_echelon(table):
         return False
     return all(is_lex_positive(row) for row in table if not is_zero_vector(row))
 

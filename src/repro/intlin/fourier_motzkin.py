@@ -6,13 +6,17 @@ projecting with Fourier–Motzkin elimination, exactly as the paper does for
 the example of Section 4.1 ("The loop limits of the transformed loop are
 found by using Fourier-Motzkin elimination").
 
-Elimination uses :class:`fractions.Fraction` and is therefore exact.  The
-resulting loop bounds are evaluated on every scanned prefix, so each
-:class:`BoundExpression` is normalized once, at construction, to integer
-numerators over one positive common denominator ``d`` (the lcm of its
-denominators).  On integer prefixes a floor bound is then ``num // d`` and a
-ceiling bound ``-((-num) // d)`` on Python ints — exactly the floor and
-ceiling of the rational value, with no ``Fraction`` built per evaluation.
+Elimination is exact and, on the systems of loop nests, runs on Python ints:
+a nest's constraints have integer coefficients, substituting ``i = j @
+T^{-1}`` with the integer inverse of a unimodular ``T`` keeps them integral,
+and combining an upper with a lower row as ``b*up + a*low`` never divides.
+(A row built from :class:`fractions.Fraction` values through
+:meth:`LinearInequality.create` is combined by the same rule and stays
+exact.)  Each :class:`BoundExpression` is built from its row in integer
+form: numerators over one positive denominator ``d``, reduced by their gcd,
+so ``d`` is the lcm of the reduced denominators of the rational bound.  On
+integer prefixes a floor bound is then ``num // d`` and a ceiling bound
+``-((-num) // d)`` — exactly the floor and ceiling of the rational value.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import BoundsError, ShapeError
+from repro.utils.validation import as_int_table, check_int
 
 __all__ = [
     "LinearInequality",
@@ -35,42 +41,50 @@ __all__ = [
 ]
 
 
-def _to_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+#: An exact coefficient: an ``int``, or a ``Fraction`` on a rational row.
+Rational = Union[int, Fraction]
+
+
+def _exact(value) -> Rational:
+    """``value`` as an exact number: an ``int`` if integral, else a ``Fraction``.
+
+    Integers are taken by :func:`~repro.utils.validation.check_int`'s rule
+    (NumPy integers and integral floats yes, ``bool`` no); any other float
+    is rounded to the nearest fraction with a denominator up to ``10**12``.
+    """
+    if type(value) is int:
         return value
-    if isinstance(value, bool):
-        raise ShapeError("boolean is not a valid coefficient")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, float) and not value.is_integer():
         return Fraction(value).limit_denominator(10**12)
-    raise ShapeError(f"cannot interpret {value!r} as an exact rational")
+    return check_int(value, "value")
 
 
 @dataclass(frozen=True)
 class LinearInequality:
     """The inequality ``sum(coefficients[k] * x[k]) <= constant``."""
 
-    coefficients: Tuple[Fraction, ...]
-    constant: Fraction
+    coefficients: Tuple[Rational, ...]
+    constant: Rational
 
     @classmethod
     def create(cls, coefficients: Sequence, constant) -> "LinearInequality":
-        return cls(tuple(_to_fraction(c) for c in coefficients), _to_fraction(constant))
+        return cls(tuple(map(_exact, coefficients)), _exact(constant))
 
     @classmethod
     def lower_bound(cls, n_vars: int, var: int, bound) -> "LinearInequality":
         """``x[var] >= bound``  rewritten as ``-x[var] <= -bound``."""
-        coeffs = [Fraction(0)] * n_vars
-        coeffs[var] = Fraction(-1)
-        return cls(tuple(coeffs), -_to_fraction(bound))
+        coeffs = [0] * n_vars
+        coeffs[var] = -1
+        return cls(tuple(coeffs), -_exact(bound))
 
     @classmethod
     def upper_bound(cls, n_vars: int, var: int, bound) -> "LinearInequality":
         """``x[var] <= bound``."""
-        coeffs = [Fraction(0)] * n_vars
-        coeffs[var] = Fraction(1)
-        return cls(tuple(coeffs), _to_fraction(bound))
+        coeffs = [0] * n_vars
+        coeffs[var] = 1
+        return cls(tuple(coeffs), _exact(bound))
 
     @property
     def n_vars(self) -> int:
@@ -92,20 +106,16 @@ class LinearInequality:
         ``i = j @ T^{-1}``.  If this inequality is ``sum_k c_k i_k <= b`` then
         in terms of ``j`` it becomes ``sum_l (sum_k Tinv[l][k] c_k) j_l <= b``.
         """
-        n = self.n_vars
-        if len(inverse) != n or (inverse and len(inverse[0]) != n):
-            raise ShapeError("inverse transform has incompatible shape")
-        new_coeffs = []
-        for l in range(n):
-            acc = Fraction(0)
-            for k in range(n):
-                acc += Fraction(inverse[l][k]) * self.coefficients[k]
-            new_coeffs.append(acc)
-        return LinearInequality(tuple(new_coeffs), self.constant)
+        return self._substituted(_inverse_table(inverse, self.n_vars))
+
+    def _substituted(self, inverse: List[List[int]]) -> "LinearInequality":
+        """:meth:`substitute_row_transform` on an already validated inverse."""
+        coeffs = self.coefficients
+        return LinearInequality(tuple(sum(map(mul, row, coeffs)) for row in inverse), self.constant)
 
     def evaluate(self, values: Sequence) -> bool:
         """Check whether the inequality holds for concrete values."""
-        total = sum(c * _to_fraction(v) for c, v in zip(self.coefficients, values))
+        total = sum(c * _exact(v) for c, v in zip(self.coefficients, values))
         return total <= self.constant
 
     def __str__(self) -> str:
@@ -144,9 +154,9 @@ class InequalitySystem:
 
     def transformed(self, inverse: Sequence[Sequence[int]]) -> "InequalitySystem":
         """System expressed in the new indices ``j`` with ``i = j @ inverse``."""
+        table = _inverse_table(inverse, self.n_vars)
         return InequalitySystem(
-            self.n_vars,
-            (ineq.substitute_row_transform(inverse) for ineq in self.inequalities),
+            self.n_vars, (ineq._substituted(table) for ineq in self.inequalities)
         )
 
     def __len__(self) -> int:
@@ -157,6 +167,14 @@ class InequalitySystem:
 
     def __str__(self) -> str:
         return "\n".join(str(ineq) for ineq in self.inequalities)
+
+
+def _inverse_table(inverse: Sequence[Sequence[int]], n_vars: int) -> List[List[int]]:
+    """``inverse`` validated as an ``n_vars x n_vars`` table of ints."""
+    table = as_int_table(inverse, "inverse")
+    if len(table) != n_vars or (table and len(table[0]) != n_vars):
+        raise ShapeError("inverse transform has incompatible shape")
+    return table
 
 
 def _dedupe(inequalities: List[LinearInequality]) -> List[LinearInequality]:
@@ -209,39 +227,72 @@ def fourier_motzkin_eliminate(
     return _dedupe(combined)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class BoundExpression:
     """An affine bound ``constant + sum coefficients[k]*x[k]`` (rationals).
 
     ``coefficients`` only involves variables with index smaller than the
     bounded variable; a *lower* bound is evaluated with ceiling, an *upper*
-    bound with floor (integer loop indices).  Construction derives the
-    integer form ``(numerator_constant + sum numerators[k]*x[k]) /
-    denominator`` with a positive ``denominator``, the lcm of the
-    denominators, which the rounded evaluations use on integer inputs:
+    bound with floor (integer loop indices).  The bound is stored in integer
+    form ``(numerator_constant + sum numerators[k]*x[k]) / denominator``
+    with a positive ``denominator`` and no common factor, so
+    ``denominator`` is the lcm of the reduced denominators.  The rounded
+    evaluations use that form on integer inputs; ``coefficients`` and
+    ``constant`` derive the rational one:
 
         >>> expr = BoundExpression((Fraction(1, 2), Fraction(-2, 3)), Fraction(1, 6))
         >>> expr.numerators, expr.numerator_constant, expr.denominator
         ((3, -4), 1, 6)
+        >>> expr.coefficients, expr.constant
+        ((Fraction(1, 2), Fraction(-2, 3)), Fraction(1, 6))
         >>> expr.evaluate_exact([2, 1]), expr.evaluate_floor([2, 1]), expr.evaluate_ceil([2, 1])
         (Fraction(1, 2), 0, 1)
     """
 
-    coefficients: Tuple[Fraction, ...]
-    constant: Fraction
+    numerators: Tuple[int, ...]
+    numerator_constant: int
+    denominator: int
 
-    def __post_init__(self) -> None:
-        coefficients = tuple(_to_fraction(c) for c in self.coefficients)
-        constant = _to_fraction(self.constant)
-        denominator = math.lcm(constant.denominator, *(c.denominator for c in coefficients))
-        numerators = tuple(c.numerator * (denominator // c.denominator) for c in coefficients)
-        numerator_constant = constant.numerator * (denominator // constant.denominator)
+    def __init__(self, coefficients: Sequence, constant) -> None:
+        self._store(tuple(map(_exact, coefficients)), _exact(constant), 1)
+
+    @classmethod
+    def _from_row(cls, row: Sequence[Rational], constant: Rational) -> "BoundExpression":
+        """The bound on the last variable of ``sum(row[k] * x[k]) <= constant``.
+
+        With ``a = row[-1]`` that is ``x[-1] <= (constant - sum(row[k] *
+        x[k] for the others)) / a``, or ``>=`` when ``a`` is negative.
+        """
+        expr = cls.__new__(cls)
+        expr._store(tuple(-c for c in row[:-1]), constant, row[-1])
+        return expr
+
+    def _store(self, numerators, numerator_constant, denominator) -> None:
+        """Set the integer form of ``(numerator_constant + sum numerators[k]*x[k]) / denominator``.
+
+        The entries are ints, or on a rational row also Fractions; such a
+        row is first scaled by the lcm of their denominators.  The row is
+        then divided by its gcd, signed so that the denominator is positive.
+        """
+        row = (denominator, numerator_constant, *numerators)
+        if not all(type(v) is int for v in row):
+            scale = math.lcm(*(v.denominator for v in row))
+            row = tuple(v.numerator * (scale // v.denominator) for v in row)
+        divisor = math.gcd(*row)
+        if row[0] < 0:
+            divisor = -divisor
         set_field = object.__setattr__
-        set_field(self, "coefficients", coefficients)
-        set_field(self, "constant", constant)
-        set_field(self, "denominator", denominator)
-        set_field(self, "numerators", numerators)
-        set_field(self, "numerator_constant", numerator_constant)
+        set_field(self, "denominator", row[0] // divisor)
+        set_field(self, "numerator_constant", row[1] // divisor)
+        set_field(self, "numerators", tuple(v // divisor for v in row[2:]))
+
+    @property
+    def coefficients(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
+
+    @property
+    def constant(self) -> Fraction:
+        return Fraction(self.numerator_constant, self.denominator)
 
     # Only the rational form is pickled (plans ship these bounds to workers
     # and disk caches); the integer form is derived again on load.
@@ -249,15 +300,16 @@ class BoundExpression:
         return {"coefficients": self.coefficients, "constant": self.constant}
 
     def __setstate__(self, state) -> None:
-        object.__setattr__(self, "coefficients", state["coefficients"])
-        object.__setattr__(self, "constant", state["constant"])
-        self.__post_init__()
+        self.__init__(state["coefficients"], state["constant"])
+
+    def __repr__(self) -> str:
+        return f"BoundExpression(coefficients={self.coefficients!r}, constant={self.constant!r})"
 
     def evaluate_exact(self, values: Sequence) -> Fraction:
-        total = self.constant
-        for c, v in zip(self.coefficients, values):
-            total += c * _to_fraction(v)
-        return total
+        total = self.numerator_constant
+        for c, v in zip(self.numerators, values):
+            total += c * _exact(v)
+        return Fraction(total, self.denominator)
 
     def _numerator_at(self, values: Sequence) -> Optional[int]:
         """``denominator * value`` for int inputs; None for any other input."""
@@ -282,34 +334,34 @@ class BoundExpression:
 
     def as_source(self, names: Sequence[str], mode: str) -> str:
         """Render as Python source; ``mode`` is ``'floor'`` or ``'ceil'``."""
+        denominator = self.denominator
         terms = []
-        if self.constant != 0 or all(c == 0 for c in self.coefficients):
-            terms.append(_fraction_source(self.constant))
-        for c, name in zip(self.coefficients, names):
+        if self.numerator_constant != 0 or not any(self.numerators):
+            terms.append(_ratio_source(self.numerator_constant, denominator))
+        for c, name in zip(self.numerators, names):
             if c == 0:
                 continue
-            if c == 1:
+            if c == denominator:
                 terms.append(name)
             else:
-                terms.append(f"{_fraction_source(c)}*{name}")
+                terms.append(f"{_ratio_source(c, denominator)}*{name}")
         expr = " + ".join(terms)
-        needs_rounding = self.constant.denominator != 1 or any(
-            c.denominator != 1 for c in self.coefficients
-        )
-        if not needs_rounding:
+        if denominator == 1:
             return expr if len(terms) == 1 else f"({expr})"
         func = "math.floor" if mode == "floor" else "math.ceil"
         return f"{func}({expr})"
 
     def __str__(self) -> str:
-        names = [f"x{k}" for k in range(len(self.coefficients))]
+        names = [f"x{k}" for k in range(len(self.numerators))]
         return self.as_source(names, "floor")
 
 
-def _fraction_source(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"({value.numerator}/{value.denominator})"
+def _ratio_source(numerator: int, denominator: int) -> str:
+    """``numerator / denominator`` in lowest terms, as Python source."""
+    divisor = math.gcd(numerator, denominator)
+    if divisor == denominator:
+        return str(numerator // denominator)
+    return f"({numerator // divisor}/{denominator // divisor})"
 
 
 @dataclass(frozen=True)
@@ -356,20 +408,10 @@ def bounds_for_variable(
                 raise BoundsError(
                     f"inequality {ineq} still involves variable x{later} > x{var}"
                 )
-        # sum_{k<var} c_k x_k + coeff*x_var <= b
-        rest = ineq.coefficients[:var]
-        if coeff > 0:
-            # x_var <= (b - rest) / coeff
-            expr = BoundExpression(
-                tuple(-c / coeff for c in rest), ineq.constant / coeff
-            )
-            uppers.append(expr)
-        else:
-            # x_var >= (b - rest) / coeff   (division by a negative flips)
-            expr = BoundExpression(
-                tuple(-c / coeff for c in rest), ineq.constant / coeff
-            )
-            lowers.append(expr)
+        # sum_{k<var} c_k x_k + coeff*x_var <= b bounds x_var from above
+        # when coeff > 0 and (dividing by a negative flips) from below.
+        expr = BoundExpression._from_row(ineq.coefficients[: var + 1], ineq.constant)
+        (uppers if coeff > 0 else lowers).append(expr)
     return lowers, uppers
 
 

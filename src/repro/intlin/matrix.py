@@ -13,11 +13,10 @@ matrix of generators has one generator per row.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from repro.exceptions import NotUnimodularError, ShapeError, SingularMatrixError
-from repro.utils.validation import as_int_table, check_int
+from repro.exceptions import NotUnimodularError, ShapeError
+from repro.utils.validation import as_int_list, as_int_table, check_int
 
 Matrix = List[List[int]]
 Vector = List[int]
@@ -94,10 +93,7 @@ def mat_shape(mat: Sequence[Sequence[int]]) -> Tuple[int, int]:
 
 def mat_transpose(mat: Sequence[Sequence[int]]) -> Matrix:
     """Return the transpose of ``mat``."""
-    table = mat_copy(mat)
-    if not table:
-        return []
-    return [list(col) for col in zip(*table)]
+    return [list(col) for col in zip(*mat_copy(mat))]
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +111,14 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
         return [[0] * cb for _ in range(ra)]
     if ca != rb:
         raise ShapeError(f"cannot multiply matrices of shapes {(ra, ca)} and {(rb, cb)}")
-    tbt = mat_transpose(tb)
+    tbt = list(zip(*tb))
     return [[sum(x * y for x, y in zip(row, col)) for col in tbt] for row in ta]
 
 
 def mat_vec_mul(mat: Sequence[Sequence[int]], vec: Sequence[int]) -> Vector:
     """Return the column action ``mat @ vec`` as a flat vector."""
     table = mat_copy(mat)
-    v = [check_int(x, "vec entry") for x in vec]
+    v = as_int_list(vec, "vec")
     _, n_cols = mat_shape(table)
     if table and len(v) != n_cols:
         raise ShapeError(f"vector of length {len(v)} incompatible with {mat_shape(table)}")
@@ -135,10 +131,15 @@ def vec_mat_mul(vec: Sequence[int], mat: Sequence[Sequence[int]]) -> Vector:
     This is the paper's convention for transforming row index vectors.
     """
     table = mat_copy(mat)
-    v = [check_int(x, "vec entry") for x in vec]
-    n_rows, n_cols = mat_shape(table)
-    if len(v) != n_rows:
+    v = as_int_list(vec, "vec")
+    if len(v) != len(table):
         raise ShapeError(f"vector of length {len(v)} incompatible with {mat_shape(table)}")
+    return _vec_mat_mul(v, table)
+
+
+def _vec_mat_mul(v: Vector, table: Matrix) -> Vector:
+    """:func:`vec_mat_mul` on a validated vector and matrix of matching shape."""
+    _, n_cols = mat_shape(table)
     result = [0] * n_cols
     for coeff, row in zip(v, table):
         if coeff == 0:
@@ -204,9 +205,14 @@ def determinant(mat: Sequence[Sequence[int]]) -> int:
     n, m = mat_shape(table)
     if n != m:
         raise ShapeError(f"determinant requires a square matrix, got shape {(n, m)}")
+    return _determinant(table)
+
+
+def _determinant(a: Matrix) -> int:
+    """:func:`determinant` of a validated square matrix, reduced in place."""
+    n = len(a)
     if n == 0:
         return 1
-    a = [row[:] for row in table]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -239,51 +245,37 @@ def is_unimodular(mat: Sequence[Sequence[int]]) -> bool:
     n, m = mat_shape(table)
     if n != m or n == 0:
         return False
-    return abs(determinant(table)) == 1
+    return abs(_determinant(table)) == 1
 
 
 def unimodular_inverse(mat: Sequence[Sequence[int]]) -> Matrix:
     """Exact inverse of a unimodular matrix (the inverse is again integral).
 
     Raises :class:`NotUnimodularError` if the matrix is not unimodular.
-    Uses fraction-free Gauss-Jordan elimination over rationals and verifies
-    that the result is integral.
+    Gauss-Jordan elimination on ``[T | I]`` in integers: the Euclidean steps
+    of :func:`repro.intlin.echelon.row_echelon` give ``E = U @ T``, upper
+    triangular with unimodular ``U``, so ``|det T|`` is the product of the
+    pivots ``|E[k][k]|``.  When every pivot is ±1, back substitution turns
+    ``[E | U]`` into ``[I | T^-1]``.
     """
+    from repro.intlin.echelon import _row_echelon  # echelon builds on this module
+
     table = mat_copy(mat)
     n, m = mat_shape(table)
     if n != m or n == 0:
         raise NotUnimodularError(f"expected a square matrix, got shape {(n, m)}")
-    det = determinant(table)
-    if abs(det) != 1:
-        raise NotUnimodularError(f"matrix has determinant {det}, expected ±1")
-
-    # Gauss-Jordan over Fractions (exact); the result is integral because
-    # |det| == 1.
-    a = [[Fraction(x) for x in row] for row in table]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:  # pragma: no cover - impossible for unimodular input
-            raise SingularMatrixError("matrix is singular")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot = a[col][col]
-        a[col] = [x / pivot for x in a[col]]
-        inv[col] = [x / pivot for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    result = []
-    for row in inv:
-        out_row = []
-        for x in row:
-            if x.denominator != 1:  # pragma: no cover - impossible for unimodular input
-                raise NotUnimodularError("inverse is not integral")
-            out_row.append(int(x))
-        result.append(out_row)
-    return result
+    reduced = _row_echelon([row[:] for row in table])
+    if reduced.rank < n or any(abs(reduced.echelon[k][k]) != 1 for k in range(n)):
+        raise NotUnimodularError(f"matrix has determinant {_determinant(table)}, expected ±1")
+    rows = [e + u for e, u in zip(reduced.echelon, reduced.transform)]
+    for col in range(n - 1, -1, -1):
+        if rows[col][col] < 0:
+            rows[col] = [-a for a in rows[col]]
+        for r in range(col):
+            q = rows[r][col]
+            if q != 0:
+                rows[r] = [a - q * b for a, b in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
 
 
 # ---------------------------------------------------------------------------

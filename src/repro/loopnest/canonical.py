@@ -99,11 +99,14 @@ def _affine_key(expr: AffineExpr, positions: Dict[str, int]):
     the expression uses a non-index variable (validated at nest build time).
     """
     terms = expr.terms
-    if len(terms) > 1:
-        positional = sorted((positions[name], coeff) for name, coeff in terms)
+    if not terms:
+        positional = ()
+    elif len(terms) == 1:
+        ((name, coeff),) = terms
+        positional = ((positions[name], coeff),)
     else:
-        positional = [(positions[name], coeff) for name, coeff in terms]
-    return ("affine", tuple(positional), expr.constant)
+        positional = tuple(sorted([(positions[name], coeff) for name, coeff in terms]))
+    return ("affine", positional, expr.constant)
 
 
 def _array_order(nest: LoopNest) -> Dict[str, str]:
@@ -126,14 +129,16 @@ def _expr_key(expr: Expression, positions: Dict[str, int], arrays: Dict[str, str
 
     Dispatches on the exact node type (the AST is closed and final): this
     runs on every cache lookup, where an ``isinstance`` chain is measurable.
+    An array not in ``arrays`` yet gets the next canonical name: visiting
+    each target before its right-hand side, operands left to right, names
+    the arrays as :func:`_array_order` does without a walk of its own.
     """
     kind = type(expr)
     if kind is ArrayAccess:
-        return (
-            "ref",
-            arrays[expr.array],
-            tuple(_affine_key(sub, positions) for sub in expr.subscripts),
-        )
+        name = arrays.get(expr.array)
+        if name is None:
+            name = arrays[expr.array] = f"A{len(arrays)}"
+        return ("ref", name, tuple([_affine_key(sub, positions) for sub in expr.subscripts]))
     if kind is BinaryOp:
         return (
             "bin",
@@ -163,18 +168,19 @@ def _expr_key(expr: Expression, positions: Dict[str, int], arrays: Dict[str, str
 
 def _nest_key_tuple(nest: LoopNest):
     positions = {name: k for k, name in enumerate(nest.index_names)}
-    arrays = _array_order(nest)
+    arrays: Dict[str, str] = {}
     bounds_key = tuple(
-        (_affine_key(b.lower, positions), _affine_key(b.upper, positions))
-        for b in nest.bounds
+        [(_affine_key(b.lower, positions), _affine_key(b.upper, positions)) for b in nest.bounds]
     )
     statements_key = tuple(
-        (
-            "assign",
-            _expr_key(stmt.target, positions, arrays),
-            _expr_key(stmt.rhs, positions, arrays),
-        )
-        for stmt in nest.statements
+        [
+            (
+                "assign",
+                _expr_key(stmt.target, positions, arrays),
+                _expr_key(stmt.rhs, positions, arrays),
+            )
+            for stmt in nest.statements
+        ]
     )
     return ("nest", nest.depth, bounds_key, statements_key)
 

@@ -324,7 +324,7 @@ class ExecutionPlan:
             bound = self.levels[level].bounds
             referenced: Set[int] = set()
             for expr in tuple(bound.lowers) + tuple(bound.uppers):
-                for position, coeff in enumerate(expr.coefficients):
+                for position, coeff in enumerate(expr.numerators):
                     if coeff:
                         referenced.add(position)
             deps.append(referenced)

@@ -42,7 +42,8 @@ it measures.
     True
     >>> telemetry.record_group("prog:3", (0, 1), (10, 10), seconds=0.2)
     >>> telemetry.record_group("prog:3", (2,), (10,), seconds=0.4)
-    >>> telemetry.chunk_costs("prog:3", (10, 10, 10))   # chunk 2 measured 4x
+    >>> costs = telemetry.chunk_costs("prog:3", (10, 10, 10))   # chunk 2 measured 4x
+    >>> [round(cost, 12) for cost in costs]
     [0.1, 0.1, 0.4]
 """
 

@@ -44,7 +44,12 @@ def check_int(value, name: str = "value") -> int:
 
 
 def as_int_list(values: Iterable, name: str = "vector") -> List[int]:
-    """Normalise an iterable of integers into a list of Python ints."""
+    """Normalise an iterable of integers into a new list of Python ints.
+
+    Entries that are all exact ``int`` s are checked in one scan and returned
+    as a copied list; any other entry sends every entry through
+    :func:`check_int`.
+    """
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise ShapeError(f"{name} must be one-dimensional, got shape {values.shape}")
@@ -53,7 +58,10 @@ def as_int_list(values: Iterable, name: str = "vector") -> List[int]:
         seq = list(values)
     except TypeError as exc:  # pragma: no cover - defensive
         raise ShapeError(f"{name} must be an iterable of integers") from exc
-    return [check_int(v, f"{name}[{k}]") for k, v in enumerate(seq)]
+    for value in seq:
+        if type(value) is not int:
+            return [check_int(v, f"{name}[{k}]") for k, v in enumerate(seq)]
+    return seq
 
 
 def as_int_table(rows: Iterable, name: str = "matrix") -> List[List[int]]:

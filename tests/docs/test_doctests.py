@@ -2,7 +2,9 @@
 
 The docstring pass over :mod:`repro.api`, :mod:`repro.service`,
 :mod:`repro.plan` and :mod:`repro.gateway` gives every ``__all__`` symbol
-a runnable example; this test keeps those examples true.  It is the
+a runnable example; this test keeps those examples true, together with
+the examples of the internal modules that carry some (Fourier–Motzkin
+bounds, the disk cache, the nest builder and parser, telemetry).  It is the
 "doctests green" leg of the CI docs job — a doc example that drifts from
 the code fails here, not in a reader's terminal.
 """
@@ -27,6 +29,11 @@ DOCTEST_MODULES = [
     "repro.gateway",
     "repro.gateway.gateway",
     "repro.exceptions",
+    "repro.intlin.fourier_motzkin",
+    "repro.core.diskcache",
+    "repro.loopnest.builder",
+    "repro.loopnest.parser",
+    "repro.runtime.telemetry",
 ]
 
 # Modules that must actually contain examples — an import shuffle that
@@ -39,6 +46,11 @@ MUST_HAVE_EXAMPLES = {
     "repro.plan.ir",
     "repro.plan.passes",
     "repro.gateway.gateway",
+    "repro.intlin.fourier_motzkin",
+    "repro.core.diskcache",
+    "repro.loopnest.builder",
+    "repro.loopnest.parser",
+    "repro.runtime.telemetry",
 }
 
 

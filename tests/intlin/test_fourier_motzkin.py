@@ -4,6 +4,7 @@ import math
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
@@ -193,6 +194,15 @@ class TestIntegerEvaluation:
         with pytest.raises(ShapeError):
             expr.evaluate_floor([True, 1])
 
+    def test_equality_and_hash_follow_the_rational_value(self):
+        half = BoundExpression((Fraction(1, 2),), Fraction(3, 2))
+        assert half == BoundExpression((Fraction(2, 4),), Fraction(6, 4))
+        assert hash(half) == hash(BoundExpression((Fraction(2, 4),), Fraction(6, 4)))
+        assert half != BoundExpression((Fraction(1, 2), 0), Fraction(3, 2))
+        assert repr(half) == (
+            "BoundExpression(coefficients=(Fraction(1, 2),), constant=Fraction(3, 2))"
+        )
+
     def test_pickle_carries_the_rational_form_only(self):
         expr = BoundExpression((Fraction(3, 4), Fraction(0)), Fraction(-5, 6))
         clone = pickle.loads(pickle.dumps(expr))
@@ -201,3 +211,75 @@ class TestIntegerEvaluation:
             (9, 0), -10, 12
         )
         assert set(expr.__getstate__()) == {"coefficients", "constant"}
+
+
+# NumPy integers are integers to Fourier–Motzkin, as they are to check_int
+# and every intlin.matrix function; bool is not.
+_INTEGER_TYPES = [int, np.int64, np.int32]
+
+
+def _array(kind, values):
+    """``values`` as a list of ints, or as a NumPy array of the NumPy ``kind``."""
+    return list(values) if kind is int else np.array(values, dtype=kind)
+
+
+@pytest.mark.parametrize("kind", _INTEGER_TYPES, ids=lambda kind: kind.__name__)
+class TestNumpyIntegerInputs:
+    def test_linear_inequality_create(self, kind):
+        ineq = LinearInequality.create([kind(1), kind(-2)], kind(3))
+        assert ineq == LinearInequality.create([1, -2], 3)
+        assert all(type(c) is int for c in ineq.coefficients + (ineq.constant,))
+        assert ineq.evaluate([kind(3), kind(0)]) and not ineq.evaluate([kind(4), kind(0)])
+
+    def test_system_bounds(self, kind):
+        system = InequalitySystem(2)
+        system.add_lower(0, kind(0))
+        system.add_upper(0, kind(5))
+        system.add_lower(1, kind(-1))
+        system.add(LinearInequality.create([kind(-1), kind(1)], kind(2)))  # x1 <= x0 + 2
+        reference = InequalitySystem(2)
+        reference.add_lower(0, 0)
+        reference.add_upper(0, 5)
+        reference.add_lower(1, -1)
+        reference.add(LinearInequality.create([-1, 1], 2))
+        assert loop_bounds_from_inequalities(system) == loop_bounds_from_inequalities(reference)
+        inverse = [_array(kind, row) for row in ([1, 0], [1, 1])]
+        assert list(system.transformed(inverse)) == list(
+            reference.transformed([[1, 0], [1, 1]])
+        )
+
+    def test_bound_expression(self, kind):
+        expr = BoundExpression((kind(1),), kind(0))
+        assert expr == BoundExpression((1,), 0)
+        assert (expr.numerators, expr.numerator_constant, expr.denominator) == ((1,), 0, 1)
+        half = BoundExpression((Fraction(1, 2),), Fraction(1, 2))
+        values = _array(kind, [4])  # (4 + 1) / 2
+        assert half.evaluate_floor(values) == half.evaluate_floor([4]) == 2
+        assert half.evaluate_ceil(values) == half.evaluate_ceil([4]) == 3
+        assert half.evaluate_exact(values) == Fraction(5, 2)
+
+    def test_variable_bounds(self, kind):
+        system = InequalitySystem(2)
+        system.add_lower(0, 0)
+        system.add_upper(0, 4)
+        system.add_lower(1, 0)
+        system.add(LinearInequality.create([-1, 2], 3))  # 2*x1 <= x0 + 3
+        bounds = loop_bounds_from_inequalities(system)[1]
+        for x0 in range(5):
+            values = _array(kind, [x0])
+            assert bounds.upper_value(values) == bounds.upper_value([x0]) == (x0 + 3) // 2
+            assert bounds.lower_value(values) == bounds.lower_value([x0]) == 0
+
+
+class TestBooleanInputsRaise:
+    def test_linear_inequality(self):
+        with pytest.raises(ShapeError):
+            LinearInequality.create([True], 3)
+        with pytest.raises(ShapeError):
+            InequalitySystem(1).add_upper(0, np.bool_(True))
+
+    def test_bound_expression(self):
+        with pytest.raises(ShapeError):
+            BoundExpression((True,), 0)
+        with pytest.raises(ShapeError):
+            BoundExpression((1,), 0).evaluate_floor(np.array([True]))

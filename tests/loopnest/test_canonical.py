@@ -6,6 +6,7 @@ from repro.cli import parse_loop_text
 from repro.loopnest.canonical import (
     canonical_hash,
     canonical_key,
+    canonical_key_tuple,
     canonicalize,
     rename_nest_arrays,
     rename_nest_indices,
@@ -117,6 +118,28 @@ class TestCanonicalForm:
         assert form.nest.array_names() == {"A0"}
         assert form.nest.name == "canonical"
         assert form.hash == canonical_hash(example_4_1(6))
+
+    def test_arrays_are_named_in_order_of_first_appearance(self):
+        # Each target before its right-hand side, operands left to right:
+        # the key and the canonical nest name the arrays alike.
+        nest = parse_loop_text(
+            "loop i1 = 0 .. 5\n"
+            "C[i1] = B[i1 - 1] + sqrt(A[i1]) * (-B[i1])\n"
+            "A[i1] = D[i1] + C[i1]\n"
+        )
+        form = canonicalize(nest)
+        assert dict(form.array_mapping) == {"C": "A0", "B": "A1", "A": "A2", "D": "A3"}
+        assert canonical_key(nest) == canonical_key(form.nest)
+
+        def refs(key):
+            if isinstance(key, tuple):
+                if key[:1] == ("ref",):
+                    yield key[1]
+                for part in key:
+                    yield from refs(part)
+
+        names = list(refs(canonical_key_tuple(nest)))
+        assert names == ["A0", "A1", "A2", "A1", "A2", "A3", "A0"]
 
     def test_canonicalization_is_idempotent(self):
         nest = example_4_2(6)
