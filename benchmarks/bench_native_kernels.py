@@ -127,7 +127,7 @@ def measure(n: int = SPEEDUP_N, repetitions: int = 5):
 
 def test_native_kernels(benchmark):
     if native_codegen.resolve_engine() is None:
-        pytest.skip("no native engine (numba or a C compiler) available")
+        pytest.skip("no native engine (a C compiler) available")
     result = benchmark.pedantic(measure, args=(SPEEDUP_N,), rounds=1, iterations=1)
     assert result["native_vs_vectorized"] >= SPEEDUP_TARGET, (
         f"warm native is only {result['native_vs_vectorized']:.1f}x the "
@@ -166,7 +166,7 @@ def main(argv=None) -> int:
     if result is None:
         # No engine: emit a payload without the gated metric so
         # check_thresholds.py fails loudly instead of silently passing.
-        print("no native engine (numba or a C compiler) available")
+        print("no native engine (a C compiler) available")
         result = {"engine": None}
     if args.json:
         os.makedirs(os.path.dirname(args.json) or ".", exist_ok=True)

@@ -6,9 +6,10 @@
   chunks (doall loop values × partition labels),
 * :mod:`repro.codegen.python_emitter` — emission of runnable Python source
   for the original and the transformed loop,
-* :mod:`repro.codegen.native` — JIT compilation of plans to machine-code
-  kernels (numba or C + ctypes) for the native execution backend; its
-  toolchain probing stays lazy, so it is not re-exported here.
+* :mod:`repro.codegen.native` — compilation of plans to machine-code
+  kernels (C via the system compiler, loaded through ctypes) for the
+  native execution backend; its toolchain probing stays lazy, so it is not
+  re-exported here.
 """
 
 from repro.codegen.transformed_nest import TransformedLoopNest

@@ -14,23 +14,17 @@ per-iteration Python overhead.  Every plan shape runs through it:
 rectangular or coupled bounds, fixed or shifting partition targets, raw or
 coalesced chunks.
 
-Two engines generate the same kernel structure:
-
-* ``numba`` — the kernel is rendered as Python source into a real module
-  file under the kernel cache directory and decorated with an eagerly-typed
-  ``@numba.njit(cache=True, nogil=True)``, so Numba persists the machine
-  code on disk next to the module and every later process (or pool worker)
-  loads instead of recompiling;
-* ``cc`` — the kernel is rendered as C, compiled with the system C compiler
-  (``$CC``/``cc``/``gcc``/``clang``) into a shared object named by the
-  SHA-256 of the source, and loaded through :mod:`ctypes` (which releases
-  the GIL for the duration of a call, like ``nogil`` kernels).
-
-Engine selection (``REPRO_NATIVE_ENGINE`` = ``auto``/``numba``/``cc``/
-``none``) prefers Numba and falls back to the C path; when neither is
-available :func:`native_program_for` returns ``None`` and the caller (the
-``native`` execution backend) falls back to the vectorized backend, as it
-does for a plan whose tables the int64 overflow guard refuses.
+The kernel is rendered as C, compiled with the system C compiler
+(``$CC``/``cc``/``gcc``/``clang``) into a shared object named by the
+SHA-256 of the source, and loaded through :mod:`ctypes`, which releases
+the GIL for the duration of a call.  ``REPRO_NATIVE_ENGINE`` is the off
+switch: unset, ``auto`` or ``cc`` uses the compiler, and any other value
+(``none``, ``off``, ``disabled``, or a misspelled name) turns native
+execution off.  Without an engine, or when a build fails (a compiler
+error, an unusable cache directory), :func:`native_program_for` returns
+``None`` and the caller (the ``native`` execution backend) falls back to
+the vectorized backend, as it does for a plan whose tables the int64
+overflow guard refuses.
 
 Bit-exactness contract: kernels evaluate everything in IEEE double, which
 matches the interpreter exactly for the supported expression subset —
@@ -50,15 +44,14 @@ depth and statements of the nest plus the inverse transform (alpha-renamed
 programs, and one program at every problem size, share one kernel) and on
 disk keyed by source hash, so warm kernels survive across :class:`Session`
 runs and across pool workers: the parent's ``prepare_plan`` compile leaves
-an artifact every worker merely dlopens/imports.
+an artifact every worker merely dlopens.
 
 Every kernel source also carries a second, multithreaded entry point
 (``repro_kernel_par``) that runs the parallel-for over chunks *inside* the
-compiled code: the C engine uses an OpenMP ``parallel for`` when the
-toolchain supports ``-fopenmp`` (probed once and negative-cached, on disk
-per compiler) and otherwise a pthreads work-queue draining chunks off an
-atomic counter; the numba engine uses ``@njit(parallel=True)`` with
-``numba.prange``.  The driver takes the key rows and the bound table, a
+compiled code: an OpenMP ``parallel for`` when the toolchain supports
+``-fopenmp`` (probed once and negative-cached, on disk per compiler) and
+otherwise a pthreads work-queue draining chunks off an atomic counter.
+The driver takes the key rows and the bound table, a
 thread count, a static/dynamic scheduling hint and a per-chunk status
 buffer, and returns the status of the first failing chunk in chunk order —
 the same first-error semantics the serial kernel and the interpreter have.
@@ -70,11 +63,9 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import importlib.util
 import os
 import shutil
 import subprocess
-import sys
 import threading
 import time
 from collections import OrderedDict
@@ -101,7 +92,6 @@ __all__ = [
     "PARALLEL_KERNEL_SYMBOL",
     "NativeKernel",
     "NativeProgram",
-    "available_engines",
     "clear_kernel_cache",
     "emit_kernel_source",
     "kernel_cache_info",
@@ -233,8 +223,12 @@ def _original_array_order(nest: LoopNest) -> Tuple[str, ...]:
 # source emission
 # --------------------------------------------------------------------------- #
 
+def _int_lit(value: int) -> str:
+    return f"{int(value)}LL"
+
+
 class _KernelEmitter:
-    """Renders one nest body as straight-line scalar code (C or Python).
+    """Renders one nest body as straight-line scalar C.
 
     Statements are decomposed into SSA-style temporaries in the exact
     left-to-right evaluation order of the interpreter, with the error guards
@@ -243,9 +237,8 @@ class _KernelEmitter:
     the same prefix of writes before reporting the error code.
     """
 
-    def __init__(self, nest: LoopNest, lang: str):
+    def __init__(self, nest: LoopNest):
         self.nest = nest
-        self.lang = lang  # "c" or "py"
         self.ivars = {name: f"i{k}" for k, name in enumerate(nest.index_names)}
         self.slots = {name: k for k, (name, _) in enumerate(_array_slots(nest))}
         self.dims = {name: ndim for name, ndim in _array_slots(nest)}
@@ -257,44 +250,23 @@ class _KernelEmitter:
         self.counter += 1
         return f"t{self.counter}"
 
-    def int_lit(self, value: int) -> str:
-        return f"{int(value)}LL" if self.lang == "c" else str(int(value))
-
     def float_lit(self, value) -> str:
-        # repr() is the shortest round-trip decimal: both the Python reader
-        # and C's strtod recover the identical double.
+        # repr() is the shortest round-trip decimal: C's strtod recovers the
+        # identical double.
         return f"({float(value)!r})"
 
     def emit_int(self, expr: str) -> str:
         name = self.fresh()
-        if self.lang == "c":
-            self.lines.append(f"int64_t {name} = {expr};")
-        else:
-            self.lines.append(f"{name} = {expr}")
+        self.lines.append(f"int64_t {name} = {expr};")
         return name
 
     def emit_double(self, expr: str) -> str:
         name = self.fresh()
-        if self.lang == "c":
-            self.lines.append(f"double {name} = {expr};")
-        else:
-            self.lines.append(f"{name} = {expr}")
+        self.lines.append(f"double {name} = {expr};")
         return name
 
     def guard(self, cond: str, code: int) -> None:
-        if self.lang == "c":
-            self.lines.append(f"if ({cond}) {{ return {code}; }}")
-        else:
-            self.lines.append(f"if {cond}: return {code}")
-
-    def _or(self, a: str, b: str) -> str:
-        return f"{a} || {b}" if self.lang == "c" else f"{a} or {b}"
-
-    def _isinf(self, v: str) -> str:
-        return f"isinf({v})" if self.lang == "c" else f"math.isinf({v})"
-
-    def _isnan(self, v: str) -> str:
-        return f"isnan({v})" if self.lang == "c" else f"math.isnan({v})"
+        self.lines.append(f"if ({cond}) {{ return {code}; }}")
 
     # -- affine / access emission ---------------------------------------- #
     def affine(self, affine) -> str:
@@ -306,9 +278,9 @@ class _KernelEmitter:
             elif coeff == -1:
                 parts.append(f"-{var}")
             else:
-                parts.append(f"{self.int_lit(coeff)} * {var}")
+                parts.append(f"{_int_lit(coeff)} * {var}")
         if affine.constant != 0 or not parts:
-            parts.append(self.int_lit(affine.constant))
+            parts.append(_int_lit(affine.constant))
         return " + ".join(parts)
 
     def address(self, access: ArrayAccess) -> str:
@@ -319,7 +291,7 @@ class _KernelEmitter:
         for k, sub in enumerate(access.subscripts):
             value = self.emit_int(self.affine(sub))
             off = self.emit_int(f"{value} - a{slot}_org[{k}]")
-            self.guard(self._or(f"{off} < 0", f"{off} >= a{slot}_shp[{k}]"), ERR_WINDOW)
+            self.guard(f"{off} < 0 || {off} >= a{slot}_shp[{k}]", ERR_WINDOW)
             offsets.append(off)
         terms = [
             off if k == ndim - 1 else f"{off} * a{slot}_s{k}"
@@ -332,9 +304,7 @@ class _KernelEmitter:
         if isinstance(expr, Constant):
             return self.emit_double(self.float_lit(expr.value))
         if isinstance(expr, IndexTerm):
-            value = self.affine(expr.affine)
-            cast = f"(double)({value})" if self.lang == "c" else f"float({value})"
-            return self.emit_double(cast)
+            return self.emit_double(f"(double)({self.affine(expr.affine)})")
         if isinstance(expr, ArrayAccess):
             address = self.address(expr)
             return self.emit_double(f"a{self.slots[expr.array]}[{address}]")
@@ -354,7 +324,6 @@ class _KernelEmitter:
         )
 
     def call(self, name: str, args: List[str]) -> str:
-        c = self.lang == "c"
         if name in ("min", "max"):
             # Python's n-ary min/max keep the current value unless the next
             # strictly compares — the fold below reproduces that (including
@@ -362,17 +331,13 @@ class _KernelEmitter:
             op = "<" if name == "min" else ">"
             acc = args[0]
             for nxt in args[1:]:
-                acc = self.emit_double(
-                    f"({nxt} {op} {acc}) ? {nxt} : {acc}"
-                    if c
-                    else f"{nxt} if {nxt} {op} {acc} else {acc}"
-                )
+                acc = self.emit_double(f"({nxt} {op} {acc}) ? {nxt} : {acc}")
             return acc
         arg = args[0]
         if name in ("sin", "cos", "tan"):
             # CPython's math.sin/cos/tan raise "math domain error" on ±inf
             # where libm would return NaN.
-            self.guard(self._isinf(arg), ERR_DOMAIN)
+            self.guard(f"isinf({arg})", ERR_DOMAIN)
         elif name == "sqrt":
             self.guard(f"{arg} < 0.0", ERR_DOMAIN)
         elif name == "log":
@@ -380,23 +345,12 @@ class _KernelEmitter:
         elif name in ("floor", "ceil"):
             # CPython converts the result to int: NaN -> ValueError,
             # ±inf -> OverflowError.
-            self.guard(self._isnan(arg), ERR_DOMAIN)
-            self.guard(self._isinf(arg), ERR_OVERFLOW)
-        if name == "abs":
-            rendered = f"fabs({arg})" if c else f"abs({arg})"
-        elif name in ("floor", "ceil"):
-            rendered = f"{name}({arg})" if c else f"float(math.{name}({arg}))"
-        else:
-            rendered = f"{name}({arg})" if c else f"math.{name}({arg})"
-        out = self.emit_double(rendered)
+            self.guard(f"isnan({arg})", ERR_DOMAIN)
+            self.guard(f"isinf({arg})", ERR_OVERFLOW)
+        out = self.emit_double(f"{'fabs' if name == 'abs' else name}({arg})")
         if name == "exp":
             # CPython raises OverflowError when exp overflows a finite arg.
-            overflow = (
-                f"isinf({out}) && !isinf({arg})"
-                if c
-                else f"math.isinf({out}) and not math.isinf({arg})"
-            )
-            self.guard(overflow, ERR_OVERFLOW)
+            self.guard(f"isinf({out}) && !isinf({arg})", ERR_OVERFLOW)
         return out
 
     def statement(self, stmt) -> None:
@@ -406,13 +360,11 @@ class _KernelEmitter:
         value = self.expression(stmt.rhs)
         address = self.address(stmt.target)
         slot = self.slots[stmt.target.array]
-        tail = ";" if self.lang == "c" else ""
-        self.lines.append(f"a{slot}[{address}] = {value}{tail}")
+        self.lines.append(f"a{slot}[{address}] = {value};")
 
 
-def _inverse_assignments(emitter: _KernelEmitter, inverse) -> List[str]:
+def _inverse_assignments(depth: int, inverse) -> List[str]:
     """``i_col = sum_r inv[r][col] * j_r`` — original indices from new ones."""
-    depth = emitter.nest.depth
     rows = [list(map(int, row)) for row in inverse]
     lines: List[str] = []
     for col in range(depth):
@@ -426,12 +378,9 @@ def _inverse_assignments(emitter: _KernelEmitter, inverse) -> List[str]:
             elif coeff == -1:
                 parts.append(f"-j{r}")
             else:
-                parts.append(f"{emitter.int_lit(coeff)} * j{r}")
-        value = " + ".join(parts) if parts else emitter.int_lit(0)
-        if emitter.lang == "c":
-            lines.append(f"int64_t i{col} = {value};")
-        else:
-            lines.append(f"i{col} = {value}")
+                parts.append(f"{_int_lit(coeff)} * j{r}")
+        value = " + ".join(parts) if parts else _int_lit(0)
+        lines.append(f"int64_t i{col} = {value};")
     return lines
 
 
@@ -458,7 +407,7 @@ _C_HELPERS = [
 ]
 
 
-def _level_lines(level: int, depth: int, lang: str) -> List[str]:
+def _level_lines(level: int, depth: int) -> List[str]:
     """One level of the chunk scan, up to and including its loop header.
 
     Evaluates ``max(ceil(lower))`` / ``min(floor(upper))`` of the level's
@@ -482,78 +431,44 @@ def _level_lines(level: int, depth: int, lang: str) -> List[str]:
 
     acc = " + ".join([index(1)] + [f"{index(2 + t)} * j{t}" for t in range(k)])
     target = " + ".join([f"key[{k}]"] + [f"bt[{shift + u}] * f{u}" for u in range(k)])
-    if lang == "c":
-        lines = [
-            f"int64_t {e} = bt[{offset}];",
-            f"int64_t lo{k} = repro_ceil({acc}, {index(0)});",
-            f"for (int64_t x = 1; x < bt[{n_lower}]; ++x) {{",
-            f"    {e} += {width};",
-            f"    const int64_t v = repro_ceil({acc}, {index(0)});",
-            f"    if (v > lo{k}) {{ lo{k} = v; }}",
-            "}",
-            f"{e} += {width};",
-            f"int64_t hi{k} = repro_floor({acc}, {index(0)});",
-            f"for (int64_t x = 1; x < bt[{n_upper}]; ++x) {{",
-            f"    {e} += {width};",
-            f"    const int64_t v = repro_floor({acc}, {index(0)});",
-            f"    if (v < hi{k}) {{ hi{k} = v; }}",
-            "}",
-            f"const int64_t rl{k} = bt[{role}];",
-            f"int64_t st{k} = bt[{step}];",
-            f"int64_t tg{k} = 0;",
-            f"if (rl{k} == {parallel}) {{",
-            f"    const int64_t base = key[{k}] * st{k};",
-            f"    if (base > lo{k}) {{ lo{k} = base; }}",
-            f"    if (base + st{k} - 1 < hi{k}) {{ hi{k} = base + st{k} - 1; }}",
-            f"    st{k} = 1;",
-            f"}} else if (rl{k} == {partition}) {{",
-            f"    tg{k} = {target};",
-            f"    lo{k} += repro_mod(tg{k} - lo{k}, st{k});",
-            "}",
-            f"for (int64_t j{k} = lo{k}; j{k} <= hi{k}; j{k} += st{k}) {{",
-        ]
-        if k < depth - 1:
-            lines.append(
-                f"    const int64_t f{k} = rl{k} == {partition} ? (j{k} - tg{k}) / st{k} : 0;"
-            )
-        return lines
     lines = [
-        f"{e} = bt[{offset}]",
-        f"lo{k} = -((-({acc})) // {index(0)})",
-        f"for _ in range(1, bt[{n_lower}]):",
-        f"    {e} += {width}",
-        f"    v = -((-({acc})) // {index(0)})",
-        f"    if v > lo{k}:",
-        f"        lo{k} = v",
-        f"{e} += {width}",
-        f"hi{k} = ({acc}) // {index(0)}",
-        f"for _ in range(1, bt[{n_upper}]):",
-        f"    {e} += {width}",
-        f"    v = ({acc}) // {index(0)}",
-        f"    if v < hi{k}:",
-        f"        hi{k} = v",
-        f"rl{k} = bt[{role}]",
-        f"st{k} = bt[{step}]",
-        f"tg{k} = 0",
-        f"if rl{k} == {parallel}:",
-        f"    base = key[{k}] * st{k}",
-        f"    if base > lo{k}:",
-        f"        lo{k} = base",
-        f"    if base + st{k} - 1 < hi{k}:",
-        f"        hi{k} = base + st{k} - 1",
-        f"    st{k} = 1",
-        f"elif rl{k} == {partition}:",
-        f"    tg{k} = {target}",
-        f"    lo{k} += (tg{k} - lo{k}) % st{k}",
-        f"for j{k} in range(lo{k}, hi{k} + 1, st{k}):",
+        f"int64_t {e} = bt[{offset}];",
+        f"int64_t lo{k} = repro_ceil({acc}, {index(0)});",
+        f"for (int64_t x = 1; x < bt[{n_lower}]; ++x) {{",
+        f"    {e} += {width};",
+        f"    const int64_t v = repro_ceil({acc}, {index(0)});",
+        f"    if (v > lo{k}) {{ lo{k} = v; }}",
+        "}",
+        f"{e} += {width};",
+        f"int64_t hi{k} = repro_floor({acc}, {index(0)});",
+        f"for (int64_t x = 1; x < bt[{n_upper}]; ++x) {{",
+        f"    {e} += {width};",
+        f"    const int64_t v = repro_floor({acc}, {index(0)});",
+        f"    if (v < hi{k}) {{ hi{k} = v; }}",
+        "}",
+        f"const int64_t rl{k} = bt[{role}];",
+        f"int64_t st{k} = bt[{step}];",
+        f"int64_t tg{k} = 0;",
+        f"if (rl{k} == {parallel}) {{",
+        f"    const int64_t base = key[{k}] * st{k};",
+        f"    if (base > lo{k}) {{ lo{k} = base; }}",
+        f"    if (base + st{k} - 1 < hi{k}) {{ hi{k} = base + st{k} - 1; }}",
+        f"    st{k} = 1;",
+        f"}} else if (rl{k} == {partition}) {{",
+        f"    tg{k} = {target};",
+        f"    lo{k} += repro_mod(tg{k} - lo{k}, st{k});",
+        "}",
+        f"for (int64_t j{k} = lo{k}; j{k} <= hi{k}; j{k} += st{k}) {{",
     ]
     if k < depth - 1:
-        lines.append(f"    f{k} = (j{k} - tg{k}) // st{k} if rl{k} == {partition} else 0")
+        lines.append(
+            f"    const int64_t f{k} = rl{k} == {partition} ? (j{k} - tg{k}) / st{k} : 0;"
+        )
     return lines
 
 
-def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp") -> str:
-    """Render the chunk-loop kernel for ``nest`` in ``lang`` ("c" or "py").
+def emit_kernel_source(nest: LoopNest, inverse, flavor: str = "openmp") -> str:
+    """Render the chunk-loop kernel for ``nest`` as C.
 
     The source contains three functions:
 
@@ -582,236 +497,155 @@ def emit_kernel_source(nest: LoopNest, inverse, lang: str, flavor: str = "openmp
     tables at run time.  Each array contributes its raw float64 buffer plus
     int64 origin and shape vectors, in canonical slot order.
 
-    ``flavor`` selects the C parallel driver: ``"openmp"`` emits an OpenMP
+    ``flavor`` selects the parallel driver: ``"openmp"`` emits an OpenMP
     ``parallel for`` honouring the static/dynamic hint (build with
     ``-fopenmp``); ``"pthreads"`` emits a work-queue over an atomic chunk
     cursor (build with ``-pthread``) — inherently dynamic, the scheduling
-    hint is ignored.  The numba engine ignores ``flavor``.
+    hint is ignored.
     """
-    emitter = _KernelEmitter(nest, lang)
+    if flavor not in ("openmp", "pthreads"):
+        raise ExecutionError(f"unknown C parallel flavor {flavor!r}")
+    emitter = _KernelEmitter(nest)
     for stmt in nest.statements:
         emitter.statement(stmt)
     slots = _array_slots(nest)
     depth = nest.depth
-
-    def stride_decls(indent: str) -> List[str]:
-        decls: List[str] = []
-        for slot, (_, ndim) in enumerate(slots):
-            for k in range(ndim - 2, -1, -1):
-                outer = (
-                    f"a{slot}_s{k + 1} * a{slot}_shp[{k + 1}]"
-                    if k + 1 < ndim - 1
-                    else f"a{slot}_shp[{k + 1}]"
-                )
-                if lang == "c":
-                    decls.append(f"{indent}int64_t a{slot}_s{k} = {outer};")
-                else:
-                    decls.append(f"{indent}a{slot}_s{k} = {outer}")
-        return decls
-
-    def scan_lines() -> List[str]:
-        lines: List[str] = []
-        for level in range(depth):
-            indent = "    " * (level + 1)
-            lines.extend(indent + text for text in _level_lines(level, depth, lang))
-        body_indent = "    " * (depth + 1)
-        lines.extend(body_indent + text for text in _inverse_assignments(emitter, inverse))
-        lines.extend(body_indent + text for text in emitter.lines)
-        return lines
-
-    if lang == "c":
-        if flavor not in ("openmp", "pthreads"):
-            raise ExecutionError(f"unknown C parallel flavor {flavor!r}")
-        params = "".join(
-            f", double *a{slot}, const int64_t *a{slot}_org, const int64_t *a{slot}_shp"
-            for slot in range(len(slots))
-        )
-        array_args = "".join(
-            f", a{slot}, a{slot}_org, a{slot}_shp" for slot in range(len(slots))
-        )
-        lines = ["#include <math.h>", "#include <stdint.h>"]
-        if flavor == "pthreads":
-            lines.append("#include <pthread.h>")
-        lines += [""] + _C_HELPERS + [
-            "",
-            f"static int64_t {CHUNK_SYMBOL}(const int64_t *key, const int64_t *bt{params})",
-            "{",
-        ]
-        lines.extend(stride_decls("    "))
-        lines.extend(scan_lines())
-        lines.extend("    " * (level + 1) + "}" for level in range(depth - 1, -1, -1))
+    params = "".join(
+        f", double *a{slot}, const int64_t *a{slot}_org, const int64_t *a{slot}_shp"
+        for slot in range(len(slots))
+    )
+    array_args = "".join(
+        f", a{slot}, a{slot}_org, a{slot}_shp" for slot in range(len(slots))
+    )
+    lines = ["#include <math.h>", "#include <stdint.h>"]
+    if flavor == "pthreads":
+        lines.append("#include <pthread.h>")
+    lines += [""] + _C_HELPERS + [
+        "",
+        f"static int64_t {CHUNK_SYMBOL}(const int64_t *key, const int64_t *bt{params})",
+        "{",
+    ]
+    for slot, (_, ndim) in enumerate(slots):
+        for k in range(ndim - 2, -1, -1):
+            outer = (
+                f"a{slot}_s{k + 1} * a{slot}_shp[{k + 1}]"
+                if k + 1 < ndim - 1
+                else f"a{slot}_shp[{k + 1}]"
+            )
+            lines.append(f"    int64_t a{slot}_s{k} = {outer};")
+    for level in range(depth):
+        indent = "    " * (level + 1)
+        lines.extend(indent + text for text in _level_lines(level, depth))
+    body_indent = "    " * (depth + 1)
+    lines.extend(body_indent + text for text in _inverse_assignments(depth, inverse))
+    lines.extend(body_indent + text for text in emitter.lines)
+    lines.extend("    " * (level + 1) + "}" for level in range(depth - 1, -1, -1))
+    lines += [
+        "    return 0;",
+        "}",
+        "",
+        f"int64_t {KERNEL_SYMBOL}(int64_t n_chunks, const int64_t *keys, "
+        f"const int64_t *bt{params})",
+        "{",
+        "    for (int64_t c = 0; c < n_chunks; ++c) {",
+        f"        int64_t status = {CHUNK_SYMBOL}(keys + c * {depth}, bt{array_args});",
+        "        if (status != 0) { return status; }",
+        "    }",
+        "    return 0;",
+        "}",
+        "",
+    ]
+    par_sig = (
+        f"int64_t {PARALLEL_KERNEL_SYMBOL}(int64_t n_chunks, const int64_t *keys, "
+        f"const int64_t *bt, int64_t n_threads, int64_t dynamic_schedule, "
+        f"int64_t *statuses{params})"
+    )
+    if flavor == "openmp":
         lines += [
-            "    return 0;",
-            "}",
-            "",
-            f"int64_t {KERNEL_SYMBOL}(int64_t n_chunks, const int64_t *keys, "
-            f"const int64_t *bt{params})",
+            par_sig,
             "{",
-            "    for (int64_t c = 0; c < n_chunks; ++c) {",
-            f"        int64_t status = {CHUNK_SYMBOL}(keys + c * {depth}, bt{array_args});",
-            "        if (status != 0) { return status; }",
+            "    int64_t c;",
+            "    int threads = (int)(n_threads < 1 ? 1 : n_threads);",
+            "    if (dynamic_schedule) {",
+            "        #pragma omp parallel for schedule(dynamic) num_threads(threads)",
+            "        for (c = 0; c < n_chunks; ++c) {",
+            f"            statuses[c] = {CHUNK_SYMBOL}(keys + c * {depth}, bt{array_args});",
+            "        }",
+            "    } else {",
+            "        #pragma omp parallel for schedule(static) num_threads(threads)",
+            "        for (c = 0; c < n_chunks; ++c) {",
+            f"            statuses[c] = {CHUNK_SYMBOL}(keys + c * {depth}, bt{array_args});",
+            "        }",
+            "    }",
+            "    for (c = 0; c < n_chunks; ++c) {",
+            "        if (statuses[c] != 0) { return statuses[c]; }",
             "    }",
             "    return 0;",
             "}",
-            "",
         ]
-        par_sig = (
-            f"int64_t {PARALLEL_KERNEL_SYMBOL}(int64_t n_chunks, const int64_t *keys, "
-            f"const int64_t *bt, int64_t n_threads, int64_t dynamic_schedule, "
-            f"int64_t *statuses{params})"
-        )
-        if flavor == "openmp":
-            lines += [
-                par_sig,
-                "{",
-                "    int64_t c;",
-                "    int threads = (int)(n_threads < 1 ? 1 : n_threads);",
-                "    if (dynamic_schedule) {",
-                "        #pragma omp parallel for schedule(dynamic) num_threads(threads)",
-                "        for (c = 0; c < n_chunks; ++c) {",
-                f"            statuses[c] = {CHUNK_SYMBOL}(keys + c * {depth}, bt{array_args});",
-                "        }",
-                "    } else {",
-                "        #pragma omp parallel for schedule(static) num_threads(threads)",
-                "        for (c = 0; c < n_chunks; ++c) {",
-                f"            statuses[c] = {CHUNK_SYMBOL}(keys + c * {depth}, bt{array_args});",
-                "        }",
-                "    }",
-                "    for (c = 0; c < n_chunks; ++c) {",
-                "        if (statuses[c] != 0) { return statuses[c]; }",
-                "    }",
-                "    return 0;",
-                "}",
-            ]
-        else:
-            member_decls = "".join(
-                f" double *a{slot}; const int64_t *a{slot}_org; const int64_t *a{slot}_shp;"
-                for slot in range(len(slots))
-            )
-            work_args = "".join(
-                f", w->a{slot}, w->a{slot}_org, w->a{slot}_shp"
-                for slot in range(len(slots))
-            )
-            lines += [
-                "typedef struct {",
-                "    int64_t n_chunks;",
-                "    const int64_t *keys;",
-                "    const int64_t *bt;",
-                "    int64_t next;",
-                f"    int64_t *statuses;{member_decls}",
-                "} repro_work_t;",
-                "",
-                "static void *repro_worker(void *opaque)",
-                "{",
-                "    repro_work_t *w = (repro_work_t *)opaque;",
-                "    for (;;) {",
-                "        int64_t c = __sync_fetch_and_add(&w->next, 1);",
-                "        if (c >= w->n_chunks) { break; }",
-                f"        w->statuses[c] = {CHUNK_SYMBOL}("
-                f"w->keys + c * {depth}, w->bt{work_args});",
-                "    }",
-                "    return 0;",
-                "}",
-                "",
-                par_sig,
-                "{",
-                "    /* The shared-cursor queue is dynamic by construction; the",
-                "       scheduling hint only matters to the OpenMP flavor. */",
-                "    (void)dynamic_schedule;",
-                f"    repro_work_t work = {{n_chunks, keys, bt, 0, statuses{array_args}}};",
-                f"    pthread_t helpers[{_MAX_PTHREADS}];",
-                "    int64_t spawned = 0;",
-                f"    if (n_threads > {_MAX_PTHREADS}) {{ n_threads = {_MAX_PTHREADS}; }}",
-                "    for (int64_t t = 1; t < n_threads; ++t) {",
-                "        if (pthread_create(&helpers[spawned], 0, repro_worker, &work) != 0) {",
-                "            break;",
-                "        }",
-                "        ++spawned;",
-                "    }",
-                "    repro_worker(&work);",
-                "    for (int64_t t = 0; t < spawned; ++t) { pthread_join(helpers[t], 0); }",
-                "    for (int64_t c = 0; c < n_chunks; ++c) {",
-                "        if (statuses[c] != 0) { return statuses[c]; }",
-                "    }",
-                "    return 0;",
-                "}",
-            ]
         return "\n".join(lines) + "\n"
-
-    params = "".join(
-        f", a{slot}, a{slot}_org, a{slot}_shp" for slot in range(len(slots))
+    member_decls = "".join(
+        f" double *a{slot}; const int64_t *a{slot}_org; const int64_t *a{slot}_shp;"
+        for slot in range(len(slots))
     )
-    array_types = ", float64[::1], int64[::1], int64[::1]" * len(slots)
-    chunk_signature = f"int64(int64[::1], int64[::1]{array_types})"
-    serial_signature = f"int64(int64, int64[::1], int64[::1]{array_types})"
-    parallel_signature = (
-        f"int64(int64, int64[::1], int64[::1], int64, int64, int64[::1]{array_types})"
+    work_args = "".join(
+        f", w->a{slot}, w->a{slot}_org, w->a{slot}_shp" for slot in range(len(slots))
     )
-    lines = [
-        "import math",
-        "",
-        "import numba",
-        "",
-        "",
-        f'@numba.njit("{chunk_signature}", cache=True, nogil=True)',
-        f"def {CHUNK_SYMBOL}(key, bt{params}):",
-    ]
-    lines.extend(stride_decls("    "))
-    lines.extend(scan_lines())
     lines += [
-        "    return 0",
+        "typedef struct {",
+        "    int64_t n_chunks;",
+        "    const int64_t *keys;",
+        "    const int64_t *bt;",
+        "    int64_t next;",
+        f"    int64_t *statuses;{member_decls}",
+        "} repro_work_t;",
         "",
+        "static void *repro_worker(void *opaque)",
+        "{",
+        "    repro_work_t *w = (repro_work_t *)opaque;",
+        "    for (;;) {",
+        "        int64_t c = __sync_fetch_and_add(&w->next, 1);",
+        "        if (c >= w->n_chunks) { break; }",
+        f"        w->statuses[c] = {CHUNK_SYMBOL}("
+        f"w->keys + c * {depth}, w->bt{work_args});",
+        "    }",
+        "    return 0;",
+        "}",
         "",
-        f'@numba.njit("{serial_signature}", cache=True, nogil=True)',
-        f"def {KERNEL_SYMBOL}(n_chunks, keys, bt{params}):",
-        "    for c in range(n_chunks):",
-        f"        b = c * {depth}",
-        f"        status = {CHUNK_SYMBOL}(keys[b:b + {depth}], bt{params})",
-        "        if status != 0:",
-        "            return status",
-        "    return 0",
-        "",
-        "",
-        "try:",
-        f'    @numba.njit("{parallel_signature}", cache=True, nogil=True, parallel=True)',
-        f"    def {PARALLEL_KERNEL_SYMBOL}(n_chunks, keys, bt, n_threads, "
-        f"dynamic_schedule, statuses{params}):",
-        "        for c in numba.prange(n_chunks):",
-        f"            b = c * {depth}",
-        f"            statuses[c] = {CHUNK_SYMBOL}(keys[b:b + {depth}], bt{params})",
-        "        first = 0",
-        "        for c in range(n_chunks):",
-        "            if first == 0:",
-        "                first = statuses[c]",
-        "        return first",
-        "except Exception:  # pragma: no cover - toolchain without parallel support",
-        f"    {PARALLEL_KERNEL_SYMBOL} = None",
+        par_sig,
+        "{",
+        "    /* The shared-cursor queue is dynamic by construction; the",
+        "       scheduling hint only matters to the OpenMP flavor. */",
+        "    (void)dynamic_schedule;",
+        f"    repro_work_t work = {{n_chunks, keys, bt, 0, statuses{array_args}}};",
+        f"    pthread_t helpers[{_MAX_PTHREADS}];",
+        "    int64_t spawned = 0;",
+        f"    if (n_threads > {_MAX_PTHREADS}) {{ n_threads = {_MAX_PTHREADS}; }}",
+        "    for (int64_t t = 1; t < n_threads; ++t) {",
+        "        if (pthread_create(&helpers[spawned], 0, repro_worker, &work) != 0) {",
+        "            break;",
+        "        }",
+        "        ++spawned;",
+        "    }",
+        "    repro_worker(&work);",
+        "    for (int64_t t = 0; t < spawned; ++t) { pthread_join(helpers[t], 0); }",
+        "    for (int64_t c = 0; c < n_chunks; ++c) {",
+        "        if (statuses[c] != 0) { return statuses[c]; }",
+        "    }",
+        "    return 0;",
+        "}",
     ]
     return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------- #
-# engines: discovery and builds
+# toolchain discovery and builds
 # --------------------------------------------------------------------------- #
 
 _UNSET = object()
-_NUMBA_CACHED = _UNSET
 _OPENMP_CACHED = _UNSET
 _COMPILER_CACHED = _UNSET
 _LAST_BUILD_ERROR: Optional[str] = None
-
-
-def _numba_module():
-    """The numba module, or None when unavailable (import tried once)."""
-    global _NUMBA_CACHED
-    if _NUMBA_CACHED is _UNSET:
-        try:
-            import numba  # noqa: F401
-        except Exception:
-            _NUMBA_CACHED = None
-        else:
-            _NUMBA_CACHED = numba
-    return _NUMBA_CACHED
 
 
 def _find_c_compiler() -> Optional[str]:
@@ -878,32 +712,19 @@ def openmp_supported() -> bool:
     return bool(_OPENMP_CACHED)
 
 
-def available_engines() -> Tuple[str, ...]:
-    """Engines usable in this process, in preference order."""
-    engines = []
-    if _numba_module() is not None:
-        engines.append("numba")
-    if _find_c_compiler() is not None:
-        engines.append("cc")
-    return tuple(engines)
+def resolve_engine() -> Optional[str]:
+    """``"cc"`` when native execution is on and a C compiler is found.
 
-
-def resolve_engine(requested: Optional[str] = None) -> Optional[str]:
-    """Map a requested engine (or ``$REPRO_NATIVE_ENGINE``) to a usable one.
-
-    ``None``/"auto" prefers numba, then the C compiler; "none" disables
-    native execution outright; naming an unavailable engine yields ``None``
-    (the backend then falls back to vectorized execution).
+    ``$REPRO_NATIVE_ENGINE`` unset, ``auto`` or ``cc`` turns native
+    execution on.  Any other value turns it off and yields ``None``:
+    ``none``, ``off`` and ``disabled`` on purpose, and a misspelled name
+    too, so a typo never silently selects an engine.  The backend then falls
+    back to vectorized execution.
     """
-    request = (requested or os.environ.get(ENGINE_ENV) or "auto").strip().lower()
-    if request in ("none", "off", "disabled"):
+    request = os.environ.get(ENGINE_ENV, "").strip().lower()
+    if request not in ("", "auto", "cc"):
         return None
-    if request == "numba":
-        return "numba" if _numba_module() is not None else None
-    if request == "cc":
-        return "cc" if _find_c_compiler() is not None else None
-    engines = available_engines()
-    return engines[0] if engines else None
+    return "cc" if _find_c_compiler() is not None else None
 
 
 def last_build_error() -> Optional[str]:
@@ -911,14 +732,20 @@ def last_build_error() -> Optional[str]:
     return _LAST_BUILD_ERROR
 
 
-def native_cache_dir() -> str:
-    """On-disk kernel cache directory (``$REPRO_NATIVE_CACHE`` overrides)."""
+def _cache_path() -> str:
     path = os.environ.get(CACHE_DIR_ENV)
-    if not path:
-        base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-            os.path.expanduser("~"), ".cache"
-        )
-        path = os.path.join(base, "repro-native")
+    if path:
+        return path
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    return os.path.join(base, "repro-native")
+
+
+def native_cache_dir() -> str:
+    """On-disk kernel cache directory (``$REPRO_NATIVE_CACHE`` overrides),
+    created on first use; raises :class:`OSError` when it cannot be."""
+    path = _cache_path()
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -934,14 +761,14 @@ def _write_atomic(path: str, content: str) -> None:
     os.replace(tmp, path)
 
 
-def _build_cc(source: str, openmp: bool):
-    """Compile C source to a shared object (disk-cached), load both entry
-    points, and return ``(serial_fn, parallel_fn)`` — parallel may be None."""
+def _build_cc(source: str, directory: str, openmp: bool):
+    """Compile C source to a shared object cached in ``directory``, load
+    both entry points, and return ``(serial_fn, parallel_fn)`` — parallel
+    may be None."""
     global _LAST_BUILD_ERROR
     compiler = _find_c_compiler()
     if compiler is None:
         return None
-    directory = native_cache_dir()
     digest = _source_digest(source)
     so_path = os.path.join(directory, f"{KERNEL_SYMBOL}_{digest}.so")
     if not os.path.exists(so_path):
@@ -988,34 +815,6 @@ def _build_cc(source: str, openmp: bool):
     return function, parallel
 
 
-def _build_numba(source: str):
-    """Import the numba kernel module (written to the cache dir for
-    ``cache=True`` persistence); decoration compiles eagerly via the typed
-    signatures, so a successful return is a pair of warm kernels
-    ``(serial_fn, parallel_fn)`` — parallel is None when the toolchain
-    cannot compile ``parallel=True`` (the module negative-caches that)."""
-    global _LAST_BUILD_ERROR
-    if _numba_module() is None:
-        return None
-    directory = native_cache_dir()
-    digest = _source_digest(source)
-    module_name = f"{KERNEL_SYMBOL}_mod_{digest}"
-    module = sys.modules.get(module_name)
-    if module is None:
-        py_path = os.path.join(directory, f"{module_name}.py")
-        try:
-            if not os.path.exists(py_path):
-                _write_atomic(py_path, source)
-            spec = importlib.util.spec_from_file_location(module_name, py_path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules[module_name] = module
-        except Exception as exc:
-            _LAST_BUILD_ERROR = f"{type(exc).__name__}: {exc}"
-            return None
-    return getattr(module, KERNEL_SYMBOL), getattr(module, PARALLEL_KERNEL_SYMBOL, None)
-
-
 # --------------------------------------------------------------------------- #
 # kernels and the process-wide cache
 # --------------------------------------------------------------------------- #
@@ -1055,15 +854,14 @@ def packed_ranges_for(plan, chunk_indices=None) -> Optional[PackedChunks]:
 
 
 class NativeKernel:
-    """One compiled kernel: engine-specific callables + marshalling.
+    """One compiled kernel: its two ctypes entry points + marshalling.
 
-    ``flavor`` names the parallel driver baked into the artifact:
-    ``"openmp"``/``"pthreads"`` for the C engine, ``"prange"`` for numba,
-    ``None`` when the build produced no parallel entry point.
+    ``flavor`` names the parallel driver baked into the artifact
+    (``"openmp"`` or ``"pthreads"``), ``None`` when the artifact has no
+    parallel entry point.
     """
 
     __slots__ = (
-        "engine",
         "depth",
         "array_dims",
         "source",
@@ -1073,9 +871,8 @@ class NativeKernel:
         "_par_fn",
     )
 
-    def __init__(self, engine, fn, depth, array_dims, source, compile_seconds,
+    def __init__(self, fn, depth, array_dims, source, compile_seconds,
                  par_fn=None, flavor=None):
-        self.engine = engine
         self.depth = depth
         self.array_dims = tuple(array_dims)
         self.source = source
@@ -1083,15 +880,14 @@ class NativeKernel:
         self.flavor = flavor if par_fn is not None else None
         self._fn = fn
         self._par_fn = par_fn
-        if engine == "cc":
-            array_types = []
-            for _ in self.array_dims:
-                array_types.extend((_F64_P, _I64_P, _I64_P))
-            fn.argtypes = [ctypes.c_int64, _I64_P, _I64_P] + array_types
-            if par_fn is not None:
-                par_fn.argtypes = [
-                    ctypes.c_int64, _I64_P, _I64_P, ctypes.c_int64, ctypes.c_int64, _I64_P,
-                ] + array_types
+        array_types = []
+        for _ in self.array_dims:
+            array_types.extend((_F64_P, _I64_P, _I64_P))
+        fn.argtypes = [ctypes.c_int64, _I64_P, _I64_P] + array_types
+        if par_fn is not None:
+            par_fn.argtypes = [
+                ctypes.c_int64, _I64_P, _I64_P, ctypes.c_int64, ctypes.c_int64, _I64_P,
+            ] + array_types
 
     @property
     def supports_parallel(self) -> bool:
@@ -1126,18 +922,12 @@ class NativeKernel:
             shapes.append(np.asarray(data.shape, dtype=np.int64))
         return datas, origins, shapes
 
-    def _cc_array_args(self, marshalled):
+    def _array_args(self, marshalled):
         args = []
         for data, origin, shape in zip(*marshalled):
             args.append(data.ctypes.data_as(_F64_P))
             args.append(origin.ctypes.data_as(_I64_P))
             args.append(shape.ctypes.data_as(_I64_P))
-        return args
-
-    def _numba_array_args(self, marshalled):
-        args = []
-        for data, origin, shape in zip(*marshalled):
-            args.extend((data.reshape(-1), origin, shape))
         return args
 
     def execute(self, offset_arrays, packed: PackedChunks) -> Optional[int]:
@@ -1147,15 +937,13 @@ class NativeKernel:
         if marshalled is None:
             return None
         n_chunks, keys, bounds = packed
-        if self.engine == "cc":
-            args = [
-                ctypes.c_int64(n_chunks),
-                keys.ctypes.data_as(_I64_P),
-                bounds.ctypes.data_as(_I64_P),
-            ]
-            args.extend(self._cc_array_args(marshalled))
-            return int(self._fn(*args))
-        return int(self._fn(n_chunks, keys, bounds, *self._numba_array_args(marshalled)))
+        args = [
+            ctypes.c_int64(n_chunks),
+            keys.ctypes.data_as(_I64_P),
+            bounds.ctypes.data_as(_I64_P),
+        ]
+        args.extend(self._array_args(marshalled))
+        return int(self._fn(*args))
 
     def execute_parallel(
         self,
@@ -1173,45 +961,18 @@ class NativeKernel:
         marshalled = self._marshal(offset_arrays, packed)
         if marshalled is None:
             return None
-        threads = max(1, int(threads))
         n_chunks, keys, bounds = packed
         statuses = np.zeros(max(1, n_chunks), dtype=np.int64)
-        if self.engine == "cc":
-            args = [
-                ctypes.c_int64(n_chunks),
-                keys.ctypes.data_as(_I64_P),
-                bounds.ctypes.data_as(_I64_P),
-                ctypes.c_int64(threads),
-                ctypes.c_int64(1 if dynamic else 0),
-                statuses.ctypes.data_as(_I64_P),
-            ]
-            args.extend(self._cc_array_args(marshalled))
-            return int(self._par_fn(*args))
-        numba = _numba_module()
-        previous = None
-        if numba is not None:
-            # prange honours the numba thread pool size, set per call and
-            # restored after (capped at the pool's launch-time size).
-            try:
-                previous = numba.get_num_threads()
-                numba.set_num_threads(min(threads, numba.config.NUMBA_NUM_THREADS))
-            except Exception:  # pragma: no cover - very old numba
-                previous = None
-        try:
-            return int(
-                self._par_fn(
-                    n_chunks,
-                    keys,
-                    bounds,
-                    threads,
-                    1 if dynamic else 0,
-                    statuses,
-                    *self._numba_array_args(marshalled),
-                )
-            )
-        finally:
-            if previous is not None:
-                numba.set_num_threads(previous)
+        args = [
+            ctypes.c_int64(n_chunks),
+            keys.ctypes.data_as(_I64_P),
+            bounds.ctypes.data_as(_I64_P),
+            ctypes.c_int64(max(1, int(threads))),
+            ctypes.c_int64(1 if dynamic else 0),
+            statuses.ctypes.data_as(_I64_P),
+        ]
+        args.extend(self._array_args(marshalled))
+        return int(self._par_fn(*args))
 
 
 class NativeProgram:
@@ -1270,30 +1031,58 @@ def kernel_cache_info() -> Dict[str, object]:
 
 def clear_kernel_cache() -> None:
     """Drop cached kernels, stats and the memoized toolchain probes."""
-    global _NUMBA_CACHED, _OPENMP_CACHED, _COMPILER_CACHED, _LAST_BUILD_ERROR
+    global _OPENMP_CACHED, _COMPILER_CACHED, _LAST_BUILD_ERROR
     with _LOCK:
         _KERNELS.clear()
         for key in _STATS:
             _STATS[key] = 0.0 if key == "build_seconds" else 0
-        _NUMBA_CACHED = _UNSET
         _OPENMP_CACHED = _UNSET
         _COMPILER_CACHED = _UNSET
         _LAST_BUILD_ERROR = None
 
 
-def native_program_for(transformed, engine: Optional[str] = None) -> Optional[NativeProgram]:
+def _build_kernel(nest: LoopNest, inverse) -> Optional[NativeKernel]:
+    """Canonicalize, emit, compile and load the kernel of a nest (None on
+    failure, with the reason in :func:`last_build_error`)."""
+    global _LAST_BUILD_ERROR
+    started = time.perf_counter()
+    nest = canonicalize(nest).nest
+    try:
+        directory = native_cache_dir()
+        flavor = "openmp" if openmp_supported() else "pthreads"
+    except OSError as exc:
+        # The cache directory cannot be created or written (the OpenMP
+        # probe persists its verdict there): a failed build, like a
+        # compiler error.
+        _LAST_BUILD_ERROR = (
+            f"native kernel cache {_cache_path()!r} is unusable: "
+            f"{type(exc).__name__}: {exc}"
+        )
+        return None
+    source = emit_kernel_source(nest, inverse, flavor)
+    built = _build_cc(source, directory, openmp=flavor == "openmp")
+    if built is None:
+        return None
+    function, parallel_fn = built
+    dims = tuple(ndim for _, ndim in _array_slots(nest))
+    return NativeKernel(
+        function, nest.depth, dims, source, time.perf_counter() - started,
+        par_fn=parallel_fn, flavor=flavor,
+    )
+
+
+def native_program_for(transformed) -> Optional[NativeProgram]:
     """The native program of a transformed nest, or None (caller falls back).
 
     Kernels are shared across alpha-equivalent programs: the cache key is
-    the engine, the canonical depth and statements of the nest and the
-    inverse transform — everything the emitted source reads.  The loop
-    bounds are not part of it (the plan's tables carry them at run time), so
-    one program at several problem sizes, or two sessions running renamed
+    the canonical depth and statements of the nest and the inverse
+    transform — everything the emitted source reads.  The loop bounds are
+    not part of it (the plan's tables carry them at run time), so one
+    program at several problem sizes, or two sessions running renamed
     copies of it, compile exactly once per process (and, through the
     on-disk artifact, roughly once per machine).
     """
-    resolved = resolve_engine(engine)
-    if resolved is None:
+    if resolve_engine() is None:
         return None
     nest = transformed.nest
     if not nest_is_native_supported(nest):
@@ -1301,7 +1090,7 @@ def native_program_for(transformed, engine: Optional[str] = None) -> Optional[Na
     inverse = tuple(
         tuple(int(value) for value in row) for row in transformed.inverse_transform
     )
-    key = (resolved, canonical_body_key(nest), inverse)
+    key = (canonical_body_key(nest), inverse)
     with _LOCK:
         if key in _KERNELS:
             _KERNELS.move_to_end(key)
@@ -1311,27 +1100,10 @@ def native_program_for(transformed, engine: Optional[str] = None) -> Optional[Na
                 return None
             return NativeProgram(kernel, _original_array_order(nest))
         _STATS["misses"] += 1
-        started = time.perf_counter()
-        form = canonicalize(nest)
-        if resolved == "cc":
-            flavor = "openmp" if openmp_supported() else "pthreads"
-            source = emit_kernel_source(form.nest, inverse, "c", flavor)
-            built = _build_cc(source, openmp=flavor == "openmp")
-        else:
-            flavor = "prange"
-            source = emit_kernel_source(form.nest, inverse, "py")
-            built = _build_numba(source)
-        elapsed = time.perf_counter() - started
-        kernel = None
-        if built is not None:
-            function, parallel_fn = built
-            dims = tuple(ndim for _, ndim in _array_slots(form.nest))
-            kernel = NativeKernel(
-                resolved, function, nest.depth, dims, source, elapsed,
-                par_fn=parallel_fn, flavor=flavor,
-            )
+        kernel = _build_kernel(nest, inverse)
+        if kernel is not None:
             _STATS["builds"] += 1
-            _STATS["build_seconds"] += elapsed
+            _STATS["build_seconds"] += kernel.compile_seconds
         # Build failures are cached too (as None) so a broken toolchain does
         # not re-invoke the compiler on every run.
         _KERNELS[key] = kernel

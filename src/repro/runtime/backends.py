@@ -714,11 +714,10 @@ class VectorizedBackend(ExecutionBackend):
 class NativeBackend(ExecutionBackend):
     """Machine-code execution of the plan's chunks.
 
-    :mod:`repro.codegen.native` compiles one specialized kernel per
-    canonical program (Numba ``@njit`` when available, else generated C
-    through the system compiler + ctypes).  A run hands it the key rows of
-    the selected chunks and the plan's bound table
-    (:meth:`~repro.plan.ExecutionPlan.key_table`,
+    :mod:`repro.codegen.native` compiles one specialized C kernel per
+    canonical program with the system compiler and loads it through
+    ctypes.  A run hands it the key rows of the selected chunks and the
+    plan's bound table (:meth:`~repro.plan.ExecutionPlan.key_table`,
     :meth:`~repro.plan.ExecutionPlan.bound_table`); the kernel evaluates
     each level's bounds and steps every chunk as nested native loops
     directly on the store's float64 buffers — zero per-iteration Python
@@ -726,15 +725,16 @@ class NativeBackend(ExecutionBackend):
     compiles: shifting partition targets, coupled bounds and coalesced
     blocks included.
 
-    The backend degrades automatically: when no engine is available, the
-    nest uses expressions outside the kernel subset, the plan's int64
-    overflow guard refuses its tables, or an array's layout cannot be
-    marshalled, the run is delegated to the vectorized backend (itself
-    pinned bit-identical to the interpreter) and ``stats["fallback_runs"]``
-    counts it.  The instance carries only configuration — kernels live in
-    the module-level cache — so it pickles cheaply into shared-pool
-    programs, and every worker reuses the parent's on-disk kernel artifact
-    instead of recompiling.
+    The backend degrades automatically: when there is no engine (no C
+    compiler, or ``REPRO_NATIVE_ENGINE`` turns it off), the kernel build
+    fails (a compiler error, an unusable cache directory), the nest uses
+    expressions outside the kernel subset, the plan's int64 overflow guard
+    refuses its tables, or an array's layout cannot be marshalled, the run
+    is delegated to the vectorized backend (itself pinned bit-identical to
+    the interpreter) and ``stats["fallback_runs"]`` counts it.  The
+    instance holds no kernel — kernels live in the module-level cache — so
+    it pickles cheaply into shared-pool programs, and every worker reuses
+    the parent's on-disk kernel artifact instead of recompiling.
 
     Compile time is charged to the executor's setup window via
     :meth:`prepare_plan`, never to measured execution time.
@@ -742,8 +742,7 @@ class NativeBackend(ExecutionBackend):
 
     name = "native"
 
-    def __init__(self, engine: Optional[str] = None):
-        self.engine = engine
+    def __init__(self):
         self.last_execution_engine = self.name
         self.stats: Dict[str, float] = {
             "native_runs": 0,
@@ -756,7 +755,7 @@ class NativeBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     def prepare_plan(self, transformed, plan=None) -> None:
         started = time.perf_counter()
-        native_codegen.native_program_for(transformed, self.engine)
+        native_codegen.native_program_for(transformed)
         self.stats["compile_seconds"] += time.perf_counter() - started
 
     def _raise_native_error(self, code: int, transformed) -> None:
@@ -783,7 +782,7 @@ class NativeBackend(ExecutionBackend):
         return store
 
     def execute_plan(self, transformed, plan, store, chunk_indices=None) -> ArrayStore:
-        program = native_codegen.native_program_for(transformed, self.engine)
+        program = native_codegen.native_program_for(transformed)
         if program is None:
             return self._delegate_plan(transformed, plan, store, chunk_indices)
         packed = native_codegen.packed_ranges_for(plan, chunk_indices)
@@ -796,7 +795,7 @@ class NativeBackend(ExecutionBackend):
             self._raise_native_error(code, transformed)
         self.stats["native_runs"] += 1
         self.stats["native_chunks"] += packed.n_chunks
-        self.last_execution_engine = f"native-{program.kernel.engine}"
+        self.last_execution_engine = "native-cc"
         return store
 
     # ------------------------------------------------------------------ #
@@ -808,13 +807,15 @@ class NativeBackend(ExecutionBackend):
         Compiles the kernel and builds the plan's key and bound tables as a
         side effect (all cached), so call this inside the setup window.
         """
-        program = native_codegen.native_program_for(transformed, self.engine)
+        program = native_codegen.native_program_for(transformed)
         if program is None:
-            if native_codegen.resolve_engine(self.engine) is None:
+            if native_codegen.resolve_engine() is None:
                 return "no native engine"
+            if native_codegen.nest_is_native_supported(transformed.nest):
+                return "the native kernel build failed"
             return "no native kernel for this nest"
         if not program.kernel.supports_parallel:
-            return f"the {program.kernel.engine} kernel has no parallel entry point"
+            return "the cc kernel has no parallel entry point"
         if native_codegen.packed_ranges_for(plan) is None:
             return "the plan's tables exceed the int64 overflow guard"
         return None
@@ -825,16 +826,17 @@ class NativeBackend(ExecutionBackend):
         """Execute chunks through the kernel's multithreaded entry point.
 
         One native call runs every selected chunk on ``threads`` OS threads
-        (OpenMP / pthreads / numba ``prange`` depending on the artifact);
-        ``dynamic`` picks the schedule for engines that honour the hint.
-        Returns the engine label (e.g. ``"native-cc-openmp"``) on success or
+        (OpenMP or pthreads, depending on the artifact); ``dynamic`` picks
+        the OpenMP schedule (the pthreads work-queue is always dynamic).
+        Returns the engine label (``"native-cc-openmp"`` or
+        ``"native-cc-pthreads"``) on success or
         ``None`` when the driver is unavailable — in that case nothing has
         been written and the caller runs :meth:`execute_plan` instead.
         Error parity matches the serial path: the status of the first
         failing chunk *in chunk order* is raised as the interpreter's
         exception type.
         """
-        program = native_codegen.native_program_for(transformed, self.engine)
+        program = native_codegen.native_program_for(transformed)
         if program is None or not program.kernel.supports_parallel:
             return None
         packed = native_codegen.packed_ranges_for(plan, chunk_indices)
@@ -847,7 +849,7 @@ class NativeBackend(ExecutionBackend):
             self._raise_native_error(code, transformed)
         self.stats["native_runs"] += 1
         self.stats["native_chunks"] += packed.n_chunks
-        label = f"native-{program.kernel.engine}-{program.kernel.flavor}"
+        label = f"native-cc-{program.kernel.flavor}"
         self.last_execution_engine = label
         return label
 

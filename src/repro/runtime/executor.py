@@ -18,9 +18,9 @@ chunks it executes, in place.  Three execution modes are provided:
   because chunks never access a common cell with a write (Lemma 1 /
   Theorem 2).  This is the multi-core path for Python loop bodies,
 * ``native-parallel`` — the in-kernel driver: when the backend exposes a
-  compiled parallel entry point (the ``native`` backend's OpenMP / pthreads
-  / ``numba.prange`` driver), *one* call executes every chunk on ``workers``
-  OS threads with zero per-chunk Python dispatch.  Skewed chunk sizes get
+  compiled parallel entry point (the ``native`` backend's OpenMP or
+  pthreads driver), *one* call executes every chunk on ``workers`` OS
+  threads with zero per-chunk Python dispatch.  Skewed chunk sizes get
   dynamic chunk assignment, uniform ones static blocks.  When the backend
   has no driver for the plan, the run makes the same single call as
   ``serial`` and ``ExecutionResult.fallback`` names the reason.

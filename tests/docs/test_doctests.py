@@ -3,10 +3,11 @@
 The docstring pass over :mod:`repro.api`, :mod:`repro.service`,
 :mod:`repro.plan` and :mod:`repro.gateway` gives every ``__all__`` symbol
 a runnable example; this test keeps those examples true, together with
-the examples of the internal modules that carry some (Fourier–Motzkin
-bounds, the disk cache, the nest builder and parser, telemetry).  It is the
-"doctests green" leg of the CI docs job — a doc example that drifts from
-the code fails here, not in a reader's terminal.
+the package quickstart in :mod:`repro` and the examples of the internal
+modules that carry some (Fourier–Motzkin bounds, the disk cache, the nest
+builder and parser, telemetry).  It is the "doctests green" leg of the CI
+docs job — a doc example that drifts from the code fails here, not in a
+reader's terminal.
 """
 
 import doctest
@@ -18,6 +19,7 @@ import pytest
 # __init__ modules are listed separately from the defining modules because
 # doctest only collects examples from the module the docstring lives in.
 DOCTEST_MODULES = [
+    "repro",
     "repro.api",
     "repro.api.inputs",
     "repro.api.results",
@@ -39,6 +41,7 @@ DOCTEST_MODULES = [
 # Modules that must actually contain examples — an import shuffle that
 # silently moved the docstrings elsewhere should fail, not skip.
 MUST_HAVE_EXAMPLES = {
+    "repro",
     "repro.api.inputs",
     "repro.api.results",
     "repro.api.session",

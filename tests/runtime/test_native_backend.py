@@ -1,7 +1,7 @@
 """Native backend: bit-identical to the interpreter, with graceful fallback.
 
-The native backend compiles plans to machine code (numba or C + ctypes), so
-its differential contract is checked the same way as every other backend —
+The native backend compiles plans to machine code (C + ctypes), so its
+differential contract is checked the same way as every other backend —
 ``ArrayStore.identical`` (``np.array_equal``, no tolerance) against the
 interpreter reference — across:
 
@@ -10,13 +10,15 @@ interpreter reference — across:
 * plain and coalesced plan spaces,
 * every error path (window violations, division by zero, domain errors
   must raise the same exception types as the interpreter),
-* and the engine-absent / unsupported-expression fallback to the
-  vectorized backend (monkeypatched, so this leg runs even on machines
-  that do have numba or a C compiler).
+* and the fallback to the vectorized backend when there is no engine,
+  the engine is switched off or misspelled, the kernel build fails, or the
+  body uses an unsupported expression (the compiler is monkeypatched away,
+  so this leg runs even on machines that do have a C compiler).
 """
 
 import os
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,18 +31,19 @@ from repro.exceptions import ExecutionError
 from repro.loopnest.builder import loop_nest
 from repro.plan import optimize_plan
 from repro.runtime.arrays import ArrayStore, OffsetArray, store_for_nest
-from repro.runtime.backends import NativeBackend, get_backend
+from repro.runtime.backends import NativeBackend
 from repro.runtime.executor import ParallelExecutor
 from repro.runtime.interpreter import execute_nest
 from repro.workloads.paper_examples import example_4_1, example_4_2
 from repro.workloads.suite import workload_suite
 
+ROOT = Path(__file__).resolve().parents[2]
 SUITE = workload_suite(5)
 SUITE_IDS = [case.name for case in SUITE]
 
 HAVE_ENGINE = native_codegen.resolve_engine() is not None
 needs_engine = pytest.mark.skipif(
-    not HAVE_ENGINE, reason="no native engine (numba or a C compiler) available"
+    not HAVE_ENGINE, reason="no native engine (a C compiler) available"
 )
 needs_dev_shm = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="shared mode needs /dev/shm"
@@ -56,9 +59,8 @@ def _reference_and_transformed(nest, placement=None):
     return base, ref, transformed
 
 
-def _no_engines(monkeypatch):
-    """Make both engines unavailable, regardless of the host toolchain."""
-    monkeypatch.setattr(native_codegen, "_numba_module", lambda: None)
+def _no_compiler(monkeypatch):
+    """Make the C engine unavailable, regardless of the host toolchain."""
     monkeypatch.setattr(native_codegen, "_find_c_compiler", lambda: None)
     native_codegen.clear_kernel_cache()
 
@@ -192,13 +194,12 @@ class TestNativeErrors:
 
 
 # ---------------------------------------------------------------------------
-# fallback: no engine, disabled engine, unsupported expressions
+# fallback: no engine, disabled engine, failed build, unsupported expressions
 # ---------------------------------------------------------------------------
 
 class TestNativeFallback:
     def test_no_engine_falls_back_to_vectorized(self, monkeypatch):
-        _no_engines(monkeypatch)
-        assert native_codegen.available_engines() == ()
+        _no_compiler(monkeypatch)
         assert native_codegen.resolve_engine() is None
         nest = example_4_1(6)
         base, ref, transformed = _reference_and_transformed(nest)
@@ -222,6 +223,72 @@ class TestNativeFallback:
         assert ref.identical(result)
         assert backend.stats["fallback_runs"] == 1
 
+    @pytest.mark.parametrize("value", ["ccc", "numba"])
+    def test_unknown_engine_name_disables_native(self, value, monkeypatch):
+        # A misspelled or removed engine name selects no engine; it must not
+        # silently mean "auto".
+        monkeypatch.setenv(native_codegen.ENGINE_ENV, value)
+        assert native_codegen.resolve_engine() is None
+        nest = example_4_1(6)
+        base, ref, transformed = _reference_and_transformed(nest)
+        backend = NativeBackend()
+        result = base.copy()
+        backend.execute(transformed, result)
+        assert ref.identical(result)
+        assert backend.stats["fallback_runs"] == 1
+        result = base.copy()
+        outcome = ParallelExecutor(mode="native-parallel", workers=2, backend="native").run(
+            transformed, result
+        )
+        assert ref.identical(result)
+        assert outcome.fallback == "serial run: no native engine"
+
+    @needs_engine
+    @pytest.mark.parametrize(
+        "value", ["", "auto", "cc", " CC "], ids=["empty", "auto", "cc", "padded-upper"]
+    )
+    def test_engine_env_values_that_use_the_compiler(self, value, monkeypatch):
+        monkeypatch.setenv(native_codegen.ENGINE_ENV, value)
+        assert native_codegen.resolve_engine() == "cc"
+
+    def test_engine_argument_is_gone(self):
+        with pytest.raises(TypeError):
+            NativeBackend(engine="cc")
+
+    @needs_engine
+    def test_unusable_kernel_cache_falls_back(self, tmp_path, monkeypatch):
+        # A regular file where the cache directory should be: the build
+        # fails, the failure is cached and named, and the run falls back.
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv(native_codegen.CACHE_DIR_ENV, str(blocker))
+        native_codegen.clear_kernel_cache()
+        try:
+            with Session(backend="native") as session:
+                result = session.run(
+                    ROOT / "examples" / "loops" / "example41.loop", verify=True
+                )
+            assert result.max_abs_difference == 0.0
+            assert not result.backend.startswith("native-")
+            error = native_codegen.last_build_error()
+            assert str(blocker) in error and "FileExistsError" in error
+            # The failure is cached: later lookups do not retry the build.
+            nest = example_4_1(6)
+            base, ref, transformed = _reference_and_transformed(nest)
+            before = native_codegen.kernel_cache_info()
+            for _ in range(2):
+                assert native_codegen.native_program_for(transformed) is None
+            info = native_codegen.kernel_cache_info()
+            assert info["builds"] == 0 and info["misses"] == before["misses"]
+            result = base.copy()
+            outcome = ParallelExecutor(
+                mode="native-parallel", workers=2, backend="native"
+            ).run(transformed, result)
+            assert ref.identical(result)
+            assert outcome.fallback == "serial run: the native kernel build failed"
+        finally:
+            native_codegen.clear_kernel_cache()
+
     def test_unsupported_expression_falls_back(self):
         # Floor division has integer semantics the all-double kernel cannot
         # reproduce exactly; the support check rejects it up front.
@@ -240,7 +307,7 @@ class TestNativeFallback:
         assert backend.stats["fallback_runs"] == 1
 
     def test_executor_modes_with_no_engine(self, monkeypatch):
-        _no_engines(monkeypatch)
+        _no_compiler(monkeypatch)
         nest = example_4_1(6)
         base, ref, transformed = _reference_and_transformed(nest)
         for mode in ("serial", "native-parallel"):

@@ -1,8 +1,8 @@
 """The in-kernel parallel driver: packing, scheduling, bit-identity, errors.
 
 PR 10 moves the parallel-for over chunks *into* the compiled kernel: one
-native call executes the whole plan on N OS threads (OpenMP / pthreads /
-``numba.prange``).  This suite pins:
+native call executes the whole plan on N OS threads (OpenMP or pthreads).
+This suite pins:
 
 * ``packed_ranges_for`` edge cases — empty selections, single-chunk
   plans, group selections spanning the plan — and the packing contract:
@@ -55,9 +55,8 @@ SUITE = workload_suite(5)
 SUITE_IDS = [case.name for case in SUITE]
 THREAD_COUNTS = (1, 2, 8)
 
-ENGINES = native_codegen.available_engines()
 needs_engine = pytest.mark.skipif(
-    not ENGINES, reason="no native engine (numba or a C compiler) available"
+    native_codegen.resolve_engine() is None, reason="no native engine (a C compiler) available"
 )
 
 
@@ -320,12 +319,11 @@ class TestScheduleChoice:
 
 @needs_engine
 class TestParallelDifferential:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("case", SUITE, ids=SUITE_IDS)
-    def test_suite_bit_identical(self, case, engine):
+    def test_suite_bit_identical(self, case):
         base, ref, transformed = _reference_and_transformed(case.nest)
         plan = transformed.execution_plan()
-        backend = NativeBackend(engine=engine)
+        backend = NativeBackend()
         serial = base.copy()
         backend.execute_plan(transformed, plan, serial)
         assert ref.identical(serial), f"serial native diverged on {case.name!r}"
@@ -343,7 +341,7 @@ class TestParallelDifferential:
                         f"driver refused {case.name!r} but wrote to the store"
                     )
                     continue
-                assert label.startswith(f"native-{engine}-")
+                assert label.startswith("native-cc-")
                 assert serial.identical(result), (
                     f"parallel ({threads} thread(s), dynamic={dynamic}) diverged "
                     f"from serial native on {case.name!r}"
@@ -373,12 +371,11 @@ class TestParallelDifferential:
         assert 1 <= outcome.threads <= threads
         assert outcome.mode == "native-parallel"
 
-    @pytest.mark.skipif("cc" not in ENGINES, reason="no C compiler")
     def test_cc_driver_reports_its_flavor_without_fallback(self):
         base, ref, transformed = _reference_and_transformed(example_4_1(12))
         result = base.copy()
         outcome = ParallelExecutor(
-            mode="native-parallel", workers=2, backend=NativeBackend(engine="cc")
+            mode="native-parallel", workers=2, backend=NativeBackend()
         ).run(transformed, result)
         assert ref.identical(result)
         assert outcome.fallback is None
@@ -398,9 +395,9 @@ class TestParallelDifferential:
         )
 
     def test_kernel_without_parallel_entry_runs_serial_kernel(self, monkeypatch):
-        # A toolchain that cannot build the parallel entry point (numba
-        # without parallel=True support) leaves a serial-only kernel: the
-        # mode runs it in one serial call and says why.
+        # An artifact without the parallel entry point (a corrupt cache
+        # entry, or one from an older build) loads as a serial-only kernel:
+        # the mode runs it in one serial call and says why.
         base, ref, transformed = _reference_and_transformed(example_4_1(12))
         program = native_codegen.native_program_for(transformed)
         stub = copy.copy(program.kernel)
@@ -419,10 +416,8 @@ class TestParallelDifferential:
             mode="native-parallel", workers=2, backend=backend
         ).run(transformed, result)
         assert ref.identical(result)
-        assert outcome.fallback == (
-            f"serial run: the {stub.engine} kernel has no parallel entry point"
-        )
-        assert outcome.backend == f"native-{stub.engine}"
+        assert outcome.fallback == "serial run: the cc kernel has no parallel entry point"
+        assert outcome.backend == "native-cc"
         assert (outcome.workers, outcome.threads, outcome.engine) == (1, 0, None)
         assert backend.stats["fallback_runs"] == 0
 
@@ -430,9 +425,7 @@ class TestParallelDifferential:
         with Session(mode="native-parallel", backend="native", workers=2) as session:
             result = session.run(example_4_1(10))
             payload = result.to_dict()
-        if result.engine is None:
-            pytest.skip("driver unavailable for the active engine")
-        assert result.engine.startswith("native-")
+        assert result.engine is not None and result.engine.startswith("native-cc-")
         assert result.threads >= 1
         assert payload["engine"] == result.engine
         assert payload["threads"] == result.threads
@@ -457,19 +450,16 @@ class TestParallelDifferential:
 
 @needs_engine
 class TestParallelErrors:
-    def _run_parallel(self, nest, store, threads, engine):
+    def _run_parallel(self, nest, store, threads):
         transformed = TransformedLoopNest.from_report(analyze_nest(nest))
         plan = transformed.execution_plan()
-        backend = NativeBackend(engine=engine)
-        label = backend.execute_plan_parallel(
+        label = NativeBackend().execute_plan_parallel(
             transformed, plan, store, threads=threads, dynamic=True
         )
-        if label is None:
-            pytest.skip(f"no parallel driver for engine {engine!r}")
+        assert label is not None, "the parallel driver refused the plan"
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
-    def test_division_by_zero(self, threads, engine):
+    def test_division_by_zero(self, threads):
         nest = (
             loop_nest("par-divzero")
             .loop("i1", 0, 4)
@@ -481,11 +471,10 @@ class TestParallelErrors:
         with pytest.raises(ZeroDivisionError):
             execute_nest(nest, store.copy())
         with pytest.raises(ZeroDivisionError):
-            self._run_parallel(nest, store.copy(), threads, engine)
+            self._run_parallel(nest, store.copy(), threads)
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
-    def test_math_domain_error(self, threads, engine):
+    def test_math_domain_error(self, threads):
         nest = (
             loop_nest("par-domain")
             .loop("i1", -3, 3)
@@ -496,11 +485,10 @@ class TestParallelErrors:
         with pytest.raises(ValueError):
             execute_nest(nest, store.copy())
         with pytest.raises(ValueError):
-            self._run_parallel(nest, store.copy(), threads, engine)
+            self._run_parallel(nest, store.copy(), threads)
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
-    def test_overflow_error(self, threads, engine):
+    def test_overflow_error(self, threads):
         nest = (
             loop_nest("par-overflow")
             .loop("i1", 0, 4)
@@ -511,11 +499,10 @@ class TestParallelErrors:
         with pytest.raises(OverflowError):
             execute_nest(nest, store.copy())
         with pytest.raises(OverflowError):
-            self._run_parallel(nest, store.copy(), threads, engine)
+            self._run_parallel(nest, store.copy(), threads)
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
-    def test_window_violation(self, threads, engine):
+    def test_window_violation(self, threads):
         nest = (
             loop_nest("par-window")
             .loop("i1", 0, 5)
@@ -531,7 +518,7 @@ class TestParallelErrors:
         with pytest.raises(ExecutionError):
             execute_nest(nest, tight_store())
         with pytest.raises(ExecutionError):
-            self._run_parallel(nest, tight_store(), threads, engine)
+            self._run_parallel(nest, tight_store(), threads)
 
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
     def test_executor_mode_propagates_errors(self, threads):
@@ -551,13 +538,10 @@ class TestParallelErrors:
 
 
 # ---------------------------------------------------------------------------
-# OpenMP probe and the pthreads fallback flavor (cc engine)
+# OpenMP probe and the pthreads fallback flavor
 # ---------------------------------------------------------------------------
 
-needs_cc = pytest.mark.skipif("cc" not in ENGINES, reason="no C compiler")
-
-
-@needs_cc
+@needs_engine
 class TestCcFlavors:
     @pytest.fixture()
     def fresh_cache(self, tmp_path, monkeypatch):
@@ -590,7 +574,7 @@ class TestCcFlavors:
     def test_pthreads_flavor_bit_identical(self, fresh_cache, monkeypatch):
         monkeypatch.setattr(native_codegen, "_OPENMP_CACHED", False)
         base, ref, transformed = _reference_and_transformed(example_4_1(12))
-        program = native_codegen.native_program_for(transformed, "cc")
+        program = native_codegen.native_program_for(transformed)
         assert program is not None
         assert program.kernel.flavor == "pthreads"
         assert "pthread_create" in program.kernel.source
@@ -606,7 +590,7 @@ class TestCcFlavors:
         if not native_codegen.openmp_supported():
             pytest.skip("toolchain lacks OpenMP")
         _, _, transformed = _reference_and_transformed(example_4_2(6))
-        program = native_codegen.native_program_for(transformed, "cc")
+        program = native_codegen.native_program_for(transformed)
         assert program.kernel.flavor == "openmp"
         assert "schedule(dynamic)" in program.kernel.source
         assert "schedule(static)" in program.kernel.source
