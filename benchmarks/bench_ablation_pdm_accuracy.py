@@ -16,7 +16,6 @@ over-approximate the dependence structure for these loops.
 """
 
 from repro.baselines.comparison import compare_methods
-from repro.codegen.schedule import build_schedule
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
 from repro.utils.formatting import format_table
@@ -31,10 +30,8 @@ def _run(n):
         report = analyze_nest(case.nest)
         if report.partitioning is None:
             continue
-        chunks = build_schedule(TransformedLoopNest.from_report(report))
-        realized_labels = {
-            chunk.key[1] for chunk in chunks
-        }
+        plan = TransformedLoopNest.from_report(report).execution_plan()
+        realized_labels = {key[1] for key in plan.chunk_keys()}
         tightness.append((case.name, report.partition_count, len(realized_labels)))
     return cases, rows, tightness
 

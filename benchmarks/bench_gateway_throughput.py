@@ -4,8 +4,8 @@ The reproduction target here is the serving economics of
 :mod:`repro.gateway`: real traffic repeats itself, and the whole pipeline
 is deterministic, so a gateway that coalesces identical in-flight jobs and
 answers repeats from a bounded response LRU only pays analyze + execute
-for the *cold* jobs of a stream.  A sequential :class:`BatchService` walk
-over the same stream re-executes every job (its analysis cache dedupes
+for the *cold* jobs of a stream.  A sequential ``Session.map`` walk over
+the same stream re-executes every job (its analysis cache dedupes
 compile-time work, but never execution).  Concretely:
 
 * the stream interleaves ``VARIANTS`` distinct programs over ``ROUNDS``
@@ -40,7 +40,6 @@ from repro.api import Session
 from repro.codegen import native as native_codegen
 from repro.gateway import GatewayConfig, serve
 from repro.loopnest.builder import loop_nest
-from repro.service import BatchService, jobs_from_nests
 
 # The acceptance configuration: 4 program variants x 8 rounds (32 jobs,
 # 4 cold / 28 hot) at N=1024 — each job runs ~1M iterations over 1024
@@ -87,13 +86,12 @@ def _measure(
     warmup = [make_variant(v, n) for v in range(variants)]
     stream = [make_variant(v, n) for _ in range(rounds) for v in range(variants)]
 
-    service = BatchService(mode="serial", backend=backend)
-    service.submit(jobs_from_nests(warmup))  # untimed: compile every variant
-    start = time.perf_counter()
-    report = service.submit(jobs_from_nests(stream))
-    sequential_seconds = time.perf_counter() - start
-    sequential_checksums = [job.checksum for job in report.results]
-    service.close()
+    with Session(mode="serial", backend=backend) as session:
+        session.map(warmup)  # untimed: compile every variant
+        start = time.perf_counter()
+        sequential = session.map(stream)
+        sequential_seconds = time.perf_counter() - start
+    sequential_checksums = [result.checksum for result in sequential]
 
     with Session(mode="serial", backend=backend) as session:
         for nest in warmup:  # untimed: compile every variant
@@ -123,7 +121,7 @@ def _measure(
 
 def _check(result, ratio_target=None):
     assert result["identical"], (
-        "gateway responses diverged from the sequential BatchService run"
+        "gateway responses diverged from the sequential Session.map run"
     )
     if ratio_target is not None:
         ratio = result["gateway_vs_sequential"]
@@ -147,7 +145,7 @@ def _table(result) -> str:
             f"gateway throughput ({result['backend']} backend, N={result['n']}, "
             f"{result['jobs']} jobs = {result['variants']} variants x "
             f"{result['rounds']} rounds)",
-            f"  sequential BatchService: {result['sequential_seconds']:.3f}s "
+            f"  sequential Session.map:  {result['sequential_seconds']:.3f}s "
             f"({result['sequential_jobs_per_second']:.1f} jobs/s)",
             f"  gateway:                 {result['gateway_seconds']:.3f}s "
             f"({result['gateway_jobs_per_second']:.1f} jobs/s)",

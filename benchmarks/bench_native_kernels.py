@@ -90,25 +90,25 @@ def measure(n: int = SPEEDUP_N, repetitions: int = 5):
             vectorized.execute_plan(transformed, plan, base.copy())
 
             def _best(backend):
-                best, final = float("inf"), None
+                best, final, label = float("inf"), None, None
                 for _ in range(max(1, repetitions)):
                     store = base.copy()
                     start = time.perf_counter()
-                    backend.execute_plan(transformed, plan, store)
+                    label = backend.execute_plan(transformed, plan, store)
                     best = min(best, time.perf_counter() - start)
                     final = store
-                return best, final
+                return best, final, label
 
-            native_time, native_store = _best(native)
-            vectorized_time, vectorized_store = _best(vectorized)
+            native_time, native_store, native_label = _best(native)
+            vectorized_time, vectorized_store, _ = _best(vectorized)
         finally:
             if saved_cache_dir is None:
                 os.environ.pop(native_codegen.CACHE_DIR_ENV, None)
             else:
                 os.environ[native_codegen.CACHE_DIR_ENV] = saved_cache_dir
 
-    assert native.last_execution_engine == f"native-{engine}", (
-        "warm run did not execute natively: " + native.last_execution_engine
+    assert native_label == f"native-{engine}", (
+        "warm run did not execute natively: " + native_label
     )
     assert reference.identical(native_store), "native result differs from interpreter"
     assert reference.identical(vectorized_store), "vectorized result differs"

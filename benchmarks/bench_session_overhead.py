@@ -57,7 +57,7 @@ def _measure(n: int, repetitions: int = 7, inner: int = 3):
 
     # --- direct pipeline: hand-wired cache + program + executor ---------- #
     cache = AnalysisCache()
-    report = cache.parallelize(nest)
+    report, _ = cache.analyze(nest)
     transformed = TransformedLoopNest.from_report(report)
     plan = transformed.execution_plan()
     direct_store = store_for_nest(nest)
@@ -74,7 +74,7 @@ def _measure(n: int, repetitions: int = 7, inner: int = 3):
         for _ in range(max(1, repetitions)):
             start = time.perf_counter()
             for _ in range(inner):
-                cache.parallelize(nest)
+                cache.analyze(nest)
                 executor.run(transformed, direct_store, plan=plan)
                 sum(float(array.data.sum()) for array in direct_store.values())
             direct_best = min(direct_best, (time.perf_counter() - start) / inner)

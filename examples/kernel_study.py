@@ -10,7 +10,6 @@ method on real loops.
 Run with:  python examples/kernel_study.py
 """
 
-from repro.codegen.schedule import build_schedule, schedule_statistics
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
 from repro.runtime.simulator import simulate_schedule
@@ -27,10 +26,9 @@ def main() -> None:
     rows = []
     for name, nest in kernels.items():
         report = analyze_nest(nest)
-        transformed = TransformedLoopNest.from_report(report)
-        chunks = build_schedule(transformed)
-        stats = schedule_statistics(chunks)
-        sim = simulate_schedule(chunks, num_processors=8)
+        plan = TransformedLoopNest.from_report(report).execution_plan()
+        stats = plan.statistics()
+        sim = simulate_schedule(plan.select_chunks(), num_processors=8)
         verification = verify_transformation(
             nest, report, check_emitted_code=False, check_executors=("serial",)
         )

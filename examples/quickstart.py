@@ -12,12 +12,10 @@ Run with:  python examples/quickstart.py
 from repro import (
     Session,
     TransformedLoopNest,
-    build_schedule,
     emit_transformed_source,
     loop_nest,
     simulate_schedule,
 )
-from repro.codegen.schedule import schedule_statistics
 
 
 def main() -> None:
@@ -46,10 +44,10 @@ def main() -> None:
         print("Generated (transformed) code:")
         print(emit_transformed_source(transformed))
 
-        # 3. Parallelism of the schedule.
-        chunks = build_schedule(transformed)
-        stats = schedule_statistics(chunks)
-        sim = simulate_schedule(chunks, num_processors=8)
+        # 3. Parallelism of the schedule, read off the symbolic plan.
+        plan = transformed.execution_plan()
+        stats = plan.statistics()
+        sim = simulate_schedule(plan.select_chunks(), num_processors=8)
         print(f"Schedule: {stats['num_chunks']} independent chunks, "
               f"ideal speedup {stats['ideal_speedup']:.1f}, "
               f"simulated speedup on 8 processors {sim.speedup:.2f}")

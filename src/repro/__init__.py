@@ -54,7 +54,6 @@ from repro.core import (
 )
 from repro.codegen import (
     TransformedLoopNest,
-    build_schedule,
     emit_original_source,
     emit_transformed_source,
 )
@@ -115,12 +114,11 @@ __all__ = [
     "is_legal_unimodular",
     # code generation
     "TransformedLoopNest",
-    "build_schedule",
+    "emit_original_source",
+    "emit_transformed_source",
     # symbolic execution plans
     "ChunkView",
     "ExecutionPlan",
-    "emit_original_source",
-    "emit_transformed_source",
     # runtime
     "ArrayStore",
     "OffsetArray",

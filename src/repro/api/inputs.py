@@ -11,12 +11,10 @@ of insisting on a built :class:`~repro.loopnest.nest.LoopNest`:
 * a workload factory — any callable ``factory(n) -> LoopNest`` such as the
   functions in :mod:`repro.workloads` (``n`` supplies the size), and
 * any object carrying a ``.nest`` attribute (a
-  :class:`~repro.workloads.suite.WorkloadCase`, a
-  :class:`~repro.service.BatchJob`, ...).
+  :class:`~repro.workloads.suite.WorkloadCase`, ...).
 
 :func:`resolve_source` is the single place those spellings converge, so the
-CLI, the batch service and library callers all accept exactly the same
-inputs.  The textual loop-description parser (:func:`parse_loop_text` /
+CLI, the gateway and library callers all accept exactly the same inputs.  The textual loop-description parser (:func:`parse_loop_text` /
 :func:`parse_loop_file`) lives here as well; :mod:`repro.cli` re-exports it
 unchanged.
 

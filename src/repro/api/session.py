@@ -4,7 +4,7 @@ A session owns every piece of cross-cutting state the library used to wire
 ad hoc at each entry point:
 
 * a :class:`SessionConfig` (backend, execution mode, worker count, cache
-  size, verification policy, analysis knobs),
+  size, verification policy, placement),
 * one :class:`~repro.core.cache.AnalysisCache` (or none, when caching is
   disabled), so structurally identical requests share one run of the pass
   pipeline,
@@ -34,8 +34,8 @@ of :mod:`repro.api.results`.
     >>> VERIFICATION_POLICIES
     ('never', 'always')
 
-The CLI, the batch service and the experiment harness are all thin layers
-over this class.
+The CLI (``repro batch`` is one ``Session.map`` call), the gateway and the
+experiment harness are all thin layers over this class.
 """
 
 from __future__ import annotations
@@ -116,8 +116,6 @@ class SessionConfig:
     cache_size: int = 4096
     use_cache: bool = True
     verify: str = "never"
-    include_self: bool = True
-    allow_partitioning: bool = True
     initializer: str = "index_sum"
     plan_passes: Optional[Tuple[str, ...]] = None
     disk_cache: Optional[str] = None
@@ -442,19 +440,9 @@ class Session:
         placement = placement or self.config.placement
         start = time.perf_counter()
         if self._cache is not None:
-            report, cache_hit = self._cache.analyze(
-                nest,
-                placement=placement,
-                include_self=self.config.include_self,
-                allow_partitioning=self.config.allow_partitioning,
-            )
+            report, cache_hit = self._cache.analyze(nest, placement=placement)
         else:
-            report = analyze_nest(
-                nest,
-                placement=placement,
-                include_self=self.config.include_self,
-                allow_partitioning=self.config.allow_partitioning,
-            )
+            report = analyze_nest(nest, placement=placement)
             cache_hit = False
         seconds = time.perf_counter() - start
         with self._lock:

@@ -9,7 +9,7 @@ analysis only.
 from __future__ import annotations
 
 from repro.baselines.base import MethodResult
-from repro.core.cache import cached_parallelize
+from repro.core.cache import default_cache
 from repro.core.pipeline import analyze_nest
 from repro.loopnest.nest import LoopNest
 
@@ -21,7 +21,7 @@ def pdm_method(
 ) -> MethodResult:
     """Run the pseudo-distance-matrix method (this work) on a nest."""
     if use_cache:
-        report = cached_parallelize(nest, placement=placement)
+        report = default_cache().analyze(nest, placement=placement)[0]
     else:
         report = analyze_nest(nest, placement=placement)
     return MethodResult(

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import List, Optional, Sequence
 
 from repro.api import Session, SessionConfig, parse_loop_file, parse_loop_text
@@ -51,6 +52,7 @@ from repro.runtime.backends import DEFAULT_BACKEND, available_backends
 from repro.runtime.executor import EXECUTION_MODES, default_worker_count
 from repro.runtime.simulator import simulate_schedule
 from repro.runtime.verification import verify_transformation
+from repro.utils.formatting import format_table
 from repro.workloads.suite import WorkloadCase
 
 __all__ = [
@@ -261,22 +263,78 @@ def _cmd_run(nest: LoopNest, args, session: Session) -> str:
     return "\n".join(lines)
 
 
-def _cmd_batch(nests: List[LoopNest], args, session: Session) -> str:
-    """Serve every parsed nest through the batch service and report throughput."""
-    from repro.service import BatchService, jobs_from_nests
+_BATCH_HEADERS = [
+    "job", "iterations", "chunks", "doall", "partitions", "speedup", "analysis",
+    "analyze (ms)", "setup (ms)", "execute (ms)", "backend", "checksum",
+]
 
-    jobs = jobs_from_nests(
-        nests, placement=args.placement, repeat=getattr(args, "repeat", 1)
-    )
-    with BatchService(session=session) as service:
-        batch_report = service.submit(jobs)
-    return batch_report.describe()
+
+def _ms(seconds: float) -> str:
+    return f"{seconds * 1000.0:.2f}"
+
+
+def _throughput(jobs: int, iterations: int, wall: float) -> str:
+    """The ``N job(s), M iterations in ... (jobs/s, iterations/s)`` line."""
+    line = f"{jobs} job(s), {iterations} iterations"
+    if wall > 0:
+        line += (
+            f" in {_ms(wall)} ms wall "
+            f"({jobs / wall:.1f} jobs/s, {iterations / wall:.0f} iterations/s)"
+        )
+    return line
+
+
+def _cmd_batch(nests: List[LoopNest], args, session: Session) -> str:
+    """Serve every parsed nest through one ``Session.map`` and report throughput.
+
+    ``--repeat K`` submits the list K times (job names get a ``#k``
+    suffix); structural duplicates dedupe through the session's cache.
+    """
+    repeat = max(1, int(getattr(args, "repeat", 1)))
+    names = [
+        f"{nest.name}#{round_index + 1}" if repeat > 1 else nest.name
+        for round_index in range(repeat)
+        for nest in nests
+    ]
+    wall_start = time.perf_counter()
+    results = session.map(nests * repeat, names=names, placement=args.placement)
+    wall = time.perf_counter() - wall_start
+    rows = []
+    for run in results:
+        rows.append([
+            run.name,
+            run.iterations,
+            run.num_chunks,
+            run.report.parallel_loop_count,
+            run.report.partition_count,
+            f"{run.ideal_speedup:.1f}",
+            "hit" if run.cache_hit else "miss",
+            # Program construction counts as analysis: compile-time work a
+            # warm program-LRU hit skips, like the analysis cache.
+            _ms(run.analysis_seconds + run.program_seconds),
+            _ms(run.setup_seconds),
+            _ms(run.execute_seconds),
+            run.backend,
+            f"{run.checksum:.6g}",
+        ])
+    jobs = len(results)
+    hits = sum(run.cache_hit for run in results)
+    analysis = sum(run.analysis_seconds + run.program_seconds for run in results)
+    execution = sum(run.total_seconds for run in results)
+    config = session.config
+    return "\n".join([
+        format_table(_BATCH_HEADERS, rows),
+        "",
+        _throughput(jobs, sum(run.iterations for run in results), wall),
+        f"mode: {config.mode} ({config.resolved_workers()} worker(s)); analysis "
+        f"{_ms(analysis)} ms total, execution {_ms(execution)} ms total",
+        f"analysis dedupe: {hits} hit(s), {jobs - hits} miss(es) this batch "
+        f"({hits / jobs:.0%} hit rate); {session.cache.describe()}",
+    ])
 
 
 def _cmd_serve(nests: List[LoopNest], args, session: Session) -> str:
     """Serve every parsed nest through the async gateway and report."""
-    import time
-
     from repro.gateway import GatewayConfig, serve
 
     config = GatewayConfig(
@@ -295,11 +353,7 @@ def _cmd_serve(nests: List[LoopNest], args, session: Session) -> str:
     jobs = len(results)
     iterations = sum(result.iterations for result in results)
     lines = [
-        f"Served {jobs} job(s), {iterations} iterations in "
-        f"{wall * 1000.0:.2f} ms wall "
-        f"({jobs / wall:.1f} jobs/s, {iterations / wall:.0f} iterations/s)"
-        if wall > 0
-        else f"Served {jobs} job(s), {iterations} iterations",
+        f"Served {_throughput(jobs, iterations, wall)}",
         f"  gateway: {config.exec_workers} execution worker(s), "
         f"{config.analysis_workers} analysis worker(s), "
         f"admission bound {config.max_pending}",
@@ -364,7 +418,7 @@ _COMMAND_HELP = {
     "compare": "compare the paper's method against the related-work baselines",
     "figures": "render the ISDG figures and distance histogram",
     "run": "execute the parallelized nest and report timing",
-    "batch": "serve all files as one batch through the serving layer",
+    "batch": "serve all files as one batch through Session.map",
     "serve": "serve all files concurrently through the async gateway (demo)",
 }
 

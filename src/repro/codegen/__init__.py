@@ -2,8 +2,9 @@
 
 * :mod:`repro.codegen.transformed_nest` — the transformed iteration space
   (new indices, Fourier–Motzkin bounds, mapping back to original indices),
-* :mod:`repro.codegen.schedule` — grouping iterations into independent
-  chunks (doall loop values × partition labels),
+* :mod:`repro.codegen.schedule` — the materialized reference grouping of
+  iterations into independent chunks (doall loop values × partition
+  labels) that the symbolic plan is tested against,
 * :mod:`repro.codegen.python_emitter` — emission of runnable Python source
   for the original and the transformed loop,
 * :mod:`repro.codegen.native` — compilation of plans to machine-code
@@ -15,7 +16,6 @@
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.codegen.schedule import (
     Chunk,
-    build_schedule,
     build_schedule_by_enumeration,
     schedule_statistics,
 )
@@ -28,7 +28,6 @@ from repro.codegen.python_emitter import (
 __all__ = [
     "TransformedLoopNest",
     "Chunk",
-    "build_schedule",
     "build_schedule_by_enumeration",
     "schedule_statistics",
     "emit_original_source",

@@ -1,4 +1,4 @@
-"""Independence-aware schedules (legacy materialized view).
+"""The materialized reference schedule the symbolic plan is pinned to.
 
 The transformed loop's parallelism is made explicit by grouping iterations
 into *chunks*: all iterations that share the same values of the parallel
@@ -7,17 +7,13 @@ chunks never depend on each other (Lemma 1 + Theorem 2), so chunks may be
 executed concurrently; iterations inside a chunk are kept in the transformed
 lexicographic order, which Theorem 1 guarantees to respect every dependence.
 
-Since the introduction of the symbolic :mod:`repro.plan` IR this module is a
-*view* layer: the schedule structure lives in an
-:class:`~repro.plan.ExecutionPlan` (parametric bounds, lazy enumeration,
-closed-form statistics), and :func:`build_schedule` merely materializes that
-plan into concrete :class:`Chunk` lists for callers that want tuples in
-hand.  New code should consume the plan directly —
-``transformed.execution_plan()`` — and never materialize.
-
-:func:`build_schedule_by_enumeration` keeps the original O(total
-iterations) algorithm as the executable specification; the property tests
-pin the plan-driven enumeration to it bit for bit.
+The schedule itself lives in the symbolic :class:`~repro.plan.ExecutionPlan`
+(``transformed.execution_plan()``: parametric bounds, lazy chunk views,
+closed-form statistics), which every consumer reads.  This module keeps only
+the executable specification: :func:`build_schedule_by_enumeration` groups
+the iterations of a full lexicographic scan into :class:`Chunk` lists, and
+:func:`schedule_statistics` summarizes them.  The plan-equivalence tests
+pin the plan to this reference bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ from repro.codegen.transformed_nest import TransformedLoopNest
 
 __all__ = [
     "Chunk",
-    "build_schedule",
     "build_schedule_by_enumeration",
     "schedule_statistics",
 ]
@@ -54,29 +49,13 @@ class Chunk:
         return len(self.iterations)
 
 
-def build_schedule(transformed: TransformedLoopNest) -> List[Chunk]:
-    """Materialize the chunks of a transformed nest from its symbolic plan.
-
-    The chunks are returned in order of first appearance (which is also the
-    lexicographic order of their first iteration), and each chunk's iteration
-    list preserves the global lexicographic order.  This allocates O(total
-    iterations); prefer ``transformed.execution_plan()`` when the consumer
-    can work from the lazy plan.
-    """
-    plan = transformed.execution_plan()
-    return [
-        Chunk(key=view.key, iterations=list(view.iterations))
-        for view in plan.chunks()
-    ]
-
-
 def build_schedule_by_enumeration(transformed: TransformedLoopNest) -> List[Chunk]:
     """Reference implementation: group iterations by a full lexicographic scan.
 
-    This is the original ``build_schedule`` algorithm, kept as the
-    executable specification of chunk keys, chunk order and intra-chunk
-    iteration order.  The plan equivalence tests compare
-    :func:`build_schedule` (plan-driven) against this, bit for bit.
+    The executable specification of chunk keys, chunk order and intra-chunk
+    iteration order: O(total iterations), where the plan enumerates lazily.
+    The plan equivalence tests compare ``ExecutionPlan.chunks()`` against
+    this, bit for bit.
     """
     chunks: Dict[Tuple, Chunk] = {}
     order: List[Tuple] = []

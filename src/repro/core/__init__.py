@@ -41,12 +41,7 @@ from repro.core.passes import (
     PartitionPass,
     block_determinant,
 )
-from repro.core.cache import (
-    AnalysisCache,
-    cached_parallelize,
-    default_cache,
-    parallelize_many,
-)
+from repro.core.cache import AnalysisCache, default_cache
 from repro.core.pipeline import (
     ParallelizationReport,
     analyze_nest,
@@ -82,9 +77,7 @@ __all__ = [
     "PartitionPass",
     "block_determinant",
     "AnalysisCache",
-    "cached_parallelize",
     "default_cache",
-    "parallelize_many",
     "ParallelizationReport",
     "analyze_nest",
     "default_pass_manager",

@@ -1,4 +1,4 @@
-"""Memoizing analysis/schedule cache.
+"""Memoizing analysis cache.
 
 Production traffic re-analyzes the same loop structures over and over: the
 same kernel instantiated for many arrays, the same nest parsed from many
@@ -6,9 +6,9 @@ requests.  The analysis pipeline is deterministic, and its result depends
 only on the *structure* of the nest (never on index/array names), so one
 analysis per structure suffices.  :class:`AnalysisCache` is a thread-safe
 LRU keyed by the canonical structural identity of the nest plus the
-analysis knobs::
+placement::
 
-    (canonical_key_tuple(nest), placement, include_self, allow_partitioning)
+    (canonical_key_tuple(nest), placement)
 
 ``canonical_key_tuple`` is the SHA-256 preimage of
 :func:`repro.loopnest.canonical.canonical_hash` — the same structural
@@ -22,8 +22,8 @@ Reports handed out by the cache are *rebound* to the querying nest: the
 and the matrices are defensive copies, so a cached report is
 indistinguishable from (and compares equal to) a cold run.
 
-:func:`parallelize_many` is the batch entry point used by the experiment
-harness and the multi-file CLI.
+:meth:`AnalysisCache.analyze` is the one lookup; sessions, the gateway and
+the baselines all go through it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.core.algorithm1 import Algorithm1Result
 from repro.core.partition import PartitioningResult
@@ -48,11 +48,9 @@ __all__ = [
     "CacheStats",
     "AnalysisCache",
     "default_cache",
-    "cached_parallelize",
-    "parallelize_many",
 ]
 
-CacheKey = Tuple[object, str, bool, bool]
+CacheKey = Tuple[object, str]
 
 
 @dataclass
@@ -196,67 +194,30 @@ class AnalysisCache:
 
     # ------------------------------------------------------------------ #
     @staticmethod
-    def key_for(
-        nest: LoopNest,
-        placement: str = "outer",
-        include_self: bool = True,
-        allow_partitioning: bool = True,
-    ) -> CacheKey:
-        """The cache key: canonical structural identity plus the analysis knobs."""
-        return (
-            canonical_key_tuple(nest),
-            placement,
-            bool(include_self),
-            bool(allow_partitioning),
-        )
+    def key_for(nest: LoopNest, placement: str = "outer") -> CacheKey:
+        """The cache key: canonical structural identity plus the placement."""
+        return (canonical_key_tuple(nest), placement)
 
     @staticmethod
-    def disk_key_for(
-        nest: LoopNest,
-        placement: str = "outer",
-        include_self: bool = True,
-        allow_partitioning: bool = True,
-    ) -> str:
-        """The durable spelling of :meth:`key_for`: hex digest plus knobs.
+    def disk_key_for(nest: LoopNest, placement: str = "outer") -> str:
+        """The durable spelling of :meth:`key_for`: hex digest plus placement.
 
         The canonical hash is the stable *cross-process* name of a loop
         structure, so this key means the same thing to every process
         sharing the cache directory.
         """
-        return (
-            f"{canonical_hash(nest)}:{placement}"
-            f":{int(bool(include_self))}:{int(bool(allow_partitioning))}"
-        )
-
-    def parallelize(
-        self,
-        nest: LoopNest,
-        placement: str = "outer",
-        include_self: bool = True,
-        allow_partitioning: bool = True,
-    ) -> ParallelizationReport:
-        """Memoized :func:`repro.core.pipeline.analyze_nest`."""
-        return self.analyze(
-            nest,
-            placement=placement,
-            include_self=include_self,
-            allow_partitioning=allow_partitioning,
-        )[0]
+        return f"{canonical_hash(nest)}:{placement}"
 
     def analyze(
-        self,
-        nest: LoopNest,
-        placement: str = "outer",
-        include_self: bool = True,
-        allow_partitioning: bool = True,
+        self, nest: LoopNest, placement: str = "outer"
     ) -> Tuple[ParallelizationReport, bool]:
-        """Like :meth:`parallelize`, returning ``(report, was_cache_hit)``.
+        """Memoized :func:`repro.core.pipeline.analyze_nest`: ``(report, was_cache_hit)``.
 
         The hit flag is the lookup's own outcome, not a counter delta, so it
         stays correct when other threads or sessions use the cache
         concurrently.
         """
-        key = self.key_for(nest, placement, include_self, allow_partitioning)
+        key = self.key_for(nest, placement)
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
@@ -268,9 +229,7 @@ class AnalysisCache:
         if self._disk is not None:
             # Memory miss: try the durable tier before paying the analysis.
             # A disk hit skips the pass pipeline, so it reports as a hit.
-            disk_key = self.disk_key_for(
-                nest, placement, include_self, allow_partitioning
-            )
+            disk_key = self.disk_key_for(nest, placement)
             loaded = self._disk.get(disk_key)
             if isinstance(loaded, ParallelizationReport):
                 with self._lock:
@@ -282,12 +241,7 @@ class AnalysisCache:
                             self._entries.popitem(last=False)
                             self._stats.evictions += 1
                 return rebind_report(loaded, nest), True
-        report = analyze_nest(
-            nest,
-            placement=placement,
-            include_self=include_self,
-            allow_partitioning=allow_partitioning,
-        )
+        report = analyze_nest(nest, placement=placement)
         with self._lock:
             self._stats.misses += 1
             if key not in self._entries:
@@ -308,46 +262,3 @@ _DEFAULT_CACHE = AnalysisCache()
 def default_cache() -> AnalysisCache:
     """The process-wide analysis cache shared by the CLI and the harness."""
     return _DEFAULT_CACHE
-
-
-def cached_parallelize(
-    nest: LoopNest,
-    placement: str = "outer",
-    include_self: bool = True,
-    allow_partitioning: bool = True,
-    cache: Optional[AnalysisCache] = None,
-) -> ParallelizationReport:
-    """:func:`analyze_nest` through an analysis cache (default: the shared one)."""
-    # `is not None`, not truthiness: an empty AnalysisCache has len() == 0.
-    target = cache if cache is not None else _DEFAULT_CACHE
-    return target.parallelize(
-        nest,
-        placement=placement,
-        include_self=include_self,
-        allow_partitioning=allow_partitioning,
-    )
-
-
-def parallelize_many(
-    nests: Iterable[LoopNest],
-    placement: str = "outer",
-    include_self: bool = True,
-    allow_partitioning: bool = True,
-    cache: Optional[AnalysisCache] = None,
-) -> List[ParallelizationReport]:
-    """Analyze a batch of nests, sharing one analysis per structure.
-
-    Structurally identical nests inside the batch (and across batches using
-    the same cache) are analyzed once; every returned report is bound to its
-    own input nest.  Reports come back in input order.
-    """
-    target = cache if cache is not None else _DEFAULT_CACHE
-    return [
-        target.parallelize(
-            nest,
-            placement=placement,
-            include_self=include_self,
-            allow_partitioning=allow_partitioning,
-        )
-        for nest in nests
-    ]

@@ -4,7 +4,7 @@ The in-memory :class:`~repro.core.cache.AnalysisCache` dies with its
 process; a restarted serving process used to re-analyze every program of
 its steady-state traffic from scratch.  This module adds the missing
 durable tier: a content-addressed directory of pickled entries, keyed by
-the canonical structural hash (plus the analysis knobs), that any number
+the canonical structural hash (plus the placement), that any number
 of processes on one host can share.  ``SessionConfig.disk_cache`` (the
 CLI's ``--disk-cache``) attaches it to a session's analysis cache.
 
@@ -80,8 +80,8 @@ class DiskCache:
 
     Entries live in ``<directory>/analysis/``.  ``spec_version`` defaults
     to :func:`default_spec_version` and is recorded in — and required of —
-    every entry.  Keys are arbitrary strings (canonical hashes plus knob
-    reprs); the file name is the SHA-256 of the key, so keys never have to
+    every entry.  Keys are arbitrary strings (canonical hashes plus the
+    placement); the file name is the SHA-256 of the key, so keys never have to
     be file-system safe.
 
         >>> import os, tempfile

@@ -19,7 +19,7 @@ from repro.experiments.tables import table1_related_work, table1_measured_rows
 from repro.experiments.speedup import SpeedupPoint, speedup_sweep, wallclock_measurement
 from repro.experiments.algorithm_cost import algorithm1_cost_sweep, CostPoint
 from repro.experiments.shared_runtime import (
-    batch_service_demo,
+    batch_demo,
     shared_runtime_comparison,
     shared_runtime_table,
 )
@@ -40,7 +40,7 @@ __all__ = [
     "wallclock_measurement",
     "algorithm1_cost_sweep",
     "CostPoint",
-    "batch_service_demo",
+    "batch_demo",
     "shared_runtime_comparison",
     "shared_runtime_table",
     "run_all_experiments",

@@ -15,7 +15,7 @@ from repro.experiments.algorithm_cost import algorithm1_cost_sweep
 from repro.experiments.backends import backend_comparison, backend_comparison_table
 from repro.experiments.figures import ALL_FIGURES, FigureResult
 from repro.experiments.shared_runtime import (
-    batch_service_demo,
+    batch_demo,
     shared_runtime_comparison,
     shared_runtime_table,
 )
@@ -103,7 +103,7 @@ def run_all_experiments(n: int = 10, suite_n: int = 8) -> Dict[str, object]:
     results["shared-runtime"] = shared_runtime_comparison(
         n=max(16, 2 * n), workers=2, repetitions=1
     )
-    results["batch-service"] = batch_service_demo(suite_n=suite_n, repeat=2)
+    results["batch"] = batch_demo(suite_n=suite_n, repeat=2)
     return results
 
 
@@ -171,10 +171,10 @@ def format_experiment_report(results: Dict[str, object]) -> str:
             + shared_runtime_table(shared)
         )
 
-    batch = results.get("batch-service")
+    batch = results.get("batch")
     if batch:
         sections.append(
-            "=== Batch service (analysis dedupe + persistent runtime) ===\n"
+            "=== Batch over Session.map (analysis dedupe + persistent runtime) ===\n"
             + batch["summary"]
         )
 

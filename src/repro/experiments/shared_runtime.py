@@ -17,9 +17,9 @@ when the host has a core per worker, so the ratio carries no threshold.
 Every measured run is differentially checked against the interpreter
 reference.
 
-``batch_service_demo`` drives the same runtime through the
-:class:`~repro.service.BatchService` layer for the harness report:
-repeated suite traffic with analysis dedupe and throughput numbers.
+``batch_demo`` drives the same runtime through one ``Session.map`` call
+for the harness report: repeated suite traffic with analysis dedupe and
+throughput numbers.
 """
 
 from __future__ import annotations
@@ -28,22 +28,21 @@ import os
 import time
 from typing import Callable, Dict, Optional
 
+from repro.api import Session
 from repro.codegen.transformed_nest import TransformedLoopNest
-from repro.core.cache import AnalysisCache
 from repro.core.pipeline import analyze_nest
 from repro.loopnest.nest import LoopNest
 from repro.runtime.arrays import store_for_nest
 from repro.runtime.backends import resolve_backend
 from repro.runtime.executor import ParallelExecutor
 from repro.runtime.interpreter import execute_nest
-from repro.service import BatchService, jobs_from_nests
 from repro.workloads.paper_examples import example_4_1
 from repro.workloads.suite import workload_suite
 
 __all__ = [
     "shared_runtime_comparison",
     "shared_runtime_table",
-    "batch_service_demo",
+    "batch_demo",
 ]
 
 
@@ -130,31 +129,41 @@ def shared_runtime_table(result: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def batch_service_demo(
+def batch_demo(
     suite_n: int = 6,
     repeat: int = 3,
     mode: str = "serial",
     backend: str = "vectorized",
     workers: int = 2,
 ) -> Dict[str, object]:
-    """Serve ``repeat`` rounds of the workload suite through the batch layer.
+    """Serve ``repeat`` rounds of the workload suite through ``Session.map``.
 
     Returns throughput numbers and the analysis-dedupe outcome: after the
     first round, every further round's analysis must be a cache hit.
     """
     nests = [case.nest for case in workload_suite(suite_n)]
-    jobs = jobs_from_nests(nests, repeat=repeat)
-    with BatchService(mode=mode, backend=backend, workers=workers, cache=AnalysisCache()) as service:
-        report = service.submit(jobs)
+    with Session(mode=mode, backend=backend, workers=workers) as session:
+        start = time.perf_counter()
+        results = session.map(nests, repeat=repeat)
+        wall = time.perf_counter() - start
+    jobs = len(results)
+    iterations = sum(result.iterations for result in results)
+    hits = sum(result.cache_hit for result in results)
+    summary = (
+        f"{jobs} job(s), {iterations} iterations in {wall * 1000.0:.2f} ms wall "
+        f"({jobs / wall:.1f} jobs/s, {iterations / wall:.0f} iterations/s)\n"
+        f"mode: {mode} ({workers} worker(s)); analysis dedupe: {hits} hit(s), "
+        f"{jobs - hits} miss(es) ({hits / jobs:.0%} hit rate)"
+    )
     return {
-        "jobs": report.jobs,
-        "iterations": report.total_iterations,
-        "wall_seconds": report.wall_seconds,
-        "jobs_per_second": report.jobs_per_second,
-        "iterations_per_second": report.iterations_per_second,
-        "cache_hits": report.cache_hits,
-        "cache_misses": report.cache_misses,
-        "hit_rate": report.hit_rate,
-        "mode": report.mode,
-        "summary": report.describe(),
+        "jobs": jobs,
+        "iterations": iterations,
+        "wall_seconds": wall,
+        "jobs_per_second": jobs / wall,
+        "iterations_per_second": iterations / wall,
+        "cache_hits": hits,
+        "cache_misses": jobs - hits,
+        "hit_rate": hits / jobs,
+        "mode": mode,
+        "summary": summary,
     }

@@ -56,7 +56,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.api.inputs import LoopSource, resolve_source
 from repro.api.results import RunResult
@@ -171,7 +171,7 @@ class _Job:
         "future", "analysis", "transformed", "plan", "store", "chunk_sizes",
         "key", "result_key", "checksum", "groups_total", "groups_done",
         "program_seconds", "prepared_at", "exec_started", "exec_elapsed",
-        "failed", "admitted_at", "driver", "engine",
+        "failed", "admitted_at", "driver", "engine", "labels", "backend",
     )
 
     def __init__(self, future: "asyncio.Future[RunResult]"):
@@ -193,18 +193,31 @@ class _Job:
         self.exec_elapsed = 0.0
         self.failed = False
         self.driver: Optional[DriverCall] = None
+        #: The driver's label when the in-kernel driver ran the job.
         self.engine: Optional[str] = None
+        #: The engine labels the job's groups returned.
+        self.labels: Set[str] = set()
+        #: The engine the result reports (set on completion).
+        self.backend = ""
+
+    @property
+    def threads(self) -> int:
+        return self.driver.threads if self.engine else 0
 
 
 class _CachedResponse:
     """A completed response, ready to be copied out to repeat jobs."""
 
-    __slots__ = ("analysis", "chunk_sizes", "backend", "checksum", "store")
+    __slots__ = (
+        "analysis", "chunk_sizes", "backend", "engine", "threads", "checksum", "store",
+    )
 
-    def __init__(self, analysis, chunk_sizes, backend, checksum, store):
+    def __init__(self, analysis, chunk_sizes, backend, engine, threads, checksum, store):
         self.analysis = analysis
         self.chunk_sizes = chunk_sizes
         self.backend = backend
+        self.engine = engine
+        self.threads = threads
         self.checksum = checksum
         self.store = store
 
@@ -544,25 +557,28 @@ class Gateway:
             program_seconds, driver,
         )
 
-    def _execute_group(self, job: _Job, group: Tuple[int, ...]) -> float:
+    def _execute_group(self, job: _Job, group: Tuple[int, ...]) -> Tuple[float, str]:
         """Execution stage (runs on the execution thread pool).
 
         Executes one chunk group of the job's plan in place on the job's
-        store.  Concurrent groups of one job share the store without
-        locking — chunks never access a common cell with a write.
+        store and returns ``(seconds, engine label)``.  Concurrent groups of
+        one job share the store without locking — chunks never access a
+        common cell with a write.
         """
         start = time.perf_counter()
         if job.driver is not None:
             # The group is the whole plan: one driver call, as in the
             # executor's native-parallel mode.
-            job.engine = self.session.executor.execute_whole_plan(
+            label, drove = self.session.executor.execute_whole_plan(
                 job.transformed, job.plan, job.store, job.driver
             )
+            if drove:
+                job.engine = label
         else:
-            self.session.executor.backend.execute_plan(
+            label = self.session.executor.backend.execute_plan(
                 job.transformed, job.plan, job.store, chunk_indices=group
             )
-        return time.perf_counter() - start
+        return time.perf_counter() - start, label
 
     async def _exec_worker(self) -> None:
         while True:
@@ -575,9 +591,10 @@ class Gateway:
                 if not job.failed:
                     if job.exec_started is None:
                         job.exec_started = time.perf_counter()
-                    group_elapsed = await self._loop.run_in_executor(
+                    group_elapsed, label = await self._loop.run_in_executor(
                         self._exec_pool, self._execute_group, job, group
                     )
+                    job.labels.add(label)
                     if job.key is not None:
                         self.session.executor.telemetry.record_group(
                             job.key, group,
@@ -604,6 +621,12 @@ class Gateway:
             (job.exec_started - job.prepared_at)
             if job.exec_started is not None else 0.0
         )
+        # The engine every group ran; the backend's own name when they
+        # differ, as in the executor's shared mode.
+        job.backend = (
+            next(iter(job.labels)) if len(job.labels) == 1
+            else self.session.executor.backend.name
+        )
         execution = ExecutionResult(
             store=job.store,
             mode="gateway",
@@ -611,10 +634,10 @@ class Gateway:
             num_chunks=len(job.chunk_sizes),
             elapsed_seconds=elapsed,
             chunk_sizes=job.chunk_sizes,
-            backend=job.engine or self.session.executor.backend.name,
+            backend=job.backend,
             setup_seconds=max(setup, 0.0),
             engine=job.engine,
-            threads=job.driver.threads if job.engine else 0,
+            threads=job.threads,
         )
         job.checksum = sum(float(array.data.sum()) for array in job.store.values())
         # Executed jobs only (cache hits would drag the estimate toward 0):
@@ -639,12 +662,15 @@ class Gateway:
 
         The store is copied in: the submitting caller owns the original and
         may mutate it, while the template's copy stays pristine for every
-        later hit (which copies it back out).
+        later hit (which copies it back out).  Hits report the engine that
+        ran the leader.
         """
         return _CachedResponse(
             analysis=job.analysis,
             chunk_sizes=job.chunk_sizes,
-            backend=self.session.executor.backend.name,
+            backend=job.backend,
+            engine=job.engine,
+            threads=job.threads,
             checksum=job.checksum,
             store=job.store.copy(),
         )
@@ -660,6 +686,8 @@ class Gateway:
             chunk_sizes=response.chunk_sizes,
             backend=response.backend,
             setup_seconds=0.0,
+            engine=response.engine,
+            threads=response.threads,
         )
         return RunResult(
             analysis=response.analysis,

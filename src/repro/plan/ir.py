@@ -3,13 +3,13 @@
 An :class:`ExecutionPlan` sits between analysis and execution: it describes
 the *transformed* iteration space parametrically — per-level Fourier–Motzkin
 bounds, the parallel (zero-column) levels and the partition lattice (HNF) —
-instead of materializing new-space iteration tuples the way the legacy
-``build_schedule`` did.  Everything a consumer previously read off the
-materialized chunk list is available symbolically:
+instead of materializing new-space iteration tuples.  Everything a consumer
+could read off a materialized chunk list is available symbolically:
 
 * ``chunk_keys()`` / ``chunks()`` enumerate the schedule's chunks lazily, in
-  exactly the order ``build_schedule`` produced them (order of first
-  appearance in the lexicographic scan of the new space);
+  exactly the order of the reference enumeration
+  :func:`~repro.codegen.schedule.build_schedule_by_enumeration` (order of
+  first appearance in the lexicographic scan of the new space);
 * ``iterations_for(key)`` generates one chunk's iterations on demand, in the
   transformed lexicographic order, by scanning the partitioned levels with
   stride ``d`` from a congruence-derived start value — the paper's ``doall``
@@ -487,7 +487,7 @@ class ExecutionPlan:
     # chunk discovery (keys in first-appearance order)
     # ------------------------------------------------------------------ #
     def _discover(self) -> Iterator[Tuple[ChunkKey, Tuple[int, ...]]]:
-        """Yield ``(key, first iteration)`` in ``build_schedule`` order.
+        """Yield ``(key, first iteration)`` in schedule (first-appearance) order.
 
         Visits only candidate chunk-starting iterations wherever the static
         invariance flags allow; degrades to a deduplicating sweep where the

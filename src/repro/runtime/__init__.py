@@ -31,7 +31,6 @@ from repro.runtime.interpreter import (
     execute_nest,
     execute_transformed,
     execute_chunk,
-    execute_schedule,
 )
 from repro.runtime.backends import (
     ExecutionBackend,
@@ -64,7 +63,6 @@ __all__ = [
     "execute_nest",
     "execute_transformed",
     "execute_chunk",
-    "execute_schedule",
     "ExecutionBackend",
     "InterpreterBackend",
     "CompiledBackend",

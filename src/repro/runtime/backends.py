@@ -29,11 +29,11 @@ Two safety nets keep the backend bit-identical to the interpreter:
 
 * a *static* vectorizability check on the statement AST (unknown node kinds
   fall back to sequential execution for the whole nest);
-* an optional *dynamic* chunk-independence check (on by default): the
-  subscripts of every access are evaluated vectorized up front and the whole
-  run falls back to chunk-major sequential execution if any array cell is
-  touched by two different chunks with at least one write — i.e. whenever
-  the premise that makes round-major interleaving legal does not hold.
+* a *dynamic* chunk-independence check on every run: the subscripts of
+  every access are evaluated vectorized up front and the whole run falls
+  back to chunk-major sequential execution if any array cell is touched by
+  two different chunks with at least one write — i.e. whenever the premise
+  that makes round-major interleaving legal does not hold.
 
 Math calls (``sin``, ``exp``, …) are applied elementwise through the *same*
 scalar functions the interpreter uses, so even transcendental results are
@@ -108,7 +108,8 @@ class ExecutionBackend:
 
     def execute(self, transformed: TransformedLoopNest, store: ArrayStore) -> ArrayStore:
         """Execute the whole transformed nest in a legal order (in place)."""
-        return self.execute_plan(transformed, transformed.execution_plan(), store)
+        self.execute_plan(transformed, transformed.execution_plan(), store)
+        return store
 
     def execute_plan(
         self,
@@ -116,8 +117,8 @@ class ExecutionBackend:
         plan: ExecutionPlan,
         store: ArrayStore,
         chunk_indices: Optional[Sequence[int]] = None,
-    ) -> ArrayStore:
-        """Execute (part of) a symbolic plan in place.
+    ) -> str:
+        """Execute (part of) a symbolic plan in place; return the engine label.
 
         ``chunk_indices`` selects chunks by schedule position (all when
         None) — this is how pool workers execute their groups from nothing
@@ -126,10 +127,16 @@ class ExecutionBackend:
         implements only :meth:`execute_chunk` (including a user-registered
         one) runs every mode; array-level backends override this to
         generate their index arrays straight from the plan bounds.
+
+        The returned label names the engine that actually ran — a backend
+        that delegates returns its delegate's label (``"compiled"`` for a
+        narrow vectorized run, ``"native-cc"`` for a native kernel).  It is
+        the call's own outcome, so concurrent calls on one instance never
+        see each other's labels.
         """
         for chunk in plan.select_chunks(chunk_indices):
             self.execute_chunk(transformed, chunk, store)
-        return store
+        return self.name
 
     def execute_chunk(
         self, transformed: TransformedLoopNest, chunk: ChunkView, store: ArrayStore
@@ -162,10 +169,6 @@ class ExecutionBackend:
         kernel here) charge that work to ``setup_seconds``, never to
         ``elapsed_seconds``.  The default is a no-op.
         """
-
-    def execute_original(self, nest: LoopNest, store: ArrayStore) -> ArrayStore:
-        """Execute an untransformed nest sequentially through this backend."""
-        return self.execute(TransformedLoopNest.identity(nest), store)
 
 
 _REGISTRY: Dict[str, Callable[..., ExecutionBackend]] = {}
@@ -242,8 +245,8 @@ class CompiledBackend(ExecutionBackend):
     # ``//``/``%``/``**`` semantics depend on).  The body runs over explicit
     # iteration lists and never reads the loop bounds, so alpha-renamed
     # copies of one program, at any problem size, share a single compiled
-    # body, and a long-running ``BatchService`` process serving arbitrary
-    # traffic stays bounded.  A weak per-nest map keeps the fast path (one
+    # body, and a long-running session serving arbitrary traffic stays
+    # bounded.  A weak per-nest map keeps the fast path (one
     # dict hit) for repeated execution of the same nest object; it never
     # touches the nest itself, which must stay picklable for the shared
     # worker pool.
@@ -252,7 +255,6 @@ class CompiledBackend(ExecutionBackend):
     _body_lock = threading.Lock()
     _body_stats: Dict[str, int] = {"hits": 0, "misses": 0, "evictions": 0}
     _nest_bodies: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-    _original_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     @classmethod
     def body_function(cls, nest: LoopNest):
@@ -321,18 +323,6 @@ class CompiledBackend(ExecutionBackend):
         body = self.body_function(transformed.nest)
         originals = [transformed.original_iteration(it) for it in chunk.iterations]
         body(store, originals)
-
-    def execute_original(self, nest: LoopNest, store: ArrayStore) -> ArrayStore:
-        """Run the original nest through the compiled whole-nest source."""
-        function = self._original_cache.get(nest)
-        if function is None:
-            from repro.codegen.python_emitter import compile_loop_function, emit_original_source
-
-            source = emit_original_source(nest, function_name="run_original")
-            function = compile_loop_function(source, "run_original")
-            self._original_cache[nest] = function
-        function(store)
-        return store
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +437,16 @@ class VectorizedBackend(ExecutionBackend):
     raises the interpreter's exception after the interpreter's partial
     writes.  A subscript leaving its window replays the same way.
 
+    Every run also checks that no array cell is accessed by two different
+    chunks with at least one write — the premise that makes *any*
+    round-major interleaving legal.  When the check fails the run replays
+    chunk-major through the compiled body and
+    ``stats["illegal_schedule_fallbacks"]`` counts it.  The check is one
+    sort + segmented reduction per array: a defense-in-depth net under the
+    legality theorems.
+
     Parameters
     ----------
-    check_independence:
-        Re-verify dynamically that the chunks are truly independent — no
-        array cell is accessed by two different chunks with at least one
-        write.  Chunk independence is exactly what makes *any* round-major
-        interleaving legal, so when the check fails the whole run falls
-        back to chunk-major compiled execution (the interpreter's order).
-        The check is vectorized (one sort + segmented reduction per array),
-        so it costs a small constant factor, and it turns the backend into
-        a defense-in-depth net under the legality theorems.
     min_parallel_width:
         NumPy call overhead dominates narrow rounds, so a schedule with
         fewer than this many chunks is delegated wholesale to the compiled
@@ -468,14 +457,8 @@ class VectorizedBackend(ExecutionBackend):
 
     name = "vectorized"
 
-    def __init__(self, check_independence: bool = True, min_parallel_width: int = 8):
-        self.check_independence = bool(check_independence)
+    def __init__(self, min_parallel_width: int = 8):
         self.min_parallel_width = max(2, int(min_parallel_width))
-        # Engine that executed the most recent execute() call — "compiled"
-        # when the run was delegated, "vectorized" when rounds ran.  The
-        # executor reports it so CLI output and experiment rows say what
-        # actually executed.
-        self.last_execution_engine = self.name
         self.stats: Dict[str, int] = {
             "rounds": 0,
             "vectorized_rounds": 0,
@@ -488,25 +471,24 @@ class VectorizedBackend(ExecutionBackend):
         }
 
     # ------------------------------------------------------------------ #
-    def execute_plan(self, transformed, plan, store, chunk_indices=None) -> ArrayStore:
+    def execute_plan(self, transformed, plan, store, chunk_indices=None) -> str:
         """Round-based execution with index arrays generated from the plan.
 
         Separable chunks become ``np.arange`` + ``meshgrid`` products of the
         plan's per-level (start, stop, step) ranges — no Python-level
         iteration tuples exist at any point; only genuinely non-separable
         chunks fall back to filling their block from the lazy generator.
+        Returns ``"compiled"`` when the compiled body ran instead of the
+        rounds (a narrow selection, an unvectorizable body, a replay).
         """
         views = plan.select_chunks(chunk_indices)
         if not views:
-            return store
-        self.last_execution_engine = self.name
+            return self.name
         if not _nest_is_vectorizable(transformed.nest) or len(views) < self.min_parallel_width:
             self.stats["delegated_runs"] += 1
-            self.last_execution_engine = "compiled"
-            CompiledBackend().execute_plan(
+            return CompiledBackend().execute_plan(
                 transformed, plan, store, chunk_indices=chunk_indices
             )
-            return store
         blocks = [_plan_index_block(view, plan.depth) for view in views]
         all_new = np.concatenate(blocks)
         sizes = np.asarray([block.shape[0] for block in blocks], dtype=np.int64)
@@ -516,11 +498,10 @@ class VectorizedBackend(ExecutionBackend):
             # error to raise the way a serial run does: execute chunk-major
             # (the interpreter's order) through the compiled backend instead.
             self.stats[fallback] += 1
-            self.last_execution_engine = "compiled"
-            CompiledBackend().execute_plan(
+            return CompiledBackend().execute_plan(
                 transformed, plan, store, chunk_indices=chunk_indices
             )
-        return store
+        return self.name
 
     def _execute_packed(self, transformed, store, all_new, sizes) -> Optional[str]:
         """Run the rounds for a chunk-major (total, depth) index matrix.
@@ -575,7 +556,7 @@ class VectorizedBackend(ExecutionBackend):
                 except ExecutionError:
                     return "error_replays"
 
-        if self.check_independence and not self._chunks_are_independent(
+        if not self._chunks_are_independent(
             accesses, offset_cache, store, chunk_ids
         ):
             # Two chunks share a cell with a write: the schedule is not the
@@ -743,7 +724,6 @@ class NativeBackend(ExecutionBackend):
     name = "native"
 
     def __init__(self):
-        self.last_execution_engine = self.name
         self.stats: Dict[str, float] = {
             "native_runs": 0,
             "native_chunks": 0,
@@ -775,13 +755,13 @@ class NativeBackend(ExecutionBackend):
             f"native kernel returned unknown status {code}"
         )
 
-    def _delegate_plan(self, transformed, plan, store, chunk_indices) -> ArrayStore:
+    def _delegate_plan(self, transformed, plan, store, chunk_indices) -> str:
         self.stats["fallback_runs"] += 1
-        self._fallback.execute_plan(transformed, plan, store, chunk_indices=chunk_indices)
-        self.last_execution_engine = self._fallback.last_execution_engine
-        return store
+        return self._fallback.execute_plan(
+            transformed, plan, store, chunk_indices=chunk_indices
+        )
 
-    def execute_plan(self, transformed, plan, store, chunk_indices=None) -> ArrayStore:
+    def execute_plan(self, transformed, plan, store, chunk_indices=None) -> str:
         program = native_codegen.native_program_for(transformed)
         if program is None:
             return self._delegate_plan(transformed, plan, store, chunk_indices)
@@ -795,8 +775,7 @@ class NativeBackend(ExecutionBackend):
             self._raise_native_error(code, transformed)
         self.stats["native_runs"] += 1
         self.stats["native_chunks"] += packed.n_chunks
-        self.last_execution_engine = "native-cc"
-        return store
+        return "native-cc"
 
     # ------------------------------------------------------------------ #
     # in-kernel parallel driver
@@ -849,9 +828,7 @@ class NativeBackend(ExecutionBackend):
             self._raise_native_error(code, transformed)
         self.stats["native_runs"] += 1
         self.stats["native_chunks"] += packed.n_chunks
-        label = f"native-cc-{program.kernel.flavor}"
-        self.last_execution_engine = label
-        return label
+        return f"native-cc-{program.kernel.flavor}"
 
 
 register_backend("interpreter", InterpreterBackend)

@@ -304,10 +304,10 @@ class ParallelExecutor:
         )
         setup = time.perf_counter() - setup_start
         start = time.perf_counter()
-        engine = self.execute_whole_plan(transformed, plan, store, driver)
+        label, drove = self.execute_whole_plan(transformed, plan, store, driver)
         elapsed = time.perf_counter() - start
         fallback: Optional[str] = None
-        if driver is not None and engine is None:
+        if driver is not None and not drove:
             fallback = f"serial run: {driver.refusal or 'the in-kernel driver declined'}"
         # Report the engine that actually ran: the driver's label, or
         # whatever the serial call fell back to (a narrow schedule, an
@@ -315,14 +315,14 @@ class ParallelExecutor:
         return ExecutionResult(
             store=store,
             mode=self.mode,
-            workers=self.workers if engine is not None else 1,
+            workers=self.workers if drove else 1,
             num_chunks=num_chunks,
             elapsed_seconds=elapsed,
-            backend=engine or getattr(self.backend, "last_execution_engine", self.backend.name),
+            backend=label,
             setup_seconds=setup,
             fallback=fallback,
-            engine=engine,
-            threads=driver.threads if engine is not None else 0,
+            engine=label if drove else None,
+            threads=driver.threads if drove else 0,
             plan=plan,
         )
 
@@ -361,23 +361,23 @@ class ParallelExecutor:
         plan: ExecutionPlan,
         store: ArrayStore,
         driver: Optional[DriverCall],
-    ) -> Optional[str]:
+    ) -> Tuple[str, bool]:
         """Run every chunk of ``plan`` in one backend call, in place.
 
-        The in-kernel driver runs when ``driver`` accepted the plan; its
-        engine label is returned.  Otherwise — no driver, or the driver
+        Returns ``(label, drove)``: the label of the engine that ran and
+        whether it was the in-kernel driver.  The driver runs when
+        ``driver`` accepted the plan.  Otherwise — no driver, or the driver
         declined the store's layout before writing anything — the backend's
         serial :meth:`~repro.runtime.backends.ExecutionBackend.execute_plan`
-        runs and ``None`` is returned.
+        runs.
         """
         if driver is not None and driver.refusal is None:
-            engine = self.backend.execute_plan_parallel(
+            label = self.backend.execute_plan_parallel(
                 transformed, plan, store, threads=driver.threads, dynamic=driver.dynamic
             )
-            if engine is not None:
-                return engine
-        self.backend.execute_plan(transformed, plan, store)
-        return None
+            if label is not None:
+                return label, True
+        return self.backend.execute_plan(transformed, plan, store), False
 
     # ------------------------------------------------------------------ #
     def telemetry_key(
@@ -512,7 +512,6 @@ class ParallelExecutor:
             self._release_segments()
             setup = time.perf_counter() - setup_start
             start = time.perf_counter()
-            self.backend.execute_plan(transformed, plan, store)
+            engine = self.backend.execute_plan(transformed, plan, store)
             elapsed = time.perf_counter() - start
-            engine = getattr(self.backend, "last_execution_engine", None)
             return elapsed, setup, f"worker crash, serial fallback ({crash})", engine

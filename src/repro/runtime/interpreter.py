@@ -9,15 +9,14 @@ validated.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
-from repro.codegen.schedule import Chunk
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.exceptions import ExecutionError
 from repro.loopnest.nest import LoopNest
 from repro.runtime.arrays import ArrayStore
 
-__all__ = ["execute_nest", "execute_transformed", "execute_chunk", "execute_schedule"]
+__all__ = ["execute_nest", "execute_transformed", "execute_chunk"]
 
 
 def _execute_body(nest: LoopNest, env: Mapping[str, int], store: ArrayStore) -> None:
@@ -82,12 +81,3 @@ def execute_chunk(transformed: TransformedLoopNest, chunk, store: ArrayStore) ->
     nest = transformed.nest
     for new_iteration in chunk.iterations:
         _execute_body(nest, transformed.original_env(new_iteration), store)
-
-
-def execute_schedule(
-    transformed: TransformedLoopNest, chunks: Sequence[Chunk], store: ArrayStore
-) -> ArrayStore:
-    """Execute all chunks one after the other on the same store (serial reference)."""
-    for chunk in chunks:
-        execute_chunk(transformed, chunk, store)
-    return store

@@ -92,10 +92,9 @@ class _WorkerProgram:
         the host.  In-process executors (native-parallel mode, the gateway)
         are where the driver wins.
         """
-        self.backend.execute_plan(
+        return self.backend.execute_plan(
             self.transformed, self.plan, store, chunk_indices=chunk_indices
         )
-        return getattr(self.backend, "last_execution_engine", self.backend.name)
 
     def close(self) -> None:
         self.plan = None

@@ -1,13 +1,13 @@
 """Tests for the uniform input layer (:mod:`repro.api.inputs`)."""
 
 import pathlib
+import types
 
 import pytest
 
 from repro.api.inputs import parse_loop_text, resolve_source, resolve_sources
 from repro.exceptions import LoopNestError
 from repro.loopnest.nest import LoopNest
-from repro.service import BatchJob
 from repro.workloads.paper_examples import example_4_1
 from repro.workloads.suite import workload_suite
 
@@ -51,7 +51,7 @@ class TestResolveSource:
     def test_object_with_nest_attribute(self):
         case = workload_suite(4)[0]
         assert resolve_source(case) is case.nest
-        job = BatchJob(name="job", nest=example_4_1(4))
+        job = types.SimpleNamespace(name="job", nest=example_4_1(4))
         assert resolve_source(job) is job.nest
 
     def test_name_override_for_text(self):

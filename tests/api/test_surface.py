@@ -5,8 +5,15 @@ Adding, renaming or removing a public name fails here first — update the
 snapshot (and the README migration notes) deliberately in the same change.
 """
 
+import importlib
+
+import pytest
+
 import repro
 import repro.api
+from repro.api import SessionConfig
+from repro.core.cache import AnalysisCache
+from repro.runtime.backends import CompiledBackend, VectorizedBackend
 
 REPRO_ALL_SNAPSHOT = sorted(
     [
@@ -41,12 +48,11 @@ REPRO_ALL_SNAPSHOT = sorted(
         "is_legal_unimodular",
         # code generation
         "TransformedLoopNest",
-        "build_schedule",
+        "emit_original_source",
+        "emit_transformed_source",
         # symbolic execution plans
         "ChunkView",
         "ExecutionPlan",
-        "emit_original_source",
-        "emit_transformed_source",
         # runtime
         "ArrayStore",
         "OffsetArray",
@@ -101,3 +107,28 @@ def test_every_export_resolves():
         assert hasattr(repro, name), name
     for name in repro.api.__all__:
         assert hasattr(repro.api, name), name
+
+
+def test_duplicates_of_the_session_are_gone():
+    """One front door: entry points that only wrapped ``Session``,
+    ``AnalysisCache.analyze`` or the ``ExecutionPlan`` stay deleted."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.service")
+    for owner, name in [
+        (importlib.import_module("repro.core.cache"), "cached_parallelize"),
+        (importlib.import_module("repro.core.cache"), "parallelize_many"),
+        (AnalysisCache, "parallelize"),
+        (importlib.import_module("repro.codegen.schedule"), "build_schedule"),
+        (importlib.import_module("repro.runtime.interpreter"), "execute_schedule"),
+        (CompiledBackend, "execute_original"),
+        (VectorizedBackend(), "last_execution_engine"),
+    ]:
+        assert not hasattr(owner, name), name
+
+
+def test_options_only_tests_set_are_gone():
+    with pytest.raises(TypeError):
+        VectorizedBackend(check_independence=False)
+    for option in ("include_self", "allow_partitioning"):
+        with pytest.raises(TypeError):
+            SessionConfig(**{option: False})

@@ -7,7 +7,7 @@ from repro.codegen.python_emitter import (
     emit_original_source,
     emit_transformed_source,
 )
-from repro.codegen.schedule import build_schedule, schedule_statistics
+from repro.codegen.schedule import schedule_statistics
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
 from repro.runtime.arrays import store_for_nest
@@ -17,36 +17,37 @@ from repro.workloads.paper_examples import example_4_1, example_4_2
 from repro.workloads.synthetic import no_dependence_loop
 
 
+def _chunks(report):
+    """The plan's chunks, each as ``(key, iterations)``."""
+    plan = TransformedLoopNest.from_report(report).execution_plan()
+    return [(view.key, list(view.iterations)) for view in plan.chunks()]
+
+
 class TestSchedule:
     def test_chunks_partition_the_iteration_space(self, ex41_report):
         transformed = TransformedLoopNest.from_report(ex41_report)
-        chunks = build_schedule(transformed)
-        all_iterations = [it for chunk in chunks for it in chunk.iterations]
+        all_iterations = [it for _, iterations in _chunks(ex41_report) for it in iterations]
         assert len(all_iterations) == transformed.iteration_count()
         assert len(set(all_iterations)) == len(all_iterations)
 
     def test_chunk_iterations_in_lex_order(self, ex42_report):
-        transformed = TransformedLoopNest.from_report(ex42_report)
-        for chunk in build_schedule(transformed):
-            assert chunk.iterations == sorted(chunk.iterations)
-            assert chunk.size == len(chunk.iterations)
+        plan = TransformedLoopNest.from_report(ex42_report).execution_plan()
+        for view in plan.chunks():
+            iterations = list(view.iterations)
+            assert iterations == sorted(iterations)
+            assert view.size == len(iterations)
 
     def test_chunk_keys_unique(self, ex42_report):
-        transformed = TransformedLoopNest.from_report(ex42_report)
-        chunks = build_schedule(transformed)
-        keys = [chunk.key for chunk in chunks]
+        keys = [key for key, _ in _chunks(ex42_report)]
         assert len(keys) == len(set(keys))
 
     def test_example_42_has_four_chunks(self, ex42_report):
-        transformed = TransformedLoopNest.from_report(ex42_report)
-        chunks = build_schedule(transformed)
         # no doall loops, 4 partitions => exactly 4 chunks
-        assert len(chunks) == 4
+        assert len(_chunks(ex42_report)) == 4
 
     def test_statistics(self, ex42_report):
-        transformed = TransformedLoopNest.from_report(ex42_report)
-        chunks = build_schedule(transformed)
-        stats = schedule_statistics(chunks)
+        plan = TransformedLoopNest.from_report(ex42_report).execution_plan()
+        stats = plan.statistics()
         assert stats["num_chunks"] == 4
         assert stats["total_iterations"] == ex42_report.nest.iteration_count()
         assert stats["max_chunk_size"] >= stats["min_chunk_size"]
@@ -62,17 +63,14 @@ class TestSchedule:
         assert stats["ideal_speedup"] == 0.0
 
     def test_sequential_loop_single_chunk(self):
-        report = analyze_nest(wavefront_recurrence(5))
-        transformed = TransformedLoopNest.from_report(report)
-        chunks = build_schedule(transformed)
-        assert len(chunks) == 1
+        assert len(_chunks(analyze_nest(wavefront_recurrence(5)))) == 1
 
     def test_fully_parallel_loop_one_chunk_per_iteration(self):
         report = analyze_nest(no_dependence_loop(3))
         transformed = TransformedLoopNest.from_report(report)
-        chunks = build_schedule(transformed)
+        chunks = _chunks(report)
         assert len(chunks) == transformed.iteration_count()
-        assert all(chunk.size == 1 for chunk in chunks)
+        assert all(len(iterations) == 1 for _, iterations in chunks)
 
 
 class TestEmitter:

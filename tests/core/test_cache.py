@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.cache import (
-    AnalysisCache,
-    cached_parallelize,
-    default_cache,
-    parallelize_many,
-)
+from repro.core.cache import AnalysisCache, default_cache
 from repro.core.pipeline import analyze_nest
 from repro.loopnest.canonical import rename_nest_indices
 from repro.workloads.paper_examples import example_4_1, example_4_2
@@ -20,10 +15,11 @@ class TestCacheCorrectness:
         cache = AnalysisCache()
         cases = workload_suite(6)
         cold = [analyze_nest(case.nest) for case in cases]
-        parallelize_many([case.nest for case in cases], cache=cache)
+        for case in cases:
+            cache.analyze(case.nest)
         assert cache.stats.misses == len(cases)
         assert cache.stats.hits == 0
-        warm = parallelize_many([case.nest for case in cases], cache=cache)
+        warm = [cache.analyze(case.nest)[0] for case in cases]
         assert cache.stats.hits == len(cases)
         for case, cold_report, warm_report in zip(cases, cold, warm):
             assert warm_report == cold_report
@@ -35,8 +31,8 @@ class TestCacheCorrectness:
         cache = AnalysisCache()
         nest = example_4_1(6)
         renamed = rename_nest_indices(nest, ["a", "b"]).rename("other-name")
-        first = cache.parallelize(nest)
-        second = cache.parallelize(renamed)
+        first, _ = cache.analyze(nest)
+        second, _ = cache.analyze(renamed)
         assert cache.stats.hits == 1
         assert second.nest is renamed
         assert second.pdm.index_names == ("a", "b")
@@ -46,27 +42,24 @@ class TestCacheCorrectness:
         # The rebound report is indistinguishable from a cold run.
         assert second == analyze_nest(renamed)
 
-    def test_placement_and_flags_key_separately(self):
+    def test_placements_key_separately(self):
         cache = AnalysisCache()
         nest = example_4_1(6)
-        outer = cache.parallelize(nest, placement="outer")
-        inner = cache.parallelize(nest, placement="inner")
-        no_part = cache.parallelize(nest, allow_partitioning=False)
-        no_self = cache.parallelize(nest, include_self=False)
-        assert cache.stats.misses == 4
+        outer, _ = cache.analyze(nest, placement="outer")
+        inner, _ = cache.analyze(nest, placement="inner")
+        assert cache.stats.misses == 2
         assert cache.stats.hits == 0
-        assert len(cache) == 4
+        assert len(cache) == 2
         assert outer.parallel_levels != inner.parallel_levels
-        assert no_part.partitioning is None
 
     def test_mutating_a_returned_report_does_not_corrupt_the_cache(self):
         cache = AnalysisCache()
         nest = example_4_2(6)
-        first = cache.parallelize(nest)
+        first, _ = cache.analyze(nest)
         first.transform[0][0] = 999
         first.transformed_pdm[0][0] = 999
         first.pdm.matrix[0][0] = 999
-        second = cache.parallelize(nest)
+        second, _ = cache.analyze(nest)
         assert second.transform[0][0] != 999
         assert second.transformed_pdm[0][0] != 999
         assert second.pdm.matrix[0][0] != 999
@@ -77,10 +70,10 @@ class TestCacheCorrectness:
         # Algorithm1Result whose matrices alias report.transform on cold runs.
         cache = AnalysisCache()
         nest = example_4_1(6)
-        first = cache.parallelize(nest)
+        first, _ = cache.analyze(nest)
         first.algorithm1.transform[0][0] += 100
         first.algorithm1.sequential_block[0][0] += 100
-        second = cache.parallelize(nest)
+        second, _ = cache.analyze(nest)
         cold = analyze_nest(nest)
         assert second.algorithm1.transform == cold.algorithm1.transform
         assert second.algorithm1.sequential_block == cold.algorithm1.sequential_block
@@ -100,26 +93,26 @@ class TestCachePolicy:
         cache = AnalysisCache(maxsize=2)
         nests = [example_4_1(6), example_4_2(6), wavefront_recurrence(6)]
         for nest in nests:
-            cache.parallelize(nest)
+            cache.analyze(nest)
         assert len(cache) == 2
         assert cache.stats.evictions == 1
         # The oldest entry (example 4.1) was evicted: querying it misses again.
-        cache.parallelize(nests[0])
+        cache.analyze(nests[0])
         assert cache.stats.misses == 4
-        cache.parallelize(nests[2])  # still resident
+        cache.analyze(nests[2])  # still resident
         assert cache.stats.hits == 1
 
     def test_clear_resets_entries_and_stats(self):
         cache = AnalysisCache()
-        cache.parallelize(example_4_1(6))
+        cache.analyze(example_4_1(6))
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.lookups == 0
 
     def test_describe_mentions_hit_rate(self):
         cache = AnalysisCache()
-        cache.parallelize(example_4_1(6))
-        cache.parallelize(example_4_1(6))
+        cache.analyze(example_4_1(6))
+        cache.analyze(example_4_1(6))
         assert "hit rate" in cache.describe()
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
@@ -128,23 +121,18 @@ class TestCachePolicy:
             AnalysisCache(maxsize=0)
 
 
-class TestBatchEntryPoint:
-    def test_parallelize_many_preserves_order_and_dedups(self):
+class TestBatchOfAnalyses:
+    def test_structural_duplicates_share_one_analysis(self):
         cache = AnalysisCache()
         a = example_4_1(6)
         b = example_4_2(6)
         a_clone = rename_nest_indices(example_4_1(6), ["x", "y"])
-        reports = parallelize_many([a, b, a_clone], cache=cache)
-        assert [r.nest for r in reports] == [a, b, a_clone]
+        outcomes = [cache.analyze(nest) for nest in (a, b, a_clone)]
+        assert [report.nest for report, _ in outcomes] == [a, b, a_clone]
+        assert [hit for _, hit in outcomes] == [False, False, True]
         assert cache.stats.misses == 2
         assert cache.stats.hits == 1
-        assert reports[0].partition_count == reports[2].partition_count
-
-    def test_cached_parallelize_uses_explicit_cache(self):
-        cache = AnalysisCache()
-        report = cached_parallelize(example_4_1(6), cache=cache)
-        assert report.partition_count == 2
-        assert len(cache) == 1
+        assert outcomes[0][0].partition_count == outcomes[2][0].partition_count
 
     def test_default_cache_is_shared(self):
         assert default_cache() is default_cache()

@@ -1,8 +1,7 @@
 """Run the public API's docstring examples as doctests.
 
-The docstring pass over :mod:`repro.api`, :mod:`repro.service`,
-:mod:`repro.plan` and :mod:`repro.gateway` gives every ``__all__`` symbol
-a runnable example; this test keeps those examples true, together with
+The docstring pass over :mod:`repro.api`, :mod:`repro.plan` and
+:mod:`repro.gateway` gives every ``__all__`` symbol a runnable example; this test keeps those examples true, together with
 the package quickstart in :mod:`repro` and the examples of the internal
 modules that carry some (Fourier–Motzkin bounds, the disk cache, the nest
 builder and parser, telemetry).  It is the "doctests green" leg of the CI
@@ -24,7 +23,6 @@ DOCTEST_MODULES = [
     "repro.api.inputs",
     "repro.api.results",
     "repro.api.session",
-    "repro.service",
     "repro.plan",
     "repro.plan.ir",
     "repro.plan.passes",
@@ -45,7 +43,6 @@ MUST_HAVE_EXAMPLES = {
     "repro.api.inputs",
     "repro.api.results",
     "repro.api.session",
-    "repro.service",
     "repro.plan.ir",
     "repro.plan.passes",
     "repro.gateway.gateway",
@@ -85,7 +82,7 @@ def test_public_symbols_documented_with_examples():
     """
     import inspect
 
-    for package_name in ("repro.api", "repro.service", "repro.plan", "repro.gateway"):
+    for package_name in ("repro.api", "repro.plan", "repro.gateway"):
         package = importlib.import_module(package_name)
         for symbol in package.__all__:
             obj = getattr(package, symbol)

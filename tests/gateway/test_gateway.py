@@ -688,3 +688,62 @@ class TestServe:
                 config=GatewayConfig(max_pending=2, exec_workers=2),
             )
         assert len(results) == 1 and results[0].mode == "gateway"
+
+
+# --------------------------------------------------------------------------- #
+# engine labels: a result names the engine that ran
+# --------------------------------------------------------------------------- #
+class TestEngineLabels:
+    """The gateway reports the labels its groups' backend calls returned —
+    never the configured backend's name in place of an engine that ran."""
+
+    @pytest.mark.skipif(
+        native_codegen.resolve_engine() is None, reason="no native engine"
+    )
+    def test_response_cache_hit_reports_the_leaders_engine(self):
+        nest = example_4_1(16)
+        with Session(backend="native") as session:
+
+            async def main():
+                async with Gateway(session, exec_workers=2) as gateway:
+                    first = await gateway.submit(nest)
+                    second = await gateway.submit(nest)
+                    return first, second, gateway.stats().result_hits
+
+            first, second, hits = run_async(main())
+        assert hits == 1
+        assert first.backend.startswith("native-cc")
+        assert (second.backend, second.engine, second.threads) == (
+            first.backend, first.engine, first.threads
+        )
+
+    def test_native_without_an_engine_reports_its_fallback(self, monkeypatch):
+        monkeypatch.setenv(native_codegen.ENGINE_ENV, "none")
+        nest = example_4_1(16)
+        with Session(backend="native") as session:
+            expected = session.run(nest)
+
+            async def main():
+                async with Gateway(session, exec_workers=2) as gateway:
+                    return await gateway.submit(nest)
+
+            actual = run_async(main())
+        assert expected.backend == "vectorized"
+        assert actual.backend == expected.backend
+        assert actual.engine is None
+
+    def test_narrow_vectorized_plan_reports_the_compiled_body(self):
+        nest = "loop i1 = 0 .. 3\nloop i2 = 0 .. 3\nA[i1, i2] = A[i1, i2 - 1] + 1.0"
+        with Session(backend="vectorized") as session:
+            expected = session.run(nest)
+
+            async def main():
+                async with Gateway(
+                    session, result_cache=0, coalesce=False
+                ) as gateway:
+                    return await gateway.submit(nest)
+
+            actual = run_async(main())
+        assert expected.num_chunks == 4
+        assert expected.backend == "compiled"
+        assert actual.backend == expected.backend

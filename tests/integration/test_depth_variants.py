@@ -7,7 +7,6 @@ non-rectangular iteration spaces through the same pipeline.
 
 import pytest
 
-from repro.codegen.schedule import build_schedule, schedule_statistics
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pdm import PseudoDistanceMatrix
 from repro.core.pipeline import analyze_nest
@@ -77,9 +76,8 @@ class TestFourDeepLoops:
 
     def test_schedule_parallelism(self, nest):
         report = analyze_nest(nest)
-        transformed = TransformedLoopNest.from_report(report)
-        stats = schedule_statistics(build_schedule(transformed))
-        assert stats["ideal_speedup"] > 8
+        plan = TransformedLoopNest.from_report(report).execution_plan()
+        assert plan.statistics()["ideal_speedup"] > 8
 
 
 class TestTriangularSpaces:

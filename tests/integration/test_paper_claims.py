@@ -13,7 +13,6 @@ These are the reproduction targets recorded in EXPERIMENTS.md:
 
 import pytest
 
-from repro.codegen.schedule import build_schedule, schedule_statistics
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
 from repro.isdg.build import build_isdg
@@ -21,6 +20,10 @@ from repro.isdg.partitions import cross_partition_edges, partition_labels_of_ite
 from repro.runtime.simulator import simulate_schedule
 from repro.runtime.verification import verify_transformation
 from repro.workloads.paper_examples import example_4_1, example_4_2
+
+
+def _plan(report):
+    return TransformedLoopNest.from_report(report).execution_plan()
 
 
 class TestExample41Claims:
@@ -49,12 +52,8 @@ class TestExample41Claims:
     def test_parallelism_grows_linearly_with_n(self):
         small = analyze_nest(example_4_1(4))
         large = analyze_nest(example_4_1(10))
-        speedup_small = schedule_statistics(
-            build_schedule(TransformedLoopNest.from_report(small))
-        )["ideal_speedup"]
-        speedup_large = schedule_statistics(
-            build_schedule(TransformedLoopNest.from_report(large))
-        )["ideal_speedup"]
+        speedup_small = _plan(small).statistics()["ideal_speedup"]
+        speedup_large = _plan(large).statistics()["ideal_speedup"]
         assert speedup_large > speedup_small > 1.0
 
 
@@ -78,12 +77,10 @@ class TestExample42Claims:
         assert result.passed, result.describe()
 
     def test_four_processor_speedup(self, ex42_report):
-        chunks = build_schedule(TransformedLoopNest.from_report(ex42_report))
-        sim = simulate_schedule(chunks, num_processors=4)
+        sim = simulate_schedule(_plan(ex42_report).select_chunks(), num_processors=4)
         assert sim.speedup > 3.0
 
     def test_det_parallelism_claim(self):
         # "det(S) parallel iterations": the number of chunks equals det(PDM)
         report = analyze_nest(example_4_2(8))
-        chunks = build_schedule(TransformedLoopNest.from_report(report))
-        assert len(chunks) == report.pdm.determinant()
+        assert _plan(report).chunk_count == report.pdm.determinant()

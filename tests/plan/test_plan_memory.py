@@ -4,7 +4,7 @@ The point of the ExecutionPlan IR is that nothing between analysis and
 execution is O(total iterations) anymore.  These tests pin that:
 
 * building the plan for an N>=512, depth-3 nest (>=137M iterations — far
-  beyond what the materializing ``build_schedule`` could hold) stays under
+  beyond what a materialized chunk list could hold) stays under
   a fixed tracemalloc budget and returns exact closed-form counts;
 * the plan's pickle (what the worker pool ships per program) stays a few
   hundred bytes at sizes where the materialized schedule measures in the

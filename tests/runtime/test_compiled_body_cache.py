@@ -1,8 +1,8 @@
 """CompiledBackend body cache: canonical keying, bounded LRU, correctness.
 
 Before this cache was keyed canonically it grew one compiled body per nest
-*object* — a long-running ``BatchService`` process serving arbitrary traffic
-would leak compiled code forever.  Now bodies are shared across
+*object* — a long-running session serving arbitrary traffic would leak
+compiled code forever.  Now bodies are shared across
 alpha-renamed copies of one program, the LRU is bounded by
 ``body_cache_limit``, and the int-vs-float constant signature keeps
 ``//``/``%``/``**`` semantics exact even though the canonical key

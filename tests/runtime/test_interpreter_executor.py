@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.codegen.schedule import Chunk, build_schedule
+from repro.codegen.schedule import Chunk
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
 from repro.exceptions import ExecutionError
@@ -12,7 +12,6 @@ from repro.runtime.executor import ParallelExecutor
 from repro.runtime.interpreter import (
     execute_chunk,
     execute_nest,
-    execute_schedule,
     execute_transformed,
 )
 from repro.runtime.simulator import SimulatedMachine, simulate_schedule
@@ -81,14 +80,14 @@ class TestInterpreter:
             changed += int(touched.sum())
         assert changed > 0
 
-    def test_execute_schedule_equals_reference(self, ex42_report):
+    def test_chunk_after_chunk_equals_reference(self, ex42_report):
         transformed = TransformedLoopNest.from_report(ex42_report)
-        chunks = build_schedule(transformed)
         base = store_for_nest(ex42_report.nest)
         reference = base.copy()
         execute_nest(ex42_report.nest, reference)
         result = base.copy()
-        execute_schedule(transformed, chunks, result)
+        for chunk in transformed.execution_plan().chunks():
+            execute_chunk(transformed, chunk, result)
         assert reference.allclose(result)
 
 
@@ -171,7 +170,6 @@ class TestSimulator:
     def test_paper_example_speedup_scales_with_partitions(self):
         # example 4.2: 4 partitions -> speedup close to 4 with 4 processors
         report = analyze_nest(example_4_2(8))
-        transformed = TransformedLoopNest.from_report(report)
-        chunks = build_schedule(transformed)
-        result = simulate_schedule(chunks, num_processors=4)
+        plan = TransformedLoopNest.from_report(report).execution_plan()
+        result = simulate_schedule(plan.select_chunks(), num_processors=4)
         assert result.speedup > 3.0

@@ -205,11 +205,11 @@ class TestNativeFallback:
         base, ref, transformed = _reference_and_transformed(nest)
         backend = NativeBackend()
         result = base.copy()
-        backend.execute(transformed, result)
+        label = backend.execute_plan(transformed, transformed.execution_plan(), result)
         assert ref.identical(result)
         assert backend.stats["fallback_runs"] == 1
         assert backend.stats["native_runs"] == 0
-        assert backend.last_execution_engine in ("vectorized", "compiled")
+        assert label in ("vectorized", "compiled")
         native_codegen.clear_kernel_cache()
 
     def test_engine_env_disables_native(self, monkeypatch):

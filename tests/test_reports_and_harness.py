@@ -50,9 +50,8 @@ class TestPublicApi:
     def test_top_level_helpers(self):
         nest = example_4_1(4)
         report = repro.analyze_nest(nest)
-        transformed = repro.TransformedLoopNest.from_report(report)
-        chunks = repro.build_schedule(transformed)
-        assert repro.simulate_schedule(chunks, num_processors=2).speedup > 1.0
+        plan = repro.TransformedLoopNest.from_report(report).execution_plan()
+        assert repro.simulate_schedule(plan.select_chunks(), num_processors=2).speedup > 1.0
         assert "def run_original" in repro.emit_original_source(nest)
         isdg = repro.build_isdg(nest)
         assert repro.compute_statistics(isdg).num_iterations == nest.iteration_count()
