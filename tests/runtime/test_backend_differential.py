@@ -19,6 +19,7 @@ import pytest
 from repro.codegen import native as native_codegen
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
+from repro.dependence.graph import enumerate_dependence_edges
 from repro.exceptions import ExecutionError
 from repro.loopnest.builder import loop_nest
 from repro.plan import optimize_plan
@@ -94,6 +95,19 @@ class TestWorkloadSuiteDifferential:
             # The forced round path checks chunk independence exactly on
             # every run: the analysis's chunks never need the safety net.
             assert backend.stats["illegal_schedule_fallbacks"] == 0, case.name
+
+    @pytest.mark.parametrize("case", SUITE, ids=SUITE_IDS)
+    def test_no_dependence_crosses_a_chunk(self, case):
+        # The premise that lets every backend reorder chunks (Lemma 1 /
+        # Theorem 2), checked against the exact dependence edges instead of
+        # through a backend: both ends of every flow, anti and output
+        # dependence lie in one chunk of the plan.
+        _, _, transformed = _reference_and_transformed(case.nest)
+        plan = transformed.execution_plan()
+        for edge in enumerate_dependence_edges(case.nest):
+            source = plan.key_of(transformed.new_iteration(edge.source))
+            sink = plan.key_of(transformed.new_iteration(edge.sink))
+            assert source == sink, (case.name, edge)
 
     @pytest.mark.parametrize("mode", ["serial", "native-parallel"])
     @pytest.mark.parametrize(
@@ -340,6 +354,9 @@ class TestChunkSelections:
                 )
                 assert isinstance(label, str)
             assert ref.identical(result), (backend_name, options, case.name)
+        if backend_name == "vectorized" and options:
+            # Every multi-chunk group ran the exact independence check.
+            assert backend.stats["illegal_schedule_fallbacks"] == 0
 
     @pytest.mark.parametrize(
         "backend_name, options", BACKEND_VARIANTS, ids=VARIANT_IDS
