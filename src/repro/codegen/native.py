@@ -47,14 +47,15 @@ runs and across pool workers: the parent's ``prepare_plan`` compile leaves
 an artifact every worker merely dlopens.
 
 Every kernel source also carries a second, multithreaded entry point
-(``repro_kernel_par``) that runs the parallel-for over chunks *inside* the
-compiled code: an OpenMP ``parallel for`` when the toolchain supports
-``-fopenmp`` (probed once and negative-cached, on disk per compiler) and
-otherwise a pthreads work-queue draining chunks off an atomic counter.
-The driver takes the key rows and the bound table, a
-thread count, a static/dynamic scheduling hint and a per-chunk status
-buffer, and returns the status of the first failing chunk in chunk order —
-the same first-error semantics the serial kernel and the interpreter have.
+(``repro_kernel_par``) that runs the chunks *inside* the compiled code.
+It takes the key rows, the bound table and the boundaries of contiguous
+chunk ranges, and runs each range through the serial kernel on its own
+OS thread: an OpenMP ``parallel for`` over the ranges when the toolchain
+supports ``-fopenmp`` (probed once and negative-cached, on disk per
+compiler), otherwise one pthreads helper per range after the first.  It
+returns the first nonzero range status in range order; ranges are ordered,
+so that is the status of the first failing chunk in chunk order — the
+same first-error semantics the serial kernel and the interpreter have.
 Both entry points live in one source file, so a single content-addressed
 build covers serial and parallel execution.
 """
@@ -109,9 +110,6 @@ __all__ = [
 KERNEL_SYMBOL = "repro_kernel"
 PARALLEL_KERNEL_SYMBOL = "repro_kernel_par"
 CHUNK_SYMBOL = "repro_chunk"
-
-# The pthreads fallback driver spawns at most this many helper threads.
-_MAX_PTHREADS = 64
 
 ENGINE_ENV = "REPRO_NATIVE_ENGINE"
 CACHE_DIR_ENV = "REPRO_NATIVE_CACHE"
@@ -477,11 +475,11 @@ def emit_kernel_source(nest: LoopNest, inverse, flavor: str = "openmp") -> str:
       returning a status code;
     * ``repro_kernel(n_chunks, keys, bt, a0, ...)`` — the serial driver:
       runs chunks in order, stopping at the first nonzero status;
-    * ``repro_kernel_par(n_chunks, keys, bt, n_threads, dynamic_schedule,
-      statuses, a0, ...)`` — the parallel driver: fills ``statuses`` (one
-      slot per chunk) from ``n_threads`` threads and returns the status of
-      the first failing chunk *in chunk order*, matching the serial error
-      semantics exactly.
+    * ``repro_kernel_par(n_threads, starts, keys, bt, statuses, a0, ...)``
+      — the parallel driver: thread ``t`` runs ``repro_kernel`` on chunks
+      ``starts[t]`` to ``starts[t + 1] - 1`` into ``statuses[t]``, and the
+      first nonzero status in thread order — the first failing chunk's *in
+      chunk order* — is returned, matching the serial error semantics.
 
     ``keys`` is a flat int64 array of ``n_chunks * depth`` key rows and
     ``bt`` the plan's int64 bound table
@@ -497,11 +495,11 @@ def emit_kernel_source(nest: LoopNest, inverse, flavor: str = "openmp") -> str:
     tables at run time.  Each array contributes its raw float64 buffer plus
     int64 origin and shape vectors, in canonical slot order.
 
-    ``flavor`` selects the parallel driver: ``"openmp"`` emits an OpenMP
-    ``parallel for`` honouring the static/dynamic hint (build with
-    ``-fopenmp``); ``"pthreads"`` emits a work-queue over an atomic chunk
-    cursor (build with ``-pthread``) — inherently dynamic, the scheduling
-    hint is ignored.
+    ``flavor`` selects the parallel driver: ``"openmp"`` emits one OpenMP
+    ``parallel for`` over the ranges (build with ``-fopenmp``);
+    ``"pthreads"`` starts a helper thread per range after the first (build
+    with ``-pthread``) and runs on the calling thread range 0 and any range
+    whose helper cannot start.
     """
     if flavor not in ("openmp", "pthreads"):
         raise ExecutionError(f"unknown C parallel flavor {flavor!r}")
@@ -519,7 +517,7 @@ def emit_kernel_source(nest: LoopNest, inverse, flavor: str = "openmp") -> str:
     )
     lines = ["#include <math.h>", "#include <stdint.h>"]
     if flavor == "pthreads":
-        lines.append("#include <pthread.h>")
+        lines += ["#include <pthread.h>", "#include <stdlib.h>"]
     lines += [""] + _C_HELPERS + [
         "",
         f"static int64_t {CHUNK_SYMBOL}(const int64_t *key, const int64_t *bt{params})",
@@ -556,85 +554,76 @@ def emit_kernel_source(nest: LoopNest, inverse, flavor: str = "openmp") -> str:
         "",
     ]
     par_sig = (
-        f"int64_t {PARALLEL_KERNEL_SYMBOL}(int64_t n_chunks, const int64_t *keys, "
-        f"const int64_t *bt, int64_t n_threads, int64_t dynamic_schedule, "
-        f"int64_t *statuses{params})"
+        f"int64_t {PARALLEL_KERNEL_SYMBOL}(int64_t n_threads, const int64_t *starts, "
+        f"const int64_t *keys, const int64_t *bt, int64_t *statuses{params})"
     )
+    first_error = [
+        "    for (t = 0; t < n_threads; ++t) {",
+        "        if (statuses[t] != 0) { return statuses[t]; }",
+        "    }",
+        "    return 0;",
+        "}",
+    ]
     if flavor == "openmp":
         lines += [
             par_sig,
             "{",
-            "    int64_t c;",
-            "    int threads = (int)(n_threads < 1 ? 1 : n_threads);",
-            "    if (dynamic_schedule) {",
-            "        #pragma omp parallel for schedule(dynamic) num_threads(threads)",
-            "        for (c = 0; c < n_chunks; ++c) {",
-            f"            statuses[c] = {CHUNK_SYMBOL}(keys + c * {depth}, bt{array_args});",
-            "        }",
-            "    } else {",
-            "        #pragma omp parallel for schedule(static) num_threads(threads)",
-            "        for (c = 0; c < n_chunks; ++c) {",
-            f"            statuses[c] = {CHUNK_SYMBOL}(keys + c * {depth}, bt{array_args});",
-            "        }",
+            "    int64_t t;",
+            "    #pragma omp parallel for schedule(static, 1) "
+            "num_threads(n_threads < 1 ? 1 : (int)n_threads)",
+            "    for (t = 0; t < n_threads; ++t) {",
+            f"        statuses[t] = {KERNEL_SYMBOL}(starts[t + 1] - starts[t], "
+            f"keys + starts[t] * {depth}, bt{array_args});",
             "    }",
-            "    for (c = 0; c < n_chunks; ++c) {",
-            "        if (statuses[c] != 0) { return statuses[c]; }",
-            "    }",
-            "    return 0;",
-            "}",
-        ]
+        ] + first_error
         return "\n".join(lines) + "\n"
     member_decls = "".join(
         f" double *a{slot}; const int64_t *a{slot}_org; const int64_t *a{slot}_shp;"
         for slot in range(len(slots))
     )
-    work_args = "".join(
-        f", w->a{slot}, w->a{slot}_org, w->a{slot}_shp" for slot in range(len(slots))
+    range_args = "".join(
+        f", r->a{slot}, r->a{slot}_org, r->a{slot}_shp" for slot in range(len(slots))
     )
     lines += [
         "typedef struct {",
         "    int64_t n_chunks;",
         "    const int64_t *keys;",
         "    const int64_t *bt;",
-        "    int64_t next;",
-        f"    int64_t *statuses;{member_decls}",
-        "} repro_work_t;",
+        f"    int64_t *status;{member_decls}",
+        "    int started;",
+        "    pthread_t id;",
+        "} repro_range_t;",
         "",
-        "static void *repro_worker(void *opaque)",
+        "static void *repro_run_range(void *opaque)",
         "{",
-        "    repro_work_t *w = (repro_work_t *)opaque;",
-        "    for (;;) {",
-        "        int64_t c = __sync_fetch_and_add(&w->next, 1);",
-        "        if (c >= w->n_chunks) { break; }",
-        f"        w->statuses[c] = {CHUNK_SYMBOL}("
-        f"w->keys + c * {depth}, w->bt{work_args});",
-        "    }",
+        "    repro_range_t *r = (repro_range_t *)opaque;",
+        f"    *r->status = {KERNEL_SYMBOL}(r->n_chunks, r->keys, r->bt{range_args});",
         "    return 0;",
         "}",
         "",
         par_sig,
         "{",
-        "    /* The shared-cursor queue is dynamic by construction; the",
-        "       scheduling hint only matters to the OpenMP flavor. */",
-        "    (void)dynamic_schedule;",
-        f"    repro_work_t work = {{n_chunks, keys, bt, 0, statuses{array_args}}};",
-        f"    pthread_t helpers[{_MAX_PTHREADS}];",
-        "    int64_t spawned = 0;",
-        f"    if (n_threads > {_MAX_PTHREADS}) {{ n_threads = {_MAX_PTHREADS}; }}",
-        "    for (int64_t t = 1; t < n_threads; ++t) {",
-        "        if (pthread_create(&helpers[spawned], 0, repro_worker, &work) != 0) {",
-        "            break;",
+        "    /* Range 0 runs on the calling thread and every further range on a",
+        "       helper.  A range whose helper cannot start runs here as well, and",
+        "       so does every chunk when the range table cannot be allocated. */",
+        "    repro_range_t *ranges = (repro_range_t *)calloc((size_t)n_threads, sizeof *ranges);",
+        "    int64_t t;",
+        f"    if (ranges == 0) {{ return {KERNEL_SYMBOL}(starts[n_threads], keys, bt{array_args}); }}",
+        "    for (t = 0; t < n_threads; ++t) {",
+        "        ranges[t] = (repro_range_t){starts[t + 1] - starts[t], "
+        f"keys + starts[t] * {depth}, bt, &statuses[t]{array_args}}};",
+        "        ranges[t].started = t > 0",
+        "            && pthread_create(&ranges[t].id, 0, repro_run_range, &ranges[t]) == 0;",
+        "    }",
+        "    for (t = 0; t < n_threads; ++t) {",
+        "        if (ranges[t].started) {",
+        "            pthread_join(ranges[t].id, 0);",
+        "        } else {",
+        "            repro_run_range(&ranges[t]);",
         "        }",
-        "        ++spawned;",
         "    }",
-        "    repro_worker(&work);",
-        "    for (int64_t t = 0; t < spawned; ++t) { pthread_join(helpers[t], 0); }",
-        "    for (int64_t c = 0; c < n_chunks; ++c) {",
-        "        if (statuses[c] != 0) { return statuses[c]; }",
-        "    }",
-        "    return 0;",
-        "}",
-    ]
+        "    free(ranges);",
+    ] + first_error
     return "\n".join(lines) + "\n"
 
 
@@ -885,9 +874,7 @@ class NativeKernel:
             array_types.extend((_F64_P, _I64_P, _I64_P))
         fn.argtypes = [ctypes.c_int64, _I64_P, _I64_P] + array_types
         if par_fn is not None:
-            par_fn.argtypes = [
-                ctypes.c_int64, _I64_P, _I64_P, ctypes.c_int64, ctypes.c_int64, _I64_P,
-            ] + array_types
+            par_fn.argtypes = [ctypes.c_int64, _I64_P, _I64_P, _I64_P, _I64_P] + array_types
 
     @property
     def supports_parallel(self) -> bool:
@@ -945,30 +932,31 @@ class NativeKernel:
         args.extend(self._array_args(marshalled))
         return int(self._fn(*args))
 
-    def execute_parallel(
-        self,
-        offset_arrays,
-        packed: PackedChunks,
-        threads: int,
-        dynamic: bool,
-    ) -> Optional[int]:
-        """Run the multithreaded driver; returns the first failing chunk's
-        status code (in chunk order), or None when the kernel has no
-        parallel entry point or marshalling fails — no writes have happened
-        in that case, so the caller can fall back safely."""
+    def execute_parallel(self, offset_arrays, packed: PackedChunks, starts) -> Optional[int]:
+        """Run chunks ``starts[t]`` to ``starts[t + 1] - 1`` on thread ``t``;
+        returns the first failing chunk's status code (in chunk order), or
+        None when the kernel has no parallel entry point or the ranges or
+        the marshalling are unusable — no writes have happened in that
+        case, so the caller can fall back safely."""
         if self._par_fn is None:
+            return None
+        starts = np.ascontiguousarray(starts, dtype=np.int64)
+        edges = starts.tolist()
+        if starts.ndim != 1 or edges[:1] != [0] or edges[-1:] != [packed.n_chunks]:
+            return None
+        if edges != sorted(edges):
             return None
         marshalled = self._marshal(offset_arrays, packed)
         if marshalled is None:
             return None
-        n_chunks, keys, bounds = packed
-        statuses = np.zeros(max(1, n_chunks), dtype=np.int64)
+        _, keys, bounds = packed
+        threads = starts.size - 1
+        statuses = np.zeros(threads, dtype=np.int64)
         args = [
-            ctypes.c_int64(n_chunks),
+            ctypes.c_int64(threads),
+            starts.ctypes.data_as(_I64_P),
             keys.ctypes.data_as(_I64_P),
             bounds.ctypes.data_as(_I64_P),
-            ctypes.c_int64(max(1, int(threads))),
-            ctypes.c_int64(1 if dynamic else 0),
             statuses.ctypes.data_as(_I64_P),
         ]
         args.extend(self._array_args(marshalled))
@@ -999,13 +987,11 @@ class NativeProgram:
             return None
         return self.kernel.execute(arrays, packed)
 
-    def execute_parallel(
-        self, store, packed: PackedChunks, threads: int, dynamic: bool
-    ) -> Optional[int]:
+    def execute_parallel(self, store, packed: PackedChunks, starts) -> Optional[int]:
         arrays = self._arrays(store)
         if arrays is None:
             return None
-        return self.kernel.execute_parallel(arrays, packed, threads, dynamic)
+        return self.kernel.execute_parallel(arrays, packed, starts)
 
 
 _LOCK = threading.Lock()

@@ -533,20 +533,18 @@ class Gateway:
         chunk_sizes = tuple(plan.chunk_sizes())
         driver: Optional[DriverCall] = None
         key: Optional[str] = None
-        groups: List[Tuple[int, ...]] = []
+        groups: List[Optional[Tuple[int, ...]]] = []
         if chunk_sizes:
             # Prefer the in-kernel driver: one native call runs every chunk
-            # on exec_workers OS threads, so the job becomes a single group
-            # and the per-group Python dispatch disappears.  The probe
-            # compiles the kernel and builds the plan's tables — analysis-
-            # stage work, exactly where it belongs.
-            driver = executor.driver_call(
-                transformed, plan, chunk_sizes, workers=self.config.exec_workers
-            )
+            # on at most exec_workers OS threads, so the job becomes a
+            # single group and the per-group Python dispatch disappears.
+            # The probe compiles the kernel and builds the plan's tables —
+            # analysis-stage work, exactly where it belongs.
+            driver = executor.driver_call(transformed, plan, workers=self.config.exec_workers)
             if driver.refusal is not None:
                 driver = None
         if driver is not None:
-            groups = [tuple(range(len(chunk_sizes)))]
+            groups = [None]
         elif chunk_sizes:
             key = executor.telemetry_key(transformed, len(chunk_sizes))
             groups = executor.groups_for(
@@ -557,18 +555,18 @@ class Gateway:
             program_seconds, driver,
         )
 
-    def _execute_group(self, job: _Job, group: Tuple[int, ...]) -> Tuple[float, str]:
+    def _execute_group(self, job: _Job, group: Optional[Tuple[int, ...]]) -> Tuple[float, str]:
         """Execution stage (runs on the execution thread pool).
 
-        Executes one chunk group of the job's plan in place on the job's
-        store and returns ``(seconds, engine label)``.  Concurrent groups of
-        one job share the store without locking — chunks never access a
-        common cell with a write.
+        Executes one chunk group of the job's plan (``None``: the whole
+        plan, run by the in-kernel driver) in place on the job's store and
+        returns ``(seconds, engine label)``.  Concurrent groups of one job
+        share the store without locking — chunks never access a common
+        cell with a write.
         """
         start = time.perf_counter()
         if job.driver is not None:
-            # The group is the whole plan: one driver call, as in the
-            # executor's native-parallel mode.
+            # One driver call, as in the executor's native-parallel mode.
             label, drove = self.session.executor.execute_whole_plan(
                 job.transformed, job.plan, job.store, job.driver
             )

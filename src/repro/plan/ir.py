@@ -407,6 +407,7 @@ class ExecutionPlan:
         )
         self._key_list: Optional[List[ChunkKey]] = None
         self._size_list: Optional[List[int]] = None
+        self._size_totals: Optional[np.ndarray] = None
         self._chunk_count: Optional[int] = None
         # Per-key (start, stop, step) ranges of separable chunks, for the
         # vectorized backend and the per-key chunk_size reference.
@@ -840,6 +841,13 @@ class ExecutionPlan:
                 sizes = [self.chunk_size(key) for key in self.key_list()]
             self._size_list = sizes
         return self._size_list
+
+    def chunk_size_totals(self) -> np.ndarray:
+        """Running total of :meth:`chunk_sizes` as int64 (cached), on which
+        the parallel driver cuts its thread ranges."""
+        if self._size_totals is None:
+            self._size_totals = np.cumsum(self.chunk_sizes(), dtype=np.int64)
+        return self._size_totals
 
     def _table_chunk_sizes(self) -> Optional[List[int]]:
         table = self.bound_table()

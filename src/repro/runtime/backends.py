@@ -150,10 +150,11 @@ class ExecutionBackend:
         """Why an in-kernel parallel driver cannot run ``plan`` (None: it can).
 
         A backend returning None must implement
-        ``execute_plan_parallel(transformed, plan, store, threads=,
-        dynamic=)``, which the ``native-parallel`` executor mode calls once
-        for the whole plan.  The default has no driver; the mode then runs
-        the plan through one serial :meth:`execute_plan` call.
+        ``execute_plan_parallel(transformed, plan, store, starts)``, which
+        the ``native-parallel`` executor mode calls once for the whole plan
+        with the boundaries of its per-thread chunk ranges.  The default
+        has no driver; the mode then runs the plan through one serial
+        :meth:`execute_plan` call.
         """
         return f"backend {self.name!r} has no in-kernel parallel driver"
 
@@ -799,29 +800,26 @@ class NativeBackend(ExecutionBackend):
             return "the plan's tables exceed the int64 overflow guard"
         return None
 
-    def execute_plan_parallel(
-        self, transformed, plan, store, chunk_indices=None, threads=1, dynamic=True
-    ) -> Optional[str]:
-        """Execute chunks through the kernel's multithreaded entry point.
+    def execute_plan_parallel(self, transformed, plan, store, starts) -> Optional[str]:
+        """Execute the whole plan through the kernel's multithreaded entry point.
 
-        One native call runs every selected chunk on ``threads`` OS threads
-        (OpenMP or pthreads, depending on the artifact); ``dynamic`` picks
-        the OpenMP schedule (the pthreads work-queue is always dynamic).
-        Returns the engine label (``"native-cc-openmp"`` or
-        ``"native-cc-pthreads"``) on success or
-        ``None`` when the driver is unavailable — in that case nothing has
-        been written and the caller runs :meth:`execute_plan` instead.
-        Error parity matches the serial path: the status of the first
-        failing chunk *in chunk order* is raised as the interpreter's
-        exception type.
+        One native call runs chunks ``starts[t]`` to ``starts[t + 1] - 1``
+        (int64 boundaries from 0 to the chunk count) through the serial
+        kernel on OS thread ``t`` (OpenMP or pthreads, depending on the
+        artifact).  Returns the engine label (``"native-cc-openmp"`` or
+        ``"native-cc-pthreads"``) on success or ``None`` when the driver is
+        unavailable — in that case nothing has been written and the caller
+        runs :meth:`execute_plan` instead.  Error parity matches the serial
+        path: the first failing chunk *in chunk order* is raised as the
+        interpreter's exception type.
         """
         program = native_codegen.native_program_for(transformed)
         if program is None or not program.kernel.supports_parallel:
             return None
-        packed = native_codegen.packed_ranges_for(plan, chunk_indices)
+        packed = native_codegen.packed_ranges_for(plan)
         if packed is None:
             return None
-        code = program.execute_parallel(store, packed, threads, dynamic)
+        code = program.execute_parallel(store, packed, starts)
         if code is None:
             return None
         if code != native_codegen.OK:

@@ -19,11 +19,11 @@ chunks it executes, in place.  Three execution modes are provided:
   Theorem 2).  This is the multi-core path for Python loop bodies,
 * ``native-parallel`` — the in-kernel driver: when the backend exposes a
   compiled parallel entry point (the ``native`` backend's OpenMP or
-  pthreads driver), *one* call executes every chunk on ``workers`` OS
-  threads with zero per-chunk Python dispatch.  Skewed chunk sizes get
-  dynamic chunk assignment, uniform ones static blocks.  When the backend
-  has no driver for the plan, the run makes the same single call as
-  ``serial`` and ``ExecutionResult.fallback`` names the reason.
+  pthreads driver), *one* call executes every chunk with zero per-chunk
+  Python dispatch, each of at most ``workers`` contiguous chunk ranges of
+  near-equal work on its own OS thread.  When the backend has no driver
+  for the plan, the run makes the same single call as ``serial`` and
+  ``ExecutionResult.fallback`` names the reason.
 
 Orthogonally to the mode, *how* the iterations of a chunk (or of the whole
 schedule, in serial mode) are executed is chosen by an execution backend
@@ -51,6 +51,8 @@ import heapq
 import os
 import time
 from typing import List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.exceptions import ExecutionError
@@ -167,28 +169,38 @@ class ExecutionResult:
 class DriverCall(NamedTuple):
     """One in-kernel driver call over a whole plan, or why there is none.
 
-    With ``refusal`` None the backend's driver runs every chunk on
-    ``threads`` OS threads, assigning chunks dynamically when ``dynamic``;
-    otherwise ``refusal`` names why the backend has no driver for the plan.
+    With ``refusal`` None the backend's driver runs chunks ``starts[t]`` to
+    ``starts[t + 1] - 1`` on OS thread ``t``; otherwise ``refusal`` names
+    why the backend has no driver for the plan.
     """
 
-    threads: int = 0
-    dynamic: bool = False
+    starts: Optional[np.ndarray] = None
     refusal: Optional[str] = None
 
+    @property
+    def threads(self) -> int:
+        """The number of ranges, one OS thread each (0 without a driver)."""
+        return 0 if self.starts is None else len(self.starts) - 1
 
-def _schedule_is_dynamic(chunk_sizes: Sequence[int]) -> bool:
-    """Static blocks or dynamic chunk assignment for the in-kernel driver?
 
-    A skewed size distribution (largest chunk > 1.25x the mean) gets
-    dynamic scheduling — static blocks would leave threads idle behind the
-    heavy chunk; uniform work keeps static blocks and their lower
-    scheduling overhead.
+def _balanced_ranges(size_totals: np.ndarray, threads: int) -> np.ndarray:
+    """Boundaries of at most ``threads`` contiguous chunk ranges of near-equal work.
+
+    With ``T = min(threads, chunks)``, range ``k`` ends with the chunk at
+    which ``size_totals``, the running total of the chunk sizes, first
+    reaches ``k/T`` of the work, so no range carries more than ``total/T``
+    plus one chunk.  The int64 boundaries start at 0, end at the chunk
+    count and strictly increase: a range left empty is dropped.
     """
-    if len(chunk_sizes) < 2:
-        return False
-    mean = sum(chunk_sizes) / len(chunk_sizes)
-    return mean > 0 and max(chunk_sizes) > 1.25 * mean
+    chunks = len(size_totals)
+    count = max(1, min(threads, chunks))
+    total = int(size_totals[-1]) if chunks else 0
+    targets = [-(-k * total // count) for k in range(1, count)]
+    starts = [0]
+    for last in np.searchsorted(size_totals, targets).tolist() + [chunks - 1]:
+        if last >= starts[-1]:
+            starts.append(last + 1)
+    return np.array(starts, dtype=np.int64)
 
 
 class ParallelExecutor:
@@ -210,8 +222,10 @@ class ParallelExecutor:
             raise ExecutionError(
                 f"unknown execution mode {mode!r}; available: {', '.join(EXECUTION_MODES)}"
             )
+        if workers is not None and workers < 1:
+            raise ExecutionError(f"workers must be >= 1, got {workers}")
         self.mode = mode
-        self.workers = workers or default_worker_count()
+        self.workers = workers if workers is not None else default_worker_count()
         self.backend: ExecutionBackend = resolve_backend(backend)
         #: Measured per-chunk cost store feeding :meth:`groups_for`; inject
         #: one to share observations across executors (e.g. a gateway and
@@ -294,7 +308,7 @@ class ParallelExecutor:
             )
         # Whole-plan runs count chunks on the key table, which the native
         # kernels read anyway (building it here keeps it in the setup
-        # window); only the driver's schedule choice sizes them.
+        # window); only the driver's ranges size them.
         keys = plan.key_table()
         num_chunks = plan.chunk_count if keys is None else len(keys)
         driver = (
@@ -333,26 +347,22 @@ class ParallelExecutor:
         self,
         transformed: TransformedLoopNest,
         plan: ExecutionPlan,
-        chunk_sizes: Optional[Sequence[int]] = None,
         workers: Optional[int] = None,
     ) -> DriverCall:
         """The backend's in-kernel driver call for a whole plan.
 
         Probes whether the backend's driver runs this plan (compiling the
         kernel and building the plan's tables, all cached — call it inside
-        a setup window), clamps the thread count to ``workers`` (default:
-        the executor's own) and the chunk count, and picks the schedule
-        from the chunk sizes (default: the plan's, computed only once the
-        driver accepted).  A refused call carries the reason instead.
+        a setup window), then cuts the plan's chunk order into at most
+        ``workers`` (default: the executor's own) ranges of near-equal
+        work on the plan's cached running total of chunk sizes.  A refused
+        call carries the reason instead.
         """
         refusal = self.backend.parallel_plan_refusal(transformed, plan)
         if refusal is not None:
             return DriverCall(refusal=refusal)
-        if chunk_sizes is None:
-            chunk_sizes = plan.chunk_sizes()
         return DriverCall(
-            threads=max(1, min(workers or self.workers, len(chunk_sizes))),
-            dynamic=_schedule_is_dynamic(chunk_sizes),
+            starts=_balanced_ranges(plan.chunk_size_totals(), workers or self.workers)
         )
 
     def execute_whole_plan(
@@ -372,9 +382,7 @@ class ParallelExecutor:
         runs.
         """
         if driver is not None and driver.refusal is None:
-            label = self.backend.execute_plan_parallel(
-                transformed, plan, store, threads=driver.threads, dynamic=driver.dynamic
-            )
+            label = self.backend.execute_plan_parallel(transformed, plan, store, driver.starts)
             if label is not None:
                 return label, True
         return self.backend.execute_plan(transformed, plan, store), False

@@ -6,9 +6,9 @@ plan shape is left to the compiled fallback: shifting partition targets
 One parametrized differential test covers the suite at two sizes, the
 triangular nests of ``tests/plan/test_plan_equivalence.py``'s generator and
 ``examples/loops/*.loop``, each in serial, in the in-kernel parallel driver
-at 1, 2 and 4 threads under both schedules, in ``native-parallel`` and in
-``shared`` mode; every run must be bit-identical to the interpreter and
-report a native engine.  Error parity on example 4.2's shifting-target plan
+at 1, 2 and 4 threads, in ``native-parallel`` and in ``shared`` mode;
+every run must be bit-identical to the interpreter and report a native
+engine.  Error parity on example 4.2's shifting-target plan
 checks that window violations and zero divisors raise the interpreter's
 exception types, with the interpreter's partial writes in serial order.
 The session tests pin the coalescing cliff: coalesced plans, the default
@@ -32,7 +32,7 @@ from repro.loopnest.builder import loop_nest
 from repro.plan import optimize_plan
 from repro.runtime.arrays import OffsetArray, store_for_nest
 from repro.runtime.backends import InterpreterBackend, NativeBackend
-from repro.runtime.executor import ParallelExecutor
+from repro.runtime.executor import ParallelExecutor, _balanced_ranges
 from repro.runtime.interpreter import execute_nest
 from repro.workloads.paper_examples import example_4_1, example_4_2
 from repro.workloads.suite import workload_suite
@@ -100,13 +100,12 @@ def test_every_mode_runs_native_bit_identically(nest, coalesce, shared_executor)
     assert outcome.backend.startswith("native-"), outcome.backend
 
     for threads in PARALLEL_THREADS:
-        for dynamic in (False, True):
-            result = base.copy()
-            label = backend.execute_plan_parallel(
-                transformed, plan, result, threads=threads, dynamic=dynamic
-            )
-            assert label is not None and label.startswith("native-"), (threads, dynamic)
-            assert reference.identical(result), (threads, dynamic)
+        result = base.copy()
+        label = backend.execute_plan_parallel(
+            transformed, plan, result, _balanced_ranges(plan.chunk_size_totals(), threads)
+        )
+        assert label is not None and label.startswith("native-"), threads
+        assert reference.identical(result), threads
 
     result = base.copy()
     outcome = ParallelExecutor(mode="native-parallel", workers=2, backend=backend).run(
@@ -187,7 +186,8 @@ class TestShiftingTargetErrorParity:
         transformed, plan = _shifting_target_plan(nest)
         with pytest.raises(error):
             NativeBackend().execute_plan_parallel(
-                transformed, plan, store.copy(), threads=threads, dynamic=True
+                transformed, plan, store.copy(),
+                _balanced_ranges(plan.chunk_size_totals(), threads),
             )
 
 

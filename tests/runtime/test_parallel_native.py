@@ -1,26 +1,30 @@
-"""The in-kernel parallel driver: packing, scheduling, bit-identity, errors.
+"""The in-kernel parallel driver: packing, ranges, bit-identity, errors.
 
-PR 10 moves the parallel-for over chunks *into* the compiled kernel: one
-native call executes the whole plan on N OS threads (OpenMP or pthreads).
-This suite pins:
+One native call executes the whole plan: the plan's chunk order is cut
+into contiguous ranges of near-equal work and each range runs on its own
+OS thread (OpenMP or pthreads).  This suite pins:
 
 * ``packed_ranges_for`` edge cases — empty selections, single-chunk
   plans, group selections spanning the plan — and the packing contract:
   every plan packs, the key table is built once per plan, a selection is
   a row gather from it that evaluates no bound and never grows the plan,
+* the range cut — boundaries from 0 to the chunk count, strictly
+  increasing, at most one range per thread, no range above ``total/T``
+  plus its largest chunk — and the reported thread count,
 * the differential contract: the parallel driver is bit-identical to
   serial native and to the interpreter on the workload suite and seeded
-  random nests, under thread counts 1/2/8 and both schedules,
+  random nests, at 1/2/8 threads, on both driver flavours,
 * error parity: window violations, division by zero, domain and overflow
   errors raise the interpreter's exception types through the driver, with
-  first-failing-chunk semantics, at every thread count,
+  first-failing-chunk semantics across ranges, at every thread count and
+  on both flavours,
 * the ``native-parallel`` executor mode and its single serial call when
   the backend (or the kernel) has no parallel driver,
 * the derived default worker count (``os.cpu_count()`` clamped,
-  ``$REPRO_WORKERS`` override) and the engine/thread reporting in
-  ``ExecutionResult``/``RunResult``,
+  ``$REPRO_WORKERS`` override), the rejection of worker counts below 1,
+  and the engine/thread reporting in ``ExecutionResult``/``RunResult``,
 * the OpenMP compile probe (disk-persisted negative cache) and the
-  pthreads work-queue fallback flavor.
+  pthreads flavour, including a helper thread that cannot start.
 """
 
 import copy
@@ -41,9 +45,10 @@ from repro.plan.ir import ChunkView
 from repro.runtime.arrays import ArrayStore, OffsetArray, store_for_nest
 from repro.runtime.backends import NativeBackend
 from repro.runtime.executor import (
+    EXECUTION_MODES,
     WORKERS_ENV,
     ParallelExecutor,
-    _schedule_is_dynamic,
+    _balanced_ranges,
     default_worker_count,
 )
 from repro.runtime.interpreter import execute_nest
@@ -58,6 +63,38 @@ THREAD_COUNTS = (1, 2, 8)
 needs_engine = pytest.mark.skipif(
     native_codegen.resolve_engine() is None, reason="no native engine (a C compiler) available"
 )
+
+
+@pytest.fixture(params=["auto", "pthreads"])
+def flavor(request, monkeypatch):
+    """The driver flavour a test runs: the toolchain's own (OpenMP where
+    ``-fopenmp`` works) or the pthreads driver every toolchain builds.
+    The kernel LRU is keyed by program, not flavour, so the pthreads runs
+    start and end with an empty one."""
+    if request.param == "auto":
+        yield "openmp" if native_codegen.openmp_supported() else "pthreads"
+        return
+    native_codegen.clear_kernel_cache()
+    monkeypatch.setattr(native_codegen, "_OPENMP_CACHED", False)
+    yield "pthreads"
+    native_codegen.clear_kernel_cache()
+
+
+def _starts(plan, threads):
+    """The driver's range boundaries for ``threads`` workers."""
+    return _balanced_ranges(plan.chunk_size_totals(), threads)
+
+
+def _triangle(n):
+    """``A[i1, i2] = A[i1 - 2, i2] + 1.0`` over the triangle ``i2 <= i1``:
+    two partitions per column, so chunk sizes fall along the chunk order."""
+    return (
+        loop_nest("triangle")
+        .loop("i1", 0, n - 1)
+        .loop("i2", 0, "i1")
+        .statement("A[i1, i2] = A[i1 - 2, i2] + 1.0")
+        .build()
+    )
 
 
 def _reference_and_transformed(nest):
@@ -276,25 +313,85 @@ class TestDefaultWorkerCount:
         assert ParallelExecutor(mode="native-parallel").workers == 5
         assert ParallelExecutor(mode="native-parallel", workers=2).workers == 2
 
+    @pytest.mark.parametrize("mode", EXECUTION_MODES)
+    def test_workers_below_one_rejected(self, mode):
+        # SessionConfig rejects them too; 0 is not the derived default.
+        for workers in (0, -1):
+            with pytest.raises(ExecutionError, match="workers must be >= 1"):
+                ParallelExecutor(mode=mode, workers=workers)
+
 
 # ---------------------------------------------------------------------------
-# static-vs-dynamic schedule choice
+# the range cut: contiguous chunk ranges of near-equal work
 # ---------------------------------------------------------------------------
 
-class TestScheduleChoice:
-    def test_uniform_sizes_pick_static(self):
-        assert _schedule_is_dynamic((8, 8, 8, 8)) is False
+def _assert_balanced(sizes, threads):
+    totals = np.cumsum(np.asarray(sizes, dtype=np.int64))
+    starts = _balanced_ranges(totals, threads)
+    assert starts.dtype == np.int64
+    assert starts[0] == 0 and starts[-1] == len(sizes)
+    assert np.all(np.diff(starts) > 0)
+    assert len(starts) - 1 <= threads
+    bound = sum(sizes) / max(1, min(threads, len(sizes))) + max(sizes, default=0)
+    for first, end in zip(starts[:-1], starts[1:]):
+        assert sum(sizes[first:end]) <= bound, (sizes, threads, starts)
+    return starts
 
-    def test_skewed_sizes_pick_dynamic(self):
-        assert _schedule_is_dynamic((32, 2, 2, 2)) is True
 
-    def test_single_chunk_is_static(self):
-        assert _schedule_is_dynamic((16,)) is False
+class TestBalancedRanges:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_size_lists(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 60, size=int(rng.integers(1, 40))).tolist()
+        for index in rng.choice(len(sizes), size=len(sizes) // 3, replace=False):
+            sizes[index] = 0
+        for threads in (1, 2, 3, 4, 7, 8, 64):
+            _assert_balanced(sizes, threads)
+
+    def test_one_dominant_chunk(self):
+        sizes = [1] * 20
+        sizes[7] = 1000
+        for threads in (2, 4, 8):
+            # The dominant chunk closes the first range; the ranges its
+            # work would leave empty are dropped.
+            assert _assert_balanced(sizes, threads).tolist() == [0, 8, 20]
+
+    def test_zero_size_chunks_at_both_ends(self):
+        sizes = [0, 0, 4, 4, 4, 4, 0, 0]
+        assert _assert_balanced(sizes, 2).tolist() == [0, 4, 8]
+        _assert_balanced([0, 0, 0], 2)
+
+    def test_more_threads_than_chunks(self):
+        assert _assert_balanced([5, 5, 5], 8).tolist() == [0, 1, 2, 3]
+
+    def test_empty_plan_has_no_range(self):
+        assert _balanced_ranges(np.zeros(0, dtype=np.int64), 4).tolist() == [0]
+
+    def test_triangle_split(self):
+        # Chunk sizes fall along the chunk order: equal-count halves carry
+        # 75% and 25% of the iterations; the cut on the running total
+        # leaves at most 52% to the heavier range.
+        plan = TransformedLoopNest.from_report(analyze_nest(_triangle(2048))).execution_plan()
+        sizes = plan.chunk_sizes()
+        total = sum(sizes)
+        assert len(sizes) == 4095
+        assert sum(sizes[: len(sizes) // 2]) / total > 0.74
+        starts = _starts(plan, 2)
+        loads = [sum(sizes[first:end]) for first, end in zip(starts[:-1], starts[1:])]
+        assert len(loads) == 2 and sum(loads) == total
+        assert max(loads) / total <= 0.52
+
+    def test_plan_caches_its_running_total(self):
+        plan = TransformedLoopNest.from_report(analyze_nest(example_4_2(8))).execution_plan()
+        totals = plan.chunk_size_totals()
+        assert totals.dtype == np.int64
+        assert totals.tolist() == np.cumsum(plan.chunk_sizes()).tolist()
+        assert plan.chunk_size_totals() is totals
 
     @needs_engine
     def test_driver_call_reads_plan_sizes_not_telemetry(self):
-        # Whole-plan runs record no telemetry, so the driver's schedule
-        # comes from the plan's chunk sizes even when measurements exist.
+        # Whole-plan runs record no telemetry, so the driver's ranges come
+        # from the plan's chunk sizes even when measurements exist.
         telemetry = ExecutionTelemetry()
         executor = ParallelExecutor(
             mode="native-parallel", workers=4, backend="native", telemetry=telemetry
@@ -302,15 +399,17 @@ class TestScheduleChoice:
         transformed = _reference_and_transformed(example_4_2(8))[2]
         plan = transformed.execution_plan()
         sizes = tuple(plan.chunk_sizes())
-        assert len(sizes) == 4 and not _schedule_is_dynamic(sizes)  # near-uniform
+        assert len(sizes) == 4
         # Measured: chunk 0 costs 100x the others.
         key = executor.telemetry_key(transformed, len(sizes))
         for index, size in enumerate(sizes):
             telemetry.record_group(key, (index,), (size,), 10.0 if index == 0 else 0.1)
         assert telemetry.chunk_costs(key, sizes) is not None
-        call = executor.driver_call(transformed, plan, sizes)
-        assert (call.threads, call.dynamic, call.refusal) == (4, False, None)
-        assert executor.driver_call(transformed, plan, sizes, workers=2).threads == 2
+        call = executor.driver_call(transformed, plan)
+        assert call.refusal is None
+        assert call.starts.tolist() == [0, 1, 2, 3, 4] and call.threads == 4
+        two = executor.driver_call(transformed, plan, workers=2)
+        assert two.starts.tolist() == _starts(plan, 2).tolist() and two.threads == 2
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +419,7 @@ class TestScheduleChoice:
 @needs_engine
 class TestParallelDifferential:
     @pytest.mark.parametrize("case", SUITE, ids=SUITE_IDS)
-    def test_suite_bit_identical(self, case):
+    def test_suite_bit_identical(self, case, flavor):
         base, ref, transformed = _reference_and_transformed(case.nest)
         plan = transformed.execution_plan()
         backend = NativeBackend()
@@ -328,28 +427,42 @@ class TestParallelDifferential:
         backend.execute_plan(transformed, plan, serial)
         assert ref.identical(serial), f"serial native diverged on {case.name!r}"
         for threads in THREAD_COUNTS:
-            for dynamic in (True, False):
-                result = base.copy()
-                label = backend.execute_plan_parallel(
-                    transformed, plan, result, threads=threads, dynamic=dynamic
-                )
-                if label is None:
-                    # Non-packable plan (or no driver): the contract is
-                    # that *nothing* was written, so the caller can fall
-                    # back — the untouched store must equal the base.
-                    assert base.identical(result), (
-                        f"driver refused {case.name!r} but wrote to the store"
-                    )
-                    continue
-                assert label.startswith("native-cc-")
-                assert serial.identical(result), (
-                    f"parallel ({threads} thread(s), dynamic={dynamic}) diverged "
-                    f"from serial native on {case.name!r}"
-                )
+            result = base.copy()
+            label = backend.execute_plan_parallel(
+                transformed, plan, result, _starts(plan, threads)
+            )
+            assert label == f"native-cc-{flavor}", case.name
+            assert serial.identical(result), (
+                f"parallel ({threads} thread(s)) diverged from serial native "
+                f"on {case.name!r}"
+            )
+
+    def test_driver_refuses_unusable_ranges_without_writing(self):
+        base, _, transformed = _reference_and_transformed(example_4_1(8))
+        plan = transformed.execution_plan()
+        chunks = plan.chunk_count
+        for starts in ([0, chunks + 1], [1, chunks], [0, 5, 3, chunks], [0, chunks - 1]):
+            result = base.copy()
+            label = NativeBackend().execute_plan_parallel(
+                transformed, plan, result, np.array(starts, dtype=np.int64)
+            )
+            assert label is None, starts
+            assert base.identical(result), starts
+
+    def test_schedule_arguments_are_gone(self):
+        base, _, transformed = _reference_and_transformed(example_4_1(8))
+        plan = transformed.execution_plan()
+        backend = NativeBackend()
+        with pytest.raises(TypeError):
+            backend.execute_plan_parallel(transformed, plan, base.copy(), threads=2, dynamic=True)
+        with pytest.raises(TypeError):
+            backend.execute_plan_parallel(
+                transformed, plan, base.copy(), _starts(plan, 2), chunk_indices=None
+            )
 
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_nests_bit_identical(self, seed, threads):
+    def test_random_nests_bit_identical(self, seed, threads, flavor):
         nest = _random_nest(np.random.default_rng(seed))
         base, ref, transformed = _reference_and_transformed(nest)
         result = base.copy()
@@ -357,6 +470,7 @@ class TestParallelDifferential:
             mode="native-parallel", workers=threads, backend="native"
         ).run(transformed, result)
         assert ref.identical(result), (seed, nest.name, outcome.backend)
+        assert outcome.engine == f"native-cc-{flavor}"
 
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
     def test_executor_mode_reports_engine_and_threads(self, threads):
@@ -369,7 +483,24 @@ class TestParallelDifferential:
         assert outcome.engine is not None and outcome.engine.startswith("native-")
         assert outcome.backend == outcome.engine
         assert 1 <= outcome.threads <= threads
+        assert outcome.threads == len(_starts(transformed.execution_plan(), threads)) - 1
         assert outcome.mode == "native-parallel"
+
+    def test_threads_count_the_ranges_that_ran(self):
+        # Three partitions: eight workers get three ranges, one thread each.
+        nest = loop_nest("three-chunks").loop("i1", 0, 11).statement(
+            "A[i1] = A[i1 - 3] + 1.0"
+        ).build()
+        base, ref, transformed = _reference_and_transformed(nest)
+        result = base.copy()
+        with Session(mode="native-parallel", backend="native", workers=8) as session:
+            run = session.run(nest)
+        outcome = ParallelExecutor(
+            mode="native-parallel", workers=8, backend="native"
+        ).run(transformed, result)
+        assert ref.identical(result)
+        assert transformed.execution_plan().chunk_count == 3
+        assert outcome.threads == run.threads == 3
 
     def test_cc_driver_reports_its_flavor_without_fallback(self):
         base, ref, transformed = _reference_and_transformed(example_4_1(12))
@@ -449,14 +580,38 @@ class TestParallelDifferential:
 # ---------------------------------------------------------------------------
 
 @needs_engine
+@pytest.mark.usefixtures("flavor")
 class TestParallelErrors:
     def _run_parallel(self, nest, store, threads):
         transformed = TransformedLoopNest.from_report(analyze_nest(nest))
         plan = transformed.execution_plan()
         label = NativeBackend().execute_plan_parallel(
-            transformed, plan, store, threads=threads, dynamic=True
+            transformed, plan, store, _starts(plan, threads)
         )
         assert label is not None, "the parallel driver refused the plan"
+
+    @pytest.mark.parametrize("threads", (2, 8))
+    def test_first_failing_chunk_wins_across_ranges(self, threads):
+        # One chunk per row.  Row 3 divides by zero; rows 10-15 take the
+        # square root of a negative number, in other threads' ranges.  The
+        # interpreter stops at row 3, and so must the driver.
+        nest = (
+            loop_nest("par-error-order")
+            .loop("i1", 0, 15)
+            .loop("i2", 1, 64)
+            .statement("A[i1, i2] = A[i1, i2 - 1] + 1.0 / (i1 - 3) + sqrt(9 - i1)")
+            .build()
+        )
+        transformed = TransformedLoopNest.from_report(analyze_nest(nest))
+        plan = transformed.execution_plan()
+        starts = _starts(plan, threads)
+        assert plan.chunk_count == 16 and len(starts) - 1 == threads
+        assert starts[1] <= 10
+        store = store_for_nest(nest)
+        with pytest.raises(ZeroDivisionError):
+            execute_nest(nest, store.copy())
+        with pytest.raises(ZeroDivisionError):
+            self._run_parallel(nest, store.copy(), threads)
 
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
     def test_division_by_zero(self, threads):
@@ -582,15 +737,63 @@ class TestCcFlavors:
         packed = native_codegen.packed_ranges_for(plan)
         for threads in THREAD_COUNTS:
             result = base.copy()
-            code = program.execute_parallel(result, packed, threads, True)
+            code = program.execute_parallel(result, packed, _starts(plan, threads))
             assert code == native_codegen.OK
             assert ref.identical(result), f"pthreads flavor diverged at {threads}"
 
-    def test_openmp_source_carries_both_schedules(self, fresh_cache):
+    @pytest.mark.parametrize(
+        "failure",
+        ["#define pthread_create(...) 11", "#define calloc(...) 0"],
+        ids=["helpers-cannot-start", "no-range-table"],
+    )
+    def test_pthreads_runs_ranges_itself_when_it_cannot_spread_them(
+        self, fresh_cache, monkeypatch, failure
+    ):
+        # Every pthread_create fails (11 is EAGAIN), or the range table
+        # cannot be allocated: the calling thread runs every range, and the
+        # first failing chunk's status still wins.
+        monkeypatch.setattr(native_codegen, "_OPENMP_CACHED", False)
+        nest = (
+            loop_nest("helpers-fail")
+            .loop("i1", 0, 15)
+            .loop("i2", 1, 8)
+            .statement("A[i1, i2] = A[i1, i2 - 1] + 1.0 / (i1 - 12)")
+            .build()
+        )
+        transformed = TransformedLoopNest.from_report(analyze_nest(nest))
+        base = store_for_nest(nest)
+        program = native_codegen.native_program_for(transformed)
+        source = program.kernel.source.replace(
+            "#include <stdlib.h>", f"#include <stdlib.h>\n{failure}", 1
+        )
+        assert source != program.kernel.source
+        serial_fn, par_fn = native_codegen._build_cc(source, str(fresh_cache), openmp=False)
+        kernel = native_codegen.NativeKernel(
+            serial_fn, program.kernel.depth, program.kernel.array_dims, source, 0.0,
+            par_fn=par_fn, flavor="pthreads",
+        )
+        plan = transformed.execution_plan()
+        starts = _starts(plan, 4)
+        assert starts.tolist() == [0, 4, 8, 12, 16]
+        expected = base.copy()
+        with pytest.raises(ZeroDivisionError):
+            execute_nest(nest, expected)
+        result = base.copy()
+        code = native_codegen.NativeProgram(kernel, program.array_order).execute_parallel(
+            result, native_codegen.packed_ranges_for(plan), starts
+        )
+        assert code == native_codegen.ERR_ZERO_DIV
+        # Rows 0-11 ran to completion and row 12 failed on its first
+        # iteration: the interpreter's partial writes exactly.
+        assert expected.identical(result)
+
+    def test_openmp_driver_is_one_parallel_for_over_ranges(self, fresh_cache):
         if not native_codegen.openmp_supported():
             pytest.skip("toolchain lacks OpenMP")
         _, _, transformed = _reference_and_transformed(example_4_2(6))
         program = native_codegen.native_program_for(transformed)
         assert program.kernel.flavor == "openmp"
-        assert "schedule(dynamic)" in program.kernel.source
-        assert "schedule(static)" in program.kernel.source
+        source = program.kernel.source
+        assert source.count("#pragma omp") == 1
+        assert "#pragma omp parallel for schedule(static, 1)" in source
+        assert "statuses[t] = repro_kernel(starts[t + 1] - starts[t]" in source
