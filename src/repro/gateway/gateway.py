@@ -14,6 +14,12 @@ front-end:
   and program construction run on a small thread pool *off* the event loop,
   while previously admitted jobs' chunk groups execute on the execution
   pool; a steady stream keeps both stages busy at once;
+* **a job's store is built and summed on its execution workers** — the
+  first of a job's groups to start builds the store just before its
+  kernel, and the last to finish sums the checksum just after, so neither
+  the analysis threads nor the event loop, which every job passes through,
+  spend time that grows with the arrays (a job without chunks is one group
+  too); only hot answers copy a cached store on the event loop;
 * **the unit of queued work is a chunk group, not a job** — a prepared job
   is split by the executor's (telemetry-driven) balancer into per-worker
   chunk groups, and each group is one item on the bounded work queue.  Big
@@ -52,6 +58,7 @@ with execution and preserves the queueing semantics.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -165,13 +172,19 @@ class GatewayStats:
 
 
 class _Job:
-    """One admitted job's in-flight state (event-loop private)."""
+    """One admitted job's in-flight state.
+
+    The event loop owns it, except for what its groups write on the
+    execution workers: the store (built by the first group to start, under
+    ``lock``), the run interval and ``groups_run`` (under ``lock``), and
+    the checksum and ``finished`` (by the last group to finish).
+    """
 
     __slots__ = (
-        "future", "analysis", "transformed", "plan", "store", "chunk_sizes",
-        "key", "result_key", "checksum", "groups_total", "groups_done",
-        "program_seconds", "prepared_at", "exec_started", "exec_elapsed",
-        "failed", "admitted_at", "driver", "engine", "labels", "backend",
+        "future", "analysis", "transformed", "plan", "initializer", "store",
+        "key", "result_key", "checksum", "groups_total", "groups_done", "groups_run",
+        "lock", "program_seconds", "prepared_at", "run_started", "run_ended",
+        "finished", "error", "admitted_at", "driver", "engine", "labels", "backend",
     )
 
     def __init__(self, future: "asyncio.Future[RunResult]"):
@@ -180,18 +193,25 @@ class _Job:
         self.analysis = None
         self.transformed = None
         self.plan = None
+        self.initializer: Optional[str] = None
         self.store = None
-        self.chunk_sizes: Tuple[int, ...] = ()
         self.key: Optional[str] = None
         self.result_key: Optional[Tuple] = None
         self.checksum = 0.0
         self.groups_total = 0
         self.groups_done = 0
+        self.groups_run = 0
+        self.lock = threading.Lock()
         self.program_seconds = 0.0
         self.prepared_at = 0.0
-        self.exec_started: Optional[float] = None
-        self.exec_elapsed = 0.0
-        self.failed = False
+        #: First kernel start and last kernel end over the job's groups.
+        self.run_started = float("inf")
+        self.run_ended = 0.0
+        #: When the last group finished the checksum.
+        self.finished = 0.0
+        #: Why the job failed: its analysis error, or the first exception
+        #: one of its groups raised (``None`` while it has not failed).
+        self.error: Optional[BaseException] = None
         self.driver: Optional[DriverCall] = None
         #: The driver's label when the in-kernel driver ran the job.
         self.engine: Optional[str] = None
@@ -209,12 +229,12 @@ class _CachedResponse:
     """A completed response, ready to be copied out to repeat jobs."""
 
     __slots__ = (
-        "analysis", "chunk_sizes", "backend", "engine", "threads", "checksum", "store",
+        "analysis", "plan", "backend", "engine", "threads", "checksum", "store",
     )
 
-    def __init__(self, analysis, chunk_sizes, backend, engine, threads, checksum, store):
+    def __init__(self, analysis, plan, backend, engine, threads, checksum, store):
         self.analysis = analysis
-        self.chunk_sizes = chunk_sizes
+        self.plan = plan
         self.backend = backend
         self.engine = engine
         self.threads = threads
@@ -394,7 +414,7 @@ class Gateway:
             # share its (bit-identical) outcome.
             if self.config.coalesce:
                 leader = self._inflight.get(response_key)
-                if leader is not None and not leader.failed:
+                if leader is not None and leader.error is None:
                     self._coalesced += 1
                     self._followers.setdefault(response_key, []).append(job)
                     return await job.future
@@ -404,21 +424,17 @@ class Gateway:
             prepared = await self._loop.run_in_executor(
                 self._analysis_pool,
                 self._prepare,
-                nest, placement, name, initializer,
+                nest, placement, name,
             )
         except Exception as exc:
-            job.failed = True
-            await self._settle(job, error=exc)
+            job.error = exc
+            await self._settle(job)
             raise
-        (job.analysis, job.transformed, job.plan, job.store,
-         job.chunk_sizes, job.key, groups, job.program_seconds,
-         job.driver) = prepared
+        (job.analysis, job.transformed, job.plan, job.key, groups,
+         job.program_seconds, job.driver) = prepared
+        job.initializer = initializer or self.session.config.initializer
         job.prepared_at = time.perf_counter()
         job.groups_total = len(groups)
-        if not groups:
-            self._complete(job)
-            await self._settle(job)
-            return await job.future
         for group in groups:
             await self._queue.put((job, group))
         return await job.future
@@ -511,14 +527,16 @@ class Gateway:
             initializer or config.initializer,
         )
 
-    def _prepare(self, nest, placement, name, initializer):
+    def _prepare(self, nest, placement, name):
         """Analysis stage (runs on the analysis thread pool).
 
         Reuses the session's cache and program LRU — a structurally warm
         job costs two dict hits — then either hands the whole plan to the
         backend's in-kernel driver or balances its chunks into per-worker
         groups with the executor's telemetry-driven balancer, sized for the
-        gateway's own execution pool.
+        gateway's own execution pool.  A plan without chunks is one
+        whole-plan group, so every job reaches an execution worker.  No
+        cell is touched here: the store is built by the job's first group.
         """
         session = self.session
         analysis = session._analyze_nest(nest, placement=placement, name=name)
@@ -527,14 +545,10 @@ class Gateway:
         program_seconds = time.perf_counter() - program_start
         executor = session.executor
         executor.backend.prepare_plan(transformed, plan)
-        store = store_for_nest(
-            nest, initializer=initializer or session.config.initializer
-        )
-        chunk_sizes = tuple(plan.chunk_sizes())
         driver: Optional[DriverCall] = None
         key: Optional[str] = None
-        groups: List[Optional[Tuple[int, ...]]] = []
-        if chunk_sizes:
+        groups: List[Optional[Tuple[int, ...]]] = [None]
+        if plan.chunk_count:
             # Prefer the in-kernel driver: one native call runs every chunk
             # on at most exec_workers OS threads, so the job becomes a
             # single group and the per-group Python dispatch disappears.
@@ -543,30 +557,30 @@ class Gateway:
             driver = executor.driver_call(transformed, plan, workers=self.config.exec_workers)
             if driver.refusal is not None:
                 driver = None
-        if driver is not None:
-            groups = [None]
-        elif chunk_sizes:
-            key = executor.telemetry_key(transformed, len(chunk_sizes))
-            groups = executor.groups_for(
-                chunk_sizes, key, workers=self.config.exec_workers
-            )
-        return (
-            analysis, transformed, plan, store, chunk_sizes, key, groups,
-            program_seconds, driver,
-        )
+                key = executor.telemetry_key(transformed, plan.chunk_count)
+                groups = executor.groups_for(
+                    plan.chunk_sizes(), key, workers=self.config.exec_workers
+                )
+        return analysis, transformed, plan, key, groups, program_seconds, driver
 
     def _execute_group(self, job: _Job, group: Optional[Tuple[int, ...]]) -> Tuple[float, str]:
         """Execution stage (runs on the execution thread pool).
 
         Executes one chunk group of the job's plan (``None``: the whole
-        plan, run by the in-kernel driver) in place on the job's store and
-        returns ``(seconds, engine label)``.  Concurrent groups of one job
-        share the store without locking — chunks never access a common
-        cell with a write.
+        plan, run by the in-kernel driver when the job has one) in place on
+        the job's store and returns ``(seconds, engine label)``, the
+        seconds being the run alone.  The first of the job's groups to
+        start builds the store (the others wait on the job's lock), and
+        the last to finish sums the checksum.  Concurrent groups of one
+        job share the store without locking — chunks never access a
+        common cell with a write.
         """
+        with job.lock:
+            if job.store is None:
+                job.store = store_for_nest(job.analysis.nest, initializer=job.initializer)
         start = time.perf_counter()
-        if job.driver is not None:
-            # One driver call, as in the executor's native-parallel mode.
+        if group is None:
+            # One call, as in the executor's serial and native-parallel modes.
             label, drove = self.session.executor.execute_whole_plan(
                 job.transformed, job.plan, job.store, job.driver
             )
@@ -576,7 +590,16 @@ class Gateway:
             label = self.session.executor.backend.execute_plan(
                 job.transformed, job.plan, job.store, chunk_indices=group
             )
-        return time.perf_counter() - start, label
+        end = time.perf_counter()
+        with job.lock:
+            job.run_started = min(job.run_started, start)
+            job.run_ended = max(job.run_ended, end)
+            job.groups_run += 1
+            last = job.groups_run == job.groups_total
+        if last:
+            job.checksum = sum(float(array.data.sum()) for array in job.store.values())
+            job.finished = time.perf_counter()
+        return end - start, label
 
     async def _exec_worker(self) -> None:
         while True:
@@ -586,39 +609,42 @@ class Gateway:
                 return
             job, group = item
             try:
-                if not job.failed:
-                    if job.exec_started is None:
-                        job.exec_started = time.perf_counter()
+                if job.error is None:
                     group_elapsed, label = await self._loop.run_in_executor(
                         self._exec_pool, self._execute_group, job, group
                     )
                     job.labels.add(label)
                     if job.key is not None:
+                        sizes = job.plan.chunk_sizes()
                         self.session.executor.telemetry.record_group(
-                            job.key, group,
-                            [job.chunk_sizes[i] for i in group],
-                            group_elapsed,
+                            job.key, group, [sizes[i] for i in group], group_elapsed,
                         )
             except Exception as exc:
-                job.failed = True
-                if not job.future.done():
-                    job.future.set_exception(exc)
+                if job.error is None:
+                    job.error = exc
             finally:
                 self._queue.task_done()
                 job.groups_done += 1
                 if job.groups_done >= job.groups_total:
-                    if not job.failed:
+                    # The job's outcome, success or its first failure,
+                    # reaches the caller once every group has finished.
+                    if job.error is None:
                         self._complete(job)
+                    elif not job.future.done():
+                        job.future.set_exception(job.error)
                     await self._settle(job)
 
     def _complete(self, job: _Job) -> None:
-        """Assemble the job's RunResult and resolve its future."""
+        """Assemble the job's RunResult and resolve its future.
+
+        Timed on the workers: ``elapsed_seconds`` spans the job's runs, and
+        ``setup_seconds`` is everything else after preparation — the wait
+        for a worker, the store init before the first run and the
+        checksum after the last.
+        """
         end = time.perf_counter()
-        elapsed = (end - job.exec_started) if job.exec_started is not None else 0.0
-        setup = (
-            (job.exec_started - job.prepared_at)
-            if job.exec_started is not None else 0.0
-        )
+        elapsed = job.run_ended - job.run_started
+        setup = (job.run_started - job.prepared_at) + (job.finished - job.run_ended)
         # The engine every group ran; the backend's own name when they
         # differ, as in the executor's shared mode.
         job.backend = (
@@ -629,15 +655,14 @@ class Gateway:
             store=job.store,
             mode="gateway",
             workers=self.config.exec_workers,
-            num_chunks=len(job.chunk_sizes),
+            num_chunks=job.plan.chunk_count,
             elapsed_seconds=elapsed,
-            chunk_sizes=job.chunk_sizes,
             backend=job.backend,
             setup_seconds=max(setup, 0.0),
             engine=job.engine,
             threads=job.threads,
+            plan=job.plan,
         )
-        job.checksum = sum(float(array.data.sum()) for array in job.store.values())
         # Executed jobs only (cache hits would drag the estimate toward 0):
         # admission-to-completion is what a queued job actually occupies a
         # slot for, which is what the retry hint needs.
@@ -665,7 +690,7 @@ class Gateway:
         """
         return _CachedResponse(
             analysis=job.analysis,
-            chunk_sizes=job.chunk_sizes,
+            plan=job.plan,
             backend=job.backend,
             engine=job.engine,
             threads=job.threads,
@@ -679,13 +704,13 @@ class Gateway:
             store=response.store.copy(),
             mode="gateway",
             workers=self.config.exec_workers,
-            num_chunks=len(response.chunk_sizes),
+            num_chunks=response.plan.chunk_count,
             elapsed_seconds=0.0,
-            chunk_sizes=response.chunk_sizes,
             backend=response.backend,
             setup_seconds=0.0,
             engine=response.engine,
             threads=response.threads,
+            plan=response.plan,
         )
         return RunResult(
             analysis=response.analysis,
@@ -694,7 +719,7 @@ class Gateway:
             program_seconds=0.0,
         )
 
-    async def _settle(self, job: _Job, error: Optional[BaseException] = None) -> None:
+    async def _settle(self, job: _Job) -> None:
         """Close out one leader job: cache, followers, admission slot.
 
         Runs exactly once per non-coalesced job, on the event loop.  On
@@ -707,7 +732,7 @@ class Gateway:
             if self._inflight.get(job.result_key) is job:
                 del self._inflight[job.result_key]
             followers = self._followers.pop(job.result_key, [])
-        if not job.failed:
+        if job.error is None:
             cacheable = job.result_key is not None and self.config.result_cache > 0
             response = None
             if cacheable or followers:
@@ -721,17 +746,12 @@ class Gateway:
                 if not follower.future.done():
                     follower.future.set_result(self._result_from_response(response))
         else:
-            if error is None and job.future.done():
-                error = job.future.exception()
             for follower in followers:
                 if not follower.future.done():
-                    follower.future.set_exception(
-                        error if error is not None
-                        else ExecutionError("the job this one coalesced with failed")
-                    )
-        await self._finish_job(job, completed=not job.failed)
+                    follower.future.set_exception(job.error)
+        await self._finish_job(job, completed=job.error is None)
         for follower in followers:
-            await self._finish_job(follower, completed=not job.failed)
+            await self._finish_job(follower, completed=job.error is None)
 
     async def _finish_job(self, job: _Job, *, completed: bool) -> None:
         async with self._capacity:

@@ -260,29 +260,24 @@ def _index_sum(lows: Sequence[int], shape: Sequence[int], dtype) -> np.ndarray:
     """Cells holding the sum of their indices.
 
     Bit-identical to summing an int64 ``meshgrid`` of the index ranges and
-    casting to ``dtype``, without the grids: one ``arange`` per axis, added
-    by broadcasting into one ``np.empty`` buffer.  A floating ``dtype``
-    adds in the dtype itself, which is exact while every partial sum stays
-    inside its exact-integer range (``2**53`` for float64); any other
-    window adds in int64 and casts once.
+    casting to ``dtype``, without the grids and without any addition: the
+    window only holds the values ``sum(lows)`` to ``sum(highs)``, so one
+    ``arange`` of them, viewed with a stride of one element on every axis,
+    reads element ``i0 + ... + ik`` at cell ``(i0, ..., ik)``, and one
+    C-order copy of that view is the array.  A floating ``dtype`` counts
+    in the dtype itself, which is exact while every value stays inside its
+    exact-integer range (``2**53`` for float64); any other window counts
+    in int64 and casts once.
     """
     dtype = np.dtype(dtype)
     reach = sum(max(abs(lo), abs(lo + n - 1)) for lo, n in zip(lows, shape))
     exact = dtype.kind == "f" and reach <= 2 ** (np.finfo(dtype).nmant + 1)
     work = dtype if exact else np.dtype(np.int64)
-    ndim = len(shape)
-    axes = [
-        np.arange(lo, lo + n, dtype=work).reshape([n if k == axis else 1 for k in range(ndim)])
-        for axis, (lo, n) in enumerate(zip(lows, shape))
-    ]
-    if ndim == 1:
-        data = axes[0]
-    else:
-        data = np.empty(shape, dtype=work)
-        np.add(axes[0], axes[1], out=data)
-        for axis in axes[2:]:
-            np.add(data, axis, out=data)
-    return data if exact else data.astype(dtype)
+    start = sum(lows)
+    diagonal = np.arange(start, start + sum(shape) - len(shape) + 1, dtype=work)
+    # The view aliases ``diagonal``: every cell must be copied out of it.
+    view = np.ndarray(shape, work, buffer=diagonal, strides=(work.itemsize,) * len(shape))
+    return view.copy() if exact else view.astype(dtype, order="C")
 
 
 def store_for_nest(
@@ -303,15 +298,15 @@ def store_for_nest(
 
     * ``"zeros"`` — all zeros,
     * ``"index_sum"`` — cell value = sum of its indices (deterministic and
-      position dependent, good for catching reordering bugs), written by
-      adding per-axis index ranges into one buffer by broadcasting,
+      position dependent, good for catching reordering bugs), copied out of
+      one range of the window's index sums viewed with unit strides,
     * ``"random"`` — reproducible uniform noise from ``seed``.
     """
     if nest.is_rectangular:
         windows = _closed_form_windows(nest)
     else:
         windows = _scanned_windows(nest)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if initializer == "random" else None
     store = ArrayStore()
     for array, (lows, highs) in windows.items():
         lows = [lo - margin for lo in lows]

@@ -106,11 +106,10 @@ class ExecutionResult:
     overhead (plan preparation, pool spin-up, segment loading); their
     sum ``total_seconds`` is the wall clock of the whole call.
 
-    Runs that size their chunks anyway (``shared`` mode, the gateway) pass
-    ``chunk_sizes``.  Serial and driver runs never size chunks: they pass
-    their ``plan`` instead, ``chunk_sizes`` is computed from it the first
-    time it is read, and ``total_iterations`` is the plan's
-    ``total_iterations``.
+    ``shared`` runs, which size their chunks anyway, pass ``chunk_sizes``.
+    Serial, driver and gateway runs pass their ``plan`` instead:
+    ``chunk_sizes`` is computed from it the first time it is read, and
+    ``total_iterations`` is the plan's ``total_iterations``.
     """
 
     def __init__(
@@ -143,7 +142,7 @@ class ExecutionResult:
         self.engine = engine
         #: Effective OS-thread count of an in-kernel parallel run (0 otherwise).
         self.threads = threads
-        #: The plan a serial or driver run executed (``None`` otherwise).
+        #: The plan a serial, driver or gateway run executed (``None`` otherwise).
         self.plan = plan
         self._chunk_sizes = None if chunk_sizes is None else tuple(chunk_sizes)
 

@@ -18,15 +18,21 @@ through ``asyncio.run``.
 """
 
 import asyncio
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import repro.gateway.gateway as gateway_module
 from repro.api import Session
 from repro.codegen import native as native_codegen
 from repro.exceptions import ExecutionError, GatewayOverloaded, WorkloadError
 from repro.gateway import Gateway, GatewayConfig, GatewayStats, serve
+from repro.runtime.arrays import ArrayStore
 from repro.workloads.paper_examples import example_4_1, example_4_2
+from repro.workloads.suite import workload_suite
 from repro.workloads.synthetic import variable_distance_loop
 
 TIMEOUT = 30.0
@@ -610,6 +616,36 @@ class TestFailuresAndDrain:
         assert stats.completed == 1
         assert follow_up.checksum == expected
 
+    def test_cancelled_caller_of_a_failing_job_frees_its_slot(self):
+        # The caller gives up while the job runs, then the job fails: the
+        # job must still settle, or ``aclose`` would wait for it forever.
+        nest = example_4_1(8)
+        with Session(backend="compiled") as session:
+
+            async def main():
+                gateway = Gateway(session, exec_workers=2)
+                async with gateway:
+                    started = threading.Event()
+                    release = threading.Event()
+
+                    def exploding(job, group):
+                        started.set()
+                        release.wait(TIMEOUT)
+                        raise RuntimeError("injected group failure")
+
+                    gateway._execute_group = exploding
+                    caller = asyncio.ensure_future(gateway.submit(nest))
+                    while not started.is_set():
+                        await asyncio.sleep(0.01)
+                    caller.cancel()
+                    with pytest.raises(asyncio.CancelledError):
+                        await caller
+                    release.set()
+                return gateway.stats()
+
+            stats = run_async(main())
+        assert (stats.pending, stats.failed, stats.completed) == (0, 1, 0)
+
     def test_aclose_drains_in_flight_jobs(self):
         gate = _Gate()
         nest = example_4_1(8)
@@ -747,3 +783,172 @@ class TestEngineLabels:
         assert expected.num_chunks == 4
         assert expected.backend == "compiled"
         assert actual.backend == expected.backend
+
+
+# --------------------------------------------------------------------------- #
+# per-cell work: store init and checksum on the execution workers
+# --------------------------------------------------------------------------- #
+#: Rationally feasible, so it analyzes and plans, but no integer point meets
+#: all three levels' bounds: a plan without chunks.
+ZERO_ITERATIONS = (
+    "loop i1 = 0 .. 1\nloop i2 = 2*i1 - 1 .. 1 - 2*i1\nloop i3 = 1 .. 2*i1\n"
+    "A[i1, i2, i3] = A[i1, i2, i3 - 1] + 1.0"
+)
+
+#: (backend, mode) of a session whose jobs run as per-worker groups, and of
+#: one whose jobs are single in-kernel driver calls.
+SESSIONS = [
+    pytest.param("compiled", "serial", id="groups"),
+    pytest.param(
+        "native", "native-parallel", id="driver",
+        marks=pytest.mark.skipif(
+            native_codegen.resolve_engine() is None, reason="no native engine"
+        ),
+    ),
+]
+
+
+class _StoreProbe:
+    """Stands in for the gateway module's ``store_for_nest``: records the
+    thread that builds each store and every thread that sums one (through
+    the store's ``values``), each after sleeping ``delay`` seconds."""
+
+    def __init__(self, monkeypatch, delay: float = 0.0):
+        self.stores = []
+        build = gateway_module.store_for_nest
+
+        class RecordingStore(ArrayStore):
+            def values(self):
+                self.sum_threads.append(threading.current_thread().name)
+                time.sleep(delay)
+                return super().values()
+
+        def recording_store_for_nest(nest, **options):
+            time.sleep(delay)
+            store = RecordingStore(build(nest, **options))
+            store.init_thread = threading.current_thread().name
+            store.sum_threads = []
+            self.stores.append(store)
+            return store
+
+        monkeypatch.setattr(gateway_module, "store_for_nest", recording_store_for_nest)
+
+
+def _serve_fresh(session, sources, **config):
+    """Results and final stats of ``sources`` through a cache-free gateway."""
+
+    async def main():
+        async with Gateway(
+            session, result_cache=0, coalesce=False, **config
+        ) as gateway:
+            results = await gateway.map(sources)
+            return results, gateway.stats()
+
+    return run_async(main())
+
+
+class TestStorePlacement:
+    """A job's first group to start builds its store and its last group to
+    finish sums the checksum, on ``gateway-exec`` threads; results, errors
+    and stats stay those of ``Session.run``."""
+
+    @pytest.mark.parametrize("backend, mode", SESSIONS)
+    def test_store_init_and_checksum_run_on_exec_workers(self, backend, mode, monkeypatch):
+        nests = [example_4_1(8), variable_distance_loop(8), ZERO_ITERATIONS]
+        with Session(backend=backend, mode=mode, workers=2) as session:
+            expected = [session.run(nest) for nest in nests]
+            probe = _StoreProbe(monkeypatch)
+            results, _ = _serve_fresh(session, nests, exec_workers=2)
+        assert sorted(id(result.store) for result in results) == sorted(map(id, probe.stores))
+        for store in probe.stores:
+            assert store.init_thread.startswith("gateway-exec")
+            assert len(store.sum_threads) == 1
+            assert store.sum_threads[0].startswith("gateway-exec")
+        for result, reference in zip(results, expected):
+            assert result.checksum == reference.checksum
+            assert result.store.identical(reference.store)
+
+    @pytest.mark.parametrize("backend, mode", SESSIONS)
+    def test_unknown_initializer_fails_like_session_run(self, backend, mode):
+        nest = example_4_1(8)
+        with Session(backend=backend, mode=mode, workers=2) as session:
+            with pytest.raises(ExecutionError) as expected:
+                session.run(nest, initializer="bogus")
+
+            async def main():
+                async with Gateway(
+                    session, exec_workers=2, result_cache=0, coalesce=False
+                ) as gateway:
+                    with pytest.raises(ExecutionError) as raised:
+                        await gateway.submit(nest, initializer="bogus")
+                    failed = gateway.stats()
+                    served = await gateway.submit(nest)
+                    return raised.value, failed, served
+
+            error, failed, served = run_async(main())
+            reference = session.run(nest)
+        assert type(error) is type(expected.value)
+        assert str(error) == str(expected.value)
+        assert (failed.pending, failed.failed, failed.completed) == (0, 1, 0)
+        assert served.checksum == reference.checksum
+
+    @pytest.mark.parametrize(
+        "backend, mode", SESSIONS + [pytest.param("vectorized", "serial", id="vectorized")]
+    )
+    def test_zero_iteration_nest_matches_session_run(self, backend, mode):
+        with Session(backend=backend, mode=mode, workers=2) as session:
+            expected = session.run(ZERO_ITERATIONS)
+            (result,), stats = _serve_fresh(session, [ZERO_ITERATIONS], exec_workers=2)
+        assert expected.num_chunks == 0 and len(expected.store) == 0
+        assert (result.num_chunks, result.checksum, result.backend) == (
+            expected.num_chunks, expected.checksum, expected.backend
+        )
+        assert len(result.store) == 0 and result.execution.chunk_sizes == ()
+        assert (stats.completed, stats.failed, stats.pending) == (1, 0, 0)
+
+    def test_vectorized_group_jobs_stay_bit_identical(self):
+        nests = [case.nest for case in workload_suite(8)]
+        with Session(backend="vectorized") as session:
+            expected = [session.run(nest) for nest in nests]
+            results, stats = _serve_fresh(session, nests, exec_workers=2)
+            observations = session.stats().telemetry_observations
+        # Each job ran (and recorded) one group per worker it could use.
+        assert observations == sum(min(2, r.num_chunks) for r in expected)
+        assert stats.completed == len(nests)
+        for result, reference in zip(results, expected):
+            assert result.checksum == reference.checksum
+            assert result.store.identical(reference.store)
+
+    def test_setup_seconds_hold_store_init_and_checksum(self, monkeypatch):
+        delay = 0.1
+        with Session(backend="compiled") as session:
+            _StoreProbe(monkeypatch, delay=delay)
+            (result,), _ = _serve_fresh(session, [example_4_1(8)], exec_workers=2)
+        # Store init and the checksum each slept ``delay`` on a worker: that
+        # is set-up; ``elapsed`` is the run alone.
+        assert result.setup_seconds >= 2 * delay - 1e-3
+        assert result.execute_seconds < delay
+
+    def test_concurrent_groups_build_and_sum_each_store_once(self, monkeypatch):
+        # More workers than cores and a short switch interval: a lost update
+        # of a job's lock-guarded state would build its store twice, or sum
+        # it zero or two times.
+        nest = example_4_1(8)
+        jobs = 12
+        with Session(backend="compiled") as session:
+            expected = session.run(nest)
+            probe = _StoreProbe(monkeypatch)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                results, stats = _serve_fresh(session, [nest] * jobs, exec_workers=8)
+            finally:
+                sys.setswitchinterval(interval)
+            observations = session.stats().telemetry_observations
+        assert observations == 8 * jobs  # every job ran as 8 concurrent groups
+        assert stats.completed == jobs
+        assert sorted(id(result.store) for result in results) == sorted(map(id, probe.stores))
+        assert all(len(store.sum_threads) == 1 for store in probe.stores)
+        for result in results:
+            assert result.checksum == expected.checksum
+            assert result.store.identical(expected.store)

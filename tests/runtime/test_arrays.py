@@ -184,8 +184,9 @@ class TestStoreForNest:
 
 
 class TestStoreInit:
-    """``index_sum`` adds per-axis ranges by broadcasting; every initializer
-    keeps the contents of the int64 ``meshgrid`` and zero-fill reference."""
+    """``index_sum`` is one C-order copy of the window's range of index sums
+    viewed with unit strides; every initializer keeps the contents of the
+    int64 ``meshgrid`` and zero-fill reference."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -238,6 +239,47 @@ class TestStoreInit:
         highs = [lo + n - 1 for lo, n in zip(array.origin, array.shape)]
         assert_same_bits(array.data, meshgrid_index_sum(array.origin, highs))
 
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "dtype, low",
+        [
+            (np.float64, -7),
+            (np.float32, -7),
+            # Past the exact range (and not floating): counts in int64.
+            (np.float64, 2**53),
+            (np.float32, 2**24),
+            (np.int64, -7),
+        ],
+        ids=["float64", "float32", "float64-int64-path", "float32-int64-path", "int64"],
+    )
+    def test_fill_is_a_fresh_array(self, ndim, dtype, low):
+        lows = [low + k for k in range(ndim)]
+        shape = (3, 4, 2, 5)[:ndim]
+        highs = [lo + n - 1 for lo, n in zip(lows, shape)]
+        data = _index_sum(lows, shape, dtype)
+        expected = meshgrid_index_sum(lows, highs, dtype)
+        assert_same_bits(data, expected)
+        assert data.base is None and data.flags.owndata
+        assert data.flags.c_contiguous and data.flags.writeable
+        # In the strided view, cells with equal index sums share one
+        # element; in the array, writing one cell changes that cell only.
+        cell = (0,) * (ndim - 1) + (1,)
+        data[cell] = expected[cell] = -expected[cell] - 1
+        assert_same_bits(data, expected)
+
+    def test_rng_built_only_for_random(self, monkeypatch):
+        seeds = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: seeds.append(seed) or default_rng(seed)
+        )
+        nest = example_4_2(6)
+        for initializer in ("index_sum", "zeros", None):
+            store_for_nest(nest, initializer=initializer)
+        assert seeds == []
+        store_for_nest(nest, initializer="random", seed=5)
+        assert seeds == [5]
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_zeros_and_random_unchanged(self, dtype):
         for case in workload_suite(7):
@@ -254,69 +296,6 @@ class TestStoreInit:
     def test_arrays_present(self, ex41_small):
         store = store_for_nest(ex41_small)
         assert set(store.keys()) == {"A"}
-
-
-class TestScannedWindows:
-    """Non-rectangular nests scan every level but the innermost; the
-    windows, and the order arrays enter the store, equal enumeration's."""
-
-    def test_triangular_wavefront_example(self):
-        nest = parse_loop_file(str(EXAMPLE_LOOPS / "triangular_wavefront.loop"))
-        assert not nest.is_rectangular
-        assert _scanned_windows(nest) == enumerated_windows(nest)
-
-    @pytest.mark.parametrize(
-        "make_nest",
-        [
-            # i2 runs 3 - i1 .. i1 - 3: empty for every i1 < 3.
-            lambda: (
-                loop_nest("hourglass")
-                .loop("i1", 0, 8)
-                .loop("i2", "3 - i1", "i1 - 3")
-                .statement("A[i1, 2*i2 - i1] = B[i2 + i1] + A[i1 - 1, -i2]")
-                .build()
-            ),
-            # The middle level is empty for some prefixes, the inner one
-            # for others.
-            lambda: (
-                loop_nest("gappy")
-                .loop("i1", -2, 5)
-                .loop("i2", "i1 - 1", "4 - i1")
-                .loop("i3", "i2", "2*i1 - i2")
-                .statement("C[i3 - i1, i2] = C[i1 + i3, -i2] * 0.5 + D[i3]")
-                .build()
-            ),
-            # Every prefix is empty: no arrays at all.
-            lambda: (
-                loop_nest("void")
-                .loop("i1", 0, 4)
-                .loop("i2", "i1 + 1", "i1")
-                .statement("A[i1, i2] = A[i1, i2 - 1] + 1.0")
-                .build()
-            ),
-        ],
-        ids=["hourglass", "gappy", "void"],
-    )
-    def test_empty_inner_ranges(self, make_nest):
-        nest = make_nest()
-        assert not nest.is_rectangular
-        windows = _scanned_windows(nest)
-        assert windows == enumerated_windows(nest)
-        assert list(windows) == list(enumerated_windows(nest))
-        assert list(store_for_nest(nest)) == list(windows)
-
-    def test_large_triangle_builds_without_enumeration(self):
-        nest = (
-            loop_nest("triangle")
-            .loop("i1", 0, 1023)
-            .loop("i2", 0, "i1")
-            .statement("A[i1, i2] = A[i1 - 2, i2] + 1.0")
-            .build()
-        )
-        started = time.perf_counter()
-        store = store_for_nest(nest, initializer="zeros")
-        assert time.perf_counter() - started < 2.0
-        assert store["A"].origin == (-6, -4) and store["A"].shape == (1034, 1032)
 
 
 class TestClosedFormWindows:
