@@ -3,7 +3,7 @@
 The claim is that running the parallel-for over chunks *inside* the
 compiled kernel beats both remaining dispatch strategies.  The driver and
 the thread-pool arm run the ranges the executor gives the driver
-(``ParallelExecutor.driver_call``): the plan's chunk order cut into
+(``ParallelExecutor.driver_ranges``): the plan's chunk order cut into
 contiguous ranges of near-equal work, one per thread.
 
 * ``parallel_vs_serial_native`` — the in-kernel driver at 4 OS threads vs
@@ -73,24 +73,23 @@ def measure(n: int = SPEEDUP_N, threads: int = THREADS, repetitions: int = 5):
     execute_nest(nest, reference)
 
     backend = NativeBackend()
-    call = ParallelExecutor(
-        mode="native-parallel", workers=threads, backend=backend
-    ).driver_call(transformed, plan)
-    if call.refusal is not None:
+    executor = ParallelExecutor(mode="native-parallel", workers=threads, backend=backend)
+    if backend.parallel_plan_refusal(transformed, plan) is not None:
         return {"engine": engine, "parallel_driver": None}
+    starts = executor.driver_ranges(plan)
     program = native_codegen.native_program_for(transformed)
     packed = native_codegen.packed_ranges_for(plan)
     n_chunks = packed.n_chunks
     groups = [
         native_codegen.packed_ranges_for(plan, range(first, end))
-        for first, end in zip(call.starts[:-1].tolist(), call.starts[1:].tolist())
+        for first, end in zip(starts[:-1].tolist(), starts[1:].tolist())
     ]
 
     # Warm every path once before timing.
     serial_store = base.copy()
     backend.execute_plan(transformed, plan, serial_store)
     parallel_store = base.copy()
-    driver = backend.execute_plan_parallel(transformed, plan, parallel_store, call.starts)
+    driver = backend.execute_plan_parallel(transformed, plan, parallel_store, starts)
     assert driver is not None, "support probe passed but the driver refused"
     assert reference.identical(serial_store), "serial native differs from interpreter"
     assert reference.identical(parallel_store), "parallel driver differs from interpreter"
@@ -109,7 +108,7 @@ def measure(n: int = SPEEDUP_N, threads: int = THREADS, repetitions: int = 5):
         lambda store: program.execute(store, packed)
     )
     parallel_seconds = _best(
-        lambda store: program.execute_parallel(store, packed, call.starts)
+        lambda store: program.execute_parallel(store, packed, starts)
     )
 
     # Thread-pool dispatch: the same warm kernel on the same ranges, but
@@ -133,7 +132,7 @@ def measure(n: int = SPEEDUP_N, threads: int = THREADS, repetitions: int = 5):
         "engine": engine,
         "parallel_driver": driver,
         "size": n,
-        "threads": call.threads,
+        "threads": len(starts) - 1,
         "iterations": plan.total_iterations,
         "num_chunks": n_chunks,
         "cpu_count": os.cpu_count() or 1,

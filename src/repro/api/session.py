@@ -78,6 +78,24 @@ VERIFICATION_POLICIES: Tuple[str, ...] = ("never", "always")
 _PROGRAM_CACHE_SIZE = 16
 
 
+class _Program:
+    """One entry of the session's program LRU.
+
+    The transformed nest and its (optimized) plan, plus the in-kernel
+    driver decision once :meth:`Session._probe_driver` has made it:
+    ``driver_refusal`` is why the backend's driver cannot run the plan
+    (``None``: it can), meaningful only when ``probed``.
+    """
+
+    __slots__ = ("transformed", "plan", "probed", "driver_refusal")
+
+    def __init__(self, transformed: TransformedLoopNest, plan: ExecutionPlan):
+        self.transformed = transformed
+        self.plan = plan
+        self.probed = False
+        self.driver_refusal: Optional[str] = None
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """Everything a :class:`Session` needs to serve requests.
@@ -226,9 +244,7 @@ class Session:
         self._plan_pipeline: Optional[PlanPassManager] = (
             build_plan_pipeline(plan_passes) if plan_passes else None
         )
-        self._programs: (
-            "OrderedDict[Tuple[str, str], Tuple[TransformedLoopNest, ExecutionPlan]]"
-        ) = OrderedDict()
+        self._programs: "OrderedDict[Tuple[str, str], _Program]" = OrderedDict()
         self._lock = threading.Lock()
         self._analyses = 0
         self._runs = 0
@@ -338,7 +354,7 @@ class Session:
         nest = resolve_source(source, name=name, n=n)
         analysis = self._analyze_nest(nest, placement=placement, name=name)
         program_start = time.perf_counter()
-        transformed, plan = self._program_for(nest, analysis.report)
+        program = self._program_for(nest, analysis.report)
         program_seconds = time.perf_counter() - program_start
         if store is None:
             store = store_for_nest(nest, initializer=initializer or self.config.initializer)
@@ -346,7 +362,7 @@ class Session:
         # Snapshot the initial contents before execution mutates them: the
         # reference run must start from the same values.
         reference = store.copy() if check else None
-        execution = self.executor.run(transformed, store, plan=plan)
+        execution = self.executor.run(program.transformed, store, plan=program.plan)
         max_abs_difference: Optional[float] = None
         if reference is not None:
             execute_nest(nest, reference)
@@ -455,10 +471,8 @@ class Session:
             analysis_seconds=seconds,
         )
 
-    def _program_for(
-        self, nest: LoopNest, report: ParallelizationReport
-    ) -> Tuple[TransformedLoopNest, ExecutionPlan]:
-        """The nest's (transformed nest, symbolic plan), warm across calls.
+    def _program_for(self, nest: LoopNest, report: ParallelizationReport) -> _Program:
+        """The nest's program (transformed nest, symbolic plan), warm across calls.
 
         Keyed by the nest's rendered source + placement: identical text
         means identical names *and* structure, so reusing the transformed
@@ -471,19 +485,61 @@ class Session:
         """
         key = (str(nest), report.placement)
         with self._lock:
-            entry = self._programs.get(key)
-            if entry is not None:
+            program = self._programs.get(key)
+            if program is not None:
                 self._programs.move_to_end(key)
-                return entry
+                return program
         transformed = TransformedLoopNest.from_report(report)
         plan = transformed.execution_plan()
         if self._plan_pipeline is not None:
             # The optimized plan is what gets cached and dispatched; the
             # passes are bit-exact rewrites, so consumers need no opt-out.
             plan = self._plan_pipeline.optimize([plan], (transformed,)).plans[0]
+        program = _Program(transformed, plan)
         with self._lock:
-            self._programs[key] = (transformed, plan)
+            self._programs[key] = program
             self._programs.move_to_end(key)
             while len(self._programs) > _PROGRAM_CACHE_SIZE:
                 self._programs.popitem(last=False)
-        return transformed, plan
+        return program
+
+    def _probe_driver(self, program: _Program) -> Optional[str]:
+        """Make the program's in-kernel driver decision once; returns it.
+
+        Prepares the plan (the native backend compiles its kernel here) and
+        asks the executor's backend whether its driver runs the plan.  The
+        answer depends only on the program, so it is kept on the entry.
+        """
+        if not program.probed:
+            backend = self.executor.backend
+            backend.prepare_plan(program.transformed, program.plan)
+            program.driver_refusal = backend.parallel_plan_refusal(
+                program.transformed, program.plan
+            )
+            program.probed = True
+        return program.driver_refusal
+
+    def _warm_program(
+        self, nest: LoopNest, *, placement: Optional[str], name: Optional[str]
+    ) -> Optional[Tuple[AnalysisResult, _Program, float]]:
+        """``(analysis, program, program seconds)`` of a nest served without
+        analyzing, planning or compiling; ``None`` when anything is missing.
+
+        Warm means the program LRU holds the nest's entry with its driver
+        decision made, and the analysis cache still holds its analysis:
+        the analysis is then the cache's usual hit (rebound report, hit
+        counted).  Never builds anything, short of an eviction from the
+        analysis cache by another thread between its check and its hit.
+        """
+        placement = placement or self.config.placement
+        program_start = time.perf_counter()
+        key = (str(nest), placement)
+        with self._lock:
+            program = self._programs.get(key)
+            if program is None or not program.probed:
+                return None
+            self._programs.move_to_end(key)
+        program_seconds = time.perf_counter() - program_start
+        if self._cache is None or not self._cache.holds(nest, placement):
+            return None
+        return self._analyze_nest(nest, placement=placement, name=name), program, program_seconds

@@ -208,6 +208,13 @@ class AnalysisCache:
         """
         return f"{canonical_hash(nest)}:{placement}"
 
+    def holds(self, nest: LoopNest, placement: str = "outer") -> bool:
+        """Whether :meth:`analyze` would answer ``nest`` from memory.
+
+        Counts nothing and never consults the disk tier.
+        """
+        return self.key_for(nest, placement) in self._entries
+
     def analyze(
         self, nest: LoopNest, placement: str = "outer"
     ) -> Tuple[ParallelizationReport, bool]:

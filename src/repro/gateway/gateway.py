@@ -10,10 +10,20 @@ front-end:
   :meth:`Gateway.submit` either waits for capacity (``wait=True``) or
   rejects immediately with :class:`~repro.exceptions.GatewayOverloaded`
   carrying the queue statistics at rejection time;
-* **analysis/planning overlaps execution** — each admitted job's analysis
-  and program construction run on a small thread pool *off* the event loop,
-  while previously admitted jobs' chunk groups execute on the execution
-  pool; a steady stream keeps both stages busy at once;
+* **warm jobs are prepared inline, cold ones off the loop** — a job whose
+  program the session already holds (its program LRU entry, with the
+  in-kernel driver decision made, and its analysis in the analysis cache)
+  is prepared on the event loop: a cache hit and two lookups, no thread
+  hand-off.  Only a job that would analyze, plan or compile goes to a
+  small thread pool *off* the event loop, overlapped with the execution
+  of earlier jobs' chunk groups;
+* **a job's driver runs on the cores other jobs leave free** — the width
+  of an in-kernel driver call is decided on the execution worker as the
+  job starts: ``exec_workers`` less the threads the gateway's other
+  running jobs hold (one per busy worker, plus a driver call's further
+  ranges), at least one.  A job that runs alone gets every core, and
+  concurrent jobs split them instead of oversubscribing them (a job left
+  with one thread runs the serial kernel);
 * **a job's store is built and summed on its execution workers** — the
   first of a job's groups to start builds the store just before its
   kernel, and the last to finish sums the checksum just after, so neither
@@ -71,7 +81,7 @@ from repro.api.session import Session
 from repro.exceptions import ExecutionError, GatewayOverloaded, WorkloadError
 from repro.loopnest.canonical import canonical_hash
 from repro.runtime.arrays import store_for_nest
-from repro.runtime.executor import DriverCall, ExecutionResult
+from repro.runtime.executor import ExecutionResult
 
 __all__ = ["GatewayConfig", "GatewayStats", "Gateway", "serve"]
 
@@ -176,15 +186,17 @@ class _Job:
 
     The event loop owns it, except for what its groups write on the
     execution workers: the store (built by the first group to start, under
-    ``lock``), the run interval and ``groups_run`` (under ``lock``), and
-    the checksum and ``finished`` (by the last group to finish).
+    ``lock``), the run interval and ``groups_run`` (under ``lock``), the
+    driver's ``threads`` and ``engine``, and the checksum and ``finished``
+    (by the last group to finish).
     """
 
     __slots__ = (
         "future", "analysis", "transformed", "plan", "initializer", "store",
         "key", "result_key", "checksum", "groups_total", "groups_done", "groups_run",
         "lock", "program_seconds", "prepared_at", "run_started", "run_ended",
-        "finished", "error", "admitted_at", "driver", "engine", "labels", "backend",
+        "finished", "error", "admitted_at", "driver", "threads", "engine", "labels",
+        "backend",
     )
 
     def __init__(self, future: "asyncio.Future[RunResult]"):
@@ -212,17 +224,16 @@ class _Job:
         #: Why the job failed: its analysis error, or the first exception
         #: one of its groups raised (``None`` while it has not failed).
         self.error: Optional[BaseException] = None
-        self.driver: Optional[DriverCall] = None
+        #: Whether the backend's in-kernel driver runs the whole plan.
+        self.driver = False
+        #: The chunk ranges the driver ran, one OS thread each (0 otherwise).
+        self.threads = 0
         #: The driver's label when the in-kernel driver ran the job.
         self.engine: Optional[str] = None
         #: The engine labels the job's groups returned.
         self.labels: Set[str] = set()
         #: The engine the result reports (set on completion).
         self.backend = ""
-
-    @property
-    def threads(self) -> int:
-        return self.driver.threads if self.engine else 0
 
 
 class _CachedResponse:
@@ -276,9 +287,13 @@ class Gateway:
         self.config = config
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._queue: Optional[asyncio.Queue] = None
-        self._capacity: Optional[asyncio.Condition] = None
+        self._slot_freed: Optional[asyncio.Event] = None
         self._idle: Optional[asyncio.Event] = None
         self._workers: List[asyncio.Task] = []
+        # Admission work that outlives its caller's wait: cold jobs'
+        # preparation and queueing, and groups waiting for queue space.
+        self._tasks: Set[asyncio.Task] = set()
+        self._putting = 0
         self._analysis_pool: Optional[ThreadPoolExecutor] = None
         self._exec_pool: Optional[ThreadPoolExecutor] = None
         self._started = False
@@ -293,6 +308,10 @@ class Gateway:
         # EWMA of executed jobs' admission-to-completion seconds; feeds the
         # retry_after_hint attached to overload rejections.
         self._service_ewma = 0.0
+        # Threads held by the execution workers' running jobs: one per
+        # worker, plus a driver call's further ranges.
+        self._threads_held = 0
+        self._threads_lock = threading.Lock()
         # Event-loop private: response LRU, in-flight leaders, and the
         # followers parked on each leader (all keyed by the response key).
         self._responses: "OrderedDict[Tuple, _CachedResponse]" = OrderedDict()
@@ -309,7 +328,7 @@ class Gateway:
             return
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue(maxsize=self.config.queue_depth)
-        self._capacity = asyncio.Condition()
+        self._slot_freed = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
         self._analysis_pool = ThreadPoolExecutor(
@@ -377,8 +396,8 @@ class Gateway:
         ``Session.run``.
         """
         self._ensure_started()
-        async with self._capacity:
-            if not wait and self._pending >= self.config.max_pending:
+        if self._pending >= self.config.max_pending:
+            if not wait:
                 self._rejected += 1
                 raise GatewayOverloaded(
                     f"gateway at admission capacity "
@@ -387,18 +406,21 @@ class Gateway:
                     retry_after_hint=self.retry_after_hint(),
                 )
             while self._pending >= self.config.max_pending:
-                await self._capacity.wait()
+                self._slot_freed.clear()
+                await self._slot_freed.wait()
                 if self._closed:
                     raise ExecutionError("the gateway closed while waiting")
-            self._pending += 1
-            self._submitted += 1
-            self._idle.clear()
+        # Admitted: from here on every path settles the job, including a
+        # caller that stops waiting (its job runs on, its result dropped).
+        self._pending += 1
+        self._submitted += 1
+        self._idle.clear()
         job = _Job(self._loop.create_future())
         try:
             nest = resolve_source(source, name=name, n=n)
             response_key = self._response_key(nest, placement, initializer)
         except Exception:
-            await self._finish_job(job, completed=False)
+            self._finish_job(job, completed=False)
             raise
         if response_key is not None:
             # Hot path 1: a finished identical job is cached — answer with
@@ -407,9 +429,9 @@ class Gateway:
             if cached is not None:
                 self._responses.move_to_end(response_key)
                 self._result_hits += 1
-                job.future.set_result(self._result_from_response(cached))
-                await self._finish_job(job, completed=True)
-                return await job.future
+                result = self._result_from_response(cached)
+                self._finish_job(job, completed=True)
+                return result
             # Hot path 2: an identical job is in flight — park on it and
             # share its (bit-identical) outcome.
             if self.config.coalesce:
@@ -420,23 +442,19 @@ class Gateway:
                     return await job.future
             self._inflight[response_key] = job
             job.result_key = response_key
+        job.initializer = initializer or self.session.config.initializer
         try:
-            prepared = await self._loop.run_in_executor(
-                self._analysis_pool,
-                self._prepare,
-                nest, placement, name,
-            )
+            prepared = self._prepare_warm(nest, placement, name)
         except Exception as exc:
             job.error = exc
-            await self._settle(job)
+            self._settle(job)
             raise
-        (job.analysis, job.transformed, job.plan, job.key, groups,
-         job.program_seconds, job.driver) = prepared
-        job.initializer = initializer or self.session.config.initializer
-        job.prepared_at = time.perf_counter()
-        job.groups_total = len(groups)
-        for group in groups:
-            await self._queue.put((job, group))
+        if prepared is None:
+            # Cold: analysis, planning and compiling run on the analysis
+            # pool, never on the event loop.
+            self._spawn(self._prepare_cold(job, nest, placement, name))
+        else:
+            self._queue_groups(job, self._start_job(job, prepared))
         return await job.future
 
     async def map(
@@ -528,40 +546,105 @@ class Gateway:
         )
 
     def _prepare(self, nest, placement, name):
-        """Analysis stage (runs on the analysis thread pool).
+        """Cold preparation stage (runs on the analysis thread pool).
 
-        Reuses the session's cache and program LRU — a structurally warm
-        job costs two dict hits — then either hands the whole plan to the
-        backend's in-kernel driver or balances its chunks into per-worker
-        groups with the executor's telemetry-driven balancer, sized for the
-        gateway's own execution pool.  A plan without chunks is one
-        whole-plan group, so every job reaches an execution worker.  No
-        cell is touched here: the store is built by the job's first group.
+        Analyzes through the session's cache, builds or reuses the
+        session's program, and makes the program's in-kernel driver
+        decision once (the probe compiles the kernel and builds the plan's
+        tables — analysis-stage work, exactly where it belongs), then
+        groups the job as :meth:`_job_groups` does.  Returns what
+        :meth:`_start_job` reads.
         """
         session = self.session
         analysis = session._analyze_nest(nest, placement=placement, name=name)
         program_start = time.perf_counter()
-        transformed, plan = session._program_for(nest, analysis.report)
+        program = session._program_for(nest, analysis.report)
         program_seconds = time.perf_counter() - program_start
-        executor = session.executor
-        executor.backend.prepare_plan(transformed, plan)
-        driver: Optional[DriverCall] = None
-        key: Optional[str] = None
-        groups: List[Optional[Tuple[int, ...]]] = [None]
-        if plan.chunk_count:
-            # Prefer the in-kernel driver: one native call runs every chunk
-            # on at most exec_workers OS threads, so the job becomes a
-            # single group and the per-group Python dispatch disappears.
-            # The probe compiles the kernel and builds the plan's tables —
-            # analysis-stage work, exactly where it belongs.
-            driver = executor.driver_call(transformed, plan, workers=self.config.exec_workers)
-            if driver.refusal is not None:
-                driver = None
-                key = executor.telemetry_key(transformed, plan.chunk_count)
-                groups = executor.groups_for(
-                    plan.chunk_sizes(), key, workers=self.config.exec_workers
-                )
-        return analysis, transformed, plan, key, groups, program_seconds, driver
+        session._probe_driver(program)
+        return analysis, program, program_seconds, self._job_groups(program)
+
+    def _prepare_warm(self, nest, placement, name):
+        """Inline preparation of a warm job (on the event loop), or ``None``.
+
+        The session's warm lookup answers without analyzing, planning or
+        compiling — the analysis cache's hit plus the program LRU entry
+        with its driver decision — or not at all, and the job then goes to
+        :meth:`_prepare`.
+        """
+        warm = self.session._warm_program(nest, placement=placement, name=name)
+        if warm is None:
+            return None
+        analysis, program, program_seconds = warm
+        return analysis, program, program_seconds, self._job_groups(program)
+
+    def _job_groups(self, program):
+        """``(telemetry key, groups)`` of one job of ``program``.
+
+        A plan the in-kernel driver runs, or one without chunks, is one
+        whole-plan group (``None``), so every job reaches an execution
+        worker.  Otherwise the executor's balancer splits the chunks into
+        per-worker groups for the gateway's execution pool, weighted by
+        measured costs once the program's telemetry is warm, so they are
+        recomputed for every job.  No cell is touched here: the store is
+        built by the job's first group.
+        """
+        plan = program.plan
+        if not plan.chunk_count or program.driver_refusal is None:
+            return None, [None]
+        executor = self.session.executor
+        key = executor.telemetry_key(program.transformed, plan.chunk_count)
+        return key, executor.groups_for(
+            plan.chunk_sizes(), key, workers=self.config.exec_workers
+        )
+
+    def _start_job(self, job: _Job, prepared) -> List[Optional[Tuple[int, ...]]]:
+        """Record a prepared job's program on it; returns its groups."""
+        job.analysis, program, job.program_seconds, (job.key, groups) = prepared
+        job.transformed, job.plan = program.transformed, program.plan
+        job.driver = bool(job.plan.chunk_count) and program.driver_refusal is None
+        job.prepared_at = time.perf_counter()
+        job.groups_total = len(groups)
+        return groups
+
+    async def _prepare_cold(self, job: _Job, nest, placement, name) -> None:
+        """A cold job's preparation and queueing, as a task of its own."""
+        try:
+            prepared = await self._loop.run_in_executor(
+                self._analysis_pool, self._prepare, nest, placement, name
+            )
+        except Exception as exc:
+            job.error = exc
+            if not job.future.done():
+                job.future.set_exception(exc)
+            self._settle(job)
+            return
+        await self._put_groups(job, self._start_job(job, prepared))
+
+    def _queue_groups(self, job: _Job, groups) -> None:
+        """Queue a job's groups now, or from a task once the queue has room.
+
+        Groups already waiting for room keep their place: a new job queues
+        behind them.
+        """
+        for index, group in enumerate(groups):
+            if self._putting or self._queue.full():
+                self._spawn(self._put_groups(job, groups[index:]))
+                return
+            self._queue.put_nowait((job, group))
+
+    async def _put_groups(self, job: _Job, groups) -> None:
+        self._putting += 1
+        try:
+            for group in groups:
+                await self._queue.put((job, group))
+        finally:
+            self._putting -= 1
+
+    def _spawn(self, coroutine) -> None:
+        """Run ``coroutine`` as a task the gateway holds until it ends."""
+        task = self._loop.create_task(coroutine)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     def _execute_group(self, job: _Job, group: Optional[Tuple[int, ...]]) -> Tuple[float, str]:
         """Execution stage (runs on the execution thread pool).
@@ -574,23 +657,47 @@ class Gateway:
         the last to finish sums the checksum.  Concurrent groups of one
         job share the store without locking — chunks never access a
         common cell with a write.
+
+        A driver job's width is decided here, as its kernel starts:
+        ``exec_workers`` less the threads the gateway's other running jobs
+        hold, at least one.  Each worker running a job holds one thread
+        from its store init to the end of its run, and a driver call one
+        more per further range.  The ranges are cut from the plan's cached
+        running total of chunk sizes, and a single range runs the serial
+        kernel.
         """
-        with job.lock:
-            if job.store is None:
-                job.store = store_for_nest(job.analysis.nest, initializer=job.initializer)
-        start = time.perf_counter()
-        if group is None:
-            # One call, as in the executor's serial and native-parallel modes.
-            label, drove = self.session.executor.execute_whole_plan(
-                job.transformed, job.plan, job.store, job.driver
-            )
-            if drove:
-                job.engine = label
-        else:
-            label = self.session.executor.backend.execute_plan(
-                job.transformed, job.plan, job.store, chunk_indices=group
-            )
-        end = time.perf_counter()
+        with self._threads_lock:
+            self._threads_held += 1
+        held = 1
+        try:
+            with job.lock:
+                if job.store is None:
+                    job.store = store_for_nest(job.analysis.nest, initializer=job.initializer)
+            executor = self.session.executor
+            starts = None
+            if job.driver:
+                with self._threads_lock:
+                    # This worker's own thread is already counted.
+                    free = self.config.exec_workers - (self._threads_held - 1)
+                    starts = executor.driver_ranges(job.plan, max(1, free))
+                    self._threads_held += len(starts) - 2
+                held += len(starts) - 2
+            start = time.perf_counter()
+            if group is None:
+                # One call, as in the executor's serial and native-parallel modes.
+                label, job.threads = executor.execute_whole_plan(
+                    job.transformed, job.plan, job.store, starts
+                )
+                if job.threads > 1:
+                    job.engine = label
+            else:
+                label = executor.backend.execute_plan(
+                    job.transformed, job.plan, job.store, chunk_indices=group
+                )
+            end = time.perf_counter()
+        finally:
+            with self._threads_lock:
+                self._threads_held -= held
         with job.lock:
             job.run_started = min(job.run_started, start)
             job.run_ended = max(job.run_ended, end)
@@ -632,7 +739,7 @@ class Gateway:
                         self._complete(job)
                     elif not job.future.done():
                         job.future.set_exception(job.error)
-                    await self._settle(job)
+                    self._settle(job)
 
     def _complete(self, job: _Job) -> None:
         """Assemble the job's RunResult and resolve its future.
@@ -719,10 +826,11 @@ class Gateway:
             program_seconds=0.0,
         )
 
-    async def _settle(self, job: _Job) -> None:
+    def _settle(self, job: _Job) -> None:
         """Close out one leader job: cache, followers, admission slot.
 
-        Runs exactly once per non-coalesced job, on the event loop.  On
+        Runs exactly once per non-coalesced job, on the event loop, and
+        never waits, so nothing can cancel it half done.  On
         success the response is (optionally) inserted into the LRU and
         every parked follower resolves with a private copy; on failure the
         followers fail with the leader's exception.
@@ -749,20 +857,20 @@ class Gateway:
             for follower in followers:
                 if not follower.future.done():
                     follower.future.set_exception(job.error)
-        await self._finish_job(job, completed=job.error is None)
+        self._finish_job(job, completed=job.error is None)
         for follower in followers:
-            await self._finish_job(follower, completed=job.error is None)
+            self._finish_job(follower, completed=job.error is None)
 
-    async def _finish_job(self, job: _Job, *, completed: bool) -> None:
-        async with self._capacity:
-            self._pending -= 1
-            if completed:
-                self._completed += 1
-            else:
-                self._failed += 1
-            if self._pending == 0:
-                self._idle.set()
-            self._capacity.notify_all()
+    def _finish_job(self, job: _Job, *, completed: bool) -> None:
+        """Free the job's admission slot and count its outcome."""
+        self._pending -= 1
+        if completed:
+            self._completed += 1
+        else:
+            self._failed += 1
+        if self._pending == 0:
+            self._idle.set()
+        self._slot_freed.set()
 
 
 def serve(

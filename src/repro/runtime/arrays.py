@@ -301,7 +301,13 @@ def store_for_nest(
       position dependent, good for catching reordering bugs), copied out of
       one range of the window's index sums viewed with unit strides,
     * ``"random"`` — reproducible uniform noise from ``seed``.
+
+    Any other ``initializer`` raises :class:`ExecutionError` before an array
+    is built, so a nest without iterations (and without arrays) refuses it
+    too.
     """
+    if initializer not in ("index_sum", "random", "zeros", None):
+        raise ExecutionError(f"unknown initializer {initializer!r}")
     if nest.is_rectangular:
         windows = _closed_form_windows(nest)
     else:
@@ -317,9 +323,7 @@ def store_for_nest(
         elif initializer == "random":
             data = np.empty(shape, dtype=dtype)
             data[...] = rng.uniform(-1.0, 1.0, size=shape)
-        elif initializer in (None, "zeros"):
-            data = np.zeros(shape, dtype=dtype)
         else:
-            raise ExecutionError(f"unknown initializer {initializer!r}")
+            data = np.zeros(shape, dtype=dtype)
         store[array] = OffsetArray.wrap(lows, data)
     return store

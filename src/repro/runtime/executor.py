@@ -22,7 +22,8 @@ chunks it executes, in place.  Three execution modes are provided:
   pthreads driver), *one* call executes every chunk with zero per-chunk
   Python dispatch, each of at most ``workers`` contiguous chunk ranges of
   near-equal work on its own OS thread.  When the backend has no driver
-  for the plan, the run makes the same single call as ``serial`` and
+  for the plan, or the plan is cut into a single range (one chunk, or one
+  worker), the run makes the same single call as ``serial`` and
   ``ExecutionResult.fallback`` names the reason.
 
 Orthogonally to the mode, *how* the iterations of a chunk (or of the whole
@@ -50,7 +51,7 @@ from __future__ import annotations
 import heapq
 import os
 import time
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,7 +141,9 @@ class ExecutionResult:
         #: Engine label of an in-kernel parallel run (e.g. ``"native-cc-openmp"``),
         #: ``None`` for every other path.
         self.engine = engine
-        #: Effective OS-thread count of an in-kernel parallel run (0 otherwise).
+        #: The chunk ranges the driver's plan was cut into, one OS thread
+        #: each: 1 when a single range ran the serial entry point, 0 when
+        #: no driver ran the plan.
         self.threads = threads
         #: The plan a serial, driver or gateway run executed (``None`` otherwise).
         self.plan = plan
@@ -163,23 +166,6 @@ class ExecutionResult:
     @property
     def total_seconds(self) -> float:
         return self.setup_seconds + self.elapsed_seconds
-
-
-class DriverCall(NamedTuple):
-    """One in-kernel driver call over a whole plan, or why there is none.
-
-    With ``refusal`` None the backend's driver runs chunks ``starts[t]`` to
-    ``starts[t + 1] - 1`` on OS thread ``t``; otherwise ``refusal`` names
-    why the backend has no driver for the plan.
-    """
-
-    starts: Optional[np.ndarray] = None
-    refusal: Optional[str] = None
-
-    @property
-    def threads(self) -> int:
-        """The number of ranges, one OS thread each (0 without a driver)."""
-        return 0 if self.starts is None else len(self.starts) - 1
 
 
 def _balanced_ranges(size_totals: np.ndarray, threads: int) -> np.ndarray:
@@ -310,81 +296,81 @@ class ParallelExecutor:
         # window); only the driver's ranges size them.
         keys = plan.key_table()
         num_chunks = plan.chunk_count if keys is None else len(keys)
-        driver = (
-            self.driver_call(transformed, plan)
-            if self.mode == "native-parallel" and num_chunks
-            else None
-        )
+        refusal: Optional[str] = None
+        starts: Optional[np.ndarray] = None
+        if self.mode == "native-parallel" and num_chunks:
+            refusal = self.backend.parallel_plan_refusal(transformed, plan)
+            if refusal is None:
+                starts = self.driver_ranges(plan)
         setup = time.perf_counter() - setup_start
         start = time.perf_counter()
-        label, drove = self.execute_whole_plan(transformed, plan, store, driver)
+        label, threads = self.execute_whole_plan(transformed, plan, store, starts)
         elapsed = time.perf_counter() - start
         fallback: Optional[str] = None
-        if driver is not None and not drove:
-            fallback = f"serial run: {driver.refusal or 'the in-kernel driver declined'}"
+        if refusal is not None:
+            fallback = f"serial run: {refusal}"
+        elif starts is not None and threads < 2:
+            fallback = "serial run: " + (
+                "one chunk range" if threads else "the in-kernel driver declined"
+            )
         # Report the engine that actually ran: the driver's label, or
         # whatever the serial call fell back to (a narrow schedule, an
         # unvectorizable body, a program without a native kernel).
         return ExecutionResult(
             store=store,
             mode=self.mode,
-            workers=self.workers if drove else 1,
+            workers=self.workers if threads > 1 else 1,
             num_chunks=num_chunks,
             elapsed_seconds=elapsed,
             backend=label,
             setup_seconds=setup,
             fallback=fallback,
-            engine=label if drove else None,
-            threads=driver.threads if drove else 0,
+            engine=label if threads > 1 else None,
+            threads=threads,
             plan=plan,
         )
 
     # ------------------------------------------------------------------ #
     # whole-plan execution: the in-kernel driver or one serial call
     # ------------------------------------------------------------------ #
-    def driver_call(
-        self,
-        transformed: TransformedLoopNest,
-        plan: ExecutionPlan,
-        workers: Optional[int] = None,
-    ) -> DriverCall:
-        """The backend's in-kernel driver call for a whole plan.
+    def driver_ranges(self, plan: ExecutionPlan, workers: Optional[int] = None) -> np.ndarray:
+        """Boundaries of the driver's chunk ranges for ``plan``.
 
-        Probes whether the backend's driver runs this plan (compiling the
-        kernel and building the plan's tables, all cached — call it inside
-        a setup window), then cuts the plan's chunk order into at most
-        ``workers`` (default: the executor's own) ranges of near-equal
-        work on the plan's cached running total of chunk sizes.  A refused
-        call carries the reason instead.
+        The plan's chunk order is cut into at most ``workers`` (default:
+        the executor's own) ranges of near-equal work on the plan's cached
+        running total of chunk sizes, one OS thread each.
         """
-        refusal = self.backend.parallel_plan_refusal(transformed, plan)
-        if refusal is not None:
-            return DriverCall(refusal=refusal)
-        return DriverCall(
-            starts=_balanced_ranges(plan.chunk_size_totals(), workers or self.workers)
-        )
+        return _balanced_ranges(plan.chunk_size_totals(), workers or self.workers)
 
     def execute_whole_plan(
         self,
         transformed: TransformedLoopNest,
         plan: ExecutionPlan,
         store: ArrayStore,
-        driver: Optional[DriverCall],
-    ) -> Tuple[str, bool]:
+        starts: Optional[np.ndarray] = None,
+    ) -> Tuple[str, int]:
         """Run every chunk of ``plan`` in one backend call, in place.
 
-        Returns ``(label, drove)``: the label of the engine that ran and
-        whether it was the in-kernel driver.  The driver runs when
-        ``driver`` accepted the plan.  Otherwise — no driver, or the driver
-        declined the store's layout before writing anything — the backend's
-        serial :meth:`~repro.runtime.backends.ExecutionBackend.execute_plan`
-        runs.
+        ``starts`` are the boundaries of the driver's chunk ranges
+        (:meth:`driver_ranges`; ``None`` without a driver).  Returns
+        ``(label, threads)``: the label of the engine that ran and the
+        number of ranges it ran, one OS thread each.  Two or more ranges
+        run through the backend's in-kernel driver.  A single range runs
+        the backend's serial
+        :meth:`~repro.runtime.backends.ExecutionBackend.execute_plan` on
+        the calling thread — no parallel region, no status buffer — and
+        counts as one thread.  Without ranges, or when the driver declines
+        the store's layout before writing anything, the same serial call
+        runs and ``threads`` is 0.
         """
-        if driver is not None and driver.refusal is None:
-            label = self.backend.execute_plan_parallel(transformed, plan, store, driver.starts)
+        if starts is not None:
+            ranges = len(starts) - 1
+            if ranges == 1:
+                return self.backend.execute_plan(transformed, plan, store), 1
+            label = self.backend.execute_plan_parallel(transformed, plan, store, starts)
             if label is not None:
-                return label, True
-        return self.backend.execute_plan(transformed, plan, store), False
+                return label, ranges
+        return self.backend.execute_plan(transformed, plan, store), 0
 
     # ------------------------------------------------------------------ #
     def telemetry_key(

@@ -147,7 +147,7 @@ class TestSessionPipeline:
             session.run(example_4_1(16))
             entry = next(iter(session._programs.values()))
             session.run(example_4_1(16))
-            assert next(iter(session._programs.values()))[1] is entry[1]
+            assert next(iter(session._programs.values())).plan is entry.plan
 
 
 class TestCli:

@@ -25,12 +25,15 @@ import time
 import numpy as np
 import pytest
 
+import repro.core.cache as cache_module
 import repro.gateway.gateway as gateway_module
 from repro.api import Session
 from repro.codegen import native as native_codegen
+from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.exceptions import ExecutionError, GatewayOverloaded, WorkloadError
 from repro.gateway import Gateway, GatewayConfig, GatewayStats, serve
 from repro.runtime.arrays import ArrayStore
+from repro.runtime.backends import NativeBackend
 from repro.workloads.paper_examples import example_4_1, example_4_2
 from repro.workloads.suite import workload_suite
 from repro.workloads.synthetic import variable_distance_loop
@@ -154,7 +157,9 @@ class TestResultParity:
     )
     def test_driver_jobs_record_no_telemetry(self):
         # A native session's job is one in-kernel driver call over the
-        # whole plan: a single group, nothing recorded, the driver reported.
+        # whole plan: a single group, nothing recorded.  Three concurrent
+        # jobs share two workers' cores: each runs on the threads the
+        # others leave free, one or two.
         nest = example_4_1(16)
         with Session(backend="native", mode="native-parallel", workers=2) as session:
             expected = session.run(nest)
@@ -171,8 +176,257 @@ class TestResultParity:
             assert len(session.telemetry) == 0
         for result in results:
             assert result.checksum == expected.checksum
-            assert result.engine == expected.engine
-            assert result.threads == 2
+            assert result.threads in (1, 2)
+            # Two ranges ran the driver; one ran the serial kernel.
+            assert result.engine == (expected.engine if result.threads == 2 else None)
+            assert result.backend == (result.engine or "native-cc")
+
+
+# --------------------------------------------------------------------------- #
+# warm jobs on the event loop, cold work on the analysis pool
+# --------------------------------------------------------------------------- #
+needs_engine = pytest.mark.skipif(
+    native_codegen.resolve_engine() is None, reason="no native engine"
+)
+
+
+class _ThreadLog:
+    """Records the thread of every call to the wrapped functions."""
+
+    def __init__(self):
+        self.calls = []
+
+    def wrap(self, label, function):
+        def recording(*args, **kwargs):
+            self.calls.append((label, threading.current_thread()))
+            return function(*args, **kwargs)
+
+        return recording
+
+    def labels(self, thread=None):
+        return [label for label, ran in self.calls if thread is None or ran is thread]
+
+
+def _cold_work_log(monkeypatch):
+    """Log analysis misses, plan builds, kernel builds and driver probes."""
+    log = _ThreadLog()
+    monkeypatch.setattr(
+        cache_module, "analyze_nest", log.wrap("analyze", cache_module.analyze_nest)
+    )
+    monkeypatch.setattr(
+        TransformedLoopNest, "from_report",
+        staticmethod(log.wrap("plan", TransformedLoopNest.from_report)),
+    )
+    monkeypatch.setattr(
+        native_codegen, "_build_kernel", log.wrap("compile", native_codegen._build_kernel)
+    )
+    monkeypatch.setattr(
+        NativeBackend, "parallel_plan_refusal",
+        log.wrap("probe", NativeBackend.parallel_plan_refusal),
+    )
+    return log
+
+
+class _PrepareCount:
+    """Counts the jobs that reach the gateway's analysis pool."""
+
+    def __init__(self, gateway):
+        self.calls = 0
+        original = gateway._prepare
+
+        def counting(*args):
+            self.calls += 1
+            return original(*args)
+
+        gateway._prepare = counting
+
+
+@needs_engine
+class TestWarmPath:
+    def test_warm_jobs_never_reach_the_analysis_pool(self):
+        nests = [example_4_1(16), variable_distance_loop(12)]
+        with Session(backend="native", mode="native-parallel", workers=2) as session:
+            expected = [session.run(nest) for nest in nests]
+
+            async def main():
+                async with Gateway(
+                    session, exec_workers=2, result_cache=0, coalesce=False
+                ) as gateway:
+                    counter = _PrepareCount(gateway)
+                    first = await gateway.map(nests)
+                    cold_calls = counter.calls
+                    hits = session.cache.stats.hits
+                    warm = await gateway.map(nests, repeat=3)
+                    return first, warm, cold_calls, counter.calls, hits
+
+            first, warm, cold_calls, calls, hits = run_async(main())
+            hits_after = session.cache.stats.hits
+        # Session.run built the programs but never probed the driver, so
+        # each program's first job went to the pool once; none after it.
+        assert (cold_calls, calls) == (2, 2)
+        # Warm jobs still take the analysis cache's counted hit.
+        assert hits_after - hits == 6
+        assert all(result.cache_hit for result in warm)
+        for result, reference in zip(first + warm, expected * 4):
+            assert result.checksum == reference.checksum
+            assert result.store.identical(reference.store)
+
+    def test_cold_jobs_never_analyze_plan_or_compile_on_the_loop(self, monkeypatch):
+        native_codegen.clear_kernel_cache()
+        log = _cold_work_log(monkeypatch)
+        nests = [example_4_1(16), example_4_2(12), variable_distance_loop(12)]
+        with Session(backend="native", mode="native-parallel", workers=2) as session:
+
+            async def main():
+                async with Gateway(
+                    session, exec_workers=2, result_cache=0, coalesce=False
+                ) as gateway:
+                    counter = _PrepareCount(gateway)
+                    await gateway.map(nests, repeat=3)
+                    return threading.current_thread(), counter.calls
+
+            loop_thread, calls = run_async(main())
+        native_codegen.clear_kernel_cache()
+        assert log.labels(loop_thread) == []
+        assert sorted(set(log.labels())) == ["analyze", "compile", "plan", "probe"]
+        # Concurrent first jobs of one program may each go to the pool;
+        # each program is analyzed, planned and probed once per job there.
+        assert 3 <= calls <= 9
+        assert log.labels().count("probe") <= calls
+
+    def test_evicted_analysis_goes_back_to_the_pool(self, monkeypatch):
+        nest = example_4_1(16)
+        with Session(backend="native", mode="native-parallel", workers=2) as session:
+            expected = session.run(nest).checksum
+
+            async def main():
+                async with Gateway(
+                    session, exec_workers=2, result_cache=0, coalesce=False
+                ) as gateway:
+                    counter = _PrepareCount(gateway)
+                    await gateway.submit(nest)
+                    await gateway.submit(nest)
+                    warm_calls = counter.calls
+                    # The program stays cached; its analysis does not.
+                    session.cache.clear()
+                    log = _cold_work_log(monkeypatch)
+                    evicted = await gateway.submit(nest)
+                    again = await gateway.submit(nest)
+                    return (threading.current_thread(), log, warm_calls,
+                            counter.calls, evicted, again)
+
+            loop_thread, log, warm_calls, calls, evicted, again = run_async(main())
+            programs = len(session._programs)
+        assert (warm_calls, calls) == (1, 2)
+        assert programs == 1
+        assert log.labels() == ["analyze"] and log.labels(loop_thread) == []
+        assert not evicted.cache_hit and again.cache_hit
+        assert evicted.checksum == again.checksum == expected
+
+
+# --------------------------------------------------------------------------- #
+# driver width: the cores other jobs leave free
+# --------------------------------------------------------------------------- #
+#: Two partitions, so a plan of exactly two chunks.
+TWO_CHUNKS = "loop i1 = 0 .. 15\nA[i1] = A[i1 - 2] + 1.0"
+
+#: Divides by zero in its third row: the same exception at every width.
+FAILING = "loop i1 = 0 .. 7\nloop i2 = 1 .. 8\nA[i1, i2] = A[i1, i2 - 1] + 1.0 / (i1 - 2)"
+
+
+class _KernelGate:
+    """Holds every whole-plan run of a session's executor until released,
+    recording the ranges each was given."""
+
+    def __init__(self, executor):
+        self.release = threading.Event()
+        self.entered = []
+        original = executor.execute_whole_plan
+
+        def gated(transformed, plan, store, starts=None):
+            self.entered.append(None if starts is None else len(starts) - 1)
+            self.release.wait(TIMEOUT)
+            return original(transformed, plan, store, starts)
+
+        executor.execute_whole_plan = gated
+
+    async def wait_for(self, count):
+        while len(self.entered) < count:
+            await asyncio.sleep(0.005)
+
+
+@needs_engine
+class TestDriverWidth:
+    def test_job_alone_gets_every_worker(self):
+        with Session(backend="native", mode="native-parallel", workers=4) as session:
+            expected = session.run(example_4_1(16))
+            (result,), _ = _serve_fresh(session, [example_4_1(16)], exec_workers=4)
+        assert result.threads == 4
+        assert result.engine == expected.engine and result.engine is not None
+        assert result.checksum == expected.checksum
+
+    def test_jobs_split_the_workers_they_find_free(self):
+        with Session(backend="native", mode="native-parallel", workers=4) as session:
+            gate = _KernelGate(session.executor)
+
+            async def main():
+                async with Gateway(
+                    session, exec_workers=4, result_cache=0, coalesce=False
+                ) as gateway:
+                    jobs = []
+                    for count, source in enumerate(
+                        [TWO_CHUNKS, example_4_1(16), example_4_2(12)], start=1
+                    ):
+                        jobs.append(asyncio.ensure_future(gateway.submit(source)))
+                        await gate.wait_for(count)
+                    held = gateway._threads_held
+                    gate.release.set()
+                    results = await asyncio.gather(*jobs)
+                    alone = await gateway.submit(example_4_1(16))
+                    return results, held, alone, gateway._threads_held
+
+            results, held, alone, released = run_async(main())
+        # Alone: both chunks.  Next: 4 - 2.  Last: 4 - 4, raised to one.
+        assert gate.entered[:3] == [2, 2, 1]
+        assert [result.threads for result in results] == [2, 2, 1]
+        assert held == 5 and released == 0
+        assert results[2].engine is None and results[2].backend == "native-cc"
+        assert alone.threads == 4
+
+    @pytest.mark.parametrize("backend", ["native", "vectorized"])
+    def test_every_width_matches_session_run(self, backend):
+        workers = 3
+        nests = [example_4_1(16), example_4_2(12), variable_distance_loop(12), TWO_CHUNKS]
+        with Session(backend=backend, mode="native-parallel", workers=workers) as session:
+            expected = [session.run(nest) for nest in nests]
+            with pytest.raises(ZeroDivisionError) as failure:
+                session.run(FAILING)
+
+            async def main():
+                outcomes = []
+                async with Gateway(
+                    session, exec_workers=workers, result_cache=0, coalesce=False
+                ) as gateway:
+                    for width in range(1, workers + 1):
+                        # Other jobs hold all but ``width`` of the threads.
+                        gateway._threads_held = workers - width
+                        results = [await gateway.submit(nest) for nest in nests]
+                        with pytest.raises(type(failure.value)) as raised:
+                            await gateway.submit(FAILING)
+                        outcomes.append((width, results, raised.value))
+                    gateway._threads_held = 0
+                return outcomes
+
+            outcomes = run_async(main())
+        for width, results, error in outcomes:
+            assert str(error) == str(failure.value)
+            for result, reference in zip(results, expected):
+                assert result.checksum == reference.checksum, (width, result.name)
+                assert result.store.identical(reference.store), (width, result.name)
+                if backend == "native":
+                    assert result.threads == min(width, reference.num_chunks)
+                else:
+                    assert result.threads == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -646,6 +900,68 @@ class TestFailuresAndDrain:
             stats = run_async(main())
         assert (stats.pending, stats.failed, stats.completed) == (0, 1, 0)
 
+    def test_caller_cancelled_during_analysis_frees_its_slot(self):
+        # The caller gives up while its cold job is on the analysis pool:
+        # the job runs on, its result dropped, and ``aclose`` returns.
+        nest = example_4_1(8)
+        with Session(backend="compiled") as session:
+
+            async def main():
+                gateway = Gateway(session, exec_workers=2)
+                async with gateway:
+                    original = gateway._prepare
+
+                    def slow(*args):
+                        time.sleep(0.3)
+                        return original(*args)
+
+                    gateway._prepare = slow
+                    caller = asyncio.ensure_future(gateway.submit(nest))
+                    await asyncio.sleep(0.05)
+                    caller.cancel()
+                    with pytest.raises(asyncio.CancelledError):
+                        await caller
+                    await asyncio.wait_for(gateway.aclose(), timeout=5.0)
+                return gateway.stats()
+
+            stats = run_async(main())
+        assert (stats.pending, stats.failed, stats.completed) == (0, 0, 1)
+
+    def test_caller_cancelled_on_a_full_group_queue_frees_its_slot(self):
+        # Both workers busy and the one-group queue full: the next job waits
+        # for queue room, its caller gives up, and the job still runs.
+        nest = example_4_1(8)
+        with Session(backend="native", mode="native-parallel") as session:
+            expected = session.run(nest).checksum
+
+            async def main():
+                gateway = Gateway(
+                    session, exec_workers=2, queue_depth=1, result_cache=0, coalesce=False
+                )
+                async with gateway:
+                    original = gateway._execute_group
+
+                    def slow(job, group):
+                        time.sleep(0.3)
+                        return original(job, group)
+
+                    gateway._execute_group = slow
+                    held = [asyncio.ensure_future(gateway.submit(nest)) for _ in range(3)]
+                    while not gateway._queue.full():
+                        await asyncio.sleep(0.01)
+                    caller = asyncio.ensure_future(gateway.submit(nest))
+                    await asyncio.sleep(0.05)
+                    caller.cancel()
+                    with pytest.raises(asyncio.CancelledError):
+                        await caller
+                    results = await asyncio.gather(*held)
+                    await asyncio.wait_for(gateway.aclose(), timeout=5.0)
+                return results, gateway.stats()
+
+            results, stats = run_async(main())
+        assert [result.checksum for result in results] == [expected] * 3
+        assert (stats.pending, stats.failed, stats.completed) == (0, 0, 4)
+
     def test_aclose_drains_in_flight_jobs(self):
         gate = _Gate()
         nest = example_4_1(8)
@@ -891,6 +1207,25 @@ class TestStorePlacement:
         assert str(error) == str(expected.value)
         assert (failed.pending, failed.failed, failed.completed) == (0, 1, 0)
         assert served.checksum == reference.checksum
+
+    @pytest.mark.parametrize("backend, mode", SESSIONS)
+    def test_unknown_initializer_fails_without_iterations(self, backend, mode):
+        # No iterations, so no arrays: the initializer is still checked.
+        with Session(backend=backend, mode=mode, workers=2) as session:
+            with pytest.raises(ExecutionError, match="unknown initializer") as expected:
+                session.run(ZERO_ITERATIONS, initializer="bogus")
+
+            async def main():
+                async with Gateway(
+                    session, exec_workers=2, result_cache=0, coalesce=False
+                ) as gateway:
+                    with pytest.raises(ExecutionError) as raised:
+                        await gateway.submit(ZERO_ITERATIONS, initializer="bogus")
+                    return raised.value, gateway.stats()
+
+            error, stats = run_async(main())
+        assert str(error) == str(expected.value)
+        assert (stats.pending, stats.failed, stats.completed) == (0, 1, 0)
 
     @pytest.mark.parametrize(
         "backend, mode", SESSIONS + [pytest.param("vectorized", "serial", id="vectorized")]

@@ -61,7 +61,7 @@ class TestSpecVersion:
         with Session(mode="shared", backend="vectorized") as session:
             nest = example_4_1(8)
             analysis = session._analyze_nest(nest, placement=None, name=None)
-            _, plan = session._program_for(nest, analysis.report)
+            plan = session._program_for(nest, analysis.report).plan
         state = plan.__getstate__()
         assert state["spec_version"] == ExecutionPlan.SPEC_VERSION
         state["spec_version"] = 99

@@ -125,7 +125,7 @@ class TestReportedValuesUnchanged:
                 nest = make_nest()
                 result = session.run(nest)
                 # The plan the run used (coalesced by default in shared mode).
-                _, plan = session._program_for(nest, result.report)
+                plan = session._program_for(nest, result.report).plan
                 _assert_matches_eager(result, plan)
 
     @pytest.mark.parametrize("backend", ["compiled", "native"])
@@ -139,5 +139,5 @@ class TestReportedValuesUnchanged:
 
             results = asyncio.run(asyncio.wait_for(main(), timeout=60.0))
             for nest, result in zip(nests, results):
-                _, plan = session._program_for(nest, result.report)
+                plan = session._program_for(nest, result.report).plan
                 _assert_matches_eager(result, plan)

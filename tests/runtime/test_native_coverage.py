@@ -112,8 +112,13 @@ def test_every_mode_runs_native_bit_identically(nest, coalesce, shared_executor)
         transformed, result, plan
     )
     assert reference.identical(result), "native-parallel"
-    assert outcome.engine is not None and outcome.engine.startswith("native-")
-    assert outcome.fallback is None
+    if len(_balanced_ranges(plan.chunk_size_totals(), 2)) == 2:
+        # A single range (one chunk) runs the serial entry point.
+        assert (outcome.engine, outcome.fallback) == (None, "serial run: one chunk range")
+        assert outcome.backend == "native-cc"
+    else:
+        assert outcome.engine is not None and outcome.engine.startswith("native-")
+        assert outcome.fallback is None
     assert backend.stats["fallback_runs"] == 0
 
     result = base.copy()

@@ -405,11 +405,10 @@ class TestBalancedRanges:
         for index, size in enumerate(sizes):
             telemetry.record_group(key, (index,), (size,), 10.0 if index == 0 else 0.1)
         assert telemetry.chunk_costs(key, sizes) is not None
-        call = executor.driver_call(transformed, plan)
-        assert call.refusal is None
-        assert call.starts.tolist() == [0, 1, 2, 3, 4] and call.threads == 4
-        two = executor.driver_call(transformed, plan, workers=2)
-        assert two.starts.tolist() == _starts(plan, 2).tolist() and two.threads == 2
+        assert executor.backend.parallel_plan_refusal(transformed, plan) is None
+        assert executor.driver_ranges(plan).tolist() == [0, 1, 2, 3, 4]
+        two = executor.driver_ranges(plan, workers=2)
+        assert two.tolist() == _starts(plan, 2).tolist() and len(two) - 1 == 2
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +469,12 @@ class TestParallelDifferential:
             mode="native-parallel", workers=threads, backend="native"
         ).run(transformed, result)
         assert ref.identical(result), (seed, nest.name, outcome.backend)
-        assert outcome.engine == f"native-cc-{flavor}"
+        if threads == 1:
+            # One range runs the serial entry point, and says so.
+            assert (outcome.engine, outcome.backend, outcome.threads) == (None, "native-cc", 1)
+            assert outcome.fallback == "serial run: one chunk range"
+        else:
+            assert outcome.engine == f"native-cc-{flavor}"
 
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
     def test_executor_mode_reports_engine_and_threads(self, threads):
@@ -480,10 +484,13 @@ class TestParallelDifferential:
             mode="native-parallel", workers=threads, backend="native"
         ).run(transformed, result)
         assert ref.identical(result)
-        assert outcome.engine is not None and outcome.engine.startswith("native-")
-        assert outcome.backend == outcome.engine
         assert 1 <= outcome.threads <= threads
         assert outcome.threads == len(_starts(transformed.execution_plan(), threads)) - 1
+        if outcome.threads == 1:
+            assert (outcome.engine, outcome.backend) == (None, "native-cc")
+        else:
+            assert outcome.engine is not None and outcome.engine.startswith("native-")
+            assert outcome.backend == outcome.engine
         assert outcome.mode == "native-parallel"
 
     def test_threads_count_the_ranges_that_ran(self):
@@ -501,6 +508,21 @@ class TestParallelDifferential:
         assert ref.identical(result)
         assert transformed.execution_plan().chunk_count == 3
         assert outcome.threads == run.threads == 3
+
+    @pytest.mark.parametrize("name", ["wavefront", "figure-1"])
+    def test_one_chunk_plans_run_the_serial_kernel(self, name):
+        # One chunk is one range: the serial entry point runs it, with no
+        # parallel region, and the result names the serial run.
+        (nest,) = [case.nest for case in workload_suite(48) if case.name == name]
+        with Session(mode="serial", backend="native") as session:
+            serial = session.run(nest)
+        with Session(mode="native-parallel", backend="native", workers=2) as session:
+            run = session.run(nest)
+        assert run.num_chunks == 1
+        assert run.fallback == "serial run: one chunk range"
+        assert (run.backend, run.engine, run.threads, run.workers) == ("native-cc", None, 1, 1)
+        assert run.backend == serial.backend
+        assert run.store.identical(serial.store)
 
     def test_cc_driver_reports_its_flavor_without_fallback(self):
         base, ref, transformed = _reference_and_transformed(example_4_1(12))

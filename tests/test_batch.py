@@ -159,9 +159,9 @@ class TestBatchShared:
         with Session(mode="serial", backend="compiled") as session:
             session.map([nest], repeat=3)
             assert len(session._programs) == 1
-            ((transformed, plan),) = session._programs.values()
+            (program,) = session._programs.values()
             session.map([example_4_1(4)])
             assert len(session._programs) == 1
-            ((again, plan_again),) = session._programs.values()
-        assert again is transformed
-        assert plan_again is plan
+            (again,) = session._programs.values()
+        assert again.transformed is program.transformed
+        assert again.plan is program.plan
