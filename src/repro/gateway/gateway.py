@@ -30,11 +30,14 @@ front-end:
   the analysis threads nor the event loop, which every job passes through,
   spend time that grows with the arrays (a job without chunks is one group
   too); only hot answers copy a cached store on the event loop;
-* **the unit of queued work is a chunk group, not a job** — a prepared job
-  is split by the executor's (telemetry-driven) balancer into per-worker
-  chunk groups, and each group is one item on the bounded work queue.  Big
-  jobs therefore cannot convoy small ones: their groups interleave on the
-  execution workers;
+* **the unit of work is a chunk group, not a job** — a prepared job is
+  split by the executor's (telemetry-driven) balancer into per-worker
+  chunk groups (a driver job is one group), and each group goes straight
+  to the execution pool's FIFO, from which a free worker takes the next
+  item without waiting for the event loop.  Big jobs therefore cannot
+  convoy small ones: their groups interleave on the execution workers.  A
+  done-callback on the event loop counts each finished group and settles
+  its job after the last;
 * **hot traffic never re-executes** — the whole pipeline is deterministic
   (same source, placement and initializer ⇒ bit-identical result), so the
   gateway *coalesces* concurrent identical jobs onto one execution and
@@ -68,6 +71,7 @@ with execution and preserves the queueing semantics.
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 import time
 from collections import OrderedDict
@@ -91,11 +95,11 @@ class GatewayConfig:
     """Queueing knobs of one :class:`Gateway`.
 
     ``max_pending`` is the admission bound: the number of jobs admitted but
-    not yet finished before :meth:`Gateway.submit` rejects (or waits).
-    ``queue_depth`` bounds the internal chunk-group work queue — a prepared
-    job's groups wait for queue space, which in turn throttles the analysis
-    stage.  ``analysis_workers`` and ``exec_workers`` size the two thread
-    pools (analysis/planning vs chunk-group execution).
+    not yet finished before :meth:`Gateway.submit` rejects (or waits).  It
+    also bounds the execution pool's FIFO: a job has at most
+    ``exec_workers`` groups, so at most ``max_pending × exec_workers``
+    groups wait there.  ``analysis_workers`` and ``exec_workers`` size the
+    two thread pools (analysis/planning vs chunk-group execution).
 
     ``coalesce`` merges concurrent identical jobs onto one execution, and
     ``result_cache`` bounds the LRU of recent responses served to repeat
@@ -111,14 +115,13 @@ class GatewayConfig:
     """
 
     max_pending: int = 32
-    queue_depth: int = 128
     analysis_workers: int = 2
     exec_workers: int = 4
     coalesce: bool = True
     result_cache: int = 16
 
     def __post_init__(self) -> None:
-        for name in ("max_pending", "queue_depth", "analysis_workers", "exec_workers"):
+        for name in ("max_pending", "analysis_workers", "exec_workers"):
             if getattr(self, name) < 1:
                 raise WorkloadError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.result_cache < 0:
@@ -133,10 +136,12 @@ class GatewayStats:
 
     Attached to every :class:`~repro.exceptions.GatewayOverloaded`
     rejection, so a rejected caller sees the load it was rejected under.
+    ``queued_groups`` counts the work items handed to the execution pool
+    that no worker has taken yet.
 
         >>> stats = GatewayStats(submitted=5, completed=3, failed=0,
         ...                      rejected=1, pending=2, queued_groups=4,
-        ...                      max_pending=2, queue_depth=8)
+        ...                      max_pending=2)
         >>> stats.pending, stats.rejected
         (2, 1)
         >>> stats.to_dict()["queued_groups"]
@@ -150,7 +155,6 @@ class GatewayStats:
     pending: int
     queued_groups: int
     max_pending: int
-    queue_depth: int
     coalesced: int = 0
     result_hits: int = 0
 
@@ -163,7 +167,6 @@ class GatewayStats:
             "pending": self.pending,
             "queued_groups": self.queued_groups,
             "max_pending": self.max_pending,
-            "queue_depth": self.queue_depth,
             "coalesced": self.coalesced,
             "result_hits": self.result_hits,
         }
@@ -171,7 +174,7 @@ class GatewayStats:
     def describe(self) -> str:
         return (
             f"gateway: {self.pending}/{self.max_pending} pending, "
-            f"{self.queued_groups}/{self.queue_depth} group(s) queued, "
+            f"{self.queued_groups} group(s) queued, "
             f"{self.submitted} submitted, {self.completed} completed, "
             f"{self.failed} failed, {self.rejected} rejected, "
             f"{self.coalesced} coalesced, {self.result_hits} cache hit(s)"
@@ -235,20 +238,28 @@ class _Job:
         #: The engine the result reports (set on completion).
         self.backend = ""
 
+    @property
+    def workers(self) -> int:
+        """The workers that ran the job: a driver job's ranges (at least
+        one), or a group job's groups."""
+        return max(self.threads, self.groups_total)
+
 
 class _CachedResponse:
     """A completed response, ready to be copied out to repeat jobs."""
 
     __slots__ = (
-        "analysis", "plan", "backend", "engine", "threads", "checksum", "store",
+        "analysis", "plan", "backend", "engine", "threads", "workers", "checksum",
+        "store",
     )
 
-    def __init__(self, analysis, plan, backend, engine, threads, checksum, store):
+    def __init__(self, analysis, plan, backend, engine, threads, workers, checksum, store):
         self.analysis = analysis
         self.plan = plan
         self.backend = backend
         self.engine = engine
         self.threads = threads
+        self.workers = workers
         self.checksum = checksum
         self.store = store
 
@@ -260,7 +271,7 @@ class Gateway:
     reuses its analysis cache, program LRU, backend and telemetry store, and
     never closes it.  Use as an async context manager (or call
     :meth:`aclose` explicitly): exit drains in-flight jobs, then stops the
-    workers and thread pools.
+    thread pools.
 
         >>> import asyncio
         >>> from repro.api import Session
@@ -286,14 +297,8 @@ class Gateway:
         self.session = session
         self.config = config
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._queue: Optional[asyncio.Queue] = None
         self._slot_freed: Optional[asyncio.Event] = None
         self._idle: Optional[asyncio.Event] = None
-        self._workers: List[asyncio.Task] = []
-        # Admission work that outlives its caller's wait: cold jobs'
-        # preparation and queueing, and groups waiting for queue space.
-        self._tasks: Set[asyncio.Task] = set()
-        self._putting = 0
         self._analysis_pool: Optional[ThreadPoolExecutor] = None
         self._exec_pool: Optional[ThreadPoolExecutor] = None
         self._started = False
@@ -309,8 +314,10 @@ class Gateway:
         # retry_after_hint attached to overload rejections.
         self._service_ewma = 0.0
         # Threads held by the execution workers' running jobs: one per
-        # worker, plus a driver call's further ranges.
+        # worker, plus a driver call's further ranges; and the work items
+        # handed to the execution pool that no worker has taken yet.
         self._threads_held = 0
+        self._queued = 0
         self._threads_lock = threading.Lock()
         # Event-loop private: response LRU, in-flight leaders, and the
         # followers parked on each leader (all keyed by the response key).
@@ -327,7 +334,6 @@ class Gateway:
         if self._started:
             return
         self._loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue(maxsize=self.config.queue_depth)
         self._slot_freed = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
@@ -339,14 +345,10 @@ class Gateway:
             max_workers=self.config.exec_workers,
             thread_name_prefix="gateway-exec",
         )
-        self._workers = [
-            asyncio.ensure_future(self._exec_worker())
-            for _ in range(self.config.exec_workers)
-        ]
         self._started = True
 
     async def aclose(self) -> None:
-        """Drain in-flight jobs, then stop workers and pools (idempotent)."""
+        """Drain in-flight jobs, then stop the pools (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -354,12 +356,9 @@ class Gateway:
             return
         # Every admitted job runs to completion before shutdown: new
         # submissions are already rejected (closed flag), so the pending
-        # count is monotonically draining.
+        # count is monotonically draining, and a settled job has no work
+        # item left in either pool.
         await self._idle.wait()
-        for _ in self._workers:
-            await self._queue.put(None)
-        await asyncio.gather(*self._workers, return_exceptions=True)
-        self._workers = []
         self._analysis_pool.shutdown(wait=True)
         self._exec_pool.shutdown(wait=True)
 
@@ -452,9 +451,11 @@ class Gateway:
         if prepared is None:
             # Cold: analysis, planning and compiling run on the analysis
             # pool, never on the event loop.
-            self._spawn(self._prepare_cold(job, nest, placement, name))
+            self._loop.run_in_executor(
+                self._analysis_pool, self._prepare, nest, placement, name
+            ).add_done_callback(functools.partial(self._prepared, job))
         else:
-            self._queue_groups(job, self._start_job(job, prepared))
+            self._dispatch(job, self._start_job(job, prepared))
         return await job.future
 
     async def map(
@@ -513,9 +514,8 @@ class Gateway:
             failed=self._failed,
             rejected=self._rejected,
             pending=self._pending,
-            queued_groups=self._queue.qsize() if self._queue is not None else 0,
+            queued_groups=self._queued,
             max_pending=self.config.max_pending,
-            queue_depth=self.config.queue_depth,
             coalesced=self._coalesced,
             result_hits=self._result_hits,
         )
@@ -606,45 +606,41 @@ class Gateway:
         job.groups_total = len(groups)
         return groups
 
-    async def _prepare_cold(self, job: _Job, nest, placement, name) -> None:
-        """A cold job's preparation and queueing, as a task of its own."""
+    def _prepared(self, job: _Job, future: "asyncio.Future") -> None:
+        """A cold job's preparation ended (on the event loop): dispatch its
+        groups, or fail and settle it."""
         try:
-            prepared = await self._loop.run_in_executor(
-                self._analysis_pool, self._prepare, nest, placement, name
-            )
+            prepared = future.result()
         except Exception as exc:
             job.error = exc
             if not job.future.done():
                 job.future.set_exception(exc)
             self._settle(job)
             return
-        await self._put_groups(job, self._start_job(job, prepared))
+        self._dispatch(job, self._start_job(job, prepared))
 
-    def _queue_groups(self, job: _Job, groups) -> None:
-        """Queue a job's groups now, or from a task once the queue has room.
+    def _dispatch(self, job: _Job, groups) -> None:
+        """Hand each of a job's groups to the execution pool's FIFO.
 
-        Groups already waiting for room keep their place: a new job queues
-        behind them.
+        Any free worker takes the next item without waiting for the event
+        loop; :meth:`_group_done` counts each item back on the loop.
         """
-        for index, group in enumerate(groups):
-            if self._putting or self._queue.full():
-                self._spawn(self._put_groups(job, groups[index:]))
-                return
-            self._queue.put_nowait((job, group))
+        with self._threads_lock:
+            self._queued += len(groups)
+        for group in groups:
+            self._loop.run_in_executor(
+                self._exec_pool, self._take, job, group
+            ).add_done_callback(functools.partial(self._group_done, job, group))
 
-    async def _put_groups(self, job: _Job, groups) -> None:
-        self._putting += 1
-        try:
-            for group in groups:
-                await self._queue.put((job, group))
-        finally:
-            self._putting -= 1
-
-    def _spawn(self, coroutine) -> None:
-        """Run ``coroutine`` as a task the gateway holds until it ends."""
-        task = self._loop.create_task(coroutine)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+    def _take(self, job: _Job, group: Optional[Tuple[int, ...]]) -> Optional[Tuple[float, str]]:
+        """One work item on the execution worker that took it from the
+        pool: :meth:`_execute_group`'s result, or ``None`` when the job has
+        already failed and the group is skipped."""
+        with self._threads_lock:
+            self._queued -= 1
+        if job.error is not None:
+            return None
+        return self._execute_group(job, group)
 
     def _execute_group(self, job: _Job, group: Optional[Tuple[int, ...]]) -> Tuple[float, str]:
         """Execution stage (runs on the execution thread pool).
@@ -708,38 +704,32 @@ class Gateway:
             job.finished = time.perf_counter()
         return end - start, label
 
-    async def _exec_worker(self) -> None:
-        while True:
-            item = await self._queue.get()
-            if item is None:
-                self._queue.task_done()
-                return
-            job, group = item
-            try:
-                if job.error is None:
-                    group_elapsed, label = await self._loop.run_in_executor(
-                        self._exec_pool, self._execute_group, job, group
+    def _group_done(self, job: _Job, group, future: "asyncio.Future") -> None:
+        """Count one finished work item on the event loop: its engine
+        label, its telemetry and its error.  After the job's last item,
+        complete or fail the job and settle it."""
+        try:
+            outcome = future.result()
+            if outcome is not None:
+                group_elapsed, label = outcome
+                job.labels.add(label)
+                if job.key is not None:
+                    sizes = job.plan.chunk_sizes()
+                    self.session.executor.telemetry.record_group(
+                        job.key, group, [sizes[i] for i in group], group_elapsed,
                     )
-                    job.labels.add(label)
-                    if job.key is not None:
-                        sizes = job.plan.chunk_sizes()
-                        self.session.executor.telemetry.record_group(
-                            job.key, group, [sizes[i] for i in group], group_elapsed,
-                        )
-            except Exception as exc:
-                if job.error is None:
-                    job.error = exc
-            finally:
-                self._queue.task_done()
-                job.groups_done += 1
-                if job.groups_done >= job.groups_total:
-                    # The job's outcome, success or its first failure,
-                    # reaches the caller once every group has finished.
-                    if job.error is None:
-                        self._complete(job)
-                    elif not job.future.done():
-                        job.future.set_exception(job.error)
-                    self._settle(job)
+        except Exception as exc:
+            if job.error is None:
+                job.error = exc
+        job.groups_done += 1
+        if job.groups_done == job.groups_total:
+            # The job's outcome, success or its first failure, reaches the
+            # caller once every group has finished.
+            if job.error is None:
+                self._complete(job)
+            elif not job.future.done():
+                job.future.set_exception(job.error)
+            self._settle(job)
 
     def _complete(self, job: _Job) -> None:
         """Assemble the job's RunResult and resolve its future.
@@ -761,7 +751,7 @@ class Gateway:
         execution = ExecutionResult(
             store=job.store,
             mode="gateway",
-            workers=self.config.exec_workers,
+            workers=job.workers,
             num_chunks=job.plan.chunk_count,
             elapsed_seconds=elapsed,
             backend=job.backend,
@@ -792,8 +782,8 @@ class Gateway:
 
         The store is copied in: the submitting caller owns the original and
         may mutate it, while the template's copy stays pristine for every
-        later hit (which copies it back out).  Hits report the engine that
-        ran the leader.
+        later hit (which copies it back out).  Hits report the engine, the
+        threads and the workers that ran the leader.
         """
         return _CachedResponse(
             analysis=job.analysis,
@@ -801,6 +791,7 @@ class Gateway:
             backend=job.backend,
             engine=job.engine,
             threads=job.threads,
+            workers=job.workers,
             checksum=job.checksum,
             store=job.store.copy(),
         )
@@ -810,7 +801,7 @@ class Gateway:
         execution = ExecutionResult(
             store=response.store.copy(),
             mode="gateway",
-            workers=self.config.exec_workers,
+            workers=response.workers,
             num_chunks=response.plan.chunk_count,
             elapsed_seconds=0.0,
             backend=response.backend,

@@ -57,14 +57,18 @@ class TestGatewayConfig:
     def test_defaults(self):
         config = GatewayConfig()
         assert config.max_pending >= 1
-        assert config.queue_depth >= 1
 
-    @pytest.mark.parametrize(
-        "field", ["max_pending", "queue_depth", "analysis_workers", "exec_workers"]
-    )
+    @pytest.mark.parametrize("field", ["max_pending", "analysis_workers", "exec_workers"])
     def test_rejects_non_positive(self, field):
         with pytest.raises(WorkloadError):
             GatewayConfig(**{field: 0})
+
+    def test_queue_depth_is_an_unknown_field(self):
+        # Admission bounds the execution pool's FIFO; there is no alias.
+        with pytest.raises(TypeError):
+            GatewayConfig(queue_depth=1)
+        with Session() as session, pytest.raises(TypeError):
+            Gateway(session, queue_depth=1)
 
     def test_keyword_overrides(self):
         with Session() as session:
@@ -362,6 +366,7 @@ class TestDriverWidth:
             expected = session.run(example_4_1(16))
             (result,), _ = _serve_fresh(session, [example_4_1(16)], exec_workers=4)
         assert result.threads == 4
+        assert result.workers == expected.workers == 4
         assert result.engine == expected.engine and result.engine is not None
         assert result.checksum == expected.checksum
 
@@ -433,21 +438,26 @@ class TestDriverWidth:
 # backpressure
 # --------------------------------------------------------------------------- #
 class _Gate:
-    """Blocks gateway executions until released (deterministic overload)."""
+    """Blocks gateway executions until released (deterministic overload),
+    counting the groups that started."""
 
     def __init__(self):
-        import threading
-
         self.release = threading.Event()
+        self.entered = []
 
     def wrap(self, gateway):
         original = gateway._execute_group
 
         def slow(job, group):
+            self.entered.append(group)
             self.release.wait(TIMEOUT)
             return original(job, group)
 
         gateway._execute_group = slow
+
+    async def wait_for(self, count):
+        while len(self.entered) < count:
+            await asyncio.sleep(0.005)
 
 
 class TestBackpressure:
@@ -520,6 +530,117 @@ class TestBackpressure:
         assert stats.failed == 0
         assert stats.pending == 0
         assert stats.to_dict()["completed"] == 3
+
+
+# --------------------------------------------------------------------------- #
+# the execution pool's FIFO: workers take work without the event loop
+# --------------------------------------------------------------------------- #
+class TestExecutionPool:
+    def test_queued_groups_counts_items_no_worker_has_taken(self):
+        gate = _Gate()
+        nest = example_4_1(8)
+        with Session(backend="compiled") as session:
+
+            async def main():
+                async with Gateway(
+                    session, exec_workers=1, result_cache=0, coalesce=False
+                ) as gateway:
+                    await gateway.submit(nest)  # warm: the jobs below dispatch inline
+                    gate.wrap(gateway)
+                    jobs = [asyncio.ensure_future(gateway.submit(nest)) for _ in range(3)]
+                    await gate.wait_for(1)
+                    held = gateway.stats().queued_groups
+                    gate.release.set()
+                    results = await asyncio.gather(*jobs)
+                    return held, results, gateway.stats()
+
+            held, results, stats = run_async(main())
+        # One worker holds the first single-group job; two wait for it.
+        assert [result.workers for result in results] == [1, 1, 1]
+        assert held == 2
+        assert (stats.queued_groups, stats.completed, stats.pending) == (0, 4, 0)
+
+    def test_a_free_worker_takes_the_next_job_while_the_loop_is_blocked(self):
+        nest = example_4_1(8)
+        with Session(backend="compiled") as session:
+            expected = session.run(nest).checksum
+
+            async def main():
+                async with Gateway(
+                    session, exec_workers=1, result_cache=0, coalesce=False
+                ) as gateway:
+                    await gateway.submit(nest)  # warm: the jobs below dispatch inline
+                    original = gateway._execute_group
+                    started = []
+
+                    def first_is_slow(job, group):
+                        started.append(time.perf_counter())
+                        if len(started) == 1:
+                            time.sleep(0.05)
+                        return original(job, group)
+
+                    gateway._execute_group = first_is_slow
+                    jobs = [asyncio.ensure_future(gateway.submit(nest)) for _ in range(2)]
+                    while not started:
+                        await asyncio.sleep(0.001)
+                    # The event loop stalls well past the first job's run.
+                    time.sleep(0.3)
+                    resumed = time.perf_counter()
+                    results = await asyncio.gather(*jobs)
+                    return started, resumed, results
+
+            started, resumed, results = run_async(main())
+        assert [result.checksum for result in results] == [expected] * 2
+        # The worker took the second job from the pool while the loop was
+        # blocked: nothing on the loop hands work to a worker.
+        assert len(started) == 2 and started[1] < resumed
+
+
+# --------------------------------------------------------------------------- #
+# reported workers: the workers that ran the job, as Session.run reports
+# --------------------------------------------------------------------------- #
+class TestReportedWorkers:
+    @needs_engine
+    def test_one_chunk_driver_job_reports_one_worker(self):
+        wavefront = next(case.nest for case in workload_suite(48) if case.name == "wavefront")
+        with Session(backend="native", mode="native-parallel", workers=4) as session:
+            expected = session.run(wavefront)
+            (result,), _ = _serve_fresh(session, [wavefront], exec_workers=4)
+        assert expected.num_chunks == 1
+        assert (result.workers, result.threads) == (expected.workers, expected.threads)
+        assert (result.workers, result.threads) == (1, 1)
+
+    def test_group_job_reports_its_groups(self):
+        # Two chunks make two groups, whatever the number of workers.
+        with Session(backend="compiled") as session:
+            (two, one), _ = _serve_fresh(
+                session, [TWO_CHUNKS, example_4_1(8)], exec_workers=4
+            )
+            (single,), _ = _serve_fresh(session, [example_4_1(8)], exec_workers=1)
+        assert (two.workers, two.threads) == (2, 0)
+        assert one.workers == 4
+        assert single.workers == 1
+
+    def test_cached_and_coalesced_answers_carry_the_leaders_workers(self):
+        gate = _Gate()
+        with Session(backend="compiled") as session:
+
+            async def main():
+                async with Gateway(session, exec_workers=4) as gateway:
+                    gate.wrap(gateway)
+                    leader = asyncio.ensure_future(gateway.submit(TWO_CHUNKS))
+                    await gate.wait_for(1)
+                    follower = asyncio.ensure_future(gateway.submit(TWO_CHUNKS))
+                    while gateway.stats().coalesced < 1:
+                        await asyncio.sleep(0.005)
+                    gate.release.set()
+                    answers = list(await asyncio.gather(leader, follower))
+                    answers.append(await gateway.submit(TWO_CHUNKS))
+                    return answers, gateway.stats()
+
+            answers, stats = run_async(main())
+        assert (stats.coalesced, stats.result_hits) == (1, 1)
+        assert [answer.workers for answer in answers] == [2, 2, 2]
 
 
 # --------------------------------------------------------------------------- #
@@ -927,40 +1048,37 @@ class TestFailuresAndDrain:
             stats = run_async(main())
         assert (stats.pending, stats.failed, stats.completed) == (0, 0, 1)
 
-    def test_caller_cancelled_on_a_full_group_queue_frees_its_slot(self):
-        # Both workers busy and the one-group queue full: the next job waits
-        # for queue room, its caller gives up, and the job still runs.
+    def test_caller_cancelled_while_its_job_waits_for_a_worker_frees_its_slot(self):
+        # The one worker is busy, so the next job waits in the execution
+        # pool's FIFO; its caller gives up, and the job still runs.
+        gate = _Gate()
         nest = example_4_1(8)
-        with Session(backend="native", mode="native-parallel") as session:
+        with Session(backend="compiled") as session:
             expected = session.run(nest).checksum
 
             async def main():
-                gateway = Gateway(
-                    session, exec_workers=2, queue_depth=1, result_cache=0, coalesce=False
-                )
+                gateway = Gateway(session, exec_workers=1, result_cache=0, coalesce=False)
                 async with gateway:
-                    original = gateway._execute_group
-
-                    def slow(job, group):
-                        time.sleep(0.3)
-                        return original(job, group)
-
-                    gateway._execute_group = slow
-                    held = [asyncio.ensure_future(gateway.submit(nest)) for _ in range(3)]
-                    while not gateway._queue.full():
-                        await asyncio.sleep(0.01)
+                    gate.wrap(gateway)
+                    held = asyncio.ensure_future(gateway.submit(nest))
+                    await gate.wait_for(1)
                     caller = asyncio.ensure_future(gateway.submit(nest))
-                    await asyncio.sleep(0.05)
+                    while gateway.stats().queued_groups < 1:
+                        await asyncio.sleep(0.005)
                     caller.cancel()
                     with pytest.raises(asyncio.CancelledError):
                         await caller
-                    results = await asyncio.gather(*held)
+                    gate.release.set()
+                    result = await held
                     await asyncio.wait_for(gateway.aclose(), timeout=5.0)
-                return results, gateway.stats()
+                return result, len(gate.entered), gateway.stats()
 
-            results, stats = run_async(main())
-        assert [result.checksum for result in results] == [expected] * 3
-        assert (stats.pending, stats.failed, stats.completed) == (0, 0, 4)
+            result, started, stats = run_async(main())
+        assert result.checksum == expected
+        assert started == 2  # the cancelled caller's job ran too
+        assert (stats.pending, stats.failed, stats.completed, stats.queued_groups) == (
+            0, 0, 2, 0
+        )
 
     def test_aclose_drains_in_flight_jobs(self):
         gate = _Gate()
