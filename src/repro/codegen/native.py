@@ -14,6 +14,18 @@ per-iteration Python overhead.  Every plan shape runs through it:
 rectangular or coupled bounds, fixed or shifting partition targets, raw or
 coalesced chunks.
 
+A serial run of a whole plan passes no key rows: the chunk scan
+``repro_scan`` finds the chunks from the bound table in the key table's
+order, a C transcription of :meth:`~repro.plan.ExecutionPlan._discover`,
+and runs them as it finds them, in batches of key rows, through the
+kernel's ``repro_kernel_entry``, so a cold request builds no key table.  The scan
+reads nothing of the program, so it is one shared library
+(:func:`scan_source`), built once beside the kernels instead of inside
+each of them, which would make every kernel build take about 40% longer.
+Selections by chunk index (the driver's ranges, the groups of ``shared``
+and the gateway) and the one plan shape the scan cannot deduplicate
+(:meth:`~repro.plan.ExecutionPlan.scan_stamps`) pass key rows.
+
 The kernel is rendered as C, compiled with the system C compiler
 (``$CC``/``cc``/``gcc``/``clang``) into a shared object named by the
 SHA-256 of the source, and loaded through :mod:`ctypes`, which releases
@@ -56,7 +68,7 @@ compiler), otherwise one pthreads helper per range after the first.  It
 returns the first nonzero range status in range order; ranges are ordered,
 so that is the status of the first failing chunk in chunk order — the
 same first-error semantics the serial kernel and the interpreter have.
-Both entry points live in one source file, so a single content-addressed
+Every entry point lives in one source file, so a single content-addressed
 build covers serial and parallel execution.
 """
 
@@ -104,12 +116,15 @@ __all__ = [
     "PackedChunks",
     "packed_ranges_for",
     "resolve_engine",
+    "scan_source",
     "set_kernel_cache_limit",
 ]
 
 KERNEL_SYMBOL = "repro_kernel"
 PARALLEL_KERNEL_SYMBOL = "repro_kernel_par"
+SCAN_SYMBOL = "repro_scan"
 CHUNK_SYMBOL = "repro_chunk"
+KERNEL_ENTRY_SYMBOL = "repro_kernel_entry"
 
 ENGINE_ENV = "REPRO_NATIVE_ENGINE"
 CACHE_DIR_ENV = "REPRO_NATIVE_CACHE"
@@ -124,6 +139,9 @@ ERR_OVERFLOW = 4  # exp overflow, floor/ceil(inf) -> OverflowError
 # Beyond 2**53 an integer constant is not exactly representable in double,
 # so all-double evaluation could differ from the interpreter.
 _MAX_EXACT_INT = 2**53
+
+#: Most key rows the chunk scan hands the kernel in one call.
+_SCAN_BATCH = 256
 
 _UNARY_CALLS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "floor", "ceil")
 
@@ -418,7 +436,10 @@ def _level_lines(level: int, depth: int) -> List[str]:
     """
     k = level
     header = k * (len(LEVEL_FIELDS) + depth)
-    role, step, n_lower, n_upper, offset = (header + i for i in range(len(LEVEL_FIELDS)))
+    role, step, n_lower, n_upper, offset = (
+        header + LEVEL_FIELDS.index(name)
+        for name in ("role", "step", "n_lower", "n_upper", "offset")
+    )
     shift = header + len(LEVEL_FIELDS)
     width = depth + 2
     parallel, partition = ROLE_CODES["parallel"], ROLE_CODES["partition"]
@@ -465,16 +486,195 @@ def _level_lines(level: int, depth: int) -> List[str]:
     return lines
 
 
+def scan_source() -> str:
+    """The C source of ``repro_scan``, the chunk scan every kernel shares.
+
+    ``repro_scan(depth, bt, stamps, found, kernel, arrays)`` is a C
+    transcription of :meth:`~repro.plan.ExecutionPlan._discover` over the
+    bound table ``bt``: it finds the chunks of the plan in first-appearance
+    order and runs them as it finds them, handing each batch of up to
+    :data:`_SCAN_BATCH` key rows to ``kernel(n, keys, bt, arrays)`` — a
+    kernel's ``repro_kernel_entry``, which runs them in order and stops at
+    the first nonzero status.  The scan returns that status and stops, so
+    the chunks that run, and the writes a failing run leaves, are the
+    serial kernel's; ``*found`` is the number of chunks found.  The scan
+    reads nothing of the program, so one library serves every kernel and
+    builds once, instead of growing every kernel's build; batching keeps
+    the chunk body inlined into the kernel's loop, as the key-table path
+    runs it.  Without sweeps, the innermost level appends every value it
+    visits as a chunk in one tight loop.
+
+    It is one loop over the current level ``k``.  Entering a level
+    evaluates its bounds on the prefix ``j[0..k-1]`` and narrows the range
+    of an invariant level to its representatives: the block starts of a
+    blocked parallel level, the first ``stride`` values of a partitioned
+    one, the lower bound of a sequential one.  An unblocked parallel level
+    takes every value, and any other level sweeps its range.  ``key[k]`` is
+    the level's key component: the block index of a parallel value, the
+    label residue ``r - g * stride`` of a partitioned one with ``r = j -
+    sum(shift[u] * g_u)`` and HNF factor ``g = floor(r / stride)`` (the row
+    reduction of ``_label_of``), and 0 for a sequential level.
+
+    Dedupe: each visit of a swept level (its first value and, for a blocked
+    level, every block start, as keys of different blocks never meet)
+    takes a new stamp, and owns ``labels`` stamps — one per partition
+    label, in mixed radix — at ``stamps + slot * labels``; ``stamps`` holds
+    :meth:`~repro.plan.ExecutionPlan.scan_stamps` zeroed int64s.  A leaf's
+    key is new when no swept level on its path has stamped it in its
+    current visit, checked from the innermost swept level out: a key an
+    inner visit has seen was passed up to every outer visit, so the first
+    stamp found ends the check.
+    """
+    field = {name: index for index, name in enumerate(LEVEL_FIELDS)}
+    role, step, invariant = field["role"], field["step"], field["invariant"]
+    n_lower, n_upper, offset = field["n_lower"], field["n_upper"], field["offset"]
+    parallel = ROLE_CODES["parallel"]
+    partition = ROLE_CODES["partition"]
+    sequential = ROLE_CODES["sequential"]
+    helpers = "\n".join(_C_HELPERS)
+    return f"""\
+#include <stdint.h>
+
+{helpers}
+
+typedef int64_t (*repro_kernel_fn)(int64_t n_chunks, const int64_t *keys, const int64_t *bt,
+                                   void *const *arrays);
+
+int64_t {SCAN_SYMBOL}(int64_t depth, const int64_t *bt, int64_t *stamps, int64_t *found,
+                   repro_kernel_fn kernel, void *const *arrays)
+{{
+    const int64_t header = {len(LEVEL_FIELDS)} + depth;
+    int64_t batch[{_SCAN_BATCH} * depth], held = 0, status;
+    int64_t j[depth], lo[depth], hi[depth], g[depth], key[depth];
+    int64_t radix[depth], slot[depth], visit[depth];
+    int sweep[depth], leap[depth];
+    int64_t labels = 1, swept = 0, clock = 0, count = 0, k;
+    for (k = 0; k < depth; ++k) {{
+        const int64_t *h = bt + k * header;
+        const int every = h[{role}] == {parallel} && h[{step}] == 1;
+        sweep[k] = !every && !h[{invariant}];
+        leap[k] = h[{role}] == {parallel} && !sweep[k];
+        radix[k] = h[{role}] == {partition} ? labels : 0;
+        if (h[{role}] == {partition}) {{ labels *= h[{step}]; }}
+        slot[k] = swept;
+        swept += sweep[k];
+        visit[k] = 0;
+    }}
+    int enter = 1;
+    k = 0;
+    while (k >= 0) {{
+        const int64_t *h = bt + k * header;
+        const int64_t st = h[{step}];
+        if (enter) {{
+            const int64_t n = h[{n_lower}] + h[{n_upper}];
+            int64_t e = h[{offset}];
+            for (int64_t x = 0; x < n; ++x, e += depth + 2) {{
+                int64_t acc = bt[e + 1];
+                for (int64_t t = 0; t < k; ++t) {{ acc += bt[e + 2 + t] * j[t]; }}
+                if (x < h[{n_lower}]) {{
+                    const int64_t v = repro_ceil(acc, bt[e]);
+                    if (x == 0 || v > lo[k]) {{ lo[k] = v; }}
+                }} else {{
+                    const int64_t v = repro_floor(acc, bt[e]);
+                    if (x == h[{n_lower}] || v < hi[k]) {{ hi[k] = v; }}
+                }}
+            }}
+            if (!sweep[k] && !(h[{role}] == {parallel} && st == 1)) {{
+                if (h[{role}] == {partition} && lo[k] + st - 1 < hi[k]) {{ hi[k] = lo[k] + st - 1; }}
+                if (h[{role}] == {sequential} && lo[k] < hi[k]) {{ hi[k] = lo[k]; }}
+            }}
+            j[k] = lo[k];
+            enter = 0;
+            if (k == depth - 1 && !swept) {{
+                /* Without sweeps every value the scan visits at the
+                   innermost level starts a new chunk: append them all. */
+                const int64_t role = h[{role}], top = hi[k];
+                const int every = leap[k] && st == 1;
+                int64_t shifted = 0;
+                for (int64_t u = 0; u < k; ++u) {{ shifted += h[{len(LEVEL_FIELDS)} + u] * g[u]; }}
+                for (int64_t v = lo[k]; v <= top;
+                     v = every ? v + 1 : leap[k] ? (repro_floor(v, st) + 1) * st : v + 1) {{
+                    int64_t *row = batch + held * depth;
+                    for (int64_t u = 0; u < k; ++u) {{ row[u] = key[u]; }}
+                    if (every) {{
+                        row[k] = v;
+                    }} else {{
+                        const int64_t r = v - shifted;
+                        const int64_t gv = repro_floor(r, st);
+                        row[k] = role == {partition} ? r - gv * st : role == {parallel} ? gv : 0;
+                    }}
+                    ++count;
+                    if (++held == {_SCAN_BATCH}) {{
+                        status = kernel(held, batch, bt, arrays);
+                        held = 0;
+                        if (status != 0) {{ *found = count; return status; }}
+                    }}
+                }}
+                --k;
+                continue;
+            }}
+        }} else {{
+            j[k] = leap[k] ? (repro_floor(j[k], st) + 1) * st : j[k] + 1;
+        }}
+        if (j[k] > hi[k]) {{
+            --k;
+            continue;
+        }}
+        if (sweep[k] && (j[k] == lo[k] || (h[{role}] == {parallel} && repro_mod(j[k], st) == 0))) {{
+            visit[k] = ++clock;
+        }}
+        int64_t r = j[k];
+        for (int64_t u = 0; u < k; ++u) {{ r -= h[{len(LEVEL_FIELDS)} + u] * g[u]; }}
+        g[k] = repro_floor(r, st);
+        key[k] = h[{role}] == {partition} ? r - g[k] * st : h[{role}] == {parallel} ? g[k] : 0;
+        if (k + 1 < depth) {{
+            ++k;
+            enter = 1;
+            continue;
+        }}
+        int fresh = 1;
+        if (swept) {{
+            int64_t at = 0;
+            for (int64_t u = 0; u < depth; ++u) {{ at += key[u] * radix[u]; }}
+            for (int64_t u = depth - 1; u >= 0 && fresh; --u) {{
+                if (sweep[u]) {{
+                    int64_t *seen = stamps + slot[u] * labels + at;
+                    if (*seen == visit[u]) {{ fresh = 0; }} else {{ *seen = visit[u]; }}
+                }}
+            }}
+        }}
+        if (fresh) {{
+            for (int64_t u = 0; u < depth; ++u) {{ batch[held * depth + u] = key[u]; }}
+            ++count;
+            if (++held == {_SCAN_BATCH}) {{
+                status = kernel(held, batch, bt, arrays);
+                held = 0;
+                if (status != 0) {{ *found = count; return status; }}
+            }}
+        }}
+    }}
+    *found = count;
+    return held ? kernel(held, batch, bt, arrays) : 0;
+}}
+"""
+
+
 def emit_kernel_source(nest: LoopNest, inverse, flavor: str = "openmp") -> str:
     """Render the chunk-loop kernel for ``nest`` as C.
 
-    The source contains three functions:
+    The source contains four functions:
 
     * ``repro_chunk(key, bt, a0, a0_org, a0_shp, ...)`` — executes one
       chunk given its key row (``depth`` ints) and the plan's bound table,
       returning a status code;
-    * ``repro_kernel(n_chunks, keys, bt, a0, ...)`` — the serial driver:
-      runs chunks in order, stopping at the first nonzero status;
+    * ``repro_kernel_entry(n_chunks, keys, bt, arrays)`` — runs the given
+      key rows in order, stopping at the first nonzero status, with the
+      array arguments packed into one pointer array: the signature every
+      kernel shares, through which the chunk scan of :func:`scan_source`
+      runs the chunks it finds, so a serial run of a whole plan needs no
+      key table;
+    * ``repro_kernel(n_chunks, keys, bt, a0, ...)`` — the same with the
+      array arguments spelled out;
     * ``repro_kernel_par(n_threads, starts, keys, bt, statuses, a0, ...)``
       — the parallel driver: thread ``t`` runs ``repro_kernel`` on chunks
       ``starts[t]`` to ``starts[t + 1] - 1`` into ``statuses[t]``, and the
@@ -515,6 +715,15 @@ def emit_kernel_source(nest: LoopNest, inverse, flavor: str = "openmp") -> str:
     array_args = "".join(
         f", a{slot}, a{slot}_org, a{slot}_shp" for slot in range(len(slots))
     )
+    packed = ", ".join(
+        f"a{slot}, (void *)a{slot}_org, (void *)a{slot}_shp" for slot in range(len(slots))
+    )
+    unpack = [
+        f"double *a{slot} = (double *)arrays[{3 * slot}]; "
+        f"const int64_t *a{slot}_org = (const int64_t *)arrays[{3 * slot + 1}]; "
+        f"const int64_t *a{slot}_shp = (const int64_t *)arrays[{3 * slot + 2}];"
+        for slot in range(len(slots))
+    ]
     lines = ["#include <math.h>", "#include <stdint.h>"]
     if flavor == "pthreads":
         lines += ["#include <pthread.h>", "#include <stdlib.h>"]
@@ -542,14 +751,24 @@ def emit_kernel_source(nest: LoopNest, inverse, flavor: str = "openmp") -> str:
         "    return 0;",
         "}",
         "",
-        f"int64_t {KERNEL_SYMBOL}(int64_t n_chunks, const int64_t *keys, "
-        f"const int64_t *bt{params})",
+        # The one caller of the chunk body; not inlined into repro_kernel,
+        # so the body is compiled once.
+        f"__attribute__((noinline)) int64_t {KERNEL_ENTRY_SYMBOL}(int64_t n_chunks, "
+        "const int64_t *keys, const int64_t *bt, void *const *arrays)",
         "{",
+    ] + [f"    {line}" for line in unpack] + [
         "    for (int64_t c = 0; c < n_chunks; ++c) {",
         f"        int64_t status = {CHUNK_SYMBOL}(keys + c * {depth}, bt{array_args});",
         "        if (status != 0) { return status; }",
         "    }",
         "    return 0;",
+        "}",
+        "",
+        f"int64_t {KERNEL_SYMBOL}(int64_t n_chunks, const int64_t *keys, "
+        f"const int64_t *bt{params})",
+        "{",
+        f"    void *const arrays[] = {{{packed}}};",
+        f"    return {KERNEL_ENTRY_SYMBOL}(n_chunks, keys, bt, arrays);",
         "}",
         "",
     ]
@@ -634,6 +853,7 @@ def emit_kernel_source(nest: LoopNest, inverse, flavor: str = "openmp") -> str:
 _UNSET = object()
 _OPENMP_CACHED = _UNSET
 _COMPILER_CACHED = _UNSET
+_SCAN_CACHED = _UNSET
 _LAST_BUILD_ERROR: Optional[str] = None
 
 
@@ -750,24 +970,23 @@ def _write_atomic(path: str, content: str) -> None:
     os.replace(tmp, path)
 
 
-def _build_cc(source: str, directory: str, openmp: bool):
-    """Compile C source to a shared object cached in ``directory``, load
-    both entry points, and return ``(serial_fn, parallel_fn)`` — parallel
-    may be None."""
+def _load_cc(source: str, directory: str, flags: List[str], stem: str):
+    """Compile C source to a shared object cached in ``directory`` under
+    ``stem`` and the source hash, and load it; None on failure, with the
+    reason in :func:`last_build_error`."""
     global _LAST_BUILD_ERROR
     compiler = _find_c_compiler()
     if compiler is None:
         return None
     digest = _source_digest(source)
-    so_path = os.path.join(directory, f"{KERNEL_SYMBOL}_{digest}.so")
+    so_path = os.path.join(directory, f"{stem}_{digest}.so")
     if not os.path.exists(so_path):
-        c_path = os.path.join(directory, f"{KERNEL_SYMBOL}_{digest}.c")
+        c_path = os.path.join(directory, f"{stem}_{digest}.c")
         tmp_so = f"{so_path}.tmp.{os.getpid()}"
-        thread_flag = "-fopenmp" if openmp else "-pthread"
         try:
             _write_atomic(c_path, source)
             result = subprocess.run(
-                [compiler, "-O2", "-fPIC", "-shared", thread_flag, "-o", tmp_so,
+                [compiler, "-O2", "-fPIC", "-shared", *flags, "-o", tmp_so,
                  c_path, "-lm"],
                 capture_output=True,
                 text=True,
@@ -789,19 +1008,54 @@ def _build_cc(source: str, directory: str, openmp: bool):
                 except OSError:
                     pass
     try:
-        library = ctypes.CDLL(so_path)
+        return ctypes.CDLL(so_path)
+    except OSError as exc:  # pragma: no cover - corrupt cache entry
+        _LAST_BUILD_ERROR = f"{type(exc).__name__}: {exc}"
+        return None
+
+
+def _build_cc(source: str, directory: str, openmp: bool):
+    """Compile kernel source to a shared object cached in ``directory``,
+    load its entry points, and return ``(serial_fn, parallel_fn,
+    kernel_entry)`` — parallel and packed entry may be None."""
+    global _LAST_BUILD_ERROR
+    library = _load_cc(source, directory, ["-fopenmp" if openmp else "-pthread"], KERNEL_SYMBOL)
+    if library is None:
+        return None
+    try:
         function = getattr(library, KERNEL_SYMBOL)
-    except Exception as exc:  # pragma: no cover - corrupt cache entry
+    except AttributeError as exc:  # pragma: no cover - corrupt cache entry
         _LAST_BUILD_ERROR = f"{type(exc).__name__}: {exc}"
         return None
     function.restype = ctypes.c_int64
-    try:
-        parallel = getattr(library, PARALLEL_KERNEL_SYMBOL)
-    except AttributeError:  # pragma: no cover - artifact from an older build
-        parallel = None
-    else:
-        parallel.restype = ctypes.c_int64
-    return function, parallel
+    optional = []
+    for symbol in (PARALLEL_KERNEL_SYMBOL, KERNEL_ENTRY_SYMBOL):
+        try:
+            entry = getattr(library, symbol)
+        except AttributeError:  # pragma: no cover - artifact from an older build
+            entry = None
+        else:
+            entry.restype = ctypes.c_int64
+        optional.append(entry)
+    return (function, *optional)
+
+
+def _scan_function():
+    """The shared chunk scan (:func:`scan_source`), built once per process
+    and cache directory; None when it cannot be built.  Call it under
+    ``_LOCK``."""
+    global _SCAN_CACHED
+    if _SCAN_CACHED is _UNSET:
+        library = _load_cc(scan_source(), native_cache_dir(), [], SCAN_SYMBOL)
+        scan = getattr(library, SCAN_SYMBOL, None) if library is not None else None
+        if scan is not None:
+            scan.restype = ctypes.c_int64
+            scan.argtypes = [
+                ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, _I64_P, ctypes.c_void_p,
+                ctypes.POINTER(ctypes.c_void_p),
+            ]
+        _SCAN_CACHED = scan
+    return _SCAN_CACHED
 
 
 # --------------------------------------------------------------------------- #
@@ -843,7 +1097,7 @@ def packed_ranges_for(plan, chunk_indices=None) -> Optional[PackedChunks]:
 
 
 class NativeKernel:
-    """One compiled kernel: its two ctypes entry points + marshalling.
+    """One compiled kernel: its ctypes entry points + marshalling.
 
     ``flavor`` names the parallel driver baked into the artifact
     (``"openmp"`` or ``"pthreads"``), ``None`` when the artifact has no
@@ -858,10 +1112,12 @@ class NativeKernel:
         "flavor",
         "_fn",
         "_par_fn",
+        "_scan",
+        "_kernel_entry",
     )
 
     def __init__(self, fn, depth, array_dims, source, compile_seconds,
-                 par_fn=None, flavor=None):
+                 par_fn=None, flavor=None, scan=None):
         self.depth = depth
         self.array_dims = tuple(array_dims)
         self.source = source
@@ -869,6 +1125,12 @@ class NativeKernel:
         self.flavor = flavor if par_fn is not None else None
         self._fn = fn
         self._par_fn = par_fn
+        # ``scan`` pairs the shared scan function with this kernel's packed
+        # entry, whose address the scan calls with each batch it finds.
+        self._scan = scan[0] if scan is not None else None
+        self._kernel_entry = (
+            ctypes.cast(scan[1], ctypes.c_void_p) if scan is not None else None
+        )
         array_types = []
         for _ in self.array_dims:
             array_types.extend((_F64_P, _I64_P, _I64_P))
@@ -881,21 +1143,17 @@ class NativeKernel:
         """Whether this kernel carries a usable parallel driver."""
         return self._par_fn is not None
 
-    def _marshal(self, offset_arrays, packed: PackedChunks):
-        """``(datas, origins, shapes)`` or None when a layout cannot be
-        passed to native code (caller falls back)."""
-        n_chunks, keys, bounds = packed
-        for table in (keys, bounds):
+    def _marshal(self, offset_arrays, bounds: np.ndarray, *tables: np.ndarray):
+        """Each array's float64 buffer, int64 origin and int64 shape, in
+        slot order, or None when a table or an array's layout cannot be
+        passed to native code (caller falls back).  The caller keeps the
+        list alive for the duration of the call."""
+        for table in (bounds, *tables):
             if table.dtype != np.int64 or table.ndim != 1 or not table.flags["C_CONTIGUOUS"]:
                 return None
-        if (
-            keys.size != n_chunks * self.depth
-            or bounds.size < self.depth * (len(LEVEL_FIELDS) + self.depth)
-        ):
+        if bounds.size < self.depth * (len(LEVEL_FIELDS) + self.depth):
             return None
-        datas = []
-        origins = []
-        shapes = []
+        buffers = []
         for array, ndim in zip(offset_arrays, self.array_dims):
             data = array.data
             if (
@@ -904,33 +1162,58 @@ class NativeKernel:
                 or not data.flags["C_CONTIGUOUS"]
             ):
                 return None
-            datas.append(data)
-            origins.append(np.asarray(array.origin, dtype=np.int64))
-            shapes.append(np.asarray(data.shape, dtype=np.int64))
-        return datas, origins, shapes
+            buffers += (
+                data,
+                np.asarray(array.origin, dtype=np.int64),
+                np.asarray(data.shape, dtype=np.int64),
+            )
+        return buffers
 
-    def _array_args(self, marshalled):
-        args = []
-        for data, origin, shape in zip(*marshalled):
-            args.append(data.ctypes.data_as(_F64_P))
-            args.append(origin.ctypes.data_as(_I64_P))
-            args.append(shape.ctypes.data_as(_I64_P))
-        return args
+    @staticmethod
+    def _array_args(buffers):
+        return [
+            buffer.ctypes.data_as(_I64_P if k % 3 else _F64_P)
+            for k, buffer in enumerate(buffers)
+        ]
 
     def execute(self, offset_arrays, packed: PackedChunks) -> Optional[int]:
-        """Run the serial kernel; returns the status code, or None when an
-        array's layout cannot be marshalled (caller falls back)."""
-        marshalled = self._marshal(offset_arrays, packed)
-        if marshalled is None:
-            return None
+        """Run the given key rows in order; returns the status code, or None
+        when an array's layout cannot be marshalled (caller falls back)."""
         n_chunks, keys, bounds = packed
-        args = [
+        if keys.size != n_chunks * self.depth:
+            return None
+        buffers = self._marshal(offset_arrays, bounds, keys)
+        if buffers is None:
+            return None
+        return int(self._fn(
             ctypes.c_int64(n_chunks),
             keys.ctypes.data_as(_I64_P),
             bounds.ctypes.data_as(_I64_P),
-        ]
-        args.extend(self._array_args(marshalled))
-        return int(self._fn(*args))
+            *self._array_args(buffers),
+        ))
+
+    def scan(self, offset_arrays, bounds: np.ndarray, stamps: int) -> Optional[Tuple[int, int]]:
+        """Find and run every chunk of the plan whose bound table is
+        ``bounds`` through the shared scan; returns ``(status, chunks
+        run)``, or None when there is no scan or the marshalling is
+        unusable — nothing has been written then."""
+        if self._scan is None:
+            return None
+        buffers = self._marshal(offset_arrays, bounds)
+        if buffers is None:
+            return None
+        pointers = (ctypes.c_void_p * len(buffers))(*(buffer.ctypes.data for buffer in buffers))
+        seen = np.zeros(stamps, dtype=np.int64) if stamps else None
+        found = ctypes.c_int64(0)
+        status = self._scan(
+            self.depth,
+            bounds.ctypes.data,
+            None if seen is None else seen.ctypes.data,
+            ctypes.byref(found),
+            self._kernel_entry,
+            pointers,
+        )
+        return int(status), found.value
 
     def execute_parallel(self, offset_arrays, packed: PackedChunks, starts) -> Optional[int]:
         """Run chunks ``starts[t]`` to ``starts[t + 1] - 1`` on thread ``t``;
@@ -946,21 +1229,22 @@ class NativeKernel:
             return None
         if edges != sorted(edges):
             return None
-        marshalled = self._marshal(offset_arrays, packed)
-        if marshalled is None:
+        n_chunks, keys, bounds = packed
+        if keys.size != n_chunks * self.depth:
             return None
-        _, keys, bounds = packed
+        buffers = self._marshal(offset_arrays, bounds, keys)
+        if buffers is None:
+            return None
         threads = starts.size - 1
         statuses = np.zeros(threads, dtype=np.int64)
-        args = [
+        return int(self._par_fn(
             ctypes.c_int64(threads),
             starts.ctypes.data_as(_I64_P),
             keys.ctypes.data_as(_I64_P),
             bounds.ctypes.data_as(_I64_P),
             statuses.ctypes.data_as(_I64_P),
-        ]
-        args.extend(self._array_args(marshalled))
-        return int(self._par_fn(*args))
+            *self._array_args(buffers),
+        ))
 
 
 class NativeProgram:
@@ -993,6 +1277,18 @@ class NativeProgram:
             return None
         return self.kernel.execute_parallel(arrays, packed, starts)
 
+    def scan(self, store, plan) -> Optional[Tuple[int, int]]:
+        """Run the whole plan through the chunk scan: ``(status, chunks
+        run)``, or None — nothing written — when the plan keeps the
+        key-table path, there is no scan, or nothing can be marshalled."""
+        stamps = plan.scan_stamps()
+        if stamps is None:
+            return None
+        arrays = self._arrays(store)
+        if arrays is None:
+            return None
+        return self.kernel.scan(arrays, plan.bound_table(), stamps)
+
 
 _LOCK = threading.Lock()
 _KERNELS: "OrderedDict[tuple, Optional[NativeKernel]]" = OrderedDict()
@@ -1016,14 +1312,16 @@ def kernel_cache_info() -> Dict[str, object]:
 
 
 def clear_kernel_cache() -> None:
-    """Drop cached kernels, stats and the memoized toolchain probes."""
-    global _OPENMP_CACHED, _COMPILER_CACHED, _LAST_BUILD_ERROR
+    """Drop cached kernels, stats, the shared scan and the memoized
+    toolchain probes."""
+    global _OPENMP_CACHED, _COMPILER_CACHED, _SCAN_CACHED, _LAST_BUILD_ERROR
     with _LOCK:
         _KERNELS.clear()
         for key in _STATS:
             _STATS[key] = 0.0 if key == "build_seconds" else 0
         _OPENMP_CACHED = _UNSET
         _COMPILER_CACHED = _UNSET
+        _SCAN_CACHED = _UNSET
         _LAST_BUILD_ERROR = None
 
 
@@ -1049,11 +1347,13 @@ def _build_kernel(nest: LoopNest, inverse) -> Optional[NativeKernel]:
     built = _build_cc(source, directory, openmp=flavor == "openmp")
     if built is None:
         return None
-    function, parallel_fn = built
+    function, parallel_fn, kernel_entry = built
+    # The shared scan builds with the first kernel, inside the setup window.
+    scan = _scan_function() if kernel_entry is not None else None
     dims = tuple(ndim for _, ndim in _array_slots(nest))
     return NativeKernel(
         function, nest.depth, dims, source, time.perf_counter() - started,
-        par_fn=parallel_fn, flavor=flavor,
+        par_fn=parallel_fn, flavor=flavor, scan=(scan, kernel_entry) if scan else None,
     )
 
 

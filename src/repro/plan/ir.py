@@ -20,7 +20,9 @@ could read off a materialized chunk list is available symbolically:
 * ``bound_table()`` / ``key_table()`` encode the same bounds and chunk keys
   as two int64 arrays — what the native kernels execute and what
   ``chunk_sizes()`` evaluates with NumPy; the key table is itself built in
-  NumPy, by expanding the plan level by level from the bound table;
+  NumPy, by expanding the plan level by level from the bound table.  A
+  serial native run of the whole plan reads only the bound table: the
+  native chunk scan finds the chunks itself (``scan_stamps()``);
 * the plan itself pickles to a few hundred bytes — it is the *only* thing
   the parallel runtime ships to worker processes, which re-enumerate their
   assigned chunks in place.
@@ -43,7 +45,8 @@ be visited.  Where those static invariance checks fail — non-rectangular
 interactions between key and non-key levels — the scan degrades to a
 deduplicating sweep that is still exact, just not sublinear.  The Python
 scan (``_discover``) is the reference; the key table transcribes it into
-whole-level NumPy operations.
+whole-level NumPy operations, and the native chunk scan ``repro_scan``
+into a C loop over the bound table.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ ROLE_CODES = {"parallel": 0, "partition": 1, "sequential": 2}
 
 #: The fields of one level header in the bound table; ``depth`` shift
 #: entries follow them (see :meth:`ExecutionPlan.bound_table`).
-LEVEL_FIELDS = ("role", "step", "n_lower", "n_upper", "offset")
+LEVEL_FIELDS = ("role", "step", "n_lower", "n_upper", "offset", "invariant")
 
 #: Every integer the tables hold, and every intermediate the kernels and
 #: the NumPy sizing compute from them, stays below this magnitude; a plan
@@ -85,6 +88,12 @@ _INT64_LIMIT = 2**62
 #: Most prefix rows the NumPy key-table expansion holds at one level; a plan
 #: whose expansion would pass it finds its keys with ``_discover`` instead.
 _EXPANSION_ROW_LIMIT = 1 << 20
+
+#: Most int64 dedupe stamps the native chunk scan holds (one per swept
+#: level and partition label), and most partition labels it indexes; a
+#: plan that would need more keeps the key table (see
+#: :meth:`ExecutionPlan.scan_stamps`).
+_SCAN_STAMP_LIMIT = 1 << 20
 
 _UNBUILT = object()
 
@@ -380,6 +389,29 @@ class ExecutionPlan:
                 )
             invariant.append(flag)
         self._invariant = invariant
+        # The levels the discovery scan sweeps and deduplicates below:
+        # neither an unblocked parallel level (each value is its own key
+        # component) nor invariant (representatives suffice).  The native
+        # scan deduplicates by partition label alone, with one int64 stamp
+        # per swept level and label, so it needs every key level below a
+        # swept one to be partitioned.
+        swept = [
+            level
+            for level, spec in enumerate(self.levels)
+            if not (spec.role == "parallel" and spec.block == 1) and not invariant[level]
+        ]
+        labels = 1
+        for pos, row in enumerate(self.hnf):
+            labels *= row[pos]
+        sweeps_parallel = bool(swept) and any(
+            self.levels[u].role == "parallel" for u in range(swept[0] + 1, depth)
+        )
+        # The scan computes the label count even without a sweep, so it is
+        # bounded too.
+        stamps = len(swept) * labels
+        self._scan_stamps: Optional[int] = (
+            None if sweeps_parallel or max(labels, stamps) > _SCAN_STAMP_LIMIT else stamps
+        )
         #: Chunk sizes decompose into a per-level product when no level's
         #: bounds depend on a level that varies within a chunk.  Blocked
         #: parallel levels vary within their chunk, so only unblocked
@@ -627,6 +659,32 @@ class ExecutionPlan:
             keys = keys[np.sort(order[first])]
         return np.ascontiguousarray(keys)
 
+    def scan_stamps(self) -> Optional[int]:
+        """How many int64 dedupe stamps the native chunk scan needs for the
+        whole plan; ``None`` when the plan keeps the key-table path.
+
+        The native chunk scan (``repro_scan``, see
+        :func:`repro.codegen.native.scan_source`) transcribes
+        :meth:`_discover` over the bound table and runs the chunks as it
+        finds them, so a serial run of the whole plan builds no key table.
+        Where the reference sweeps a level and deduplicates the keys found
+        below it, the scan keeps one stamp per swept level and partition
+        label, which is exact only when every key level below a swept level
+        is partitioned.  A swept level
+        above a parallel level (under ``placement="inner"``, a partition
+        level above a doall level) would have to deduplicate parallel values
+        too: that plan, a plan past :data:`_SCAN_STAMP_LIMIT` stamps or
+        partition labels, and one without a bound table return ``None``.
+        """
+        if self._scan_stamps is None or self.bound_table() is None:
+            return None
+        return self._scan_stamps
+
+    def record_chunk_count(self, count: int) -> None:
+        """Keep the chunk count a native scan of the whole plan found."""
+        if self._chunk_count is None:
+            self._chunk_count = int(count)
+
     def chunk_keys(self) -> Iterator[ChunkKey]:
         """All chunk keys in first-appearance (schedule) order.
 
@@ -860,7 +918,7 @@ class ExecutionPlan:
         sizes = np.ones(keys.shape[0], dtype=np.int64)
         for level in range(depth):
             role, step, n_lower, n_upper, offset = (
-                int(x) for x in table[level * header : level * header + len(LEVEL_FIELDS)]
+                int(x) for x in table[level * header : level * header + 5]
             )
             exprs = table[offset : offset + (n_lower + n_upper) * width].reshape(-1, width)
             # Separable bounds read only unblocked parallel levels, whose key
@@ -892,7 +950,9 @@ class ExecutionPlan:
         its role code (:data:`ROLE_CODES`), its step (the block of a
         parallel level, the HNF diagonal of a partitioned one, 1 for a
         sequential one), its lower and upper expression counts, the offset
-        of its expressions, then ``depth`` shift entries — ``shift[u]`` is
+        of its expressions, its invariance flag (1 when the discovery scan
+        may stop at the level's representatives), then ``depth`` shift
+        entries — ``shift[u]`` is
         ``hnf[pos(u)][pos(k)]`` when levels ``u < k`` and ``k`` are both
         partitioned, else 0, so a partitioned level's congruence target is
         ``row[k] + sum(shift[u] * factor[u])``.  Each expression is
@@ -903,7 +963,11 @@ class ExecutionPlan:
 
         ``None`` when some intermediate value of the kernels or the NumPy
         sizing could reach ``2**62`` (or a level is unbounded); callers
-        then take the Python paths.
+        then take the Python paths.  The kernel's chunk scan computes
+        nothing larger: its representatives and block starts stay within
+        two steps of a level's values, its label residues and HNF factors
+        within the partition targets and factors bounded here, and its
+        stamp index below :meth:`scan_stamps`.
         """
         if self._bound_table_cache is _UNBUILT:
             self._bound_table_cache = self._build_bound_table()
@@ -988,6 +1052,7 @@ class ExecutionPlan:
                 len(bounds.lowers),
                 len(bounds.uppers),
                 start,
+                int(self._invariant[level]),
                 *shifts,
             ]
             peak = max(
@@ -1002,8 +1067,9 @@ class ExecutionPlan:
     @property
     def chunk_count(self) -> int:
         """Number of chunks; closed form for constant key-level bounds,
-        else the key table's row count (the cached table serves later
-        key_list()/chunk_sizes() calls too)."""
+        else the count a native scan recorded, else the key table's row
+        count (the cached table serves later key_list()/chunk_sizes() calls
+        too)."""
         if self._chunk_count is None:
             self._chunk_count = self._closed_chunk_count()
             if self._chunk_count is None:

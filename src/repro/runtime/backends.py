@@ -698,14 +698,17 @@ class NativeBackend(ExecutionBackend):
 
     :mod:`repro.codegen.native` compiles one specialized C kernel per
     canonical program with the system compiler and loads it through
-    ctypes.  A run hands it the key rows of the selected chunks and the
-    plan's bound table (:meth:`~repro.plan.ExecutionPlan.key_table`,
-    :meth:`~repro.plan.ExecutionPlan.bound_table`); the kernel evaluates
-    each level's bounds and steps every chunk as nested native loops
-    directly on the store's float64 buffers — zero per-iteration Python
-    work, GIL released for the duration of a call.  Every plan shape
-    compiles: shifting partition targets, coupled bounds and coalesced
-    blocks included.
+    ctypes.  A run of the whole plan hands it only the plan's bound table
+    (:meth:`~repro.plan.ExecutionPlan.bound_table`): the native chunk scan finds
+    the chunks in schedule order and runs them as it finds them, so no key
+    table is built.  A selection of chunks by index, and a plan the scan
+    cannot deduplicate (:meth:`~repro.plan.ExecutionPlan.scan_stamps`),
+    hands it key rows from :meth:`~repro.plan.ExecutionPlan.key_table`
+    instead.  Either way the kernel evaluates each level's bounds and steps
+    every chunk as nested native loops directly on the store's float64
+    buffers — zero per-iteration Python work, GIL released for the
+    duration of a call.  Every plan shape compiles: shifting partition
+    targets, coupled bounds and coalesced blocks included.
 
     The backend degrades automatically: when there is no engine (no C
     compiler, or ``REPRO_NATIVE_ENGINE`` turns it off), the kernel build
@@ -766,16 +769,25 @@ class NativeBackend(ExecutionBackend):
         program = native_codegen.native_program_for(transformed)
         if program is None:
             return self._delegate_plan(transformed, plan, store, chunk_indices)
-        packed = native_codegen.packed_ranges_for(plan, chunk_indices)
-        if packed is None:
-            return self._delegate_plan(transformed, plan, store, chunk_indices)
-        code = program.execute(store, packed)
-        if code is None:
-            return self._delegate_plan(transformed, plan, store, chunk_indices)
+        # The whole plan: the kernel finds the chunks itself, and the plan
+        # keeps the count it found.
+        outcome = program.scan(store, plan) if chunk_indices is None else None
+        if outcome is not None:
+            code, n_chunks = outcome
+            if code == native_codegen.OK:
+                plan.record_chunk_count(n_chunks)
+        else:
+            packed = native_codegen.packed_ranges_for(plan, chunk_indices)
+            if packed is None:
+                return self._delegate_plan(transformed, plan, store, chunk_indices)
+            code = program.execute(store, packed)
+            if code is None:
+                return self._delegate_plan(transformed, plan, store, chunk_indices)
+            n_chunks = packed.n_chunks
         if code != native_codegen.OK:
             self._raise_native_error(code, transformed)
         self.stats["native_runs"] += 1
-        self.stats["native_chunks"] += packed.n_chunks
+        self.stats["native_chunks"] += n_chunks
         return "native-cc"
 
     # ------------------------------------------------------------------ #
@@ -784,8 +796,8 @@ class NativeBackend(ExecutionBackend):
     def parallel_plan_refusal(self, transformed, plan) -> Optional[str]:
         """Why :meth:`execute_plan_parallel` cannot run this plan (None: it can).
 
-        Compiles the kernel and builds the plan's key and bound tables as a
-        side effect (all cached), so call this inside the setup window.
+        Compiles the kernel and builds the plan's bound table as a side
+        effect (both cached), so call this inside the setup window.
         """
         program = native_codegen.native_program_for(transformed)
         if program is None:
@@ -796,7 +808,7 @@ class NativeBackend(ExecutionBackend):
             return "no native kernel for this nest"
         if not program.kernel.supports_parallel:
             return "the cc kernel has no parallel entry point"
-        if native_codegen.packed_ranges_for(plan) is None:
+        if plan.bound_table() is None:
             return "the plan's tables exceed the int64 overflow guard"
         return None
 

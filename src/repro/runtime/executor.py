@@ -22,8 +22,9 @@ chunks it executes, in place.  Three execution modes are provided:
   pthreads driver), *one* call executes every chunk with zero per-chunk
   Python dispatch, each of at most ``workers`` contiguous chunk ranges of
   near-equal work on its own OS thread.  When the backend has no driver
-  for the plan, or the plan is cut into a single range (one chunk, or one
-  worker), the run makes the same single call as ``serial`` and
+  for the plan, or the plan is cut into a single range (one chunk, one
+  worker, or fewer than :data:`DRIVER_MIN_ITERATIONS` iterations), the
+  run makes the same single call as ``serial`` and
   ``ExecutionResult.fallback`` names the reason.
 
 Orthogonally to the mode, *how* the iterations of a chunk (or of the whole
@@ -80,6 +81,15 @@ WORKERS_ENV = "REPRO_WORKERS"
 #: Hosts with very wide sockets get clamped: beyond this the chunk counts of
 #: typical plans no longer feed every thread anyway.
 _MAX_DEFAULT_WORKERS = 16
+
+#: Fewest iterations a plan needs before the in-kernel driver cuts it into
+#: more than one range: below it, waking and joining the threads costs
+#: more than the second core saves, so the plan runs serially.  Measured on
+#: a 2-vCPU host with warm programs, the median driver-over-serial speed of
+#: four programs (a transcendental row recurrence, a doall nest, a 3-deep
+#: partitioned nest and example 4.1) crosses 1 between 26,000 and 31,000
+#: iterations.
+DRIVER_MIN_ITERATIONS = 32768
 
 
 def default_worker_count() -> int:
@@ -291,14 +301,11 @@ class ParallelExecutor:
                 setup_seconds=setup + extra_setup,
                 fallback=fallback,
             )
-        # Whole-plan runs count chunks on the key table, which the native
-        # kernels read anyway (building it here keeps it in the setup
-        # window); only the driver's ranges size them.
-        keys = plan.key_table()
-        num_chunks = plan.chunk_count if keys is None else len(keys)
+        # A plan has chunks exactly when it has iterations.  Only the
+        # driver's ranges size the chunks before the run.
         refusal: Optional[str] = None
         starts: Optional[np.ndarray] = None
-        if self.mode == "native-parallel" and num_chunks:
+        if self.mode == "native-parallel" and plan.total_iterations:
             refusal = self.backend.parallel_plan_refusal(transformed, plan)
             if refusal is None:
                 starts = self.driver_ranges(plan)
@@ -306,13 +313,17 @@ class ParallelExecutor:
         start = time.perf_counter()
         label, threads = self.execute_whole_plan(transformed, plan, store, starts)
         elapsed = time.perf_counter() - start
+        # A native serial run leaves the count its scan found on the plan;
+        # other runs count in closed form or on the key table they read.
+        num_chunks = plan.chunk_count if plan.total_iterations else 0
         fallback: Optional[str] = None
         if refusal is not None:
             fallback = f"serial run: {refusal}"
-        elif starts is not None and threads < 2:
-            fallback = "serial run: " + (
-                "one chunk range" if threads else "the in-kernel driver declined"
-            )
+        elif starts is not None and threads == 0:
+            fallback = "serial run: the in-kernel driver declined"
+        elif starts is not None and threads == 1:
+            small = num_chunks > 1 and plan.total_iterations < DRIVER_MIN_ITERATIONS
+            fallback = "serial run: " + ("too little work" if small else "one chunk range")
         # Report the engine that actually ran: the driver's label, or
         # whatever the serial call fell back to (a narrow schedule, an
         # unvectorizable body, a program without a native kernel).
@@ -338,8 +349,12 @@ class ParallelExecutor:
 
         The plan's chunk order is cut into at most ``workers`` (default:
         the executor's own) ranges of near-equal work on the plan's cached
-        running total of chunk sizes, one OS thread each.
+        running total of chunk sizes, one OS thread each.  A plan of fewer
+        than :data:`DRIVER_MIN_ITERATIONS` iterations is one range, which
+        runs serially.
         """
+        if plan.total_iterations < DRIVER_MIN_ITERATIONS:
+            return np.array([0, plan.chunk_count], dtype=np.int64)
         return _balanced_ranges(plan.chunk_size_totals(), workers or self.workers)
 
     def execute_whole_plan(

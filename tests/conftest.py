@@ -20,6 +20,19 @@ from repro.workloads.synthetic import (
 )
 
 
+@pytest.fixture
+def no_driver_floor(monkeypatch):
+    """Let the in-kernel driver cut a plan of any size into ranges.
+
+    A plan below ``DRIVER_MIN_ITERATIONS`` runs serially.  The tests of the
+    driver's ranges, widths and engine labels run small plans, so they
+    lower that floor to 0 and keep exercising the driver itself.
+    """
+    from repro.runtime import executor
+
+    monkeypatch.setattr(executor, "DRIVER_MIN_ITERATIONS", 0)
+
+
 @pytest.fixture(scope="session")
 def ex41_small():
     """Paper example 4.1 with a small iteration space (fast exact enumeration)."""

@@ -159,6 +159,7 @@ class TestResultParity:
     @pytest.mark.skipif(
         native_codegen.resolve_engine() is None, reason="no native engine"
     )
+    @pytest.mark.usefixtures("no_driver_floor")
     def test_driver_jobs_record_no_telemetry(self):
         # A native session's job is one in-kernel driver call over the
         # whole plan: a single group, nothing recorded.  Three concurrent
@@ -360,6 +361,7 @@ class _KernelGate:
 
 
 @needs_engine
+@pytest.mark.usefixtures("no_driver_floor")
 class TestDriverWidth:
     def test_job_alone_gets_every_worker(self):
         with Session(backend="native", mode="native-parallel", workers=4) as session:

@@ -32,7 +32,7 @@ from repro.loopnest.builder import loop_nest
 from repro.plan import optimize_plan
 from repro.runtime.arrays import OffsetArray, store_for_nest
 from repro.runtime.backends import InterpreterBackend, NativeBackend
-from repro.runtime.executor import ParallelExecutor, _balanced_ranges
+from repro.runtime.executor import DRIVER_MIN_ITERATIONS, ParallelExecutor, _balanced_ranges
 from repro.runtime.interpreter import execute_nest
 from repro.workloads.paper_examples import example_4_1, example_4_2
 from repro.workloads.suite import workload_suite
@@ -116,6 +116,10 @@ def test_every_mode_runs_native_bit_identically(nest, coalesce, shared_executor)
         # A single range (one chunk) runs the serial entry point.
         assert (outcome.engine, outcome.fallback) == (None, "serial run: one chunk range")
         assert outcome.backend == "native-cc"
+    elif plan.total_iterations < DRIVER_MIN_ITERATIONS:
+        # Too little work for a second thread: one range, run serially.
+        assert (outcome.engine, outcome.fallback) == (None, "serial run: too little work")
+        assert (outcome.backend, outcome.threads) == ("native-cc", 1)
     else:
         assert outcome.engine is not None and outcome.engine.startswith("native-")
         assert outcome.fallback is None
@@ -217,6 +221,7 @@ def test_shared_mode_default_passes_run_native():
     _coalesced_session_run(mode="shared", workers=2)
 
 
+@pytest.mark.usefixtures("no_driver_floor")
 def test_native_parallel_with_coalesce_runs_native():
     result = _coalesced_session_run(
         mode="native-parallel", workers=2, plan_passes=("coalesce",)

@@ -389,6 +389,7 @@ class TestBalancedRanges:
         assert plan.chunk_size_totals() is totals
 
     @needs_engine
+    @pytest.mark.usefixtures("no_driver_floor")
     def test_driver_call_reads_plan_sizes_not_telemetry(self):
         # Whole-plan runs record no telemetry, so the driver's ranges come
         # from the plan's chunk sizes even when measurements exist.
@@ -459,6 +460,7 @@ class TestParallelDifferential:
                 transformed, plan, base.copy(), _starts(plan, 2), chunk_indices=None
             )
 
+    @pytest.mark.usefixtures("no_driver_floor")
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
     @pytest.mark.parametrize("seed", range(8))
     def test_random_nests_bit_identical(self, seed, threads, flavor):
@@ -476,6 +478,7 @@ class TestParallelDifferential:
         else:
             assert outcome.engine == f"native-cc-{flavor}"
 
+    @pytest.mark.usefixtures("no_driver_floor")
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
     def test_executor_mode_reports_engine_and_threads(self, threads):
         base, ref, transformed = _reference_and_transformed(example_4_1(12))
@@ -493,6 +496,7 @@ class TestParallelDifferential:
             assert outcome.backend == outcome.engine
         assert outcome.mode == "native-parallel"
 
+    @pytest.mark.usefixtures("no_driver_floor")
     def test_threads_count_the_ranges_that_ran(self):
         # Three partitions: eight workers get three ranges, one thread each.
         nest = loop_nest("three-chunks").loop("i1", 0, 11).statement(
@@ -524,6 +528,7 @@ class TestParallelDifferential:
         assert run.backend == serial.backend
         assert run.store.identical(serial.store)
 
+    @pytest.mark.usefixtures("no_driver_floor")
     def test_cc_driver_reports_its_flavor_without_fallback(self):
         base, ref, transformed = _reference_and_transformed(example_4_1(12))
         result = base.copy()
@@ -574,6 +579,7 @@ class TestParallelDifferential:
         assert (outcome.workers, outcome.threads, outcome.engine) == (1, 0, None)
         assert backend.stats["fallback_runs"] == 0
 
+    @pytest.mark.usefixtures("no_driver_floor")
     def test_session_run_result_surfaces_engine(self):
         with Session(mode="native-parallel", backend="native", workers=2) as session:
             result = session.run(example_4_1(10))
@@ -789,7 +795,7 @@ class TestCcFlavors:
             "#include <stdlib.h>", f"#include <stdlib.h>\n{failure}", 1
         )
         assert source != program.kernel.source
-        serial_fn, par_fn = native_codegen._build_cc(source, str(fresh_cache), openmp=False)
+        serial_fn, par_fn, _ = native_codegen._build_cc(source, str(fresh_cache), openmp=False)
         kernel = native_codegen.NativeKernel(
             serial_fn, program.kernel.depth, program.kernel.array_dims, source, 0.0,
             par_fn=par_fn, flavor="pthreads",
