@@ -201,6 +201,8 @@ class RunResult:
 
     @property
     def setup_seconds(self) -> float:
+        """The executor's set-up plus the store init and the checksum (and,
+        through the gateway, the job's wait for a worker)."""
         return self.execution.setup_seconds
 
     @property
@@ -294,8 +296,9 @@ class SessionStats:
     executor_creations: int
     pool_workers_alive: int
     programs_cached: int
-    #: Feedback-scheduling counters (zero until the executor exists): how
-    #: many canonical programs have measured per-chunk costs, how many group
+    #: Feedback-scheduling counters (zero until the executor exists, and
+    #: outside ``shared`` mode, the only one that records): how many
+    #: canonical programs have measured per-chunk costs, how many group
     #: executions were recorded, how many chunks have a cost estimate.
     telemetry_programs: int = 0
     telemetry_observations: int = 0

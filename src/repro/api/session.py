@@ -35,7 +35,8 @@ of :mod:`repro.api.results`.
     ('never', 'always')
 
 The CLI (``repro batch`` is one ``Session.map`` call), the gateway and the
-experiment harness are all thin layers over this class.
+experiment harness are all thin layers over this class: a gateway job runs
+through the same prepare and execute steps as :meth:`Session.run`.
 """
 
 from __future__ import annotations
@@ -267,11 +268,10 @@ class Session:
         """The executor's measured per-chunk cost store.
 
         Creates the executor on first access (like :attr:`executor`).  Only
-        executions that dispatch chunk groups record into it — ``shared``
-        runs and the gateway's per-group jobs — and the gateway and the
-        stats surface read the same store, so every grouping decision sees
-        those measurements.  Whole-plan runs (``serial``,
-        ``native-parallel``) record nothing.
+        ``shared`` runs record into it, one observation per chunk group
+        the pool ran, and only their grouping reads it.  Whole-plan runs
+        (``serial``, ``native-parallel``) record nothing, through
+        ``Session.run`` or the gateway alike.
 
             >>> from repro.api import Session
             >>> with Session() as session:
@@ -352,33 +352,12 @@ class Session:
         overrides the session's verification policy for this run.
         """
         nest = resolve_source(source, name=name, n=n)
-        analysis = self._analyze_nest(nest, placement=placement, name=name)
-        program_start = time.perf_counter()
-        program = self._program_for(nest, analysis.report)
-        program_seconds = time.perf_counter() - program_start
-        if store is None:
-            store = store_for_nest(nest, initializer=initializer or self.config.initializer)
-        check = self.config.verify == "always" if verify is None else bool(verify)
-        # Snapshot the initial contents before execution mutates them: the
-        # reference run must start from the same values.
-        reference = store.copy() if check else None
-        execution = self.executor.run(program.transformed, store, plan=program.plan)
-        max_abs_difference: Optional[float] = None
-        if reference is not None:
-            execute_nest(nest, reference)
-            max_abs_difference = reference.max_abs_difference(store)
-        # Eager by design: the run just touched every store cell, so one more
-        # NumPy reduction is a small constant factor — and a lazy property
-        # would snapshot whatever the caller mutated the store into later.
-        checksum = sum(float(array.data.sum()) for array in store.values())
-        with self._lock:
-            self._runs += 1
-        return RunResult(
-            analysis=analysis,
-            execution=execution,
-            checksum=checksum,
-            max_abs_difference=max_abs_difference,
-            program_seconds=program_seconds,
+        analysis, program, program_seconds = self._prepare(
+            nest, placement=placement, name=name
+        )
+        return self._execute(
+            analysis, program, program_seconds,
+            store=store, initializer=initializer, verify=verify,
         )
 
     def map(
@@ -469,6 +448,71 @@ class Session:
             report=report,
             cache_hit=cache_hit,
             analysis_seconds=seconds,
+        )
+
+    def _prepare(
+        self, nest: LoopNest, *, placement: Optional[str], name: Optional[str]
+    ) -> Tuple[AnalysisResult, _Program, float]:
+        """The prepare step of a run: ``(analysis, program, program
+        seconds)``, analyzed through the cache and planned through the
+        program LRU.  The gateway prepares its jobs through it too."""
+        analysis = self._analyze_nest(nest, placement=placement, name=name)
+        program_start = time.perf_counter()
+        program = self._program_for(nest, analysis.report)
+        return analysis, program, time.perf_counter() - program_start
+
+    def _execute(
+        self,
+        analysis: AnalysisResult,
+        program: _Program,
+        program_seconds: float,
+        *,
+        store: Optional[ArrayStore] = None,
+        initializer: Optional[str] = None,
+        verify: Optional[bool] = None,
+        workers: Optional[int] = None,
+    ) -> RunResult:
+        """The execute step of a prepared run, on the calling thread.
+
+        Builds the store (unless one is passed in), runs the program
+        through the executor, with the in-kernel driver cut to at most
+        ``workers`` ranges (default: the session's workers), verifies the
+        store when the policy asks, and sums the checksum.  Store init and
+        the checksum are charged to ``setup_seconds``.  ``Session.run`` and
+        the gateway's execution workers both end here, so a result reads
+        the same through either door.
+        """
+        start = time.perf_counter()
+        if store is None:
+            store = store_for_nest(
+                analysis.nest, initializer=initializer or self.config.initializer
+            )
+        store_seconds = time.perf_counter() - start
+        check = self.config.verify == "always" if verify is None else bool(verify)
+        # Snapshot the initial contents before execution mutates them: the
+        # reference run must start from the same values.
+        reference = store.copy() if check else None
+        execution = self.executor.run(
+            program.transformed, store, plan=program.plan, workers=workers
+        )
+        max_abs_difference: Optional[float] = None
+        if reference is not None:
+            execute_nest(analysis.nest, reference)
+            max_abs_difference = reference.max_abs_difference(store)
+        # Eager by design: the run just touched every store cell, so one more
+        # NumPy reduction is a small constant factor — and a lazy property
+        # would snapshot whatever the caller mutated the store into later.
+        start = time.perf_counter()
+        checksum = sum(float(array.data.sum()) for array in store.values())
+        execution.setup_seconds += store_seconds + (time.perf_counter() - start)
+        with self._lock:
+            self._runs += 1
+        return RunResult(
+            analysis=analysis,
+            execution=execution,
+            checksum=checksum,
+            max_abs_difference=max_abs_difference,
+            program_seconds=program_seconds,
         )
 
     def _program_for(self, nest: LoopNest, report: ParallelizationReport) -> _Program:

@@ -97,14 +97,14 @@ def _add_session_options(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=available_backends(),
         default=DEFAULT_BACKEND,
-        help="execution backend for the 'run' and 'batch' commands: "
+        help="execution backend for the 'run', 'batch' and 'serve' commands: "
         f"{', '.join(available_backends())} (default: {DEFAULT_BACKEND})",
     )
     group.add_argument(
         "--mode",
         choices=list(EXECUTION_MODES),
         default="serial",
-        help="executor mode for the 'run' and 'batch' commands: 'shared' is "
+        help="executor mode for the 'run', 'batch' and 'serve' commands: 'shared' is "
         "the persistent zero-copy worker pool, 'native-parallel' the in-kernel "
         "multithreaded driver of the native backend (a backend without one "
         "runs serially and reports the fallback) (default: serial)",
@@ -358,8 +358,10 @@ def _cmd_serve(nests: List[LoopNest], args, session: Session) -> str:
         f"{config.analysis_workers} analysis worker(s), "
         f"admission bound {config.max_pending}",
         f"  backend: {results[0].backend}" if results else "  (no jobs)",
-        f"  {session.executor.telemetry.describe()}",
     ]
+    # Each distinct fallback once, in the order the jobs first named it.
+    fallbacks = dict.fromkeys(result.fallback for result in results if result.fallback)
+    lines.extend(f"  note: {fallback}" for fallback in fallbacks)
     return "\n".join(lines)
 
 

@@ -15,29 +15,26 @@ front-end:
   in-kernel driver decision made, and its analysis in the analysis cache)
   is prepared on the event loop: a cache hit and two lookups, no thread
   hand-off.  Only a job that would analyze, plan or compile goes to a
-  small thread pool *off* the event loop, overlapped with the execution
-  of earlier jobs' chunk groups;
-* **a job's driver runs on the cores other jobs leave free** — the width
-  of an in-kernel driver call is decided on the execution worker as the
-  job starts: ``exec_workers`` less the threads the gateway's other
-  running jobs hold (one per busy worker, plus a driver call's further
-  ranges), at least one.  A job that runs alone gets every core, and
-  concurrent jobs split them instead of oversubscribing them (a job left
-  with one thread runs the serial kernel);
-* **a job's store is built and summed on its execution workers** — the
-  first of a job's groups to start builds the store just before its
-  kernel, and the last to finish sums the checksum just after, so neither
-  the analysis threads nor the event loop, which every job passes through,
-  spend time that grows with the arrays (a job without chunks is one group
-  too); only hot answers copy a cached store on the event loop;
-* **the unit of work is a chunk group, not a job** — a prepared job is
-  split by the executor's (telemetry-driven) balancer into per-worker
-  chunk groups (a driver job is one group), and each group goes straight
-  to the execution pool's FIFO, from which a free worker takes the next
-  item without waiting for the event loop.  Big jobs therefore cannot
-  convoy small ones: their groups interleave on the execution workers.  A
-  done-callback on the event loop counts each finished group and settles
-  its job after the last;
+  small thread pool *off* the event loop, through the session's own
+  prepare step, overlapped with the execution of earlier jobs;
+* **a job is one work item, run through the session's own execute step**
+  — a prepared job goes straight to the execution pool's FIFO, from which
+  a free worker takes the next item without waiting for the event loop.
+  That worker builds the store, runs the program through the session's
+  executor in the session's ``mode``, verifies it when the session's
+  policy asks, and sums the checksum, exactly as ``Session.run`` does; so
+  the result reports the same backend, engine, threads, workers, chunks
+  and fallback, and only ``mode`` reads ``"gateway"``.  Neither the
+  analysis threads nor the event loop spend time that grows with the
+  arrays; only hot answers copy a cached store on the event loop;
+* **a job's driver runs on the cores other jobs leave free** — under
+  ``native-parallel``, the width of a job's in-kernel driver call is
+  decided on the execution worker as the job starts: ``exec_workers``
+  less the threads the gateway's other running jobs hold, at least one.
+  From its store init to its checksum a job holds the threads it runs:
+  one, plus a driver call's further ranges.  A job that runs alone gets
+  every core, and concurrent jobs split them instead of oversubscribing
+  them (a job left with one thread runs the serial kernel);
 * **hot traffic never re-executes** — the whole pipeline is deterministic
   (same source, placement and initializer ⇒ bit-identical result), so the
   gateway *coalesces* concurrent identical jobs onto one execution and
@@ -46,13 +43,14 @@ front-end:
   private copy of the cached store instead of re-running its chunks.  This
   is what "mixed hot/cold traffic" serving is about: cold jobs pay
   analyze + execute once, hot repeats cost a store copy;
-* **results are bit-identical to** ``Session.run`` — cold jobs execute the
-  same plans through the same backend on a per-job store (only *when* and
-  *by whom* chunks run changes, which is exactly what Lemma 1 / Theorem 2
-  make legal), and cached responses are copies of such an execution.
+* **results are bit-identical to** ``Session.run`` — jobs execute the
+  same plans through the same executor on a per-job store (only *when*
+  and *on which worker* a plan runs changes, which Lemma 1 / Theorem 2
+  make legal: its chunks are independent), and cached responses are
+  copies of such an execution.
 
 The execution pool is a thread pool: with the native or vectorized backend
-the loop body releases the GIL (ctypes / NumPy), so groups genuinely run in
+the loop body releases the GIL (ctypes / NumPy), so jobs genuinely run in
 parallel; with pure-Python backends the gateway still overlaps analysis
 with execution and preserves the queueing semantics.
 
@@ -71,21 +69,21 @@ with execution and preserves the queueing semantics.
 from __future__ import annotations
 
 import asyncio
+import copy
+import dataclasses
 import functools
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.inputs import LoopSource, resolve_source
 from repro.api.results import RunResult
 from repro.api.session import Session
 from repro.exceptions import ExecutionError, GatewayOverloaded, WorkloadError
 from repro.loopnest.canonical import canonical_hash
-from repro.runtime.arrays import store_for_nest
-from repro.runtime.executor import ExecutionResult
 
 __all__ = ["GatewayConfig", "GatewayStats", "Gateway", "serve"]
 
@@ -96,10 +94,10 @@ class GatewayConfig:
 
     ``max_pending`` is the admission bound: the number of jobs admitted but
     not yet finished before :meth:`Gateway.submit` rejects (or waits).  It
-    also bounds the execution pool's FIFO: a job has at most
-    ``exec_workers`` groups, so at most ``max_pending × exec_workers``
-    groups wait there.  ``analysis_workers`` and ``exec_workers`` size the
-    two thread pools (analysis/planning vs chunk-group execution).
+    also bounds the execution pool's FIFO, where each job is one work item.
+    ``analysis_workers`` and ``exec_workers`` size the two thread pools
+    (analysis/planning vs job execution); ``exec_workers`` is also the
+    number of threads the running jobs' in-kernel driver calls share.
 
     ``coalesce`` merges concurrent identical jobs onto one execution, and
     ``result_cache`` bounds the LRU of recent responses served to repeat
@@ -136,8 +134,8 @@ class GatewayStats:
 
     Attached to every :class:`~repro.exceptions.GatewayOverloaded`
     rejection, so a rejected caller sees the load it was rejected under.
-    ``queued_groups`` counts the work items handed to the execution pool
-    that no worker has taken yet.
+    ``queued_groups`` counts the jobs handed to the execution pool that no
+    worker has taken yet (each job is one work item there).
 
         >>> stats = GatewayStats(submitted=5, completed=3, failed=0,
         ...                      rejected=1, pending=2, queued_groups=4,
@@ -185,91 +183,47 @@ class GatewayStats:
 
 
 class _Job:
-    """One admitted job's in-flight state.
+    """One admitted job's in-flight state, owned by the event loop.
 
-    The event loop owns it, except for what its groups write on the
-    execution workers: the store (built by the first group to start, under
-    ``lock``), the run interval and ``groups_run`` (under ``lock``), the
-    driver's ``threads`` and ``engine``, and the checksum and ``finished``
-    (by the last group to finish).
+    ``analysis``, ``program`` and ``program_seconds`` are what the
+    session's prepare step returned, and ``result`` what its execute step
+    returned on the execution worker.
     """
 
     __slots__ = (
-        "future", "analysis", "transformed", "plan", "initializer", "store",
-        "key", "result_key", "checksum", "groups_total", "groups_done", "groups_run",
-        "lock", "program_seconds", "prepared_at", "run_started", "run_ended",
-        "finished", "error", "admitted_at", "driver", "threads", "engine", "labels",
-        "backend",
+        "future", "admitted_at", "result_key", "initializer", "analysis", "program",
+        "program_seconds", "result", "error",
     )
 
     def __init__(self, future: "asyncio.Future[RunResult]"):
         self.future = future
         self.admitted_at = time.perf_counter()
-        self.analysis = None
-        self.transformed = None
-        self.plan = None
-        self.initializer: Optional[str] = None
-        self.store = None
-        self.key: Optional[str] = None
         self.result_key: Optional[Tuple] = None
-        self.checksum = 0.0
-        self.groups_total = 0
-        self.groups_done = 0
-        self.groups_run = 0
-        self.lock = threading.Lock()
+        self.initializer: Optional[str] = None
+        self.analysis = None
+        self.program = None
         self.program_seconds = 0.0
-        self.prepared_at = 0.0
-        #: First kernel start and last kernel end over the job's groups.
-        self.run_started = float("inf")
-        self.run_ended = 0.0
-        #: When the last group finished the checksum.
-        self.finished = 0.0
-        #: Why the job failed: its analysis error, or the first exception
-        #: one of its groups raised (``None`` while it has not failed).
+        self.result: Optional[RunResult] = None
+        #: Why the job failed: its preparation's or its execution's
+        #: exception (``None`` while it has not failed).
         self.error: Optional[BaseException] = None
-        #: Whether the backend's in-kernel driver runs the whole plan.
-        self.driver = False
-        #: The chunk ranges the driver ran, one OS thread each (0 otherwise).
-        self.threads = 0
-        #: The driver's label when the in-kernel driver ran the job.
-        self.engine: Optional[str] = None
-        #: The engine labels the job's groups returned.
-        self.labels: Set[str] = set()
-        #: The engine the result reports (set on completion).
-        self.backend = ""
-
-    @property
-    def workers(self) -> int:
-        """The workers that ran the job: a driver job's ranges (at least
-        one), or a group job's groups."""
-        return max(self.threads, self.groups_total)
 
 
-class _CachedResponse:
-    """A completed response, ready to be copied out to repeat jobs."""
-
-    __slots__ = (
-        "analysis", "plan", "backend", "engine", "threads", "workers", "checksum",
-        "store",
-    )
-
-    def __init__(self, analysis, plan, backend, engine, threads, workers, checksum, store):
-        self.analysis = analysis
-        self.plan = plan
-        self.backend = backend
-        self.engine = engine
-        self.threads = threads
-        self.workers = workers
-        self.checksum = checksum
-        self.store = store
+def _served_copy(result: RunResult) -> RunResult:
+    """``result`` around a private copy of its store, as a response served
+    without running: no program, setup or execution seconds."""
+    execution = copy.copy(result.execution)
+    execution.store = result.store.copy()
+    execution.elapsed_seconds = execution.setup_seconds = 0.0
+    return dataclasses.replace(result, execution=execution, program_seconds=0.0)
 
 
 class Gateway:
     """Bounded, overlapping admission of jobs over one session.
 
     Wraps an existing :class:`~repro.api.session.Session` — the gateway
-    reuses its analysis cache, program LRU, backend and telemetry store, and
-    never closes it.  Use as an async context manager (or call
+    reuses its analysis cache, program LRU and executor, and never closes
+    it.  Use as an async context manager (or call
     :meth:`aclose` explicitly): exit drains in-flight jobs, then stops the
     thread pools.
 
@@ -291,8 +245,6 @@ class Gateway:
         if config is None:
             config = GatewayConfig(**overrides)  # type: ignore[arg-type]
         elif overrides:
-            import dataclasses
-
             config = dataclasses.replace(config, **overrides)  # type: ignore[arg-type]
         self.session = session
         self.config = config
@@ -314,14 +266,14 @@ class Gateway:
         # retry_after_hint attached to overload rejections.
         self._service_ewma = 0.0
         # Threads held by the execution workers' running jobs: one per
-        # worker, plus a driver call's further ranges; and the work items
-        # handed to the execution pool that no worker has taken yet.
+        # job, plus a driver call's further ranges; and the jobs handed to
+        # the execution pool that no worker has taken yet.
         self._threads_held = 0
         self._queued = 0
         self._threads_lock = threading.Lock()
         # Event-loop private: response LRU, in-flight leaders, and the
         # followers parked on each leader (all keyed by the response key).
-        self._responses: "OrderedDict[Tuple, _CachedResponse]" = OrderedDict()
+        self._responses: "OrderedDict[Tuple, RunResult]" = OrderedDict()
         self._inflight: Dict[Tuple, _Job] = {}
         self._followers: Dict[Tuple, List[_Job]] = {}
 
@@ -428,7 +380,7 @@ class Gateway:
             if cached is not None:
                 self._responses.move_to_end(response_key)
                 self._result_hits += 1
-                result = self._result_from_response(cached)
+                result = _served_copy(cached)
                 self._finish_job(job, completed=True)
                 return result
             # Hot path 2: an identical job is in flight — park on it and
@@ -441,9 +393,9 @@ class Gateway:
                     return await job.future
             self._inflight[response_key] = job
             job.result_key = response_key
-        job.initializer = initializer or self.session.config.initializer
+        job.initializer = initializer
         try:
-            prepared = self._prepare_warm(nest, placement, name)
+            prepared = self.session._warm_program(nest, placement=placement, name=name)
         except Exception as exc:
             job.error = exc
             self._settle(job)
@@ -455,7 +407,7 @@ class Gateway:
                 self._analysis_pool, self._prepare, nest, placement, name
             ).add_done_callback(functools.partial(self._prepared, job))
         else:
-            self._dispatch(job, self._start_job(job, prepared))
+            self._dispatch(job, prepared)
         return await job.future
 
     async def map(
@@ -548,67 +500,19 @@ class Gateway:
     def _prepare(self, nest, placement, name):
         """Cold preparation stage (runs on the analysis thread pool).
 
-        Analyzes through the session's cache, builds or reuses the
-        session's program, and makes the program's in-kernel driver
-        decision once (the probe compiles the kernel and builds the plan's
-        tables — analysis-stage work, exactly where it belongs), then
-        groups the job as :meth:`_job_groups` does.  Returns what
-        :meth:`_start_job` reads.
+        The session's prepare step — analysis through its cache, its
+        program LRU — plus the program's in-kernel driver decision, made
+        once (the probe compiles the kernel and builds the plan's tables:
+        analysis-stage work, kept off the execution workers and the event
+        loop).  Returns what :meth:`_dispatch` reads.
         """
-        session = self.session
-        analysis = session._analyze_nest(nest, placement=placement, name=name)
-        program_start = time.perf_counter()
-        program = session._program_for(nest, analysis.report)
-        program_seconds = time.perf_counter() - program_start
-        session._probe_driver(program)
-        return analysis, program, program_seconds, self._job_groups(program)
-
-    def _prepare_warm(self, nest, placement, name):
-        """Inline preparation of a warm job (on the event loop), or ``None``.
-
-        The session's warm lookup answers without analyzing, planning or
-        compiling — the analysis cache's hit plus the program LRU entry
-        with its driver decision — or not at all, and the job then goes to
-        :meth:`_prepare`.
-        """
-        warm = self.session._warm_program(nest, placement=placement, name=name)
-        if warm is None:
-            return None
-        analysis, program, program_seconds = warm
-        return analysis, program, program_seconds, self._job_groups(program)
-
-    def _job_groups(self, program):
-        """``(telemetry key, groups)`` of one job of ``program``.
-
-        A plan the in-kernel driver runs, or one without chunks, is one
-        whole-plan group (``None``), so every job reaches an execution
-        worker.  Otherwise the executor's balancer splits the chunks into
-        per-worker groups for the gateway's execution pool, weighted by
-        measured costs once the program's telemetry is warm, so they are
-        recomputed for every job.  No cell is touched here: the store is
-        built by the job's first group.
-        """
-        plan = program.plan
-        if not plan.chunk_count or program.driver_refusal is None:
-            return None, [None]
-        executor = self.session.executor
-        key = executor.telemetry_key(program.transformed, plan.chunk_count)
-        return key, executor.groups_for(
-            plan.chunk_sizes(), key, workers=self.config.exec_workers
-        )
-
-    def _start_job(self, job: _Job, prepared) -> List[Optional[Tuple[int, ...]]]:
-        """Record a prepared job's program on it; returns its groups."""
-        job.analysis, program, job.program_seconds, (job.key, groups) = prepared
-        job.transformed, job.plan = program.transformed, program.plan
-        job.driver = bool(job.plan.chunk_count) and program.driver_refusal is None
-        job.prepared_at = time.perf_counter()
-        job.groups_total = len(groups)
-        return groups
+        prepared = self.session._prepare(nest, placement=placement, name=name)
+        self.session._probe_driver(prepared[1])
+        return prepared
 
     def _prepared(self, job: _Job, future: "asyncio.Future") -> None:
-        """A cold job's preparation ended (on the event loop): dispatch its
-        groups, or fail and settle it."""
+        """A cold job's preparation ended (on the event loop): dispatch it,
+        or fail and settle it."""
         try:
             prepared = future.result()
         except Exception as exc:
@@ -617,205 +521,85 @@ class Gateway:
                 job.future.set_exception(exc)
             self._settle(job)
             return
-        self._dispatch(job, self._start_job(job, prepared))
+        self._dispatch(job, prepared)
 
-    def _dispatch(self, job: _Job, groups) -> None:
-        """Hand each of a job's groups to the execution pool's FIFO.
+    def _dispatch(self, job: _Job, prepared) -> None:
+        """Hand a prepared job to the execution pool's FIFO as one work item.
 
-        Any free worker takes the next item without waiting for the event
-        loop; :meth:`_group_done` counts each item back on the loop.
+        Any free worker takes it without waiting for the event loop;
+        :meth:`_executed` settles the job back on the loop.
         """
+        job.analysis, job.program, job.program_seconds = prepared
         with self._threads_lock:
-            self._queued += len(groups)
-        for group in groups:
-            self._loop.run_in_executor(
-                self._exec_pool, self._take, job, group
-            ).add_done_callback(functools.partial(self._group_done, job, group))
+            self._queued += 1
+        self._loop.run_in_executor(
+            self._exec_pool, self._execute_group, job, time.perf_counter()
+        ).add_done_callback(functools.partial(self._executed, job))
 
-    def _take(self, job: _Job, group: Optional[Tuple[int, ...]]) -> Optional[Tuple[float, str]]:
-        """One work item on the execution worker that took it from the
-        pool: :meth:`_execute_group`'s result, or ``None`` when the job has
-        already failed and the group is skipped."""
+    def _execute_group(self, job: _Job, dispatched: float) -> RunResult:
+        """Execution stage (runs on the execution worker that took the job).
+
+        Runs the session's execute step for the job and returns its
+        result, with ``mode="gateway"`` and the job's wait for a worker
+        since ``dispatched`` added to ``setup_seconds``.
+
+        The job's driver width is decided here, as it starts:
+        ``exec_workers`` less the threads the gateway's other running jobs
+        hold, at least one.  The job holds the threads it runs at that
+        width until its checksum is summed.
+        """
+        started = time.perf_counter()
         with self._threads_lock:
             self._queued -= 1
-        if job.error is not None:
-            return None
-        return self._execute_group(job, group)
-
-    def _execute_group(self, job: _Job, group: Optional[Tuple[int, ...]]) -> Tuple[float, str]:
-        """Execution stage (runs on the execution thread pool).
-
-        Executes one chunk group of the job's plan (``None``: the whole
-        plan, run by the in-kernel driver when the job has one) in place on
-        the job's store and returns ``(seconds, engine label)``, the
-        seconds being the run alone.  The first of the job's groups to
-        start builds the store (the others wait on the job's lock), and
-        the last to finish sums the checksum.  Concurrent groups of one
-        job share the store without locking — chunks never access a
-        common cell with a write.
-
-        A driver job's width is decided here, as its kernel starts:
-        ``exec_workers`` less the threads the gateway's other running jobs
-        hold, at least one.  Each worker running a job holds one thread
-        from its store init to the end of its run, and a driver call one
-        more per further range.  The ranges are cut from the plan's cached
-        running total of chunk sizes, and a single range runs the serial
-        kernel.
-        """
-        with self._threads_lock:
-            self._threads_held += 1
-        held = 1
+            width = max(1, self.config.exec_workers - self._threads_held)
+            held = self._threads_at(job.program, width)
+            self._threads_held += held
         try:
-            with job.lock:
-                if job.store is None:
-                    job.store = store_for_nest(job.analysis.nest, initializer=job.initializer)
-            executor = self.session.executor
-            starts = None
-            if job.driver:
-                with self._threads_lock:
-                    # This worker's own thread is already counted.
-                    free = self.config.exec_workers - (self._threads_held - 1)
-                    starts = executor.driver_ranges(job.plan, max(1, free))
-                    self._threads_held += len(starts) - 2
-                held += len(starts) - 2
-            start = time.perf_counter()
-            if group is None:
-                # One call, as in the executor's serial and native-parallel modes.
-                label, job.threads = executor.execute_whole_plan(
-                    job.transformed, job.plan, job.store, starts
-                )
-                if job.threads > 1:
-                    job.engine = label
-            else:
-                label = executor.backend.execute_plan(
-                    job.transformed, job.plan, job.store, chunk_indices=group
-                )
-            end = time.perf_counter()
+            result = self.session._execute(
+                job.analysis, job.program, job.program_seconds,
+                initializer=job.initializer, workers=width,
+            )
         finally:
             with self._threads_lock:
                 self._threads_held -= held
-        with job.lock:
-            job.run_started = min(job.run_started, start)
-            job.run_ended = max(job.run_ended, end)
-            job.groups_run += 1
-            last = job.groups_run == job.groups_total
-        if last:
-            job.checksum = sum(float(array.data.sum()) for array in job.store.values())
-            job.finished = time.perf_counter()
-        return end - start, label
+        result.execution.mode = "gateway"
+        result.execution.setup_seconds += started - dispatched
+        return result
 
-    def _group_done(self, job: _Job, group, future: "asyncio.Future") -> None:
-        """Count one finished work item on the event loop: its engine
-        label, its telemetry and its error.  After the job's last item,
-        complete or fail the job and settle it."""
+    def _threads_at(self, program, width: int) -> int:
+        """The threads a job of ``program`` runs at driver width ``width``:
+        the ranges the session's executor cuts for its driver, or one."""
+        plan = program.plan
+        if (
+            self.session.config.mode != "native-parallel"
+            or program.driver_refusal is not None
+            or not plan.total_iterations
+        ):
+            return 1
+        starts = self.session.executor.driver_ranges(plan, width)
+        return 1 if starts is None else len(starts) - 1
+
+    def _executed(self, job: _Job, future: "asyncio.Future") -> None:
+        """A job's work item finished (on the event loop): complete or fail
+        the job, then settle it."""
         try:
-            outcome = future.result()
-            if outcome is not None:
-                group_elapsed, label = outcome
-                job.labels.add(label)
-                if job.key is not None:
-                    sizes = job.plan.chunk_sizes()
-                    self.session.executor.telemetry.record_group(
-                        job.key, group, [sizes[i] for i in group], group_elapsed,
-                    )
+            job.result = future.result()
         except Exception as exc:
-            if job.error is None:
-                job.error = exc
-        job.groups_done += 1
-        if job.groups_done == job.groups_total:
-            # The job's outcome, success or its first failure, reaches the
-            # caller once every group has finished.
-            if job.error is None:
-                self._complete(job)
-            elif not job.future.done():
-                job.future.set_exception(job.error)
-            self._settle(job)
-
-    def _complete(self, job: _Job) -> None:
-        """Assemble the job's RunResult and resolve its future.
-
-        Timed on the workers: ``elapsed_seconds`` spans the job's runs, and
-        ``setup_seconds`` is everything else after preparation — the wait
-        for a worker, the store init before the first run and the
-        checksum after the last.
-        """
-        end = time.perf_counter()
-        elapsed = job.run_ended - job.run_started
-        setup = (job.run_started - job.prepared_at) + (job.finished - job.run_ended)
-        # The engine every group ran; the backend's own name when they
-        # differ, as in the executor's shared mode.
-        job.backend = (
-            next(iter(job.labels)) if len(job.labels) == 1
-            else self.session.executor.backend.name
-        )
-        execution = ExecutionResult(
-            store=job.store,
-            mode="gateway",
-            workers=job.workers,
-            num_chunks=job.plan.chunk_count,
-            elapsed_seconds=elapsed,
-            backend=job.backend,
-            setup_seconds=max(setup, 0.0),
-            engine=job.engine,
-            threads=job.threads,
-            plan=job.plan,
-        )
-        # Executed jobs only (cache hits would drag the estimate toward 0):
-        # admission-to-completion is what a queued job actually occupies a
-        # slot for, which is what the retry hint needs.
-        service = max(end - job.admitted_at, 0.0)
-        self._service_ewma = (
-            service if self._service_ewma == 0.0
-            else 0.4 * service + 0.6 * self._service_ewma
-        )
-        result = RunResult(
-            analysis=job.analysis,
-            execution=execution,
-            checksum=job.checksum,
-            program_seconds=job.program_seconds,
-        )
-        if not job.future.done():
-            job.future.set_result(result)
-
-    def _response_from_job(self, job: _Job) -> _CachedResponse:
-        """Freeze a completed job into a shareable response template.
-
-        The store is copied in: the submitting caller owns the original and
-        may mutate it, while the template's copy stays pristine for every
-        later hit (which copies it back out).  Hits report the engine, the
-        threads and the workers that ran the leader.
-        """
-        return _CachedResponse(
-            analysis=job.analysis,
-            plan=job.plan,
-            backend=job.backend,
-            engine=job.engine,
-            threads=job.threads,
-            workers=job.workers,
-            checksum=job.checksum,
-            store=job.store.copy(),
-        )
-
-    def _result_from_response(self, response: _CachedResponse) -> RunResult:
-        """A fresh RunResult around a private copy of a cached response."""
-        execution = ExecutionResult(
-            store=response.store.copy(),
-            mode="gateway",
-            workers=response.workers,
-            num_chunks=response.plan.chunk_count,
-            elapsed_seconds=0.0,
-            backend=response.backend,
-            setup_seconds=0.0,
-            engine=response.engine,
-            threads=response.threads,
-            plan=response.plan,
-        )
-        return RunResult(
-            analysis=response.analysis,
-            execution=execution,
-            checksum=response.checksum,
-            program_seconds=0.0,
-        )
+            job.error = exc
+            if not job.future.done():
+                job.future.set_exception(exc)
+        else:
+            # Executed jobs only (cache hits would drag the estimate toward
+            # 0): admission-to-completion is what a queued job actually
+            # occupies a slot for, which is what the retry hint needs.
+            service = max(time.perf_counter() - job.admitted_at, 0.0)
+            self._service_ewma = (
+                service if self._service_ewma == 0.0
+                else 0.4 * service + 0.6 * self._service_ewma
+            )
+            if not job.future.done():
+                job.future.set_result(job.result)
+        self._settle(job)
 
     def _settle(self, job: _Job) -> None:
         """Close out one leader job: cache, followers, admission slot.
@@ -833,9 +617,12 @@ class Gateway:
             followers = self._followers.pop(job.result_key, [])
         if job.error is None:
             cacheable = job.result_key is not None and self.config.result_cache > 0
+            # The template's store is a copy: the submitting caller owns the
+            # original and may mutate it, while every later hit copies the
+            # pristine template.
             response = None
             if cacheable or followers:
-                response = self._response_from_job(job)
+                response = _served_copy(job.result)
             if cacheable:
                 self._responses[job.result_key] = response
                 self._responses.move_to_end(job.result_key)
@@ -843,7 +630,7 @@ class Gateway:
                     self._responses.popitem(last=False)
             for follower in followers:
                 if not follower.future.done():
-                    follower.future.set_result(self._result_from_response(response))
+                    follower.future.set_result(_served_copy(response))
         else:
             for follower in followers:
                 if not follower.future.done():

@@ -18,7 +18,7 @@ machine; the reproduction executes loop nests directly:
   shared-memory pool or the in-kernel native driver) through a selectable
   backend,
 * :mod:`repro.runtime.telemetry` — measured per-chunk-group wall clock per
-  canonical program (EWMA) from grouped executions, feeding the executor's
+  canonical program (EWMA) from ``shared`` runs, feeding the executor's
   balanced-group scheduling,
 * :mod:`repro.runtime.simulator` — idealized parallel-machine model
   (work / critical path) that is independent of the CPython GIL,

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import heapq
 import os
+import threading
 import time
 from typing import List, Optional, Sequence, Tuple
 
@@ -118,7 +119,7 @@ class ExecutionResult:
     sum ``total_seconds`` is the wall clock of the whole call.
 
     ``shared`` runs, which size their chunks anyway, pass ``chunk_sizes``.
-    Serial, driver and gateway runs pass their ``plan`` instead:
+    Serial and driver runs pass their ``plan`` instead:
     ``chunk_sizes`` is computed from it the first time it is read, and
     ``total_iterations`` is the plan's ``total_iterations``.
     """
@@ -155,7 +156,7 @@ class ExecutionResult:
         #: each: 1 when a single range ran the serial entry point, 0 when
         #: no driver ran the plan.
         self.threads = threads
-        #: The plan a serial, driver or gateway run executed (``None`` otherwise).
+        #: The plan a serial or driver run executed (``None`` otherwise).
         self.plan = plan
         self._chunk_sizes = None if chunk_sizes is None else tuple(chunk_sizes)
 
@@ -222,14 +223,16 @@ class ParallelExecutor:
         self.mode = mode
         self.workers = workers if workers is not None else default_worker_count()
         self.backend: ExecutionBackend = resolve_backend(backend)
-        #: Measured per-chunk cost store feeding :meth:`groups_for`; inject
-        #: one to share observations across executors (e.g. a gateway and
-        #: its session), or leave the default executor-private store.
+        #: Measured per-chunk cost store feeding :meth:`groups_for`, which
+        #: only ``shared`` runs record into and read; inject one to share
+        #: observations across executors, or leave the default
+        #: executor-private store.
         self.telemetry: ExecutionTelemetry = (
             telemetry if telemetry is not None else ExecutionTelemetry()
         )
         self._pool: Optional[WorkerPool] = None
         self._shared: Optional[SharedArrayStore] = None
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # lifecycle (shared mode)
@@ -270,6 +273,7 @@ class ParallelExecutor:
         transformed: TransformedLoopNest,
         store: ArrayStore,
         plan: Optional[ExecutionPlan] = None,
+        workers: Optional[int] = None,
     ) -> ExecutionResult:
         """Execute the transformed nest on ``store`` (modified in place).
 
@@ -277,6 +281,10 @@ class ParallelExecutor:
         :class:`~repro.plan.ExecutionPlan`; an optimized plan of the same
         nest (e.g. a coalesced one) runs instead when given.  Every mode
         enumerates only the iterations it executes, when it executes them.
+        ``workers`` caps the in-kernel driver's ranges for this call
+        (default: the executor's own count); the gateway passes the cores
+        its other jobs leave free.  A driver run reports the ranges that
+        ran as both ``threads`` and ``workers``.
         """
         setup_start = time.perf_counter()
         if plan is None:
@@ -305,13 +313,25 @@ class ParallelExecutor:
         # driver's ranges size the chunks before the run.
         refusal: Optional[str] = None
         starts: Optional[np.ndarray] = None
+        ranges = 0  # the driver's chunk ranges, one OS thread each; 0: no driver
         if self.mode == "native-parallel" and plan.total_iterations:
             refusal = self.backend.parallel_plan_refusal(transformed, plan)
             if refusal is None:
-                starts = self.driver_ranges(plan)
+                starts = self.driver_ranges(plan, workers)
+                ranges = 1 if starts is None else len(starts) - 1
         setup = time.perf_counter() - setup_start
         start = time.perf_counter()
-        label, threads = self.execute_whole_plan(transformed, plan, store, starts)
+        threads = ranges
+        label = None
+        if ranges > 1:
+            label = self.backend.execute_plan_parallel(transformed, plan, store, starts)
+        if label is None:
+            # One serial call on this thread, with no parallel region: no
+            # driver, a single range (one thread), or a driver that declined
+            # the store's layout before writing anything (no thread).
+            if ranges > 1:
+                threads = 0
+            label = self.backend.execute_plan(transformed, plan, store)
         elapsed = time.perf_counter() - start
         # A native serial run leaves the count its scan found on the plan;
         # other runs count in closed form or on the key table they read.
@@ -319,9 +339,9 @@ class ParallelExecutor:
         fallback: Optional[str] = None
         if refusal is not None:
             fallback = f"serial run: {refusal}"
-        elif starts is not None and threads == 0:
+        elif ranges > 1 and threads == 0:
             fallback = "serial run: the in-kernel driver declined"
-        elif starts is not None and threads == 1:
+        elif ranges == 1:
             small = num_chunks > 1 and plan.total_iterations < DRIVER_MIN_ITERATIONS
             fallback = "serial run: " + ("too little work" if small else "one chunk range")
         # Report the engine that actually ran: the driver's label, or
@@ -330,7 +350,7 @@ class ParallelExecutor:
         return ExecutionResult(
             store=store,
             mode=self.mode,
-            workers=self.workers if threads > 1 else 1,
+            workers=max(threads, 1),
             num_chunks=num_chunks,
             elapsed_seconds=elapsed,
             backend=label,
@@ -341,51 +361,21 @@ class ParallelExecutor:
             plan=plan,
         )
 
-    # ------------------------------------------------------------------ #
-    # whole-plan execution: the in-kernel driver or one serial call
-    # ------------------------------------------------------------------ #
-    def driver_ranges(self, plan: ExecutionPlan, workers: Optional[int] = None) -> np.ndarray:
+    def driver_ranges(
+        self, plan: ExecutionPlan, workers: Optional[int] = None
+    ) -> Optional[np.ndarray]:
         """Boundaries of the driver's chunk ranges for ``plan``.
 
         The plan's chunk order is cut into at most ``workers`` (default:
         the executor's own) ranges of near-equal work on the plan's cached
         running total of chunk sizes, one OS thread each.  A plan of fewer
         than :data:`DRIVER_MIN_ITERATIONS` iterations is one range, which
-        runs serially.
+        runs serially: ``None``, decided from the iteration count alone,
+        so the serial run counts the chunks itself.
         """
         if plan.total_iterations < DRIVER_MIN_ITERATIONS:
-            return np.array([0, plan.chunk_count], dtype=np.int64)
+            return None
         return _balanced_ranges(plan.chunk_size_totals(), workers or self.workers)
-
-    def execute_whole_plan(
-        self,
-        transformed: TransformedLoopNest,
-        plan: ExecutionPlan,
-        store: ArrayStore,
-        starts: Optional[np.ndarray] = None,
-    ) -> Tuple[str, int]:
-        """Run every chunk of ``plan`` in one backend call, in place.
-
-        ``starts`` are the boundaries of the driver's chunk ranges
-        (:meth:`driver_ranges`; ``None`` without a driver).  Returns
-        ``(label, threads)``: the label of the engine that ran and the
-        number of ranges it ran, one OS thread each.  Two or more ranges
-        run through the backend's in-kernel driver.  A single range runs
-        the backend's serial
-        :meth:`~repro.runtime.backends.ExecutionBackend.execute_plan` on
-        the calling thread — no parallel region, no status buffer — and
-        counts as one thread.  Without ranges, or when the driver declines
-        the store's layout before writing anything, the same serial call
-        runs and ``threads`` is 0.
-        """
-        if starts is not None:
-            ranges = len(starts) - 1
-            if ranges == 1:
-                return self.backend.execute_plan(transformed, plan, store), 1
-            label = self.backend.execute_plan_parallel(transformed, plan, store, starts)
-            if label is not None:
-                return label, ranges
-        return self.backend.execute_plan(transformed, plan, store), 0
 
     # ------------------------------------------------------------------ #
     def telemetry_key(
@@ -406,10 +396,7 @@ class ParallelExecutor:
         return f"{digest}:{int(chunk_count)}"
 
     def groups_for(
-        self,
-        chunk_sizes: Sequence[int],
-        key: Optional[str] = None,
-        workers: Optional[int] = None,
+        self, chunk_sizes: Sequence[int], key: Optional[str] = None
     ) -> List[Tuple[int, ...]]:
         """Balanced chunk groups, telemetry-driven when the program is warm.
 
@@ -418,19 +405,15 @@ class ParallelExecutor:
         or with ``key=None`` — they are the closed-form chunk sizes, i.e.
         exactly the old behavior.  Either way only the grouping changes,
         never the chunks themselves, so results stay bit-identical across
-        policies.  ``workers`` overrides the executor's own worker count
-        (the gateway balances for its own pool width).
+        policies.
         """
         costs = (
             self.telemetry.chunk_costs(key, chunk_sizes) if key is not None else None
         )
-        return self._balanced_groups(chunk_sizes, costs, workers=workers)
+        return self._balanced_groups(chunk_sizes, costs)
 
     def _balanced_groups(
-        self,
-        chunk_sizes: Sequence[int],
-        costs: Optional[Sequence[float]] = None,
-        workers: Optional[int] = None,
+        self, chunk_sizes: Sequence[int], costs: Optional[Sequence[float]] = None
     ) -> List[Tuple[int, ...]]:
         """Greedy least-loaded (LPT) assignment of chunk indices to workers.
 
@@ -446,7 +429,7 @@ class ParallelExecutor:
         group id, keeping the grouping deterministic.
         """
         weights: Sequence[float] = costs if costs is not None else chunk_sizes
-        group_count = min(workers or self.workers, len(chunk_sizes))
+        group_count = min(self.workers, len(chunk_sizes))
         groups: List[List[int]] = [[] for _ in range(group_count)]
         order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
         heap: List[Tuple[float, int]] = [(0.0, g) for g in range(group_count)]
@@ -481,45 +464,50 @@ class ParallelExecutor:
         if not chunk_sizes:
             return 0.0, 0.0, None, None
         setup_start = time.perf_counter()
-        if self._pool is None:
-            self._pool = WorkerPool(workers=self.workers)
-        pool = self._pool
-        # Spin the workers up inside the setup window (no-op when already
-        # running): pool start-up is the one-time cost a persistent runtime
-        # amortizes, not execution time.
-        pool.start()
-        groups = self.groups_for(chunk_sizes, key)
-        try:
-            shared = self._ensure_shared_store(store)
-            setup = time.perf_counter() - setup_start
-            start = time.perf_counter()
-            # The pool's program cache is keyed by identity, so a repeated
-            # run with the same plan object ships the program only once.
-            outcomes = pool.run_job(
-                transformed, self.backend, plan, shared.spec, groups
-            )
-            elapsed = time.perf_counter() - start
-            if key is not None:
-                # Workers time their own group executions (queue latency
-                # excluded), so the feedback reflects pure chunk cost.
-                for group_index, (seconds, _) in outcomes.items():
-                    group = groups[group_index]
-                    self.telemetry.record_group(
-                        key, group, [chunk_sizes[i] for i in group], seconds
-                    )
-            post_start = time.perf_counter()
-            shared.copy_to(store)
-            setup += time.perf_counter() - post_start
-            engines = {engine for _, engine in outcomes.values()}
-            return elapsed, setup, None, engines.pop() if len(engines) == 1 else None
-        except WorkerCrashed as crash:
-            # Infrastructure failure: the parent's store is untouched (all
-            # writes went to the shared segments), so discard the pool and
-            # the segments and execute serially instead.
-            self._discard_pool()
-            self._release_segments()
-            setup = time.perf_counter() - setup_start
-            start = time.perf_counter()
-            engine = self.backend.execute_plan(transformed, plan, store)
-            elapsed = time.perf_counter() - start
-            return elapsed, setup, f"worker crash, serial fallback ({crash})", engine
+        # Callers take turns on the one pool and its reused segments: each
+        # holds the lock from segment load to the copy back (or through the
+        # crash fallback), so no caller takes another's results off the
+        # pool's result queue, nor reloads segments another is running on.
+        with self._lock:
+            if self._pool is None:
+                self._pool = WorkerPool(workers=self.workers)
+            pool = self._pool
+            # Spin the workers up inside the setup window (no-op when already
+            # running): pool start-up is the one-time cost a persistent runtime
+            # amortizes, not execution time.
+            pool.start()
+            groups = self.groups_for(chunk_sizes, key)
+            try:
+                shared = self._ensure_shared_store(store)
+                setup = time.perf_counter() - setup_start
+                start = time.perf_counter()
+                # The pool's program cache is keyed by identity, so a repeated
+                # run with the same plan object ships the program only once.
+                outcomes = pool.run_job(
+                    transformed, self.backend, plan, shared.spec, groups
+                )
+                elapsed = time.perf_counter() - start
+                if key is not None:
+                    # Workers time their own group executions (queue latency
+                    # excluded), so the feedback reflects pure chunk cost.
+                    for group_index, (seconds, _) in outcomes.items():
+                        group = groups[group_index]
+                        self.telemetry.record_group(
+                            key, group, [chunk_sizes[i] for i in group], seconds
+                        )
+                post_start = time.perf_counter()
+                shared.copy_to(store)
+                setup += time.perf_counter() - post_start
+                engines = {engine for _, engine in outcomes.values()}
+                return elapsed, setup, None, engines.pop() if len(engines) == 1 else None
+            except WorkerCrashed as crash:
+                # Infrastructure failure: the parent's store is untouched (all
+                # writes went to the shared segments), so discard the pool and
+                # the segments and execute serially instead.
+                self._discard_pool()
+                self._release_segments()
+                setup = time.perf_counter() - setup_start
+                start = time.perf_counter()
+                engine = self.backend.execute_plan(transformed, plan, store)
+                elapsed = time.perf_counter() - start
+                return elapsed, setup, f"worker crash, serial fallback ({crash})", engine

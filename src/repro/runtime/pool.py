@@ -89,8 +89,8 @@ class _WorkerProgram:
         Deliberately *not* routed through the backend's in-kernel parallel
         driver: shared-mode pools already run one worker process per core,
         so a multithreaded driver inside each worker would oversubscribe
-        the host.  In-process executors (native-parallel mode, the gateway)
-        are where the driver wins.
+        the host.  In-process ``native-parallel`` runs, through
+        ``Session.run`` or the gateway, are where the driver wins.
         """
         return self.backend.execute_plan(
             self.transformed, self.plan, store, chunk_indices=chunk_indices

@@ -18,6 +18,10 @@ through ``asyncio.run``.
 """
 
 import asyncio
+import glob
+import os
+import signal
+import subprocess
 import sys
 import threading
 import time
@@ -25,15 +29,16 @@ import time
 import numpy as np
 import pytest
 
+import repro
+import repro.api.session as session_module
 import repro.core.cache as cache_module
-import repro.gateway.gateway as gateway_module
 from repro.api import Session
 from repro.codegen import native as native_codegen
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.exceptions import ExecutionError, GatewayOverloaded, WorkloadError
 from repro.gateway import Gateway, GatewayConfig, GatewayStats, serve
+from repro.loopnest.builder import loop_nest
 from repro.runtime.arrays import ArrayStore
-from repro.runtime.backends import NativeBackend
 from repro.workloads.paper_examples import example_4_1, example_4_2
 from repro.workloads.suite import workload_suite
 from repro.workloads.synthetic import variable_distance_loop
@@ -106,7 +111,7 @@ class TestResultParity:
                 actual.store[name].data, expected.store[name].data
             )
 
-    def test_repeated_submissions_stay_identical_as_telemetry_warms(self):
+    def test_repeated_submissions_stay_identical(self):
         nest = example_4_1(8)
         with Session(backend="compiled") as session:
             expected = session.run(nest).checksum
@@ -139,22 +144,7 @@ class TestResultParity:
 
             result = run_async(main())
         assert result.mode == "gateway"
-        assert result.workers == 2
         assert result.num_chunks == len(result.execution.chunk_sizes)
-
-    def test_gateway_feeds_session_telemetry(self):
-        # The compiled backend has no in-kernel driver: the job is split
-        # into per-worker groups, and every group's time is recorded.
-        with Session(backend="compiled") as session:
-
-            async def main():
-                async with Gateway(session, exec_workers=2) as gateway:
-                    await gateway.submit(example_4_1(8))
-
-            run_async(main())
-            assert len(session.telemetry) == 1
-            assert session.telemetry.snapshot()["observations"] == 2
-            assert session.stats().telemetry_observations == 2
 
     @pytest.mark.skipif(
         native_codegen.resolve_engine() is None, reason="no native engine"
@@ -162,7 +152,7 @@ class TestResultParity:
     @pytest.mark.usefixtures("no_driver_floor")
     def test_driver_jobs_record_no_telemetry(self):
         # A native session's job is one in-kernel driver call over the
-        # whole plan: a single group, nothing recorded.  Three concurrent
+        # whole plan: nothing recorded.  Three concurrent
         # jobs share two workers' cores: each runs on the threads the
         # others leave free, one or two.
         nest = example_4_1(16)
@@ -213,7 +203,8 @@ class _ThreadLog:
 
 
 def _cold_work_log(monkeypatch):
-    """Log analysis misses, plan builds, kernel builds and driver probes."""
+    """Log analysis misses, plan builds, kernel builds and the driver
+    decisions a program's first probe makes."""
     log = _ThreadLog()
     monkeypatch.setattr(
         cache_module, "analyze_nest", log.wrap("analyze", cache_module.analyze_nest)
@@ -225,10 +216,14 @@ def _cold_work_log(monkeypatch):
     monkeypatch.setattr(
         native_codegen, "_build_kernel", log.wrap("compile", native_codegen._build_kernel)
     )
-    monkeypatch.setattr(
-        NativeBackend, "parallel_plan_refusal",
-        log.wrap("probe", NativeBackend.parallel_plan_refusal),
-    )
+    probe = Session._probe_driver
+
+    def first_probe(session, program):
+        if not program.probed:
+            log.calls.append(("probe", threading.current_thread()))
+        return probe(session, program)
+
+    monkeypatch.setattr(Session, "_probe_driver", first_probe)
     return log
 
 
@@ -340,20 +335,20 @@ FAILING = "loop i1 = 0 .. 7\nloop i2 = 1 .. 8\nA[i1, i2] = A[i1, i2 - 1] + 1.0 /
 
 
 class _KernelGate:
-    """Holds every whole-plan run of a session's executor until released,
-    recording the ranges each was given."""
+    """Holds every run of a session's executor until released, recording
+    the driver width each was given."""
 
     def __init__(self, executor):
         self.release = threading.Event()
         self.entered = []
-        original = executor.execute_whole_plan
+        original = executor.run
 
-        def gated(transformed, plan, store, starts=None):
-            self.entered.append(None if starts is None else len(starts) - 1)
+        def gated(transformed, store, plan=None, workers=None):
+            self.entered.append(workers)
             self.release.wait(TIMEOUT)
-            return original(transformed, plan, store, starts)
+            return original(transformed, store, plan=plan, workers=workers)
 
-        executor.execute_whole_plan = gated
+        executor.run = gated
 
     async def wait_for(self, count):
         while len(self.entered) < count:
@@ -393,8 +388,9 @@ class TestDriverWidth:
                     return results, held, alone, gateway._threads_held
 
             results, held, alone, released = run_async(main())
-        # Alone: both chunks.  Next: 4 - 2.  Last: 4 - 4, raised to one.
-        assert gate.entered[:3] == [2, 2, 1]
+        # Alone: all four, and its two chunks make two ranges.  Next:
+        # 4 - 2.  Last: 4 - 4, raised to one.
+        assert gate.entered[:3] == [4, 2, 1]
         assert [result.threads for result in results] == [2, 2, 1]
         assert held == 5 and released == 0
         assert results[2].engine is None and results[2].backend == "native-cc"
@@ -440,22 +436,23 @@ class TestDriverWidth:
 # backpressure
 # --------------------------------------------------------------------------- #
 class _Gate:
-    """Blocks gateway executions until released (deterministic overload),
-    counting the groups that started."""
+    """Blocks the execute step of a gateway's jobs until released
+    (deterministic overload), counting the jobs a worker started."""
 
     def __init__(self):
         self.release = threading.Event()
         self.entered = []
 
     def wrap(self, gateway):
-        original = gateway._execute_group
+        session = gateway.session
+        original = session._execute
 
-        def slow(job, group):
-            self.entered.append(group)
+        def slow(*args, **kwargs):
+            self.entered.append(args)
             self.release.wait(TIMEOUT)
-            return original(job, group)
+            return original(*args, **kwargs)
 
-        gateway._execute_group = slow
+        session._execute = slow
 
     async def wait_for(self, count):
         while len(self.entered) < count:
@@ -557,7 +554,7 @@ class TestExecutionPool:
                     return held, results, gateway.stats()
 
             held, results, stats = run_async(main())
-        # One worker holds the first single-group job; two wait for it.
+        # One worker holds the first job; two wait for it.
         assert [result.workers for result in results] == [1, 1, 1]
         assert held == 2
         assert (stats.queued_groups, stats.completed, stats.pending) == (0, 4, 0)
@@ -612,20 +609,11 @@ class TestReportedWorkers:
         assert (result.workers, result.threads) == (expected.workers, expected.threads)
         assert (result.workers, result.threads) == (1, 1)
 
-    def test_group_job_reports_its_groups(self):
-        # Two chunks make two groups, whatever the number of workers.
-        with Session(backend="compiled") as session:
-            (two, one), _ = _serve_fresh(
-                session, [TWO_CHUNKS, example_4_1(8)], exec_workers=4
-            )
-            (single,), _ = _serve_fresh(session, [example_4_1(8)], exec_workers=1)
-        assert (two.workers, two.threads) == (2, 0)
-        assert one.workers == 4
-        assert single.workers == 1
-
+    @needs_engine
+    @pytest.mark.usefixtures("no_driver_floor")
     def test_cached_and_coalesced_answers_carry_the_leaders_workers(self):
         gate = _Gate()
-        with Session(backend="compiled") as session:
+        with Session(backend="native", mode="native-parallel", workers=4) as session:
 
             async def main():
                 async with Gateway(session, exec_workers=4) as gateway:
@@ -642,6 +630,7 @@ class TestReportedWorkers:
 
             answers, stats = run_async(main())
         assert (stats.coalesced, stats.result_hits) == (1, 1)
+        # The leader's driver cut its two chunks into two ranges.
         assert [answer.workers for answer in answers] == [2, 2, 2]
 
 
@@ -649,7 +638,7 @@ class TestReportedWorkers:
 # hot traffic: coalescing and the response cache
 # --------------------------------------------------------------------------- #
 class _CountingExec:
-    """Counts (and optionally blocks) gateway group executions."""
+    """Counts (and optionally blocks) gateway job executions."""
 
     def __init__(self, gateway, release=None):
         self.calls = 0
@@ -734,7 +723,7 @@ class TestHotTraffic:
             results, calls, stats = run_async(main())
         assert [result.checksum for result in results] == [expected] * 4
         assert stats.coalesced == 3
-        assert calls == 2  # one job, two groups: the other three rode along
+        assert calls == 1  # one job: the other three rode along
 
     def test_disabled_cache_and_coalescing_reexecute_every_job(self):
         nest = example_4_1(8)
@@ -833,7 +822,7 @@ class TestHotTraffic:
                     armed = [True]
 
                     def exploding(job, group):
-                        # Only the first group call blocks-then-raises, so
+                        # Only the first job's call blocks-then-raises, so
                         # exactly one exec worker is pinned and the evictor
                         # job still has a worker to run on.
                         if armed[0]:
@@ -978,7 +967,7 @@ class TestFailuresAndDrain:
                     def exploding(job, group):
                         if not calls:
                             calls.append(group)
-                            raise RuntimeError("injected group failure")
+                            raise RuntimeError("injected job failure")
                         return original(job, group)
 
                     gateway._execute_group = exploding
@@ -1008,7 +997,7 @@ class TestFailuresAndDrain:
                     def exploding(job, group):
                         started.set()
                         release.wait(TIMEOUT)
-                        raise RuntimeError("injected group failure")
+                        raise RuntimeError("injected job failure")
 
                     gateway._execute_group = exploding
                     caller = asyncio.ensure_future(gateway.submit(nest))
@@ -1231,10 +1220,10 @@ ZERO_ITERATIONS = (
     "A[i1, i2, i3] = A[i1, i2, i3 - 1] + 1.0"
 )
 
-#: (backend, mode) of a session whose jobs run as per-worker groups, and of
-#: one whose jobs are single in-kernel driver calls.
+#: (backend, mode) of a session whose jobs run serially, and of one whose
+#: jobs are in-kernel driver calls.
 SESSIONS = [
-    pytest.param("compiled", "serial", id="groups"),
+    pytest.param("compiled", "serial", id="serial"),
     pytest.param(
         "native", "native-parallel", id="driver",
         marks=pytest.mark.skipif(
@@ -1245,13 +1234,13 @@ SESSIONS = [
 
 
 class _StoreProbe:
-    """Stands in for the gateway module's ``store_for_nest``: records the
+    """Stands in for the session module's ``store_for_nest``: records the
     thread that builds each store and every thread that sums one (through
     the store's ``values``), each after sleeping ``delay`` seconds."""
 
     def __init__(self, monkeypatch, delay: float = 0.0):
         self.stores = []
-        build = gateway_module.store_for_nest
+        build = session_module.store_for_nest
 
         class RecordingStore(ArrayStore):
             def values(self):
@@ -1267,7 +1256,7 @@ class _StoreProbe:
             self.stores.append(store)
             return store
 
-        monkeypatch.setattr(gateway_module, "store_for_nest", recording_store_for_nest)
+        monkeypatch.setattr(session_module, "store_for_nest", recording_store_for_nest)
 
 
 def _serve_fresh(session, sources, **config):
@@ -1284,9 +1273,9 @@ def _serve_fresh(session, sources, **config):
 
 
 class TestStorePlacement:
-    """A job's first group to start builds its store and its last group to
-    finish sums the checksum, on ``gateway-exec`` threads; results, errors
-    and stats stay those of ``Session.run``."""
+    """The execution worker that takes a job builds its store and sums its
+    checksum, on a ``gateway-exec`` thread; results, errors and stats stay
+    those of ``Session.run``."""
 
     @pytest.mark.parametrize("backend, mode", SESSIONS)
     def test_store_init_and_checksum_run_on_exec_workers(self, backend, mode, monkeypatch):
@@ -1361,18 +1350,47 @@ class TestStorePlacement:
         assert len(result.store) == 0 and result.execution.chunk_sizes == ()
         assert (stats.completed, stats.failed, stats.pending) == (1, 0, 0)
 
-    def test_vectorized_group_jobs_stay_bit_identical(self):
+    def test_vectorized_jobs_stay_bit_identical(self):
         nests = [case.nest for case in workload_suite(8)]
         with Session(backend="vectorized") as session:
             expected = [session.run(nest) for nest in nests]
             results, stats = _serve_fresh(session, nests, exec_workers=2)
-            observations = session.stats().telemetry_observations
-        # Each job ran (and recorded) one group per worker it could use.
-        assert observations == sum(min(2, r.num_chunks) for r in expected)
         assert stats.completed == len(nests)
         for result, reference in zip(results, expected):
             assert result.checksum == reference.checksum
             assert result.store.identical(reference.store)
+
+    @needs_engine
+    @pytest.mark.usefixtures("no_driver_floor")
+    def test_concurrent_jobs_build_and_sum_each_store_once(self, monkeypatch):
+        # More workers than cores and a short switch interval: a lost update
+        # of the gateway's thread or queue counts would leave them off zero,
+        # and a store shared by two jobs would be summed twice.
+        nest = example_4_1(16)
+        jobs = 12
+        with Session(backend="native", mode="native-parallel") as session:
+            expected = session.run(nest)
+            probe = _StoreProbe(monkeypatch)
+
+            async def main():
+                async with Gateway(
+                    session, exec_workers=8, result_cache=0, coalesce=False
+                ) as gateway:
+                    results = await gateway.map([nest] * jobs)
+                    return results, gateway.stats(), gateway._threads_held
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                results, stats, held = run_async(main())
+            finally:
+                sys.setswitchinterval(interval)
+        assert (held, stats.queued_groups, stats.completed) == (0, 0, jobs)
+        assert sorted(id(result.store) for result in results) == sorted(map(id, probe.stores))
+        assert all(len(store.sum_threads) == 1 for store in probe.stores)
+        for result in results:
+            assert result.checksum == expected.checksum
+            assert result.store.identical(expected.store)
 
     def test_setup_seconds_hold_store_init_and_checksum(self, monkeypatch):
         delay = 0.1
@@ -1384,26 +1402,144 @@ class TestStorePlacement:
         assert result.setup_seconds >= 2 * delay - 1e-3
         assert result.execute_seconds < delay
 
-    def test_concurrent_groups_build_and_sum_each_store_once(self, monkeypatch):
-        # More workers than cores and a short switch interval: a lost update
-        # of a job's lock-guarded state would build its store twice, or sum
-        # it zero or two times.
-        nest = example_4_1(8)
-        jobs = 12
-        with Session(backend="compiled") as session:
-            expected = session.run(nest)
-            probe = _StoreProbe(monkeypatch)
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                results, stats = _serve_fresh(session, [nest] * jobs, exec_workers=8)
-            finally:
-                sys.setswitchinterval(interval)
-            observations = session.stats().telemetry_observations
-        assert observations == 8 * jobs  # every job ran as 8 concurrent groups
-        assert stats.completed == jobs
-        assert sorted(id(result.store) for result in results) == sorted(map(id, probe.stores))
-        assert all(len(store.sum_threads) == 1 for store in probe.stores)
-        for result in results:
-            assert result.checksum == expected.checksum
-            assert result.store.identical(expected.store)
+
+# --------------------------------------------------------------------------- #
+# two doors, one execution path
+# --------------------------------------------------------------------------- #
+def _serve_variant(variant: int, n: int):
+    """The serving mix's transcendental row recurrence: one chunk per row."""
+    return (
+        loop_nest(f"serve_v{variant}")
+        .loop("i1", 0, n - 1)
+        .loop("i2", 1, n - 1)
+        .statement(
+            f"A[i1, i2] = sin(A[i1, i2 - 1]) * 0.5 + cos(A[i1, i2]) * {0.8 + 0.01 * variant} "
+            "+ exp(A[i1, i2] * -0.3)"
+        )
+        .build()
+    )
+
+
+def _serve_mix():
+    """The six programs of the serving mix, at their serving sizes."""
+    sizes = {"example-4.1": 256, "variable-rank1-3": 192, "three-deep": 48}
+    return [
+        case.nest for name, n in sizes.items() for case in workload_suite(n) if case.name == name
+    ] + [_serve_variant(variant, 192) for variant in range(3)]
+
+
+#: What a run reports about how it ran; only ``mode`` tells the doors apart.
+PARITY_FIELDS = (
+    "backend", "engine", "threads", "workers", "fallback", "num_chunks", "checksum",
+    "verified",
+)
+
+needs_dev_shm = pytest.mark.skipif(
+    not os.path.isdir("/dev/shm"), reason="shared mode needs /dev/shm"
+)
+
+
+def _parity_sessions():
+    for backend in ("native", "vectorized", "compiled"):
+        for mode in ("serial", "shared", "native-parallel"):
+            marks = [needs_dev_shm] if mode == "shared" else []
+            if backend == "native":
+                marks.append(needs_engine)
+            yield pytest.param(backend, mode, marks=marks, id=f"{backend}-{mode}")
+
+
+class TestTwoDoors:
+    @pytest.mark.parametrize("backend, mode", _parity_sessions())
+    def test_gateway_reports_what_session_run_reports(self, backend, mode):
+        # The suite at N=48 for every backend; the serving mix too, except
+        # for compiled Python bodies.
+        nests = [case.nest for case in workload_suite(48)]
+        if backend != "compiled":
+            nests += _serve_mix()
+        with Session(backend=backend, mode=mode) as session:
+            workers = session.config.resolved_workers()
+            direct = [session.run(nest) for nest in nests]
+            # Each door starts from the same measured costs: a ``shared``
+            # run's LPT groups, and so the engine a vectorized group
+            # reports, follow them.
+            session.telemetry.clear()
+            served, _ = _serve_fresh(session, nests, exec_workers=workers, max_pending=1)
+        differing = [
+            (nest.name, field, getattr(one, field), getattr(other, field))
+            for nest, one, other in zip(nests, direct, served)
+            for field in PARITY_FIELDS
+            if getattr(one, field) != getattr(other, field)
+        ]
+        assert differing == []
+        assert {result.mode for result in served} == {"gateway"}
+
+    @pytest.mark.parametrize("mode", ["serial", "native-parallel"])
+    def test_gateway_follows_the_verification_policy(self, mode):
+        nests = [case.nest for case in workload_suite(8)]
+        with Session(backend="vectorized", mode=mode, verify="always") as session:
+            workers = session.config.resolved_workers()
+            results, _ = _serve_fresh(session, nests, exec_workers=workers)
+        assert [result.verified for result in results] == [True] * len(nests)
+
+
+#: Runs one ``Session`` in ``shared`` mode from three threads at once and
+#: prints whether every checksum matched a serial session's.
+SHARED_CALLERS = """
+import threading
+from repro.api import Session
+from repro.workloads.paper_examples import example_4_1, example_4_2
+from repro.workloads.synthetic import variable_distance_loop
+
+nests = [example_4_1(40), example_4_2(40), variable_distance_loop(40)]
+with Session(backend="compiled") as serial:
+    expected = [serial.run(nest).checksum for nest in nests]
+mismatches = []
+with Session(backend="compiled", mode="shared", workers=2) as session:
+    def call(offset):
+        for step in range(2 * len(nests)):
+            index = (offset + step) % len(nests)
+            if session.run(nests[index]).checksum != expected[index]:
+                mismatches.append(nests[index].name)
+
+    callers = [threading.Thread(target=call, args=(offset,)) for offset in range(3)]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join()
+print("mismatches:", mismatches)
+"""
+
+
+@needs_dev_shm
+class TestSharedModeConcurrency:
+    def test_concurrent_session_runs_take_turns_on_the_pool(self):
+        # In a subprocess of its own session: a caller stuck on the pool
+        # fails the test at the timeout, and its pool workers go with it.
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+        process = subprocess.Popen(
+            [sys.executable, "-c", SHARED_CALLERS],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=path), start_new_session=True,
+        )
+        try:
+            out, err = process.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            pytest.fail("concurrent shared-mode callers still blocked after 120 s")
+        assert process.returncode == 0, err
+        assert out.splitlines()[-1] == "mismatches: []"
+
+    def test_gateway_over_a_shared_session(self):
+        segments = set(glob.glob("/dev/shm/psm_*"))
+        nests = [example_4_1(40), example_4_2(40), variable_distance_loop(40)] * 2
+        with Session(backend="compiled") as serial:
+            expected = [serial.run(nest).checksum for nest in nests]
+        with Session(backend="compiled", mode="shared") as session:
+            workers = session.config.resolved_workers()
+            results, stats = _serve_fresh(session, nests, exec_workers=workers)
+        assert [result.checksum for result in results] == expected
+        assert {result.mode for result in results} == {"gateway"}
+        assert (stats.completed, stats.failed) == (len(nests), 0)
+        assert set(glob.glob("/dev/shm/psm_*")) - segments == set()

@@ -4,8 +4,9 @@ A serial native run of a whole plan calls the native chunk scan, which
 walks the plan's bound table in the key table's order and runs the chunks
 through the kernel as it finds them: no key table is built, the run
 reports the count the scan found, and a failing chunk leaves exactly the
-interpreter's partial writes.  In ``native-parallel``, a plan below the driver's iteration floor
-runs the same serial scan and names the reason.  (The scan's chunk order
+interpreter's partial writes.  In ``native-parallel``, a plan below the
+driver's iteration floor runs the same serial scan, through ``Session.run``
+or the gateway, and names the reason.  (The scan's chunk order
 itself is pinned against ``_discover`` in ``tests/plan/test_key_table.py``.)
 """
 
@@ -16,6 +17,7 @@ from repro.api import Session
 from repro.codegen import native as native_codegen
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
+from repro.gateway import GatewayConfig, serve
 from repro.loopnest.builder import loop_nest
 from repro.loopnest.parser import parse_statement
 from repro.plan import ExecutionPlan
@@ -160,6 +162,27 @@ class TestMinimumWork:
                     assert run.fallback == "serial run: too little work", case.name
                     assert (run.threads, run.workers, run.engine) == (1, 1, None)
                     assert run.backend == "native-cc"
+
+    @pytest.mark.parametrize("door", ["session", "gateway"])
+    @pytest.mark.parametrize("name", [case.name for case in workload_suite(12)])
+    def test_small_plan_counts_no_chunks_before_its_run(self, name, door, monkeypatch):
+        # One range is decided from the iteration count alone, so a cold
+        # run through either door leaves the counting to the serial scan.
+        nest = _suite_nest(name, 12)
+        calls = _count_table_builds(monkeypatch)
+        with Session(backend="native", mode="native-parallel", workers=2) as session:
+            if door == "session":
+                result = session.run(nest)
+            else:
+                config = GatewayConfig(exec_workers=2, result_cache=0, coalesce=False)
+                (result,) = serve(session, [nest], config=config)
+        counted = dict(calls)
+        monkeypatch.undo()
+        assert counted == {"key_table": 0, "_expanded_key_table": 0, "_discover": 0}
+        reference = TransformedLoopNest.from_report(analyze_nest(nest)).execution_plan()
+        assert result.num_chunks == len(reference.key_list())
+        small = "too little work" if result.num_chunks > 1 else "one chunk range"
+        assert (result.threads, result.fallback) == (1, f"serial run: {small}")
 
     @pytest.mark.parametrize(
         "program",

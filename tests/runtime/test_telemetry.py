@@ -181,10 +181,6 @@ class TestGroupsFor:
         )
         assert loads == [6.0, 6.0]
 
-    def test_workers_override(self):
-        executor = ParallelExecutor(workers=2)
-        assert len(executor.groups_for((4, 3, 2, 1), workers=4)) == 4
-
     def test_telemetry_key_stable_and_chunk_count_scoped(self, ex41_small):
         executor = ParallelExecutor()
         transformed = _transformed(ex41_small)

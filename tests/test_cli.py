@@ -258,6 +258,21 @@ class TestBatchCommand:
         out = capsys.readouterr().out
         assert "mode: shared (2 worker(s))" in out
 
+    def test_serve_reports_the_gateway_and_each_fallback_once(self, two_files, capsys):
+        first, second = two_files
+        assert main(
+            ["serve", first, second, "--backend", "vectorized", "--mode",
+             "native-parallel", "--processors", "2", "--repeat", "2"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Served 4 job(s)")
+        assert "  gateway: 2 execution worker(s)" in out
+        # Both programs name the same fallback: one note.
+        notes = [line for line in out.splitlines() if "note:" in line]
+        assert notes == [
+            "  note: serial run: backend 'vectorized' has no in-kernel parallel driver"
+        ]
+
     def test_batch_missing_file(self, two_files, capsys):
         first, _ = two_files
         assert main(["batch", first, "/nonexistent/path.loop"]) == 2
