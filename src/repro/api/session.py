@@ -53,6 +53,7 @@ from repro.core.cache import AnalysisCache
 from repro.core.diskcache import DiskCache
 from repro.core.pipeline import ParallelizationReport, analyze_nest
 from repro.exceptions import ExecutionError, WorkloadError
+from repro.loopnest.canonical import source_key
 from repro.loopnest.nest import LoopNest
 from repro.plan import (
     DEFAULT_PLAN_PASSES,
@@ -245,7 +246,7 @@ class Session:
         self._plan_pipeline: Optional[PlanPassManager] = (
             build_plan_pipeline(plan_passes) if plan_passes else None
         )
-        self._programs: "OrderedDict[Tuple[str, str], _Program]" = OrderedDict()
+        self._programs: "OrderedDict[Tuple[tuple, str], _Program]" = OrderedDict()
         self._lock = threading.Lock()
         self._analyses = 0
         self._runs = 0
@@ -518,16 +519,17 @@ class Session:
     def _program_for(self, nest: LoopNest, report: ParallelizationReport) -> _Program:
         """The nest's program (transformed nest, symbolic plan), warm across calls.
 
-        Keyed by the nest's rendered source + placement: identical text
-        means identical names *and* structure, so reusing the transformed
-        nest (and its execution plan) is semantically exact — unlike the
-        analysis cache's canonical key, which deliberately ignores names.
+        Keyed by :func:`~repro.loopnest.canonical.source_key` + placement:
+        equal keys mean identical rendered source, names *and* structure,
+        so reusing the transformed nest (and its execution plan) is
+        semantically exact — unlike the analysis cache's canonical key,
+        which deliberately ignores names.
         The plan replaces the materialized chunk schedule the cache used to
         hold: a warm program is O(depth) memory regardless of N, and
         re-dispatching the *same* plan object lets the worker pool reuse
         its per-program cache.
         """
-        key = (str(nest), report.placement)
+        key = (source_key(nest), report.placement)
         with self._lock:
             program = self._programs.get(key)
             if program is not None:
@@ -577,7 +579,7 @@ class Session:
         """
         placement = placement or self.config.placement
         program_start = time.perf_counter()
-        key = (str(nest), placement)
+        key = (source_key(nest), placement)
         with self._lock:
             program = self._programs.get(key)
             if program is None or not program.probed:

@@ -187,7 +187,7 @@ def nest_is_native_supported(nest: LoopNest) -> bool:
 
     Memoized on the nest instance (nests are immutable after construction).
     """
-    cached = getattr(nest, _SUPPORT_ATTR, None)
+    cached = nest.__dict__.get(_SUPPORT_ATTR)
     if cached is not None:
         return cached
     dims: Dict[str, int] = {}
@@ -202,10 +202,7 @@ def nest_is_native_supported(nest: LoopNest) -> bool:
                 break
         else:
             supported = _expression_supported(stmt.rhs)
-    try:
-        setattr(nest, _SUPPORT_ATTR, supported)
-    except AttributeError:  # pragma: no cover - LoopNest has a __dict__ today
-        pass
+    nest.__dict__[_SUPPORT_ATTR] = supported
     return supported
 
 
@@ -225,13 +222,9 @@ def _array_slots(nest: LoopNest) -> List[Tuple[str, int]]:
 
 def _original_array_order(nest: LoopNest) -> Tuple[str, ...]:
     """Original array names of ``nest`` in canonical slot order (memoized)."""
-    cached = getattr(nest, _ORDER_ATTR, None)
+    cached = nest.__dict__.get(_ORDER_ATTR)
     if cached is None:
-        cached = tuple(name for name, _ in _array_slots(nest))
-        try:
-            setattr(nest, _ORDER_ATTR, cached)
-        except AttributeError:  # pragma: no cover
-            pass
+        cached = nest.__dict__[_ORDER_ATTR] = tuple(name for name, _ in _array_slots(nest))
     return cached
 
 
@@ -1062,8 +1055,13 @@ def _scan_function():
 # kernels and the process-wide cache
 # --------------------------------------------------------------------------- #
 
-_F64_P = ctypes.POINTER(ctypes.c_double)
 _I64_P = ctypes.POINTER(ctypes.c_int64)
+
+
+def _address(array: np.ndarray) -> int:
+    """The address of a writable C-contiguous array's data, at a third of
+    the cost of ``array.ctypes.data``."""
+    return ctypes.addressof((ctypes.c_char * 0).from_buffer(array))
 
 
 class PackedChunks(NamedTuple):
@@ -1131,9 +1129,8 @@ class NativeKernel:
         self._kernel_entry = (
             ctypes.cast(scan[1], ctypes.c_void_p) if scan is not None else None
         )
-        array_types = []
-        for _ in self.array_dims:
-            array_types.extend((_F64_P, _I64_P, _I64_P))
+        # Arrays pass as addresses (see _marshal).
+        array_types = [ctypes.c_void_p] * (3 * len(self.array_dims))
         fn.argtypes = [ctypes.c_int64, _I64_P, _I64_P] + array_types
         if par_fn is not None:
             par_fn.argtypes = [ctypes.c_int64, _I64_P, _I64_P, _I64_P, _I64_P] + array_types
@@ -1144,37 +1141,33 @@ class NativeKernel:
         return self._par_fn is not None
 
     def _marshal(self, offset_arrays, bounds: np.ndarray, *tables: np.ndarray):
-        """Each array's float64 buffer, int64 origin and int64 shape, in
-        slot order, or None when a table or an array's layout cannot be
-        passed to native code (caller falls back).  The caller keeps the
-        list alive for the duration of the call."""
+        """The addresses of each array's float64 buffer, int64 origin and
+        int64 shape, in slot order, and the int64 block holding the origins
+        and shapes, which the caller keeps alive for the duration of the
+        call; None when a table or an array's layout cannot be passed to
+        native code (caller falls back)."""
         for table in (bounds, *tables):
             if table.dtype != np.int64 or table.ndim != 1 or not table.flags["C_CONTIGUOUS"]:
                 return None
         if bounds.size < self.depth * (len(LEVEL_FIELDS) + self.depth):
             return None
-        buffers = []
+        buffers, extents = [], []
         for array, ndim in zip(offset_arrays, self.array_dims):
             data = array.data
-            if (
-                data.dtype != np.float64
-                or data.ndim != ndim
-                or not data.flags["C_CONTIGUOUS"]
+            flags = data.flags
+            if data.dtype != np.float64 or data.ndim != ndim or not (
+                flags.c_contiguous and flags.writeable
             ):
                 return None
-            buffers += (
-                data,
-                np.asarray(array.origin, dtype=np.int64),
-                np.asarray(data.shape, dtype=np.int64),
-            )
-        return buffers
-
-    @staticmethod
-    def _array_args(buffers):
-        return [
-            buffer.ctypes.data_as(_I64_P if k % 3 else _F64_P)
-            for k, buffer in enumerate(buffers)
-        ]
+            buffers.append(_address(data))
+            extents += (*array.origin, *data.shape)
+        block = (ctypes.c_int64 * len(extents))(*extents)
+        origin = ctypes.addressof(block)
+        addresses = []
+        for buffer, ndim in zip(buffers, self.array_dims):
+            addresses += (buffer, origin, origin + 8 * ndim)
+            origin += 16 * ndim
+        return addresses, block
 
     def execute(self, offset_arrays, packed: PackedChunks) -> Optional[int]:
         """Run the given key rows in order; returns the status code, or None
@@ -1182,14 +1175,14 @@ class NativeKernel:
         n_chunks, keys, bounds = packed
         if keys.size != n_chunks * self.depth:
             return None
-        buffers = self._marshal(offset_arrays, bounds, keys)
-        if buffers is None:
+        marshalled = self._marshal(offset_arrays, bounds, keys)
+        if marshalled is None:
             return None
         return int(self._fn(
             ctypes.c_int64(n_chunks),
             keys.ctypes.data_as(_I64_P),
             bounds.ctypes.data_as(_I64_P),
-            *self._array_args(buffers),
+            *marshalled[0],
         ))
 
     def scan(self, offset_arrays, bounds: np.ndarray, stamps: int) -> Optional[Tuple[int, int]]:
@@ -1199,19 +1192,19 @@ class NativeKernel:
         unusable — nothing has been written then."""
         if self._scan is None:
             return None
-        buffers = self._marshal(offset_arrays, bounds)
-        if buffers is None:
+        marshalled = self._marshal(offset_arrays, bounds)
+        if marshalled is None:
             return None
-        pointers = (ctypes.c_void_p * len(buffers))(*(buffer.ctypes.data for buffer in buffers))
+        addresses = marshalled[0]
         seen = np.zeros(stamps, dtype=np.int64) if stamps else None
         found = ctypes.c_int64(0)
         status = self._scan(
             self.depth,
-            bounds.ctypes.data,
-            None if seen is None else seen.ctypes.data,
+            bounds.ctypes.data,  # the plan's table may be read-only
+            None if seen is None else _address(seen),
             ctypes.byref(found),
             self._kernel_entry,
-            pointers,
+            (ctypes.c_void_p * len(addresses))(*addresses),
         )
         return int(status), found.value
 
@@ -1232,8 +1225,8 @@ class NativeKernel:
         n_chunks, keys, bounds = packed
         if keys.size != n_chunks * self.depth:
             return None
-        buffers = self._marshal(offset_arrays, bounds, keys)
-        if buffers is None:
+        marshalled = self._marshal(offset_arrays, bounds, keys)
+        if marshalled is None:
             return None
         threads = starts.size - 1
         statuses = np.zeros(threads, dtype=np.int64)
@@ -1243,7 +1236,7 @@ class NativeKernel:
             keys.ctypes.data_as(_I64_P),
             bounds.ctypes.data_as(_I64_P),
             statuses.ctypes.data_as(_I64_P),
-            *self._array_args(buffers),
+            *marshalled[0],
         ))
 
 
@@ -1373,9 +1366,7 @@ def native_program_for(transformed) -> Optional[NativeProgram]:
     nest = transformed.nest
     if not nest_is_native_supported(nest):
         return None
-    inverse = tuple(
-        tuple(int(value) for value in row) for row in transformed.inverse_transform
-    )
+    inverse = tuple(map(tuple, transformed.inverse_transform))
     key = (canonical_body_key(nest), inverse)
     with _LOCK:
         if key in _KERNELS:

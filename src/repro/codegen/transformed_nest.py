@@ -21,9 +21,14 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.core.partition import PartitioningResult
 from repro.core.pipeline import ParallelizationReport
 from repro.exceptions import CodegenError, ShapeError
-from repro.intlin.fourier_motzkin import VariableBounds, loop_bounds_from_inequalities
+from repro.intlin.fourier_motzkin import (
+    InequalitySystem,
+    VariableBounds,
+    loop_bounds_from_inequalities,
+)
 from repro.intlin.matrix import (
     Matrix,
+    _unimodular_inverse,
     identity_matrix,
     mat_copy,
     mat_equal,
@@ -55,29 +60,51 @@ class TransformedLoopNest:
             raise CodegenError(
                 f"transformation is {len(self.transform)}x?, expected {depth}x{depth}"
             )
-        self._inverse = unimodular_inverse(self.transform)
-        # Column ``k`` of T^-1 holds the weights of original index ``k``.
-        self._inverse_columns = tuple(zip(*self._inverse))
+        inverse = unimodular_inverse(self.transform)
         if not self.new_index_names:
             self.new_index_names = tuple(f"j{k + 1}" for k in range(depth))
         if len(self.new_index_names) != depth:
             raise CodegenError("new_index_names must have one name per loop level")
-        system = self.nest.inequality_system().transformed(self._inverse)
+        self._derive(inverse)
+
+    def _derive(self, inverse: Optional[Matrix] = None) -> None:
+        """``T^-1`` (computed unless given) and the Fourier–Motzkin bounds of
+        a validated unimodular ``T``; an identity ``T`` substitutes nothing."""
+        depth = self.nest.depth
+        identity = [[int(i == k) for k in range(depth)] for i in range(depth)]
+        system = self.nest.inequality_system()
+        if self.transform == identity:
+            self._inverse = identity
+        else:
+            self._inverse = inverse or _unimodular_inverse(self.transform)
+            system = InequalitySystem(depth, [ineq._substituted(self._inverse) for ineq in system])
+        # Column ``k`` of T^-1 holds the weights of original index ``k``.
+        self._inverse_columns = tuple(zip(*self._inverse))
         self._bounds = loop_bounds_from_inequalities(system)
+
+    def __getstate__(self):
+        # The native kernel memo holds ctypes entry points: never pickled.
+        state = dict(self.__dict__)
+        state.pop("_native", None)
+        return state
 
     # ------------------------------------------------------------------ #
     # constructors
     # ------------------------------------------------------------------ #
     @classmethod
     def from_report(cls, report: ParallelizationReport) -> "TransformedLoopNest":
-        """Build the transformed nest selected by :func:`repro.core.pipeline.analyze_nest`."""
-        return cls(
-            nest=report.nest,
-            transform=report.transform,
-            parallel_levels=report.parallel_levels,
-            partitioning=report.partitioning,
-            new_index_names=report.new_index_names,
-        )
+        """Build the transformed nest selected by :func:`repro.core.pipeline.analyze_nest`.
+
+        The report's transform is validated and unimodular already.
+        """
+        transformed = cls.__new__(cls)
+        transformed.nest = report.nest
+        transformed.transform = [row[:] for row in report.transform]
+        transformed.parallel_levels = report.parallel_levels
+        transformed.partitioning = report.partitioning
+        transformed.new_index_names = report.new_index_names
+        transformed._derive()
+        return transformed
 
     @classmethod
     def identity(cls, nest: LoopNest) -> "TransformedLoopNest":

@@ -24,18 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple, Union
 
-from repro.core.legality import is_legal_unimodular
+from repro.core.legality import _is_legal
 from repro.core.pdm import PseudoDistanceMatrix
 from repro.core.transforms import loop_permutation
 from repro.exceptions import IllegalTransformationError, ShapeError
-from repro.intlin.matrix import (
-    Matrix,
-    identity_matrix,
-    is_zero_vector,
-    mat_copy,
-    mat_mul,
-    mat_shape,
-)
+from repro.intlin.matrix import Matrix, _mat_mul, identity_matrix, mat_copy, mat_shape
 
 __all__ = ["Algorithm1Result", "transform_non_full_rank"]
 
@@ -140,6 +133,12 @@ def transform_non_full_rank(
             if rows and cols != n:
                 raise ShapeError(f"PDM has {cols} columns, expected {n}")
 
+    return _transform(matrix, n, placement)
+
+
+def _transform(matrix: Matrix, n: int, placement: str) -> Algorithm1Result:
+    """:func:`transform_non_full_rank` of a validated ``? x n`` HNF matrix,
+    left unchanged."""
     r = len(matrix)
     if r > n:
         raise ShapeError(f"PDM rank {r} exceeds the loop depth {n}")
@@ -188,9 +187,8 @@ def transform_non_full_rank(
     if placement == "inner":
         # Move the zero columns to the innermost positions (Corollary 3).
         order = sequential_columns + zero_columns
-        perm = loop_permutation(order)
-        transform = mat_mul(transform, perm)
-        work = mat_mul(matrix, transform) if matrix else []
+        transform = _mat_mul(transform, loop_permutation(order))
+        work = _mat_mul(matrix, transform) if matrix else []
         zero_columns = list(range(r, n))
         sequential_columns = list(range(r))
 
@@ -207,7 +205,7 @@ def transform_non_full_rank(
     )
 
     # Defensive verification of Theorem 1 on the final product.
-    if not is_legal_unimodular(matrix, transform):
+    if not _is_legal(matrix, transform):
         raise IllegalTransformationError(
             "Algorithm 1 produced a transformation that fails the legality check"
         )

@@ -33,12 +33,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.core.algorithm1 import Algorithm1Result
-from repro.core.partition import PartitioningResult
-from repro.core.pdm import PseudoDistanceMatrix
 from repro.core.pipeline import ParallelizationReport, analyze_nest
 from repro.loopnest.canonical import canonical_hash, canonical_key_tuple
 from repro.loopnest.nest import LoopNest
+from repro.utils.validation import trusted_record
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (diskcache imports plan)
     from repro.core.diskcache import DiskCache
@@ -81,19 +79,10 @@ def _copy_rows(matrix) -> list:
     return [row[:] for row in matrix]
 
 
-def _clone_pdm(pdm: PseudoDistanceMatrix, index_names) -> PseudoDistanceMatrix:
-    """Clone a cached PDM with new index names, skipping re-validation.
-
-    The cached matrix went through ``__post_init__`` once; cloning it on
-    every hit through the regular constructor would re-validate the whole
-    matrix on the hot path, so the clone is assembled field by field.
-    """
-    clone = object.__new__(PseudoDistanceMatrix)
-    object.__setattr__(clone, "matrix", _copy_rows(pdm.matrix))
-    object.__setattr__(clone, "depth", pdm.depth)
-    object.__setattr__(clone, "index_names", tuple(index_names))
-    object.__setattr__(clone, "pair_solutions", pdm.pair_solutions)
-    return clone
+def _clone(obj, **fields):
+    """A copy of a cached (validated) frozen dataclass with ``fields``
+    replaced, without the per-field ``__init__`` on every hit."""
+    return trusted_record(type(obj), **{**vars(obj), **fields})
 
 
 def rebind_report(report: ParallelizationReport, nest: LoopNest) -> ParallelizationReport:
@@ -104,42 +93,30 @@ def rebind_report(report: ParallelizationReport, nest: LoopNest) -> Parallelizat
     HNF, the Algorithm 1 result, the step matrices) is copied so cache
     entries can never be corrupted through a handed-out report.
     """
-    pdm = _clone_pdm(report.pdm, nest.index_names)
+    pdm = _clone(
+        report.pdm, matrix=_copy_rows(report.pdm.matrix), index_names=tuple(nest.index_names)
+    )
     partitioning = report.partitioning
     if partitioning is not None:
-        partitioning = PartitioningResult(
-            hnf=_copy_rows(partitioning.hnf),
-            levels=partitioning.levels,
-            depth=partitioning.depth,
-            lattice=partitioning.lattice,
-        )
+        partitioning = _clone(partitioning, hnf=_copy_rows(partitioning.hnf))
     algorithm1 = report.algorithm1
     if algorithm1 is not None:
-        algorithm1 = Algorithm1Result(
+        algorithm1 = _clone(
+            algorithm1,
             transform=_copy_rows(algorithm1.transform),
             transformed=_copy_rows(algorithm1.transformed),
-            zero_columns=algorithm1.zero_columns,
-            sequential_columns=algorithm1.sequential_columns,
             sequential_block=_copy_rows(algorithm1.sequential_block),
-            placement=algorithm1.placement,
-            column_operations=algorithm1.column_operations,
         )
     # Steps are shared as-is: TransformationStep is frozen and the pipeline
     # records its matrices as immutable tuples (see PipelineContext.add_step).
-    # Direct construction (not dataclasses.replace): this is the warm hot
-    # path and replace() pays field introspection on every hit.
-    return ParallelizationReport(
+    return _clone(
+        report,
         nest=nest,
         pdm=pdm,
-        placement=report.placement,
         transform=_copy_rows(report.transform),
         transformed_pdm=_copy_rows(report.transformed_pdm),
-        parallel_levels=report.parallel_levels,
-        sequential_levels=report.sequential_levels,
         partitioning=partitioning,
-        steps=report.steps,
         algorithm1=algorithm1,
-        pass_timings=report.pass_timings,
     )
 
 
@@ -224,7 +201,7 @@ class AnalysisCache:
         stays correct when other threads or sessions use the cache
         concurrently.
         """
-        key = self.key_for(nest, placement)
+        key = (canonical_key_tuple(nest), placement)
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:

@@ -14,18 +14,17 @@ Section 3.1 of the paper:
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence, Tuple, Union
 
 from repro.core.pdm import PseudoDistanceMatrix
-from repro.exceptions import IllegalTransformationError, NotUnimodularError
-from repro.intlin.echelon import is_echelon_lex_positive
+from repro.exceptions import IllegalTransformationError, NotUnimodularError, ShapeError
+from repro.intlin.echelon import _is_echelon_lex_positive
 from repro.intlin.matrix import (
     Matrix,
+    _is_unimodular,
+    _mat_mul,
     is_lex_positive,
-    is_unimodular,
-    is_zero_vector,
     mat_copy,
-    mat_mul,
     vec_mat_mul,
 )
 
@@ -40,6 +39,17 @@ def _pdm_matrix(pdm: Union[PseudoDistanceMatrix, Sequence[Sequence[int]]]) -> Ma
     if isinstance(pdm, PseudoDistanceMatrix):
         return mat_copy(pdm.matrix)
     return mat_copy(pdm)
+
+
+def _tables(pdm, transform) -> Tuple[Matrix, Matrix]:
+    """The validated generator matrix and transform of a Theorem 1 check."""
+    trans = mat_copy(transform)
+    matrix = _pdm_matrix(pdm)
+    if matrix and len(matrix[0]) != len(trans):
+        raise ShapeError(
+            f"a PDM of {len(matrix[0])} columns cannot take a transform of {len(trans)} rows"
+        )
+    return matrix, trans
 
 
 def lemma2_lex_positive_combination(
@@ -65,18 +75,19 @@ def is_legal_unimodular(
     is an echelon matrix with lexicographically positive rows.  An empty PDM
     (no dependences) makes every unimodular transformation legal.
     """
-    trans = mat_copy(transform)
-    if not is_unimodular(trans):
+    return _is_legal(*_tables(pdm, transform))
+
+
+def _is_legal(matrix: Matrix, trans: Matrix) -> bool:
+    """:func:`is_legal_unimodular` of validated tables, left unchanged."""
+    if not _is_unimodular(trans):
         return False
-    matrix = _pdm_matrix(pdm)
     if not matrix:
         return True
-    product = mat_mul(matrix, trans)
+    product = _mat_mul(matrix, trans)
     # A legal transformation must not annihilate a nonzero generator
     # (impossible for a unimodular transform, kept as a defensive check).
-    if any(is_zero_vector(row) for row in product):
-        return False
-    return is_echelon_lex_positive(product)
+    return all(any(row) for row in product) and _is_echelon_lex_positive(product)
 
 
 def check_legal_unimodular(
@@ -92,14 +103,14 @@ def check_legal_unimodular(
     IllegalTransformationError
         If ``PDM @ transform`` violates the Theorem 1 condition.
     """
-    trans = mat_copy(transform)
-    if not is_unimodular(trans):
+    _check_legal(*_tables(pdm, transform))
+
+
+def _check_legal(matrix: Matrix, trans: Matrix) -> None:
+    """:func:`check_legal_unimodular` of validated tables, left unchanged."""
+    if not _is_unimodular(trans):
         raise NotUnimodularError("the transformation matrix is not unimodular")
-    matrix = _pdm_matrix(pdm)
-    if not matrix:
-        return
-    product = mat_mul(matrix, trans)
-    if not is_echelon_lex_positive(product):
+    if matrix and not _is_echelon_lex_positive(_mat_mul(matrix, trans)):
         raise IllegalTransformationError(
             "PDM @ T is not an echelon matrix with lexicographically positive rows; "
             "the transformation may reverse the order of dependent iterations"

@@ -24,7 +24,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.pdm import PseudoDistanceMatrix
 from repro.exceptions import ShapeError, SingularMatrixError
-from repro.intlin.hermite import hermite_normal_form
+from repro.intlin.hermite import _hermite_normal_form
 from repro.intlin.lattice import Lattice
 from repro.intlin.matrix import Matrix, leading_index, mat_copy, mat_shape
 
@@ -155,18 +155,17 @@ def partition_full_rank(
 
     restricted = [[row[c] for c in levels] for row in matrix]
     restricted = [row for row in restricted if any(v != 0 for v in row)]
-    hnf = hermite_normal_form(restricted).hermite if restricted else []
+    hnf = _hermite_normal_form(restricted).hermite if restricted else []
+    return _partitioning(hnf, levels, total_depth)
 
+
+def _partitioning(hnf: Matrix, levels: Sequence[int], depth: int) -> PartitioningResult:
+    """The partitioning of ``levels`` by the HNF of their generator block."""
     if len(hnf) != len(levels):
         raise SingularMatrixError(
-            f"the generators restricted to levels {levels} have rank {len(hnf)}, "
+            f"the generators restricted to levels {list(levels)} have rank {len(hnf)}, "
             f"expected {len(levels)}; partitioning requires a full-rank block"
         )
-
-    lattice = Lattice(hnf, dimension=len(levels))
-    return PartitioningResult(
-        hnf=hnf,
-        levels=tuple(levels),
-        depth=total_depth,
-        lattice=lattice,
-    )
+    # The HNF of an HNF is itself, so the lattice takes ``hnf`` as its basis.
+    lattice = Lattice._of([row[:] for row in hnf], len(levels))
+    return PartitioningResult(hnf=hnf, levels=tuple(levels), depth=depth, lattice=lattice)

@@ -19,16 +19,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.algorithm1 import Algorithm1Result, transform_non_full_rank
-from repro.core.legality import check_legal_unimodular
-from repro.core.partition import PartitioningResult, partition_full_rank
+from repro.core.algorithm1 import Algorithm1Result, _transform
+from repro.core.legality import _check_legal
+from repro.core.partition import PartitioningResult, _partitioning
 from repro.core.pdm import PseudoDistanceMatrix
 from repro.core.report import TransformationStep
 from repro.dependence.solver import DependenceSolution, analyze_loop_dependences
 from repro.exceptions import ShapeError
-from repro.intlin.hermite import hermite_normal_form
-from repro.intlin.matrix import Matrix, identity_matrix, leading_index, mat_copy
+from repro.intlin.hermite import _hermite_normal_form, hermite_normal_form
+from repro.intlin.matrix import Matrix, identity_matrix, leading_index
 from repro.loopnest.nest import LoopNest
+from repro.utils.validation import trusted_record
 
 __all__ = [
     "PassTiming",
@@ -141,12 +142,15 @@ class PassManager:
     def run(self, ctx: PipelineContext) -> PipelineContext:
         for pipeline_pass in self.passes:
             if not pipeline_pass.should_run(ctx):
-                ctx.timings.append(PassTiming(pipeline_pass.name, 0.0, skipped=True))
+                ctx.timings.append(
+                    trusted_record(PassTiming, name=pipeline_pass.name, seconds=0.0, skipped=True)
+                )
                 continue
             start = time.perf_counter()
             pipeline_pass.run(ctx)
+            seconds = time.perf_counter() - start
             ctx.timings.append(
-                PassTiming(pipeline_pass.name, time.perf_counter() - start)
+                trusted_record(PassTiming, name=pipeline_pass.name, seconds=seconds, skipped=False)
             )
         return ctx
 
@@ -228,7 +232,7 @@ class Algorithm1Pass(Pass):
         return self.run_when_full_rank or ctx.pdm.rank < ctx.depth
 
     def run(self, ctx: PipelineContext) -> None:
-        result = transform_non_full_rank(ctx.pdm, placement=ctx.placement)
+        result = _transform(ctx.pdm.matrix, ctx.depth, ctx.placement)
         ctx.algorithm1 = result
         ctx.transform = result.transform
         ctx.transformed_pdm = result.transformed
@@ -261,7 +265,7 @@ class FullRankPass(Pass):
     def run(self, ctx: PipelineContext) -> None:
         n = ctx.depth
         ctx.transform = identity_matrix(n)
-        ctx.transformed_pdm = mat_copy(ctx.pdm.matrix)
+        ctx.transformed_pdm = [row[:] for row in ctx.pdm.matrix]
         ctx.parallel_levels = tuple(ctx.pdm.zero_columns())
         ctx.sequential_levels = tuple(
             k for k in range(n) if k not in ctx.parallel_levels
@@ -285,7 +289,7 @@ class LegalityPass(Pass):
         return not ctx.finished and ctx.pdm is not None and ctx.transform is not None
 
     def run(self, ctx: PipelineContext) -> None:
-        check_legal_unimodular(ctx.pdm, ctx.transform)
+        _check_legal(ctx.pdm.matrix, ctx.transform)
 
 
 def block_determinant(block: Sequence[Sequence[int]], size: Optional[int] = None) -> int:
@@ -300,9 +304,11 @@ def block_determinant(block: Sequence[Sequence[int]], size: Optional[int] = None
     rows = [list(row) for row in block if any(row)]
     if size is None:
         size = len(block[0]) if block else 0
-    if not rows:
-        return 1 if size == 0 else 0
-    hnf = hermite_normal_form(rows).hermite
+    return _hnf_determinant(hermite_normal_form(rows).hermite if rows else [], size)
+
+
+def _hnf_determinant(hnf: Matrix, size: int) -> int:
+    """:func:`block_determinant` from the HNF of the block's nonzero rows."""
     if len(hnf) < size:
         return 0
     det = 1
@@ -333,13 +339,14 @@ class PartitionPass(Pass):
         return True
 
     def run(self, ctx: PipelineContext) -> None:
-        det = block_determinant(ctx.sequential_block, len(ctx.sequential_levels))
+        # One HNF of the sequential block decides the count and partitions.
+        rows = [row for row in ctx.sequential_block if any(row)]
+        hnf = _hermite_normal_form(rows).hermite if rows else []
+        det = _hnf_determinant(hnf, len(ctx.sequential_levels))
         ctx.extras["block_determinant"] = det
         if det <= 1:
             return
-        ctx.partitioning = partition_full_rank(
-            ctx.transformed_pdm, levels=ctx.sequential_levels, depth=ctx.depth
-        )
+        ctx.partitioning = _partitioning(hnf, ctx.sequential_levels, ctx.depth)
         ctx.add_step(
             "partitioning",
             f"iteration space split into {ctx.partitioning.num_partitions} "

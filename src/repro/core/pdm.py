@@ -21,10 +21,11 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.dependence.solver import DependenceSolution, analyze_loop_dependences
 from repro.exceptions import ShapeError
-from repro.intlin.hermite import hermite_normal_form
+from repro.intlin.hermite import _hermite_normal_form, hermite_normal_form
 from repro.intlin.lattice import Lattice
 from repro.intlin.matrix import (
     Matrix,
+    _mat_mul,
     is_zero_vector,
     leading_index,
     mat_copy,
@@ -33,6 +34,7 @@ from repro.intlin.matrix import (
 )
 from repro.loopnest.nest import LoopNest
 from repro.utils.formatting import format_matrix
+from repro.utils.validation import trusted_record
 
 __all__ = ["PseudoDistanceMatrix"]
 
@@ -95,12 +97,9 @@ class PseudoDistanceMatrix:
         for sol in solutions:
             if sol.consistent:
                 generators.extend(sol.lattice_generators)
-        if generators:
-            hnf = hermite_normal_form(generators).hermite
-        else:
-            hnf = []
-        return cls(
-            matrix=hnf,
+        return trusted_record(
+            cls,
+            matrix=_hermite_normal_form(generators).hermite if generators else [],
             depth=nest.depth,
             index_names=tuple(nest.index_names),
             pair_solutions=tuple(solutions),
@@ -183,12 +182,12 @@ class PseudoDistanceMatrix:
             raise ShapeError(
                 f"transformation has {n_rows} rows, expected {self.depth}"
             )
-        if self.is_empty:
-            return PseudoDistanceMatrix(matrix=[], depth=n_cols, index_names=())
-        product = mat_mul(self.matrix, trans)
-        if canonical:
-            product = hermite_normal_form(product).hermite
-        return PseudoDistanceMatrix(matrix=product, depth=n_cols, index_names=())
+        product = _mat_mul(self.matrix, trans) if self.matrix else []
+        if canonical and product:
+            product = _hermite_normal_form(product).hermite
+        return trusted_record(
+            PseudoDistanceMatrix, matrix=product, depth=n_cols, index_names=(), pair_solutions=()
+        )
 
     def raw_product(self, transform: Sequence[Sequence[int]]) -> Matrix:
         """``PDM @ T`` without canonicalisation (used by the legality check)."""

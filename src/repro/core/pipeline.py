@@ -173,6 +173,10 @@ def default_pass_manager() -> PassManager:
     )
 
 
+#: The passes hold only their configuration, so every analysis shares one.
+_DEFAULT_PASS_MANAGER = default_pass_manager()
+
+
 def report_from_context(ctx: PipelineContext) -> ParallelizationReport:
     """Package a fully-run pipeline context into the public report type."""
     return ParallelizationReport(
@@ -222,6 +226,6 @@ def analyze_nest(
         include_self=include_self,
         allow_partitioning=allow_partitioning,
     )
-    default_pass_manager().run(ctx)
+    _DEFAULT_PASS_MANAGER.run(ctx)
     return report_from_context(ctx)
 

@@ -18,6 +18,7 @@ from repro.exceptions import DependenceError
 from repro.intlin.matrix import Matrix, Vector
 from repro.loopnest.array_ref import ArrayReference
 from repro.loopnest.nest import LoopNest
+from repro.utils.validation import trusted_record
 
 __all__ = ["ReferencePair", "dependence_equation_system", "reference_pairs"]
 
@@ -119,5 +120,6 @@ def reference_pairs(nest: LoopNest, include_self: bool = True) -> List[Reference
                 raise DependenceError(
                     f"array {ref_a.array!r} is used with inconsistent dimensionality"
                 )
-            pairs.append(ReferencePair(ref_a, ref_b))
+            # The checks above are ReferencePair's own: no need to rerun them.
+            pairs.append(trusted_record(ReferencePair, first=ref_a, second=ref_b))
     return pairs

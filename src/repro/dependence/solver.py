@@ -16,21 +16,24 @@ taking the Hermite normal form produces the pseudo distance matrix
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
-from repro.diophantine.linear_system import DiophantineSolution, solve_row_system
+from repro.diophantine.linear_system import DiophantineSolution, _solve_reduced, solve_row_system
 from repro.dependence.distance import normalize_distance
 from repro.dependence.equations import ReferencePair, dependence_equation_system, reference_pairs
+from repro.intlin.echelon import _row_echelon
 from repro.intlin.lattice import Lattice
 from repro.intlin.matrix import Matrix, Vector, is_zero_vector
 from repro.loopnest.nest import LoopNest
+from repro.utils.validation import trusted_record
 
 __all__ = ["DependenceSolution", "solve_reference_pair", "analyze_loop_dependences"]
 
 
 def _project_distance(solution_vector: Sequence[int], depth: int) -> List[int]:
     """Project a solution ``x = (i, j)`` of length ``2n`` onto ``d = j - i``."""
-    return [solution_vector[depth + k] - solution_vector[k] for k in range(depth)]
+    return list(map(sub, solution_vector[depth:], solution_vector[:depth]))
 
 
 @dataclass(frozen=True)
@@ -82,31 +85,25 @@ class DependenceSolution:
 
 def solve_reference_pair(pair: ReferencePair, index_names: Sequence[str]) -> DependenceSolution:
     """Solve the dependence equations of one reference pair."""
-    depth = len(index_names)
     matrix, constant = dependence_equation_system(pair, index_names)
-    raw = solve_row_system(matrix, constant)
+    return _pair_solution(pair, len(index_names), solve_row_system(matrix, constant))
+
+
+def _pair_solution(pair: ReferencePair, depth: int, raw: DiophantineSolution) -> DependenceSolution:
+    """The pair's solution from the general solution ``raw`` of its system."""
     if not raw.consistent:
-        return DependenceSolution(
-            pair=pair,
-            depth=depth,
-            consistent=False,
-            offset=None,
-            free_generators=[],
-            lattice_generators=[],
-            raw=raw,
-        )
-
-    offset = _project_distance(raw.particular, depth)
-    free_generators = [_project_distance(row, depth) for row in raw.homogeneous_basis]
-
-    lattice_generators: Matrix = [row[:] for row in free_generators if not is_zero_vector(row)]
-    if not is_zero_vector(offset):
-        lattice_generators.append(offset[:])
-
-    return DependenceSolution(
+        offset, free_generators, lattice_generators = None, [], []
+    else:
+        offset = _project_distance(raw.particular, depth)
+        free_generators = [_project_distance(row, depth) for row in raw.homogeneous_basis]
+        lattice_generators = [row[:] for row in free_generators if any(row)]
+        if any(offset):
+            lattice_generators.append(offset[:])
+    return trusted_record(
+        DependenceSolution,
         pair=pair,
         depth=depth,
-        consistent=True,
+        consistent=raw.consistent,
         offset=offset,
         free_generators=free_generators,
         lattice_generators=lattice_generators,
@@ -115,8 +112,26 @@ def solve_reference_pair(pair: ReferencePair, index_names: Sequence[str]) -> Dep
 
 
 def analyze_loop_dependences(nest: LoopNest, include_self: bool = True) -> List[DependenceSolution]:
-    """Solve the dependence equations of every reference pair of a loop nest."""
-    return [
-        solve_reference_pair(pair, nest.index_names)
-        for pair in reference_pairs(nest, include_self=include_self)
-    ]
+    """Solve the dependence equations of every reference pair of a loop nest.
+
+    Each reference's access matrix is built once, and pairs whose systems
+    share a matrix (only the constants differ) share its echelon reduction.
+    """
+    names = nest.index_names
+    accesses = {}  # id(reference) -> (F^T as tuples, offsets)
+    echelons = {}  # (F^T, G^T) -> echelon reduction of [F^T ; -G^T]
+    solutions = []
+    for pair in reference_pairs(nest, include_self=include_self):
+        for ref in (pair.first, pair.second):
+            if id(ref) not in accesses:
+                matrix, offsets = ref.access_matrix(names)
+                accesses[id(ref)] = (tuple(zip(*matrix)), offsets)
+        f_columns, f_offsets = accesses[id(pair.first)]
+        g_columns, g_offsets = accesses[id(pair.second)]
+        reduced = echelons.get((f_columns, g_columns))
+        if reduced is None:
+            system = [list(col) for col in f_columns] + [[-v for v in col] for col in g_columns]
+            reduced = echelons[f_columns, g_columns] = _row_echelon(system)
+        raw = _solve_reduced(reduced, [b - a for a, b in zip(f_offsets, g_offsets)])
+        solutions.append(_pair_solution(pair, len(names), raw))
+    return solutions

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.exceptions import InconsistentSystemError, ShapeError
-from repro.intlin.echelon import _row_echelon
+from repro.intlin.echelon import EchelonResult, _row_echelon
 from repro.intlin.matrix import (
     Matrix,
     Vector,
@@ -24,7 +24,7 @@ from repro.intlin.matrix import (
     mat_transpose,
     vec_mat_mul,
 )
-from repro.utils.validation import as_int_list
+from repro.utils.validation import as_int_list, trusted_record
 
 __all__ = [
     "DiophantineSolution",
@@ -115,7 +115,13 @@ def solve_row_system(matrix: Sequence[Sequence[int]], constant: Sequence[int]) -
             n_unknowns=0,
         )
 
-    ech = _row_echelon(a)
+    return _solve_reduced(_row_echelon(a), c)
+
+
+def _solve_reduced(ech: EchelonResult, c: Vector) -> DiophantineSolution:
+    """:func:`solve_row_system` given the echelon reduction of its matrix,
+    which it leaves unchanged, so systems with one matrix share it."""
+    m = len(ech.transform)
     echelon = ech.echelon
     rank = ech.rank
     pivots = ech.pivot_columns
@@ -133,15 +139,19 @@ def solve_row_system(matrix: Sequence[Sequence[int]], constant: Sequence[int]) -
         t[k] = residual[col] // pivot
         if t[k] != 0:
             residual = [r - t[k] * e for r, e in zip(residual, echelon[k])]
-    if consistent and any(r != 0 for r in residual):
+    if consistent and any(residual):
         consistent = False
 
     homogeneous = [ech.transform[r][:] for r in range(rank, m)]
-    if not consistent:
-        return DiophantineSolution(False, None, homogeneous, rank, m)
-
-    particular = _vec_mat_mul(t, ech.transform)
-    return DiophantineSolution(True, particular, homogeneous, rank, m)
+    particular = _vec_mat_mul(t, ech.transform) if consistent else None
+    return trusted_record(
+        DiophantineSolution,
+        consistent=consistent,
+        particular=particular,
+        homogeneous_basis=homogeneous,
+        rank=rank,
+        n_unknowns=m,
+    )
 
 
 def solve_column_system(matrix: Sequence[Sequence[int]], constant: Sequence[int]) -> DiophantineSolution:

@@ -20,13 +20,12 @@ from typing import List, Sequence
 
 from repro.intlin.matrix import (
     Matrix,
-    identity_matrix,
     is_lex_positive,
     is_zero_vector,
     leading_index,
     mat_copy,
-    mat_shape,
 )
+from repro.utils.validation import trusted_record
 
 __all__ = [
     "EchelonResult",
@@ -87,52 +86,50 @@ def row_echelon(mat: Sequence[Sequence[int]], positive_pivots: bool = False) -> 
 
 
 def _row_echelon(work: Matrix, positive_pivots: bool = False) -> EchelonResult:
-    """:func:`row_echelon` of a validated matrix, which becomes the echelon matrix."""
-    m, n = mat_shape(work)
-    transform = identity_matrix(m)
-
-    def combine_rows(dst: int, src: int, factor: int) -> None:
-        work[dst] = [a + factor * b for a, b in zip(work[dst], work[src])]
-        transform[dst] = [a + factor * b for a, b in zip(transform[dst], transform[src])]
-
-    def swap(i: int, j: int) -> None:
-        work[i], work[j] = work[j], work[i]
-        transform[i], transform[j] = transform[j], transform[i]
-
-    def negate(i: int) -> None:
-        work[i] = [-a for a in work[i]]
-        transform[i] = [-a for a in transform[i]]
-
+    """:func:`row_echelon` of a validated matrix, which becomes the echelon
+    matrix: its rows are replaced, never written to, so they may be shared."""
+    m = len(work)
+    n = len(work[0]) if work else 0
+    transform = [[0] * m for _ in range(m)]
+    for k in range(m):
+        transform[k][k] = 1
     pivot_row = 0
     pivot_columns: List[int] = []
     for col in range(n):
         if pivot_row >= m:
             break
         # Reduce all rows below (and including) pivot_row in this column
-        # until at most one nonzero entry remains, using Euclidean steps.
+        # until at most one nonzero entry remains, using Euclidean steps
+        # against the first row of least magnitude.
         while True:
-            nonzero = [r for r in range(pivot_row, m) if work[r][col] != 0]
+            nonzero = [r for r in range(pivot_row, m) if work[r][col]]
             if len(nonzero) <= 1:
                 break
-            piv = min(nonzero, key=lambda r: abs(work[r][col]))
+            piv = nonzero[0]
+            least = abs(work[piv][col])
             for r in nonzero:
-                if r == piv:
-                    continue
-                q = work[r][col] // work[piv][col]
-                if q != 0:
-                    combine_rows(r, piv, -q)
-        nonzero = [r for r in range(pivot_row, m) if work[r][col] != 0]
+                if abs(work[r][col]) < least:
+                    piv, least = r, abs(work[r][col])
+            prow, ptrans, pivot = work[piv], transform[piv], work[piv][col]
+            for r in nonzero:
+                q = work[r][col] // pivot
+                if r != piv and q:
+                    work[r] = [a - q * b for a, b in zip(work[r], prow)]
+                    transform[r] = [a - q * b for a, b in zip(transform[r], ptrans)]
         if not nonzero:
             continue
         src = nonzero[0]
         if src != pivot_row:
-            swap(pivot_row, src)
+            work[pivot_row], work[src] = work[src], work[pivot_row]
+            transform[pivot_row], transform[src] = transform[src], transform[pivot_row]
         if positive_pivots and work[pivot_row][col] < 0:
-            negate(pivot_row)
+            work[pivot_row] = [-a for a in work[pivot_row]]
+            transform[pivot_row] = [-a for a in transform[pivot_row]]
         pivot_columns.append(col)
         pivot_row += 1
 
-    return EchelonResult(
+    return trusted_record(
+        EchelonResult,
         transform=transform,
         echelon=work,
         rank=pivot_row,
@@ -176,10 +173,11 @@ def is_echelon_lex_positive(mat: Sequence[Sequence[int]]) -> bool:
     This is the condition of Theorem 1 for a legal unimodular transformation:
     ``PDM @ T`` must satisfy this predicate.
     """
-    table = mat_copy(mat)
-    if not _is_echelon(table):
-        return False
-    return all(is_lex_positive(row) for row in table if not is_zero_vector(row))
+    return _is_echelon_lex_positive(mat_copy(mat))
+
+
+def _is_echelon_lex_positive(table: Matrix) -> bool:
+    return _is_echelon(table) and all(is_lex_positive(row) for row in table if any(row))
 
 
 def matrix_rank(mat: Sequence[Sequence[int]]) -> int:

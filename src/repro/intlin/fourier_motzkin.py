@@ -28,7 +28,7 @@ from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import BoundsError, ShapeError
-from repro.utils.validation import as_int_table, check_int
+from repro.utils.validation import as_int_table, check_int, trusted_record
 
 __all__ = [
     "LinearInequality",
@@ -94,10 +94,10 @@ class LinearInequality:
         return self.coefficients[var] != 0
 
     def is_trivially_true(self) -> bool:
-        return all(c == 0 for c in self.coefficients) and self.constant >= 0
+        return not any(self.coefficients) and self.constant >= 0
 
     def is_trivially_false(self) -> bool:
-        return all(c == 0 for c in self.coefficients) and self.constant < 0
+        return not any(self.coefficients) and self.constant < 0
 
     def substitute_row_transform(self, inverse: Sequence[Sequence[int]]) -> "LinearInequality":
         """Rewrite a constraint on old indices ``i`` in terms of new indices ``j``.
@@ -111,7 +111,8 @@ class LinearInequality:
     def _substituted(self, inverse: List[List[int]]) -> "LinearInequality":
         """:meth:`substitute_row_transform` on an already validated inverse."""
         coeffs = self.coefficients
-        return LinearInequality(tuple(sum(map(mul, row, coeffs)) for row in inverse), self.constant)
+        coefficients = tuple([sum(map(mul, row, coeffs)) for row in inverse])
+        return trusted_record(LinearInequality, coefficients=coefficients, constant=self.constant)
 
     def evaluate(self, values: Sequence) -> bool:
         """Check whether the inequality holds for concrete values."""
@@ -219,11 +220,9 @@ def fourier_motzkin_eliminate(
             b = -low.coefficients[var]
             # a * x <= (up rhs stuff)  and  b * x >= (low rhs stuff)
             # combine: b*up + a*low eliminates x.
-            coeffs = tuple(
-                b * cu + a * cl for cu, cl in zip(up.coefficients, low.coefficients)
-            )
-            constant = b * up.constant + a * low.constant
-            combined.append(LinearInequality(coeffs, constant))
+            coeffs = tuple([b * u + a * c for u, c in zip(up.coefficients, low.coefficients)])
+            rhs = b * up.constant + a * low.constant
+            combined.append(trusted_record(LinearInequality, coefficients=coeffs, constant=rhs))
     return _dedupe(combined)
 
 
@@ -264,7 +263,7 @@ class BoundExpression:
         x[k] for the others)) / a``, or ``>=`` when ``a`` is negative.
         """
         expr = cls.__new__(cls)
-        expr._store(tuple(-c for c in row[:-1]), constant, row[-1])
+        expr._store([-c for c in row[:-1]], constant, row[-1])
         return expr
 
     def _store(self, numerators, numerator_constant, denominator) -> None:
@@ -275,16 +274,16 @@ class BoundExpression:
         then divided by its gcd, signed so that the denominator is positive.
         """
         row = (denominator, numerator_constant, *numerators)
-        if not all(type(v) is int for v in row):
+        if {*map(type, row)} != {int}:
             scale = math.lcm(*(v.denominator for v in row))
             row = tuple(v.numerator * (scale // v.denominator) for v in row)
         divisor = math.gcd(*row)
         if row[0] < 0:
             divisor = -divisor
-        set_field = object.__setattr__
-        set_field(self, "denominator", row[0] // divisor)
-        set_field(self, "numerator_constant", row[1] // divisor)
-        set_field(self, "numerators", tuple(v // divisor for v in row[2:]))
+        if divisor != 1:
+            row = tuple([v // divisor for v in row])
+        # The dataclass is frozen: its fields are set through the instance dict.
+        vars(self).update(denominator=row[0], numerator_constant=row[1], numerators=row[2:])
 
     @property
     def coefficients(self) -> Tuple[Fraction, ...]:
@@ -403,11 +402,9 @@ def bounds_for_variable(
         coeff = ineq.coefficients[var]
         if coeff == 0:
             continue
-        for later in range(var + 1, ineq.n_vars):
-            if ineq.coefficients[later] != 0:
-                raise BoundsError(
-                    f"inequality {ineq} still involves variable x{later} > x{var}"
-                )
+        if any(ineq.coefficients[var + 1 :]):
+            later = next(k for k in range(var + 1, ineq.n_vars) if ineq.coefficients[k])
+            raise BoundsError(f"inequality {ineq} still involves variable x{later} > x{var}")
         # sum_{k<var} c_k x_k + coeff*x_var <= b bounds x_var from above
         # when coeff > 0 and (dividing by a negative flips) from below.
         expr = BoundExpression._from_row(ineq.coefficients[: var + 1], ineq.constant)
@@ -428,16 +425,16 @@ def loop_bounds_from_inequalities(
     current = _dedupe(list(system.inequalities))
     per_level: Dict[int, Tuple[List[BoundExpression], List[BoundExpression]]] = {}
     for var in range(n - 1, -1, -1):
-        for ineq in current:
-            if ineq.is_trivially_false():
-                raise BoundsError("the loop bound system is infeasible (empty iteration space)")
+        if any(ineq.is_trivially_false() for ineq in current):
+            raise BoundsError("the loop bound system is infeasible (empty iteration space)")
         per_level[var] = bounds_for_variable(current, var)
         current = fourier_motzkin_eliminate(current, var)
-    for ineq in current:
-        if ineq.is_trivially_false():
-            raise BoundsError("the loop bound system is infeasible (empty iteration space)")
+    if any(ineq.is_trivially_false() for ineq in current):
+        raise BoundsError("the loop bound system is infeasible (empty iteration space)")
     result = []
     for var in range(n):
         lowers, uppers = per_level[var]
-        result.append(VariableBounds(variable=var, lowers=tuple(lowers), uppers=tuple(uppers)))
+        result.append(
+            trusted_record(VariableBounds, variable=var, lowers=tuple(lowers), uppers=tuple(uppers))
+        )
     return result

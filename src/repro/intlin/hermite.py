@@ -18,16 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.intlin.echelon import row_echelon
+from repro.intlin.echelon import _row_echelon, row_echelon
 from repro.intlin.matrix import (
     Matrix,
-    identity_matrix,
     is_zero_vector,
     leading_index,
     mat_copy,
     mat_shape,
     mat_transpose,
 )
+from repro.utils.validation import trusted_record
 
 __all__ = [
     "HermiteResult",
@@ -71,10 +71,14 @@ def hermite_normal_form(mat: Sequence[Sequence[int]]) -> HermiteResult:
     The returned ``hermite`` rows generate the same integer (row) lattice as
     the rows of ``mat``.
     """
-    ech = row_echelon(mat, positive_pivots=True)
-    work = [row[:] for row in ech.echelon]
-    transform = [row[:] for row in ech.transform]
-    pivots = list(ech.pivot_columns)
+    return _hermite_normal_form(mat_copy(mat))
+
+
+def _hermite_normal_form(table: Matrix) -> HermiteResult:
+    """:func:`hermite_normal_form` of a validated matrix, reduced in place:
+    its rows are replaced, never written to, so they may be shared."""
+    ech = _row_echelon(table, positive_pivots=True)
+    work, transform, pivots = ech.echelon, ech.transform, ech.pivot_columns
 
     # Reduce the entries above each pivot into [0, pivot).
     for k in range(ech.rank):
@@ -88,7 +92,8 @@ def hermite_normal_form(mat: Sequence[Sequence[int]]) -> HermiteResult:
                 transform[above] = [a - q * b for a, b in zip(transform[above], transform[k])]
 
     hermite = [row[:] for row in work[: ech.rank]]
-    return HermiteResult(
+    return trusted_record(
+        HermiteResult,
         transform=transform,
         full=work,
         hermite=hermite,

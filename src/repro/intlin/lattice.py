@@ -75,6 +75,13 @@ class Lattice:
     # constructors
     # ------------------------------------------------------------------ #
     @classmethod
+    def _of(cls, basis: Matrix, dimension: int) -> "Lattice":
+        """The lattice of a validated HNF basis, kept without a copy."""
+        lattice = object.__new__(cls)
+        lattice._basis, lattice._dimension = basis, dimension
+        return lattice
+
+    @classmethod
     def trivial(cls, dimension: int) -> "Lattice":
         """The lattice containing only the zero vector."""
         return cls((), dimension=dimension)

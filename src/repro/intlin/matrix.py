@@ -13,6 +13,7 @@ matrix of generators has one generator per row.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from repro.exceptions import NotUnimodularError, ShapeError
@@ -111,8 +112,13 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
         return [[0] * cb for _ in range(ra)]
     if ca != rb:
         raise ShapeError(f"cannot multiply matrices of shapes {(ra, ca)} and {(rb, cb)}")
+    return _mat_mul(ta, tb)
+
+
+def _mat_mul(ta: Matrix, tb: Matrix) -> Matrix:
+    """:func:`mat_mul` of validated, nonempty matrices of matching shapes."""
     tbt = list(zip(*tb))
-    return [[sum(x * y for x, y in zip(row, col)) for col in tbt] for row in ta]
+    return [[sum(map(mul, row, col)) for col in tbt] for row in ta]
 
 
 def mat_vec_mul(mat: Sequence[Sequence[int]], vec: Sequence[int]) -> Vector:
@@ -139,7 +145,7 @@ def vec_mat_mul(vec: Sequence[int], mat: Sequence[Sequence[int]]) -> Vector:
 
 def _vec_mat_mul(v: Vector, table: Matrix) -> Vector:
     """:func:`vec_mat_mul` on a validated vector and matrix of matching shape."""
-    _, n_cols = mat_shape(table)
+    n_cols = len(table[0]) if table else 0
     result = [0] * n_cols
     for coeff, row in zip(v, table):
         if coeff == 0:
@@ -241,11 +247,14 @@ def is_integer_matrix(mat) -> bool:
 
 def is_unimodular(mat: Sequence[Sequence[int]]) -> bool:
     """Return True if ``mat`` is square, integral and has determinant ±1."""
-    table = mat_copy(mat)
-    n, m = mat_shape(table)
-    if n != m or n == 0:
+    return _is_unimodular(mat_copy(mat))
+
+
+def _is_unimodular(table: Matrix) -> bool:
+    """:func:`is_unimodular` of a validated matrix (left unchanged)."""
+    if not table or len(table) != len(table[0]):
         return False
-    return abs(_determinant(table)) == 1
+    return abs(_determinant([row[:] for row in table])) == 1
 
 
 def unimodular_inverse(mat: Sequence[Sequence[int]]) -> Matrix:
@@ -258,15 +267,22 @@ def unimodular_inverse(mat: Sequence[Sequence[int]]) -> Matrix:
     pivots ``|E[k][k]|``.  When every pivot is ±1, back substitution turns
     ``[E | U]`` into ``[I | T^-1]``.
     """
-    from repro.intlin.echelon import _row_echelon  # echelon builds on this module
-
     table = mat_copy(mat)
     n, m = mat_shape(table)
     if n != m or n == 0:
         raise NotUnimodularError(f"expected a square matrix, got shape {(n, m)}")
-    reduced = _row_echelon([row[:] for row in table])
+    return _unimodular_inverse(table)
+
+
+def _unimodular_inverse(table: Matrix) -> Matrix:
+    """:func:`unimodular_inverse` of a validated square matrix (left unchanged)."""
+    from repro.intlin.echelon import _row_echelon  # echelon builds on this module
+
+    n = len(table)
+    reduced = _row_echelon(list(table))
     if reduced.rank < n or any(abs(reduced.echelon[k][k]) != 1 for k in range(n)):
-        raise NotUnimodularError(f"matrix has determinant {_determinant(table)}, expected ±1")
+        det = _determinant([row[:] for row in table])
+        raise NotUnimodularError(f"matrix has determinant {det}, expected ±1")
     rows = [e + u for e, u in zip(reduced.echelon, reduced.transform)]
     for col in range(n - 1, -1, -1):
         if rows[col][col] < 0:

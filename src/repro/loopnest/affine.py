@@ -95,15 +95,14 @@ class AffineExpr:
         not listed in ``index_names`` (the paper's subscripts may only use
         loop indices).
         """
-        order = list(index_names)
-        unknown = self.variables() - set(order)
+        lookup = dict(self._coeffs)
+        unknown = lookup.keys() - index_names
         if unknown:
             raise SubscriptError(
                 f"affine expression uses variables {sorted(unknown)} "
-                f"outside the loop indices {order}"
+                f"outside the loop indices {list(index_names)}"
             )
-        lookup = dict(self._coeffs)
-        return [lookup.get(name, 0) for name in order], self._constant
+        return [lookup.get(name, 0) for name in index_names], self._constant
 
     def evaluate(self, env: Mapping[str, int]) -> int:
         """Evaluate with concrete integer index values."""

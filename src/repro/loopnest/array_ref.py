@@ -14,6 +14,7 @@ from typing import List, Sequence, Tuple
 
 from repro.loopnest.affine import AffineExpr
 from repro.loopnest.expr import ArrayAccess
+from repro.utils.validation import trusted_record
 
 __all__ = ["ArrayReference"]
 
@@ -33,7 +34,8 @@ class ArrayReference:
     def from_access(
         cls, access: ArrayAccess, is_write: bool, statement_index: int, position: int
     ) -> "ArrayReference":
-        return cls(
+        return trusted_record(
+            cls,
             array=access.array,
             subscripts=tuple(access.subscripts),
             is_write=is_write,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.exceptions import LoopNestError
 from repro.loopnest.affine import AffineExpr
@@ -52,6 +52,7 @@ __all__ = [
     "canonical_body_key",
     "canonical_hash",
     "constant_kind_signature",
+    "source_key",
     "positional_rename",
     "rename_nest_indices",
     "rename_nest_arrays",
@@ -98,15 +99,15 @@ def _affine_key(expr: AffineExpr, positions: Dict[str, int]):
     happen to sort; raises ``KeyError`` → :class:`LoopNestError` upstream if
     the expression uses a non-index variable (validated at nest build time).
     """
-    terms = expr.terms
+    # Reads the slots of the expression directly: this runs for every bound
+    # and subscript of every cache lookup.
+    terms = expr._coeffs
     if not terms:
-        positional = ()
-    elif len(terms) == 1:
+        return ("affine", (), expr._constant)
+    if len(terms) == 1:
         ((name, coeff),) = terms
-        positional = ((positions[name], coeff),)
-    else:
-        positional = tuple(sorted([(positions[name], coeff) for name, coeff in terms]))
-    return ("affine", positional, expr.constant)
+        return ("affine", ((positions[name], coeff),), expr._constant)
+    return ("affine", tuple(sorted([(positions[name], c) for name, c in terms])), expr._constant)
 
 
 def _array_order(nest: LoopNest) -> Dict[str, str]:
@@ -195,14 +196,10 @@ def canonical_key_tuple(nest: LoopNest):
     cryptographic digest.  Memoized on the nest instance (:class:`LoopNest`
     is immutable after construction).
     """
-    cached = getattr(nest, _KEY_ATTR, None)
-    if cached is not None:
-        return cached
-    key = _nest_key_tuple(nest)
-    try:
-        setattr(nest, _KEY_ATTR, key)
-    except AttributeError:  # pragma: no cover - LoopNest has a __dict__ today
-        pass
+    memo = nest.__dict__  # a dict lookup: getattr's miss on a fresh nest raises inside
+    key = memo.get(_KEY_ATTR)
+    if key is None:
+        key = memo[_KEY_ATTR] = _nest_key_tuple(nest)
     return key
 
 
@@ -230,14 +227,10 @@ def canonical_hash(nest: LoopNest) -> str:
     sharding or persistent caches); in-process lookups use
     :func:`canonical_key_tuple` directly.  Memoized on the nest instance.
     """
-    cached = getattr(nest, _HASH_ATTR, None)
-    if cached is not None:
-        return cached
-    digest = hashlib.sha256(canonical_key(nest).encode("utf-8")).hexdigest()
-    try:
-        setattr(nest, _HASH_ATTR, digest)
-    except AttributeError:  # pragma: no cover
-        pass
+    memo = nest.__dict__
+    digest = memo.get(_HASH_ATTR)
+    if digest is None:
+        digest = memo[_HASH_ATTR] = hashlib.sha256(canonical_key(nest).encode("utf-8")).hexdigest()
     return digest
 
 
@@ -355,17 +348,25 @@ def positional_rename(nest: LoopNest) -> LoopNest:
     )
 
 
-def _constant_kinds(expr: Expression, out: List[bool]) -> None:
+def _constants(expr: Expression, out: list) -> None:
+    """Append the value of every constant of ``expr``, in AST walk order."""
     if isinstance(expr, Constant):
-        out.append(isinstance(expr.value, int))
+        out.append(expr.value)
     elif isinstance(expr, UnaryOp):
-        _constant_kinds(expr.operand, out)
+        _constants(expr.operand, out)
     elif isinstance(expr, BinaryOp):
-        _constant_kinds(expr.left, out)
-        _constant_kinds(expr.right, out)
+        _constants(expr.left, out)
+        _constants(expr.right, out)
     elif isinstance(expr, Call):
         for arg in expr.args:
-            _constant_kinds(arg, out)
+            _constants(arg, out)
+
+
+def _body_constants(nest: LoopNest) -> list:
+    values: list = []
+    for stmt in nest.statements:
+        _constants(stmt.rhs, values)
+    return values
 
 
 def constant_kind_signature(nest: LoopNest) -> Tuple[bool, ...]:
@@ -376,10 +377,19 @@ def constant_kind_signature(nest: LoopNest) -> Tuple[bool, ...]:
     may evaluate them differently.  Appending this signature to a canonical
     cache key makes the key exact for compiled code.
     """
-    kinds: List[bool] = []
-    for stmt in nest.statements:
-        _constant_kinds(stmt.rhs, kinds)
-    return tuple(kinds)
+    return tuple([isinstance(value, int) for value in _body_constants(nest)])
+
+
+def source_key(nest: LoopNest) -> tuple:
+    """A key that tells apart every two nests whose rendered source
+    (``str(nest)``) differs, without rendering it.
+
+    Names, bounds and statements compare structurally; body constants also
+    compare by their spelling, since ``1``, ``1.0`` and ``-0.0`` equal
+    ``1.0`` or ``0.0`` as values but read (and may run) differently.
+    """
+    spellings = tuple(map(repr, _body_constants(nest)))
+    return (nest.index_names, nest.bounds, nest.statements, spellings)
 
 
 def canonicalize(nest: LoopNest) -> CanonicalForm:

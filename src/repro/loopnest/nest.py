@@ -110,11 +110,19 @@ class LoopNest:
         return names
 
     def references(self) -> List[ArrayReference]:
-        """Every array reference in the body (writes and reads)."""
-        refs: List[ArrayReference] = []
-        for k, stmt in enumerate(self._statements):
-            refs.extend(stmt.references(k))
-        return refs
+        """Every array reference in the body (writes and reads), built once."""
+        refs = self.__dict__.get("_references")
+        if refs is None:
+            refs = self._references = tuple(
+                ref for k, stmt in enumerate(self._statements) for ref in stmt.references(k)
+            )
+        return list(refs)
+
+    def __getstate__(self):
+        # Memos are rebuilt on demand, not pickled.
+        state = dict(self.__dict__)
+        state.pop("_references", None)
+        return state
 
     def write_references(self) -> List[ArrayReference]:
         """Only the written references."""
@@ -188,17 +196,19 @@ class LoopNest:
         """The iteration space as a system of affine inequalities over the indices."""
         n = self.depth
         system = InequalitySystem(n)
+        positions = {name: k for k, name in enumerate(self._index_names)}
         for level, bound in enumerate(self._bounds):
-            lower_coeffs, lower_const = bound.lower.vectorize(self._index_names)
-            upper_coeffs, upper_const = bound.upper.vectorize(self._index_names)
-            # i_level >= lower  ->  lower - i_level <= 0
-            coeffs = [c for c in lower_coeffs]
-            coeffs[level] -= 1
-            system.add(LinearInequality.create(coeffs, -lower_const))
-            # i_level <= upper  ->  i_level - upper <= 0
-            coeffs = [-c for c in upper_coeffs]
-            coeffs[level] += 1
-            system.add(LinearInequality.create(coeffs, upper_const))
+            # i_level >= lower  ->  lower - i_level <= 0, and
+            # i_level <= upper  ->  i_level - upper <= 0, over the (validated)
+            # outer indices the bounds use.
+            lower, upper = [0] * n, [0] * n
+            lower[level], upper[level] = -1, 1
+            for name, coeff in bound.lower.terms:
+                lower[positions[name]] += coeff
+            for name, coeff in bound.upper.terms:
+                upper[positions[name]] -= coeff
+            system.add(LinearInequality(tuple(lower), -bound.lower.constant))
+            system.add(LinearInequality(tuple(upper), bound.upper.constant))
         return system
 
     # ------------------------------------------------------------------ #

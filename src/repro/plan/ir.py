@@ -58,6 +58,7 @@ import numpy as np
 
 from repro.exceptions import CodegenError
 from repro.intlin.fourier_motzkin import VariableBounds
+from repro.utils.validation import trusted_record
 
 __all__ = [
     "PlanLevel",
@@ -248,11 +249,9 @@ class ExecutionPlan:
     ):
         self.depth = int(depth)
         self.levels: Tuple[PlanLevel, ...] = tuple(levels)
-        self.parallel_levels: Tuple[int, ...] = tuple(int(k) for k in parallel_levels)
-        self.partition_levels: Tuple[int, ...] = tuple(int(k) for k in partition_levels)
-        self.hnf: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(int(x) for x in row) for row in hnf
-        )
+        self.parallel_levels: Tuple[int, ...] = tuple(map(int, parallel_levels))
+        self.partition_levels: Tuple[int, ...] = tuple(map(int, partition_levels))
+        self.hnf: Tuple[Tuple[int, ...], ...] = tuple([tuple(map(int, row)) for row in hnf])
         self.total_iterations = int(total_iterations)
         if len(self.levels) != self.depth:
             raise CodegenError("plan needs exactly one PlanLevel per loop level")
@@ -267,29 +266,23 @@ class ExecutionPlan:
         depth = transformed.depth
         parallel = set(transformed.parallel_levels)
         partitioning = transformed.partitioning
-        if partitioning is not None:
-            partition_levels = tuple(int(k) for k in partitioning.levels)
-            hnf = tuple(tuple(int(x) for x in row) for row in partitioning.hnf)
+        if partitioning is not None:  # __init__ normalizes the ints
+            partition_levels, hnf = tuple(partitioning.levels), partitioning.hnf
         else:
             partition_levels = ()
             hnf = ()
-        bounds = transformed.variable_bounds
         levels: List[PlanLevel] = []
-        for k in range(depth):
+        for k, bounds in enumerate(transformed.variable_bounds):
+            role, stride, pos = "sequential", 1, -1
             if k in parallel:
-                levels.append(PlanLevel(role="parallel", bounds=bounds[k]))
+                role = "parallel"
             elif k in partition_levels:
                 pos = partition_levels.index(k)
-                levels.append(
-                    PlanLevel(
-                        role="partition",
-                        bounds=bounds[k],
-                        stride=hnf[pos][pos],
-                        partition_pos=pos,
-                    )
-                )
-            else:
-                levels.append(PlanLevel(role="sequential", bounds=bounds[k]))
+                role, stride = "partition", int(hnf[pos][pos])
+            # Valid by construction: PlanLevel's checks need not run again.
+            levels.append(trusted_record(
+                PlanLevel, role=role, bounds=bounds, stride=stride, partition_pos=pos, block=1
+            ))
         return cls(
             depth=depth,
             levels=levels,
@@ -326,17 +319,24 @@ class ExecutionPlan:
     # ------------------------------------------------------------------ #
     def _finalize(self) -> None:
         depth = self.depth
+        levels = self.levels
+        key_roles = ("parallel", "partition")
+        is_key = [spec.role in key_roles for spec in levels]
         # Which outer levels each level's bounds reference (nonzero
         # coefficient in any lower/upper bound expression).
+        #
+        # Fourier–Motzkin projections are exact over the *rationals*: an
+        # integer prefix inside the scanned ranges always has a rational
+        # completion, but its *integer* fiber can be empty when a deeper
+        # bound expression carries a fractional coefficient (ceil(lower)
+        # may exceed floor(upper)).  A level is "exact" when every bound
+        # expression is integral — then in-range prefixes always complete.
         deps: List[Set[int]] = []
-        for level in range(depth):
-            bound = self.levels[level].bounds
-            referenced: Set[int] = set()
-            for expr in tuple(bound.lowers) + tuple(bound.uppers):
-                for position, coeff in enumerate(expr.numerators):
-                    if coeff:
-                        referenced.add(position)
-            deps.append(referenced)
+        exact: List[bool] = []
+        for spec in levels:
+            exprs = (*spec.bounds.lowers, *spec.bounds.uppers)
+            deps.append({k for expr in exprs for k, coeff in enumerate(expr.numerators) if coeff})
+            exact.append(all([expr.denominator == 1 for expr in exprs]))
         # Transitive influence: level k influences level u when k is
         # (directly or through intermediate levels' bounds) referenced by
         # u's bounds.  Levels form a DAG (bounds only reference outer
@@ -348,22 +348,6 @@ class ExecutionPlan:
                 closure |= influence[dep]
             influence[level] = closure
         self._deps = deps
-        key_roles = ("parallel", "partition")
-        # Fourier–Motzkin projections are exact over the *rationals*: an
-        # integer prefix inside the scanned ranges always has a rational
-        # completion, but its *integer* fiber can be empty when a deeper
-        # bound expression carries a fractional coefficient (ceil(lower)
-        # may exceed floor(upper)).  A level is "exact" when every bound
-        # expression is integral — then in-range prefixes always complete.
-        exact: List[bool] = []
-        for level in range(depth):
-            bound = self.levels[level].bounds
-            exact.append(
-                all(
-                    expr.denominator == 1
-                    for expr in tuple(bound.lowers) + tuple(bound.uppers)
-                )
-            )
         self._exact = exact
         # Can this level change which chunks exist below it?  If not, the
         # discovery scan may stop after the first representative value.
@@ -371,11 +355,9 @@ class ExecutionPlan:
         # may be nonempty where the first one's was not), so exactness of
         # every deeper level is part of the condition.
         invariant: List[bool] = []
-        for level in range(depth):
-            spec = self.levels[level]
-            flag = all(exact[u] for u in range(level + 1, depth)) and not any(
-                self.levels[u].role in key_roles and level in influence[u]
-                for u in range(level + 1, depth)
+        for level, spec in enumerate(levels):
+            flag = all(exact[level + 1 :]) and not any(
+                [is_key[u] and level in influence[u] for u in range(level + 1, depth)]
             )
             if flag and spec.role == "partition":
                 # Deeper partition labels shift by hnf[s][t] per extra
@@ -419,9 +401,7 @@ class ExecutionPlan:
         unblocked_parallel = {
             k for k in self.parallel_levels if self.levels[k].block == 1
         }
-        self._separable = all(
-            deps[level] <= unblocked_parallel for level in range(depth)
-        )
+        self._separable = all([d <= unblocked_parallel for d in deps])
         #: A partitioned level's congruence target is fixed per chunk when
         #: no outer partition level shifts it (off-diagonal HNF entries
         #: vanish modulo the stride); per partition position, and for the
@@ -432,11 +412,7 @@ class ExecutionPlan:
         ]
         self._fixed_targets = all(self._fixed_target_at)
         #: Closed-form chunk_count needs constant bounds on every key level.
-        self._constant_key_bounds = all(
-            not deps[level]
-            for level in range(depth)
-            if self.levels[level].role in key_roles
-        )
+        self._constant_key_bounds = not any([deps[k] for k in range(depth) if is_key[k]])
         self._key_list: Optional[List[ChunkKey]] = None
         self._size_list: Optional[List[int]] = None
         self._size_totals: Optional[np.ndarray] = None
@@ -1013,24 +989,24 @@ class ExecutionPlan:
             start = len(table)
             for is_upper, exprs in ((False, bounds.lowers), (True, bounds.uppers)):
                 for expr in exprs:
-                    numerators = list(expr.numerators) + [0] * (depth - len(expr.numerators))
-                    table.extend([expr.denominator, expr.numerator_constant, *numerators])
-                    least = most = expr.numerator_constant
-                    for t, coeff in enumerate(expr.numerators):
-                        least += min(coeff * low[t], coeff * high[t])
-                        most += max(coeff * low[t], coeff * high[t])
-                    accumulated = max(
-                        accumulated,
-                        abs(expr.numerator_constant)
-                        + sum(abs(c) * m for c, m in zip(expr.numerators, magnitude)),
-                        expr.denominator,
-                        *(abs(c) for c in numerators),
-                    )
+                    numerators, constant = expr.numerators, expr.numerator_constant
+                    denominator = expr.denominator
+                    table += (denominator, constant, *numerators)
+                    table += [0] * (depth - len(numerators))
+                    least = most = constant
+                    reach = abs(constant)
+                    for coeff, lo, hi, m in zip(numerators, low, high, magnitude):
+                        if coeff:
+                            lo, hi = coeff * lo, coeff * hi
+                            least += min(lo, hi)
+                            most += max(lo, hi)
+                            reach += abs(coeff) * m
+                    accumulated = max(accumulated, reach, denominator, *map(abs, numerators))
                     if is_upper:
-                        value = most // expr.denominator
+                        value = most // denominator
                         highest = value if highest is None else min(highest, value)
                     else:
-                        value = -(-least // expr.denominator)
+                        value = -(-least // denominator)
                         lowest = value if lowest is None else max(lowest, value)
             low.append(lowest)
             high.append(highest)

@@ -158,6 +158,13 @@ class ExecutionBackend:
         """
         return f"backend {self.name!r} has no in-kernel parallel driver"
 
+    def delegation_reason(
+        self, transformed: TransformedLoopNest, plan: ExecutionPlan, label: str
+    ) -> Optional[str]:
+        """Why a whole-plan :meth:`execute_plan` that returned ``label`` ran
+        another engine than this backend's own (None: it did not)."""
+        return None
+
     def prepare_plan(
         self,
         transformed: TransformedLoopNest,
@@ -472,6 +479,18 @@ class VectorizedBackend(ExecutionBackend):
         }
 
     # ------------------------------------------------------------------ #
+    def delegation_reason(self, transformed, plan, label) -> Optional[str]:
+        if label == self.name:
+            return None
+        if not _nest_is_vectorizable(transformed.nest):
+            return "the body is not vectorizable"
+        if plan.chunk_count < self.min_parallel_width:
+            return (
+                f"a narrow schedule of {plan.chunk_count} chunks, "
+                f"under min_parallel_width {self.min_parallel_width}"
+            )
+        return "the rounds replayed through the compiled body"
+
     def execute_plan(self, transformed, plan, store, chunk_indices=None) -> str:
         """Round-based execution with index arrays generated from the plan.
 
@@ -737,9 +756,17 @@ class NativeBackend(ExecutionBackend):
         self._fallback = VectorizedBackend()
 
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _program(transformed):
+        """The nest's native program, looked up once per transformed nest
+        (which leaves the memo out of its pickles)."""
+        if "_native" not in transformed.__dict__:
+            transformed._native = native_codegen.native_program_for(transformed)
+        return transformed._native
+
     def prepare_plan(self, transformed, plan=None) -> None:
         started = time.perf_counter()
-        native_codegen.native_program_for(transformed)
+        self._program(transformed)
         self.stats["compile_seconds"] += time.perf_counter() - started
 
     def _raise_native_error(self, code: int, transformed) -> None:
@@ -766,7 +793,7 @@ class NativeBackend(ExecutionBackend):
         )
 
     def execute_plan(self, transformed, plan, store, chunk_indices=None) -> str:
-        program = native_codegen.native_program_for(transformed)
+        program = self._program(transformed)
         if program is None:
             return self._delegate_plan(transformed, plan, store, chunk_indices)
         # The whole plan: the kernel finds the chunks itself, and the plan
@@ -793,19 +820,33 @@ class NativeBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # in-kernel parallel driver
     # ------------------------------------------------------------------ #
+    def _kernel_refusal(self, transformed) -> Optional[str]:
+        """Why the nest has no native program (None: it has one)."""
+        if self._program(transformed) is not None:
+            return None
+        if native_codegen.resolve_engine() is None:
+            return "no native engine"
+        if native_codegen.nest_is_native_supported(transformed.nest):
+            return "the native kernel build failed"
+        return "no native kernel for this nest"
+
+    def delegation_reason(self, transformed, plan, label) -> Optional[str]:
+        if label.startswith("native-"):
+            return None
+        why = self._kernel_refusal(transformed) or "the kernel cannot take the plan or the store"
+        inner = self._fallback.delegation_reason(transformed, plan, label)
+        return f"{why}; {inner}" if inner else why
+
     def parallel_plan_refusal(self, transformed, plan) -> Optional[str]:
         """Why :meth:`execute_plan_parallel` cannot run this plan (None: it can).
 
         Compiles the kernel and builds the plan's bound table as a side
         effect (both cached), so call this inside the setup window.
         """
-        program = native_codegen.native_program_for(transformed)
-        if program is None:
-            if native_codegen.resolve_engine() is None:
-                return "no native engine"
-            if native_codegen.nest_is_native_supported(transformed.nest):
-                return "the native kernel build failed"
-            return "no native kernel for this nest"
+        refusal = self._kernel_refusal(transformed)
+        if refusal is not None:
+            return refusal
+        program = self._program(transformed)
         if not program.kernel.supports_parallel:
             return "the cc kernel has no parallel entry point"
         if plan.bound_table() is None:
@@ -825,7 +866,7 @@ class NativeBackend(ExecutionBackend):
         path: the first failing chunk *in chunk order* is raised as the
         interpreter's exception type.
         """
-        program = native_codegen.native_program_for(transformed)
+        program = self._program(transformed)
         if program is None or not program.kernel.supports_parallel:
             return None
         packed = native_codegen.packed_ranges_for(plan)

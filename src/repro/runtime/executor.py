@@ -344,6 +344,10 @@ class ParallelExecutor:
         elif ranges == 1:
             small = num_chunks > 1 and plan.total_iterations < DRIVER_MIN_ITERATIONS
             fallback = "serial run: " + ("too little work" if small else "one chunk range")
+        else:
+            # The serial call may have run another engine than the backend's.
+            why = self.backend.delegation_reason(transformed, plan, label)
+            fallback = None if why is None else f"{label} run: {why}"
         # Report the engine that actually ran: the driver's label, or
         # whatever the serial call fell back to (a narrow schedule, an
         # unvectorizable body, a program without a native kernel).

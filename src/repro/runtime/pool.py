@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import queue as queue_module
 import time
 import traceback
@@ -61,6 +62,8 @@ __all__ = ["WorkerCrashed", "WorkerPool"]
 # disagree about which programs a worker still holds.
 _WORKER_STORE_CACHE = 4
 _PARENT_PROGRAM_CACHE = 16
+#: How often an idle pool worker checks that its parent is still alive.
+_PARENT_POLL_SECONDS = 1.0
 
 #: Worker-reported exceptions re-raised as their own type, matched by exact
 #: type name (a ``ValueError`` subclass such as a ``ReproError`` is not one
@@ -101,11 +104,22 @@ class _WorkerProgram:
 
 
 def _worker_main(worker_index: int, task_queue, result_queue) -> None:
-    """Worker loop: cache programs and store attachments, execute in place."""
+    """Worker loop: cache programs and store attachments, execute in place.
+
+    An idle worker checks every :data:`_PARENT_POLL_SECONDS` that its
+    parent is alive, and exits once it is not: a parent killed without a
+    chance to stop its pool leaves no worker behind.
+    """
+    parent = os.getppid()
     programs: "OrderedDict[str, _WorkerProgram]" = OrderedDict()
     stores: "OrderedDict[str, SharedArrayStore]" = OrderedDict()
     while True:
-        message = task_queue.get()
+        try:
+            message = task_queue.get(timeout=_PARENT_POLL_SECONDS)
+        except queue_module.Empty:
+            if os.getppid() != parent:  # re-parented: the pool's process is gone
+                break
+            continue
         kind = message[0]
         if kind == "stop":
             break

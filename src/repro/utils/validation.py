@@ -23,6 +23,7 @@ __all__ = [
     "check_same_length",
     "as_int_list",
     "as_int_table",
+    "trusted_record",
 ]
 
 _INTEGRAL_TYPES = (int, np.integer)
@@ -83,6 +84,20 @@ def as_int_table(rows: Iterable, name: str = "matrix") -> List[List[int]]:
                     f"row {k} has {len(row)}"
                 )
     return table
+
+
+def trusted_record(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` (every
+    one of them), values that are validated already.
+
+    The generated ``__init__`` of a frozen dataclass sets each field through
+    ``object.__setattr__``; the internal hops of a request, which build tens
+    of such records from validated tables, set them through the instance
+    dict instead.
+    """
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
 
 
 def check_int_vector(values: Sequence, length: int = None, name: str = "vector") -> List[int]:

@@ -231,3 +231,36 @@ class TestSessionBehavior:
         assert from_factory.iterations == example_4_1(4).iteration_count()
         # file and text spell the same structure: one analysis, one hit
         assert session.cache.stats.hits >= 1
+
+
+class TestNamedDelegations:
+    """A run whose engine is not the session's backend says so, and why."""
+
+    def test_vectorized_names_a_narrow_schedule(self):
+        with Session(backend="vectorized") as session:
+            result = session.run(example_4_2(12), verify=True)
+        assert result.max_abs_difference == 0.0
+        assert result.backend == "compiled"
+        assert result.fallback == (
+            "compiled run: a narrow schedule of 4 chunks, under min_parallel_width 8"
+        )
+
+    def test_own_engine_names_nothing(self):
+        with Session(backend="vectorized") as session:
+            result = session.run(example_4_1(12))
+        assert result.backend == "vectorized"
+        assert result.fallback is None
+
+    def test_native_without_an_engine_names_the_engine_that_ran(self, monkeypatch):
+        from repro.codegen import native as native_codegen
+
+        monkeypatch.setenv(native_codegen.ENGINE_ENV, "none")
+        with Session(backend="native") as session:
+            wide = session.run(example_4_1(12))
+            narrow = session.run(example_4_2(12))
+        assert (wide.backend, wide.fallback) == ("vectorized", "vectorized run: no native engine")
+        assert narrow.backend == "compiled"
+        assert narrow.fallback == (
+            "compiled run: no native engine; "
+            "a narrow schedule of 4 chunks, under min_parallel_width 8"
+        )

@@ -1,5 +1,6 @@
 """Canonicalization invariance: naming never changes the analysis cache key."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cli import parse_loop_text
@@ -10,6 +11,7 @@ from repro.loopnest.canonical import (
     canonicalize,
     rename_nest_arrays,
     rename_nest_indices,
+    source_key,
 )
 from repro.loopnest.expr import UnaryOp
 from repro.loopnest.statement import Statement
@@ -157,3 +159,37 @@ class TestCanonicalForm:
         form = canonicalize(nest)
         assert form.nest.iteration_count() == nest.iteration_count()
         assert form.nest.depth == nest.depth
+
+
+class TestSourceKey:
+    """``source_key`` tells nests apart wherever their rendered source differs."""
+
+    @staticmethod
+    def _nest(body, index="i1"):
+        return parse_loop_text(f"loop {index} = 1 .. 6\n{body}")
+
+    def test_equal_source_equal_key(self):
+        body = "A[i1] = A[i1 - 1] * 0.5 + sin(B[i1])"
+        first, second = self._nest(body), self._nest(body)
+        assert str(first) == str(second)
+        assert source_key(first) == source_key(second)
+        assert hash(source_key(first)) == hash(source_key(second))
+
+    @pytest.mark.parametrize(
+        "body, other",
+        [
+            ("A[i1] = A[i1 - 1] * 2", "A[i1] = A[i1 - 1] * 2.0"),
+            ("A[i1] = A[i1 - 1] * 0.0", "A[i1] = A[i1 - 1] * -0.0"),
+            ("A[i1] = A[i1 - 1] + 1.0", "A[i1] = A[i1 - 1] + +1.0"),
+            ("A[i1] = A[i1 - 1] + 1.0", "B[i1] = B[i1 - 1] + 1.0"),
+        ],
+    )
+    def test_different_source_different_key(self, body, other):
+        first, second = self._nest(body), self._nest(other)
+        assert str(first) != str(second)
+        assert source_key(first) != source_key(second)
+
+    def test_index_names_count(self):
+        first = self._nest("A[i1] = A[i1 - 1] + 1.0")
+        second = self._nest("A[k] = A[k - 1] + 1.0", index="k")
+        assert source_key(first) != source_key(second)

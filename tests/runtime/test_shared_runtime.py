@@ -18,10 +18,16 @@ Covers the contracts the tentpole design rests on:
 import glob
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.codegen.transformed_nest import TransformedLoopNest
 from repro.core.pipeline import analyze_nest
 from repro.exceptions import ExecutionError
@@ -231,7 +237,54 @@ class CrashingBackend(ExecutionBackend):
         InterpreterBackend().execute_chunk(transformed, chunk, store)
 
 
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (an unreaped zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestFailurePaths:
+    @needs_dev_shm
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_workers_exit_when_their_parent_is_killed(self):
+        # SIGKILL gives the pool's process no chance to stop its workers:
+        # idle workers must notice the lost parent and exit on their own.
+        script = (
+            "import time\n"
+            "from repro.api import Session\n"
+            "session = Session(backend='compiled', mode='shared', workers=2)\n"
+            "session.run('loop i1 = 0 .. 7\\nloop i2 = 0 .. 7\\n"
+            "A[i1, i2] = A[i1, i2 - 1] + 1.0')\n"
+            "print(*(p.pid for p in session.executor._pool._processes), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        package_root = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        child = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, env=env, text=True
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in child.stdout.readline().split()]
+            assert len(pids) == 2 and all(_running(pid) for pid in pids)
+            child.kill()
+            child.wait()
+            deadline = time.monotonic() + 10.0
+            while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(_running(pid) for pid in pids)
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
     @needs_dev_shm
     def test_worker_crash_falls_back_serially_without_leaks(self):
         before = _segments()
