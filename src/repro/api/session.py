@@ -66,6 +66,7 @@ from repro.runtime.arrays import ArrayStore, store_for_nest
 from repro.runtime.backends import DEFAULT_BACKEND, available_backends
 from repro.runtime.executor import EXECUTION_MODES, ParallelExecutor, default_worker_count
 from repro.runtime.interpreter import execute_nest
+from repro.utils.validation import trusted_record
 
 from repro.api.inputs import LoopSource, resolve_source
 from repro.api.results import AnalysisResult, RunResult, SessionStats
@@ -443,7 +444,8 @@ class Session:
         seconds = time.perf_counter() - start
         with self._lock:
             self._analyses += 1
-        return AnalysisResult(
+        return trusted_record(
+            AnalysisResult,
             name=name or nest.name,
             nest=nest,
             report=report,

@@ -21,11 +21,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.core.partition import PartitioningResult
 from repro.core.pipeline import ParallelizationReport
 from repro.exceptions import CodegenError, ShapeError
-from repro.intlin.fourier_motzkin import (
-    InequalitySystem,
-    VariableBounds,
-    loop_bounds_from_inequalities,
-)
+from repro.intlin.fourier_motzkin import VariableBounds, loop_bounds_from_inequalities
 from repro.intlin.matrix import (
     Matrix,
     _unimodular_inverse,
@@ -77,7 +73,7 @@ class TransformedLoopNest:
             self._inverse = identity
         else:
             self._inverse = inverse or _unimodular_inverse(self.transform)
-            system = InequalitySystem(depth, [ineq._substituted(self._inverse) for ineq in system])
+            system = system._transformed(self._inverse)
         # Column ``k`` of T^-1 holds the weights of original index ``k``.
         self._inverse_columns = tuple(zip(*self._inverse))
         self._bounds = loop_bounds_from_inequalities(system)
@@ -93,10 +89,8 @@ class TransformedLoopNest:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_report(cls, report: ParallelizationReport) -> "TransformedLoopNest":
-        """Build the transformed nest selected by :func:`repro.core.pipeline.analyze_nest`.
-
-        The report's transform is validated and unimodular already.
-        """
+        """The transformed nest :func:`repro.core.pipeline.analyze_nest` selected
+        (whose transform is validated and unimodular already)."""
         transformed = cls.__new__(cls)
         transformed.nest = report.nest
         transformed.transform = [row[:] for row in report.transform]

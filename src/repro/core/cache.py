@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Optional, Tuple
 from repro.core.pipeline import ParallelizationReport, analyze_nest
 from repro.loopnest.canonical import canonical_hash, canonical_key_tuple
 from repro.loopnest.nest import LoopNest
-from repro.utils.validation import trusted_record
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (diskcache imports plan)
     from repro.core.diskcache import DiskCache
@@ -74,15 +73,14 @@ class CacheStats:
         )
 
 
-def _copy_rows(matrix) -> list:
-    """Plain row copy: the cached matrices are already validated integers."""
-    return [row[:] for row in matrix]
-
-
-def _clone(obj, **fields):
-    """A copy of a cached (validated) frozen dataclass with ``fields``
-    replaced, without the per-field ``__init__`` on every hit."""
-    return trusted_record(type(obj), **{**vars(obj), **fields})
+def _clone(obj):
+    """A shallow copy of a cached (validated) frozen dataclass and its
+    instance dict, through which the caller replaces fields: no per-field
+    ``__init__`` on every hit."""
+    record = object.__new__(type(obj))
+    state = record.__dict__
+    state.update(obj.__dict__)
+    return record, state
 
 
 def rebind_report(report: ParallelizationReport, nest: LoopNest) -> ParallelizationReport:
@@ -91,33 +89,32 @@ def rebind_report(report: ParallelizationReport, nest: LoopNest) -> Parallelizat
     The PDM is rebuilt with the nest's index names, and every mutable matrix
     reachable from the report (PDM, transform, transformed PDM, partitioning
     HNF, the Algorithm 1 result, the step matrices) is copied so cache
-    entries can never be corrupted through a handed-out report.
+    entries can never be corrupted through a handed-out report.  The cached
+    matrices are validated integer lists, so a row copy is ``list.copy``.
     """
-    pdm = _clone(
-        report.pdm, matrix=_copy_rows(report.pdm.matrix), index_names=tuple(nest.index_names)
-    )
+    copy = list.copy
+    pdm, state = _clone(report.pdm)
+    state["matrix"] = [*map(copy, state["matrix"])]
+    state["index_names"] = nest.index_names
     partitioning = report.partitioning
     if partitioning is not None:
-        partitioning = _clone(partitioning, hnf=_copy_rows(partitioning.hnf))
+        partitioning, state = _clone(partitioning)
+        state["hnf"] = [*map(copy, state["hnf"])]
     algorithm1 = report.algorithm1
     if algorithm1 is not None:
-        algorithm1 = _clone(
-            algorithm1,
-            transform=_copy_rows(algorithm1.transform),
-            transformed=_copy_rows(algorithm1.transformed),
-            sequential_block=_copy_rows(algorithm1.sequential_block),
-        )
+        algorithm1, state = _clone(algorithm1)
+        for field in ("transform", "transformed", "sequential_block"):
+            state[field] = [*map(copy, state[field])]
     # Steps are shared as-is: TransformationStep is frozen and the pipeline
     # records its matrices as immutable tuples (see PipelineContext.add_step).
-    return _clone(
-        report,
-        nest=nest,
-        pdm=pdm,
-        transform=_copy_rows(report.transform),
-        transformed_pdm=_copy_rows(report.transformed_pdm),
-        partitioning=partitioning,
-        algorithm1=algorithm1,
-    )
+    rebound, state = _clone(report)
+    state["nest"] = nest
+    state["pdm"] = pdm
+    state["transform"] = [*map(copy, state["transform"])]
+    state["transformed_pdm"] = [*map(copy, state["transformed_pdm"])]
+    state["partitioning"] = partitioning
+    state["algorithm1"] = algorithm1
+    return rebound
 
 
 class AnalysisCache:
@@ -201,7 +198,7 @@ class AnalysisCache:
         stays correct when other threads or sessions use the cache
         concurrently.
         """
-        key = (canonical_key_tuple(nest), placement)
+        key = self.key_for(nest, placement)
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:

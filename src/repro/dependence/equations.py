@@ -86,11 +86,16 @@ def dependence_equation_system(
     """
     f_matrix, f_offset = pair.first.access_matrix(index_names)
     g_matrix, g_offset = pair.second.access_matrix(index_names)
-    # A = [ F^T ; -G^T ]  (2n x d) ; c = b - a  where subscripts are F i + a and G j + b.
-    # Access matrices hold the validated ints of the subscripts already.
-    a_top = [list(col) for col in zip(*f_matrix)]
-    a_bottom = [[-v for v in col] for col in zip(*g_matrix)]
-    matrix = a_top + a_bottom
+    return _equation_system(f_matrix, f_offset, g_matrix, g_offset)
+
+
+def _equation_system(f_matrix, f_offset, g_matrix, g_offset) -> Tuple[Matrix, Vector]:
+    """``(A, c)`` of the pair whose subscripts are ``F i + a`` and ``G j + b``.
+
+    ``A = [F^T ; -G^T]`` (``2n x d``) and ``c = b - a``.  The access
+    matrices hold the validated ints of the subscripts already.
+    """
+    matrix = [list(col) for col in zip(*f_matrix)] + [[-v for v in col] for col in zip(*g_matrix)]
     constant = [b - a for a, b in zip(f_offset, g_offset)]
     return matrix, constant
 

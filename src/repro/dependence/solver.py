@@ -21,7 +21,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.diophantine.linear_system import DiophantineSolution, _solve_reduced, solve_row_system
 from repro.dependence.distance import normalize_distance
-from repro.dependence.equations import ReferencePair, dependence_equation_system, reference_pairs
+from repro.dependence.equations import (
+    ReferencePair,
+    _equation_system,
+    dependence_equation_system,
+    reference_pairs,
+)
 from repro.intlin.echelon import _row_echelon
 from repro.intlin.lattice import Lattice
 from repro.intlin.matrix import Matrix, Vector, is_zero_vector
@@ -118,20 +123,19 @@ def analyze_loop_dependences(nest: LoopNest, include_self: bool = True) -> List[
     share a matrix (only the constants differ) share its echelon reduction.
     """
     names = nest.index_names
-    accesses = {}  # id(reference) -> (F^T as tuples, offsets)
-    echelons = {}  # (F^T, G^T) -> echelon reduction of [F^T ; -G^T]
+    accesses = {}  # id(reference) -> (access matrix as tuples, offsets)
+    echelons = {}  # (F, G) -> echelon reduction of the pair's system matrix
     solutions = []
     for pair in reference_pairs(nest, include_self=include_self):
         for ref in (pair.first, pair.second):
             if id(ref) not in accesses:
                 matrix, offsets = ref.access_matrix(names)
-                accesses[id(ref)] = (tuple(zip(*matrix)), offsets)
-        f_columns, f_offsets = accesses[id(pair.first)]
-        g_columns, g_offsets = accesses[id(pair.second)]
-        reduced = echelons.get((f_columns, g_columns))
+                accesses[id(ref)] = (tuple(map(tuple, matrix)), offsets)
+        f_matrix, f_offset = accesses[id(pair.first)]
+        g_matrix, g_offset = accesses[id(pair.second)]
+        system, constant = _equation_system(f_matrix, f_offset, g_matrix, g_offset)
+        reduced = echelons.get((f_matrix, g_matrix))
         if reduced is None:
-            system = [list(col) for col in f_columns] + [[-v for v in col] for col in g_columns]
-            reduced = echelons[f_columns, g_columns] = _row_echelon(system)
-        raw = _solve_reduced(reduced, [b - a for a, b in zip(f_offsets, g_offsets)])
-        solutions.append(_pair_solution(pair, len(names), raw))
+            reduced = echelons[f_matrix, g_matrix] = _row_echelon(system)
+        solutions.append(_pair_solution(pair, len(names), _solve_reduced(reduced, constant)))
     return solutions

@@ -155,7 +155,10 @@ class InequalitySystem:
 
     def transformed(self, inverse: Sequence[Sequence[int]]) -> "InequalitySystem":
         """System expressed in the new indices ``j`` with ``i = j @ inverse``."""
-        table = _inverse_table(inverse, self.n_vars)
+        return self._transformed(_inverse_table(inverse, self.n_vars))
+
+    def _transformed(self, table: List[List[int]]) -> "InequalitySystem":
+        """:meth:`transformed` for an ``n_vars x n_vars`` table of ints."""
         return InequalitySystem(
             self.n_vars, (ineq._substituted(table) for ineq in self.inequalities)
         )

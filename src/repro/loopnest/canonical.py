@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 _HASH_ATTR = "_repro_canonical_hash"
-_KEY_ATTR = "_repro_canonical_key_tuple"
 
 
 @dataclass(frozen=True)
@@ -92,24 +91,6 @@ class CanonicalForm:
 # serialization
 # --------------------------------------------------------------------------- #
 
-def _affine_key(expr: AffineExpr, positions: Dict[str, int]):
-    """Sparse positional form ``((loop level, coeff), ...)`` of an affine expr.
-
-    Sorted by loop level so the key is independent of how the index *names*
-    happen to sort; raises ``KeyError`` → :class:`LoopNestError` upstream if
-    the expression uses a non-index variable (validated at nest build time).
-    """
-    # Reads the slots of the expression directly: this runs for every bound
-    # and subscript of every cache lookup.
-    terms = expr._coeffs
-    if not terms:
-        return ("affine", (), expr._constant)
-    if len(terms) == 1:
-        ((name, coeff),) = terms
-        return ("affine", ((positions[name], coeff),), expr._constant)
-    return ("affine", tuple(sorted([(positions[name], c) for name, c in terms])), expr._constant)
-
-
 def _array_order(nest: LoopNest) -> Dict[str, str]:
     """Arrays in order of first appearance → canonical names ``A0, A1, ...``."""
     mapping: Dict[str, str] = {}
@@ -125,82 +106,16 @@ def _array_order(nest: LoopNest) -> Dict[str, str]:
     return mapping
 
 
-def _expr_key(expr: Expression, positions: Dict[str, int], arrays: Dict[str, str]):
-    """Normalized structural key of a body expression.
-
-    Dispatches on the exact node type (the AST is closed and final): this
-    runs on every cache lookup, where an ``isinstance`` chain is measurable.
-    An array not in ``arrays`` yet gets the next canonical name: visiting
-    each target before its right-hand side, operands left to right, names
-    the arrays as :func:`_array_order` does without a walk of its own.
-    """
-    kind = type(expr)
-    if kind is ArrayAccess:
-        name = arrays.get(expr.array)
-        if name is None:
-            name = arrays[expr.array] = f"A{len(arrays)}"
-        return ("ref", name, tuple([_affine_key(sub, positions) for sub in expr.subscripts]))
-    if kind is BinaryOp:
-        return (
-            "bin",
-            expr.op,
-            _expr_key(expr.left, positions, arrays),
-            _expr_key(expr.right, positions, arrays),
-        )
-    if kind is Constant:
-        return ("const", float(expr.value))
-    if kind is IndexTerm:
-        return ("idx",) + _affine_key(expr.affine, positions)[1:]
-    if kind is UnaryOp:
-        if expr.op == "+":
-            return _expr_key(expr.operand, positions, arrays)
-        inner = _expr_key(expr.operand, positions, arrays)
-        if inner[0] == "const":
-            return ("const", -inner[1])
-        return ("neg", inner)
-    if kind is Call:
-        return (
-            "call",
-            expr.name,
-            tuple(_expr_key(arg, positions, arrays) for arg in expr.args),
-        )
-    raise LoopNestError(f"cannot canonicalize expression node {kind.__name__}")
-
-
-def _nest_key_tuple(nest: LoopNest):
-    positions = {name: k for k, name in enumerate(nest.index_names)}
-    arrays: Dict[str, str] = {}
-    bounds_key = tuple(
-        [(_affine_key(b.lower, positions), _affine_key(b.upper, positions)) for b in nest.bounds]
-    )
-    statements_key = tuple(
-        [
-            (
-                "assign",
-                _expr_key(stmt.target, positions, arrays),
-                _expr_key(stmt.rhs, positions, arrays),
-            )
-            for stmt in nest.statements
-        ]
-    )
-    return ("nest", nest.depth, bounds_key, statements_key)
-
-
 def canonical_key_tuple(nest: LoopNest):
-    """The canonical structure as a hashable nested tuple.
+    """The canonical structure as a hashable tuple (see
+    :mod:`repro.loopnest.structure`).
 
     This is the SHA-256 *preimage* of :func:`canonical_hash` and the
     in-process cache key of :class:`repro.core.cache.AnalysisCache`: two
-    nests get the same tuple iff they are structurally equivalent, and
-    hashing/comparing a small tuple is much cheaper per lookup than a
-    cryptographic digest.  Memoized on the nest instance (:class:`LoopNest`
-    is immutable after construction).
+    nests get the same tuple iff they are structurally equivalent.  A nest
+    computes it when it validates (:meth:`LoopNest.validate`).
     """
-    memo = nest.__dict__  # a dict lookup: getattr's miss on a fresh nest raises inside
-    key = memo.get(_KEY_ATTR)
-    if key is None:
-        key = memo[_KEY_ATTR] = _nest_key_tuple(nest)
-    return key
+    return nest._structure_key
 
 
 def canonical_body_key(nest: LoopNest):

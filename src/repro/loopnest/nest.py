@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.exceptions import BoundsError, LoopNestError
+from repro.exceptions import LoopNestError
 from repro.intlin.fourier_motzkin import InequalitySystem, LinearInequality
 from repro.loopnest.affine import AffineExpr
 from repro.loopnest.array_ref import ArrayReference
 from repro.loopnest.bounds import LoopBounds
 from repro.loopnest.statement import Statement
+from repro.loopnest.structure import structure_key
 
 __all__ = ["LoopNest"]
 
@@ -53,7 +54,11 @@ class LoopNest:
     # validation and basic properties
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
-        """Raise :class:`LoopNestError` / :class:`BoundsError` on malformed nests."""
+        """Raise :class:`LoopNestError` / :class:`BoundsError` on malformed nests.
+
+        The walk that checks the variable scopes yields the nest's canonical
+        key (:func:`repro.loopnest.structure.structure_key`); the nest keeps it.
+        """
         if not self._index_names:
             raise LoopNestError("a loop nest needs at least one loop index")
         if len(set(self._index_names)) != len(self._index_names):
@@ -62,23 +67,9 @@ class LoopNest:
             raise LoopNestError(
                 f"{len(self._index_names)} indices but {len(self._bounds)} bounds"
             )
-        for level, bound in enumerate(self._bounds):
-            allowed = set(self._index_names[:level])
-            used = bound.variables()
-            if not used <= allowed:
-                raise BoundsError(
-                    f"bounds of loop {self._index_names[level]!r} use "
-                    f"{sorted(used - allowed)} which are not outer indices"
-                )
+        self._structure_key = structure_key(self)
         if not self._statements:
             raise LoopNestError("a loop nest needs at least one statement")
-        index_set = set(self._index_names)
-        for k, stmt in enumerate(self._statements):
-            extra = stmt.variables() - index_set
-            if extra:
-                raise LoopNestError(
-                    f"statement S{k} uses variables {sorted(extra)} that are not loop indices"
-                )
 
     @property
     def depth(self) -> int:

@@ -162,7 +162,8 @@ class ExecutionBackend:
         self, transformed: TransformedLoopNest, plan: ExecutionPlan, label: str
     ) -> Optional[str]:
         """Why a whole-plan :meth:`execute_plan` that returned ``label`` ran
-        another engine than this backend's own (None: it did not)."""
+        another engine than this backend's own (None: it did not).  Ask on
+        the thread that made the run, right after it."""
         return None
 
     def prepare_plan(
@@ -178,6 +179,10 @@ class ExecutionBackend:
         ``elapsed_seconds``.  The default is a no-op.
         """
 
+
+# Each thread's last delegation reason, set where a backend delegates a run.
+_DELEGATION = threading.local()
+_UNSET = object()
 
 _REGISTRY: Dict[str, Callable[..., ExecutionBackend]] = {}
 
@@ -479,17 +484,20 @@ class VectorizedBackend(ExecutionBackend):
         }
 
     # ------------------------------------------------------------------ #
-    def delegation_reason(self, transformed, plan, label) -> Optional[str]:
-        if label == self.name:
-            return None
+    def _delegation(self, transformed, chunks: int) -> Optional[str]:
+        """Why a run of ``chunks`` chunks goes to the compiled backend
+        before any round (None: the rounds run)."""
         if not _nest_is_vectorizable(transformed.nest):
             return "the body is not vectorizable"
-        if plan.chunk_count < self.min_parallel_width:
+        if chunks < self.min_parallel_width:
             return (
-                f"a narrow schedule of {plan.chunk_count} chunks, "
+                f"a narrow schedule of {chunks} chunks, "
                 f"under min_parallel_width {self.min_parallel_width}"
             )
-        return "the rounds replayed through the compiled body"
+        return None
+
+    def delegation_reason(self, transformed, plan, label) -> Optional[str]:
+        return None if label == self.name else _DELEGATION.reason
 
     def execute_plan(self, transformed, plan, store, chunk_indices=None) -> str:
         """Round-based execution with index arrays generated from the plan.
@@ -504,24 +512,29 @@ class VectorizedBackend(ExecutionBackend):
         views = plan.select_chunks(chunk_indices)
         if not views:
             return self.name
-        if not _nest_is_vectorizable(transformed.nest) or len(views) < self.min_parallel_width:
+        why = self._delegation(transformed, len(views))
+        if why is not None:
             self.stats["delegated_runs"] += 1
-            return CompiledBackend().execute_plan(
-                transformed, plan, store, chunk_indices=chunk_indices
-            )
-        blocks = [_plan_index_block(view, plan.depth) for view in views]
-        all_new = np.concatenate(blocks)
-        sizes = np.asarray([block.shape[0] for block in blocks], dtype=np.int64)
-        fallback = self._execute_packed(transformed, store, all_new, sizes)
-        if fallback is not None:
+        else:
+            blocks = [_plan_index_block(view, plan.depth) for view in views]
+            all_new = np.concatenate(blocks)
+            sizes = np.asarray([block.shape[0] for block in blocks], dtype=np.int64)
+            fallback = self._execute_packed(transformed, store, all_new, sizes)
+            if fallback is None:
+                return self.name
             # Not the independent partition the analysis promised, or an
             # error to raise the way a serial run does: execute chunk-major
             # (the interpreter's order) through the compiled backend instead.
             self.stats[fallback] += 1
-            return CompiledBackend().execute_plan(
-                transformed, plan, store, chunk_indices=chunk_indices
+            why = (
+                "the schedule failed the dynamic independence check"
+                if fallback == "illegal_schedule_fallbacks"
+                else "a round raised or a subscript left its window"
             )
-        return self.name
+        _DELEGATION.reason = why
+        return CompiledBackend().execute_plan(
+            transformed, plan, store, chunk_indices=chunk_indices
+        )
 
     def _execute_packed(self, transformed, store, all_new, sizes) -> Optional[str]:
         """Run the rounds for a chunk-major (total, depth) index matrix.
@@ -757,16 +770,19 @@ class NativeBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _program(transformed):
-        """The nest's native program, looked up once per transformed nest
-        (which leaves the memo out of its pickles)."""
-        if "_native" not in transformed.__dict__:
-            transformed._native = native_codegen.native_program_for(transformed)
-        return transformed._native
+    def _program(transformed, take: bool = False):
+        """The program :meth:`prepare_plan` looked up for this run, else a
+        fresh lookup.  The run's execute call takes it (``take``), so it
+        lives for one run and stays out of the transformed nest's pickles."""
+        state = transformed.__dict__
+        program = state.pop("_native", _UNSET) if take else state.get("_native", _UNSET)
+        if program is _UNSET:
+            program = native_codegen.native_program_for(transformed)
+        return program
 
     def prepare_plan(self, transformed, plan=None) -> None:
         started = time.perf_counter()
-        self._program(transformed)
+        transformed._native = native_codegen.native_program_for(transformed)
         self.stats["compile_seconds"] += time.perf_counter() - started
 
     def _raise_native_error(self, code: int, transformed) -> None:
@@ -786,16 +802,20 @@ class NativeBackend(ExecutionBackend):
             f"native kernel returned unknown status {code}"
         )
 
-    def _delegate_plan(self, transformed, plan, store, chunk_indices) -> str:
+    def _delegate_plan(self, transformed, plan, store, chunk_indices, why: str) -> str:
         self.stats["fallback_runs"] += 1
-        return self._fallback.execute_plan(
+        label = self._fallback.execute_plan(
             transformed, plan, store, chunk_indices=chunk_indices
         )
+        inner = self._fallback.delegation_reason(transformed, plan, label)
+        _DELEGATION.reason = f"{why}; {inner}" if inner else why
+        return label
 
     def execute_plan(self, transformed, plan, store, chunk_indices=None) -> str:
-        program = self._program(transformed)
+        program = self._program(transformed, take=True)
         if program is None:
-            return self._delegate_plan(transformed, plan, store, chunk_indices)
+            why = self._no_program_reason(transformed)
+            return self._delegate_plan(transformed, plan, store, chunk_indices, why)
         # The whole plan: the kernel finds the chunks itself, and the plan
         # keeps the count it found.
         outcome = program.scan(store, plan) if chunk_indices is None else None
@@ -806,10 +826,12 @@ class NativeBackend(ExecutionBackend):
         else:
             packed = native_codegen.packed_ranges_for(plan, chunk_indices)
             if packed is None:
-                return self._delegate_plan(transformed, plan, store, chunk_indices)
+                why = "the plan's tables exceed the int64 overflow guard"
+                return self._delegate_plan(transformed, plan, store, chunk_indices, why)
             code = program.execute(store, packed)
             if code is None:
-                return self._delegate_plan(transformed, plan, store, chunk_indices)
+                why = "the kernel cannot take the store's arrays"
+                return self._delegate_plan(transformed, plan, store, chunk_indices, why)
             n_chunks = packed.n_chunks
         if code != native_codegen.OK:
             self._raise_native_error(code, transformed)
@@ -820,10 +842,9 @@ class NativeBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # in-kernel parallel driver
     # ------------------------------------------------------------------ #
-    def _kernel_refusal(self, transformed) -> Optional[str]:
-        """Why the nest has no native program (None: it has one)."""
-        if self._program(transformed) is not None:
-            return None
+    @staticmethod
+    def _no_program_reason(transformed) -> str:
+        """Why the nest has no native program."""
         if native_codegen.resolve_engine() is None:
             return "no native engine"
         if native_codegen.nest_is_native_supported(transformed.nest):
@@ -831,11 +852,7 @@ class NativeBackend(ExecutionBackend):
         return "no native kernel for this nest"
 
     def delegation_reason(self, transformed, plan, label) -> Optional[str]:
-        if label.startswith("native-"):
-            return None
-        why = self._kernel_refusal(transformed) or "the kernel cannot take the plan or the store"
-        inner = self._fallback.delegation_reason(transformed, plan, label)
-        return f"{why}; {inner}" if inner else why
+        return None if label.startswith("native-") else _DELEGATION.reason
 
     def parallel_plan_refusal(self, transformed, plan) -> Optional[str]:
         """Why :meth:`execute_plan_parallel` cannot run this plan (None: it can).
@@ -843,10 +860,9 @@ class NativeBackend(ExecutionBackend):
         Compiles the kernel and builds the plan's bound table as a side
         effect (both cached), so call this inside the setup window.
         """
-        refusal = self._kernel_refusal(transformed)
-        if refusal is not None:
-            return refusal
         program = self._program(transformed)
+        if program is None:
+            return self._no_program_reason(transformed)
         if not program.kernel.supports_parallel:
             return "the cc kernel has no parallel entry point"
         if plan.bound_table() is None:
@@ -866,7 +882,7 @@ class NativeBackend(ExecutionBackend):
         path: the first failing chunk *in chunk order* is raised as the
         interpreter's exception type.
         """
-        program = self._program(transformed)
+        program = self._program(transformed, take=True)
         if program is None or not program.kernel.supports_parallel:
             return None
         packed = native_codegen.packed_ranges_for(plan)

@@ -88,13 +88,8 @@ def as_int_table(rows: Iterable, name: str = "matrix") -> List[List[int]]:
 
 def trusted_record(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields`` (every
-    one of them), values that are validated already.
-
-    The generated ``__init__`` of a frozen dataclass sets each field through
-    ``object.__setattr__``; the internal hops of a request, which build tens
-    of such records from validated tables, set them through the instance
-    dict instead.
-    """
+    one of them, validated already), set through the instance dict rather
+    than the generated ``__init__``'s ``object.__setattr__`` per field."""
     record = object.__new__(cls)
     record.__dict__.update(fields)
     return record

@@ -73,7 +73,8 @@ def _assert_fast_paths_agree(nest, placement):
     )
     assert fast.inverse_transform == slow.inverse_transform == unimodular_inverse(fast.transform)
     assert fast.variable_bounds == slow.variable_bounds
-    fast_table, slow_table = fast.execution_plan().bound_table(), slow.execution_plan().bound_table()
+    fast_table = fast.execution_plan().bound_table()
+    slow_table = slow.execution_plan().bound_table()
     assert (fast_table is None) == (slow_table is None)
     if fast_table is not None:
         assert np.array_equal(fast_table, slow_table)

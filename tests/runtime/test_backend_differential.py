@@ -544,6 +544,12 @@ class TestVectorizedBehavior:
         assert ref.identical(result)
         assert backend.stats["illegal_schedule_fallbacks"] == 1
         assert backend.stats["vectorized_rounds"] == 0
+        # A run names the replay's cause in its fallback.
+        outcome = ParallelExecutor(backend=backend).run(transformed, base.copy())
+        assert (outcome.backend, outcome.fallback) == (
+            "compiled",
+            "compiled run: the schedule failed the dynamic independence check",
+        )
 
     def test_independence_check_catches_cross_round_conflicts(self):
         # The adversarial case for a *per-round* check: chunks A=[(0,0),(0,1)]

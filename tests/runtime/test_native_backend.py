@@ -461,6 +461,20 @@ class TestSessionIntegration:
         assert result.execution.num_chunks > 0
 
     @needs_engine
+    def test_warm_programs_look_their_kernel_up_once_per_run(self):
+        # Each run looks its kernel up in its prepare step and nowhere else,
+        # so the next run of a warm program sees a cleared kernel cache.
+        native_codegen.clear_kernel_cache()
+        with Session(mode="serial", backend="native") as session:
+            session.run(example_4_1(6))
+            native_codegen.clear_kernel_cache()
+            for _ in range(2):
+                assert session.run(example_4_1(6)).backend == "native-cc"
+        info = native_codegen.kernel_cache_info()
+        assert (info["misses"], info["hits"]) == (1, 1)
+        native_codegen.clear_kernel_cache()
+
+    @needs_engine
     def test_session_reuses_warm_kernels(self):
         native_codegen.clear_kernel_cache()
         with Session(mode="serial", backend="native") as session:
