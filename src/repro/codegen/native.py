@@ -3,40 +3,49 @@
 An :class:`~repro.plan.ExecutionPlan` carries two int64 tables: a *bound
 table* with every level's role, step and integer Fourier–Motzkin bounds
 (plus the HNF shifts of its partition targets), and a *key table* with one
-row of ``depth`` ints per chunk.  This module emits one specialized kernel
-per *(canonical program structure, inverse transform)* that takes the raw
-float64 buffers of the store, the key rows of the selected chunks and the
-bound table, and scans each chunk as nested native loops — evaluating each
-level's bounds on the current prefix and stepping a partitioned level by
-the HNF diagonal from its congruence-derived start, exactly as
-:meth:`~repro.plan.ExecutionPlan.iterations_for` does — with zero
-per-iteration Python overhead.  Every plan shape runs through it:
-rectangular or coupled bounds, fixed or shifting partition targets, raw or
-coalesced chunks.
+row of ``depth`` ints per chunk.  Only the statement body differs between
+programs, so a *kernel* is the innermost loop of one body and nothing
+else: ``repro_run(j, lo, hi, step, arrays)`` (:func:`emit_kernel_source`)
+runs the inverse transform, the guards and the statements for one
+innermost range of new-space values, on the store's raw float64 buffers,
+and returns the first nonzero status.  One kernel is built per
+*(canonical program structure, inverse transform)*.
+
+Everything that walks a plan lives in one small library per loop depth
+(:func:`walker_source`), built by the first kernel of that depth and
+cached in memory and on disk like the kernels: ``repro_walk`` scans each
+chunk of a list of key rows level by level — evaluating each level's
+bounds on the current prefix and stepping a partitioned level by the HNF
+diagonal from its congruence-derived start, exactly as
+:meth:`~repro.plan.ExecutionPlan.iterations_for` does — and hands each
+innermost range to the kernel, and ``repro_drive`` is the in-kernel
+parallel driver.  Every plan shape runs through them: rectangular or
+coupled bounds, fixed or shifting partition targets, raw or coalesced
+chunks.  Each kernel build then compiles only its body, about 40% of what
+a kernel with its own walker and drivers took.
 
 A serial run of a whole plan passes no key rows: the chunk scan
 ``repro_scan`` finds the chunks from the bound table in the key table's
 order, a C transcription of :meth:`~repro.plan.ExecutionPlan._discover`,
 and runs them as it finds them, in batches of key rows, through the
-kernel's ``repro_kernel_entry``, so a cold request builds no key table.  The scan
-reads nothing of the program, so it is one shared library
-(:func:`scan_source`), built once beside the kernels instead of inside
-each of them, which would make every kernel build take about 40% longer.
-Selections by chunk index (the driver's ranges, the groups of ``shared``
-and the gateway) and the one plan shape the scan cannot deduplicate
-(:meth:`~repro.plan.ExecutionPlan.scan_stamps`) pass key rows.
+walker, so a cold request builds no key table.  The scan reads nothing of
+the program or its depth, so it is one shared library
+(:func:`scan_source`).  Selections by chunk index (the driver's ranges,
+the groups of ``shared`` and the gateway) and the one plan shape the scan
+cannot deduplicate (:meth:`~repro.plan.ExecutionPlan.scan_stamps`) pass
+key rows.
 
-The kernel is rendered as C, compiled with the system C compiler
-(``$CC``/``cc``/``gcc``/``clang``) into a shared object named by the
+Sources are rendered as C, compiled with the system C compiler
+(``$CC``/``cc``/``gcc``/``clang``) into shared objects named by the
 SHA-256 of the source, and loaded through :mod:`ctypes`, which releases
 the GIL for the duration of a call.  ``REPRO_NATIVE_ENGINE`` is the off
 switch: unset, ``auto`` or ``cc`` uses the compiler, and any other value
 (``none``, ``off``, ``disabled``, or a misspelled name) turns native
 execution off.  Without an engine, or when a build fails (a compiler
-error, an unusable cache directory), :func:`native_program_for` returns
-``None`` and the caller (the ``native`` execution backend) falls back to
-the vectorized backend, as it does for a plan whose tables the int64
-overflow guard refuses.
+error in the kernel or its depth's walker, an unusable cache directory),
+:func:`native_program_for` returns ``None`` and the caller (the
+``native`` execution backend) falls back to the vectorized backend, as it
+does for a plan whose tables the int64 overflow guard refuses.
 
 Bit-exactness contract: kernels evaluate everything in IEEE double, which
 matches the interpreter exactly for the supported expression subset —
@@ -58,18 +67,18 @@ disk keyed by source hash, so warm kernels survive across :class:`Session`
 runs and across pool workers: the parent's ``prepare_plan`` compile leaves
 an artifact every worker merely dlopens.
 
-Every kernel source also carries a second, multithreaded entry point
-(``repro_kernel_par``) that runs the chunks *inside* the compiled code.
-It takes the key rows, the bound table and the boundaries of contiguous
-chunk ranges, and runs each range through the serial kernel on its own
-OS thread: an OpenMP ``parallel for`` over the ranges when the toolchain
-supports ``-fopenmp`` (probed once and negative-cached, on disk per
-compiler), otherwise one pthreads helper per range after the first.  It
-returns the first nonzero range status in range order; ranges are ordered,
-so that is the status of the first failing chunk in chunk order — the
-same first-error semantics the serial kernel and the interpreter have.
-Every entry point lives in one source file, so a single content-addressed
-build covers serial and parallel execution.
+The parallel driver ``repro_drive`` takes the key rows, the bound table
+and the boundaries of contiguous chunk ranges, and walks each range on its
+own OS thread: an OpenMP ``parallel for`` over the ranges when the
+toolchain supports ``-fopenmp`` (probed once and negative-cached, on disk
+per compiler), otherwise one pthreads helper per range after the first.
+It returns the first nonzero range status in range order; ranges are
+ordered, so that is the status of the first failing chunk in chunk order —
+the same first-error semantics the serial walk and the interpreter have.
+Unless the caller set ``OMP_WAIT_POLICY``, it is set to ``PASSIVE`` before
+the first OpenMP walker loads: libgomp reads it once, and its default
+spin-waiting made warm driver runs several times slower than serial on a
+busy 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -102,7 +111,6 @@ from repro.plan.ir import LEVEL_FIELDS, ROLE_CODES
 
 __all__ = [
     "KERNEL_SYMBOL",
-    "PARALLEL_KERNEL_SYMBOL",
     "NativeKernel",
     "NativeProgram",
     "clear_kernel_cache",
@@ -118,13 +126,13 @@ __all__ = [
     "resolve_engine",
     "scan_source",
     "set_kernel_cache_limit",
+    "walker_source",
 ]
 
-KERNEL_SYMBOL = "repro_kernel"
-PARALLEL_KERNEL_SYMBOL = "repro_kernel_par"
+KERNEL_SYMBOL = "repro_run"
+WALK_SYMBOL = "repro_walk"
+DRIVER_SYMBOL = "repro_drive"
 SCAN_SYMBOL = "repro_scan"
-CHUNK_SYMBOL = "repro_chunk"
-KERNEL_ENTRY_SYMBOL = "repro_kernel_entry"
 
 ENGINE_ENV = "REPRO_NATIVE_ENGINE"
 CACHE_DIR_ENV = "REPRO_NATIVE_CACHE"
@@ -410,22 +418,31 @@ _C_HELPERS = [
     "",
     "static inline int64_t repro_mod(int64_t a, int64_t d)",
     "{",
+    "    if ((uint64_t)a < (uint64_t)d) { return a; }",
     "    const int64_t r = a % d;",
     "    return r < 0 ? r + d : r;",
     "}",
 ]
 
 
+_RUN_TYPEDEF = (
+    "typedef int64_t (*repro_run_fn)(const int64_t *j, int64_t lo, int64_t hi, int64_t step,\n"
+    "                                void *const *arrays);"
+)
+
+
 def _level_lines(level: int, depth: int) -> List[str]:
-    """One level of the chunk scan, up to and including its loop header.
+    """One level of a chunk's walk: its range, then the loop over it.
 
     Evaluates ``max(ceil(lower))`` / ``min(floor(upper))`` of the level's
     bound-table expressions on the current prefix ``j0..j{level-1}``, then
     narrows the range the way :meth:`ExecutionPlan.iterations_for` does:
     a parallel level to its value (or block), a partitioned level to the
     values congruent to ``target = key[level] + sum(shift[u] * f_u)`` mod
-    its stride.  Inside the loop, ``f{level}`` is the level's HNF factor
-    (0 unless partitioned), which deeper targets read.
+    its stride.  Inside an outer level's loop, ``jv[level]`` is its value
+    and ``f{level}`` its HNF factor (0 unless partitioned), which deeper
+    targets read.  The innermost level has no loop: it hands its range, if
+    not empty, to the kernel ``run`` and returns a nonzero status.
     """
     k = level
     header = k * (len(LEVEL_FIELDS) + depth)
@@ -470,32 +487,40 @@ def _level_lines(level: int, depth: int) -> List[str]:
         f"    tg{k} = {target};",
         f"    lo{k} += repro_mod(tg{k} - lo{k}, st{k});",
         "}",
-        f"for (int64_t j{k} = lo{k}; j{k} <= hi{k}; j{k} += st{k}) {{",
     ]
-    if k < depth - 1:
-        lines.append(
-            f"    const int64_t f{k} = rl{k} == {partition} ? (j{k} - tg{k}) / st{k} : 0;"
-        )
-    return lines
+    if k == depth - 1:
+        return lines + [
+            f"if (lo{k} <= hi{k}) {{",
+            f"    const int64_t status = run(jv, lo{k}, hi{k}, st{k}, arrays);",
+            "    if (status != 0) { return status; }",
+            "}",
+        ]
+    # f{k} steps with j{k}: one division per range, not one per value.
+    return lines + [
+        f"const int64_t df{k} = rl{k} == {partition};",
+        f"for (int64_t j{k} = lo{k}, f{k} = df{k} ? (lo{k} - tg{k}) / st{k} : 0; j{k} <= hi{k};",
+        f"     j{k} += st{k}, f{k} += df{k}) {{",
+        f"    jv[{k}] = j{k};",
+    ]
 
 
 def scan_source() -> str:
     """The C source of ``repro_scan``, the chunk scan every kernel shares.
 
-    ``repro_scan(depth, bt, stamps, found, kernel, arrays)`` is a C
+    ``repro_scan(depth, bt, stamps, found, walk, run, arrays)`` is a C
     transcription of :meth:`~repro.plan.ExecutionPlan._discover` over the
     bound table ``bt``: it finds the chunks of the plan in first-appearance
     order and runs them as it finds them, handing each batch of up to
-    :data:`_SCAN_BATCH` key rows to ``kernel(n, keys, bt, arrays)`` — a
-    kernel's ``repro_kernel_entry``, which runs them in order and stops at
-    the first nonzero status.  The scan returns that status and stops, so
-    the chunks that run, and the writes a failing run leaves, are the
-    serial kernel's; ``*found`` is the number of chunks found.  The scan
-    reads nothing of the program, so one library serves every kernel and
-    builds once, instead of growing every kernel's build; batching keeps
-    the chunk body inlined into the kernel's loop, as the key-table path
-    runs it.  Without sweeps, the innermost level appends every value it
-    visits as a chunk in one tight loop.
+    :data:`_SCAN_BATCH` key rows to ``walk(n, keys, bt, run, arrays)`` —
+    the ``repro_walk`` of the plan's depth, which walks them in order
+    through the kernel ``run`` and stops at the first nonzero status.  The
+    scan returns that status and stops, so the chunks that run, and the
+    writes a failing run leaves, are the serial walk's; ``*found`` is the
+    number of chunks found.  The scan reads nothing of the program or its
+    depth, so one library serves every kernel and builds once; batching
+    keeps the walk's level loops inlined, as the key-table path runs them.
+    Without sweeps, the innermost level appends every value it visits as a
+    chunk in one tight loop.
 
     It is one loop over the current level ``k``.  Entering a level
     evaluates its bounds on the prefix ``j[0..k-1]`` and narrows the range
@@ -530,11 +555,12 @@ def scan_source() -> str:
 
 {helpers}
 
-typedef int64_t (*repro_kernel_fn)(int64_t n_chunks, const int64_t *keys, const int64_t *bt,
-                                   void *const *arrays);
+{_RUN_TYPEDEF}
+typedef int64_t (*repro_walk_fn)(int64_t n_chunks, const int64_t *keys, const int64_t *bt,
+                                 repro_run_fn run, void *const *arrays);
 
 int64_t {SCAN_SYMBOL}(int64_t depth, const int64_t *bt, int64_t *stamps, int64_t *found,
-                   repro_kernel_fn kernel, void *const *arrays)
+                   repro_walk_fn walk, repro_run_fn run, void *const *arrays)
 {{
     const int64_t header = {len(LEVEL_FIELDS)} + depth;
     int64_t batch[{_SCAN_BATCH} * depth], held = 0, status;
@@ -598,7 +624,7 @@ int64_t {SCAN_SYMBOL}(int64_t depth, const int64_t *bt, int64_t *stamps, int64_t
                     }}
                     ++count;
                     if (++held == {_SCAN_BATCH}) {{
-                        status = kernel(held, batch, bt, arrays);
+                        status = walk(held, batch, bt, run, arrays);
                         held = 0;
                         if (status != 0) {{ *found = count; return status; }}
                     }}
@@ -640,92 +666,49 @@ int64_t {SCAN_SYMBOL}(int64_t depth, const int64_t *bt, int64_t *stamps, int64_t
             for (int64_t u = 0; u < depth; ++u) {{ batch[held * depth + u] = key[u]; }}
             ++count;
             if (++held == {_SCAN_BATCH}) {{
-                status = kernel(held, batch, bt, arrays);
+                status = walk(held, batch, bt, run, arrays);
                 held = 0;
                 if (status != 0) {{ *found = count; return status; }}
             }}
         }}
     }}
     *found = count;
-    return held ? kernel(held, batch, bt, arrays) : 0;
+    return held ? walk(held, batch, bt, run, arrays) : 0;
 }}
 """
 
 
-def emit_kernel_source(nest: LoopNest, inverse, flavor: str = "openmp") -> str:
-    """Render the chunk-loop kernel for ``nest`` as C.
+def emit_kernel_source(nest: LoopNest, inverse) -> str:
+    """Render the kernel of ``nest`` as C: the innermost loop of its body.
 
-    The source contains four functions:
-
-    * ``repro_chunk(key, bt, a0, a0_org, a0_shp, ...)`` — executes one
-      chunk given its key row (``depth`` ints) and the plan's bound table,
-      returning a status code;
-    * ``repro_kernel_entry(n_chunks, keys, bt, arrays)`` — runs the given
-      key rows in order, stopping at the first nonzero status, with the
-      array arguments packed into one pointer array: the signature every
-      kernel shares, through which the chunk scan of :func:`scan_source`
-      runs the chunks it finds, so a serial run of a whole plan needs no
-      key table;
-    * ``repro_kernel(n_chunks, keys, bt, a0, ...)`` — the same with the
-      array arguments spelled out;
-    * ``repro_kernel_par(n_threads, starts, keys, bt, statuses, a0, ...)``
-      — the parallel driver: thread ``t`` runs ``repro_kernel`` on chunks
-      ``starts[t]`` to ``starts[t + 1] - 1`` into ``statuses[t]``, and the
-      first nonzero status in thread order — the first failing chunk's *in
-      chunk order* — is returned, matching the serial error semantics.
-
-    ``keys`` is a flat int64 array of ``n_chunks * depth`` key rows and
-    ``bt`` the plan's int64 bound table
-    (:meth:`~repro.plan.ExecutionPlan.bound_table`).  The chunk function
-    scans the chunk level by level exactly as
-    :meth:`~repro.plan.ExecutionPlan.iterations_for` does: it evaluates each
-    level's Fourier–Motzkin bounds on the current prefix and steps a
-    partitioned level by the HNF diagonal from its congruence-derived start,
-    so every plan — shifting partition targets, bounds coupled to
-    sequential levels, coalesced blocks — runs through one kernel.  The
-    source hard-codes only the depth, the statements and the inverse
-    transform; roles, strides, bounds and sizes are all read from the
-    tables at run time.  Each array contributes its raw float64 buffer plus
-    int64 origin and shape vectors, in canonical slot order.
-
-    ``flavor`` selects the parallel driver: ``"openmp"`` emits one OpenMP
-    ``parallel for`` over the ranges (build with ``-fopenmp``);
-    ``"pthreads"`` starts a helper thread per range after the first (build
-    with ``-pthread``) and runs on the calling thread range 0 and any range
-    whose helper cannot start.
+    ``repro_run(j, lo, hi, step, arrays)`` runs the new-space points
+    ``(j[0], ..., j[depth - 2], v)`` for ``v = lo, lo + step, ..., hi`` in
+    order: it computes the original indices through the inverse transform,
+    evaluates the statements with their guards, and returns the first
+    nonzero status (0 when the whole range ran).  ``arrays`` holds each
+    array's raw float64 buffer, int64 origin and int64 shape, in canonical
+    slot order.  The source hard-codes only the depth, the statements and
+    the inverse transform; the walker of the nest's depth
+    (:func:`walker_source`) finds the ranges in the plan's tables.
     """
-    if flavor not in ("openmp", "pthreads"):
-        raise ExecutionError(f"unknown C parallel flavor {flavor!r}")
     emitter = _KernelEmitter(nest)
     for stmt in nest.statements:
         emitter.statement(stmt)
-    slots = _array_slots(nest)
-    depth = nest.depth
-    params = "".join(
-        f", double *a{slot}, const int64_t *a{slot}_org, const int64_t *a{slot}_shp"
-        for slot in range(len(slots))
-    )
-    array_args = "".join(
-        f", a{slot}, a{slot}_org, a{slot}_shp" for slot in range(len(slots))
-    )
-    packed = ", ".join(
-        f"a{slot}, (void *)a{slot}_org, (void *)a{slot}_shp" for slot in range(len(slots))
-    )
-    unpack = [
-        f"double *a{slot} = (double *)arrays[{3 * slot}]; "
-        f"const int64_t *a{slot}_org = (const int64_t *)arrays[{3 * slot + 1}]; "
-        f"const int64_t *a{slot}_shp = (const int64_t *)arrays[{3 * slot + 2}];"
-        for slot in range(len(slots))
-    ]
-    lines = ["#include <math.h>", "#include <stdint.h>"]
-    if flavor == "pthreads":
-        lines += ["#include <pthread.h>", "#include <stdlib.h>"]
-    lines += [""] + _C_HELPERS + [
+    inner = nest.depth - 1
+    lines = [
+        "#include <math.h>",
+        "#include <stdint.h>",
         "",
-        f"static int64_t {CHUNK_SYMBOL}(const int64_t *key, const int64_t *bt{params})",
+        f"int64_t {KERNEL_SYMBOL}(const int64_t *j, int64_t lo, int64_t hi, int64_t step, "
+        "void *const *arrays)",
         "{",
     ]
-    for slot, (_, ndim) in enumerate(slots):
+    for slot, (_, ndim) in enumerate(_array_slots(nest)):
+        lines += [
+            f"    double *a{slot} = (double *)arrays[{3 * slot}];",
+            f"    const int64_t *a{slot}_org = (const int64_t *)arrays[{3 * slot + 1}];",
+            f"    const int64_t *a{slot}_shp = (const int64_t *)arrays[{3 * slot + 2}];",
+        ]
         for k in range(ndim - 2, -1, -1):
             outer = (
                 f"a{slot}_s{k + 1} * a{slot}_shp[{k + 1}]"
@@ -733,41 +716,78 @@ def emit_kernel_source(nest: LoopNest, inverse, flavor: str = "openmp") -> str:
                 else f"a{slot}_shp[{k + 1}]"
             )
             lines.append(f"    int64_t a{slot}_s{k} = {outer};")
+    lines += [f"    const int64_t j{r} = j[{r}];" for r in range(inner)]
+    lines.append(f"    for (int64_t j{inner} = lo; j{inner} <= hi; j{inner} += step) {{")
+    lines.extend(
+        f"        {text}" for text in _inverse_assignments(nest.depth, inverse) + emitter.lines
+    )
+    return "\n".join(lines + ["    }", "    return 0;", "}"]) + "\n"
+
+
+def walker_source(depth: int, flavor: str) -> str:
+    """The C source of the walker library of ``depth`` loops.
+
+    It holds what every plan of that depth runs, whatever its body:
+
+    * ``repro_walk(n_chunks, keys, bt, run, arrays)`` walks the key rows
+      ``keys`` (``n_chunks * depth`` ints) in order over the plan's bound
+      table ``bt`` (:meth:`~repro.plan.ExecutionPlan.bound_table`), level
+      by level as :meth:`~repro.plan.ExecutionPlan.iterations_for` does,
+      handing each innermost range to the kernel ``run``
+      (:func:`emit_kernel_source`), and stops at the first nonzero status.
+      The chunk scan (:func:`scan_source`) hands its batches here too.
+    * ``repro_drive(n_threads, starts, keys, bt, statuses, run, arrays)``,
+      the parallel driver: thread ``t`` walks chunks ``starts[t]`` to
+      ``starts[t + 1] - 1`` into ``statuses[t]``, and the first nonzero
+      status in thread order — the first failing chunk's *in chunk order*
+      — is returned, matching the serial error semantics.  ``flavor``
+      ``"openmp"`` makes it one OpenMP ``parallel for`` over the ranges
+      (build with ``-fopenmp``); ``"pthreads"`` starts a helper thread per
+      range after the first (build with ``-pthread``) and runs on the
+      calling thread range 0 and any range whose helper cannot start.
+
+    The source bakes in only the depth, so the level loops are specialized
+    to it: one walker for every depth lost up to 1.5x on plans of tiny
+    chunks.
+    """
+    if flavor not in ("openmp", "pthreads"):
+        raise ExecutionError(f"unknown C parallel flavor {flavor!r}")
+    lines = ["#include <stdint.h>"]
+    if flavor == "pthreads":
+        lines += ["#include <pthread.h>", "#include <stdlib.h>"]
+    lines += [
+        "",
+        *_C_HELPERS,
+        "",
+        _RUN_TYPEDEF,
+        "",
+        "static int64_t repro_walk_chunk(const int64_t *key, const int64_t *bt, "
+        "repro_run_fn run, void *const *arrays)",
+        "{",
+        f"    int64_t jv[{depth}];",
+    ]
     for level in range(depth):
-        indent = "    " * (level + 1)
-        lines.extend(indent + text for text in _level_lines(level, depth))
-    body_indent = "    " * (depth + 1)
-    lines.extend(body_indent + text for text in _inverse_assignments(depth, inverse))
-    lines.extend(body_indent + text for text in emitter.lines)
-    lines.extend("    " * (level + 1) + "}" for level in range(depth - 1, -1, -1))
+        lines.extend("    " * (level + 1) + text for text in _level_lines(level, depth))
+    lines.extend("    " * (level + 1) + "}" for level in range(depth - 2, -1, -1))
     lines += [
         "    return 0;",
         "}",
         "",
-        # The one caller of the chunk body; not inlined into repro_kernel,
-        # so the body is compiled once.
-        f"__attribute__((noinline)) int64_t {KERNEL_ENTRY_SYMBOL}(int64_t n_chunks, "
-        "const int64_t *keys, const int64_t *bt, void *const *arrays)",
+        f"int64_t {WALK_SYMBOL}(int64_t n_chunks, const int64_t *keys, const int64_t *bt, "
+        "repro_run_fn run, void *const *arrays)",
         "{",
-    ] + [f"    {line}" for line in unpack] + [
         "    for (int64_t c = 0; c < n_chunks; ++c) {",
-        f"        int64_t status = {CHUNK_SYMBOL}(keys + c * {depth}, bt{array_args});",
+        f"        const int64_t status = repro_walk_chunk(keys + c * {depth}, bt, run, arrays);",
         "        if (status != 0) { return status; }",
         "    }",
         "    return 0;",
         "}",
         "",
-        f"int64_t {KERNEL_SYMBOL}(int64_t n_chunks, const int64_t *keys, "
-        f"const int64_t *bt{params})",
-        "{",
-        f"    void *const arrays[] = {{{packed}}};",
-        f"    return {KERNEL_ENTRY_SYMBOL}(n_chunks, keys, bt, arrays);",
-        "}",
-        "",
     ]
-    par_sig = (
-        f"int64_t {PARALLEL_KERNEL_SYMBOL}(int64_t n_threads, const int64_t *starts, "
-        f"const int64_t *keys, const int64_t *bt, int64_t *statuses{params})"
+    signature = (
+        f"int64_t {DRIVER_SYMBOL}(int64_t n_threads, const int64_t *starts, "
+        "const int64_t *keys, const int64_t *bt, int64_t *statuses, repro_run_fn run, "
+        "void *const *arrays)"
     )
     first_error = [
         "    for (t = 0; t < n_threads; ++t) {",
@@ -778,30 +798,25 @@ def emit_kernel_source(nest: LoopNest, inverse, flavor: str = "openmp") -> str:
     ]
     if flavor == "openmp":
         lines += [
-            par_sig,
+            signature,
             "{",
             "    int64_t t;",
             "    #pragma omp parallel for schedule(static, 1) "
             "num_threads(n_threads < 1 ? 1 : (int)n_threads)",
             "    for (t = 0; t < n_threads; ++t) {",
-            f"        statuses[t] = {KERNEL_SYMBOL}(starts[t + 1] - starts[t], "
-            f"keys + starts[t] * {depth}, bt{array_args});",
+            f"        statuses[t] = {WALK_SYMBOL}(starts[t + 1] - starts[t], "
+            f"keys + starts[t] * {depth}, bt, run, arrays);",
             "    }",
         ] + first_error
         return "\n".join(lines) + "\n"
-    member_decls = "".join(
-        f" double *a{slot}; const int64_t *a{slot}_org; const int64_t *a{slot}_shp;"
-        for slot in range(len(slots))
-    )
-    range_args = "".join(
-        f", r->a{slot}, r->a{slot}_org, r->a{slot}_shp" for slot in range(len(slots))
-    )
     lines += [
         "typedef struct {",
         "    int64_t n_chunks;",
         "    const int64_t *keys;",
         "    const int64_t *bt;",
-        f"    int64_t *status;{member_decls}",
+        "    int64_t *status;",
+        "    repro_run_fn run;",
+        "    void *const *arrays;",
         "    int started;",
         "    pthread_t id;",
         "} repro_range_t;",
@@ -809,21 +824,23 @@ def emit_kernel_source(nest: LoopNest, inverse, flavor: str = "openmp") -> str:
         "static void *repro_run_range(void *opaque)",
         "{",
         "    repro_range_t *r = (repro_range_t *)opaque;",
-        f"    *r->status = {KERNEL_SYMBOL}(r->n_chunks, r->keys, r->bt{range_args});",
+        f"    *r->status = {WALK_SYMBOL}(r->n_chunks, r->keys, r->bt, r->run, r->arrays);",
         "    return 0;",
         "}",
         "",
-        par_sig,
+        signature,
         "{",
         "    /* Range 0 runs on the calling thread and every further range on a",
         "       helper.  A range whose helper cannot start runs here as well, and",
         "       so does every chunk when the range table cannot be allocated. */",
         "    repro_range_t *ranges = (repro_range_t *)calloc((size_t)n_threads, sizeof *ranges);",
         "    int64_t t;",
-        f"    if (ranges == 0) {{ return {KERNEL_SYMBOL}(starts[n_threads], keys, bt{array_args}); }}",
+        "    if (ranges == 0) {",
+        f"        return {WALK_SYMBOL}(starts[n_threads], keys, bt, run, arrays);",
+        "    }",
         "    for (t = 0; t < n_threads; ++t) {",
         "        ranges[t] = (repro_range_t){starts[t + 1] - starts[t], "
-        f"keys + starts[t] * {depth}, bt, &statuses[t]{array_args}}};",
+        f"keys + starts[t] * {depth}, bt, &statuses[t], run, arrays}};",
         "        ranges[t].started = t > 0",
         "            && pthread_create(&ranges[t].id, 0, repro_run_range, &ranges[t]) == 0;",
         "    }",
@@ -847,6 +864,7 @@ _UNSET = object()
 _OPENMP_CACHED = _UNSET
 _COMPILER_CACHED = _UNSET
 _SCAN_CACHED = _UNSET
+_WALKERS: Dict[int, Optional["_Walker"]] = {}
 _LAST_BUILD_ERROR: Optional[str] = None
 
 
@@ -1007,30 +1025,35 @@ def _load_cc(source: str, directory: str, flags: List[str], stem: str):
         return None
 
 
-def _build_cc(source: str, directory: str, openmp: bool):
-    """Compile kernel source to a shared object cached in ``directory``,
-    load its entry points, and return ``(serial_fn, parallel_fn,
-    kernel_entry)`` — parallel and packed entry may be None."""
+_P = ctypes.c_void_p
+_I64_P = ctypes.POINTER(ctypes.c_int64)
+_ARRAYS_P = ctypes.POINTER(ctypes.c_void_p)
+#: Argument types of each entry point.
+_ARGTYPES = {
+    KERNEL_SYMBOL: [_P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _ARRAYS_P],
+    WALK_SYMBOL: [ctypes.c_int64, _P, _P, _P, _ARRAYS_P],
+    DRIVER_SYMBOL: [ctypes.c_int64, _P, _P, _P, _P, _P, _ARRAYS_P],
+    SCAN_SYMBOL: [ctypes.c_int64, _P, _P, _I64_P, _P, _P, _ARRAYS_P],
+}
+
+
+def _load_entries(source: str, directory: str, flags: List[str], stem: str, *symbols):
+    """Build and load ``source`` (:func:`_load_cc`) and return its entry
+    points ``symbols``; None on failure, with the reason in
+    :func:`last_build_error`."""
     global _LAST_BUILD_ERROR
-    library = _load_cc(source, directory, ["-fopenmp" if openmp else "-pthread"], KERNEL_SYMBOL)
+    library = _load_cc(source, directory, flags, stem)
     if library is None:
         return None
     try:
-        function = getattr(library, KERNEL_SYMBOL)
+        entries = [getattr(library, symbol) for symbol in symbols]
     except AttributeError as exc:  # pragma: no cover - corrupt cache entry
         _LAST_BUILD_ERROR = f"{type(exc).__name__}: {exc}"
         return None
-    function.restype = ctypes.c_int64
-    optional = []
-    for symbol in (PARALLEL_KERNEL_SYMBOL, KERNEL_ENTRY_SYMBOL):
-        try:
-            entry = getattr(library, symbol)
-        except AttributeError:  # pragma: no cover - artifact from an older build
-            entry = None
-        else:
-            entry.restype = ctypes.c_int64
-        optional.append(entry)
-    return (function, *optional)
+    for symbol, entry in zip(symbols, entries):
+        entry.restype = ctypes.c_int64
+        entry.argtypes = _ARGTYPES[symbol]
+    return entries
 
 
 def _scan_function():
@@ -1039,24 +1062,45 @@ def _scan_function():
     ``_LOCK``."""
     global _SCAN_CACHED
     if _SCAN_CACHED is _UNSET:
-        library = _load_cc(scan_source(), native_cache_dir(), [], SCAN_SYMBOL)
-        scan = getattr(library, SCAN_SYMBOL, None) if library is not None else None
-        if scan is not None:
-            scan.restype = ctypes.c_int64
-            scan.argtypes = [
-                ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, _I64_P, ctypes.c_void_p,
-                ctypes.POINTER(ctypes.c_void_p),
-            ]
-        _SCAN_CACHED = scan
+        entries = _load_entries(scan_source(), native_cache_dir(), [], SCAN_SYMBOL, SCAN_SYMBOL)
+        _SCAN_CACHED = entries[0] if entries is not None else None
     return _SCAN_CACHED
+
+
+class _Walker(NamedTuple):
+    """The loaded walker library of one depth, and the shared scan (None
+    when it cannot be built)."""
+
+    walk: object
+    drive: object
+    flavor: str
+    scan: object
+    walk_address: ctypes.c_void_p
+
+
+def _walker(depth: int, directory: str, flavor: str) -> Optional[_Walker]:
+    """The walker of ``depth`` loops (:func:`walker_source`), built by the
+    first kernel of that depth and kept for the process, like a failure
+    (None).  Call it under ``_LOCK``."""
+    if depth not in _WALKERS:
+        if flavor == "openmp":
+            # libgomp reads its wait policy once, when the first library
+            # linked to it loads, which is here.  Its default spin-waits:
+            # warm driver runs then took 4-6x serial on a busy 2-vCPU host.
+            os.environ.setdefault("OMP_WAIT_POLICY", "PASSIVE")
+        flags = ["-fopenmp" if flavor == "openmp" else "-pthread"]
+        entries = _load_entries(
+            walker_source(depth, flavor), directory, flags, WALK_SYMBOL, WALK_SYMBOL, DRIVER_SYMBOL
+        )
+        _WALKERS[depth] = None if entries is None else _Walker(
+            *entries, flavor, _scan_function(), ctypes.cast(entries[0], ctypes.c_void_p)
+        )
+    return _WALKERS[depth]
 
 
 # --------------------------------------------------------------------------- #
 # kernels and the process-wide cache
 # --------------------------------------------------------------------------- #
-
-_I64_P = ctypes.POINTER(ctypes.c_int64)
-
 
 def _address(array: np.ndarray) -> int:
     """The address of a writable C-contiguous array's data, at a third of
@@ -1095,57 +1139,39 @@ def packed_ranges_for(plan, chunk_indices=None) -> Optional[PackedChunks]:
 
 
 class NativeKernel:
-    """One compiled kernel: its ctypes entry points + marshalling.
+    """One compiled kernel body and the walker of its depth, with the
+    marshalling of their calls.
 
-    ``flavor`` names the parallel driver baked into the artifact
-    (``"openmp"`` or ``"pthreads"``), ``None`` when the artifact has no
-    parallel entry point.
+    ``flavor`` names the walker's parallel driver (``"openmp"`` or
+    ``"pthreads"``), ``None`` when it has none.
     """
 
-    __slots__ = (
-        "depth",
-        "array_dims",
-        "source",
-        "compile_seconds",
-        "flavor",
-        "_fn",
-        "_par_fn",
-        "_scan",
-        "_kernel_entry",
-    )
+    __slots__ = ("depth", "array_dims", "source", "compile_seconds", "_run", "_walker")
 
-    def __init__(self, fn, depth, array_dims, source, compile_seconds,
-                 par_fn=None, flavor=None, scan=None):
+    def __init__(self, run, walker: _Walker, depth, array_dims, source, compile_seconds):
         self.depth = depth
         self.array_dims = tuple(array_dims)
         self.source = source
         self.compile_seconds = compile_seconds
-        self.flavor = flavor if par_fn is not None else None
-        self._fn = fn
-        self._par_fn = par_fn
-        # ``scan`` pairs the shared scan function with this kernel's packed
-        # entry, whose address the scan calls with each batch it finds.
-        self._scan = scan[0] if scan is not None else None
-        self._kernel_entry = (
-            ctypes.cast(scan[1], ctypes.c_void_p) if scan is not None else None
-        )
-        # Arrays pass as addresses (see _marshal).
-        array_types = [ctypes.c_void_p] * (3 * len(self.array_dims))
-        fn.argtypes = [ctypes.c_int64, _I64_P, _I64_P] + array_types
-        if par_fn is not None:
-            par_fn.argtypes = [ctypes.c_int64, _I64_P, _I64_P, _I64_P, _I64_P] + array_types
+        # The walker calls the kernel through its address.
+        self._run = ctypes.cast(run, ctypes.c_void_p)
+        self._walker = walker
+
+    @property
+    def flavor(self) -> Optional[str]:
+        return self._walker.flavor if self.supports_parallel else None
 
     @property
     def supports_parallel(self) -> bool:
-        """Whether this kernel carries a usable parallel driver."""
-        return self._par_fn is not None
+        """Whether this kernel's walker carries a usable parallel driver."""
+        return self._walker.drive is not None
 
     def _marshal(self, offset_arrays, bounds: np.ndarray, *tables: np.ndarray):
         """The addresses of each array's float64 buffer, int64 origin and
-        int64 shape, in slot order, and the int64 block holding the origins
-        and shapes, which the caller keeps alive for the duration of the
-        call; None when a table or an array's layout cannot be passed to
-        native code (caller falls back)."""
+        int64 shape, in slot order, as one pointer array, and the int64
+        block holding the origins and shapes, which the caller keeps alive
+        for the duration of the call; None when a table or an array's
+        layout cannot be passed to native code (caller falls back)."""
         for table in (bounds, *tables):
             if table.dtype != np.int64 or table.ndim != 1 or not table.flags["C_CONTIGUOUS"]:
                 return None
@@ -1167,7 +1193,7 @@ class NativeKernel:
         for buffer, ndim in zip(buffers, self.array_dims):
             addresses += (buffer, origin, origin + 8 * ndim)
             origin += 16 * ndim
-        return addresses, block
+        return (ctypes.c_void_p * len(addresses))(*addresses), block
 
     def execute(self, offset_arrays, packed: PackedChunks) -> Optional[int]:
         """Run the given key rows in order; returns the status code, or None
@@ -1178,43 +1204,42 @@ class NativeKernel:
         marshalled = self._marshal(offset_arrays, bounds, keys)
         if marshalled is None:
             return None
-        return int(self._fn(
-            ctypes.c_int64(n_chunks),
-            keys.ctypes.data_as(_I64_P),
-            bounds.ctypes.data_as(_I64_P),
-            *marshalled[0],
-        ))
+        # The plan's tables may be read-only.
+        return self._walker.walk(
+            n_chunks, keys.ctypes.data, bounds.ctypes.data, self._run, marshalled[0]
+        )
 
     def scan(self, offset_arrays, bounds: np.ndarray, stamps: int) -> Optional[Tuple[int, int]]:
         """Find and run every chunk of the plan whose bound table is
         ``bounds`` through the shared scan; returns ``(status, chunks
         run)``, or None when there is no scan or the marshalling is
         unusable — nothing has been written then."""
-        if self._scan is None:
+        walker = self._walker
+        if walker.scan is None:
             return None
         marshalled = self._marshal(offset_arrays, bounds)
         if marshalled is None:
             return None
-        addresses = marshalled[0]
         seen = np.zeros(stamps, dtype=np.int64) if stamps else None
         found = ctypes.c_int64(0)
-        status = self._scan(
+        status = walker.scan(
             self.depth,
-            bounds.ctypes.data,  # the plan's table may be read-only
+            bounds.ctypes.data,
             None if seen is None else _address(seen),
             ctypes.byref(found),
-            self._kernel_entry,
-            (ctypes.c_void_p * len(addresses))(*addresses),
+            walker.walk_address,
+            self._run,
+            marshalled[0],
         )
-        return int(status), found.value
+        return status, found.value
 
     def execute_parallel(self, offset_arrays, packed: PackedChunks, starts) -> Optional[int]:
         """Run chunks ``starts[t]`` to ``starts[t + 1] - 1`` on thread ``t``;
         returns the first failing chunk's status code (in chunk order), or
-        None when the kernel has no parallel entry point or the ranges or
-        the marshalling are unusable — no writes have happened in that
-        case, so the caller can fall back safely."""
-        if self._par_fn is None:
+        None when the walker has no parallel driver or the ranges or the
+        marshalling are unusable — no writes have happened in that case, so
+        the caller can fall back safely."""
+        if not self.supports_parallel:
             return None
         starts = np.ascontiguousarray(starts, dtype=np.int64)
         edges = starts.tolist()
@@ -1228,16 +1253,11 @@ class NativeKernel:
         marshalled = self._marshal(offset_arrays, bounds, keys)
         if marshalled is None:
             return None
-        threads = starts.size - 1
-        statuses = np.zeros(threads, dtype=np.int64)
-        return int(self._par_fn(
-            ctypes.c_int64(threads),
-            starts.ctypes.data_as(_I64_P),
-            keys.ctypes.data_as(_I64_P),
-            bounds.ctypes.data_as(_I64_P),
-            statuses.ctypes.data_as(_I64_P),
-            *marshalled[0],
-        ))
+        statuses = np.zeros(starts.size - 1, dtype=np.int64)
+        return self._walker.drive(
+            starts.size - 1, starts.ctypes.data, keys.ctypes.data, bounds.ctypes.data,
+            statuses.ctypes.data, self._run, marshalled[0],
+        )
 
 
 class NativeProgram:
@@ -1305,11 +1325,12 @@ def kernel_cache_info() -> Dict[str, object]:
 
 
 def clear_kernel_cache() -> None:
-    """Drop cached kernels, stats, the shared scan and the memoized
-    toolchain probes."""
+    """Drop cached kernels, stats, the walkers, the shared scan and the
+    memoized toolchain probes."""
     global _OPENMP_CACHED, _COMPILER_CACHED, _SCAN_CACHED, _LAST_BUILD_ERROR
     with _LOCK:
         _KERNELS.clear()
+        _WALKERS.clear()
         for key in _STATS:
             _STATS[key] = 0.0 if key == "build_seconds" else 0
         _OPENMP_CACHED = _UNSET
@@ -1319,8 +1340,9 @@ def clear_kernel_cache() -> None:
 
 
 def _build_kernel(nest: LoopNest, inverse) -> Optional[NativeKernel]:
-    """Canonicalize, emit, compile and load the kernel of a nest (None on
-    failure, with the reason in :func:`last_build_error`)."""
+    """Canonicalize, emit, compile and load the kernel of a nest and the
+    walker of its depth (None on failure, with the reason in
+    :func:`last_build_error`)."""
     global _LAST_BUILD_ERROR
     started = time.perf_counter()
     nest = canonicalize(nest).nest
@@ -1336,17 +1358,16 @@ def _build_kernel(nest: LoopNest, inverse) -> Optional[NativeKernel]:
             f"{type(exc).__name__}: {exc}"
         )
         return None
-    source = emit_kernel_source(nest, inverse, flavor)
-    built = _build_cc(source, directory, openmp=flavor == "openmp")
-    if built is None:
+    source = emit_kernel_source(nest, inverse)
+    built = _load_entries(source, directory, [], "repro_kernel", KERNEL_SYMBOL)
+    # The walker of the depth and the shared scan build with the first
+    # kernel that needs them, inside the setup window.
+    walker = _walker(nest.depth, directory, flavor) if built is not None else None
+    if walker is None:
         return None
-    function, parallel_fn, kernel_entry = built
-    # The shared scan builds with the first kernel, inside the setup window.
-    scan = _scan_function() if kernel_entry is not None else None
     dims = tuple(ndim for _, ndim in _array_slots(nest))
     return NativeKernel(
-        function, nest.depth, dims, source, time.perf_counter() - started,
-        par_fn=parallel_fn, flavor=flavor, scan=(scan, kernel_entry) if scan else None,
+        built[0], walker, nest.depth, dims, source, time.perf_counter() - started
     )
 
 

@@ -18,6 +18,7 @@ interpreter reference — across:
 
 import os
 import pickle
+import time
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from repro.runtime.executor import ParallelExecutor
 from repro.runtime.interpreter import execute_nest
 from repro.workloads.paper_examples import example_4_1, example_4_2
 from repro.workloads.suite import workload_suite
+from repro.workloads.synthetic import three_deep_variable_loop
 
 ROOT = Path(__file__).resolve().parents[2]
 SUITE = workload_suite(5)
@@ -416,6 +418,64 @@ class TestKernelCache:
         native_codegen.clear_kernel_cache()
         native_codegen._find_c_compiler()
         assert calls
+
+    def test_one_walker_per_depth_outside_the_build_count(self, tmp_path, monkeypatch):
+        # A kernel build compiles its body.  The first kernel of a depth
+        # also builds that depth's walker, whose time counts in
+        # build_seconds but not in builds.
+        monkeypatch.setenv(native_codegen.CACHE_DIR_ENV, str(tmp_path))
+        native_codegen.clear_kernel_cache()
+        walker_seconds = []
+        walker = native_codegen._walker
+
+        def timed(*args):
+            started = time.perf_counter()
+            try:
+                return walker(*args)
+            finally:
+                walker_seconds.append(time.perf_counter() - started)
+
+        monkeypatch.setattr(native_codegen, "_walker", timed)
+        chain = loop_nest("chain").loop("i1", 0, 7).statement("A[i1] = A[i1 - 1] + 1.0").build()
+        nests = [chain, example_4_1(6), example_4_2(6), three_deep_variable_loop(3)]
+        try:
+            for nest in nests:
+                transformed = TransformedLoopNest.from_report(analyze_nest(nest))
+                assert native_codegen.native_program_for(transformed) is not None
+            info = native_codegen.kernel_cache_info()
+            assert info["builds"] == len(nests)
+            assert len(list(tmp_path.glob("repro_kernel_*.so"))) == len(nests)
+            assert len(list(tmp_path.glob("repro_walk_*.so"))) == 3
+            assert len(walker_seconds) == len(nests)
+            assert info["build_seconds"] >= sum(walker_seconds)
+        finally:
+            native_codegen.clear_kernel_cache()
+
+    def test_walker_build_failure_falls_back(self, tmp_path, monkeypatch):
+        # A walker that cannot be built fails every kernel of its depth,
+        # like a compiler error in a kernel: the run delegates and names
+        # why, and the failure is cached for the depth.
+        monkeypatch.setenv(native_codegen.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(
+            native_codegen, "walker_source", lambda depth, flavor: "#error no walker here\n"
+        )
+        native_codegen.clear_kernel_cache()
+        try:
+            base, ref, transformed = _reference_and_transformed(example_4_1(6))
+            result = base.copy()
+            outcome = ParallelExecutor(
+                mode="native-parallel", workers=2, backend="native"
+            ).run(transformed, result)
+            assert ref.identical(result)
+            assert outcome.fallback == "serial run: the native kernel build failed"
+            assert "no walker here" in native_codegen.last_build_error()
+            other = _reference_and_transformed(example_4_2(6))[2]
+            assert native_codegen.native_program_for(other) is None
+            assert len(list(tmp_path.glob("repro_walk_*.c"))) == 1
+            assert native_codegen.kernel_cache_info()["builds"] == 0
+        finally:
+            monkeypatch.undo()
+            native_codegen.clear_kernel_cache()
 
     def test_backend_pickles_without_kernel_state(self):
         backend = NativeBackend()

@@ -24,12 +24,19 @@ OS thread (OpenMP or pthreads).  This suite pins:
   ``$REPRO_WORKERS`` override), the rejection of worker counts below 1,
   and the engine/thread reporting in ``ExecutionResult``/``RunResult``,
 * the OpenMP compile probe (disk-persisted negative cache) and the
-  pthreads flavour, including a helper thread that cannot start.
+  pthreads flavour, including a helper thread that cannot start, both in
+  the walker library of the plan's depth (a kernel is only its body), and
+  the driver's default ``OMP_WAIT_POLICY``.
 """
 
 import copy
 import itertools
+import json
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +63,7 @@ from repro.runtime.telemetry import ExecutionTelemetry
 from repro.workloads.paper_examples import example_4_1, example_4_2
 from repro.workloads.suite import workload_suite
 
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 SUITE = workload_suite(5)
 SUITE_IDS = [case.name for case in SUITE]
 THREAD_COUNTS = (1, 2, 8)
@@ -69,8 +77,9 @@ needs_engine = pytest.mark.skipif(
 def flavor(request, monkeypatch):
     """The driver flavour a test runs: the toolchain's own (OpenMP where
     ``-fopenmp`` works) or the pthreads driver every toolchain builds.
-    The kernel LRU is keyed by program, not flavour, so the pthreads runs
-    start and end with an empty one."""
+    The driver lives in the walker of each depth, which is kept per depth,
+    not per flavour, and kernels keep the walker they were built with, so
+    the pthreads runs start and end with empty caches."""
     if request.param == "auto":
         yield "openmp" if native_codegen.openmp_supported() else "pthreads"
         return
@@ -553,14 +562,13 @@ class TestParallelDifferential:
         )
 
     def test_kernel_without_parallel_entry_runs_serial_kernel(self, monkeypatch):
-        # An artifact without the parallel entry point (a corrupt cache
-        # entry, or one from an older build) loads as a serial-only kernel:
-        # the mode runs it in one serial call and says why.
+        # A kernel whose walker has no parallel driver runs in one serial
+        # call, and the mode says why.
         base, ref, transformed = _reference_and_transformed(example_4_1(12))
         program = native_codegen.native_program_for(transformed)
         stub = copy.copy(program.kernel)
-        stub._par_fn = None
-        stub.flavor = None
+        stub._walker = stub._walker._replace(drive=None)
+        assert stub.flavor is None and not stub.supports_parallel
         monkeypatch.setattr(
             native_codegen,
             "native_program_for",
@@ -595,7 +603,7 @@ class TestParallelDifferential:
         transformed = _reference_and_transformed(example_4_1(10))[2]
         plan = transformed.execution_plan()
         backend.prepare_plan(transformed, plan)
-        # The (single) build carries both entry points; a subsequent
+        # The build brings the walker and its driver along; a subsequent
         # parallel support probe compiles nothing new.
         compiled = backend.stats["compile_seconds"]
         backend.parallel_plan_refusal(transformed, plan)
@@ -721,7 +729,7 @@ class TestParallelErrors:
 
 
 # ---------------------------------------------------------------------------
-# OpenMP probe and the pthreads fallback flavor
+# OpenMP probe, the pthreads fallback flavor and the walkers that hold them
 # ---------------------------------------------------------------------------
 
 @needs_engine
@@ -760,7 +768,9 @@ class TestCcFlavors:
         program = native_codegen.native_program_for(transformed)
         assert program is not None
         assert program.kernel.flavor == "pthreads"
-        assert "pthread_create" in program.kernel.source
+        assert "pthread" not in program.kernel.source
+        (walker,) = fresh_cache.glob("repro_walk_*.c")
+        assert walker.read_text() == native_codegen.walker_source(2, "pthreads")
         plan = transformed.execution_plan()
         packed = native_codegen.packed_ranges_for(plan)
         for threads in THREAD_COUNTS:
@@ -790,16 +800,17 @@ class TestCcFlavors:
         )
         transformed = TransformedLoopNest.from_report(analyze_nest(nest))
         base = store_for_nest(nest)
+        walker_source = native_codegen.walker_source
+        monkeypatch.setattr(
+            native_codegen,
+            "walker_source",
+            lambda depth, flavor: walker_source(depth, flavor).replace(
+                "#include <stdlib.h>", f"#include <stdlib.h>\n{failure}", 1
+            ),
+        )
+        assert failure in native_codegen.walker_source(2, "pthreads")
         program = native_codegen.native_program_for(transformed)
-        source = program.kernel.source.replace(
-            "#include <stdlib.h>", f"#include <stdlib.h>\n{failure}", 1
-        )
-        assert source != program.kernel.source
-        serial_fn, par_fn, _ = native_codegen._build_cc(source, str(fresh_cache), openmp=False)
-        kernel = native_codegen.NativeKernel(
-            serial_fn, program.kernel.depth, program.kernel.array_dims, source, 0.0,
-            par_fn=par_fn, flavor="pthreads",
-        )
+        assert program.kernel.flavor == "pthreads"
         plan = transformed.execution_plan()
         starts = _starts(plan, 4)
         assert starts.tolist() == [0, 4, 8, 12, 16]
@@ -807,9 +818,7 @@ class TestCcFlavors:
         with pytest.raises(ZeroDivisionError):
             execute_nest(nest, expected)
         result = base.copy()
-        code = native_codegen.NativeProgram(kernel, program.array_order).execute_parallel(
-            result, native_codegen.packed_ranges_for(plan), starts
-        )
+        code = program.execute_parallel(result, native_codegen.packed_ranges_for(plan), starts)
         assert code == native_codegen.ERR_ZERO_DIV
         # Rows 0-11 ran to completion and row 12 failed on its first
         # iteration: the interpreter's partial writes exactly.
@@ -821,7 +830,56 @@ class TestCcFlavors:
         _, _, transformed = _reference_and_transformed(example_4_2(6))
         program = native_codegen.native_program_for(transformed)
         assert program.kernel.flavor == "openmp"
-        source = program.kernel.source
+        assert "#pragma" not in program.kernel.source
+        source = native_codegen.walker_source(2, "openmp")
+        (walker,) = fresh_cache.glob("repro_walk_*.c")
+        assert walker.read_text() == source
         assert source.count("#pragma omp") == 1
         assert "#pragma omp parallel for schedule(static, 1)" in source
-        assert "statuses[t] = repro_kernel(starts[t + 1] - starts[t]" in source
+        assert "statuses[t] = repro_walk(starts[t + 1] - starts[t]" in source
+
+    def test_kernel_is_the_innermost_loop_of_its_body(self, fresh_cache):
+        # One function: the inverse transform, the guards and the
+        # statements over one innermost range.  Level walks, chunk entries
+        # and drivers live in the walker of the depth.
+        _, _, transformed = _reference_and_transformed(example_4_2(6))
+        source = native_codegen.native_program_for(transformed).kernel.source
+        assert source.count("repro_run(") == 1 and source.count("for (") == 1
+        for gone in ("repro_chunk", "repro_kernel", "repro_walk", "bt[", "pthread"):
+            assert gone not in source, gone
+
+    def test_openmp_driver_waits_passively_by_default(self):
+        # libgomp spin-waits unless told otherwise, and warm driver runs
+        # then took several times as long as serial ones on a 2-vCPU host.
+        # The walker sets OMP_WAIT_POLICY=PASSIVE, unless the caller set
+        # it, before libgomp loads.
+        if not native_codegen.openmp_supported():
+            pytest.skip("toolchain lacks OpenMP")
+        script = textwrap.dedent(
+            """
+            import json, os, statistics, time
+            from repro.api import Session
+            from repro.workloads.paper_examples import example_4_1
+
+            nest, medians = example_4_1(256), {}
+            for mode in ("serial", "native-parallel"):
+                with Session(backend="native", mode=mode, workers=2) as session:
+                    samples = []
+                    for rep in range(18):
+                        started = time.perf_counter()
+                        run = session.run(nest)
+                        samples.append(time.perf_counter() - started)
+                medians[mode] = statistics.median(samples[3:])
+            policy = os.environ.get("OMP_WAIT_POLICY")
+            print(json.dumps({"policy": policy, "engine": run.engine, **medians}))
+            """
+        )
+        env = {key: value for key, value in os.environ.items() if key != "OMP_WAIT_POLICY"}
+        env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        outcome = json.loads(done.stdout.splitlines()[-1])
+        assert (outcome["policy"], outcome["engine"]) == ("PASSIVE", "native-cc-openmp")
+        assert outcome["native-parallel"] <= 2.0 * outcome["serial"], outcome
